@@ -43,11 +43,12 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
+    def state(self, prefix: str = "") -> dict[str, np.ndarray]:
+        return {name: t.data.copy() for name, t in self.named_parameters(prefix)}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
+    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Copy in the parameters stored under `prefix`; other keys are ignored."""
+        own = dict(self.named_parameters(prefix))
         missing = set(own) - set(state)
         if missing:
             raise KeyError(f"load_state: missing parameters {sorted(missing)}")

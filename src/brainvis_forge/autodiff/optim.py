@@ -56,20 +56,21 @@ class ParamStore:
         """Gradients currently attached to the stored tensors."""
         return {name: t.grad for name, t in self._params.items() if t.grad is not None}
 
-    def state(self) -> dict[str, np.ndarray]:
+    def state(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Flat array map for persistence: values, moments, step counter."""
         out: dict[str, np.ndarray] = {}
         for name, t in self._params.items():
-            out[f"param/{name}"] = t.data.copy()
-            out[f"adam_m/{name}"] = self._m[name].copy()
-            out[f"adam_v/{name}"] = self._v[name].copy()
-        out["adam_step"] = np.asarray([self.step_count], dtype=np.float32)
+            out[f"{prefix}param/{name}"] = t.data.copy()
+            out[f"{prefix}adam_m/{name}"] = self._m[name].copy()
+            out[f"{prefix}adam_v/{name}"] = self._v[name].copy()
+        out[f"{prefix}adam_step"] = np.asarray([self.step_count], dtype=np.float32)
         return out
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Inverse of `state(prefix)`; keys outside `prefix` are ignored."""
         for name, t in self._params.items():
-            for prefix, target in (("param", None), ("adam_m", self._m), ("adam_v", self._v)):
-                key = f"{prefix}/{name}"
+            for kind, target in (("param", None), ("adam_m", self._m), ("adam_v", self._v)):
+                key = f"{prefix}{kind}/{name}"
                 if key not in state:
                     raise KeyError(f"ParamStore.load_state: missing {key}")
                 arr = np.asarray(state[key], dtype=t.data.dtype)
@@ -79,7 +80,7 @@ class ParamStore:
                     t.data = arr.copy()
                 else:
                     target[name] = arr.copy()
-        self.step_count = int(state["adam_step"][0])
+        self.step_count = int(state[f"{prefix}adam_step"][0])
 
 
 def adam_step(

@@ -30,7 +30,7 @@ def fuse(time_vec: Tensor, freq_vec: Tensor) -> Tensor:
     return concat([time_vec, freq_vec], axis=-1)
 
 
-class TfeModel:
+class TfeModel(Module):
     """Both branches plus the class head; disabled branches contribute zeros
     so the fused width (d + h) never changes."""
 
@@ -69,60 +69,31 @@ class TfeModel:
             raise RuntimeError("TfeModel: frequency encoder not attached")
         return self.freq_encoder(spectra)
 
-    def logits(self, flat_units: np.ndarray, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
-        """Class logits for a batch.  `freq_hidden` short-circuits the recurrence
-        with precomputed constants (used while the frequency branch is frozen)."""
+    def fused(self, flat_units: np.ndarray, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
+        """Fused (d + h) embedding rows on the tape; zeros for disabled branches.
+        `freq_hidden` short-circuits the recurrence with precomputed constants
+        (used while the frequency branch is frozen)."""
         batch = flat_units.shape[0]
         dtype = self.head.weight.data.dtype
         if self.use_time:
             t_vec = self.time_vector(Tensor(np.asarray(flat_units, dtype=dtype)))
         else:
             t_vec = Tensor(np.zeros((batch, self.d), dtype=dtype))
-        if self.use_freq:
-            if freq_hidden is not None:
-                f_vec = Tensor(np.asarray(freq_hidden, dtype=dtype))
-            else:
-                if spectra is None:
-                    raise ValueError("TfeModel.logits: frequency branch enabled but no spectra given")
-                f_vec = self.freq_vector(Tensor(np.asarray(spectra, dtype=dtype)))
-        else:
+        if not self.use_freq:
             f_vec = Tensor(np.zeros((batch, self.h), dtype=dtype))
-        return self.head(fuse(t_vec, f_vec))
-
-    def fused(self, flat_units: np.ndarray, spectra: np.ndarray | None) -> Tensor:
-        """Fused (d + h) embedding rows on the tape; zeros for disabled branches."""
-        batch = flat_units.shape[0]
-        dtype = self.head.weight.data.dtype
-        if self.use_time:
-            t_vec = self.time_vector(Tensor(np.asarray(flat_units, dtype=dtype)))
+        elif freq_hidden is not None:
+            f_vec = Tensor(np.asarray(freq_hidden, dtype=dtype))
+        elif spectra is None:
+            raise ValueError("TfeModel: frequency branch enabled but no spectra given")
         else:
-            t_vec = Tensor(np.zeros((batch, self.d), dtype=dtype))
-        if self.use_freq and spectra is not None:
             f_vec = self.freq_vector(Tensor(np.asarray(spectra, dtype=dtype)))
-        else:
-            f_vec = Tensor(np.zeros((batch, self.h), dtype=dtype))
         return fuse(t_vec, f_vec)
+
+    def logits(self, flat_units: np.ndarray, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
+        """Class logits for a batch; arguments as for `fused`."""
+        return self.head(self.fused(flat_units, spectra, freq_hidden))
 
     def tfe_embedding(self, flat_units: np.ndarray, spectra: np.ndarray | None) -> np.ndarray:
         """Fused embedding as a constant array (inference path)."""
         with no_grad():
             return self.fused(flat_units, spectra).data.copy()
-
-    def named_parameters(self):
-        yield from ((f"projector.{k}", v) for k, v in self.projector.named_parameters())
-        yield from ((f"encoder.{k}", v) for k, v in self.encoder.named_parameters())
-        if self.freq_encoder is not None:
-            yield from ((f"freq_encoder.{k}", v) for k, v in self.freq_encoder.named_parameters())
-        yield from ((f"head.{k}", v) for k, v in self.head.named_parameters())
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_parameters():
-            if name not in state:
-                raise KeyError(f"TfeModel.load_state: missing {name}")
-            arr = np.asarray(state[name], dtype=t.data.dtype)
-            if arr.shape != t.shape:
-                raise ShapeError(f"TfeModel.load_state: {name} expects {t.shape}, got {arr.shape}")
-            t.data = arr.copy()

@@ -88,17 +88,14 @@ def finetune_tfe(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7FE]))
     if pretrained_lmm is not None:
         projector, encoder = pretrained_lmm.projector, pretrained_lmm.encoder
-        unit_dim = projector.proj.weight.shape[0]
     else:
-        units_probe = prepare_units(records[:1], n_units)
-        unit_dim = units_probe.shape[2]
-        projector = UnitProjector(unit_dim, d, n_units, rng)
+        c, l = records[0].x.shape  # prepare_units below checks that n_units divides l
+        projector = UnitProjector(c * (l // n_units), d, n_units, rng)
         encoder = VisibleEncoder(d, n_heads, ffn_dim, sa_blocks, rng)
     if pretrained_freq is not None:
         freq_encoder: LstmEncoder | None = pretrained_freq.encoder
     elif use_freq:
-        spectra_probe = spectra_matrix(records[:1], sample_rate, spectrum_scale)
-        freq_encoder = LstmEncoder(spectra_probe.shape[2], lstm_hidden, rng)
+        freq_encoder = LstmEncoder(records[0].x.shape[0], lstm_hidden, rng)
     else:
         freq_encoder = None
     head = Linear(d + lstm_hidden, n_classes, rng)

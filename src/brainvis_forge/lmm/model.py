@@ -110,10 +110,10 @@ class Teacher:
         return out.data
 
     def state(self) -> dict[str, np.ndarray]:
-        return {f"teacher/{k}": v for k, v in self.module.state().items()}
+        return self.module.state("teacher/")
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.module.load_state({k[len("teacher/") :]: v for k, v in state.items() if k.startswith("teacher/")})
+        self.module.load_state(state, "teacher/")
 
 
 def teacher_update(teacher: Teacher, student: VisibleEncoder, momentum: float) -> Teacher:

@@ -1,6 +1,7 @@
 """Configuration, checkpointing, stage orchestration, and the CLI."""
 
 from .checkpoint import (
+    ABLATION_MODES,
     STAGE_PREREQS,
     CheckpointArchive,
     StageError,
@@ -9,7 +10,7 @@ from .checkpoint import (
     require_stage,
     save_checkpoint,
 )
-from .config import ABLATION_MODES, PipelineConfig
+from .config import PipelineConfig
 from .runner import RunPaths, run_full_chain
 
 __all__ = [

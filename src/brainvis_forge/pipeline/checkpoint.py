@@ -9,6 +9,15 @@ Layout (little-endian):
 Tensors are written in sorted name order for byte-stable output.  The stage
 tag and config snapshot ride in a JSON sidecar ({path}.meta.json): the binary
 body stays pure tensor data and the snapshot stays human-readable.
+
+Every training stage saves through the runner's `save_stage`, so all stage
+checkpoints share one key layout:
+    model/{param}                      the stage's network (tfe, align, diffusion)
+    opt/param/{param}, opt/adam_m/{param}, opt/adam_v/{param}, opt/adam_step
+                                       the Adam store: values, moments, step
+    spectrum_scale                     freq, tfe: the spectrum normaliser
+    teacher/{param}, codebook_weight   lmm: EMA teacher and frozen tokenizer
+where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
 """
 
 from __future__ import annotations
@@ -38,6 +47,18 @@ STAGE_PREREQS: dict[str, tuple[str, ...]] = {
     "generate": ("data", "tfe", "align", "diffusion"),
     "evaluate": ("data", "tfe", "generate"),
 }
+# Stages each ablation mode (None: the full chain) never runs; they drop out
+# of the prerequisites.
+ABLATION_SKIPS: dict[str | None, tuple[str, ...]] = {
+    None: (),
+    "no-time": ("lmm",),
+    "no-freq": ("freq",),
+    "no-pretrain": ("lmm",),
+    "no-finetune": (),
+    "no-refine": (),
+    "no-semantic": ("align",),
+}
+ABLATION_MODES = tuple(mode for mode in ABLATION_SKIPS if mode is not None)
 
 
 class StageError(RuntimeError):
@@ -115,10 +136,9 @@ def require_stage(archive: CheckpointArchive, expected: str) -> CheckpointArchiv
     return archive
 
 
-def check_prerequisites(stage: str, available: set[str], skip: set[str] = frozenset()) -> None:
-    """Raise naming the first missing prerequisite stage for `stage`."""
+def check_prerequisites(stage: str, available: set[str], ablate: str | None = None) -> None:
+    """Raise naming the first missing prerequisite stage for `stage`, ignoring
+    the stages the ablation mode `ablate` skips."""
     for dep in STAGE_PREREQS[stage]:
-        if dep in skip:
-            continue
-        if dep not in available:
+        if dep not in available and dep not in ABLATION_SKIPS[ablate]:
             raise StageError(f"stage {stage!r} requires {dep!r}, which has not been run")

@@ -2,7 +2,8 @@
 
 One subcommand per pipeline stage plus grad-check and ablate.  The
 BRAINVIS_FORGE_THREADS environment variable caps BLAS parallelism; it is
-applied before numpy loads, which is why heavy imports live inside main().
+applied before numpy loads, which is why heavy imports live inside the
+functions main() calls after applying it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 
 def _apply_thread_cap() -> None:
@@ -21,7 +23,25 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
+def stage_commands() -> list[tuple[str, str, Callable]]:
+    """(command, help, stage function) for every pipeline stage, in run order."""
+    from . import runner
+
+    return [
+        ("gen-data", "generate the synthetic dataset and semantic fixtures", runner.run_gen_data),
+        ("train-lmm", "masked-latent pretraining of the time branch", runner.run_train_lmm),
+        ("train-freq", "supervised pretraining of the frequency branch", runner.run_train_freq),
+        ("finetune-tfe", "staged fine-tuning of the fused classifier", runner.run_finetune_tfe),
+        ("train-align", "train the semantic alignment network", runner.run_train_align),
+        ("train-diffusion", "train the conditional denoiser", runner.run_train_diffusion),
+        ("generate", "sample images for the test records", runner.run_generate),
+        ("evaluate", "score classification and generation, write report.json", runner.run_evaluate),
+    ]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .checkpoint import ABLATION_MODES
+
     parser = argparse.ArgumentParser(
         prog="brainvis-forge",
         description="Desk-scale EEG-to-image pipeline: pretraining, fusion, alignment, cascaded diffusion, evaluation.",
@@ -31,27 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run-dir", default="runs/run", help="run directory (default: runs/run)")
     parser.add_argument(
         "--ablate",
-        choices=["no-time", "no-freq", "no-pretrain", "no-finetune", "no-refine", "no-semantic"],
+        choices=ABLATION_MODES,
         default=None,
         help="disable one component (see the ablate command)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("gen-data", "generate the synthetic dataset and semantic fixtures"),
-        ("train-lmm", "masked-latent pretraining of the time branch"),
-        ("train-freq", "supervised pretraining of the frequency branch"),
-        ("finetune-tfe", "staged fine-tuning of the fused classifier"),
-        ("train-align", "train the semantic alignment network"),
-        ("train-diffusion", "train the conditional denoiser"),
-        ("generate", "sample images for the test records"),
-        ("evaluate", "score classification and generation, write report.json"),
-        ("grad-check", "finite-difference verification of every op (nonzero exit on failure)"),
-        ("ablate", "run the full chain with the --ablate switch applied"),
-    ]:
-        p = sub.add_parser(name, help=doc)
-        if name == "grad-check":
-            p.add_argument("--probes", type=int, default=10)
-            p.add_argument("--tol", type=float, default=1e-4)
+    for name, doc, _ in stage_commands():
+        sub.add_parser(name, help=doc)
+    p = sub.add_parser("grad-check", help="finite-difference verification of every op (nonzero exit on failure)")
+    p.add_argument("--probes", type=int, default=10)
+    p.add_argument("--tol", type=float, default=1e-4)
+    sub.add_parser("ablate", help="run the full chain with the --ablate switch applied")
     return parser
 
 
@@ -60,19 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     from .config import PipelineConfig
-    from .runner import (
-        RunPaths,
-        run_evaluate,
-        run_finetune_tfe,
-        run_full_chain,
-        run_gen_data,
-        run_generate,
-        run_grad_check,
-        run_train_align,
-        run_train_diffusion,
-        run_train_freq,
-        run_train_lmm,
-    )
+    from .runner import RunPaths, run_full_chain, run_grad_check
 
     if args.command == "grad-check":
         worst, ok = run_grad_check(probes=args.probes, tol=args.tol)
@@ -92,16 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = cfg.with_overrides(**overrides)
     paths = RunPaths(args.run_dir)
 
-    commands = {
-        "gen-data": run_gen_data,
-        "train-lmm": run_train_lmm,
-        "train-freq": run_train_freq,
-        "finetune-tfe": run_finetune_tfe,
-        "train-align": run_train_align,
-        "train-diffusion": run_train_diffusion,
-        "generate": run_generate,
-        "evaluate": run_evaluate,
-    }
     if args.command == "ablate":
         if cfg.ablate is None:
             print("ablate: pass --ablate MODE to select the component to disable", file=sys.stderr)
@@ -110,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         print(report.to_json())
         return 0
 
-    result = commands[args.command](cfg, paths)
+    result = {name: fn for name, _, fn in stage_commands()}[args.command](cfg, paths)
     if hasattr(result, "to_json"):
         print(result.to_json())
     else:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-ABLATION_MODES = ("no-time", "no-freq", "no-pretrain", "no-finetune", "no-refine", "no-semantic")
+from .checkpoint import ABLATION_MODES
 
 
 @dataclass

@@ -6,6 +6,9 @@ and for generation an images/ directory plus provenance.jsonl.
 
 Every stage validates its prerequisites against the stage graph before doing
 any work; ablation modes prune the edges belonging to disabled components.
+Training stages hand weights on only through `save_stage` and `load_stage`,
+which own the checkpoint key layout (see pipeline.checkpoint).  `STAGE_RUNS`
+is the chain's stage order.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from ..align.fixtures import generate_fixtures, load_fixtures, lookup, write_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
-from ..autodiff.nn import Linear, LstmEncoder
+from ..autodiff.nn import Linear, LstmEncoder, Module
+from ..autodiff.optim import ParamStore
 from ..data.bvd import load_dataset, write_dataset
 from ..data.images import make_image_set
 from ..data.records import DatasetSplit, EegRecord
@@ -40,6 +44,7 @@ from ..metrics.classification import GaConfig
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import train_surrogate
 from .checkpoint import (
+    ABLATION_SKIPS,
     CheckpointArchive,
     StageError,
     check_prerequisites,
@@ -80,29 +85,42 @@ class RunPaths:
         return {stage for stage, marker in STAGE_MARKERS.items() if (self.root / marker).exists()}
 
 
-def _ablation_skips(cfg: PipelineConfig) -> set[str]:
-    return {
-        None: set(),
-        "no-time": {"lmm"},
-        "no-pretrain": {"lmm"},
-        "no-freq": {"freq"},
-        "no-finetune": set(),
-        "no-refine": set(),
-        "no-semantic": {"align"},
-    }[cfg.ablate]
-
-
 def _enter_stage(cfg: PipelineConfig, paths: RunPaths, stage: str) -> Path:
-    check_prerequisites(stage, paths.available_stages(), skip=_ablation_skips(cfg))
+    check_prerequisites(stage, paths.available_stages(), ablate=cfg.ablate)
     d = paths.stage_dir(stage)
     (d / "config.json").write_text(cfg.to_json())
     return d
 
 
-def _write_metrics(stage_dir: Path, rows: list[dict]) -> None:
-    with open(stage_dir / "metrics.jsonl", "w") as fh:
+def _write_jsonl(path: Path, rows: list[dict]) -> None:
+    with open(path, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def save_stage(
+    cfg: PipelineConfig,
+    paths: RunPaths,
+    stage: str,
+    history: list[dict],
+    store: ParamStore,
+    model: Module | None = None,
+    extras: dict[str, np.ndarray] | None = None,
+    meta: dict | None = None,
+) -> None:
+    """Write the stage's checkpoint (model/, opt/ and `extras` keys; config
+    snapshot plus `meta` in the sidecar) and its metrics.jsonl."""
+    tensors = {**store.state("opt/"), **(model.state("model/") if model is not None else {}), **(extras or {})}
+    save_checkpoint(paths.checkpoint(stage), CheckpointArchive(tensors, stage, {**cfg.to_dict(), **(meta or {})}))
+    _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
+
+
+def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> CheckpointArchive:
+    """Read the stage's checkpoint, loading its model/ keys into `model` if given."""
+    ckpt = require_stage(load_checkpoint(paths.checkpoint(stage)), stage)
+    if model is not None:
+        model.load_state(ckpt.tensors, "model/")
+    return ckpt
 
 
 def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
@@ -139,12 +157,12 @@ def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     )
     write_fixtures(stage_dir / "fixtures.bve", fixtures, e=cfg.e)
     summary = {"records": len(records), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
-    _write_metrics(stage_dir, [summary])
+    _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     return summary
 
 
 def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    stage_dir = _enter_stage(cfg, paths, "lmm")
+    _enter_stage(cfg, paths, "lmm")
     records, split = load_run_data(cfg, paths)
     train_records = [records[i] for i in split.train]
     batch = min(cfg.batch, len(train_records))
@@ -165,39 +183,13 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
         batch_size=batch,
         seed=cfg.seed,
     )
-    tensors = {
-        **{f"opt/{k}": v for k, v in result.store.state().items()},
-        **result.models.teacher.state(),
-        **result.models.codebook.state(),
-    }
-    save_checkpoint(paths.checkpoint("lmm"), CheckpointArchive(tensors, "lmm", cfg.to_dict()))
-    _write_metrics(stage_dir, result.history)
+    extras = {**result.models.teacher.state(), **result.models.codebook.state()}
+    save_stage(cfg, paths, "lmm", result.history, result.store, extras=extras)
     return {"steps": len(result.history), "final_l_lmm": result.history[-1]["l_lmm"] if result.history else None}
 
 
-def _rebuild_lmm(cfg: PipelineConfig, paths: RunPaths):
-    ckpt = require_stage(load_checkpoint(paths.checkpoint("lmm")), "lmm")
-    models = build_lmm_models(
-        unit_dim=cfg.unit_dim,
-        n_units=cfg.n,
-        d=cfg.d,
-        n_heads=cfg.heads,
-        ffn_dim=cfg.ffn,
-        sa_blocks=cfg.sa_blocks,
-        ca_blocks=cfg.ca_blocks,
-        n_codewords=cfg.n_t,
-        teacher_momentum=cfg.teacher_momentum,
-        seed=cfg.seed,
-    )
-    store = models.student_store()
-    store.load_state({k[len("opt/") :]: v for k, v in ckpt.tensors.items() if k.startswith("opt/")})
-    models.teacher.load_state(ckpt.tensors)
-    models.codebook = Codebook.from_state(ckpt.tensors)
-    return models
-
-
 def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    stage_dir = _enter_stage(cfg, paths, "freq")
+    _enter_stage(cfg, paths, "freq")
     records, split = load_run_data(cfg, paths)
     result = freq_classify_train(
         records,
@@ -210,27 +202,14 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
         sample_rate=cfg.sample_rate,
         seed=cfg.seed,
     )
-    tensors = {
-        **{f"opt/{k}": v for k, v in result.store.state().items()},
-        "spectrum_scale": np.asarray([result.spectrum_scale], dtype=np.float32),
-    }
-    save_checkpoint(paths.checkpoint("freq"), CheckpointArchive(tensors, "freq", cfg.to_dict()))
-    _write_metrics(stage_dir, result.history)
+    extras = {"spectrum_scale": np.asarray([result.spectrum_scale], dtype=np.float32)}
+    save_stage(cfg, paths, "freq", result.history, result.store, extras=extras)
     last = result.history[-1] if result.history else {}
     return {"epochs": len(result.history), "val_acc": last.get("val_acc")}
 
 
-def _rebuild_freq(cfg: PipelineConfig, paths: RunPaths) -> tuple[FreqClassifier, float]:
-    ckpt = require_stage(load_checkpoint(paths.checkpoint("freq")), "freq")
-    model = FreqClassifier(cfg.c, cfg.lstm_hidden, cfg.n_classes, np.random.default_rng(0))
-    model.load_state(
-        {k[len("opt/param/freq.") :]: v for k, v in ckpt.tensors.items() if k.startswith("opt/param/freq.")}
-    )
-    return model, float(ckpt.tensors["spectrum_scale"][0])
-
-
 def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    stage_dir = _enter_stage(cfg, paths, "tfe")
+    _enter_stage(cfg, paths, "tfe")
     records, split = load_run_data(cfg, paths)
     use_time = cfg.ablate != "no-time"
     use_freq = cfg.ablate != "no-freq"
@@ -238,10 +217,21 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
     pretrained_lmm = None
     if use_time and not cold_start:
-        pretrained_lmm = _rebuild_lmm(cfg, paths)
+        pretrained_lmm = build_lmm_models(
+            unit_dim=cfg.unit_dim, n_units=cfg.n, d=cfg.d, n_heads=cfg.heads, ffn_dim=cfg.ffn,
+            sa_blocks=cfg.sa_blocks, ca_blocks=cfg.ca_blocks, n_codewords=cfg.n_t,
+            teacher_momentum=cfg.teacher_momentum, seed=cfg.seed,
+        )
+        ckpt = load_stage(paths, "lmm")
+        pretrained_lmm.student_store().load_state(ckpt.tensors, "opt/")
+        pretrained_lmm.teacher.load_state(ckpt.tensors)
+        pretrained_lmm.codebook = Codebook.from_state(ckpt.tensors)
     pretrained_freq, scale = (None, 1.0)
     if use_freq:
-        pretrained_freq, scale = _rebuild_freq(cfg, paths)
+        pretrained_freq = FreqClassifier(cfg.c, cfg.lstm_hidden, cfg.n_classes, np.random.default_rng(0))
+        ckpt = load_stage(paths, "freq")
+        pretrained_freq.load_state(ckpt.tensors, "opt/param/freq.")
+        scale = float(ckpt.tensors["spectrum_scale"][0])
 
     result = finetune_tfe(
         records,
@@ -267,21 +257,18 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
         run_stage2=cfg.ablate != "no-finetune",
         allow_cold_start=cold_start,
     )
-    tensors = {
-        **{f"model/{k}": v for k, v in result.model.state().items()},
-        **{f"opt/{k}": v for k, v in result.store.state().items()},
-        "spectrum_scale": np.asarray([scale], dtype=np.float32),
-    }
-    meta = {**cfg.to_dict(), "use_time": use_time, "use_freq": use_freq,
-            "stage1_done": result.stage1_done, "stage2_done": result.stage2_done}
-    save_checkpoint(paths.checkpoint("tfe"), CheckpointArchive(tensors, "tfe", meta))
-    _write_metrics(stage_dir, result.history)
+    save_stage(
+        cfg, paths, "tfe", result.history, result.store, result.model,
+        extras={"spectrum_scale": np.asarray([scale], dtype=np.float32)},
+        meta={"use_time": use_time, "use_freq": use_freq,
+              "stage1_done": result.stage1_done, "stage2_done": result.stage2_done},
+    )
     last = result.history[-1] if result.history else {}
     return {"epochs": len(result.history), "train_acc": last.get("train_acc"), "val_acc": last.get("val_acc")}
 
 
-def _rebuild_tfe(cfg: PipelineConfig, paths: RunPaths) -> TfeModel:
-    ckpt = require_stage(load_checkpoint(paths.checkpoint("tfe")), "tfe")
+def _load_tfe(cfg: PipelineConfig, paths: RunPaths) -> TfeModel:
+    ckpt = load_stage(paths, "tfe")
     use_time = bool(ckpt.config.get("use_time", True))
     use_freq = bool(ckpt.config.get("use_freq", True))
     rng = np.random.default_rng(0)
@@ -295,30 +282,32 @@ def _rebuild_tfe(cfg: PipelineConfig, paths: RunPaths) -> TfeModel:
         spectrum_scale=float(ckpt.tensors["spectrum_scale"][0]),
         use_time=use_time, use_freq=use_freq,
     )
-    model.load_state({k[len("model/") :]: v for k, v in ckpt.tensors.items() if k.startswith("model/")})
+    model.load_state(ckpt.tensors, "model/")
     return model
 
 
-def _aligned_embeddings(cfg, model: TfeModel, records, indices, net: AlignmentNet) -> np.ndarray:
-    subset = [records[i] for i in indices]
-    units = prepare_units(subset, cfg.n)
-    spectra = spectra_matrix(subset, cfg.sample_rate, model.spectrum_scale) if model.use_freq else None
-    fused = model.tfe_embedding(units, spectra)
-    return align(net, fused)
+def _load_align(cfg: PipelineConfig, paths: RunPaths) -> AlignmentNet:
+    net = AlignmentNet(cfg.d + cfg.lstm_hidden, cfg.e, np.random.default_rng(0), n_blocks=cfg.align_blocks)
+    load_stage(paths, "align", net)
+    return net
+
+
+def _tfe_embeddings(cfg: PipelineConfig, model: TfeModel, records: list[EegRecord]) -> np.ndarray:
+    units = prepare_units(records, cfg.n)
+    spectra = spectra_matrix(records, cfg.sample_rate, model.spectrum_scale) if model.use_freq else None
+    return model.tfe_embedding(units, spectra)
 
 
 def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    stage_dir = _enter_stage(cfg, paths, "align")
+    _enter_stage(cfg, paths, "align")
     records, split = load_run_data(cfg, paths)
-    model = _rebuild_tfe(cfg, paths)
+    model = _load_tfe(cfg, paths)
     fixtures, e = load_fixtures(paths.root / "data" / "fixtures.bve")
     if e != cfg.e:
         raise ValueError(f"run_train_align: fixture dim {e} differs from config e={cfg.e}")
 
     train_records = [records[i] for i in split.train]
-    units = prepare_units(train_records, cfg.n)
-    spectra = spectra_matrix(train_records, cfg.sample_rate, model.spectrum_scale) if model.use_freq else None
-    embeddings = model.tfe_embedding(units, spectra)
+    embeddings = _tfe_embeddings(cfg, model, train_records)
     labels = np.array([r.class_label for r in train_records])
     image_ids = np.array([r.image_id for r in train_records])
 
@@ -332,26 +321,14 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
         label_weight=cfg.label_weight,
         net=AlignmentNet(embeddings.shape[1], cfg.e, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])), n_blocks=cfg.align_blocks),
     )
-    tensors = {
-        **{f"model/{k}": v for k, v in result.net.state().items()},
-        **{f"opt/{k}": v for k, v in result.store.state().items()},
-    }
-    save_checkpoint(paths.checkpoint("align"), CheckpointArchive(tensors, "align", cfg.to_dict()))
-    _write_metrics(stage_dir, result.history)
+    save_stage(cfg, paths, "align", result.history, result.store, result.net)
     return {"epochs": len(result.history), "final_si_loss": result.history[-1]["si_loss"] if result.history else None}
 
 
-def _rebuild_align(cfg: PipelineConfig, paths: RunPaths) -> AlignmentNet:
-    ckpt = require_stage(load_checkpoint(paths.checkpoint("align")), "align")
-    net = AlignmentNet(cfg.d + cfg.lstm_hidden, cfg.e, np.random.default_rng(0), n_blocks=cfg.align_blocks)
-    net.load_state({k[len("model/") :]: v for k, v in ckpt.tensors.items() if k.startswith("model/")})
-    return net
-
-
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    stage_dir = _enter_stage(cfg, paths, "diffusion")
+    _enter_stage(cfg, paths, "diffusion")
     records, split = load_run_data(cfg, paths)
-    model = _rebuild_tfe(cfg, paths)
+    model = _load_tfe(cfg, paths)
     image_set = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                channels=cfg.latent_channels, seed=cfg.seed)
 
@@ -361,8 +338,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
     eeg_conditions = None
     if cfg.ablate != "no-semantic":
-        align_net = _rebuild_align(cfg, paths)
-        eeg_conditions = _aligned_embeddings(cfg, model, records, split.train, align_net)
+        eeg_conditions = align(_load_align(cfg, paths), _tfe_embeddings(cfg, model, train_records))
 
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = DenoiserNet(
@@ -377,34 +353,23 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
         seed=cfg.seed,
         class_condition_prob=1.0 if cfg.ablate == "no-semantic" else 0.5,
     )
-    tensors = {
-        **{f"model/{k}": v for k, v in net.state().items()},
-        **{f"opt/{k}": v for k, v in result.store.state().items()},
-    }
-    save_checkpoint(paths.checkpoint("diffusion"), CheckpointArchive(tensors, "diffusion", cfg.to_dict()))
-    _write_metrics(stage_dir, result.history)
+    save_stage(cfg, paths, "diffusion", result.history, result.store, net)
     return {"steps": len(result.history), "final_loss": result.history[-1]["loss"] if result.history else None}
-
-
-def _rebuild_denoiser(cfg: PipelineConfig, paths: RunPaths) -> DenoiserNet:
-    ckpt = require_stage(load_checkpoint(paths.checkpoint("diffusion")), "diffusion")
-    net = DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, np.random.default_rng(0))
-    net.load_state({k[len("model/") :]: v for k, v in ckpt.tensors.items() if k.startswith("model/")})
-    return net
 
 
 def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     stage_dir = _enter_stage(cfg, paths, "generate")
     records, split = load_run_data(cfg, paths)
-    model = _rebuild_tfe(cfg, paths)
-    denoiser = _rebuild_denoiser(cfg, paths)
+    model = _load_tfe(cfg, paths)
+    denoiser = DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, np.random.default_rng(0))
+    load_stage(paths, "diffusion", denoiser)
     schedule = NoiseSchedule.linear(T=cfg.T)
     cascade = CascadeConfig(rho=cfg.rho, condition_source=cfg.stage2_condition)
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
     align_net = None
     if mode != "no-semantic":
-        align_net = _rebuild_align(cfg, paths)
+        align_net = _load_align(cfg, paths)
     fixtures, _ = load_fixtures(paths.root / "data" / "fixtures.bve")
 
     test_records = [records[i] for i in split.test]
@@ -418,7 +383,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
         record = records[dataset_index]
         label = int(predicted[row])
         if align_net is not None:
-            c_eeg = _aligned_embeddings(cfg, model, records, [dataset_index], align_net)[0]
+            c_eeg = align(align_net, _tfe_embeddings(cfg, model, [record]))[0]
         else:
             c_eeg = np.zeros(cfg.e)
         if cfg.stage2_condition == "fixture":
@@ -443,17 +408,16 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
             row_dict["image_id"] = record.image_id
             provenance_rows.append(row_dict)
 
-    with open(stage_dir / "provenance.jsonl", "w") as fh:
-        for row_dict in provenance_rows:
-            fh.write(json.dumps(row_dict, sort_keys=True) + "\n")
-    _write_metrics(stage_dir, [{"samples": len(provenance_rows), "records": len(test_records), "mode": mode}])
-    return {"samples": len(provenance_rows), "records": len(test_records), "mode": mode}
+    _write_jsonl(stage_dir / "provenance.jsonl", provenance_rows)
+    summary = {"samples": len(provenance_rows), "records": len(test_records), "mode": mode}
+    _write_jsonl(stage_dir / "metrics.jsonl", [summary])
+    return summary
 
 
 def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     stage_dir = _enter_stage(cfg, paths, "evaluate")
     records, split = load_run_data(cfg, paths)
-    model = _rebuild_tfe(cfg, paths)
+    model = _load_tfe(cfg, paths)
 
     test_records = [records[i] for i in split.test]
     logits = classify_batch(model, test_records, cfg.n, cfg.sample_rate)
@@ -505,7 +469,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     )
     report.validate_ranges()
     (stage_dir / "report.json").write_text(report.to_json())
-    _write_metrics(stage_dir, [json.loads(report.to_json())])
+    _write_jsonl(stage_dir / "metrics.jsonl", [json.loads(report.to_json())])
     return report
 
 
@@ -516,16 +480,21 @@ def run_grad_check(probes: int = 10, seed: int = 2024, tol: float = 1e-4) -> tup
     return worst, all(v < tol for v in worst.values())
 
 
+STAGE_RUNS = {
+    "data": run_gen_data,
+    "lmm": run_train_lmm,
+    "freq": run_train_freq,
+    "tfe": run_finetune_tfe,
+    "align": run_train_align,
+    "diffusion": run_train_diffusion,
+    "generate": run_generate,
+    "evaluate": run_evaluate,
+}
+
+
 def run_full_chain(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
-    """gen-data through evaluate, honoring the config's ablation switch."""
-    run_gen_data(cfg, paths)
-    if cfg.ablate not in ("no-time", "no-pretrain"):
-        run_train_lmm(cfg, paths)
-    if cfg.ablate != "no-freq":
-        run_train_freq(cfg, paths)
-    run_finetune_tfe(cfg, paths)
-    if cfg.ablate != "no-semantic":
-        run_train_align(cfg, paths)
-    run_train_diffusion(cfg, paths)
-    run_generate(cfg, paths)
-    return run_evaluate(cfg, paths)
+    """gen-data through evaluate, leaving out the stages the ablation skips."""
+    for stage, run in STAGE_RUNS.items():
+        if stage not in ABLATION_SKIPS[cfg.ablate]:
+            result = run(cfg, paths)
+    return result

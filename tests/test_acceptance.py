@@ -401,12 +401,26 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
             assert a_blob == b_blob, f"{stage} checkpoint differs between reruns"
 
 
+ALL_STAGES = {"data", "lmm", "freq", "tfe", "align", "diffusion", "generate", "evaluate"}
+# Written out by hand, independently of the runner's ablation table.
+ABLATION_STAGES_RUN = {
+    "no-time": ALL_STAGES - {"lmm"},
+    "no-freq": ALL_STAGES - {"freq"},
+    "no-pretrain": ALL_STAGES - {"lmm"},
+    "no-finetune": ALL_STAGES,
+    "no-refine": ALL_STAGES,
+    "no-semantic": ALL_STAGES - {"align"},
+}
+
+
 @pytest.mark.parametrize(
     "mode", ["no-time", "no-freq", "no-pretrain", "no-finetune", "no-refine", "no-semantic"]
 )
 def test_criterion_12_ablation_harness(tmp_path, mode):
-    with criterion(12, f"ablation {mode} runs to completion and echoes its switch"):
+    with criterion(12, f"ablation {mode} runs to completion, echoes its switch and skips only its stages"):
         cfg = PipelineConfig.load(TINY).with_overrides(ablate=mode)
-        report = run_full_chain(cfg, RunPaths(tmp_path / mode))
+        paths = RunPaths(tmp_path / mode)
+        report = run_full_chain(cfg, paths)
         report.validate_ranges()
         assert report.config["ablate"] == mode
+        assert paths.available_stages() == ABLATION_STAGES_RUN[mode]

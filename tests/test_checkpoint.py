@@ -89,6 +89,31 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_prefixed_state_roundtrip(tmp_path):
+    from brainvis_forge.autodiff.nn import Linear
+
+    net = Linear(3, 2, np.random.default_rng(0))
+    store = ParamStore()
+    store.register_module("net", net)
+    adam_step(store, {"net.weight": np.ones((3, 2), dtype=np.float32)}, lr=0.1)
+    path = tmp_path / "prefixed.bvc"
+    save_checkpoint(path, CheckpointArchive({**net.state("model/"), **store.state("opt/")}, "align", {}))
+    tensors = load_checkpoint(path).tensors
+    assert sorted(k for k in tensors if k.startswith("model/")) == ["model/bias", "model/weight"]
+    assert "opt/adam_step" in tensors and "opt/param/net.weight" in tensors
+
+    twin = Linear(3, 2, np.random.default_rng(1))
+    twin_store = ParamStore()
+    twin_store.register_module("net", twin)
+    twin.load_state(tensors, "model/")
+    np.testing.assert_array_equal(twin.weight.data, net.weight.data)
+    twin_store.load_state(tensors, "opt/")
+    assert twin_store.step_count == 1
+    np.testing.assert_array_equal(twin_store._m["net.weight"], store._m["net.weight"])
+    with pytest.raises(KeyError, match="teacher/weight"):
+        twin.load_state(tensors, "teacher/")
+
+
 def test_wrong_stage_tag_raises_stage_error(tmp_path):
     path = tmp_path / "joint.bvc"
     save_checkpoint(path, CheckpointArchive({}, "tfe", {}))
@@ -99,7 +124,9 @@ def test_wrong_stage_tag_raises_stage_error(tmp_path):
 def test_prerequisite_graph_reports_missing_stage():
     with pytest.raises(StageError, match="'tfe' requires 'lmm'"):
         check_prerequisites("tfe", {"data", "freq"})
-    check_prerequisites("tfe", {"data", "freq"}, skip={"lmm"})  # ablation prune
+    check_prerequisites("tfe", {"data", "freq"}, ablate="no-time")  # ablation prune
+    with pytest.raises(StageError, match="'tfe' requires 'lmm'"):
+        check_prerequisites("tfe", {"data", "freq"}, ablate="no-refine")
     check_prerequisites("lmm", {"data"})
     with pytest.raises(StageError, match="requires 'data'"):
         check_prerequisites("lmm", set())

@@ -102,6 +102,19 @@ def test_tfe_head_width_validated():
         )
 
 
+def test_tfe_fused_and_logits_both_require_spectra():
+    rng = np.random.default_rng(0)
+    model = TfeModel(
+        UnitProjector(8, 4, 5, rng), VisibleEncoder(4, 2, 8, 1, rng),
+        LstmEncoder(2, 3, rng), Linear(7, 4, rng),
+        d=4, h=3, n_classes=4,
+    )
+    units = np.zeros((2, 5, 8), dtype=np.float32)
+    for method in (model.fused, model.logits):
+        with pytest.raises(ValueError, match="no spectra"):
+            method(units, None)
+
+
 # --- staged fine-tuning --------------------------------------------------------
 
 

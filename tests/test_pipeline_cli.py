@@ -129,3 +129,14 @@ def test_cli_ablate_full_chain(tmp_path, capsys):
     assert main(["--config", TINY, "--run-dir", str(tmp_path / "ab"), "--ablate", "no-refine", "ablate"]) == 0
     report = json.loads((tmp_path / "ab" / "evaluate" / "report.json").read_text())
     assert report["config"]["ablate"] == "no-refine"
+
+
+def test_cli_choices_and_stage_commands_follow_the_runner():
+    from brainvis_forge.pipeline import ABLATION_MODES, runner
+    from brainvis_forge.pipeline.cli import build_parser, stage_commands
+
+    actions = {a.dest: a for a in build_parser()._actions}
+    assert tuple(actions["ablate"].choices) == ABLATION_MODES
+    commands = stage_commands()
+    assert [fn for _, _, fn in commands] == list(runner.STAGE_RUNS.values())
+    assert list(actions["command"].choices)[: len(commands)] == [name for name, _, _ in commands]
