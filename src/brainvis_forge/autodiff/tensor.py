@@ -470,7 +470,7 @@ def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     a = as_tensor(a)
     x = a.data
-    u = _GELU_K * (x + _GELU_C * x ** 3)
+    u = _GELU_K * (x + _GELU_C * x * x * x)
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 

@@ -1,6 +1,6 @@
 """Toy two-stage conditional denoising diffusion."""
 
-from .cascade import CascadeConfig, GenerationProvenance, generate_samples, refine_stage2, sample_stage1
+from .cascade import CascadeConfig, GenerationProvenance, RowNoise, generate_samples, refine_stage2, sample_stage1
 from .ddpm import DenoiserTrainResult, reverse_step, train_denoiser, x0_estimate
 from .denoiser import DenoiserNet, OracleDenoiser, timestep_embedding
 from .ppm import latent_to_rgb, read_ppm, sample_filename, write_ppm
@@ -13,6 +13,7 @@ __all__ = [
     "GenerationProvenance",
     "NoiseSchedule",
     "OracleDenoiser",
+    "RowNoise",
     "forward_diffuse",
     "generate_samples",
     "latent_to_rgb",

@@ -38,21 +38,55 @@ class CascadeConfig:
         return t_s
 
 
+class RowNoise:
+    """Gaussian noise for a batch of latents, one generator per batch row.
+
+    `standard_normal((B, *shape))` stacks each row's own draw of `shape`, so a
+    row sees the same numbers in the same order as it would sampled alone, and
+    no row's stream depends on which other rows share the batch.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator]):
+        self.rngs = rngs
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        if shape[0] != len(self.rngs):
+            raise ValueError(f"RowNoise: batch of {shape[0]} rows for {len(self.rngs)} streams")
+        return np.stack([rng.standard_normal(shape[1:]) for rng in self.rngs])
+
+
+def _reverse_chain(
+    schedule: NoiseSchedule,
+    denoiser,
+    x: np.ndarray,
+    cond: np.ndarray | None,
+    rng: np.random.Generator | RowNoise,
+    t_from: int,
+    t_to: int = 0,
+) -> np.ndarray:
+    """Reverse steps t_from .. t_to+1 under one condition; returns x_{t_to}.
+
+    Shape-agnostic: `x` may carry a leading batch axis, with `cond` holding
+    one row per batch row and `rng` one noise stream per row (see RowNoise).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    for t in range(t_from, t_to, -1):
+        x = reverse_step(schedule, denoiser, x, t, cond, rng)
+    return x
+
+
 def sample_stage1(
     schedule: NoiseSchedule,
     denoiser,
     c_eeg: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | RowNoise,
     cascade: CascadeConfig,
-    latent_shape: tuple[int, int, int],
+    latent_shape: tuple[int, ...],
     x_T: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reverse steps T .. T_s+1 under the semantic condition; returns x_{T_s}."""
-    t_s = cascade.switch_step(schedule.T)
-    x = rng.standard_normal(latent_shape) if x_T is None else np.asarray(x_T, dtype=np.float64)
-    for t in range(schedule.T, t_s, -1):
-        x = reverse_step(schedule, denoiser, x, t, c_eeg, rng)
-    return x
+    x = rng.standard_normal(latent_shape) if x_T is None else x_T
+    return _reverse_chain(schedule, denoiser, x, c_eeg, rng, schedule.T, cascade.switch_step(schedule.T))
 
 
 def refine_stage2(
@@ -60,15 +94,11 @@ def refine_stage2(
     denoiser,
     x_ts: np.ndarray,
     class_cond: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | RowNoise,
     cascade: CascadeConfig,
 ) -> np.ndarray:
     """Reverse steps T_s .. 1 under the class condition, continuing x_{T_s} as-is."""
-    t_s = cascade.switch_step(schedule.T)
-    x = np.asarray(x_ts, dtype=np.float64)
-    for t in range(t_s, 0, -1):
-        x = reverse_step(schedule, denoiser, x, t, class_cond, rng)
-    return x
+    return _reverse_chain(schedule, denoiser, x_ts, class_cond, rng, cascade.switch_step(schedule.T))
 
 
 @dataclass
@@ -95,51 +125,66 @@ def generate_samples(
     schedule: NoiseSchedule,
     denoiser: DenoiserNet,
     *,
-    record_index: int,
+    record_indices: np.ndarray,
     c_eeg: np.ndarray,
-    predicted_label: int,
+    predicted_labels: np.ndarray,
     class_cond: np.ndarray,
     cascade: CascadeConfig,
     n_samples: int = 4,
     master_seed: int = 0,
     mode: str = "cascade",
 ) -> list[tuple[np.ndarray, GenerationProvenance]]:
-    """Draw `n_samples` latents for one record under the requested mode.
+    """Draw `n_samples` latents for each of R records under the requested mode.
+
+    `record_indices` and `predicted_labels` are (R,); `c_eeg` and `class_cond`
+    are (R, e).  All R * n_samples latents advance together as one batch, so
+    the chain makes T denoiser calls in all.  Returns (latent, provenance)
+    pairs in record-major, sample-minor order.
 
     Modes: "cascade" (semantic stage then class refinement), "no-refine"
     (semantic condition for the whole chain), "no-semantic" (class condition
     for the whole chain).  Each sample owns a seed stream derived from
     (master_seed, record_index, sample_index), so trajectories are
-    reproducible and independent.
+    reproducible, independent, and the same whichever records share the batch.
     """
     t_s = cascade.switch_step(schedule.T)
+    steps = {"cascade": (schedule.T - t_s, t_s), "no-refine": (schedule.T, 0), "no-semantic": (0, schedule.T)}
+    if mode not in steps:
+        raise ValueError(f"generate_samples: unknown mode {mode!r}")
+    record_indices = np.asarray(record_indices, dtype=np.int64)
+    c_eeg = np.asarray(c_eeg, dtype=np.float64)
+    class_cond = np.asarray(class_cond, dtype=np.float64)
+    n_records = len(record_indices)
+    if not len(predicted_labels) == len(c_eeg) == len(class_cond) == n_records:
+        raise ValueError("generate_samples: record_indices, c_eeg, predicted_labels and class_cond differ in length")
+
+    noise = RowNoise([
+        np.random.default_rng(np.random.SeedSequence([master_seed, int(r), s]))
+        for r in record_indices
+        for s in range(n_samples)
+    ])
+    shape = (n_records * n_samples,) + denoiser.latent_shape
+    c_rows = np.repeat(c_eeg, n_samples, axis=0)
+    class_rows = np.repeat(class_cond, n_samples, axis=0)
+    if mode == "cascade":
+        x = sample_stage1(schedule, denoiser, c_rows, noise, cascade, shape)
+        x = refine_stage2(schedule, denoiser, x, class_rows, noise, cascade)
+    else:
+        cond = c_rows if mode == "no-refine" else class_rows
+        x = _reverse_chain(schedule, denoiser, noise.standard_normal(shape), cond, noise, schedule.T)
+
     out = []
-    for s in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, record_index, s]))
-        if mode == "cascade":
-            x = sample_stage1(schedule, denoiser, c_eeg, rng, cascade, denoiser.latent_shape)
-            x = refine_stage2(schedule, denoiser, x, class_cond, rng, cascade)
-            steps = (schedule.T - t_s, t_s)
-        elif mode == "no-refine":
-            x = rng.standard_normal(denoiser.latent_shape)
-            for t in range(schedule.T, 0, -1):
-                x = reverse_step(schedule, denoiser, x, t, c_eeg, rng)
-            steps = (schedule.T, 0)
-        elif mode == "no-semantic":
-            x = rng.standard_normal(denoiser.latent_shape)
-            for t in range(schedule.T, 0, -1):
-                x = reverse_step(schedule, denoiser, x, t, class_cond, rng)
-            steps = (0, schedule.T)
-        else:
-            raise ValueError(f"generate_samples: unknown mode {mode!r}")
-        prov = GenerationProvenance(
-            record_index=record_index,
-            sample_index=s,
-            predicted_label=int(predicted_label),
-            c_eeg_crc32=_crc(c_eeg),
-            stage1_steps=steps[0],
-            stage2_steps=steps[1],
-            mode=mode,
-        )
-        out.append((x, prov))
+    stage1_steps, stage2_steps = steps[mode]
+    for row, (record_index, label, c_vec) in enumerate(zip(record_indices, predicted_labels, c_eeg)):
+        for s in range(n_samples):
+            prov = GenerationProvenance(
+                record_index=int(record_index),
+                sample_index=s,
+                predicted_label=int(label),
+                c_eeg_crc32=_crc(c_vec),
+                stage1_steps=stage1_steps,
+                stage2_steps=stage2_steps,
+                mode=mode,
+            )
+            out.append((x[row * n_samples + s], prov))
     return out

@@ -81,15 +81,20 @@ class DenoiserNet(Module):
         return eps.reshape((batch,) + self.latent_shape)
 
     def predict(self, x_t: np.ndarray, t: int, cond: np.ndarray) -> np.ndarray:
-        """Inference-path forward: single latent, no tape."""
+        """Inference-path forward, no tape: one latent or a (B, *latent) batch,
+        with `cond` shaped (e,) or (B, e)."""
         dtype = self.in_proj.weight.data.dtype
+        x = np.asarray(x_t, dtype=dtype)
+        rank = len(self.latent_shape)
+        if x.shape[-rank:] != self.latent_shape or x.ndim > rank + 1:
+            raise ValueError(f"DenoiserNet: latent shape {x.shape} is neither {self.latent_shape} nor (B, *{self.latent_shape})")
         with no_grad():
             out = self(
-                Tensor(np.asarray(x_t, dtype=dtype)[None]),
+                Tensor(x.reshape((-1,) + self.latent_shape)),
                 np.array([t]),
-                Tensor(np.asarray(cond, dtype=dtype)[None]),
+                Tensor(np.asarray(cond, dtype=dtype).reshape(-1, self.cond_dim)),
             )
-        return out.data[0].astype(np.float64)
+        return out.data.reshape(x.shape).astype(np.float64)
 
 
 class OracleDenoiser:

@@ -1,7 +1,7 @@
 """Evaluation battery with brute-force-checkable definitions."""
 
 from .classification import GaConfig, f1_macro, n_way_top_k, top_k_accuracy
-from .generation import fid, fid_from_moments, inception_score, ssim
+from .generation import fid, fid_counts_valid, fid_from_moments, inception_score, ssim
 from .report import MetricsReport, classification_block, evaluate_generation
 from .surrogate import SurrogateClassifier, SurrogateResult, surrogate_outputs, train_surrogate
 
@@ -14,6 +14,7 @@ __all__ = [
     "evaluate_generation",
     "f1_macro",
     "fid",
+    "fid_counts_valid",
     "fid_from_moments",
     "inception_score",
     "n_way_top_k",

@@ -65,6 +65,12 @@ def fid_from_moments(mu_a: np.ndarray, sigma_a: np.ndarray, mu_b: np.ndarray, si
     return float(diff @ diff + np.trace(sigma_a) + np.trace(sigma_b) - 2.0 * np.trace(cross))
 
 
+def fid_counts_valid(n_a: int, n_b: int, dim: int) -> bool:
+    """Whether both sample counts exceed the feature dim, the least that lets
+    each sample covariance reach full rank; otherwise the FID is degenerate."""
+    return n_a > dim and n_b > dim
+
+
 def fid(features_a: np.ndarray, features_b: np.ndarray) -> float:
     """Frechet distance between Gaussian fits of two feature sets."""
     a = np.asarray(features_a, dtype=np.float64)
@@ -72,7 +78,7 @@ def fid(features_a: np.ndarray, features_b: np.ndarray) -> float:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"fid: feature dims differ, {a.shape} vs {b.shape}")
     dim = a.shape[1]
-    if len(a) <= dim or len(b) <= dim:
+    if not fid_counts_valid(len(a), len(b), dim):
         warnings.warn(
             f"fid: sample counts ({len(a)}, {len(b)}) do not exceed feature dim {dim}; "
             "covariances are rank-deficient",

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .classification import GaConfig, f1_macro, n_way_top_k, top_k_accuracy
-from .generation import fid, inception_score, ssim
+from .generation import fid, fid_counts_valid, inception_score, ssim
 from .surrogate import SurrogateClassifier, surrogate_outputs
 
 
@@ -23,6 +23,11 @@ class MetricsReport:
     is_std: float
     fid: float
     ssim_mean: float
+    # Sample counts behind the Frechet statistics; `fid_valid` is false when
+    # either does not exceed the feature dim (see fid_counts_valid).
+    n_generated: int = 0
+    n_reference: int = 0
+    fid_valid: bool = False
     per_class: dict[str, float] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
@@ -76,7 +81,8 @@ def evaluate_generation(
     """Score generated images against their ground-truth counterparts.
 
     `generated` and `gt_pairs` are index-aligned (one GT image per sample);
-    `ground_truth` is the reference pool for the Frechet statistics.
+    `ground_truth` is the reference pool for the Frechet statistics; the
+    returned `fid_valid` says whether both pools outnumber the feature dim.
     """
     probs, gen_feats = surrogate_outputs(surrogate, generated)
     _, gt_feats = surrogate_outputs(surrogate, ground_truth)
@@ -91,5 +97,8 @@ def evaluate_generation(
         "is_mean": float(is_mean),
         "is_std": float(is_std),
         "fid": float(fid_value),
+        "n_generated": len(gen_feats),
+        "n_reference": len(gt_feats),
+        "fid_valid": fid_counts_valid(len(gen_feats), len(gt_feats), gen_feats.shape[1]),
         "ssim_mean": float(np.mean(ssim_values)),
     }

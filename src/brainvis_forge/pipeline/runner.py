@@ -22,6 +22,7 @@ import numpy as np
 from ..align.fixtures import generate_fixtures, load_fixtures, lookup, write_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
+from ..autodiff import Tensor, no_grad
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..autodiff.optim import ParamStore
 from ..data.bvd import load_dataset, write_dataset
@@ -358,6 +359,15 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
+    """Sample `samples_per_record` images for every test record.
+
+    The test records' units and spectra are computed once; their fused rows
+    give both the predicted labels and, through one `align` call, the
+    semantic conditions.  All records x samples then advance through the
+    reverse chain as one batch (T denoiser calls), each sample on its own
+    seed stream, and the PPMs and provenance rows are written in
+    record-major, sample-minor order.
+    """
     stage_dir = _enter_stage(cfg, paths, "generate")
     records, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
@@ -367,46 +377,43 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     cascade = CascadeConfig(rho=cfg.rho, condition_source=cfg.stage2_condition)
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
-    align_net = None
-    if mode != "no-semantic":
-        align_net = _load_align(cfg, paths)
-    fixtures, _ = load_fixtures(paths.root / "data" / "fixtures.bve")
-
     test_records = [records[i] for i in split.test]
-    logits = classify_batch(model, test_records, cfg.n, cfg.sample_rate)
-    predicted = np.argmax(logits, axis=1)
+    embeddings = _tfe_embeddings(cfg, model, test_records)
+    with no_grad():
+        predicted = np.argmax(model.head(Tensor(embeddings)).data, axis=1)
+        if cfg.stage2_condition == "fixture":
+            fixtures, _ = load_fixtures(paths.root / "data" / "fixtures.bve")
+            class_cond = np.stack([
+                lookup(fixtures, int(label), int(label) * cfg.records_per_class).c_label for label in predicted
+            ])
+        else:
+            class_cond = denoiser.class_condition(predicted).data
+    if mode == "no-semantic":
+        c_eeg = np.zeros((len(test_records), cfg.e))
+    else:
+        c_eeg = align(_load_align(cfg, paths), embeddings)
 
+    samples = generate_samples(
+        schedule, denoiser,
+        record_indices=np.asarray(split.test),
+        c_eeg=c_eeg,
+        predicted_labels=predicted,
+        class_cond=class_cond,
+        cascade=cascade,
+        n_samples=cfg.samples_per_record,
+        master_seed=cfg.seed,
+        mode=mode,
+    )
     images_dir = stage_dir / "images"
     images_dir.mkdir(exist_ok=True)
     provenance_rows = []
-    for row, dataset_index in enumerate(split.test):
-        record = records[dataset_index]
-        label = int(predicted[row])
-        if align_net is not None:
-            c_eeg = align(align_net, _tfe_embeddings(cfg, model, [record]))[0]
-        else:
-            c_eeg = np.zeros(cfg.e)
-        if cfg.stage2_condition == "fixture":
-            class_cond = lookup(fixtures, label, label * cfg.records_per_class).c_label.astype(np.float64)
-        else:
-            class_cond = denoiser.class_condition(np.array([label])).data[0].astype(np.float64)
-        samples = generate_samples(
-            schedule, denoiser,
-            record_index=dataset_index,
-            c_eeg=c_eeg,
-            predicted_label=label,
-            class_cond=class_cond,
-            cascade=cascade,
-            n_samples=cfg.samples_per_record,
-            master_seed=cfg.seed,
-            mode=mode,
-        )
-        for latent, prov in samples:
-            write_ppm(images_dir / sample_filename(dataset_index, prov.sample_index), latent)
-            row_dict = prov.to_dict()
-            row_dict["true_label"] = record.class_label
-            row_dict["image_id"] = record.image_id
-            provenance_rows.append(row_dict)
+    for latent, prov in samples:
+        record = records[prov.record_index]
+        write_ppm(images_dir / sample_filename(prov.record_index, prov.sample_index), latent)
+        row_dict = prov.to_dict()
+        row_dict["true_label"] = record.class_label
+        row_dict["image_id"] = record.image_id
+        provenance_rows.append(row_dict)
 
     _write_jsonl(stage_dir / "provenance.jsonl", provenance_rows)
     summary = {"samples": len(provenance_rows), "records": len(test_records), "mode": mode}
@@ -464,6 +471,9 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
         is_std=gen_block["is_std"],
         fid=gen_block["fid"],
         ssim_mean=gen_block["ssim_mean"],
+        n_generated=gen_block["n_generated"],
+        n_reference=gen_block["n_reference"],
+        fid_valid=gen_block["fid_valid"],
         per_class=cls_block["per_class"],
         config={**cfg.to_dict(), "surrogate_train_acc": surrogate.train_accuracy},
     )

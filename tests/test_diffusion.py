@@ -8,6 +8,7 @@ from brainvis_forge.diffusion import (
     DenoiserNet,
     NoiseSchedule,
     OracleDenoiser,
+    RowNoise,
     forward_diffuse,
     generate_samples,
     latent_to_rgb,
@@ -177,8 +178,8 @@ def test_generate_samples_counts_provenance_and_determinism():
     schedule = NoiseSchedule.linear(T=10)
     net = DenoiserNet((3, 4, 4), 8, 4, 16, np.random.default_rng(2))
     kwargs = dict(
-        record_index=3, c_eeg=np.ones(8), predicted_label=2,
-        class_cond=np.full(8, 0.5), cascade=CascadeConfig(rho=0.3),
+        record_indices=np.array([3]), c_eeg=np.ones((1, 8)), predicted_labels=np.array([2]),
+        class_cond=np.full((1, 8), 0.5), cascade=CascadeConfig(rho=0.3),
         n_samples=4, master_seed=11,
     )
     out1 = generate_samples(schedule, net, **kwargs)
@@ -196,13 +197,127 @@ def test_generate_samples_counts_provenance_and_determinism():
 def test_generate_modes_step_split():
     schedule = NoiseSchedule.linear(T=10)
     net = DenoiserNet((3, 4, 4), 8, 4, 16, np.random.default_rng(2))
-    base = dict(record_index=0, c_eeg=np.ones(8), predicted_label=0,
-                class_cond=np.zeros(8), cascade=CascadeConfig(rho=0.3),
+    base = dict(record_indices=np.array([0]), c_eeg=np.ones((1, 8)), predicted_labels=np.array([0]),
+                class_cond=np.zeros((1, 8)), cascade=CascadeConfig(rho=0.3),
                 n_samples=1, master_seed=0)
     (_, p_refit) = generate_samples(schedule, net, mode="no-refine", **base)[0]
     assert (p_refit.stage1_steps, p_refit.stage2_steps) == (10, 0)
     (_, p_nosem) = generate_samples(schedule, net, mode="no-semantic", **base)[0]
     assert (p_nosem.stage1_steps, p_nosem.stage2_steps) == (0, 10)
+
+
+def _conditioned_net(latent_shape=(3, 4, 4), cond_dim=8, seed=2):
+    """A small DenoiserNet whose output layer is live, so x_t and the condition move eps."""
+    net = DenoiserNet(latent_shape, cond_dim, 4, 16, np.random.default_rng(seed))
+    net.out_proj.weight.data = np.random.default_rng(seed + 1).standard_normal(net.out_proj.weight.shape).astype(np.float32) * 0.1
+    return net
+
+
+def _per_sample_latent(schedule, net, cascade, mode, c_eeg, class_cond, seed_seq):
+    """One sample's chain at batch size 1 on its own seed stream."""
+    rng = np.random.default_rng(seed_seq)
+    if mode == "cascade":
+        x = sample_stage1(schedule, net, c_eeg, rng, cascade, net.latent_shape)
+        return refine_stage2(schedule, net, x, class_cond, rng, cascade)
+    cond = c_eeg if mode == "no-refine" else class_cond
+    x = rng.standard_normal(net.latent_shape)
+    for t in range(schedule.T, 0, -1):
+        x = reverse_step(schedule, net, x, t, cond, rng)
+    return x
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _batch_inputs(n_records=3, e=8, seed=4):
+    rng = np.random.default_rng(seed)
+    return dict(
+        record_indices=np.array([5, 9, 2, 14][:n_records]),
+        c_eeg=rng.standard_normal((n_records, e)),
+        predicted_labels=np.array([1, 3, 0, 2][:n_records]),
+        class_cond=rng.standard_normal((n_records, e)),
+    )
+
+
+@pytest.mark.parametrize("mode", ["cascade", "no-refine", "no-semantic"])
+def test_batched_generation_matches_per_sample_chains(mode):
+    schedule = NoiseSchedule.linear(T=12)
+    net = _conditioned_net()
+    cascade = CascadeConfig(rho=0.3)
+    inputs = _batch_inputs()
+    out = generate_samples(schedule, net, cascade=cascade, n_samples=4, master_seed=11, mode=mode, **inputs)
+    assert len(out) == 3 * 4
+    for k, (latent, prov) in enumerate(out):
+        row, s = divmod(k, 4)
+        assert (prov.record_index, prov.sample_index) == (inputs["record_indices"][row], s)
+        assert prov.predicted_label == inputs["predicted_labels"][row]
+        assert prov.mode == mode
+        ref = _per_sample_latent(
+            schedule, net, cascade, mode, inputs["c_eeg"][row], inputs["class_cond"][row],
+            np.random.SeedSequence([11, prov.record_index, s]),
+        )
+        assert latent.shape == net.latent_shape
+        assert _rel_err(latent, ref) < 1e-6, (k, _rel_err(latent, ref))
+    # distinct seed streams give distinct samples of one record
+    assert _rel_err(out[0][0], out[1][0]) > 1e-3
+
+
+def test_generation_of_a_record_subset_matches_the_full_batch():
+    schedule = NoiseSchedule.linear(T=12)
+    net = _conditioned_net()
+    cascade = CascadeConfig(rho=0.3)
+    full_inputs = _batch_inputs(n_records=4)
+    full = generate_samples(schedule, net, cascade=cascade, n_samples=3, master_seed=5, **full_inputs)
+    rows = [3, 1]
+    subset = generate_samples(
+        schedule, net, cascade=cascade, n_samples=3, master_seed=5,
+        **{k: v[rows] for k, v in full_inputs.items()},
+    )
+    expected = [full[row * 3 + s] for row in rows for s in range(3)]
+    assert len(subset) == len(expected)
+    for (x_sub, p_sub), (x_full, p_full) in zip(subset, expected):
+        assert p_sub.to_dict() == p_full.to_dict()
+        assert _rel_err(x_sub, x_full) < 1e-6
+
+
+def test_generate_samples_rejects_mismatched_record_arrays():
+    schedule = NoiseSchedule.linear(T=10)
+    inputs = _batch_inputs()
+    inputs["class_cond"] = inputs["class_cond"][:2]
+    with pytest.raises(ValueError, match="differ in length"):
+        generate_samples(schedule, _conditioned_net(), cascade=CascadeConfig(rho=0.3), **inputs)
+    with pytest.raises(ValueError, match="unknown mode"):
+        generate_samples(schedule, _conditioned_net(), cascade=CascadeConfig(rho=0.3), mode="bogus", **_batch_inputs())
+
+
+def test_row_noise_draws_each_rows_own_stream():
+    seqs = [np.random.SeedSequence([0, r]) for r in range(3)]
+    noise = RowNoise([np.random.default_rng(q) for q in seqs])
+    first, second = noise.standard_normal((3, 2, 5)), noise.standard_normal((3, 4))
+    for r, q in enumerate(seqs):
+        alone = np.random.default_rng(q)
+        np.testing.assert_array_equal(first[r], alone.standard_normal((2, 5)))
+        np.testing.assert_array_equal(second[r], alone.standard_normal(4))
+    with pytest.raises(ValueError, match="streams"):
+        noise.standard_normal((2, 4))
+
+
+def test_batched_predict_equals_stacked_single_calls():
+    net = _conditioned_net()
+    net.skip_gate.weight.data = np.full(net.skip_gate.weight.shape, 0.05, dtype=np.float32)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((5,) + net.latent_shape)
+    cond = rng.standard_normal((5, 8))
+    batched = net.predict(x, 7, cond)
+    assert batched.shape == x.shape and batched.dtype == np.float64
+    stacked = np.stack([net.predict(x[i], 7, cond[i]) for i in range(5)])
+    np.testing.assert_allclose(batched, stacked, rtol=1e-5, atol=1e-6)
+    shared = net.predict(x, 7, cond[0])  # one condition broadcast over the batch
+    np.testing.assert_allclose(shared, np.stack([net.predict(x[i], 7, cond[0]) for i in range(5)]), rtol=1e-5, atol=1e-6)
+    for bad in (np.zeros((3, 4, 5)), np.zeros((2, 2, 3, 4, 4)), np.zeros(2 * 48)):
+        with pytest.raises(ValueError, match="latent shape"):
+            net.predict(bad, 7, cond[0])
 
 
 def test_unknown_class_label_rejected():

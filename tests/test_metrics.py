@@ -1,5 +1,7 @@
 """Metric definitions against brute-force oracles and closed forms."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,42 @@ def test_metrics_report_range_validation():
     )
     with pytest.raises(ValueError, match="top1_ca"):
         report.validate_ranges()
+
+
+@pytest.mark.parametrize(
+    "n_generated, n_reference, valid",
+    [
+        (12, 3, False),  # the tiny chain: 3 test records x 4 samples
+        (33, 32, False),  # the reference pool only matches the 32 feature dims
+        (800, 200, True),  # a 40 x 50 set: 200 test records x 4 samples
+    ],
+)
+def test_evaluate_generation_reports_fid_sample_counts(n_generated, n_reference, valid):
+    from brainvis_forge.metrics import SurrogateClassifier, evaluate_generation
+
+    rng = np.random.default_rng(17)
+    surrogate = SurrogateClassifier(3 * 8 * 8, 32, 4, rng)
+    generated = rng.uniform(-1, 1, (n_generated, 3, 8, 8))
+    reference = rng.uniform(-1, 1, (n_reference, 3, 8, 8))
+    labels = rng.integers(0, 4, n_generated)
+    block = evaluate_generation(
+        generated, labels, reference, generated, surrogate, GaConfig(n_way=4, top_k=1, n_trials=5, seed=1),
+    )
+    assert (block["n_generated"], block["n_reference"], block["fid_valid"]) == (n_generated, n_reference, valid)
+
+
+def test_metrics_report_reads_reports_without_sample_counts():
+    report = MetricsReport(
+        top1_ca=0.5, top3_ca=0.8, top5_ca=0.9, f1_macro=0.4, ga=0.45,
+        is_mean=3.2, is_std=0.1, fid=12.5, ssim_mean=0.7, n_generated=800, n_reference=200, fid_valid=True,
+    )
+    old = json.loads(report.to_json())
+    for key in ("n_generated", "n_reference", "fid_valid"):
+        del old[key]
+    again = MetricsReport.from_json(json.dumps(old))
+    assert (again.n_generated, again.n_reference, again.fid_valid) == (0, 0, False)
+    assert again.fid == report.fid
+    assert MetricsReport.from_json(report.to_json()) == report
 
 
 def test_evaluate_generation_perfect_bound():

@@ -140,3 +140,38 @@ def test_cli_choices_and_stage_commands_follow_the_runner():
     commands = stage_commands()
     assert [fn for _, _, fn in commands] == list(runner.STAGE_RUNS.values())
     assert list(actions["command"].choices)[: len(commands)] == [name for name, _, _ in commands]
+
+
+def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_path, monkeypatch):
+    from brainvis_forge.align import model as align_model
+    from brainvis_forge.diffusion.denoiser import DenoiserNet
+    from brainvis_forge.freq import train as freq_train
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(diffusion_steps=50)
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "lmm", "freq", "tfe", "align", "diffusion"):
+        runner.STAGE_RUNS[stage](cfg, paths)
+
+    counts = {"predict": 0, "fft": 0, "align": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DenoiserNet, "predict", counting("predict", DenoiserNet.predict))
+    monkeypatch.setattr(freq_train, "fft_magnitude", counting("fft", freq_train.fft_magnitude))
+    monkeypatch.setattr(runner, "align", counting("align", align_model.align))
+    summary = runner.run_generate(cfg, paths)
+    _, split = runner.load_run_data(cfg, paths)
+    assert summary["samples"] == len(split.test) * cfg.samples_per_record
+    assert counts == {"predict": cfg.T, "fft": len(split.test), "align": 1}
+
+    report = runner.run_evaluate(cfg, paths)
+    # 3 test records x 4 samples against 3 references in the surrogate's 32 dims
+    assert (report.n_generated, report.n_reference) == (12, 3)
+    assert report.fid_valid is False
+    on_disk = json.loads((paths.root / "evaluate" / "report.json").read_text())
+    assert (on_disk["n_generated"], on_disk["n_reference"], on_disk["fid_valid"]) == (12, 3, False)
