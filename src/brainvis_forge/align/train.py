@@ -1,8 +1,7 @@
 """Alignment training: fused embeddings -> semantic target space.
 
-The upstream encoders stay frozen by default, which isolates the
-interpolation objective; `unfreeze_tfe=True` backpropagates through them
-jointly (needs the model and its raw inputs instead of precomputed rows).
+The upstream encoders stay frozen: the net trains on precomputed fused rows,
+which isolates the interpolation objective.
 """
 
 from __future__ import annotations
@@ -37,35 +36,21 @@ def train_align(
     seed: int = 0,
     label_weight: float = 1.0,
     net: AlignmentNet | None = None,
-    unfreeze_tfe: bool = False,
-    tfe_model=None,
-    units: np.ndarray | None = None,
-    spectra: np.ndarray | None = None,
 ) -> AlignTrainResult:
-    """Minimize the mean interpolation loss over the training rows.
-
-    `embeddings` are the frozen fused rows; with `unfreeze_tfe` they are only
-    used for the input width, and each batch recomputes the embedding through
-    `tfe_model` from `units`/`spectra` so encoder weights train jointly.
-    """
+    """Minimize the mean interpolation loss over the training rows (`embeddings`,
+    the frozen fused rows)."""
     embeddings = np.asarray(embeddings, dtype=np.float32)
     n, in_dim = embeddings.shape
     caps = np.stack([lookup(fixtures, int(c), int(i)).c_cap for c, i in zip(class_labels, image_ids)])
     labels = np.stack([lookup(fixtures, int(c), int(i)).c_label for c, i in zip(class_labels, image_ids)])
     if caps.shape[1] != e:
         raise ValueError(f"train_align: fixtures have dim {caps.shape[1]}, expected {e}")
-    if unfreeze_tfe and (tfe_model is None or units is None):
-        raise ValueError("train_align: unfreeze_tfe needs tfe_model and its raw inputs")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA116]))
     if net is None:
         net = AlignmentNet(in_dim, e, rng)
     store = ParamStore()
     store.register_module("align", net)
-    if unfreeze_tfe:
-        for name, tensor in tfe_model.named_parameters():
-            if not name.startswith("head."):
-                store.register(f"tfe.{name}", tensor)
     history: list[dict] = []
 
     for epoch in range(epochs):
@@ -74,11 +59,7 @@ def train_align(
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
             store.zero_grad()
-            if unfreeze_tfe:
-                fused = tfe_model.fused(units[idx], None if spectra is None else spectra[idx])
-            else:
-                fused = Tensor(embeddings[idx])
-            out = net(fused)
+            out = net(Tensor(embeddings[idx]))
             loss = si_loss(out, Tensor(caps[idx]), Tensor(labels[idx]), label_weight=label_weight)
             backward(loss)
             adam_step(store, store.collect_grads(), lr)

@@ -23,13 +23,10 @@ class CascadeConfig:
     """rho is the fraction of the chain left to the refinement stage."""
 
     rho: float = 0.3
-    condition_source: str = "learned"  # or "fixture": class vector from fixtures
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"CascadeConfig: rho must be in (0, 1), got {self.rho}")
-        if self.condition_source not in ("learned", "fixture"):
-            raise ValueError(f"CascadeConfig: unknown condition source {self.condition_source!r}")
 
     def switch_step(self, T: int) -> int:
         t_s = int(np.floor(self.rho * T))
@@ -82,10 +79,9 @@ def sample_stage1(
     rng: np.random.Generator | RowNoise,
     cascade: CascadeConfig,
     latent_shape: tuple[int, ...],
-    x_T: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reverse steps T .. T_s+1 under the semantic condition; returns x_{T_s}."""
-    x = rng.standard_normal(latent_shape) if x_T is None else x_T
+    """Reverse steps T .. T_s+1 from fresh noise under the semantic condition; returns x_{T_s}."""
+    x = rng.standard_normal(latent_shape)
     return _reverse_chain(schedule, denoiser, x, c_eeg, rng, schedule.T, cascade.switch_step(schedule.T))
 
 

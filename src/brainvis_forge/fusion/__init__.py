@@ -1,13 +1,11 @@
 """Time-frequency fusion and the supervised classifier."""
 
 from .model import TfeModel, fuse, pool_time
-from .train import MissingPretrainedError, TfeTrainResult, classify, classify_batch, finetune_tfe
+from .train import TfeTrainResult, classify_batch, finetune_tfe
 
 __all__ = [
-    "MissingPretrainedError",
     "TfeModel",
     "TfeTrainResult",
-    "classify",
     "classify_batch",
     "finetune_tfe",
     "fuse",

@@ -112,9 +112,6 @@ class Teacher:
     def state(self) -> dict[str, np.ndarray]:
         return self.module.state("teacher/")
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.module.load_state(state, "teacher/")
-
 
 def teacher_update(teacher: Teacher, student: VisibleEncoder, momentum: float) -> Teacher:
     """teacher <- momentum * teacher + (1 - momentum) * student, elementwise."""

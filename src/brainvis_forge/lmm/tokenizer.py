@@ -42,16 +42,6 @@ class Codebook:
     def state(self) -> dict[str, np.ndarray]:
         return {"codebook_weight": np.array(self.weight)}
 
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "Codebook":
-        weight = np.asarray(state["codebook_weight"], dtype=np.float64)
-        cb = cls.__new__(cls)
-        cb.unit_dim, cb.n_entries = weight.shape
-        weight = weight.copy()
-        weight.setflags(write=False)
-        cb.weight = weight
-        return cb
-
 
 def tokenize(codebook: Codebook, flat_units: np.ndarray) -> np.ndarray:
     """One-hot codewords for raw masked units: (m, unit_dim) -> (m, n_t)."""

@@ -35,12 +35,11 @@ from ..diffusion.ddpm import train_denoiser
 from ..diffusion.denoiser import DenoiserNet
 from ..diffusion.ppm import read_ppm, sample_filename, write_ppm
 from ..diffusion.schedule import NoiseSchedule
-from ..freq.train import FreqClassifier, freq_classify_train, spectra_matrix
+from ..freq.train import freq_classify_train, spectra_matrix
 from ..fusion.model import TfeModel
 from ..fusion.train import classify_batch, finetune_tfe
 from ..lmm.model import UnitProjector, VisibleEncoder
-from ..lmm.tokenizer import Codebook
-from ..lmm.train import build_lmm_models, prepare_units, train_lmm
+from ..lmm.train import prepare_units, train_lmm
 from ..metrics.classification import GaConfig
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import train_surrogate
@@ -209,57 +208,47 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
     return {"epochs": len(result.history), "val_acc": last.get("val_acc")}
 
 
+def _tfe_model(cfg: PipelineConfig, rng: np.random.Generator, use_time: bool, use_freq: bool, spectrum_scale: float) -> TfeModel:
+    """The fused classifier's architecture, with fresh weights drawn from `rng`."""
+    return TfeModel(
+        UnitProjector(cfg.unit_dim, cfg.d, cfg.n, rng),
+        VisibleEncoder(cfg.d, cfg.heads, cfg.ffn, cfg.sa_blocks, rng),
+        LstmEncoder(cfg.c, cfg.lstm_hidden, rng) if use_freq else None,
+        Linear(cfg.d + cfg.lstm_hidden, cfg.n_classes, rng),
+        d=cfg.d, h=cfg.lstm_hidden, n_classes=cfg.n_classes, spectrum_scale=spectrum_scale,
+        use_time=use_time, use_freq=use_freq,
+    )
+
+
 def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
+    """Fine-tune the fused classifier.  A branch starts from its pretraining
+    stage's weights whenever the ablation runs that stage: no-time and
+    no-pretrain cold-start the time branch, no-freq has no frequency branch."""
     _enter_stage(cfg, paths, "tfe")
     records, split = load_run_data(cfg, paths)
+    skipped = ABLATION_SKIPS[cfg.ablate]
     use_time = cfg.ablate != "no-time"
-    use_freq = cfg.ablate != "no-freq"
-    cold_start = cfg.ablate == "no-pretrain"
+    use_freq = "freq" not in skipped
+    freq = load_stage(paths, "freq").tensors if use_freq else None
+    scale = float(freq["spectrum_scale"][0]) if use_freq else 1.0
 
-    pretrained_lmm = None
-    if use_time and not cold_start:
-        pretrained_lmm = build_lmm_models(
-            unit_dim=cfg.unit_dim, n_units=cfg.n, d=cfg.d, n_heads=cfg.heads, ffn_dim=cfg.ffn,
-            sa_blocks=cfg.sa_blocks, ca_blocks=cfg.ca_blocks, n_codewords=cfg.n_t,
-            teacher_momentum=cfg.teacher_momentum, seed=cfg.seed,
-        )
-        ckpt = load_stage(paths, "lmm")
-        pretrained_lmm.student_store().load_state(ckpt.tensors, "opt/")
-        pretrained_lmm.teacher.load_state(ckpt.tensors)
-        pretrained_lmm.codebook = Codebook.from_state(ckpt.tensors)
-    pretrained_freq, scale = (None, 1.0)
+    model = _tfe_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7FE])), use_time, use_freq, scale)
+    if "lmm" not in skipped:
+        lmm = load_stage(paths, "lmm").tensors
+        model.projector.load_state(lmm, "opt/param/projector.")
+        model.encoder.load_state(lmm, "opt/param/encoder.")
     if use_freq:
-        pretrained_freq = FreqClassifier(cfg.c, cfg.lstm_hidden, cfg.n_classes, np.random.default_rng(0))
-        ckpt = load_stage(paths, "freq")
-        pretrained_freq.load_state(ckpt.tensors, "opt/param/freq.")
-        scale = float(ckpt.tensors["spectrum_scale"][0])
+        model.freq_encoder.load_state(freq, "opt/param/freq.encoder.")
 
     result = finetune_tfe(
-        records,
-        split,
-        n_units=cfg.n,
-        d=cfg.d,
-        n_heads=cfg.heads,
-        ffn_dim=cfg.ffn,
-        sa_blocks=cfg.sa_blocks,
-        lstm_hidden=cfg.lstm_hidden,
-        n_classes=cfg.n_classes,
-        pretrained_lmm=pretrained_lmm,
-        pretrained_freq=pretrained_freq,
-        spectrum_scale=scale,
-        sample_rate=cfg.sample_rate,
-        stage1_epochs=cfg.epochs["time_ft"],
-        stage2_epochs=cfg.epochs["joint_ft"],
-        batch_size=min(cfg.batch, max(1, len(split.train))),
-        lr=cfg.lr,
-        seed=cfg.seed,
-        use_time=use_time,
-        use_freq=use_freq,
+        model, records, split,
+        n_units=cfg.n, sample_rate=cfg.sample_rate,
+        stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.epochs["joint_ft"],
+        batch_size=min(cfg.batch, max(1, len(split.train))), lr=cfg.lr, seed=cfg.seed,
         run_stage2=cfg.ablate != "no-finetune",
-        allow_cold_start=cold_start,
     )
     save_stage(
-        cfg, paths, "tfe", result.history, result.store, result.model,
+        cfg, paths, "tfe", result.history, result.store, model,
         extras={"spectrum_scale": np.asarray([scale], dtype=np.float32)},
         meta={"use_time": use_time, "use_freq": use_freq,
               "stage1_done": result.stage1_done, "stage2_done": result.stage2_done},
@@ -270,19 +259,8 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 def _load_tfe(cfg: PipelineConfig, paths: RunPaths) -> TfeModel:
     ckpt = load_stage(paths, "tfe")
-    use_time = bool(ckpt.config.get("use_time", True))
-    use_freq = bool(ckpt.config.get("use_freq", True))
-    rng = np.random.default_rng(0)
-    projector = UnitProjector(cfg.unit_dim, cfg.d, cfg.n, rng)
-    encoder = VisibleEncoder(cfg.d, cfg.heads, cfg.ffn, cfg.sa_blocks, rng)
-    freq_encoder = LstmEncoder(cfg.c, cfg.lstm_hidden, rng) if use_freq else None
-    head = Linear(cfg.d + cfg.lstm_hidden, cfg.n_classes, rng)
-    model = TfeModel(
-        projector, encoder, freq_encoder, head,
-        d=cfg.d, h=cfg.lstm_hidden, n_classes=cfg.n_classes,
-        spectrum_scale=float(ckpt.tensors["spectrum_scale"][0]),
-        use_time=use_time, use_freq=use_freq,
-    )
+    scale = float(ckpt.tensors["spectrum_scale"][0])
+    model = _tfe_model(cfg, np.random.default_rng(0), ckpt.config["use_time"], ckpt.config["use_freq"], scale)
     model.load_state(ckpt.tensors, "model/")
     return model
 
@@ -374,7 +352,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     denoiser = DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
     schedule = NoiseSchedule.linear(T=cfg.T)
-    cascade = CascadeConfig(rho=cfg.rho, condition_source=cfg.stage2_condition)
+    cascade = CascadeConfig(rho=cfg.rho)
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
     test_records = [records[i] for i in split.test]

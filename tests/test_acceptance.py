@@ -155,10 +155,11 @@ def test_criterion_5_lmm_training_progress():
 
 
 def test_criterion_6_tfe_overfit():
+    from brainvis_forge.autodiff.nn import Linear
     from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records, split_by_image
     from brainvis_forge.freq import freq_classify_train
     from brainvis_forge.freq.train import spectra_matrix
-    from brainvis_forge.fusion import finetune_tfe
+    from brainvis_forge.fusion import TfeModel, finetune_tfe
     from brainvis_forge.fusion.train import _batch_accuracy
     from brainvis_forge.lmm import train_lmm
     from brainvis_forge.lmm.train import prepare_units
@@ -182,11 +183,13 @@ def test_criterion_6_tfe_overfit():
             records, split, n_classes=40, hidden=48, epochs=80,
             batch_size=32, sample_rate=100.0, seed=5,
         )
+        model = TfeModel(
+            lmm.models.projector, lmm.models.encoder, freq.model.encoder,
+            Linear(32 + 48, 40, np.random.default_rng(5)),
+            d=32, h=48, n_classes=40, spectrum_scale=freq.spectrum_scale,
+        )
         tfe = finetune_tfe(
-            records, split, n_units=10, d=32, n_heads=4, ffn_dim=64,
-            sa_blocks=2, lstm_hidden=48, n_classes=40,
-            pretrained_lmm=lmm.models, pretrained_freq=freq.model,
-            spectrum_scale=freq.spectrum_scale, sample_rate=100.0,
+            model, records, split, n_units=10, sample_rate=100.0,
             stage1_epochs=25, stage2_epochs=12, batch_size=32, seed=5,
         )
         units = prepare_units(records, 10)

@@ -186,32 +186,3 @@ def test_train_align_orthogonal_classes_converges():
     again2 = train_align(embeddings, labels, image_ids, fixtures, e=e, epochs=5,
                          batch_size=16, lr=3e-3, seed=2)
     assert [h["si_loss"] for h in again.history] == [h["si_loss"] for h in again2.history]
-
-
-def test_train_align_unfreeze_updates_encoders():
-    from brainvis_forge.autodiff.nn import Linear, LstmEncoder
-    from brainvis_forge.fusion.model import TfeModel
-    from brainvis_forge.lmm.model import UnitProjector, VisibleEncoder
-
-    rng = np.random.default_rng(19)
-    model = TfeModel(
-        UnitProjector(8, 6, 4, rng), VisibleEncoder(6, 2, 12, 1, rng),
-        LstmEncoder(3, 4, rng), Linear(10, 2, rng),
-        d=6, h=4, n_classes=2,
-    )
-    units = rng.standard_normal((12, 4, 8)).astype(np.float32)
-    spectra = rng.standard_normal((12, 5, 3)).astype(np.float32)
-    labels = np.repeat(np.arange(2), 6)
-    image_ids = np.arange(12)
-    fixtures = {
-        (int(k), int(i)): SemanticTargets(np.eye(8, dtype=np.float32)[k], np.eye(8, dtype=np.float32)[k])
-        for k, i in zip(labels, image_ids)
-    }
-    embeddings = model.tfe_embedding(units, spectra)
-    before = model.projector.proj.weight.data.copy()
-    result = train_align(
-        embeddings, labels, image_ids, fixtures, e=8, epochs=3, batch_size=6, lr=1e-2,
-        seed=3, unfreeze_tfe=True, tfe_model=model, units=units, spectra=spectra,
-    )
-    assert len(result.history) == 3
-    assert not np.array_equal(model.projector.proj.weight.data, before)

