@@ -18,6 +18,8 @@ from ..autodiff.ops import cross_entropy
 from ..data.records import DatasetSplit, EegRecord
 from .fft import fft_magnitude
 
+_CHUNK = 16  # records per fft_magnitude call
+
 
 class FreqClassifier(Module):
     def __init__(self, n_channels: int, hidden: int, n_classes: int, rng: np.random.Generator, dtype=np.float32):
@@ -29,14 +31,19 @@ class FreqClassifier(Module):
 
 
 def spectra_matrix(records: list[EegRecord], sample_rate: float = 1000.0, scale: float = 1.0) -> np.ndarray:
-    """Stack per-record one-sided magnitude spectra: (R, n_bins, c) float32.
+    """One-sided magnitude spectra of every record: (R, n_bins, c) float32.
 
     Raw magnitudes grow with signal length; `scale` (a train-split statistic)
     keeps the recurrence inputs in a sane numeric range and must match the
-    value the encoder was trained with.
+    value the encoder was trained with.  Records go through `fft_magnitude`
+    `_CHUNK` at a time, so no float64 copy of the whole set is ever held.
     """
-    mats = np.stack([fft_magnitude(r.x, sample_rate).magnitude for r in records], axis=0)
-    return (mats / (scale or 1.0)).astype(np.float32)
+    c, l = records[0].x.shape
+    out = np.empty((len(records), l // 2 + 1, c), np.float32)
+    for lo in range(0, len(records), _CHUNK):
+        chunk = np.stack([r.x for r in records[lo : lo + _CHUNK]])
+        out[lo : lo + _CHUNK] = fft_magnitude(chunk, sample_rate).magnitude / (scale or 1.0)
+    return out
 
 
 def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -74,9 +81,9 @@ def freq_classify_train(
     sample_rate: float = 1000.0,
     seed: int = 0,
 ) -> FreqTrainResult:
-    mats = np.stack([fft_magnitude(r.x, sample_rate).magnitude for r in records], axis=0)
-    scale = float(mats[split.train].max()) or 1.0  # train-split statistic only
-    spectra = (mats / scale).astype(np.float32)
+    spectra = spectra_matrix(records, sample_rate)
+    scale = float(spectra[split.train].max()) or 1.0  # train-split statistic only
+    spectra /= scale
     labels = np.array([r.class_label for r in records], dtype=np.int64)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF9E9]))

@@ -1,9 +1,18 @@
-"""Transform correctness against an independent direct-summation oracle."""
+"""Transform correctness against an independent direct-summation oracle and numpy.fft."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brainvis_forge.data.records import EegRecord
+from brainvis_forge.freq import train as freq_train
 from brainvis_forge.freq.fft import fft, fft_magnitude
+from brainvis_forge.freq.train import spectra_matrix
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -81,3 +90,76 @@ def test_fft_magnitude_rejects_bad_shapes():
         fft_magnitude(np.zeros(16))
     with pytest.raises(ValueError):
         fft_magnitude(np.zeros((4, 1)))
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 440, 441, 997, 1024])
+def test_fft_matches_numpy_1d_and_batched_along_a_middle_axis(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert fft(x).dtype == np.complex128
+    assert _rel_err(fft(x), np.fft.fft(x)) < 1e-9
+    # 3 x n x 70 along axis 1: 210 transforms, more than one block
+    batch = rng.standard_normal((3, n, 70))
+    got = fft(batch, axis=1)
+    assert got.shape == batch.shape
+    assert _rel_err(got, np.fft.fft(batch, axis=1)) < 1e-9
+
+
+@pytest.mark.parametrize("l", [440, 441])
+def test_batched_fft_magnitude_matches_per_trial_calls_and_numpy_rfft(l):
+    x = np.random.default_rng(l).standard_normal((9, 16, l)).astype(np.float32)
+    batched = fft_magnitude(x, sample_rate=1000.0)
+    assert batched.magnitude.shape == (9, l // 2 + 1, 16)
+    assert batched.n_bins == l // 2 + 1
+    assert batched.bin_resolution == pytest.approx(1000.0 / l)
+    for trial, mag in zip(x, batched.magnitude):
+        assert _rel_err(mag, fft_magnitude(trial).magnitude) < 1e-12
+    want = np.abs(np.fft.rfft(x.astype(np.float64), axis=-1)).swapaxes(-1, -2)
+    assert _rel_err(batched.magnitude, want) < 1e-9
+
+
+def _records(n: int, c: int, l: int, seed: int) -> list[EegRecord]:
+    rng = np.random.default_rng(seed)
+    return [EegRecord(rng.standard_normal((c, l), dtype=np.float32), i % 3, 0, i) for i in range(n)]
+
+
+def test_spectra_matrix_row_does_not_depend_on_its_chunk():
+    records = _records(2 * freq_train._CHUNK + 3, 6, 440, seed=3)
+    spectra = spectra_matrix(records, 1000.0, 7.5)
+    assert spectra.shape == (len(records), 221, 6) and spectra.dtype == np.float32
+    for record, row in zip(records, spectra):
+        alone = spectra_matrix([record], 1000.0, 7.5)[0]
+        assert _rel_err(row, alone) < 1e-6
+    want = np.abs(np.fft.rfft(np.stack([r.x for r in records]).astype(np.float64), axis=-1)).swapaxes(-1, -2) / 7.5
+    assert _rel_err(spectra, want) < 1e-6
+
+
+_MEMORY_CHILD = """
+import json, resource
+import numpy as np
+from brainvis_forge.data.records import EegRecord
+from brainvis_forge.freq.train import spectra_matrix
+
+rng = np.random.default_rng(0)
+records = [EegRecord(rng.standard_normal((128, 440), dtype=np.float32), 0, 0, i) for i in range(300)]
+spectra_matrix(records[:1], 1000.0)  # plan tables and BLAS set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+spectra = spectra_matrix(records, 1000.0)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"growth_kb": after - before, "input_bytes": 300 * 128 * 440 * 4, "shape": list(spectra.shape)}))
+"""
+
+
+def test_spectra_matrix_peak_memory_stays_below_the_input_size():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_CHILD], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["shape"] == [300, 221, 128]
+    # the float32 result alone is 0.5x the input; a float64 copy of the set would be 1x more
+    assert result["growth_kb"] * 1024 < result["input_bytes"], result

@@ -180,7 +180,7 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
     for stage in ("data", "lmm", "freq", "tfe", "align", "diffusion"):
         runner.STAGE_RUNS[stage](cfg, paths)
 
-    counts = {"predict": 0, "fft": 0, "align": 0}
+    counts = {"predict": 0, "fft": 0, "spectra": 0, "align": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -190,11 +190,14 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
 
     monkeypatch.setattr(DenoiserNet, "predict", counting("predict", DenoiserNet.predict))
     monkeypatch.setattr(freq_train, "fft_magnitude", counting("fft", freq_train.fft_magnitude))
+    monkeypatch.setattr(runner, "spectra_matrix", counting("spectra", freq_train.spectra_matrix))
     monkeypatch.setattr(runner, "align", counting("align", align_model.align))
     summary = runner.run_generate(cfg, paths)
     _, split = runner.load_run_data(cfg, paths)
     assert summary["samples"] == len(split.test) * cfg.samples_per_record
-    assert counts == {"predict": cfg.T, "fft": len(split.test), "align": 1}
+    # the tiny test set fits in one spectra_matrix chunk: one batched FFT call
+    assert len(split.test) <= freq_train._CHUNK
+    assert counts == {"predict": cfg.T, "fft": 1, "spectra": 1, "align": 1}
 
     report = runner.run_evaluate(cfg, paths)
     # 3 test records x 4 samples against 3 references in the surrogate's 32 dims
