@@ -2,7 +2,7 @@
 
 from .bvd import load_dataset, write_dataset
 from .images import make_image, make_image_set
-from .records import DatasetHeader, DatasetSplit, EegRecord, normalize_records, zscore_channels
+from .records import DatasetHeader, DatasetSplit, EegDataset, EegRecord, zscore_channels
 from .segment import flatten_units, reassemble_units, segment_units
 from .split import split_by_image
 from .synthetic import SyntheticGenSpec, generate_synthetic
@@ -10,6 +10,7 @@ from .synthetic import SyntheticGenSpec, generate_synthetic
 __all__ = [
     "DatasetHeader",
     "DatasetSplit",
+    "EegDataset",
     "EegRecord",
     "SyntheticGenSpec",
     "flatten_units",
@@ -17,7 +18,6 @@ __all__ = [
     "load_dataset",
     "make_image",
     "make_image_set",
-    "normalize_records",
     "reassemble_units",
     "segment_units",
     "split_by_image",

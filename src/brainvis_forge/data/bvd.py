@@ -27,39 +27,38 @@ from ..binio import (
     read_exact,
     unpack_u32,
 )
-from .records import DatasetHeader, EegRecord, normalize_records
+from .records import DatasetHeader, EegDataset, zscore_channels
 
 MAGIC = b"BVD1"
 VERSION = 1
 
 
-def write_dataset(path, records: list[EegRecord], n_classes: int, normalized: bool = False) -> None:
-    if records:
-        c, l = records[0].x.shape
-        for r in records:
-            if r.x.shape != (c, l):
-                raise ValueError(f"write_dataset: record shape {r.x.shape} differs from ({c}, {l})")
-    else:
-        c, l = 0, 0
+def _record_dtype(c: int, l: int) -> np.dtype:
+    return np.dtype([("ids", "<u4", (3,)), ("x", "<f4", (c, l))])
 
-    body = BytesIO()
-    for r in records:
-        body.write(pack_u32(r.class_label, r.subject_id, r.image_id))
-        body.write(np.ascontiguousarray(r.x, dtype="<f4").tobytes())
-    payload = body.getvalue()
+
+def write_dataset(path, dataset: EegDataset, n_classes: int, normalized: bool = False) -> None:
+    _, c, l = dataset.x.shape
+    block = np.empty(len(dataset), _record_dtype(c, l))
+    ids = np.stack([dataset.labels, dataset.subjects, dataset.image_ids], axis=1)
+    if ids.size and (ids.min() < 0 or ids.max() > 0xFFFFFFFF):
+        raise ValueError("write_dataset: class, subject and image ids must fit in u32")
+    block["ids"] = ids
+    block["x"] = dataset.x
+    payload = block.tobytes()
 
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(pack_u32(VERSION, len(records), c, l, n_classes))
+        fh.write(pack_u32(VERSION, len(dataset), c, l, n_classes))
         fh.write(struct.pack("<B", 1 if normalized else 0))
         fh.write(payload)
         fh.write(crc_bytes(payload))
 
 
-def load_dataset(path, normalize: bool = False) -> tuple[list[EegRecord], DatasetHeader]:
+def load_dataset(path, normalize: bool = False) -> tuple[EegDataset, DatasetHeader]:
     """Read a BVD1 file; `normalize` z-scores each channel unless already flagged.
 
-    With normalize=False the returned records are bit-identical to what was
+    With normalize=False the returned trials are bit-identical to what was
     written, so write/load round trips exactly.
     """
     raw = Path(path).read_bytes()
@@ -68,22 +67,19 @@ def load_dataset(path, normalize: bool = False) -> tuple[list[EegRecord], Datase
     n_records, c, l, n_classes = unpack_u32(buf, 4, "header")
     (norm_flag,) = struct.unpack("<B", read_exact(buf, 1, "header"))
 
-    record_bytes = 12 + 4 * c * l
-    payload = read_exact(buf, record_bytes * n_records, "records")
+    dtype = _record_dtype(c, l)
+    payload = read_exact(buf, dtype.itemsize * n_records, "records")
     check_crc(payload, buf)
-
-    records: list[EegRecord] = []
-    body = BytesIO(payload)
-    for _ in range(n_records):
-        class_label, subject_id, image_id = unpack_u32(body, 3, "record header")
-        x = np.frombuffer(read_exact(body, 4 * c * l, "record data"), dtype="<f4").reshape(c, l)
-        records.append(EegRecord(x.copy(), class_label, subject_id, image_id))
+    block = np.frombuffer(payload, dtype, count=n_records)
 
     header = DatasetHeader(n_records=n_records, c=c, l=l, n_classes=n_classes, normalized=bool(norm_flag))
     if normalize and not header.normalized:
-        records = normalize_records(records)
+        x = zscore_channels(block["x"])
         header.normalized = True
-    return records, header
+    else:
+        x = np.array(block["x"], dtype=np.float32)
+    ids = block["ids"]
+    return EegDataset(x, ids[:, 0], ids[:, 1], ids[:, 2]), header
 
 
 __all__ = [

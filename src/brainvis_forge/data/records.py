@@ -1,27 +1,61 @@
-"""Core dataset types: multichannel trials, headers, and splits."""
+"""Core dataset types: the trial set, its rows, headers, and splits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class EegRecord:
-    """One multichannel trial: x is (channels, samples) float32."""
+    """One row of an `EegDataset`: x is a (channels, samples) view into the set."""
 
     x: np.ndarray
     class_label: int
     subject_id: int
     image_id: int
 
+
+@dataclass
+class EegDataset:
+    """All trials as one C-contiguous (R, c, l) float32 array plus per-trial ids.
+
+    Construction is the one validity check (x 3-D and finite, R ids of each
+    kind); indexing and iteration yield `EegRecord` rows.
+    """
+
+    x: np.ndarray
+    labels: np.ndarray
+    subjects: np.ndarray
+    image_ids: np.ndarray
+
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float32)
-        if self.x.ndim != 2:
-            raise ValueError(f"EegRecord: x must be 2-D (channels, samples), got {self.x.shape}")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("EegRecord: trial contains NaN or Inf")
+        self.x = np.ascontiguousarray(self.x, dtype=np.float32)
+        if self.x.ndim != 3:
+            raise ValueError(f"EegDataset: x must be 3-D (records, channels, samples), got {self.x.shape}")
+        # A float64 sum of float32 values cannot overflow: it is finite exactly when every value is.
+        if not np.isfinite(self.x.sum(dtype=np.float64)):
+            raise ValueError("EegDataset: a trial contains NaN or Inf")
+        self.labels, self.subjects, self.image_ids = (
+            np.asarray(ids, dtype=np.int64) for ids in (self.labels, self.subjects, self.image_ids)
+        )
+        if not self.labels.shape == self.subjects.shape == self.image_ids.shape == (len(self.x),):
+            raise ValueError(f"EegDataset: labels, subjects and image_ids must each have shape ({len(self.x)},)")
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i: int) -> EegRecord:
+        return EegRecord(self.x[i], int(self.labels[i]), int(self.subjects[i]), int(self.image_ids[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def take(self, indices) -> EegDataset:
+        """The subset at `indices`, in their order."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return EegDataset(self.x[idx], self.labels[idx], self.subjects[idx], self.image_ids[idx])
 
 
 @dataclass
@@ -43,19 +77,9 @@ class DatasetSplit:
     test: list[int]
     split_seed: int = 0
 
-    def all_indices(self) -> list[int]:
-        return sorted(self.train + self.val + self.test)
-
 
 def zscore_channels(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Per-channel zero-mean unit-variance scaling of one trial."""
-    mu = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, keepdims=True)
-    return ((x - mu) / np.maximum(sd, eps)).astype(x.dtype)
-
-
-def normalize_records(records: list[EegRecord]) -> list[EegRecord]:
-    return [
-        EegRecord(zscore_channels(r.x), r.class_label, r.subject_id, r.image_id)
-        for r in records
-    ]
+    """Zero-mean unit-variance scaling of each channel along the time axis of (..., c, l)."""
+    out = x - x.mean(axis=-1, keepdims=True)
+    out /= np.maximum(x.std(axis=-1, keepdims=True), eps)
+    return out

@@ -1,4 +1,7 @@
-"""Lossless partition of a trial into contiguous temporal units."""
+"""Lossless partition of a trial into contiguous temporal units.
+
+Each function takes one trial or a batch of them: leading axes pass through.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +9,23 @@ import numpy as np
 
 
 def segment_units(x: np.ndarray, n: int) -> np.ndarray:
-    """Split (c, l) into n units of shape (c, l/n); unit i holds columns [i*l/n, (i+1)*l/n).
+    """Split (..., c, l) into n units, (..., n, c, l/n); unit i holds columns [i*l/n, (i+1)*l/n).
 
-    n must divide l exactly; padding would break the bitwise round trip.
+    n must divide l exactly; padding would break the bitwise round trip.  The
+    result is a view of x.
     """
-    c, l = x.shape
+    *lead, c, l = x.shape
     if n < 1 or l % n != 0:
         raise ValueError(f"segment_units: n={n} must divide signal length l={l}")
-    width = l // n
-    return np.stack([x[:, i * width : (i + 1) * width] for i in range(n)], axis=0)
+    return x.reshape(*lead, c, n, l // n).swapaxes(-3, -2)
 
 
 def reassemble_units(units: np.ndarray) -> np.ndarray:
-    """Inverse of segment_units: concatenate (n, c, w) back to (c, n*w)."""
-    return np.concatenate(list(units), axis=1)
+    """Inverse of segment_units: (..., n, c, w) back to (..., c, n*w)."""
+    *lead, n, c, w = units.shape
+    return units.swapaxes(-3, -2).reshape(*lead, c, n * w)
 
 
 def flatten_units(units: np.ndarray) -> np.ndarray:
-    """Row-major flatten of each (c, w) unit: (n, c, w) -> (n, c*w)."""
-    n = units.shape[0]
-    return units.reshape(n, -1)
+    """Row-major flatten of each (c, w) unit: (..., n, c, w) -> (..., n, c*w)."""
+    return units.reshape(*units.shape[:-2], -1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .records import DatasetSplit, EegRecord
+from .records import DatasetSplit, EegDataset
 
 
 def _largest_remainder_counts(n: int, ratios: tuple[int, ...]) -> list[int]:
@@ -23,31 +23,21 @@ def _largest_remainder_counts(n: int, ratios: tuple[int, ...]) -> list[int]:
 
 
 def split_by_image(
-    records: list[EegRecord],
+    dataset: EegDataset,
     ratios: tuple[int, int, int] = (8, 1, 1),
     seed: int = 0,
 ) -> DatasetSplit:
     """Shuffle distinct image ids by `seed`, slice by `ratios`, map back to records."""
     if any(r < 0 for r in ratios) or sum(ratios) <= 0:
         raise ValueError(f"split_by_image: invalid ratios {ratios}")
-    image_ids = sorted({r.image_id for r in records})
-    if len(image_ids) < 10:
-        raise ValueError(f"split_by_image: need at least 10 distinct images, got {len(image_ids)}")
+    order = np.unique(dataset.image_ids)
+    if len(order) < 10:
+        raise ValueError(f"split_by_image: need at least 10 distinct images, got {len(order)}")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
-    order = np.array(image_ids)
     rng.shuffle(order)
-    n_train, n_val, n_test = _largest_remainder_counts(len(order), ratios)
-    groups = {
-        "train": set(order[:n_train].tolist()),
-        "val": set(order[n_train : n_train + n_val].tolist()),
-        "test": set(order[n_train + n_val :].tolist()),
-    }
-
-    buckets: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for i, rec in enumerate(records):
-        for name, members in groups.items():
-            if rec.image_id in members:
-                buckets[name].append(i)
-                break
-    return DatasetSplit(train=buckets["train"], val=buckets["val"], test=buckets["test"], split_seed=seed)
+    n_train, n_val, _ = _largest_remainder_counts(len(order), ratios)
+    train, val, test = (
+        np.flatnonzero(np.isin(dataset.image_ids, ids)).tolist() for ids in np.split(order, [n_train, n_train + n_val])
+    )
+    return DatasetSplit(train=train, val=val, test=test, split_seed=seed)

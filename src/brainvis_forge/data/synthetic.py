@@ -8,9 +8,11 @@ identical specs produce byte-identical datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .records import EegDataset
 
 
 @dataclass
@@ -95,20 +97,17 @@ class SyntheticGenSpec:
         return self.n_images * self.records_per_image
 
 
-def generate_synthetic(spec: SyntheticGenSpec):
-    """Materialize the dataset described by `spec` as a list of EegRecord."""
-    from .records import EegRecord
-
+def generate_synthetic(spec: SyntheticGenSpec) -> EegDataset:
+    """Materialize the dataset described by `spec`, record by record into one array."""
     t = np.arange(spec.l, dtype=np.float64) / spec.sample_rate
     base_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xBA5E]))
     base_phases = base_rng.uniform(0.0, 2.0 * np.pi, size=(spec.n_classes, len(spec.class_frequencies[0])))
-    records = []
+    x = np.empty((spec.n_records, spec.c, spec.l), dtype=np.float32)
     idx = 0
     for k in range(spec.n_classes):
         freqs = spec.class_frequencies[k]
         gains = spec.class_gains[k][:, None]  # (c, 1)
         for j in range(spec.records_per_class):
-            image_id = k * spec.records_per_class + j
             for rep in range(spec.records_per_image):
                 rng = np.random.default_rng(np.random.SeedSequence([spec.seed, k, j, rep]))
                 signal = np.zeros((spec.c, spec.l), dtype=np.float64)
@@ -117,13 +116,13 @@ def generate_synthetic(spec: SyntheticGenSpec):
                     signal += gains * spec.amplitude * np.sin(2.0 * np.pi * f * t + phase)
                 if spec.noise_std > 0:
                     signal += spec.noise_std * rng.standard_normal((spec.c, spec.l))
-                records.append(
-                    EegRecord(
-                        x=signal.astype(np.float32),
-                        class_label=k,
-                        subject_id=idx % spec.subjects,
-                        image_id=image_id,
-                    )
-                )
+                x[idx] = signal
                 idx += 1
-    return records
+    # Records run class-major, then image, then repetition.
+    image_ids = np.repeat(np.arange(spec.n_images), spec.records_per_image)
+    return EegDataset(
+        x,
+        labels=image_ids // spec.records_per_class,
+        subjects=np.arange(spec.n_records) % spec.subjects,
+        image_ids=image_ids,
+    )

@@ -15,7 +15,7 @@ import numpy as np
 from ..autodiff import ParamStore, Tensor, adam_step, backward, no_grad
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..autodiff.ops import cross_entropy
-from ..data.records import DatasetSplit, EegRecord
+from ..data.records import DatasetSplit, EegDataset
 from .fft import fft_magnitude
 
 _CHUNK = 16  # records per fft_magnitude call
@@ -30,7 +30,7 @@ class FreqClassifier(Module):
         return self.head(self.encoder(spectra))
 
 
-def spectra_matrix(records: list[EegRecord], sample_rate: float = 1000.0, scale: float = 1.0) -> np.ndarray:
+def spectra_matrix(dataset: EegDataset, sample_rate: float = 1000.0, scale: float = 1.0) -> np.ndarray:
     """One-sided magnitude spectra of every record: (R, n_bins, c) float32.
 
     Raw magnitudes grow with signal length; `scale` (a train-split statistic)
@@ -38,11 +38,10 @@ def spectra_matrix(records: list[EegRecord], sample_rate: float = 1000.0, scale:
     value the encoder was trained with.  Records go through `fft_magnitude`
     `_CHUNK` at a time, so no float64 copy of the whole set is ever held.
     """
-    c, l = records[0].x.shape
-    out = np.empty((len(records), l // 2 + 1, c), np.float32)
-    for lo in range(0, len(records), _CHUNK):
-        chunk = np.stack([r.x for r in records[lo : lo + _CHUNK]])
-        out[lo : lo + _CHUNK] = fft_magnitude(chunk, sample_rate).magnitude / (scale or 1.0)
+    r, c, l = dataset.x.shape
+    out = np.empty((r, l // 2 + 1, c), np.float32)
+    for lo in range(0, r, _CHUNK):
+        out[lo : lo + _CHUNK] = fft_magnitude(dataset.x[lo : lo + _CHUNK], sample_rate).magnitude / (scale or 1.0)
     return out
 
 
@@ -70,7 +69,7 @@ class FreqTrainResult:
 
 
 def freq_classify_train(
-    records: list[EegRecord],
+    dataset: EegDataset,
     split: DatasetSplit,
     *,
     n_classes: int,
@@ -81,10 +80,10 @@ def freq_classify_train(
     sample_rate: float = 1000.0,
     seed: int = 0,
 ) -> FreqTrainResult:
-    spectra = spectra_matrix(records, sample_rate)
+    spectra = spectra_matrix(dataset, sample_rate)
     scale = float(spectra[split.train].max()) or 1.0  # train-split statistic only
     spectra /= scale
-    labels = np.array([r.class_label for r in records], dtype=np.int64)
+    labels = dataset.labels
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF9E9]))
     model = FreqClassifier(spectra.shape[2], hidden, n_classes, rng)

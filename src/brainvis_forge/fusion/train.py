@@ -15,7 +15,7 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tensor, adam_step, backward, no_grad
 from ..autodiff.ops import cross_entropy
-from ..data.records import DatasetSplit, EegRecord
+from ..data.records import DatasetSplit, EegDataset
 from ..freq.train import one_hot_labels, spectra_matrix
 from ..lmm.train import prepare_units
 from .model import TfeModel
@@ -50,7 +50,7 @@ def _batch_accuracy(model: TfeModel, units, spectra, freq_hidden, labels, batch:
 
 def finetune_tfe(
     model: TfeModel,
-    records: list[EegRecord],
+    dataset: EegDataset,
     split: DatasetSplit,
     *,
     n_units: int,
@@ -65,9 +65,9 @@ def finetune_tfe(
     """Train `model` in place; its branch switches, class count and spectrum
     scale come from the model itself."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7FE1]))
-    units = prepare_units(records, n_units)
-    spectra = spectra_matrix(records, sample_rate, model.spectrum_scale) if model.use_freq else None
-    labels = np.array([r.class_label for r in records], dtype=np.int64)
+    units = prepare_units(dataset, n_units)
+    spectra = spectra_matrix(dataset, sample_rate, model.spectrum_scale) if model.use_freq else None
+    labels = dataset.labels
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)
 
@@ -141,15 +141,15 @@ def finetune_tfe(
 
 def classify_batch(
     model: TfeModel,
-    records: list[EegRecord],
+    dataset: EegDataset,
     n_units: int,
     sample_rate: float = 1000.0,
     batch: int = 256,
 ) -> np.ndarray:
-    units = prepare_units(records, n_units)
-    spectra = spectra_matrix(records, sample_rate, model.spectrum_scale) if model.use_freq else None
+    units = prepare_units(dataset, n_units)
+    spectra = spectra_matrix(dataset, sample_rate, model.spectrum_scale) if model.use_freq else None
     rows = []
     with no_grad():
-        for lo in range(0, len(records), batch):
+        for lo in range(0, len(dataset), batch):
             rows.append(model.logits(units[lo : lo + batch], None if spectra is None else spectra[lo : lo + batch]).data)
     return np.concatenate(rows, axis=0)

@@ -109,9 +109,6 @@ class Teacher:
             out = self.module(Tensor(np.asarray(z_full)))
         return out.data
 
-    def state(self) -> dict[str, np.ndarray]:
-        return self.module.state("teacher/")
-
 
 def teacher_update(teacher: Teacher, student: VisibleEncoder, momentum: float) -> Teacher:
     """teacher <- momentum * teacher + (1 - momentum) * student, elementwise."""

@@ -39,9 +39,6 @@ class Codebook:
         out[np.arange(len(indices)), indices] = 1.0
         return out
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {"codebook_weight": np.array(self.weight)}
-
 
 def tokenize(codebook: Codebook, flat_units: np.ndarray) -> np.ndarray:
     """One-hot codewords for raw masked units: (m, unit_dim) -> (m, n_t)."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor, adam_step, backward, take
-from ..data.records import EegRecord
+from ..data.records import EegDataset
 from ..data.segment import flatten_units, segment_units
 from .loss import lmm_loss
 from .masking import make_mask_plan
@@ -55,11 +55,9 @@ def build_lmm_models(
     return LmmModels(projector, encoder, predictor, teacher, codebook, n_units)
 
 
-def prepare_units(records: list[EegRecord], n_units: int) -> np.ndarray:
+def prepare_units(dataset: EegDataset, n_units: int) -> np.ndarray:
     """Segment and flatten every record: (R, n_units, c * l / n_units) float32."""
-    return np.stack(
-        [flatten_units(segment_units(r.x, n_units)) for r in records], axis=0
-    ).astype(np.float32)
+    return np.ascontiguousarray(flatten_units(segment_units(dataset.x, n_units)))
 
 
 def lmm_step(
@@ -95,7 +93,7 @@ class LmmTrainResult:
 
 
 def train_lmm(
-    records: list[EegRecord],
+    dataset: EegDataset,
     *,
     n_units: int,
     d: int,
@@ -111,7 +109,7 @@ def train_lmm(
     batch_size: int = 64,
     seed: int = 0,
 ) -> LmmTrainResult:
-    units = prepare_units(records, n_units)
+    units = prepare_units(dataset, n_units)
     unit_dim = units.shape[2]
     models = build_lmm_models(
         unit_dim=unit_dim,

@@ -16,8 +16,6 @@ checkpoints share one key layout:
     opt/param/{param}, opt/adam_m/{param}, opt/adam_v/{param}, opt/adam_step
                                        the Adam store: values, moments, step
     spectrum_scale                     freq, tfe: the spectrum normaliser
-    teacher/{param}, codebook_weight   lmm: EMA teacher and frozen tokenizer
-                                       (written for inspection, never read back)
 where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
 The tfe stage reads opt/param/projector.* and opt/param/encoder.* from the
 lmm checkpoint, and opt/param/freq.encoder.* and spectrum_scale from the freq

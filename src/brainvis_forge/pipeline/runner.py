@@ -27,7 +27,7 @@ from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..autodiff.optim import ParamStore
 from ..data.bvd import load_dataset, write_dataset
 from ..data.images import make_image_set
-from ..data.records import DatasetSplit, EegRecord
+from ..data.records import DatasetSplit, EegDataset
 from ..data.split import split_by_image
 from ..data.synthetic import SyntheticGenSpec, generate_synthetic
 from ..diffusion.cascade import CascadeConfig, generate_samples
@@ -138,10 +138,9 @@ def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
     )
 
 
-def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[list[EegRecord], DatasetSplit]:
-    records, _ = load_dataset(paths.root / "data" / "dataset.bvd", normalize=True)
-    split = split_by_image(records, seed=cfg.seed)
-    return records, split
+def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, DatasetSplit]:
+    dataset, _ = load_dataset(paths.root / "data" / "dataset.bvd", normalize=True)
+    return dataset, split_by_image(dataset, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +149,25 @@ def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[list[EegRecord]
 
 def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     stage_dir = _enter_stage(cfg, paths, "data")
-    records = generate_synthetic(_synthetic_spec(cfg))
-    write_dataset(stage_dir / "dataset.bvd", records, n_classes=cfg.n_classes, normalized=False)
+    dataset = generate_synthetic(_synthetic_spec(cfg))
+    write_dataset(stage_dir / "dataset.bvd", dataset, n_classes=cfg.n_classes, normalized=False)
     fixtures = generate_fixtures(
         cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed, caption_offset=cfg.caption_offset
     )
     write_fixtures(stage_dir / "fixtures.bve", fixtures, e=cfg.e)
-    summary = {"records": len(records), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
+    summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     return summary
 
 
 def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "lmm")
-    records, split = load_run_data(cfg, paths)
-    train_records = [records[i] for i in split.train]
-    batch = min(cfg.batch, len(train_records))
-    steps_per_epoch = max(1, (len(train_records) + batch - 1) // batch)
+    dataset, split = load_run_data(cfg, paths)
+    train = dataset.take(split.train)
+    batch = min(cfg.batch, len(train))
+    steps_per_epoch = max(1, (len(train) + batch - 1) // batch)
     result = train_lmm(
-        train_records,
+        train,
         n_units=cfg.n,
         d=cfg.d,
         n_heads=cfg.heads,
@@ -183,16 +182,15 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
         batch_size=batch,
         seed=cfg.seed,
     )
-    extras = {**result.models.teacher.state(), **result.models.codebook.state()}
-    save_stage(cfg, paths, "lmm", result.history, result.store, extras=extras)
+    save_stage(cfg, paths, "lmm", result.history, result.store)
     return {"steps": len(result.history), "final_l_lmm": result.history[-1]["l_lmm"] if result.history else None}
 
 
 def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "freq")
-    records, split = load_run_data(cfg, paths)
+    dataset, split = load_run_data(cfg, paths)
     result = freq_classify_train(
-        records,
+        dataset,
         split,
         n_classes=cfg.n_classes,
         hidden=cfg.lstm_hidden,
@@ -225,7 +223,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     stage's weights whenever the ablation runs that stage: no-time and
     no-pretrain cold-start the time branch, no-freq has no frequency branch."""
     _enter_stage(cfg, paths, "tfe")
-    records, split = load_run_data(cfg, paths)
+    dataset, split = load_run_data(cfg, paths)
     skipped = ABLATION_SKIPS[cfg.ablate]
     use_time = cfg.ablate != "no-time"
     use_freq = "freq" not in skipped
@@ -241,7 +239,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
         model.freq_encoder.load_state(freq, "opt/param/freq.encoder.")
 
     result = finetune_tfe(
-        model, records, split,
+        model, dataset, split,
         n_units=cfg.n, sample_rate=cfg.sample_rate,
         stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.epochs["joint_ft"],
         batch_size=min(cfg.batch, max(1, len(split.train))), lr=cfg.lr, seed=cfg.seed,
@@ -271,30 +269,28 @@ def _load_align(cfg: PipelineConfig, paths: RunPaths) -> AlignmentNet:
     return net
 
 
-def _tfe_embeddings(cfg: PipelineConfig, model: TfeModel, records: list[EegRecord]) -> np.ndarray:
-    units = prepare_units(records, cfg.n)
-    spectra = spectra_matrix(records, cfg.sample_rate, model.spectrum_scale) if model.use_freq else None
+def _tfe_embeddings(cfg: PipelineConfig, model: TfeModel, dataset: EegDataset) -> np.ndarray:
+    units = prepare_units(dataset, cfg.n)
+    spectra = spectra_matrix(dataset, cfg.sample_rate, model.spectrum_scale) if model.use_freq else None
     return model.tfe_embedding(units, spectra)
 
 
 def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "align")
-    records, split = load_run_data(cfg, paths)
+    dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
     fixtures, e = load_fixtures(paths.root / "data" / "fixtures.bve")
     if e != cfg.e:
         raise ValueError(f"run_train_align: fixture dim {e} differs from config e={cfg.e}")
 
-    train_records = [records[i] for i in split.train]
-    embeddings = _tfe_embeddings(cfg, model, train_records)
-    labels = np.array([r.class_label for r in train_records])
-    image_ids = np.array([r.image_id for r in train_records])
+    train = dataset.take(split.train)
+    embeddings = _tfe_embeddings(cfg, model, train)
 
     result = train_align(
-        embeddings, labels, image_ids, fixtures,
+        embeddings, train.labels, train.image_ids, fixtures,
         e=cfg.e,
         epochs=cfg.epochs["align"],
-        batch_size=min(cfg.batch, max(1, len(train_records))),
+        batch_size=min(cfg.batch, max(1, len(train))),
         lr=cfg.lr,
         seed=cfg.seed,
         label_weight=cfg.label_weight,
@@ -306,18 +302,17 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "diffusion")
-    records, split = load_run_data(cfg, paths)
+    dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
     image_set = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                channels=cfg.latent_channels, seed=cfg.seed)
 
-    train_records = [records[i] for i in split.train]
-    images = np.stack([image_set[r.image_id][0] for r in train_records])
-    labels = np.array([r.class_label for r in train_records])
+    train = dataset.take(split.train)
+    images = np.stack([image_set[i][0] for i in train.image_ids.tolist()])
 
     eeg_conditions = None
     if cfg.ablate != "no-semantic":
-        eeg_conditions = align(_load_align(cfg, paths), _tfe_embeddings(cfg, model, train_records))
+        eeg_conditions = align(_load_align(cfg, paths), _tfe_embeddings(cfg, model, train))
 
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = DenoiserNet(
@@ -325,7 +320,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])),
     )
     result = train_denoiser(
-        net, schedule, images, labels, eeg_conditions,
+        net, schedule, images, train.labels, eeg_conditions,
         steps=cfg.diffusion_steps,
         batch_size=cfg.diffusion_batch,
         lr=cfg.lr,
@@ -347,7 +342,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     record-major, sample-minor order.
     """
     stage_dir = _enter_stage(cfg, paths, "generate")
-    records, split = load_run_data(cfg, paths)
+    dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
     denoiser = DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
@@ -355,8 +350,8 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     cascade = CascadeConfig(rho=cfg.rho)
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
-    test_records = [records[i] for i in split.test]
-    embeddings = _tfe_embeddings(cfg, model, test_records)
+    test = dataset.take(split.test)
+    embeddings = _tfe_embeddings(cfg, model, test)
     with no_grad():
         predicted = np.argmax(model.head(Tensor(embeddings)).data, axis=1)
         if cfg.stage2_condition == "fixture":
@@ -367,7 +362,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
         else:
             class_cond = denoiser.class_condition(predicted).data
     if mode == "no-semantic":
-        c_eeg = np.zeros((len(test_records), cfg.e))
+        c_eeg = np.zeros((len(test), cfg.e))
     else:
         c_eeg = align(_load_align(cfg, paths), embeddings)
 
@@ -386,7 +381,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     images_dir.mkdir(exist_ok=True)
     provenance_rows = []
     for latent, prov in samples:
-        record = records[prov.record_index]
+        record = dataset[prov.record_index]
         write_ppm(images_dir / sample_filename(prov.record_index, prov.sample_index), latent)
         row_dict = prov.to_dict()
         row_dict["true_label"] = record.class_label
@@ -394,20 +389,19 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
         provenance_rows.append(row_dict)
 
     _write_jsonl(stage_dir / "provenance.jsonl", provenance_rows)
-    summary = {"samples": len(provenance_rows), "records": len(test_records), "mode": mode}
+    summary = {"samples": len(provenance_rows), "records": len(test), "mode": mode}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     return summary
 
 
 def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     stage_dir = _enter_stage(cfg, paths, "evaluate")
-    records, split = load_run_data(cfg, paths)
+    dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
 
-    test_records = [records[i] for i in split.test]
-    logits = classify_batch(model, test_records, cfg.n, cfg.sample_rate)
-    labels = np.array([r.class_label for r in test_records])
-    cls_block = classification_block(logits, labels, cfg.n_classes)
+    test = dataset.take(split.test)
+    logits = classify_batch(model, test, cfg.n, cfg.sample_rate)
+    cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
     image_set = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                channels=cfg.latent_channels, seed=cfg.seed)
@@ -420,19 +414,18 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
 
     generated, gen_labels, gt_pairs = [], [], []
     images_dir = paths.root / "generate" / "images"
-    for dataset_index in split.test:
-        record = records[dataset_index]
+    for dataset_index, label, image_id in zip(split.test, test.labels.tolist(), test.image_ids.tolist()):
         for s in range(cfg.samples_per_record):
             ppm_path = images_dir / sample_filename(dataset_index, s)
             if not ppm_path.exists():
                 raise StageError(f"evaluate: missing generated image {ppm_path.name}; run generate first")
             rgb = read_ppm(ppm_path).astype(np.float64) / 255.0 * 2.0 - 1.0
             generated.append(np.transpose(rgb, (2, 0, 1)))
-            gen_labels.append(record.class_label)
-            gt_pairs.append(image_set[record.image_id][0])
+            gen_labels.append(label)
+            gt_pairs.append(image_set[image_id][0])
     generated = np.stack(generated)
     gt_pairs = np.stack(gt_pairs)
-    gt_pool = np.stack([image_set[records[i].image_id][0] for i in split.test])
+    gt_pool = np.stack([image_set[i][0] for i in test.image_ids.tolist()])
 
     ga_cfg = GaConfig(n_way=cfg.ga_n, top_k=cfg.ga_k, n_trials=cfg.ga_trials, seed=cfg.seed)
     gen_block = evaluate_generation(

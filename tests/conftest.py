@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records, split_by_image
+from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +13,8 @@ def small_dataset():
         n_classes=4, records_per_class=16, c=8, l=80,
         noise_std=0.1, sample_rate=100.0, seed=1,
     )
-    records = normalize_records(generate_synthetic(spec))
+    raw = generate_synthetic(spec)
+    records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=1)
     return records, split
 

@@ -132,7 +132,9 @@ def test_criterion_4_ema_closed_form():
 
 
 def test_criterion_5_lmm_training_progress():
-    from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records
+    from dataclasses import replace
+
+    from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, zscore_channels
     from brainvis_forge.lmm import train_lmm
 
     with criterion(5, "200 optimizer steps on 64 records halve the pretraining loss (< 5 min)"):
@@ -140,7 +142,8 @@ def test_criterion_5_lmm_training_progress():
             n_classes=4, records_per_class=16, c=8, l=80,
             noise_std=0.1, sample_rate=100.0, seed=1,
         )
-        records = normalize_records(generate_synthetic(spec))
+        raw = generate_synthetic(spec)
+        records = replace(raw, x=zscore_channels(raw.x))
         assert len(records) == 64
         start = time.time()
         result = train_lmm(
@@ -156,7 +159,9 @@ def test_criterion_5_lmm_training_progress():
 
 def test_criterion_6_tfe_overfit():
     from brainvis_forge.autodiff.nn import Linear
-    from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records, split_by_image
+    from dataclasses import replace
+
+    from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
     from brainvis_forge.freq import freq_classify_train
     from brainvis_forge.freq.train import spectra_matrix
     from brainvis_forge.fusion import TfeModel, finetune_tfe
@@ -171,11 +176,12 @@ def test_criterion_6_tfe_overfit():
             noise_std=0.1, amplitude=1.0, sample_rate=100.0, seed=11,
             sinusoids_per_class=3, phase_jitter=0.3,
         )
-        records = normalize_records(generate_synthetic(spec))
+        raw = generate_synthetic(spec)
+        records = replace(raw, x=zscore_channels(raw.x))
         split = split_by_image(records, seed=11)
 
         lmm = train_lmm(
-            [records[i] for i in split.train], n_units=10, d=32, n_heads=4,
+            records.take(split.train), n_units=10, d=32, n_heads=4,
             ffn_dim=64, sa_blocks=2, ca_blocks=2, n_codewords=64,
             mask_ratio=0.75, steps=60, batch_size=64, seed=5,
         )
@@ -194,7 +200,7 @@ def test_criterion_6_tfe_overfit():
         )
         units = prepare_units(records, 10)
         spectra = spectra_matrix(records, 100.0, freq.spectrum_scale)
-        labels = np.array([r.class_label for r in records])
+        labels = records.labels
         held = np.array(split.val + split.test)
         train_acc = tfe.history[-1]["train_acc"]
         held_acc = _batch_accuracy(tfe.model, units[held], spectra[held], None, labels[held])
@@ -335,14 +341,14 @@ def test_criterion_9_metric_oracles():
 def test_criterion_10_persistence(tmp_path):
     from brainvis_forge.align import generate_fixtures, load_fixtures, write_fixtures
     from brainvis_forge.binio import ChecksumError
-    from brainvis_forge.data import EegRecord, load_dataset, write_dataset
+    from brainvis_forge.data import EegDataset, load_dataset, write_dataset
     from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
 
     with criterion(10, "BVD1/BVE1/BVC1 round-trip bit-identically and reject corrupted checksums"):
         rng = np.random.default_rng(53)
 
         bvd = tmp_path / "d.bvd"
-        records = [EegRecord(rng.standard_normal((4, 12)).astype(np.float32), i % 3, i % 2, i) for i in range(6)]
+        records = EegDataset(rng.standard_normal((6, 4, 12)).astype(np.float32), np.arange(6) % 3, np.arange(6) % 2, np.arange(6))
         write_dataset(bvd, records, n_classes=3)
         loaded, _ = load_dataset(bvd)
         assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, loaded))

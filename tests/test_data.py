@@ -1,5 +1,7 @@
 """Dataset container round trips, synthetic generation, splitting, segmentation."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError
 from brainvis_forge.data import (
-    EegRecord,
+    EegDataset,
     SyntheticGenSpec,
+    flatten_units,
     generate_synthetic,
     load_dataset,
     reassemble_units,
@@ -17,14 +20,36 @@ from brainvis_forge.data import (
     write_dataset,
     zscore_channels,
 )
+from brainvis_forge.lmm.train import prepare_units
+
+# (R, c, l) shapes for the batched-versus-per-trial checks: odd, prime and
+# single-channel geometries next to the tiny, reference and 2,000-record ones.
+BATCH_SHAPES = [(5, 1, 7), (9, 8, 40), (3, 4, 129), (4, 16, 1031), (2, 128, 440), (2000, 8, 40)]
 
 
 def _records(n=5, c=4, l=12, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        EegRecord(rng.standard_normal((c, l)).astype(np.float32), i % 3, i % 2, i)
-        for i in range(n)
-    ]
+    x = rng.standard_normal((n, c, l)).astype(np.float32)
+    return EegDataset(x, np.arange(n) % 3, np.arange(n) % 2, np.arange(n))
+
+
+def _images(image_ids, c=2, l=4):
+    """Zero trials carrying the given image ids."""
+    n = len(image_ids)
+    return EegDataset(np.zeros((n, c, l), dtype=np.float32), np.zeros(n), np.zeros(n), image_ids)
+
+
+def _zscore_one_trial(x):
+    """The per-trial z-score the batched one must reproduce bit for bit."""
+    mu = x.mean(axis=1, keepdims=True)
+    sd = x.std(axis=1, keepdims=True)
+    return ((x - mu) / np.maximum(sd, 1e-8)).astype(x.dtype)
+
+
+def _segment_one_trial(x, n):
+    """Per-trial units by explicit column slices: (c, l) -> (n, c*l/n)."""
+    w = x.shape[1] // n
+    return np.stack([x[:, i * w : (i + 1) * w] for i in range(n)]).reshape(n, -1)
 
 
 # --- BVD1 container ---------------------------------------------------------
@@ -32,9 +57,9 @@ def _records(n=5, c=4, l=12, seed=0):
 
 def test_empty_file_roundtrip(tmp_path):
     path = tmp_path / "empty.bvd"
-    write_dataset(path, [], n_classes=40)
+    write_dataset(path, _records(n=0, c=0, l=0), n_classes=40)
     records, header = load_dataset(path)
-    assert records == []
+    assert len(records) == 0 and list(records) == []
     assert header.n_records == 0 and header.n_classes == 40
 
 
@@ -53,7 +78,7 @@ def test_roundtrip_bit_identical(tmp_path):
 def test_bdve_shaped_header(tmp_path):
     path = tmp_path / "b.bvd"
     rng = np.random.default_rng(0)
-    recs = [EegRecord(rng.standard_normal((128, 440)).astype(np.float32), 0, 0, 0)]
+    recs = EegDataset(rng.standard_normal((1, 128, 440)).astype(np.float32), [0], [0], [0])
     write_dataset(path, recs, n_classes=40)
     _, header = load_dataset(path)
     assert (header.c, header.l, header.n_classes) == (128, 440, 40)
@@ -91,6 +116,69 @@ def test_normalize_on_load_sets_flag(tmp_path):
     records, header = load_dataset(path, normalize=True)
     assert header.normalized
     np.testing.assert_allclose(records[0].x.mean(axis=1), 0.0, atol=1e-5)
+
+
+def test_normalize_on_load_is_bit_identical_to_per_trial_zscore(tmp_path):
+    for r, c, l in BATCH_SHAPES:
+        raw = _records(n=r, c=c, l=l, seed=r * l)
+        raw.x *= np.linspace(0.5, 40.0, c, dtype=np.float32)[:, None]
+        raw.x += 3.0
+        path = tmp_path / f"z{r}_{c}_{l}.bvd"
+        write_dataset(path, raw, n_classes=3)
+        loaded, _ = load_dataset(path, normalize=True)
+        want = np.stack([_zscore_one_trial(t) for t in raw.x])
+        assert loaded.x.dtype == np.float32 and loaded.x.flags.c_contiguous
+        assert loaded.x.tobytes() == want.tobytes(), (r, c, l)
+        assert zscore_channels(raw.x).tobytes() == want.tobytes(), (r, c, l)
+
+
+def _rewrite_last_value(path, value):
+    """Set the last sample of the last record to `value` and re-seal the CRC."""
+    blob = bytearray(path.read_bytes())
+    blob[-8:-4] = np.float32(value).tobytes()
+    blob[-4:] = zlib.crc32(bytes(blob[25:-4])).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+
+
+def test_load_rejects_nan_trial_behind_valid_crc(tmp_path):
+    path = tmp_path / "nan.bvd"
+    write_dataset(path, _records(), n_classes=3)
+    _rewrite_last_value(path, np.nan)
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            load_dataset(path, normalize=normalize)
+
+
+def test_dataset_rejects_inf_trial():
+    x = _records().x
+    x[2, 1, 5] = np.inf
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        EegDataset(x, np.zeros(5), np.zeros(5), np.arange(5))
+
+
+def test_dataset_rejects_wrongly_shaped_arrays():
+    with pytest.raises(ValueError, match="3-D"):
+        EegDataset(np.zeros((4, 12), dtype=np.float32), np.zeros(4), np.zeros(4), np.arange(4))
+    with pytest.raises(ValueError, match="labels"):
+        EegDataset(np.zeros((4, 2, 12), dtype=np.float32), np.zeros(3), np.zeros(4), np.arange(4))
+
+
+def test_write_rejects_ids_outside_u32(tmp_path):
+    data = _records()
+    data.subjects[3] = -1
+    with pytest.raises(ValueError, match="u32"):
+        write_dataset(tmp_path / "neg.bvd", data, n_classes=3)
+
+
+def test_dataset_rows_view_the_array_and_take_subsets():
+    data = _records(n=6)
+    row = data[4]
+    assert (row.class_label, row.subject_id, row.image_id) == (1, 0, 4)
+    assert np.shares_memory(row.x, data.x)
+    assert [r.image_id for r in data] == list(range(6))
+    sub = data.take([5, 1])
+    assert sub.x.tobytes() == data.x[[5, 1]].tobytes()
+    assert sub.labels.tolist() == [2, 1] and sub.image_ids.tolist() == [5, 1]
 
 
 # --- synthetic generation ---------------------------------------------------
@@ -158,13 +246,13 @@ def test_split_2000_images_is_1600_200_200():
 
 
 def test_split_ten_images_is_8_1_1():
-    records = [EegRecord(np.zeros((2, 4), dtype=np.float32), 0, 0, i) for i in range(10)]
+    records = _images(np.arange(10))
     split = split_by_image(records, seed=0)
     assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
 
 
 def test_split_fewer_than_ten_images_rejected():
-    records = [EegRecord(np.zeros((2, 4), dtype=np.float32), 0, 0, i) for i in range(9)]
+    records = _images(np.arange(9))
     with pytest.raises(ValueError, match="10 distinct images"):
         split_by_image(records, seed=0)
 
@@ -173,11 +261,7 @@ def test_split_fewer_than_ten_images_rejected():
 @given(seed=st.integers(0, 10_000))
 def test_split_image_exclusive_for_any_seed(seed):
     # 12 images x 3 records each; no image may straddle two splits.
-    records = [
-        EegRecord(np.zeros((2, 4), dtype=np.float32), 0, rep, img)
-        for img in range(12)
-        for rep in range(3)
-    ]
+    records = _images(np.repeat(np.arange(12), 3))
     split = split_by_image(records, seed=seed)
     groups = {"train": split.train, "val": split.val, "test": split.test}
     all_idx = sorted(i for g in groups.values() for i in g)
@@ -197,22 +281,42 @@ def test_segment_matches_reference_geometry():
     units = segment_units(x, 110)
     assert units.shape == (110, 128, 4)
     np.testing.assert_array_equal(units[3], x[:, 12:16])
+    batch = np.stack([x, -x])
+    units = segment_units(batch, 110)
+    assert units.shape == (2, 110, 128, 4)
+    np.testing.assert_array_equal(units[1, 3], -x[:, 12:16])
 
 
 def test_segment_single_unit_is_whole_signal():
     x = np.random.default_rng(0).standard_normal((4, 12)).astype(np.float32)
     units = segment_units(x, 1)
     np.testing.assert_array_equal(units[0], x)
+    np.testing.assert_array_equal(segment_units(x[None], 1)[0, 0], x)
 
 
 def test_segment_reassemble_bitwise_roundtrip():
     x = np.random.default_rng(1).standard_normal((8, 40)).astype(np.float32)
     assert reassemble_units(segment_units(x, 10)).tobytes() == x.tobytes()
+    batch = np.random.default_rng(2).standard_normal((3, 8, 40)).astype(np.float32)
+    assert reassemble_units(segment_units(batch, 10)).tobytes() == batch.tobytes()
 
 
 def test_segment_rejects_non_divisor():
     with pytest.raises(ValueError, match="divide"):
         segment_units(np.zeros((4, 10), dtype=np.float32), 3)
+    with pytest.raises(ValueError, match="divide"):
+        segment_units(np.zeros((2, 4, 10), dtype=np.float32), 3)
+
+
+def test_batched_units_equal_per_trial_units():
+    for r, c, l in BATCH_SHAPES:
+        data = _records(n=r, c=c, l=l, seed=l)
+        for n in (n for n in (1, 10, l) if l % n == 0):
+            want = np.stack([_segment_one_trial(t, n) for t in data.x])
+            assert flatten_units(segment_units(data.x, n)).tobytes() == want.tobytes(), (r, c, l, n)
+            units = prepare_units(data, n)
+            assert units.dtype == np.float32 and units.shape == (r, n, c * l // n)
+            assert units.tobytes() == want.tobytes(), (r, c, l, n)
 
 
 def test_zscore_channels_statistics():
@@ -220,3 +324,8 @@ def test_zscore_channels_statistics():
     z = zscore_channels(x)
     np.testing.assert_allclose(z.mean(axis=1), 0.0, atol=1e-5)
     np.testing.assert_allclose(z.std(axis=1), 1.0, atol=1e-4)
+    batch = np.stack([x, 2 * x - 5])
+    z = zscore_channels(batch)
+    np.testing.assert_allclose(z.mean(axis=-1), 0.0, atol=1e-5)
+    np.testing.assert_allclose(z.std(axis=-1), 1.0, atol=1e-4)
+    assert z[0].tobytes() == zscore_channels(x).tobytes()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brainvis_forge.data.records import EegRecord
+from brainvis_forge.data.records import EegDataset
 from brainvis_forge.freq import train as freq_train
 from brainvis_forge.freq.fft import fft, fft_magnitude
 from brainvis_forge.freq.train import spectra_matrix
@@ -122,31 +122,31 @@ def test_batched_fft_magnitude_matches_per_trial_calls_and_numpy_rfft(l):
     assert _rel_err(batched.magnitude, want) < 1e-9
 
 
-def _records(n: int, c: int, l: int, seed: int) -> list[EegRecord]:
+def _records(n: int, c: int, l: int, seed: int) -> EegDataset:
     rng = np.random.default_rng(seed)
-    return [EegRecord(rng.standard_normal((c, l), dtype=np.float32), i % 3, 0, i) for i in range(n)]
+    return EegDataset(rng.standard_normal((n, c, l), dtype=np.float32), np.arange(n) % 3, np.zeros(n), np.arange(n))
 
 
 def test_spectra_matrix_row_does_not_depend_on_its_chunk():
     records = _records(2 * freq_train._CHUNK + 3, 6, 440, seed=3)
     spectra = spectra_matrix(records, 1000.0, 7.5)
     assert spectra.shape == (len(records), 221, 6) and spectra.dtype == np.float32
-    for record, row in zip(records, spectra):
-        alone = spectra_matrix([record], 1000.0, 7.5)[0]
+    for i, row in enumerate(spectra):
+        alone = spectra_matrix(records.take([i]), 1000.0, 7.5)[0]
         assert _rel_err(row, alone) < 1e-6
-    want = np.abs(np.fft.rfft(np.stack([r.x for r in records]).astype(np.float64), axis=-1)).swapaxes(-1, -2) / 7.5
+    want = np.abs(np.fft.rfft(records.x.astype(np.float64), axis=-1)).swapaxes(-1, -2) / 7.5
     assert _rel_err(spectra, want) < 1e-6
 
 
 _MEMORY_CHILD = """
 import json, resource
 import numpy as np
-from brainvis_forge.data.records import EegRecord
+from brainvis_forge.data.records import EegDataset
 from brainvis_forge.freq.train import spectra_matrix
 
 rng = np.random.default_rng(0)
-records = [EegRecord(rng.standard_normal((128, 440), dtype=np.float32), 0, 0, i) for i in range(300)]
-spectra_matrix(records[:1], 1000.0)  # plan tables and BLAS set-up
+records = EegDataset(rng.standard_normal((300, 128, 440), dtype=np.float32), np.zeros(300), np.zeros(300), np.arange(300))
+spectra_matrix(records.take([0]), 1000.0)  # plan tables and BLAS set-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 spectra = spectra_matrix(records, 1000.0)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -1,12 +1,14 @@
 """Frequency branch training and the fused classifier."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from brainvis_forge.autodiff import Tensor
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import ShapeError
-from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records, split_by_image
+from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
 from brainvis_forge.freq import freq_classify_train
 from brainvis_forge.fusion import finetune_tfe, fuse, pool_time
 from brainvis_forge.fusion.model import TfeModel
@@ -31,7 +33,8 @@ def test_freq_training_separable_classes_reach_full_train_accuracy():
         n_classes=4, records_per_class=10, c=4, l=40, noise_std=0.0,
         sample_rate=100.0, seed=3,
     )
-    records = normalize_records(generate_synthetic(spec))
+    raw = generate_synthetic(spec)
+    records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=3)
     result = freq_classify_train(records, split, n_classes=4, hidden=16, epochs=50,
                                  batch_size=16, lr=3e-3, sample_rate=100.0, seed=4)
@@ -40,7 +43,8 @@ def test_freq_training_separable_classes_reach_full_train_accuracy():
 
 def test_freq_training_deterministic_same_seed():
     spec = SyntheticGenSpec(n_classes=3, records_per_class=6, c=4, l=40, seed=5, sample_rate=100.0)
-    records = normalize_records(generate_synthetic(spec))
+    raw = generate_synthetic(spec)
+    records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=5)
 
     def curve():
@@ -124,11 +128,12 @@ def staged_setup():
         n_classes=4, records_per_class=10, c=8, l=40, noise_std=0.1,
         sample_rate=100.0, seed=21, phase_jitter=0.3,
     )
-    records = normalize_records(generate_synthetic(spec))
+    raw = generate_synthetic(spec)
+    records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=21)
     from brainvis_forge.lmm import train_lmm
 
-    lmm = train_lmm([records[i] for i in split.train], n_units=10, d=16, n_heads=2,
+    lmm = train_lmm(records.take(split.train), n_units=10, d=16, n_heads=2,
                     ffn_dim=32, sa_blocks=1, ca_blocks=1, n_codewords=16,
                     mask_ratio=0.75, steps=20, batch_size=32, seed=6)
     freq = freq_classify_train(records, split, n_classes=4, hidden=8, epochs=15,

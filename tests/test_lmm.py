@@ -1,5 +1,7 @@
 """Masked-modeling components: masking, tokenizer, encoders, teacher, loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from brainvis_forge.autodiff import Tensor, backward, tsum
 from brainvis_forge.autodiff.tensor import mul
-from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, normalize_records
+from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, zscore_channels
 from brainvis_forge.lmm import (
     Codebook,
     Teacher,
@@ -84,7 +86,8 @@ def test_tokenizer_weight_immutable():
 
 def test_tokenizer_no_collapse_on_synthetic_corpus():
     spec = SyntheticGenSpec(n_classes=8, records_per_class=10, c=8, l=80, seed=2, sample_rate=100.0)
-    records = normalize_records(generate_synthetic(spec))
+    raw = generate_synthetic(spec)
+    records = replace(raw, x=zscore_channels(raw.x))
     units = prepare_units(records, 20).reshape(-1, 8 * 4)
     cb = Codebook(unit_dim=units.shape[1], n_entries=660, rng=np.random.default_rng(3))
     distinct = len(np.unique(cb.assign(units)))
