@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, adam_step, backward
+from ..autodiff import ParamStore, Tensor, train_epoch
 from .fixtures import FixtureMap, lookup
 from .loss import si_loss
 from .model import AlignmentNet
@@ -49,21 +49,12 @@ def train_align(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA116]))
     if net is None:
         net = AlignmentNet(in_dim, e, rng)
-    store = ParamStore()
-    store.register_module("align", net)
-    history: list[dict] = []
+    store = ParamStore(align=net)
 
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total, n_batches = 0.0, 0
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            store.zero_grad()
-            out = net(Tensor(embeddings[idx]))
-            loss = si_loss(out, Tensor(caps[idx]), Tensor(labels[idx]), label_weight=label_weight)
-            backward(loss)
-            adam_step(store, store.collect_grads(), lr)
-            total += loss.item()
-            n_batches += 1
-        history.append({"epoch": epoch, "si_loss": total / max(n_batches, 1)})
+    def batch_loss(idx: np.ndarray):
+        return si_loss(net(Tensor(embeddings[idx])), Tensor(caps[idx]), Tensor(labels[idx]), label_weight=label_weight)
+
+    history = [
+        {"epoch": epoch, "si_loss": train_epoch(store, rng, n, batch_size, lr, batch_loss)} for epoch in range(epochs)
+    ]
     return AlignTrainResult(net=net, store=store, history=history)

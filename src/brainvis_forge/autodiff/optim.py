@@ -1,25 +1,32 @@
-"""Named parameter store with Adam state, and the Adam update itself."""
+"""Named parameter store with Adam state, the Adam update, and the loop every
+trainer shares: `ParamStore.step` (clear grads, backpropagate, Adam),
+`train_epoch` (one shuffled-minibatch pass) and `predict` (tape-off batches)."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .nn import Module
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, backward, no_grad
 
 
 class ParamStore:
     """Named trainable tensors plus per-parameter first/second moments.
 
     Tensors are shared with the owning modules, so an update here is visible
-    to every forward pass that uses them.
+    to every forward pass that uses them.  `ParamStore(**modules)` registers
+    each module's parameters under its keyword as prefix.
     """
 
-    def __init__(self):
+    def __init__(self, **modules: Module):
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
+        for prefix, module in modules.items():
+            self.register_module(prefix, module)
 
     def register(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
@@ -55,6 +62,13 @@ class ParamStore:
     def collect_grads(self) -> dict[str, np.ndarray]:
         """Gradients currently attached to the stored tensors."""
         return {name: t.grad for name, t in self._params.items() if t.grad is not None}
+
+    def step(self, loss: Tensor, lr: float, trainable: list[str] | None = None) -> float:
+        """Clear the grads, backpropagate `loss`, take one Adam step; returns the loss value."""
+        self.zero_grad()
+        backward(loss)
+        adam_step(self, self.collect_grads(), lr, trainable=trainable)
+        return loss.item()
 
     def state(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Flat array map for persistence: values, moments, step counter."""
@@ -119,3 +133,23 @@ def adam_step(
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         p.data = p.data - lr * update
     return store
+
+
+def train_epoch(store: ParamStore, rng: np.random.Generator, rows, batch_size: int, lr: float, batch_loss: Callable) -> float:
+    """One pass over `rows` (indices, or a count) in `rng.permutation(rows)`
+    order, one `store.step` per `batch_size` slice; returns the mean batch loss."""
+    order = rng.permutation(rows)
+    starts = range(0, len(order), batch_size)
+    total = 0.0  # a plain left-to-right sum: Python >= 3.12's sum() compensates, changing logged bits
+    for lo in starts:
+        total += store.step(batch_loss(order[lo : lo + batch_size]), lr)
+    return total / max(len(starts), 1)
+
+
+def predict(fn: Callable[..., Tensor], *arrays, batch: int = 256) -> np.ndarray:
+    """`fn` over matching `batch`-row slices of `arrays` with the tape off,
+    output rows concatenated; a `None` array is passed through as `None`."""
+    n = len(next(a for a in arrays if a is not None))
+    with no_grad():
+        rows = [fn(*(None if a is None else a[lo : lo + batch] for a in arrays)).data for lo in range(0, n, batch)]
+    return np.concatenate(rows, axis=0)

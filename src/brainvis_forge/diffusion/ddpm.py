@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, adam_step, backward
+from ..autodiff import ParamStore, Tensor
 from ..autodiff.ops import mse_loss
 from .denoiser import DenoiserNet
 from .schedule import NoiseSchedule, forward_diffuse
@@ -71,8 +71,7 @@ def train_denoiser(
     labels = np.asarray(labels, dtype=np.int64)
     n = len(images)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDDF]))
-    store = ParamStore()
-    store.register_module("denoiser", net)
+    store = ParamStore(denoiser=net)
     history: list[dict] = []
     dtype = net.in_proj.weight.data.dtype
 
@@ -89,12 +88,9 @@ def train_denoiser(
         else:
             cond = Tensor(np.asarray(eeg_conditions[idx], dtype=dtype))
 
-        store.zero_grad()
         pred = net(Tensor(x_t.astype(dtype)), t, cond)
-        loss = mse_loss(pred, Tensor(eps.astype(dtype)))
-        backward(loss)
-        adam_step(store, store.collect_grads(), lr)
-        history.append({"step": step, "loss": loss.item(), "condition": "class" if use_class else "eeg"})
+        loss = store.step(mse_loss(pred, Tensor(eps.astype(dtype))), lr)
+        history.append({"step": step, "loss": loss, "condition": "class" if use_class else "eeg"})
     return DenoiserTrainResult(net=net, store=store, history=history)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, adam_step, backward, no_grad
+from ..autodiff import ParamStore, Tensor, predict, train_epoch
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..autodiff.ops import cross_entropy
 from ..data.records import DatasetSplit, EegDataset
@@ -51,13 +51,9 @@ def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def accuracy(model: FreqClassifier, spectra: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
-    hits = 0
-    with no_grad():
-        for lo in range(0, len(spectra), batch):
-            logits = model(Tensor(spectra[lo : lo + batch])).data
-            hits += int(np.sum(np.argmax(logits, axis=1) == labels[lo : lo + batch]))
-    return hits / max(len(spectra), 1)
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose arg-max logit is the label."""
+    return int(np.sum(np.argmax(logits, axis=1) == labels)) / max(len(labels), 1)
 
 
 @dataclass
@@ -77,41 +73,33 @@ def freq_classify_train(
     epochs: int = 50,
     batch_size: int = 32,
     lr: float = 1e-3,
-    sample_rate: float = 1000.0,
     seed: int = 0,
 ) -> FreqTrainResult:
-    spectra = spectra_matrix(dataset, sample_rate)
+    spectra = spectra_matrix(dataset)
     scale = float(spectra[split.train].max()) or 1.0  # train-split statistic only
     spectra /= scale
     labels = dataset.labels
+    onehot = one_hot_labels(labels, n_classes)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF9E9]))
     model = FreqClassifier(spectra.shape[2], hidden, n_classes, rng)
-    store = ParamStore()
-    store.register_module("freq", model)
+    store = ParamStore(freq=model)
+
+    def batch_loss(idx: np.ndarray):
+        return cross_entropy(model(Tensor(spectra[idx])), onehot[idx])
+
+    def split_accuracy(rows: np.ndarray) -> float:
+        return accuracy(predict(lambda s: model(Tensor(s)), spectra[rows]), labels[rows])
 
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)
-    history: list[dict] = []
-
-    for epoch in range(epochs):
-        order = rng.permutation(train_idx)
-        epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, len(order), batch_size):
-            idx = order[lo : lo + batch_size]
-            store.zero_grad()
-            logits = model(Tensor(spectra[idx]))
-            loss = cross_entropy(logits, one_hot_labels(labels[idx], n_classes))
-            backward(loss)
-            adam_step(store, store.collect_grads(), lr)
-            epoch_loss += loss.item()
-            n_batches += 1
-        entry = {
+    history = [
+        {
             "epoch": epoch,
-            "loss": epoch_loss / max(n_batches, 1),
-            "train_acc": accuracy(model, spectra[train_idx], labels[train_idx]),
-            "val_acc": accuracy(model, spectra[val_idx], labels[val_idx]) if len(val_idx) else float("nan"),
+            "loss": train_epoch(store, rng, train_idx, batch_size, lr, batch_loss),
+            "train_acc": split_accuracy(train_idx),
+            "val_acc": split_accuracy(val_idx) if len(val_idx) else float("nan"),
         }
-        history.append(entry)
+        for epoch in range(epochs)
+    ]
     return FreqTrainResult(model=model, store=store, spectrum_scale=scale, history=history)

@@ -31,13 +31,13 @@ def fuse(time_vec: Tensor, freq_vec: Tensor) -> Tensor:
 
 
 class TfeModel(Module):
-    """Both branches plus the class head; disabled branches contribute zeros
-    so the fused width (d + h) never changes."""
+    """Both branches plus the class head.  A disabled branch may be None and
+    contributes zeros, so the fused width (d + h) never changes."""
 
     def __init__(
         self,
-        projector: UnitProjector,
-        encoder: VisibleEncoder,
+        projector: UnitProjector | None,
+        encoder: VisibleEncoder | None,
         freq_encoder: LstmEncoder | None,
         head: Linear,
         *,

@@ -4,7 +4,8 @@
 their pretrained weights (or fresh ones, for a cold start).  Stage 1 trains
 the time branch and head for `stage1_epochs` with the frequency encoder
 frozen; stage 2 unfreezes everything for a shorter joint run, and refuses to
-run without stage 1.
+run without stage 1.  `tfe_inputs` builds the model's inputs for training and
+inference alike.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, adam_step, backward, no_grad
+from ..autodiff import ParamStore, Tensor, predict, train_epoch
 from ..autodiff.ops import cross_entropy
 from ..data.records import DatasetSplit, EegDataset
-from ..freq.train import one_hot_labels, spectra_matrix
+from ..freq.train import accuracy, one_hot_labels, spectra_matrix
 from ..lmm.train import prepare_units
 from .model import TfeModel
 
@@ -34,18 +35,16 @@ class TfeTrainResult:
     stage2_done: bool = False
 
 
-def _batch_accuracy(model: TfeModel, units, spectra, freq_hidden, labels, batch: int = 256) -> float:
-    hits = 0
-    with no_grad():
-        for lo in range(0, len(units), batch):
-            sl = slice(lo, lo + batch)
-            logits = model.logits(
-                units[sl],
-                None if spectra is None else spectra[sl],
-                None if freq_hidden is None else freq_hidden[sl],
-            ).data
-            hits += int(np.sum(np.argmax(logits, axis=1) == labels[sl]))
-    return hits / max(len(units), 1)
+def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(flattened units, spectra at the model's scale) for every trial; the
+    spectra are None when the model has no frequency branch."""
+    units = prepare_units(dataset, n_units)
+    spectra = spectra_matrix(dataset, scale=model.spectrum_scale) if model.use_freq else None
+    return units, spectra
+
+
+def _rows(arrays, idx) -> list:
+    return [None if a is None else a[idx] for a in arrays]
 
 
 def finetune_tfe(
@@ -54,7 +53,6 @@ def finetune_tfe(
     split: DatasetSplit,
     *,
     n_units: int,
-    sample_rate: float = 1000.0,
     stage1_epochs: int = 80,
     stage2_epochs: int = 30,
     batch_size: int = 32,
@@ -65,8 +63,7 @@ def finetune_tfe(
     """Train `model` in place; its branch switches, class count and spectrum
     scale come from the model itself."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7FE1]))
-    units = prepare_units(dataset, n_units)
-    spectra = spectra_matrix(dataset, sample_rate, model.spectrum_scale) if model.use_freq else None
+    units, spectra = tfe_inputs(model, dataset, n_units)
     labels = dataset.labels
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)
@@ -76,53 +73,31 @@ def finetune_tfe(
 
     def run_stage(stage: int, epochs: int, store: ParamStore, freq_hidden: np.ndarray | None):
         stage_lr = lr if stage == 1 else lr * STAGE2_LR_SCALE
+        inputs = (units, spectra, freq_hidden)
+
+        def batch_loss(idx: np.ndarray):
+            return cross_entropy(model.logits(*_rows(inputs, idx)), onehot[idx])
+
+        def split_accuracy(rows: np.ndarray) -> float:
+            return accuracy(predict(model.logits, *_rows(inputs, rows)), labels[rows])
+
         for epoch in range(epochs):
-            order = rng.permutation(train_idx)
-            total, n_batches = 0.0, 0
-            for lo in range(0, len(order), batch_size):
-                idx = order[lo : lo + batch_size]
-                store.zero_grad()
-                logits = model.logits(
-                    units[idx],
-                    None if spectra is None else spectra[idx],
-                    None if freq_hidden is None else freq_hidden[idx],
-                )
-                loss = cross_entropy(logits, onehot[idx])
-                backward(loss)
-                adam_step(store, store.collect_grads(), stage_lr)
-                total += loss.item()
-                n_batches += 1
             result.history.append({
                 "stage": stage,
                 "epoch": epoch,
-                "loss": total / max(n_batches, 1),
-                "train_acc": _batch_accuracy(model, units[train_idx],
-                                             None if spectra is None else spectra[train_idx],
-                                             None if freq_hidden is None else freq_hidden[train_idx],
-                                             labels[train_idx]),
-                "val_acc": _batch_accuracy(model, units[val_idx],
-                                           None if spectra is None else spectra[val_idx],
-                                           None if freq_hidden is None else freq_hidden[val_idx],
-                                           labels[val_idx]) if len(val_idx) else float("nan"),
+                "loss": train_epoch(store, rng, train_idx, batch_size, stage_lr, batch_loss),
+                "train_acc": split_accuracy(train_idx),
+                "val_acc": split_accuracy(val_idx) if len(val_idx) else float("nan"),
             })
 
     def store_of(*names: str) -> ParamStore:
-        store = ParamStore()
-        for name in names:
-            store.register_module(name, getattr(model, name))
-        return store
+        return ParamStore(**{name: getattr(model, name) for name in names})
 
     time_branch = ("projector", "encoder") if model.use_time else ()
     # Stage 1: time branch + head; frequency hidden states frozen constants.
     if stage1_epochs > 0:
         store1 = store_of(*time_branch, "head")
-        freq_hidden = None
-        if spectra is not None:
-            with no_grad():
-                freq_hidden = np.concatenate(
-                    [model.freq_vector(Tensor(spectra[lo : lo + 256])).data for lo in range(0, len(spectra), 256)],
-                    axis=0,
-                )
+        freq_hidden = None if spectra is None else predict(lambda s: model.freq_vector(Tensor(s)), spectra)
         run_stage(1, stage1_epochs, store1, freq_hidden)
         result.store = store1
         result.stage1_done = True
@@ -139,17 +114,5 @@ def finetune_tfe(
     return result
 
 
-def classify_batch(
-    model: TfeModel,
-    dataset: EegDataset,
-    n_units: int,
-    sample_rate: float = 1000.0,
-    batch: int = 256,
-) -> np.ndarray:
-    units = prepare_units(dataset, n_units)
-    spectra = spectra_matrix(dataset, sample_rate, model.spectrum_scale) if model.use_freq else None
-    rows = []
-    with no_grad():
-        for lo in range(0, len(dataset), batch):
-            rows.append(model.logits(units[lo : lo + batch], None if spectra is None else spectra[lo : lo + batch]).data)
-    return np.concatenate(rows, axis=0)
+def classify_batch(model: TfeModel, dataset: EegDataset, n_units: int, batch: int = 256) -> np.ndarray:
+    return predict(model.logits, *tfe_inputs(model, dataset, n_units), batch=batch)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, adam_step, backward, take
+from ..autodiff import ParamStore, Tensor, take
 from ..data.records import EegDataset
 from ..data.segment import flatten_units, segment_units
 from .loss import lmm_loss
@@ -25,11 +25,7 @@ class LmmModels:
     n_units: int
 
     def student_store(self) -> ParamStore:
-        store = ParamStore()
-        store.register_module("projector", self.projector)
-        store.register_module("encoder", self.encoder)
-        store.register_module("predictor", self.predictor)
-        return store
+        return ParamStore(projector=self.projector, encoder=self.encoder, predictor=self.predictor)
 
 
 def build_lmm_models(
@@ -130,12 +126,8 @@ def train_lmm(
     for step in range(steps):
         batch_idx = rng.choice(len(units), size=min(batch_size, len(units)), replace=False)
         plan = make_mask_plan(n_units, mask_ratio, rng)
-        store.zero_grad()
         reg, cls, total = lmm_step(models, units[batch_idx], plan)
-        backward(total)
-        adam_step(store, store.collect_grads(), lr, trainable=store.names())
+        l_lmm = store.step(total, lr, trainable=store.names())
         models.teacher.update(models.encoder)
-        history.append(
-            {"step": step, "l_reg": reg.item(), "l_cls": cls.item(), "l_lmm": total.item()}
-        )
+        history.append({"step": step, "l_reg": reg.item(), "l_cls": cls.item(), "l_lmm": l_lmm})
     return LmmTrainResult(models=models, store=store, history=history)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, adam_step, backward, gelu, no_grad
+from ..autodiff import ParamStore, Tensor, gelu, no_grad
 from ..autodiff.nn import Linear, Module
 from ..autodiff.ops import cross_entropy
 from ..freq.train import one_hot_labels
@@ -52,14 +52,10 @@ def train_surrogate(
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A9]))
     model = SurrogateClassifier(flat.shape[1], hidden, n_classes, rng)
-    store = ParamStore()
-    store.register_module("surrogate", model)
+    store = ParamStore(surrogate=model)
     onehot = one_hot_labels(labels, n_classes)
     for _ in range(epochs):
-        store.zero_grad()
-        loss = cross_entropy(model(Tensor(flat)), onehot)
-        backward(loss)
-        adam_step(store, store.collect_grads(), lr)
+        store.step(cross_entropy(model(Tensor(flat)), onehot), lr)
     with no_grad():
         preds = np.argmax(model(Tensor(flat)).data, axis=1)
     return SurrogateResult(model=model, train_accuracy=float(np.mean(preds == labels)))

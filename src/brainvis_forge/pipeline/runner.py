@@ -35,11 +35,11 @@ from ..diffusion.ddpm import train_denoiser
 from ..diffusion.denoiser import DenoiserNet
 from ..diffusion.ppm import read_ppm, sample_filename, write_ppm
 from ..diffusion.schedule import NoiseSchedule
-from ..freq.train import freq_classify_train, spectra_matrix
+from ..freq.train import freq_classify_train
 from ..fusion.model import TfeModel
-from ..fusion.train import classify_batch, finetune_tfe
+from ..fusion.train import classify_batch, finetune_tfe, tfe_inputs
 from ..lmm.model import UnitProjector, VisibleEncoder
-from ..lmm.train import prepare_units, train_lmm
+from ..lmm.train import train_lmm
 from ..metrics.classification import GaConfig
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import train_surrogate
@@ -197,7 +197,6 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
         epochs=cfg.epochs["freq"],
         batch_size=min(cfg.batch, max(1, len(split.train))),
         lr=cfg.lr,
-        sample_rate=cfg.sample_rate,
         seed=cfg.seed,
     )
     extras = {"spectrum_scale": np.asarray([result.spectrum_scale], dtype=np.float32)}
@@ -207,10 +206,11 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def _tfe_model(cfg: PipelineConfig, rng: np.random.Generator, use_time: bool, use_freq: bool, spectrum_scale: float) -> TfeModel:
-    """The fused classifier's architecture, with fresh weights drawn from `rng`."""
+    """The fused classifier's architecture, with fresh weights drawn from `rng`;
+    a disabled branch is left out, not built."""
     return TfeModel(
-        UnitProjector(cfg.unit_dim, cfg.d, cfg.n, rng),
-        VisibleEncoder(cfg.d, cfg.heads, cfg.ffn, cfg.sa_blocks, rng),
+        UnitProjector(cfg.unit_dim, cfg.d, cfg.n, rng) if use_time else None,
+        VisibleEncoder(cfg.d, cfg.heads, cfg.ffn, cfg.sa_blocks, rng) if use_time else None,
         LstmEncoder(cfg.c, cfg.lstm_hidden, rng) if use_freq else None,
         Linear(cfg.d + cfg.lstm_hidden, cfg.n_classes, rng),
         d=cfg.d, h=cfg.lstm_hidden, n_classes=cfg.n_classes, spectrum_scale=spectrum_scale,
@@ -240,7 +240,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
     result = finetune_tfe(
         model, dataset, split,
-        n_units=cfg.n, sample_rate=cfg.sample_rate,
+        n_units=cfg.n,
         stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.epochs["joint_ft"],
         batch_size=min(cfg.batch, max(1, len(split.train))), lr=cfg.lr, seed=cfg.seed,
         run_stage2=cfg.ablate != "no-finetune",
@@ -270,9 +270,7 @@ def _load_align(cfg: PipelineConfig, paths: RunPaths) -> AlignmentNet:
 
 
 def _tfe_embeddings(cfg: PipelineConfig, model: TfeModel, dataset: EegDataset) -> np.ndarray:
-    units = prepare_units(dataset, cfg.n)
-    spectra = spectra_matrix(dataset, cfg.sample_rate, model.spectrum_scale) if model.use_freq else None
-    return model.tfe_embedding(units, spectra)
+    return model.tfe_embedding(*tfe_inputs(model, dataset, cfg.n))
 
 
 def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
@@ -400,7 +398,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     model = _load_tfe(cfg, paths)
 
     test = dataset.take(split.test)
-    logits = classify_batch(model, test, cfg.n, cfg.sample_rate)
+    logits = classify_batch(model, test, cfg.n)
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
     image_set = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,

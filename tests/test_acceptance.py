@@ -158,14 +158,14 @@ def test_criterion_5_lmm_training_progress():
 
 
 def test_criterion_6_tfe_overfit():
+    from brainvis_forge.autodiff import predict
     from brainvis_forge.autodiff.nn import Linear
     from dataclasses import replace
 
     from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
     from brainvis_forge.freq import freq_classify_train
-    from brainvis_forge.freq.train import spectra_matrix
+    from brainvis_forge.freq.train import accuracy, spectra_matrix
     from brainvis_forge.fusion import TfeModel, finetune_tfe
-    from brainvis_forge.fusion.train import _batch_accuracy
     from brainvis_forge.lmm import train_lmm
     from brainvis_forge.lmm.train import prepare_units
 
@@ -187,7 +187,7 @@ def test_criterion_6_tfe_overfit():
         )
         freq = freq_classify_train(
             records, split, n_classes=40, hidden=48, epochs=80,
-            batch_size=32, sample_rate=100.0, seed=5,
+            batch_size=32, seed=5,
         )
         model = TfeModel(
             lmm.models.projector, lmm.models.encoder, freq.model.encoder,
@@ -195,7 +195,7 @@ def test_criterion_6_tfe_overfit():
             d=32, h=48, n_classes=40, spectrum_scale=freq.spectrum_scale,
         )
         tfe = finetune_tfe(
-            model, records, split, n_units=10, sample_rate=100.0,
+            model, records, split, n_units=10,
             stage1_epochs=25, stage2_epochs=12, batch_size=32, seed=5,
         )
         units = prepare_units(records, 10)
@@ -203,7 +203,7 @@ def test_criterion_6_tfe_overfit():
         labels = records.labels
         held = np.array(split.val + split.test)
         train_acc = tfe.history[-1]["train_acc"]
-        held_acc = _batch_accuracy(tfe.model, units[held], spectra[held], None, labels[held])
+        held_acc = accuracy(predict(tfe.model.logits, units[held], spectra[held], None), labels[held])
         elapsed = time.time() - start
         assert train_acc >= 0.95, f"train CA {train_acc:.3f}"
         assert held_acc >= 0.80, f"heldout CA {held_acc:.3f}"

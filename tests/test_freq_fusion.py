@@ -37,7 +37,7 @@ def test_freq_training_separable_classes_reach_full_train_accuracy():
     records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=3)
     result = freq_classify_train(records, split, n_classes=4, hidden=16, epochs=50,
-                                 batch_size=16, lr=3e-3, sample_rate=100.0, seed=4)
+                                 batch_size=16, lr=3e-3, seed=4)
     assert max(h["train_acc"] for h in result.history) == 1.0
 
 
@@ -49,7 +49,7 @@ def test_freq_training_deterministic_same_seed():
 
     def curve():
         r = freq_classify_train(records, split, n_classes=3, hidden=8, epochs=5,
-                                batch_size=8, sample_rate=100.0, seed=9)
+                                batch_size=8, seed=9)
         return [(h["loss"], h["train_acc"]) for h in r.history]
 
     assert curve() == curve()
@@ -137,7 +137,7 @@ def staged_setup():
                     ffn_dim=32, sa_blocks=1, ca_blocks=1, n_codewords=16,
                     mask_ratio=0.75, steps=20, batch_size=32, seed=6)
     freq = freq_classify_train(records, split, n_classes=4, hidden=8, epochs=15,
-                               batch_size=16, sample_rate=100.0, seed=6)
+                               batch_size=16, seed=6)
     return records, split, lmm, freq
 
 
@@ -153,7 +153,7 @@ def _finetune(records, split, lmm, freq, **kw):
         projector, encoder, freq.model.encoder, Linear(16 + 8, 4, rng),
         d=16, h=8, n_classes=4, spectrum_scale=freq.spectrum_scale,
     )
-    args = dict(n_units=10, sample_rate=100.0, stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
+    args = dict(n_units=10, stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
     args.update(kw)
     return finetune_tfe(model, records, split, **args)
 

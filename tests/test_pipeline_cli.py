@@ -107,6 +107,20 @@ def test_tfe_starts_from_the_pretrained_branches(tmp_path):
     assert cold.available_stages() == {"data", "freq", "tfe"}
 
 
+def test_no_time_tfe_has_no_time_branch(tmp_path):
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(ablate="no-time", epochs={**tiny_config().epochs, "time_ft": 1, "joint_ft": 1, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "freq", "tfe", "align"):
+        runner.STAGE_RUNS[stage](cfg, paths)
+    tfe = runner.load_stage(paths, "tfe").tensors
+    assert any(k.startswith("model/freq_encoder.") for k in tfe) and "model/head.weight" in tfe
+    assert not [k for k in tfe if k.startswith(("model/projector.", "model/encoder."))]
+    model = runner._load_tfe(cfg, paths)
+    assert model.projector is None and model.encoder is None
+
+
 # --- cli -------------------------------------------------------------------------
 
 
@@ -173,6 +187,7 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
     from brainvis_forge.align import model as align_model
     from brainvis_forge.diffusion.denoiser import DenoiserNet
     from brainvis_forge.freq import train as freq_train
+    from brainvis_forge.fusion import train as fusion_train
     from brainvis_forge.pipeline import runner
 
     cfg = tiny_config(diffusion_steps=50)
@@ -190,7 +205,7 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
 
     monkeypatch.setattr(DenoiserNet, "predict", counting("predict", DenoiserNet.predict))
     monkeypatch.setattr(freq_train, "fft_magnitude", counting("fft", freq_train.fft_magnitude))
-    monkeypatch.setattr(runner, "spectra_matrix", counting("spectra", freq_train.spectra_matrix))
+    monkeypatch.setattr(fusion_train, "spectra_matrix", counting("spectra", freq_train.spectra_matrix))
     monkeypatch.setattr(runner, "align", counting("align", align_model.align))
     summary = runner.run_generate(cfg, paths)
     _, split = runner.load_run_data(cfg, paths)
