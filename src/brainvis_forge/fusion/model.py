@@ -31,8 +31,10 @@ def fuse(time_vec: Tensor, freq_vec: Tensor) -> Tensor:
 
 
 class TfeModel(Module):
-    """Both branches plus the class head.  A disabled branch may be None and
-    contributes zeros, so the fused width (d + h) never changes."""
+    """Both branches plus the class head.  A disabled branch is None and
+    contributes zeros, so the fused width (d + h) never changes.  The branch
+    switches, widths and class count are read off the modules; a disabled
+    branch's width is what the head has left over."""
 
     def __init__(
         self,
@@ -40,26 +42,20 @@ class TfeModel(Module):
         encoder: VisibleEncoder | None,
         freq_encoder: LstmEncoder | None,
         head: Linear,
-        *,
-        d: int,
-        h: int,
-        n_classes: int,
         spectrum_scale: float = 1.0,
-        use_time: bool = True,
-        use_freq: bool = True,
     ):
-        if head.weight.shape != (d + h, n_classes):
-            raise ShapeError(f"TfeModel: head expects ({d + h}, {n_classes}), got {head.weight.shape}")
         self.projector = projector
         self.encoder = encoder
         self.freq_encoder = freq_encoder
         self.head = head
-        self.d = d
-        self.h = h
-        self.n_classes = n_classes
         self.spectrum_scale = spectrum_scale
-        self.use_time = use_time
-        self.use_freq = use_freq
+        self.use_time = projector is not None
+        self.use_freq = freq_encoder is not None
+        width, self.n_classes = head.weight.shape
+        self.d = projector.proj.weight.shape[1] if self.use_time else width - freq_encoder.d_hidden
+        self.h = freq_encoder.d_hidden if self.use_freq else width - self.d
+        if width != self.d + self.h or min(self.d, self.h) <= 0:
+            raise ShapeError(f"TfeModel: head expects ({self.d + self.h}, {self.n_classes}), got {head.weight.shape}")
 
     def time_vector(self, flat_units: Tensor) -> Tensor:
         return pool_time(self.encoder(self.projector(flat_units)))
@@ -69,11 +65,11 @@ class TfeModel(Module):
             raise RuntimeError("TfeModel: frequency encoder not attached")
         return self.freq_encoder(spectra)
 
-    def fused(self, flat_units: np.ndarray, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
-        """Fused (d + h) embedding rows on the tape; zeros for disabled branches.
-        `freq_hidden` short-circuits the recurrence with precomputed constants
-        (used while the frequency branch is frozen)."""
-        batch = flat_units.shape[0]
+    def fused(self, flat_units: np.ndarray | None, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
+        """Fused (d + h) embedding rows on the tape; zeros for disabled branches,
+        whose inputs may be None.  `freq_hidden` short-circuits the recurrence
+        with precomputed constants (used while the frequency branch is frozen)."""
+        batch = len(next(a for a in (flat_units, spectra, freq_hidden) if a is not None))
         dtype = self.head.weight.data.dtype
         if self.use_time:
             t_vec = self.time_vector(Tensor(np.asarray(flat_units, dtype=dtype)))
@@ -89,11 +85,11 @@ class TfeModel(Module):
             f_vec = self.freq_vector(Tensor(np.asarray(spectra, dtype=dtype)))
         return fuse(t_vec, f_vec)
 
-    def logits(self, flat_units: np.ndarray, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
+    def logits(self, flat_units: np.ndarray | None, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
         """Class logits for a batch; arguments as for `fused`."""
         return self.head(self.fused(flat_units, spectra, freq_hidden))
 
-    def tfe_embedding(self, flat_units: np.ndarray, spectra: np.ndarray | None) -> np.ndarray:
+    def tfe_embedding(self, flat_units: np.ndarray | None, spectra: np.ndarray | None) -> np.ndarray:
         """Fused embedding as a constant array (inference path)."""
         with no_grad():
             return self.fused(flat_units, spectra).data.copy()

@@ -35,10 +35,10 @@ class TfeTrainResult:
     stage2_done: bool = False
 
 
-def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(flattened units, spectra at the model's scale) for every trial; the
-    spectra are None when the model has no frequency branch."""
-    units = prepare_units(dataset, n_units)
+def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(flattened units, spectra at the model's scale) for every trial; an
+    input is None when the model has no branch to read it."""
+    units = prepare_units(dataset, n_units) if model.use_time else None
     spectra = spectra_matrix(dataset, scale=model.spectrum_scale) if model.use_freq else None
     return units, spectra
 

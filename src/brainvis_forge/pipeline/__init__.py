@@ -1,24 +1,15 @@
 """Configuration, checkpointing, stage orchestration, and the CLI."""
 
-from .checkpoint import (
-    ABLATION_MODES,
-    STAGE_PREREQS,
-    CheckpointArchive,
-    StageError,
-    check_prerequisites,
-    load_checkpoint,
-    require_stage,
-    save_checkpoint,
-)
-from .config import PipelineConfig
-from .runner import RunPaths, run_full_chain
+from .checkpoint import CheckpointArchive, StageError, load_checkpoint, require_stage, save_checkpoint
+from .config import ABLATION_MODES, PipelineConfig
+from .runner import STAGES, RunPaths, check_prerequisites, run_full_chain
 
 __all__ = [
     "ABLATION_MODES",
     "CheckpointArchive",
     "PipelineConfig",
     "RunPaths",
-    "STAGE_PREREQS",
+    "STAGES",
     "StageError",
     "check_prerequisites",
     "load_checkpoint",

@@ -1,4 +1,4 @@
-"""BVC1 checkpoint container and the stage dependency graph.
+"""BVC1 checkpoint container.
 
 Layout (little-endian):
     magic "BVC1" | u32 version=1 | u32 n_tensors
@@ -10,16 +10,13 @@ Tensors are written in sorted name order for byte-stable output.  The stage
 tag and config snapshot ride in a JSON sidecar ({path}.meta.json): the binary
 body stays pure tensor data and the snapshot stays human-readable.
 
-Every training stage saves through the runner's `save_stage`, so all stage
-checkpoints share one key layout:
-    model/{param}                      the stage's network (tfe, align, diffusion)
+Key layout:
+    model/{param}                      a trained network's parameters
     opt/param/{param}, opt/adam_m/{param}, opt/adam_v/{param}, opt/adam_step
                                        the Adam store: values, moments, step
-    spectrum_scale                     freq, tfe: the spectrum normaliser
+    {name}                             a top-level extra (e.g. spectrum_scale)
 where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
-The tfe stage reads opt/param/projector.* and opt/param/encoder.* from the
-lmm checkpoint, and opt/param/freq.encoder.* and spectrum_scale from the freq
-checkpoint; later stages read only model/* (and the tfe spectrum_scale).
+Which stage writes and reads which keys is the runner's concern.
 """
 
 from __future__ import annotations
@@ -37,34 +34,9 @@ from ..binio import check_crc, crc_bytes, expect_magic, pack_u32, read_exact, un
 MAGIC = b"BVC1"
 VERSION = 1
 
-# Stage graph: each stage lists the checkpoints it consumes.  Ablations prune
-# edges (a disabled branch drops its prerequisite).
-STAGE_PREREQS: dict[str, tuple[str, ...]] = {
-    "data": (),
-    "lmm": ("data",),
-    "freq": ("data",),
-    "tfe": ("data", "lmm", "freq"),
-    "align": ("data", "tfe"),
-    "diffusion": ("data", "tfe", "align"),
-    "generate": ("data", "tfe", "align", "diffusion"),
-    "evaluate": ("data", "tfe", "generate"),
-}
-# Stages each ablation mode (None: the full chain) never runs; they drop out
-# of the prerequisites.
-ABLATION_SKIPS: dict[str | None, tuple[str, ...]] = {
-    None: (),
-    "no-time": ("lmm",),
-    "no-freq": ("freq",),
-    "no-pretrain": ("lmm",),
-    "no-finetune": (),
-    "no-refine": (),
-    "no-semantic": ("align",),
-}
-ABLATION_MODES = tuple(mode for mode in ABLATION_SKIPS if mode is not None)
-
 
 class StageError(RuntimeError):
-    """A command ran without its prerequisite stage outputs."""
+    """A stage's inputs are missing or carry the wrong stage tag."""
 
 
 @dataclass
@@ -137,10 +109,3 @@ def require_stage(archive: CheckpointArchive, expected: str) -> CheckpointArchiv
         )
     return archive
 
-
-def check_prerequisites(stage: str, available: set[str], ablate: str | None = None) -> None:
-    """Raise naming the first missing prerequisite stage for `stage`, ignoring
-    the stages the ablation mode `ablate` skips."""
-    for dep in STAGE_PREREQS[stage]:
-        if dep not in available and dep not in ABLATION_SKIPS[ablate]:
-            raise StageError(f"stage {stage!r} requires {dep!r}, which has not been run")

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 
 def _apply_thread_cap() -> None:
@@ -23,24 +22,9 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
-def stage_commands() -> list[tuple[str, str, Callable]]:
-    """(command, help, stage function) for every pipeline stage, in run order."""
-    from . import runner
-
-    return [
-        ("gen-data", "generate the synthetic dataset and semantic fixtures", runner.run_gen_data),
-        ("train-lmm", "masked-latent pretraining of the time branch", runner.run_train_lmm),
-        ("train-freq", "supervised pretraining of the frequency branch", runner.run_train_freq),
-        ("finetune-tfe", "staged fine-tuning of the fused classifier", runner.run_finetune_tfe),
-        ("train-align", "train the semantic alignment network", runner.run_train_align),
-        ("train-diffusion", "train the conditional denoiser", runner.run_train_diffusion),
-        ("generate", "sample images for the test records", runner.run_generate),
-        ("evaluate", "score classification and generation, write report.json", runner.run_evaluate),
-    ]
-
-
 def build_parser() -> argparse.ArgumentParser:
-    from .checkpoint import ABLATION_MODES
+    from .config import ABLATION_MODES
+    from .runner import STAGES
 
     parser = argparse.ArgumentParser(
         prog="brainvis-forge",
@@ -56,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable one component (see the ablate command)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc, _ in stage_commands():
-        sub.add_parser(name, help=doc)
+    for stage in STAGES.values():
+        sub.add_parser(stage.command, help=stage.help).set_defaults(run=stage.run)
     p = sub.add_parser("grad-check", help="finite-difference verification of every op (nonzero exit on failure)")
     p.add_argument("--probes", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-4)
@@ -98,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         print(report.to_json())
         return 0
 
-    result = {name: fn for name, _, fn in stage_commands()}[args.command](cfg, paths)
+    result = args.run(cfg, paths)
     if hasattr(result, "to_json"):
         print(result.to_json())
     else:

@@ -15,7 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import ABLATION_MODES
+# Stages each ablation mode (None: the full chain) never runs; they drop out
+# of the chain and of every later stage's prerequisites.
+ABLATION_SKIPS: dict[str | None, tuple[str, ...]] = {
+    None: (),
+    "no-time": ("lmm",),
+    "no-freq": ("freq",),
+    "no-pretrain": ("lmm",),
+    "no-finetune": (),
+    "no-refine": (),
+    "no-semantic": ("align",),
+}
+ABLATION_MODES = tuple(mode for mode in ABLATION_SKIPS if mode is not None)
 
 
 @dataclass

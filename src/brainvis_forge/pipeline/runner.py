@@ -1,14 +1,19 @@
-"""Stage implementations over a run directory.
+"""The pipeline's stages over a run directory, and the one table that lists them.
 
 Layout: {run_dir}/{stage}/ holding config.json (snapshot), metrics.jsonl
 (per-epoch or per-step log lines), checkpoint.bvc (+ .meta.json sidecar),
 and for generation an images/ directory plus provenance.jsonl.
 
-Every stage validates its prerequisites against the stage graph before doing
-any work; ablation modes prune the edges belonging to disabled components.
-Training stages hand weights on only through `save_stage` and `load_stage`,
-which own the checkpoint key layout (see pipeline.checkpoint).  `STAGE_RUNS`
-is the chain's stage order.
+`STAGES` is the chain in run order.  Each row gives the stage's CLI command,
+the function that runs it, the file that marks it done and the stages whose
+outputs it reads; every stage checks those before doing any work, and an
+ablation drops the stages it skips (config.ABLATION_SKIPS) from the chain and
+from the prerequisites.  Training stages hand weights on only through
+`save_stage` and `load_stage` (key layout in pipeline.checkpoint): tfe reads
+opt/param/projector.* and opt/param/encoder.* from the lmm checkpoint and
+opt/param/freq.encoder.* and spectrum_scale from the freq checkpoint; later
+stages read only model/* and the tfe spectrum_scale.  Each network has one
+builder (`_tfe_model`, `_align_net`, `_denoiser`) for training and loading.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,27 +49,8 @@ from ..lmm.train import train_lmm
 from ..metrics.classification import GaConfig
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import train_surrogate
-from .checkpoint import (
-    ABLATION_SKIPS,
-    CheckpointArchive,
-    StageError,
-    check_prerequisites,
-    load_checkpoint,
-    require_stage,
-    save_checkpoint,
-)
-from .config import PipelineConfig
-
-STAGE_MARKERS = {
-    "data": "data/dataset.bvd",
-    "lmm": "lmm/checkpoint.bvc",
-    "freq": "freq/checkpoint.bvc",
-    "tfe": "tfe/checkpoint.bvc",
-    "align": "align/checkpoint.bvc",
-    "diffusion": "diffusion/checkpoint.bvc",
-    "generate": "generate/provenance.jsonl",
-    "evaluate": "evaluate/report.json",
-}
+from .checkpoint import CheckpointArchive, StageError, load_checkpoint, require_stage, save_checkpoint
+from .config import ABLATION_SKIPS, PipelineConfig
 
 
 @dataclass
@@ -82,7 +69,24 @@ class RunPaths:
         return self.stage_dir(stage) / "checkpoint.bvc"
 
     def available_stages(self) -> set[str]:
-        return {stage for stage, marker in STAGE_MARKERS.items() if (self.root / marker).exists()}
+        return {name for name, stage in STAGES.items() if (self.root / name / stage.marker).exists()}
+
+
+@dataclass(frozen=True)
+class Stage:
+    command: str  # CLI subcommand
+    help: str
+    run: Callable[[PipelineConfig, RunPaths], object]
+    marker: str  # file in the stage directory whose presence marks the stage done
+    needs: tuple[str, ...]  # earlier stages whose outputs this one reads
+
+
+def check_prerequisites(stage: str, available: set[str], ablate: str | None = None) -> None:
+    """Raise naming the first missing prerequisite of `stage`, ignoring the
+    stages the ablation mode `ablate` skips."""
+    for dep in STAGES[stage].needs:
+        if dep not in available and dep not in ABLATION_SKIPS[ablate]:
+            raise StageError(f"stage {stage!r} requires {dep!r}, which has not been run")
 
 
 def _enter_stage(cfg: PipelineConfig, paths: RunPaths, stage: str) -> Path:
@@ -195,7 +199,7 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
         n_classes=cfg.n_classes,
         hidden=cfg.lstm_hidden,
         epochs=cfg.epochs["freq"],
-        batch_size=min(cfg.batch, max(1, len(split.train))),
+        batch_size=cfg.batch,
         lr=cfg.lr,
         seed=cfg.seed,
     )
@@ -213,8 +217,7 @@ def _tfe_model(cfg: PipelineConfig, rng: np.random.Generator, use_time: bool, us
         VisibleEncoder(cfg.d, cfg.heads, cfg.ffn, cfg.sa_blocks, rng) if use_time else None,
         LstmEncoder(cfg.c, cfg.lstm_hidden, rng) if use_freq else None,
         Linear(cfg.d + cfg.lstm_hidden, cfg.n_classes, rng),
-        d=cfg.d, h=cfg.lstm_hidden, n_classes=cfg.n_classes, spectrum_scale=spectrum_scale,
-        use_time=use_time, use_freq=use_freq,
+        spectrum_scale,
     )
 
 
@@ -242,7 +245,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
         model, dataset, split,
         n_units=cfg.n,
         stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.epochs["joint_ft"],
-        batch_size=min(cfg.batch, max(1, len(split.train))), lr=cfg.lr, seed=cfg.seed,
+        batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed,
         run_stage2=cfg.ablate != "no-finetune",
     )
     save_stage(
@@ -263,8 +266,17 @@ def _load_tfe(cfg: PipelineConfig, paths: RunPaths) -> TfeModel:
     return model
 
 
+def _align_net(cfg: PipelineConfig, rng: np.random.Generator) -> AlignmentNet:
+    """Fused rows (d + h) to the semantic space, fresh weights drawn from `rng`."""
+    return AlignmentNet(cfg.d + cfg.lstm_hidden, cfg.e, rng, n_blocks=cfg.align_blocks)
+
+
+def _denoiser(cfg: PipelineConfig, rng: np.random.Generator) -> DenoiserNet:
+    return DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, rng)
+
+
 def _load_align(cfg: PipelineConfig, paths: RunPaths) -> AlignmentNet:
-    net = AlignmentNet(cfg.d + cfg.lstm_hidden, cfg.e, np.random.default_rng(0), n_blocks=cfg.align_blocks)
+    net = _align_net(cfg, np.random.default_rng(0))
     load_stage(paths, "align", net)
     return net
 
@@ -288,11 +300,11 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
         embeddings, train.labels, train.image_ids, fixtures,
         e=cfg.e,
         epochs=cfg.epochs["align"],
-        batch_size=min(cfg.batch, max(1, len(train))),
+        batch_size=cfg.batch,
         lr=cfg.lr,
         seed=cfg.seed,
         label_weight=cfg.label_weight,
-        net=AlignmentNet(embeddings.shape[1], cfg.e, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])), n_blocks=cfg.align_blocks),
+        net=_align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11]))),
     )
     save_stage(cfg, paths, "align", result.history, result.store, result.net)
     return {"epochs": len(result.history), "final_si_loss": result.history[-1]["si_loss"] if result.history else None}
@@ -313,10 +325,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
         eeg_conditions = align(_load_align(cfg, paths), _tfe_embeddings(cfg, model, train))
 
     schedule = NoiseSchedule.linear(T=cfg.T)
-    net = DenoiserNet(
-        cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden,
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])),
-    )
+    net = _denoiser(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])))
     result = train_denoiser(
         net, schedule, images, train.labels, eeg_conditions,
         steps=cfg.diffusion_steps,
@@ -342,7 +351,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     stage_dir = _enter_stage(cfg, paths, "generate")
     dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
-    denoiser = DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, np.random.default_rng(0))
+    denoiser = _denoiser(cfg, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
     schedule = NoiseSchedule.linear(T=cfg.T)
     cascade = CascadeConfig(rho=cfg.rho)
@@ -431,20 +440,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     )
 
     report = MetricsReport(
-        top1_ca=cls_block["top1_ca"],
-        top3_ca=cls_block["top3_ca"],
-        top5_ca=cls_block["top5_ca"],
-        f1_macro=cls_block["f1_macro"],
-        ga=gen_block["ga"],
-        is_mean=gen_block["is_mean"],
-        is_std=gen_block["is_std"],
-        fid=gen_block["fid"],
-        ssim_mean=gen_block["ssim_mean"],
-        n_generated=gen_block["n_generated"],
-        n_reference=gen_block["n_reference"],
-        fid_valid=gen_block["fid_valid"],
-        per_class=cls_block["per_class"],
-        config={**cfg.to_dict(), "surrogate_train_acc": surrogate.train_accuracy},
+        **cls_block, **gen_block, config={**cfg.to_dict(), "surrogate_train_acc": surrogate.train_accuracy}
     )
     report.validate_ranges()
     (stage_dir / "report.json").write_text(report.to_json())
@@ -459,21 +455,29 @@ def run_grad_check(probes: int = 10, seed: int = 2024, tol: float = 1e-4) -> tup
     return worst, all(v < tol for v in worst.values())
 
 
-STAGE_RUNS = {
-    "data": run_gen_data,
-    "lmm": run_train_lmm,
-    "freq": run_train_freq,
-    "tfe": run_finetune_tfe,
-    "align": run_train_align,
-    "diffusion": run_train_diffusion,
-    "generate": run_generate,
-    "evaluate": run_evaluate,
+STAGES: dict[str, Stage] = {
+    "data": Stage("gen-data", "generate the synthetic dataset and semantic fixtures", run_gen_data,
+                  "dataset.bvd", ()),
+    "lmm": Stage("train-lmm", "masked-latent pretraining of the time branch", run_train_lmm,
+                 "checkpoint.bvc", ("data",)),
+    "freq": Stage("train-freq", "supervised pretraining of the frequency branch", run_train_freq,
+                  "checkpoint.bvc", ("data",)),
+    "tfe": Stage("finetune-tfe", "staged fine-tuning of the fused classifier", run_finetune_tfe,
+                 "checkpoint.bvc", ("data", "lmm", "freq")),
+    "align": Stage("train-align", "train the semantic alignment network", run_train_align,
+                   "checkpoint.bvc", ("data", "tfe")),
+    "diffusion": Stage("train-diffusion", "train the conditional denoiser", run_train_diffusion,
+                       "checkpoint.bvc", ("data", "tfe", "align")),
+    "generate": Stage("generate", "sample images for the test records", run_generate,
+                      "provenance.jsonl", ("data", "tfe", "align", "diffusion")),
+    "evaluate": Stage("evaluate", "score classification and generation, write report.json", run_evaluate,
+                      "report.json", ("data", "tfe", "generate")),
 }
 
 
 def run_full_chain(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     """gen-data through evaluate, leaving out the stages the ablation skips."""
-    for stage, run in STAGE_RUNS.items():
-        if stage not in ABLATION_SKIPS[cfg.ablate]:
-            result = run(cfg, paths)
+    for name, stage in STAGES.items():
+        if name not in ABLATION_SKIPS[cfg.ablate]:
+            result = stage.run(cfg, paths)
     return result

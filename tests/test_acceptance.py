@@ -191,8 +191,7 @@ def test_criterion_6_tfe_overfit():
         )
         model = TfeModel(
             lmm.models.projector, lmm.models.encoder, freq.model.encoder,
-            Linear(32 + 48, 40, np.random.default_rng(5)),
-            d=32, h=48, n_classes=40, spectrum_scale=freq.spectrum_scale,
+            Linear(32 + 48, 40, np.random.default_rng(5)), spectrum_scale=freq.spectrum_scale,
         )
         tfe = finetune_tfe(
             model, records, split, n_units=10,

@@ -8,11 +8,11 @@ from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedForma
 from brainvis_forge.pipeline.checkpoint import (
     CheckpointArchive,
     StageError,
-    check_prerequisites,
     load_checkpoint,
     require_stage,
     save_checkpoint,
 )
+from brainvis_forge.pipeline.runner import check_prerequisites
 
 
 def test_roundtrip_bit_identical(tmp_path):

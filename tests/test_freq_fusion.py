@@ -102,7 +102,6 @@ def test_tfe_head_width_validated():
         TfeModel(
             UnitProjector(8, 4, 5, rng), VisibleEncoder(4, 2, 8, 1, rng),
             LstmEncoder(2, 3, rng), Linear(99, 4, rng),
-            d=4, h=3, n_classes=4,
         )
 
 
@@ -111,7 +110,6 @@ def test_tfe_fused_and_logits_both_require_spectra():
     model = TfeModel(
         UnitProjector(8, 4, 5, rng), VisibleEncoder(4, 2, 8, 1, rng),
         LstmEncoder(2, 3, rng), Linear(7, 4, rng),
-        d=4, h=3, n_classes=4,
     )
     units = np.zeros((2, 5, 8), dtype=np.float32)
     for method in (model.fused, model.logits):
@@ -150,8 +148,7 @@ def _finetune(records, split, lmm, freq, **kw):
         c, l = records[0].x.shape
         projector, encoder = UnitProjector(c * (l // 10), 16, 10, rng), VisibleEncoder(16, 2, 32, 1, rng)
     model = TfeModel(
-        projector, encoder, freq.model.encoder, Linear(16 + 8, 4, rng),
-        d=16, h=8, n_classes=4, spectrum_scale=freq.spectrum_scale,
+        projector, encoder, freq.model.encoder, Linear(16 + 8, 4, rng), spectrum_scale=freq.spectrum_scale
     )
     args = dict(n_units=10, stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
     args.update(kw)

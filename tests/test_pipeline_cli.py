@@ -87,7 +87,7 @@ def test_tfe_starts_from_the_pretrained_branches(tmp_path):
     cfg = tiny_config(epochs={**tiny_config().epochs, "time_ft": 0, "joint_ft": 0})
     paths = RunPaths(tmp_path / "run")
     for stage in ("data", "lmm", "freq", "tfe"):
-        runner.STAGE_RUNS[stage](cfg, paths)
+        runner.STAGES[stage].run(cfg, paths)
     tfe, lmm, freq = (runner.load_stage(paths, stage).tensors for stage in ("tfe", "lmm", "freq"))
     for tfe_prefix, source, prefix in (
         ("model/projector.", lmm, "opt/param/projector."),
@@ -103,7 +103,7 @@ def test_tfe_starts_from_the_pretrained_branches(tmp_path):
     cold = RunPaths(tmp_path / "cold")
     cold_cfg = cfg.with_overrides(ablate="no-pretrain")
     for stage in ("data", "freq", "tfe"):
-        runner.STAGE_RUNS[stage](cold_cfg, cold)
+        runner.STAGES[stage].run(cold_cfg, cold)
     assert cold.available_stages() == {"data", "freq", "tfe"}
 
 
@@ -113,7 +113,7 @@ def test_no_time_tfe_has_no_time_branch(tmp_path):
     cfg = tiny_config(ablate="no-time", epochs={**tiny_config().epochs, "time_ft": 1, "joint_ft": 1, "align": 1})
     paths = RunPaths(tmp_path / "run")
     for stage in ("data", "freq", "tfe", "align"):
-        runner.STAGE_RUNS[stage](cfg, paths)
+        runner.STAGES[stage].run(cfg, paths)
     tfe = runner.load_stage(paths, "tfe").tensors
     assert any(k.startswith("model/freq_encoder.") for k in tfe) and "model/head.weight" in tfe
     assert not [k for k in tfe if k.startswith(("model/projector.", "model/encoder."))]
@@ -172,15 +172,40 @@ def test_cli_ablate_full_chain(tmp_path, capsys):
     assert report["config"]["ablate"] == "no-refine"
 
 
-def test_cli_choices_and_stage_commands_follow_the_runner():
+def test_cli_choices_and_subcommands_follow_the_stage_table():
     from brainvis_forge.pipeline import ABLATION_MODES, runner
-    from brainvis_forge.pipeline.cli import build_parser, stage_commands
+    from brainvis_forge.pipeline.cli import build_parser
 
     actions = {a.dest: a for a in build_parser()._actions}
     assert tuple(actions["ablate"].choices) == ABLATION_MODES
-    commands = stage_commands()
-    assert [fn for _, _, fn in commands] == list(runner.STAGE_RUNS.values())
-    assert list(actions["command"].choices)[: len(commands)] == [name for name, _, _ in commands]
+    commands = [stage.command for stage in runner.STAGES.values()]
+    assert list(actions["command"].choices) == [*commands, "grad-check", "ablate"]
+    for stage in runner.STAGES.values():
+        assert actions["command"].choices[stage.command].get_default("run") is stage.run
+
+
+def test_stage_table_invariants():
+    from brainvis_forge.pipeline import runner
+    from brainvis_forge.pipeline.config import ABLATION_SKIPS
+
+    names = list(runner.STAGES)
+    for i, stage in enumerate(runner.STAGES.values()):
+        assert set(stage.needs) <= set(names[:i]), names[i]
+        assert stage.run is getattr(runner, stage.run.__name__)
+    assert {stage for skipped in ABLATION_SKIPS.values() for stage in skipped} <= set(names)
+    commands = [stage.command for stage in runner.STAGES.values()]
+    assert len(set(commands)) == len(commands)
+
+
+def test_no_time_chain_builds_no_units(tmp_path, monkeypatch):
+    from brainvis_forge.fusion import train as fusion_train
+    from brainvis_forge.pipeline import runner
+
+    prepare_units, calls = fusion_train.prepare_units, []
+    monkeypatch.setattr(fusion_train, "prepare_units", lambda *a, **kw: calls.append(a) or prepare_units(*a, **kw))
+    report = runner.run_full_chain(tiny_config(ablate="no-time"), RunPaths(tmp_path / "run"))
+    assert report.config["ablate"] == "no-time"
+    assert calls == []
 
 
 def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_path, monkeypatch):
@@ -193,7 +218,7 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
     cfg = tiny_config(diffusion_steps=50)
     paths = RunPaths(tmp_path / "run")
     for stage in ("data", "lmm", "freq", "tfe", "align", "diffusion"):
-        runner.STAGE_RUNS[stage](cfg, paths)
+        runner.STAGES[stage].run(cfg, paths)
 
     counts = {"predict": 0, "fft": 0, "spectra": 0, "align": 0}
 
