@@ -19,7 +19,6 @@ from .model import AlignmentNet
 @dataclass
 class AlignTrainResult:
     net: AlignmentNet
-    store: ParamStore
     history: list[dict] = field(default_factory=list)
 
 
@@ -57,4 +56,4 @@ def train_align(
     history = [
         {"epoch": epoch, "si_loss": train_epoch(store, rng, n, batch_size, lr, batch_loss)} for epoch in range(epochs)
     ]
-    return AlignTrainResult(net=net, store=store, history=history)
+    return AlignTrainResult(net=net, history=history)

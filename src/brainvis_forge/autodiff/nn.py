@@ -58,10 +58,6 @@ class Module:
                 raise ShapeError(f"load_state: {name} expects {tensor.shape}, got {arr.shape}")
             tensor.data = arr.copy()
 
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.grad = None
-
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True, dtype=np.float32):

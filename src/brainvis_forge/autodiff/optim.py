@@ -43,17 +43,8 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def items(self):
-        return self._params.items()
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -69,32 +60,6 @@ class ParamStore:
         backward(loss)
         adam_step(self, self.collect_grads(), lr, trainable=trainable)
         return loss.item()
-
-    def state(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """Flat array map for persistence: values, moments, step counter."""
-        out: dict[str, np.ndarray] = {}
-        for name, t in self._params.items():
-            out[f"{prefix}param/{name}"] = t.data.copy()
-            out[f"{prefix}adam_m/{name}"] = self._m[name].copy()
-            out[f"{prefix}adam_v/{name}"] = self._v[name].copy()
-        out[f"{prefix}adam_step"] = np.asarray([self.step_count], dtype=np.float32)
-        return out
-
-    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Inverse of `state(prefix)`; keys outside `prefix` are ignored."""
-        for name, t in self._params.items():
-            for kind, target in (("param", None), ("adam_m", self._m), ("adam_v", self._v)):
-                key = f"{prefix}{kind}/{name}"
-                if key not in state:
-                    raise KeyError(f"ParamStore.load_state: missing {key}")
-                arr = np.asarray(state[key], dtype=t.data.dtype)
-                if arr.shape != t.shape:
-                    raise ShapeError(f"ParamStore.load_state: {key} expects {t.shape}, got {arr.shape}")
-                if target is None:
-                    t.data = arr.copy()
-                else:
-                    target[name] = arr.copy()
-        self.step_count = int(state[f"{prefix}adam_step"][0])
 
 
 def adam_step(

@@ -43,7 +43,6 @@ def x0_estimate(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps: np.ndarra
 @dataclass
 class DenoiserTrainResult:
     net: DenoiserNet
-    store: ParamStore
     history: list[dict] = field(default_factory=list)
 
 
@@ -91,7 +90,7 @@ def train_denoiser(
         pred = net(Tensor(x_t.astype(dtype)), t, cond)
         loss = store.step(mse_loss(pred, Tensor(eps.astype(dtype))), lr)
         history.append({"step": step, "loss": loss, "condition": "class" if use_class else "eeg"})
-    return DenoiserTrainResult(net=net, store=store, history=history)
+    return DenoiserTrainResult(net=net, history=history)
 
 
 __all__ = [

@@ -59,7 +59,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 @dataclass
 class FreqTrainResult:
     model: FreqClassifier
-    store: ParamStore
     spectrum_scale: float
     history: list[dict] = field(default_factory=list)
 
@@ -102,4 +101,4 @@ def freq_classify_train(
         }
         for epoch in range(epochs)
     ]
-    return FreqTrainResult(model=model, store=store, spectrum_scale=scale, history=history)
+    return FreqTrainResult(model=model, spectrum_scale=scale, history=history)

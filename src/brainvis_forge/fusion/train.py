@@ -29,7 +29,6 @@ STAGE2_LR_SCALE = 0.3
 @dataclass
 class TfeTrainResult:
     model: TfeModel
-    store: ParamStore
     history: list[dict] = field(default_factory=list)
     stage1_done: bool = False
     stage2_done: bool = False
@@ -68,10 +67,11 @@ def finetune_tfe(
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)
 
-    result = TfeTrainResult(model=model, store=ParamStore())
+    result = TfeTrainResult(model=model)
     onehot = one_hot_labels(labels, model.n_classes)
 
-    def run_stage(stage: int, epochs: int, store: ParamStore, freq_hidden: np.ndarray | None):
+    def run_stage(stage: int, epochs: int, trained: tuple[str, ...], freq_hidden: np.ndarray | None):
+        store = ParamStore(**{name: getattr(model, name) for name in trained})
         stage_lr = lr if stage == 1 else lr * STAGE2_LR_SCALE
         inputs = (units, spectra, freq_hidden)
 
@@ -90,25 +90,19 @@ def finetune_tfe(
                 "val_acc": split_accuracy(val_idx) if len(val_idx) else float("nan"),
             })
 
-    def store_of(*names: str) -> ParamStore:
-        return ParamStore(**{name: getattr(model, name) for name in names})
-
     time_branch = ("projector", "encoder") if model.use_time else ()
+    freq_branch = ("freq_encoder",) if model.use_freq else ()
     # Stage 1: time branch + head; frequency hidden states frozen constants.
     if stage1_epochs > 0:
-        store1 = store_of(*time_branch, "head")
         freq_hidden = None if spectra is None else predict(lambda s: model.freq_vector(Tensor(s)), spectra)
-        run_stage(1, stage1_epochs, store1, freq_hidden)
-        result.store = store1
+        run_stage(1, stage1_epochs, (*time_branch, "head"), freq_hidden)
         result.stage1_done = True
 
     # Stage 2: joint fine-tune of both branches and the head.
     if run_stage2 and stage2_epochs > 0:
         if not result.stage1_done:
             raise RuntimeError("finetune_tfe: stage 2 requires stage 1")
-        store2 = store_of(*time_branch, *(("freq_encoder",) if model.use_freq else ()), "head")
-        run_stage(2, stage2_epochs, store2, None)
-        result.store = store2
+        run_stage(2, stage2_epochs, (*time_branch, *freq_branch, "head"), None)
         result.stage2_done = True
 
     return result

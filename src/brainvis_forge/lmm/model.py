@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..autodiff import Tensor, broadcast_to, no_grad, softmax, take
@@ -90,16 +92,10 @@ class Teacher:
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"Teacher: momentum must be in [0, 1], got {momentum}")
         self.momentum = momentum
-        d = student.final_ln.gain.shape[0]
-        n_heads = student.blocks[0].attn.n_heads
-        ffn_dim = student.blocks[0].ffn.fc1.weight.shape[1]
-        dtype = student.final_ln.gain.data.dtype
-        self.module = VisibleEncoder(
-            d, n_heads, ffn_dim, len(student.blocks), np.random.default_rng(0), dtype=dtype
-        )
-        self.module.load_state(student.state())
+        self.module = copy.deepcopy(student)
         for t in self.module.parameters():
             t.requires_grad = False
+            t.grad = None
 
     def update(self, student: VisibleEncoder, momentum: float | None = None) -> None:
         teacher_update(self, student, self.momentum if momentum is None else momentum)

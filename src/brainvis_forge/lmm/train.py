@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor, take
+from ..autodiff.nn import Module
 from ..data.records import EegDataset
 from ..data.segment import flatten_units, segment_units
 from .loss import lmm_loss
@@ -16,7 +17,9 @@ from .tokenizer import Codebook
 
 
 @dataclass
-class LmmModels:
+class LmmModels(Module):
+    """Parameters are the student's alone: `Teacher` and `Codebook` are not modules."""
+
     projector: UnitProjector
     encoder: VisibleEncoder
     predictor: MaskedPredictor
@@ -84,7 +87,6 @@ def lmm_step(
 @dataclass
 class LmmTrainResult:
     models: LmmModels
-    store: ParamStore
     history: list[dict] = field(default_factory=list)
 
 
@@ -130,4 +132,4 @@ def train_lmm(
         l_lmm = store.step(total, lr, trainable=store.names())
         models.teacher.update(models.encoder)
         history.append({"step": step, "l_reg": reg.item(), "l_cls": cls.item(), "l_lmm": l_lmm})
-    return LmmTrainResult(models=models, store=store, history=history)
+    return LmmTrainResult(models=models, history=history)

@@ -11,11 +11,10 @@ tag and config snapshot ride in a JSON sidecar ({path}.meta.json): the binary
 body stays pure tensor data and the snapshot stays human-readable.
 
 Key layout:
-    model/{param}                      a trained network's parameters
-    opt/param/{param}, opt/adam_m/{param}, opt/adam_v/{param}, opt/adam_step
-                                       the Adam store: values, moments, step
-    {name}                             a top-level extra (e.g. spectrum_scale)
+    model/{param}    the parameters of the network the stage trained
+    {name}           a top-level extra (e.g. spectrum_scale)
 where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
+Optimizer state is not saved: no stage resumes from a checkpoint.
 Which stage writes and reads which keys is the runner's concern.
 """
 

@@ -9,10 +9,11 @@ the function that runs it, the file that marks it done and the stages whose
 outputs it reads; every stage checks those before doing any work, and an
 ablation drops the stages it skips (config.ABLATION_SKIPS) from the chain and
 from the prerequisites.  Training stages hand weights on only through
-`save_stage` and `load_stage` (key layout in pipeline.checkpoint): tfe reads
-opt/param/projector.* and opt/param/encoder.* from the lmm checkpoint and
-opt/param/freq.encoder.* and spectrum_scale from the freq checkpoint; later
-stages read only model/* and the tfe spectrum_scale.  Each network has one
+`save_stage` and `load_stage` (key layout in pipeline.checkpoint), each
+checkpoint holding the network its stage trained under model/: tfe reads
+model/projector.* and model/encoder.* from the lmm checkpoint and
+model/encoder.* and spectrum_scale from the freq checkpoint; later stages
+read model/* and the tfe spectrum_scale.  Each network has one
 builder (`_tfe_model`, `_align_net`, `_denoiser`) for training and loading.
 """
 
@@ -30,7 +31,6 @@ from ..align.model import AlignmentNet, align
 from ..align.train import train_align
 from ..autodiff import Tensor, no_grad
 from ..autodiff.nn import Linear, LstmEncoder, Module
-from ..autodiff.optim import ParamStore
 from ..data.bvd import load_dataset, write_dataset
 from ..data.images import make_image_set
 from ..data.records import DatasetSplit, EegDataset
@@ -107,14 +107,13 @@ def save_stage(
     paths: RunPaths,
     stage: str,
     history: list[dict],
-    store: ParamStore,
-    model: Module | None = None,
+    model: Module,
     extras: dict[str, np.ndarray] | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write the stage's checkpoint (model/, opt/ and `extras` keys; config
-    snapshot plus `meta` in the sidecar) and its metrics.jsonl."""
-    tensors = {**store.state("opt/"), **(model.state("model/") if model is not None else {}), **(extras or {})}
+    """Write the stage's checkpoint (`model` under model/ plus the `extras`
+    keys; config snapshot plus `meta` in the sidecar) and its metrics.jsonl."""
+    tensors = {**model.state("model/"), **(extras or {})}
     save_checkpoint(paths.checkpoint(stage), CheckpointArchive(tensors, stage, {**cfg.to_dict(), **(meta or {})}))
     _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
 
@@ -168,8 +167,7 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "lmm")
     dataset, split = load_run_data(cfg, paths)
     train = dataset.take(split.train)
-    batch = min(cfg.batch, len(train))
-    steps_per_epoch = max(1, (len(train) + batch - 1) // batch)
+    steps_per_epoch = max(1, -(-len(train) // cfg.batch))
     result = train_lmm(
         train,
         n_units=cfg.n,
@@ -183,10 +181,10 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
         teacher_momentum=cfg.teacher_momentum,
         lr=cfg.lr,
         steps=cfg.epochs["lmm"] * steps_per_epoch,
-        batch_size=batch,
+        batch_size=cfg.batch,
         seed=cfg.seed,
     )
-    save_stage(cfg, paths, "lmm", result.history, result.store)
+    save_stage(cfg, paths, "lmm", result.history, result.models)
     return {"steps": len(result.history), "final_l_lmm": result.history[-1]["l_lmm"] if result.history else None}
 
 
@@ -204,7 +202,7 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
         seed=cfg.seed,
     )
     extras = {"spectrum_scale": np.asarray([result.spectrum_scale], dtype=np.float32)}
-    save_stage(cfg, paths, "freq", result.history, result.store, extras=extras)
+    save_stage(cfg, paths, "freq", result.history, result.model, extras=extras)
     last = result.history[-1] if result.history else {}
     return {"epochs": len(result.history), "val_acc": last.get("val_acc")}
 
@@ -236,10 +234,10 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     model = _tfe_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7FE])), use_time, use_freq, scale)
     if "lmm" not in skipped:
         lmm = load_stage(paths, "lmm").tensors
-        model.projector.load_state(lmm, "opt/param/projector.")
-        model.encoder.load_state(lmm, "opt/param/encoder.")
+        model.projector.load_state(lmm, "model/projector.")
+        model.encoder.load_state(lmm, "model/encoder.")
     if use_freq:
-        model.freq_encoder.load_state(freq, "opt/param/freq.encoder.")
+        model.freq_encoder.load_state(freq, "model/encoder.")
 
     result = finetune_tfe(
         model, dataset, split,
@@ -249,7 +247,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
         run_stage2=cfg.ablate != "no-finetune",
     )
     save_stage(
-        cfg, paths, "tfe", result.history, result.store, model,
+        cfg, paths, "tfe", result.history, model,
         extras={"spectrum_scale": np.asarray([scale], dtype=np.float32)},
         meta={"use_time": use_time, "use_freq": use_freq,
               "stage1_done": result.stage1_done, "stage2_done": result.stage2_done},
@@ -306,7 +304,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
         label_weight=cfg.label_weight,
         net=_align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11]))),
     )
-    save_stage(cfg, paths, "align", result.history, result.store, result.net)
+    save_stage(cfg, paths, "align", result.history, result.net)
     return {"epochs": len(result.history), "final_si_loss": result.history[-1]["si_loss"] if result.history else None}
 
 
@@ -334,7 +332,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
         seed=cfg.seed,
         class_condition_prob=1.0 if cfg.ablate == "no-semantic" else 0.5,
     )
-    save_stage(cfg, paths, "diffusion", result.history, result.store, net)
+    save_stage(cfg, paths, "diffusion", result.history, net)
     return {"steps": len(result.history), "final_loss": result.history[-1]["loss"] if result.history else None}
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from brainvis_forge.autodiff import ParamStore, Tensor, adam_step
 from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError
 from brainvis_forge.pipeline.checkpoint import (
     CheckpointArchive,
@@ -30,22 +29,6 @@ def test_roundtrip_bit_identical(tmp_path):
     assert set(loaded.tensors) == set(tensors)
     for k in tensors:
         assert loaded.tensors[k].tobytes() == tensors[k].tobytes()
-
-
-def test_roundtrip_includes_optimizer_state(tmp_path):
-    store = ParamStore()
-    store.register("w", Tensor(np.ones(4, dtype=np.float32), requires_grad=True))
-    adam_step(store, {"w": np.full(4, 0.3, dtype=np.float32)}, lr=0.01)
-    path = tmp_path / "opt.bvc"
-    save_checkpoint(path, CheckpointArchive(dict(store.state()), "freq", {}))
-    loaded = load_checkpoint(path)
-    other = ParamStore()
-    other.register("w", Tensor(np.zeros(4, dtype=np.float32), requires_grad=True))
-    other.load_state(loaded.tensors)
-    assert other.step_count == 1
-    np.testing.assert_array_equal(other._m["w"], store._m["w"])
-    np.testing.assert_array_equal(other._v["w"], store._v["w"])
-    np.testing.assert_array_equal(other["w"].data, store["w"].data)
 
 
 def test_empty_archive_roundtrip(tmp_path):
@@ -93,23 +76,14 @@ def test_prefixed_state_roundtrip(tmp_path):
     from brainvis_forge.autodiff.nn import Linear
 
     net = Linear(3, 2, np.random.default_rng(0))
-    store = ParamStore()
-    store.register_module("net", net)
-    adam_step(store, {"net.weight": np.ones((3, 2), dtype=np.float32)}, lr=0.1)
     path = tmp_path / "prefixed.bvc"
-    save_checkpoint(path, CheckpointArchive({**net.state("model/"), **store.state("opt/")}, "align", {}))
+    save_checkpoint(path, CheckpointArchive(net.state("model/"), "align", {}))
     tensors = load_checkpoint(path).tensors
-    assert sorted(k for k in tensors if k.startswith("model/")) == ["model/bias", "model/weight"]
-    assert "opt/adam_step" in tensors and "opt/param/net.weight" in tensors
+    assert sorted(tensors) == ["model/bias", "model/weight"]
 
     twin = Linear(3, 2, np.random.default_rng(1))
-    twin_store = ParamStore()
-    twin_store.register_module("net", twin)
     twin.load_state(tensors, "model/")
     np.testing.assert_array_equal(twin.weight.data, net.weight.data)
-    twin_store.load_state(tensors, "opt/")
-    assert twin_store.step_count == 1
-    np.testing.assert_array_equal(twin_store._m["net.weight"], store._m["net.weight"])
     with pytest.raises(KeyError, match="teacher/weight"):
         twin.load_state(tensors, "teacher/")
 

@@ -197,7 +197,7 @@ def test_teacher_receives_no_gradients():
     _, _, total = lmm_step(models, units, plan)
     backward(total)
     for t in models.teacher.module.parameters():
-        assert t.grad is None
+        assert t.grad is None and not t.requires_grad
 
 
 # --- loss --------------------------------------------------------------------

@@ -59,18 +59,6 @@ def test_duplicate_registration_rejected():
         store.register("a", Tensor(np.zeros(2), requires_grad=True))
 
 
-def test_state_roundtrip_including_moments():
-    store = make_store({"w": np.array([1.0, 2.0])})
-    adam_step(store, {"w": np.array([0.5, -0.5])}, lr=0.1)
-    snapshot = store.state()
-    other = make_store({"w": np.zeros(2)})
-    other.load_state(snapshot)
-    assert other.step_count == store.step_count
-    np.testing.assert_array_equal(other["w"].data, store["w"].data)
-    np.testing.assert_array_equal(other._m["w"], store._m["w"])
-    np.testing.assert_array_equal(other._v["w"], store._v["w"])
-
-
 def test_step_discards_a_stale_gradient():
     # The stale backward leaves d(w^2)/dw = (2, -4) on w; a step on sum(w)
     # must see only its own gradient (1, 1), as a store without it does.

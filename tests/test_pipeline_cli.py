@@ -90,9 +90,9 @@ def test_tfe_starts_from_the_pretrained_branches(tmp_path):
         runner.STAGES[stage].run(cfg, paths)
     tfe, lmm, freq = (runner.load_stage(paths, stage).tensors for stage in ("tfe", "lmm", "freq"))
     for tfe_prefix, source, prefix in (
-        ("model/projector.", lmm, "opt/param/projector."),
-        ("model/encoder.", lmm, "opt/param/encoder."),
-        ("model/freq_encoder.", freq, "opt/param/freq.encoder."),
+        ("model/projector.", lmm, "model/projector."),
+        ("model/encoder.", lmm, "model/encoder."),
+        ("model/freq_encoder.", freq, "model/encoder."),
     ):
         names = [k[len(tfe_prefix):] for k in tfe if k.startswith(tfe_prefix)]
         assert names and sorted(names) == sorted(k[len(prefix):] for k in source if k.startswith(prefix))
@@ -105,6 +105,60 @@ def test_tfe_starts_from_the_pretrained_branches(tmp_path):
     for stage in ("data", "freq", "tfe"):
         runner.STAGES[stage].run(cold_cfg, cold)
     assert cold.available_stages() == {"data", "freq", "tfe"}
+
+
+def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
+    from brainvis_forge.align.model import AlignmentNet
+    from brainvis_forge.diffusion.denoiser import DenoiserNet
+    from brainvis_forge.freq.train import FreqClassifier
+    from brainvis_forge.fusion.model import TfeModel
+    from brainvis_forge.lmm.train import LmmModels
+    from brainvis_forge.pipeline import runner
+
+    saved = {}
+    save_stage = runner.save_stage
+
+    def recording(cfg, paths, stage, history, model, extras=None, meta=None):
+        saved[stage] = model
+        save_stage(cfg, paths, stage, history, model, extras, meta)
+
+    monkeypatch.setattr(runner, "save_stage", recording)
+    cfg = tiny_config(diffusion_steps=4, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 1, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "lmm", "freq", "tfe", "align", "diffusion"):
+        runner.STAGES[stage].run(cfg, paths)
+
+    expected = {
+        "lmm": (LmmModels, set()),
+        "freq": (FreqClassifier, {"spectrum_scale"}),
+        "tfe": (TfeModel, {"spectrum_scale"}),
+        "align": (AlignmentNet, set()),
+        "diffusion": (DenoiserNet, set()),
+    }
+    assert set(saved) == set(expected)
+    for stage, (kind, extras) in expected.items():
+        model, tensors = saved[stage], runner.load_stage(paths, stage).tensors
+        assert isinstance(model, kind)
+        params = dict(model.named_parameters("model/"))
+        assert set(tensors) == set(params) | extras
+        for name, t in params.items():
+            assert tensors[name].tobytes() == t.data.tobytes()
+    assert {k.split(".")[0] for k in dict(saved["lmm"].named_parameters())} == {"projector", "encoder", "predictor"}
+
+
+def test_tfe_rejects_an_lmm_checkpoint_in_the_old_optimizer_layout(tmp_path):
+    from brainvis_forge.pipeline import runner
+    from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
+
+    cfg = tiny_config(epochs={**tiny_config().epochs, "lmm": 1, "freq": 1})
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "lmm", "freq"):
+        runner.STAGES[stage].run(cfg, paths)
+    lmm = load_checkpoint(paths.checkpoint("lmm"))
+    old = {"opt/param/" + k.removeprefix("model/"): v for k, v in lmm.tensors.items()}
+    save_checkpoint(paths.checkpoint("lmm"), CheckpointArchive(old, "lmm", lmm.config))
+    with pytest.raises(KeyError, match="model/projector[.]"):
+        runner.run_finetune_tfe(cfg, paths)
 
 
 def test_no_time_tfe_has_no_time_branch(tmp_path):
