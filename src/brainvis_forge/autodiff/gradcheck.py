@@ -131,14 +131,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         out = ops.multi_head_attention(ts[0], ts[1], *ts[2:], n_heads=n_heads)
         return tsum(mul(out, w_sum_cross))
 
-    lstm_inputs = [r((3, 4)), r((3, 6)), r((3, 6)), r((4, 24)) * 0.5, r((6, 24)) * 0.5, r(24) * 0.1]
-    w_h_out = Tensor(r((3, 6)))
-    w_c_out = Tensor(r((3, 6)))
-
-    def lstm_loss(ts):
-        h, c = ops.lstm_cell(*ts)
-        return tsum(mul(h, w_h_out)) + tsum(mul(c, w_c_out))
-
+    lstm_inputs = [r((2, 3, 4, 3)), r((3, 20)) * 0.5, r((5, 20)) * 0.5, r(20) * 0.1]
     ln_inputs = [r((4, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
     ce_logits = [r((5, 9))]
     ce_target = _one_hot(rng, 5, 9)
@@ -177,7 +170,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "layer_norm": probe(lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]), ln_inputs, (4, 7)),
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
-        "lstm_cell": (lstm_loss, lstm_inputs),
+        "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),
         "mse_loss": (lambda ts: ops.mse_loss(ts[0], ts[1]), [r((4, 5)), r((4, 5))]),
         "cross_entropy": (lambda ts: ops.cross_entropy(ts[0], Tensor(ce_target)), ce_logits),
         "cosine_similarity": (lambda ts: ops.cosine_similarity(ts[0], ts[1]), [r(9) + 0.1, r(9) + 0.1]),

@@ -8,8 +8,6 @@ import numpy as np
 
 from . import ops
 from .tensor import ShapeError, Tensor, gelu
-from .tensor import narrow as t_narrow
-from .tensor import reshape as t_reshape
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None, dtype=np.float32) -> np.ndarray:
@@ -144,9 +142,10 @@ class CrossAttentionBlock(Module):
 
 
 class LstmEncoder(Module):
-    """Single-layer gated recurrence; returns the final hidden state.
+    """Single-layer gated recurrence over axis -2; returns the final hidden state.
 
-    Input (..., T, d_in) is consumed one step at a time along axis -2.
+    Input (..., T, d_in) goes through `ops.lstm_sequence`, which runs the
+    whole recurrence as one tape entry and returns (..., d_hidden).
     Forget-gate bias starts at 1 to keep early memory open.
     """
 
@@ -160,13 +159,6 @@ class LstmEncoder(Module):
         self.bias = Tensor(bias, requires_grad=True)
 
     def __call__(self, seq: Tensor) -> Tensor:
-        *lead, n_steps, d_in = seq.shape
-        if d_in != self.d_in:
-            raise ShapeError(f"LstmEncoder: input dim {d_in} does not match weights ({self.d_in})")
-        dtype = self.w_x.data.dtype
-        h = Tensor(np.zeros(tuple(lead) + (self.d_hidden,), dtype=dtype))
-        c = Tensor(np.zeros(tuple(lead) + (self.d_hidden,), dtype=dtype))
-        for t in range(n_steps):
-            x_t = t_reshape(t_narrow(seq, -2, t, 1), tuple(lead) + (d_in,))
-            h, c = ops.lstm_cell(x_t, h, c, self.w_x, self.w_h, self.bias)
-        return h
+        if seq.shape[-1] != self.d_in:
+            raise ShapeError(f"LstmEncoder: input dim {seq.shape[-1]} does not match weights ({self.d_in})")
+        return ops.lstm_sequence(seq, self.w_x, self.w_h, self.bias)

@@ -1,4 +1,5 @@
-"""Composite differentiable operations built from the tensor primitives.
+"""Composite differentiable operations built from the tensor primitives, plus
+`lstm_sequence`, a fused recurrence that records one tape entry of its own.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -13,6 +14,10 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
+    _make,
+    _require_finite,
+    _sigmoid,
+    _tracks,
     add,
     as_tensor,
     concat,
@@ -20,16 +25,13 @@ from .tensor import (
     log_softmax,
     matmul,
     mul,
-    narrow,
     power,
     reshape,
-    sigmoid,
     softmax,
     sqrt,
     sub,
     swapaxes,
     take,
-    tanh,
     tmean,
     tsum,
 )
@@ -103,32 +105,89 @@ def multi_head_attention(
     return linear(mixed, w_o, b_o)
 
 
-def lstm_cell(
-    x: Tensor,
-    h: Tensor,
-    c: Tensor,
-    w_x: Tensor,
-    w_h: Tensor,
-    bias: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """One gated-recurrence step; gate blocks ordered input, forget, cell, output.
+def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor:
+    """Final hidden state of a gated recurrence run along axis -2, as one tape entry.
 
-    x: (..., d_in); h, c: (..., d_h); w_x: (d_in, 4*d_h); w_h: (d_h, 4*d_h).
-    Returns (h_next, c_next).
+    seq: (..., T, d_in); w_x: (d_in, 4*d_h); w_h: (d_h, 4*d_h); bias: (4*d_h,).
+    Gate blocks are ordered input, forget, cell, output; h and c start at
+    zero.  Returns h_T, shape (..., d_h).
+
+    Every step's input projection is one GEMM hoisted out of the loop
+    (Appleyard et al., arXiv:1604.01946) into a time-major (T, B, 4*d_h)
+    buffer.  Step t adds h_{t-1} @ w_h into its own row and activates all
+    4*d_h gates with one tanh, overwriting the row with the gates.  The
+    backward is closed-form BPTT over the saved gates, cells and tanh(cells).
+    Every step's pre-activation (at t = 0, the projection row itself) is
+    checked finite; past it every value is bounded (gates in [-1, 1],
+    |c_t| <= t + 1).
     """
-    d_h = h.shape[-1]
-    if w_x.shape[-1] != 4 * d_h or w_h.shape[-1] != 4 * d_h:
+    seq, w_x, w_h, bias = (as_tensor(t) for t in (seq, w_x, w_h, bias))
+    if seq.ndim < 2:
+        raise ShapeError(f"lstm_sequence: input must be (..., T, d_in), got {seq.shape}")
+    *lead, n_steps, d_in = seq.shape
+    d_h = w_h.shape[0]
+    if w_x.shape != (d_in, 4 * d_h) or w_h.shape != (d_h, 4 * d_h) or bias.shape != (4 * d_h,):
         raise ShapeError(
-            f"lstm_cell: gate weights {w_x.shape}/{w_h.shape} inconsistent with hidden size {d_h}"
+            f"lstm_sequence: gate weights {w_x.shape}/{w_h.shape}/{bias.shape} inconsistent "
+            f"with input size {d_in} and hidden size {d_h}"
         )
-    z = add(add(matmul(x, w_x), matmul(h, w_h)), bias)
-    i = sigmoid(narrow(z, -1, 0, d_h))
-    f = sigmoid(narrow(z, -1, d_h, d_h))
-    g = tanh(narrow(z, -1, 2 * d_h, d_h))
-    o = sigmoid(narrow(z, -1, 3 * d_h, d_h))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
+    batch = math.prod(lead)
+    x = np.swapaxes(seq.data.reshape(batch, n_steps, d_in), 0, 1).reshape(n_steps * batch, d_in)
+    gates = np.matmul(x, w_x.data).reshape(n_steps, batch, 4 * d_h)
+    gates += bias.data
+    scale = np.full(4 * d_h, 0.5, dtype=gates.dtype)  # sigmoid blocks; tanh for the cell block
+    scale[2 * d_h : 3 * d_h] = 1.0
+    blocks = gates.reshape(n_steps, batch, 4, d_h)
+    # cells and tanh(cells) are kept for every step only when a backward can
+    # read them; otherwise one row is reused (row t % kept)
+    kept = n_steps if _tracks((seq, w_x, w_h, bias)) else 1
+    cells = np.empty((kept, batch, d_h), dtype=gates.dtype)
+    tanh_c = np.empty_like(cells)
+    h = c = np.zeros((batch, d_h), dtype=gates.dtype)
+    for t in range(n_steps):
+        z = gates[t]
+        if t:
+            z += h @ w_h.data
+        _require_finite("lstm_sequence", z)
+        _sigmoid(z, scale, out=z)
+        i, f, g, o = (blocks[t, :, k] for k in range(4))
+        c = np.multiply(f, c, out=cells[t % kept])
+        c += i * g
+        h = o * np.tanh(c, out=tanh_c[t % kept])
+
+    def bw(g_out):
+        dz = np.empty_like(gates)
+        dz_blocks = dz.reshape(n_steps, batch, 4, d_h)
+        w_h_t = np.ascontiguousarray(w_h.data.T)
+        dh = g_out.reshape(batch, d_h)
+        dc = np.zeros_like(dh)
+        for t in range(n_steps - 1, -1, -1):
+            i, f, g, o = (blocks[t, :, k] for k in range(4))
+            d_i, d_f, d_g, d_o = (dz_blocks[t, :, k] for k in range(4))
+            dc = dc + dh * o * (1 - tanh_c[t] * tanh_c[t])
+            # d(gate)/d(pre-activation) times the gate's factor in c_t or h_t,
+            # scaled by dc or dh; the sigmoid form is overwritten for the cell block
+            np.multiply(gates[t], 1 - gates[t], out=dz[t])
+            np.multiply(i, 1 - g * g, out=d_g)
+            d_i *= g
+            d_f *= cells[t - 1] if t else 0.0
+            dz_blocks[t, :, :3] *= dc[:, None]
+            d_o *= tanh_c[t] * dh
+            if t:
+                dc = dc * f
+                dh = dz[t] @ w_h_t
+        flat = dz.reshape(n_steps * batch, 4 * d_h)
+        h_prev = (blocks[:-1, :, 3] * tanh_c[:-1]).reshape(-1, d_h)
+        g_w_x = x.T @ flat
+        g_w_h = h_prev.T @ flat[batch:]
+        g_bias = flat.sum(axis=0)
+        g_seq = None
+        if seq.requires_grad:
+            g_x = (flat @ w_x.data.T).reshape(n_steps, batch, d_in)
+            g_seq = np.swapaxes(g_x, 0, 1).reshape(seq.shape)
+        return g_seq, g_w_x, g_w_h, g_bias
+
+    return _make("lstm_sequence", (seq, w_x, w_h, bias), h.reshape(tuple(lead) + (d_h,)), bw)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

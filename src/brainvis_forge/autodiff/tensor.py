@@ -32,7 +32,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _require_finite(op: str, data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: output contains NaN or Inf")
 
 
@@ -194,13 +194,18 @@ def as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _tracks(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op over `inputs` is recorded: tracking is on and any input needs grad."""
+    return _TAPE.enabled and any(t.requires_grad for t in inputs)
+
+
 def _make(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    """Wrap an op result, recording it when tracking is on and any input needs grad."""
+    """Wrap an op result, recording it when `_tracks(inputs)`."""
     _require_finite(op, out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    track = _TAPE.enabled and any(t.requires_grad for t in inputs)
+    track = _tracks(inputs)
     out.requires_grad = track
     if track:
         _TAPE.record(TapeEntry(op, inputs, out, backward_fn))
@@ -446,14 +451,24 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(x: np.ndarray, s=0.5, out: np.ndarray | None = None) -> np.ndarray:
+    """s * tanh(s * x) + (1 - s), written into `out` when it is given.
+
+    At s = 0.5 this is the logistic sigmoid as 0.5 * (1 + tanh(0.5 * x)): no
+    exp, so no overflow and no sign masks at any finite x.  At s = 1 it is
+    tanh itself, so an array `s` broadcasting over the last axis activates a
+    row of mixed sigmoid and tanh gates with one tanh call.
+    """
+    out = np.multiply(x, s, out=out)
+    np.tanh(out, out=out)
+    out *= s
+    out += 1 - s
+    return out
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(a.data)
     return _make("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 

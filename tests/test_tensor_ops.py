@@ -7,13 +7,22 @@ from brainvis_forge.autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    active_tape,
+    backward,
     concat,
     matmul,
     narrow,
+    no_grad,
+    reshape,
+    sigmoid,
     softmax,
     take,
+    tanh,
+    tsum,
 )
 from brainvis_forge.autodiff import ops
+from brainvis_forge.autodiff.nn import LstmEncoder
+from brainvis_forge.autodiff.tensor import add, mul
 
 
 def test_matmul_identity():
@@ -81,17 +90,119 @@ def test_cosine_similarity_rejects_zero_norm():
         ops.cosine_similarity(Tensor(np.zeros(4)), Tensor(np.ones(4)))
 
 
-def test_lstm_cell_zero_weights_give_zero_hidden():
-    h, c = ops.lstm_cell(
-        Tensor(np.ones((2, 3))),
-        Tensor(np.zeros((2, 5))),
-        Tensor(np.zeros((2, 5))),
+def test_lstm_sequence_zero_weights_give_zero_hidden():
+    h = ops.lstm_sequence(
+        Tensor(np.ones((2, 4, 3))),
         Tensor(np.zeros((3, 20))),
         Tensor(np.zeros((5, 20))),
         Tensor(np.zeros(20)),
     )
     np.testing.assert_array_equal(h.data, np.zeros((2, 5)))
-    np.testing.assert_array_equal(c.data, np.zeros((2, 5)))
+
+
+def test_lstm_sequence_rejects_inconsistent_gate_weights():
+    seq = Tensor(np.ones((2, 4, 3)))
+    with pytest.raises(ShapeError, match="lstm_sequence: gate weights"):
+        ops.lstm_sequence(seq, Tensor(np.zeros((3, 16))), Tensor(np.zeros((5, 20))), Tensor(np.zeros(20)))
+
+
+def _unfused_lstm(seq, w_x, w_h, bias):
+    """Reference: the recurrence one step at a time from single tape ops."""
+    *lead, n_steps, _ = seq.shape
+    d_h = w_h.shape[0]
+    h = c = Tensor(np.zeros(tuple(lead) + (1, d_h)))
+    for t in range(n_steps):
+        z = add(add(matmul(narrow(seq, -2, t, 1), w_x), matmul(h, w_h)), bias)
+        i, f, g, o = (narrow(z, -1, k * d_h, d_h) for k in range(4))
+        c = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
+        h = mul(sigmoid(o), tanh(c))
+    return reshape(h, tuple(lead) + (d_h,))
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("n_steps", [1, 5])
+def test_lstm_sequence_matches_unfused_steps(lead, n_steps):
+    rng = np.random.default_rng(len(lead) * 10 + n_steps)
+    d_in, d_h = 4, 6
+    arrays = [
+        rng.standard_normal(lead + (n_steps, d_in)),
+        rng.standard_normal((d_in, 4 * d_h)) * 0.5,
+        rng.standard_normal((d_h, 4 * d_h)) * 0.5,
+        rng.standard_normal(4 * d_h) * 0.1,
+    ]
+    weights = rng.standard_normal(lead + (d_h,))
+
+    def run(fn):
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*ts)
+        backward(tsum(mul(out, Tensor(weights))))
+        return [out.data] + [t.grad for t in ts]
+
+    for fused, ref in zip(run(ops.lstm_sequence), run(_unfused_lstm)):
+        assert fused.shape == ref.shape
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+
+
+def test_lstm_encoder_forward_is_one_tape_entry():
+    enc = LstmEncoder(8, 16, np.random.default_rng(0))
+    tape = active_tape()
+    before = len(tape)
+    out = enc(Tensor(np.random.default_rng(1).standard_normal((3, 7, 8)).astype(np.float32)))
+    assert len(tape) == before + 1
+    assert tape.entries[-1].op == "lstm_sequence"
+    backward(tsum(out))
+
+
+def _lstm_arrays(seed):
+    rng = np.random.default_rng(seed)
+    return [
+        rng.standard_normal((3, 6, 4)).astype(np.float32),
+        (rng.standard_normal((4, 32)) * 0.5).astype(np.float32),
+        (rng.standard_normal((8, 32)) * 0.5).astype(np.float32),
+        (rng.standard_normal(32) * 0.1).astype(np.float32),
+    ]
+
+
+def _lstm_grads(arrays):
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    backward(tsum(ops.lstm_sequence(*ts)))
+    return [t.grad for t in ts]
+
+
+def test_lstm_sequence_untracked_forward_matches_recorded_one():
+    arrays = _lstm_arrays(6)
+    recorded = ops.lstm_sequence(*(Tensor(a, requires_grad=True) for a in arrays))
+    with no_grad():
+        untracked = ops.lstm_sequence(*(Tensor(a, requires_grad=True) for a in arrays))
+    np.testing.assert_array_equal(untracked.data, recorded.data)
+    backward(tsum(recorded))
+
+
+@pytest.mark.parametrize("overflow", ["projection", "recurrence"])
+def test_lstm_sequence_overflow_raises_and_leaves_tape_clean(overflow):
+    clean = _lstm_grads(_lstm_arrays(4))
+    seq, w_x, w_h, bias = _lstm_arrays(5)
+    if overflow == "projection":
+        seq, w_x = seq * np.float32(1e10), w_x * np.float32(1e30)
+    else:  # the projection stays finite; h_{t-1} @ w_h overflows in the recurrence
+        w_h = np.full_like(w_h, 3e38)
+    tape = active_tape()
+    before = len(tape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="lstm_sequence"):
+            ops.lstm_sequence(Tensor(seq, requires_grad=True), Tensor(w_x, requires_grad=True),
+                              Tensor(w_h, requires_grad=True), Tensor(bias, requires_grad=True))
+    assert len(tape) == before
+    for after, ref in zip(_lstm_grads(_lstm_arrays(4)), clean):
+        np.testing.assert_array_equal(after, ref)
+
+
+@pytest.mark.parametrize("dtype, x", [(np.float32, 100.0), (np.float64, 1000.0)])
+def test_sigmoid_saturates_without_overflow(dtype, x):
+    with np.errstate(all="raise"):
+        out = sigmoid(Tensor(np.array([-x, x], dtype=dtype))).data
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, [0.0, 1.0])
 
 
 def test_mse_loss_hand_value():
