@@ -171,10 +171,16 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
         "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),
+        # every input requires grad here, the target included
         "mse_loss": (lambda ts: ops.mse_loss(ts[0], ts[1]), [r((4, 5)), r((4, 5))]),
         "cross_entropy": (lambda ts: ops.cross_entropy(ts[0], Tensor(ce_target)), ce_logits),
         "cosine_similarity": (lambda ts: ops.cosine_similarity(ts[0], ts[1]), [r(9) + 0.1, r(9) + 0.1]),
+        "linear": probe(lambda ts: ops.linear(*ts), [r((4, 6)), r((6, 5)), r(5)], (4, 5)),
+        "linear_batched": probe(lambda ts: ops.linear(*ts), [r((3, 4, 6)), r((6, 5)), r(5)], (3, 4, 5)),
+        "linear_no_bias": probe(lambda ts: ops.linear(*ts), [r((3, 4, 6)), r((6, 5))], (3, 4, 5)),
     }
+    fixed_target = Tensor(r((4, 5)))
+    catalog["mse_loss_fixed_target"] = (lambda ts: ops.mse_loss(ts[0], fixed_target), [r((4, 5))])
     return catalog
 
 

@@ -45,7 +45,9 @@ class Module:
         return {name: t.data.copy() for name, t in self.named_parameters(prefix)}
 
     def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Copy in the parameters stored under `prefix`; other keys are ignored."""
+        """Copy the parameters stored under `prefix` into the existing arrays;
+        other keys are ignored.  The copy is in place, so a parameter that
+        lives in a `ParamStore` arena stays there."""
         own = dict(self.named_parameters(prefix))
         missing = set(own) - set(state)
         if missing:
@@ -54,7 +56,7 @@ class Module:
             arr = np.asarray(state[name], dtype=tensor.data.dtype)
             if arr.shape != tensor.shape:
                 raise ShapeError(f"load_state: {name} expects {tensor.shape}, got {arr.shape}")
-            tensor.data = arr.copy()
+            tensor.data[...] = arr
 
 
 class Linear(Module):

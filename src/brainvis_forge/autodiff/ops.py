@@ -1,5 +1,6 @@
 """Composite differentiable operations built from the tensor primitives, plus
-`lstm_sequence`, a fused recurrence that records one tape entry of its own.
+fused ones that each record one tape entry of their own: `linear` with a
+bias, `mse_loss` and `lstm_sequence`, the whole gated recurrence.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -15,9 +16,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     _make,
+    _matmul_data,
+    _matmul_grads,
     _require_finite,
     _sigmoid,
     _tracks,
+    _unbroadcast,
     add,
     as_tensor,
     concat,
@@ -38,11 +42,24 @@ from .tensor import (
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight (+ bias).  x: (..., n, d_in), weight: (d_in, d_out)."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    """x @ weight (+ bias).  x: (..., n, d_in), weight: (d_in, d_out).
+
+    With a bias this is one tape entry whose backward is the matmul's plus
+    the bias add's.  Only the biased output is checked finite: the bias is
+    finite, so a NaN or Inf in the product always reaches it.
+    """
+    if bias is None:
+        return matmul(x, weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    prod = _matmul_data("linear", x, weight)
+    try:
+        out = prod + bias.data
+    except ValueError as exc:
+        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {prod.shape}") from exc
+    return _make(
+        "linear", (x, weight, bias), out,
+        lambda g: (*_matmul_grads(g, x, weight), _unbroadcast(g, bias.shape)),
+    )
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -191,13 +208,21 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
+    """Mean squared error over all elements, as one tape entry."""
     pred = as_tensor(pred)
     target = as_tensor(target, pred)
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss: shapes {pred.shape} and {target.shape} differ")
-    diff = sub(pred, target)
-    return tmean(mul(diff, diff))
+    diff = pred.data - target.data
+
+    def bw(g):
+        # d(mean(diff^2))/d(diff) as the two product paths it sums: gd + gd
+        gd = (g / diff.size) * diff
+        g_pred = gd + gd
+        return g_pred, -g_pred if target.requires_grad else None
+
+    # a NaN or Inf in diff or diff^2 (all >= 0) carries into the checked mean
+    return _make("mse_loss", (pred, target), np.asarray((diff * diff).mean()), bw)
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:

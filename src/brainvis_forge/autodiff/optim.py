@@ -1,6 +1,15 @@
 """Named parameter store with Adam state, the Adam update, and the loop every
 trainer shares: `ParamStore.step` (clear grads, backpropagate, Adam),
-`train_epoch` (one shuffled-minibatch pass) and `predict` (tape-off batches)."""
+`train_epoch` (one shuffled-minibatch pass) and `predict` (tape-off batches).
+
+A store keeps its parameters and both Adam moments in one flat arena each:
+every registered tensor's `.data` is a reshaped view into the parameter
+buffer, and `adam_step` updates the arena in place with a fixed sequence of
+ufuncs.  The arena is (re)built on the first step after a `register`.  Rule:
+no code rebinds a registered parameter's `.data`; write into it
+(`t.data[...] = x`) instead.  A rebound tensor would be a detached copy the
+store no longer trains, so `adam_step` raises on one.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from .tensor import ShapeError, Tensor, backward, no_grad
 
 
 class ParamStore:
-    """Named trainable tensors plus per-parameter first/second moments.
+    """Named trainable tensors of one dtype, plus their Adam moments.
 
     Tensors are shared with the owning modules, so an update here is visible
     to every forward pass that uses them.  `ParamStore(**modules)` registers
@@ -22,8 +31,11 @@ class ParamStore:
 
     def __init__(self, **modules: Module):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        # (name, tensor, lo, hi) per parameter in registration order, over
+        # the flat buffers: parameters, first and second moments, and two
+        # scratch buffers (the gradient, reused as the update, and one more).
+        self._layout: list[tuple[str, Tensor, int, int]] = []
+        self._p = self._m = self._v = self._g = self._s = np.zeros(0)
         self.step_count = 0
         for prefix, module in modules.items():
             self.register_module(prefix, module)
@@ -31,9 +43,10 @@ class ParamStore:
     def register(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
             raise ValueError(f"ParamStore: duplicate parameter name {name!r}")
+        dtype = next(iter(self._params.values())).dtype if self._params else tensor.dtype
+        if tensor.dtype != dtype:
+            raise TypeError(f"ParamStore: {name} is {tensor.dtype}, but the store holds {dtype} parameters")
         self._params[name] = tensor
-        self._m[name] = np.zeros_like(tensor.data)
-        self._v[name] = np.zeros_like(tensor.data)
         return tensor
 
     def register_module(self, prefix: str, module: Module) -> None:
@@ -61,6 +74,37 @@ class ParamStore:
         adam_step(self, self.collect_grads(), lr, trainable=trainable)
         return loss.item()
 
+    def _arena(self) -> list[tuple[str, Tensor, int, int]]:
+        """The layout, after checking that no tensor left the arena; a tensor
+        registered since the last step triggers a rebuild."""
+        for name, t, _, _ in self._layout:
+            if t.data.base is not self._p:
+                raise RuntimeError(
+                    f"ParamStore: {name}.data was rebound outside the parameter arena; "
+                    f"write into it (t.data[...] = x) so the store keeps training it"
+                )
+        if len(self._layout) < len(self._params):
+            self._build()
+        return self._layout
+
+    def _build(self) -> None:
+        """Copy every parameter into fresh buffers and rebind its `.data` to a
+        view; earlier parameters keep their offsets and moments."""
+        dtype = next(iter(self._params.values())).dtype
+        n = sum(t.size for t in self._params.values())
+        p, m, v = np.empty(n, dtype=dtype), np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
+        m[: self._m.size] = self._m
+        v[: self._v.size] = self._v
+        self._layout = []
+        lo = 0
+        for name, t in self._params.items():
+            hi = lo + t.size
+            p[lo:hi] = t.data.reshape(-1)
+            t.data = p[lo:hi].reshape(t.shape)
+            self._layout.append((name, t, lo, hi))
+            lo = hi
+        self._p, self._m, self._v, self._g, self._s = p, m, v, np.empty_like(p), np.empty_like(p)
+
 
 def adam_step(
     store: ParamStore,
@@ -75,6 +119,10 @@ def adam_step(
 
     `trainable`, when given, is the set of parameters that must receive a
     gradient this step; a missing one is an error rather than a silent skip.
+    A parameter without a gradient keeps its value and moments.  The update
+    runs once per contiguous run of parameters that have a gradient, in the
+    operation order of the per-tensor formula
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so results are bit-equal to it.
     """
     unknown = set(grads) - set(store._params)
     if unknown:
@@ -84,19 +132,39 @@ def adam_step(
         if missing:
             raise KeyError(f"adam_step: trainable parameters missing gradients: {sorted(missing)}")
 
+    runs: list[list[int]] = []
+    for name, p, lo, hi in store._arena():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if g.shape != p.shape:
+            raise ShapeError(f"adam_step: gradient for {name} has shape {g.shape}, expected {p.shape}")
+        store._g[lo:hi] = g.reshape(-1)
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name, g in grads.items():
-        p = store._params[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: gradient for {name} has shape {g.shape}, expected {p.shape}")
-        g = g.astype(p.data.dtype, copy=False)
-        m = store._m[name] = beta1 * store._m[name] + (1.0 - beta1) * g
-        v = store._v[name] = beta2 * store._v[name] + (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.data = p.data - lr * update
+    for lo, hi in runs:
+        p, m, v, g, s = (buf[lo:hi] for buf in (store._p, store._m, store._v, store._g, store._s))
+        np.multiply(g, 1.0 - beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
+        m *= beta1
+        m += s
+        np.multiply(g, g, out=s)  # v = beta2 * v + (1 - beta2) * g^2
+        s *= 1.0 - beta2
+        v *= beta2
+        v += s
+        np.divide(v, bc2, out=s)  # s = sqrt(v / bc2) + eps
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, bc1, out=g)  # g = lr * (m / bc1) / s
+        g /= s
+        g *= lr
+        p -= g
     return store
 
 

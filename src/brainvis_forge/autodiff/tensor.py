@@ -6,7 +6,8 @@ in reverse execution order, which is a valid topological order, so each node
 is visited exactly once and leaf gradients accumulate additively.
 
 Forward values are never mutated in place; every op allocates a fresh output
-array.  Any op whose output contains NaN or Inf raises immediately.
+array.  (Parameters are updated in place by `adam_step`, after the backward
+that reads them.)  Any op whose output contains NaN or Inf raises immediately.
 """
 
 from __future__ import annotations
@@ -298,20 +299,25 @@ def power(a: Tensor, p: float) -> Tensor:
 # matmul and shape ops
 
 
+def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"{op}: operands must have ndim >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"{op}: inner dimensions differ, {a.shape} @ {b.shape}")
+    return np.matmul(a.data, b.data)
+
+
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
+    """Gradients of a @ b for the operands that require one (None otherwise)."""
+    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must have ndim >= 2, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _make("matmul", (a, b), out, bw)
+    out = _matmul_data("matmul", a, b)
+    return _make("matmul", (a, b), out, lambda g: _matmul_grads(g, a, b))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -3,7 +3,7 @@
 from .bvd import load_dataset, write_dataset
 from .images import make_image, make_image_set
 from .records import DatasetHeader, DatasetSplit, EegDataset, EegRecord, zscore_channels
-from .segment import flatten_units, reassemble_units, segment_units
+from .segment import flatten_units, segment_units
 from .split import split_by_image
 from .synthetic import SyntheticGenSpec, generate_synthetic
 
@@ -18,7 +18,6 @@ __all__ = [
     "load_dataset",
     "make_image",
     "make_image_set",
-    "reassemble_units",
     "segment_units",
     "split_by_image",
     "write_dataset",

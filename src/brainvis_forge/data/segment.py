@@ -20,12 +20,6 @@ def segment_units(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(*lead, c, n, l // n).swapaxes(-3, -2)
 
 
-def reassemble_units(units: np.ndarray) -> np.ndarray:
-    """Inverse of segment_units: (..., n, c, w) back to (..., c, n*w)."""
-    *lead, n, c, w = units.shape
-    return units.swapaxes(-3, -2).reshape(*lead, c, n * w)
-
-
 def flatten_units(units: np.ndarray) -> np.ndarray:
     """Row-major flatten of each (c, w) unit: (..., n, c, w) -> (..., n, c*w)."""
     return units.reshape(*units.shape[:-2], -1)

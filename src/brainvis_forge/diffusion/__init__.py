@@ -2,7 +2,7 @@
 
 from .cascade import CascadeConfig, GenerationProvenance, RowNoise, generate_samples, refine_stage2, sample_stage1
 from .ddpm import DenoiserTrainResult, reverse_step, train_denoiser, x0_estimate
-from .denoiser import DenoiserNet, OracleDenoiser, timestep_embedding
+from .denoiser import DenoiserNet, timestep_embedding
 from .ppm import latent_to_rgb, read_ppm, sample_filename, write_ppm
 from .schedule import NoiseSchedule, forward_diffuse
 
@@ -12,7 +12,6 @@ __all__ = [
     "DenoiserTrainResult",
     "GenerationProvenance",
     "NoiseSchedule",
-    "OracleDenoiser",
     "RowNoise",
     "forward_diffuse",
     "generate_samples",

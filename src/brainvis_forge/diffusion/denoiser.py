@@ -1,11 +1,9 @@
-"""Noise predictors for the reverse chain.
+"""The noise predictor for the reverse chain.
 
-The trainable one is a token-mixing MLP over the flattened latent with
+It is a token-mixing MLP over the flattened latent with
 sinusoidal timestep features and an additive projection of the condition
 vector.  Two condition pathways share it: the aligned semantic embedding and
-a learned per-class embedding table.  The oracle variant knows the clean
-target and inverts the forward noising exactly; it anchors the algebra tests
-and the memorization cascade.
+a learned per-class embedding table.
 """
 
 from __future__ import annotations
@@ -15,17 +13,17 @@ import numpy as np
 from ..autodiff import Tensor, gelu, no_grad, take
 from ..autodiff.nn import Linear, Module, normal_init
 from ..autodiff.tensor import mul
-from .schedule import NoiseSchedule
 
 TIME_EMBED_DIM = 32
+_HALF = TIME_EMBED_DIM // 2
+# float64 frequencies max_period^(-k / half), k < half, with max_period 10,000
+_TIME_FREQS = np.exp(-np.log(10_000.0) * np.arange(_HALF) / _HALF)
 
 
-def timestep_embedding(t: np.ndarray, dim: int = TIME_EMBED_DIM, max_period: float = 10_000.0) -> np.ndarray:
-    """Sinusoidal features of integer timesteps: (B,) -> (B, dim)."""
+def timestep_embedding(t: np.ndarray) -> np.ndarray:
+    """Sinusoidal features of integer timesteps: (B,) -> (B, TIME_EMBED_DIM)."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
-    half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
-    args = t[:, None] * freqs[None, :]
+    args = t[:, None] * _TIME_FREQS[None, :]
     return np.concatenate([np.sin(args), np.cos(args)], axis=1).astype(np.float32)
 
 
@@ -96,18 +94,3 @@ class DenoiserNet(Module):
             )
         return out.data.reshape(x.shape).astype(np.float64)
 
-
-class OracleDenoiser:
-    """Knows the clean latent; returns the exact noise consistent with x_t.
-
-    eps = (x_t - sqrt(alpha_bar_t) * x0) / sqrt(1 - alpha_bar_t).  Ignores the
-    condition, which makes it a pure algebra probe for the reverse chain.
-    """
-
-    def __init__(self, x0: np.ndarray, schedule: NoiseSchedule):
-        self.x0 = np.asarray(x0, dtype=np.float64)
-        self.schedule = schedule
-
-    def predict(self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
-        ab = self.schedule.alpha_bars[t]
-        return (np.asarray(x_t, dtype=np.float64) - np.sqrt(ab) * self.x0) / np.sqrt(1.0 - ab)

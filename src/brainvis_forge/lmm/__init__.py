@@ -3,7 +3,7 @@
 from .loss import lmm_loss
 from .masking import MaskPlan, make_mask_plan
 from .model import MaskedPredictor, Teacher, UnitProjector, VisibleEncoder, teacher_update
-from .tokenizer import Codebook, tokenize
+from .tokenizer import Codebook
 from .train import LmmModels, LmmTrainResult, build_lmm_models, lmm_step, prepare_units, train_lmm
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "make_mask_plan",
     "prepare_units",
     "teacher_update",
-    "tokenize",
     "train_lmm",
 ]

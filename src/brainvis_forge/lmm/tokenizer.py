@@ -38,8 +38,3 @@ class Codebook:
         out = np.zeros((len(indices), self.n_entries), dtype=dtype)
         out[np.arange(len(indices)), indices] = 1.0
         return out
-
-
-def tokenize(codebook: Codebook, flat_units: np.ndarray) -> np.ndarray:
-    """One-hot codewords for raw masked units: (m, unit_dim) -> (m, n_t)."""
-    return codebook.one_hot(codebook.assign(flat_units))

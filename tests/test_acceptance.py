@@ -242,12 +242,12 @@ def test_criterion_8_diffusion_algebra():
     from brainvis_forge.diffusion import (
         CascadeConfig,
         NoiseSchedule,
-        OracleDenoiser,
         forward_diffuse,
         refine_stage2,
         sample_stage1,
         x0_estimate,
     )
+    from oracles import OracleDenoiser
 
     with criterion(8, "diffusion: oracle recovery < 1e-5, schedule shape, bit-equal handoff, cascade < 0.05 RMSE"):
         schedule = NoiseSchedule.linear(T=100)

@@ -14,13 +14,13 @@ from brainvis_forge.data import (
     flatten_units,
     generate_synthetic,
     load_dataset,
-    reassemble_units,
     segment_units,
     split_by_image,
     write_dataset,
     zscore_channels,
 )
 from brainvis_forge.lmm.train import prepare_units
+from oracles import reassemble_units
 
 # (R, c, l) shapes for the batched-versus-per-trial checks: odd, prime and
 # single-channel geometries next to the tiny, reference and 2,000-record ones.

@@ -7,7 +7,6 @@ from brainvis_forge.diffusion import (
     CascadeConfig,
     DenoiserNet,
     NoiseSchedule,
-    OracleDenoiser,
     RowNoise,
     forward_diffuse,
     generate_samples,
@@ -20,6 +19,7 @@ from brainvis_forge.diffusion import (
     write_ppm,
     x0_estimate,
 )
+from oracles import OracleDenoiser
 
 
 @pytest.fixture(scope="module")

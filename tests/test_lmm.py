@@ -20,8 +20,8 @@ from brainvis_forge.lmm import (
     lmm_step,
     make_mask_plan,
     prepare_units,
-    tokenize,
 )
+from oracles import tokenize
 
 
 # --- masking ----------------------------------------------------------------

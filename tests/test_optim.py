@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brainvis_forge.autodiff import (
-    ParamStore, Tensor, active_tape, adam_step, backward, no_grad, power, predict, train_epoch, tsum,
+    ParamStore, ShapeError, Tensor, active_tape, adam_step, backward, no_grad, power, predict, train_epoch, tsum,
 )
 from brainvis_forge.autodiff.nn import Linear
 
@@ -115,3 +115,135 @@ def test_keyword_modules_register_like_register_module():
     by_keyword = ParamStore(a=a, b=b)
     assert by_keyword.names() == by_hand.names() == ["a.weight", "a.bias", "b.weight", "b.bias"]
     assert all(by_keyword[n] is by_hand[n] for n in by_hand.names())
+
+
+# --- the flat parameter arena ---------------------------------------------
+
+
+def _per_tensor_adam_step(store, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, trainable=None):
+    """The per-parameter Adam update the arena replaced, kept verbatim as the oracle."""
+    unknown = set(grads) - set(store._params)
+    if unknown:
+        raise KeyError(f"adam_step: gradients for unknown parameters {sorted(unknown)}")
+    if trainable is not None:
+        missing = set(trainable) - set(grads)
+        if missing:
+            raise KeyError(f"adam_step: trainable parameters missing gradients: {sorted(missing)}")
+
+    store.step_count += 1
+    t = store.step_count
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, g in grads.items():
+        p = store._params[name]
+        if g.shape != p.shape:
+            raise ShapeError(f"adam_step: gradient for {name} has shape {g.shape}, expected {p.shape}")
+        g = g.astype(p.data.dtype, copy=False)
+        m = store._m[name] = beta1 * store._m[name] + (1.0 - beta1) * g
+        v = store._v[name] = beta2 * store._v[name] + (1.0 - beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p.data = p.data - lr * update
+    return store
+
+
+class _PerTensorStore:
+    """The state `_per_tensor_adam_step` reads: tensors and their own moments."""
+
+    def __init__(self, values):
+        self._params = {name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+        self._m = {name: np.zeros_like(t.data) for name, t in self._params.items()}
+        self._v = {name: np.zeros_like(t.data) for name, t in self._params.items()}
+        self.step_count = 0
+
+
+SHAPES = {"a": (3, 4), "b": (5,), "c": (2, 3, 2), "d": (), "e": (7, 1)}
+GRADIENT_SUBSETS = {
+    "all present": list(SHAPES),
+    "first missing": list(SHAPES)[1:],
+    "middle missing": ["a", "b", "d", "e"],
+    "last missing": list(SHAPES)[:-1],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_arena_adam_is_bit_equal_to_the_per_tensor_update(dtype):
+    rng = np.random.default_rng(17)
+    values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in SHAPES.items()}
+    arena = ParamStore()
+    for name, v in values.items():
+        arena.register(name, Tensor(v.copy(), requires_grad=True))
+    reference = _PerTensorStore(values)
+    subsets = list(GRADIENT_SUBSETS.values())
+    for step in range(25):
+        names = subsets[rng.integers(len(subsets))]
+        # float64 gradients into float32 parameters on odd steps exercise the cast
+        g_dtype = np.float64 if step % 2 else dtype
+        grads = {n: (rng.standard_normal(SHAPES[n]) * 10.0 ** rng.integers(-3, 2)).astype(g_dtype) for n in names}
+        lr = float(rng.uniform(1e-3, 1e-1))
+        adam_step(arena, {n: g.copy() for n, g in grads.items()}, lr)
+        _per_tensor_adam_step(reference, grads, lr)
+    assert arena.step_count == reference.step_count == 25
+    for name in SHAPES:
+        assert arena[name].data.dtype == reference._params[name].data.dtype == dtype
+        assert arena[name].data.tobytes() == reference._params[name].data.tobytes(), name
+
+
+def _shares_arena(store: ParamStore) -> bool:
+    return all(np.shares_memory(store[n].data, store._p) and store[n].data.base is store._p for n in store.names())
+
+
+def test_parameters_stay_in_the_arena_through_steps_and_load_state():
+    rng = np.random.default_rng(4)
+    layer = Linear(3, 2, rng, dtype=np.float64)
+    store = ParamStore(layer=layer)
+    x = Tensor(rng.standard_normal((5, 3)))
+    store.step(tsum(power(layer(x), 2)), lr=0.01)
+    assert _shares_arena(store)
+    trained = layer.state()
+    layer.load_state({name: np.full_like(arr, 0.5) for name, arr in trained.items()})
+    assert _shares_arena(store)
+    np.testing.assert_array_equal(store["layer.weight"].data, np.full((3, 2), 0.5))
+    for _ in range(3):
+        store.step(tsum(power(layer(x), 2)), lr=0.01)
+    assert _shares_arena(store)
+    assert not np.array_equal(store["layer.weight"].data, np.full((3, 2), 0.5))
+
+
+def test_rebound_parameter_is_an_error_not_a_detached_copy():
+    store = make_store({"w": np.array([1.0, -2.0]), "b": np.zeros(3)})
+    adam_step(store, {"w": np.ones(2), "b": np.ones(3)}, lr=0.1)
+    store["b"].data = store["b"].data.copy()
+    with pytest.raises(RuntimeError, match=r"b\.data was rebound"):
+        adam_step(store, {"w": np.ones(2)}, lr=0.1)
+    assert store.step_count == 1
+
+
+def test_mixed_dtypes_in_one_store_are_rejected():
+    store = make_store({"w": np.zeros(2)})
+    with pytest.raises(TypeError, match="float32.*float64"):
+        store.register("v", Tensor(np.zeros(2, dtype=np.float32), requires_grad=True))
+
+
+def test_registering_after_a_step_keeps_earlier_moments():
+    # b registered late must train exactly as a b that had no gradient so far
+    g_a, g_b = np.array([0.3, -1.2]), np.array([2.0, 0.5, -0.1])
+    early = make_store({"a": np.zeros(2), "b": np.ones(3)})
+    late = make_store({"a": np.zeros(2)})
+    for store in (early, late):
+        for _ in range(3):
+            adam_step(store, {"a": g_a.copy()}, lr=0.05)
+    late.register("b", Tensor(np.ones(3), requires_grad=True))
+    for store in (early, late):
+        for _ in range(3):
+            adam_step(store, {"a": g_a.copy(), "b": g_b.copy()}, lr=0.05)
+    for name in ("a", "b"):
+        assert early[name].data.tobytes() == late[name].data.tobytes()
+    assert _shares_arena(late)
+
+
+def test_shape_error_leaves_the_store_untouched():
+    store = make_store({"w": np.array([1.0, -2.0])})
+    with pytest.raises(ShapeError, match="gradient for w"):
+        adam_step(store, {"w": np.ones(3)}, lr=0.1)
+    assert store.step_count == 0
+    np.testing.assert_array_equal(store["w"].data, [1.0, -2.0])

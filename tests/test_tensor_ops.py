@@ -18,11 +18,12 @@ from brainvis_forge.autodiff import (
     softmax,
     take,
     tanh,
+    tmean,
     tsum,
 )
 from brainvis_forge.autodiff import ops
-from brainvis_forge.autodiff.nn import LstmEncoder
-from brainvis_forge.autodiff.tensor import add, mul
+from brainvis_forge.autodiff.nn import Linear, LstmEncoder
+from brainvis_forge.autodiff.tensor import add, mul, sub
 
 
 def test_matmul_identity():
@@ -208,6 +209,90 @@ def test_sigmoid_saturates_without_overflow(dtype, x):
 def test_mse_loss_hand_value():
     loss = ops.mse_loss(Tensor(np.array([0.0, 0.0, 0.0, 0.0])), Tensor(np.array([1.0, 0.0, 0.0, 0.0])))
     assert loss.item() == pytest.approx(0.25)
+
+
+def _grads_through(fn, arrays, needs_grad, weights=None):
+    """Output and input gradients of fn over float32 tensors; `weights`
+    reduces a non-scalar output to a scalar loss."""
+    ts = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    out = fn(*ts)
+    backward(out if weights is None else tsum(mul(out, Tensor(weights))))
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("x_shape", [(4, 6), (3, 4, 6)])
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_fused_linear_is_bit_equal_to_matmul_plus_bias(x_shape, x_needs_grad):
+    rng = np.random.default_rng(len(x_shape))
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in (x_shape, (6, 5), (5,))]
+    weights = rng.standard_normal(x_shape[:-1] + (5,)).astype(np.float32)
+    needs = (x_needs_grad, True, True)
+    fused = _grads_through(ops.linear, arrays, needs, weights)
+    unfused = _grads_through(lambda x, w, b: add(matmul(x, w), b), arrays, needs, weights)
+    for a, b in zip(fused, unfused):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _unfused_mse(pred, target):
+    """Reference: the mean of diff * diff from single tape ops, diff taken once."""
+    diff = sub(pred, target)
+    return tmean(mul(diff, diff))
+
+
+@pytest.mark.parametrize("target_needs_grad", [True, False])
+def test_fused_mse_loss_is_bit_equal_to_its_composite(target_needs_grad):
+    rng = np.random.default_rng(9)
+    arrays = [rng.standard_normal((5, 7)).astype(np.float32) for _ in range(2)]
+    needs = (True, target_needs_grad)
+    fused = _grads_through(ops.mse_loss, arrays, needs)
+    unfused = _grads_through(_unfused_mse, arrays, needs)
+    for a, b in zip(fused, unfused):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if target_needs_grad:
+        np.testing.assert_array_equal(fused[2], -fused[1])
+
+
+def test_linear_and_mse_loss_are_one_tape_entry_each():
+    rng = np.random.default_rng(2)
+    layer = Linear(6, 5, rng)
+    tape = active_tape()
+    before = len(tape)
+    out = layer(Tensor(rng.standard_normal((4, 6)).astype(np.float32)))
+    loss = ops.mse_loss(out, Tensor(np.zeros((4, 5), dtype=np.float32)))
+    assert [e.op for e in tape.entries[before:]] == ["linear", "mse_loss"]
+    backward(loss)
+
+
+@pytest.mark.parametrize("where, x, w, b", [
+    ("product", np.full((2, 3), 1e30), np.full((3, 4), 1e30), np.zeros(4)),
+    ("bias add", np.full((2, 3), 1.0), np.full((3, 4), 1e38), np.full(4, 3e38)),
+])
+def test_linear_nonfinite_raises_and_leaves_tape_clean(where, x, w, b):
+    tape = active_tape()
+    before = len(tape)
+    tensors = [Tensor(np.asarray(a, dtype=np.float32), requires_grad=True) for a in (x, w, b)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="linear"):
+            ops.linear(*tensors)
+    assert len(tape) == before
+
+
+@pytest.mark.parametrize("where, pred, target", [
+    ("difference", np.full(4, 3e38), np.full(4, -3e38)),
+    ("square", np.full(4, 1e20), np.zeros(4)),
+])
+def test_mse_loss_nonfinite_raises_and_leaves_tape_clean(where, pred, target):
+    tape = active_tape()
+    before = len(tape)
+    tensors = [Tensor(np.asarray(a, dtype=np.float32), requires_grad=True) for a in (pred, target)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="mse_loss"):
+            ops.mse_loss(*tensors)
+    assert len(tape) == before
 
 
 def test_attention_output_shape_and_batch():
