@@ -1,7 +1,7 @@
 """Dataset ingestion, synthetic generation, segmentation, and splitting."""
 
 from .bvd import load_dataset, write_dataset
-from .images import make_image, make_image_set
+from .images import make_image_set
 from .records import DatasetHeader, DatasetSplit, EegDataset, EegRecord, zscore_channels
 from .segment import flatten_units, segment_units
 from .split import split_by_image
@@ -16,7 +16,6 @@ __all__ = [
     "flatten_units",
     "generate_synthetic",
     "load_dataset",
-    "make_image",
     "make_image_set",
     "segment_units",
     "split_by_image",

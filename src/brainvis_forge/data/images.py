@@ -14,15 +14,7 @@ import numpy as np
 def _blocky(rng: np.random.Generator, channels: int, size: int, grid: int = 4) -> np.ndarray:
     coarse = rng.uniform(-1.0, 1.0, size=(channels, grid, grid))
     reps = int(np.ceil(size / grid))
-    up = np.kron(coarse, np.ones((reps, reps)))[:, :size, :size]
-    return up
-
-
-def make_image(class_label: int, image_id: int, size: int = 16, channels: int = 3, seed: int = 0) -> np.ndarray:
-    base_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, class_label]))
-    jitter_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, class_label, image_id]))
-    img = 0.8 * _blocky(base_rng, channels, size) + 0.15 * _blocky(jitter_rng, channels, size, grid=8)
-    return np.clip(img, -1.0, 1.0).astype(np.float32)
+    return coarse.repeat(reps, 1).repeat(reps, 2)[:, :size, :size]
 
 
 def make_image_set(
@@ -35,7 +27,11 @@ def make_image_set(
     """Map image_id -> (image, class_label), ids matching the synthetic EEG layout."""
     out: dict[int, tuple[np.ndarray, int]] = {}
     for k in range(n_classes):
+        base_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, k]))
+        base = 0.8 * _blocky(base_rng, channels, size)
         for j in range(images_per_class):
             image_id = k * images_per_class + j
-            out[image_id] = (make_image(k, image_id, size=size, channels=channels, seed=seed), k)
+            jitter_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, k, image_id]))
+            img = base + 0.15 * _blocky(jitter_rng, channels, size, grid=8)
+            out[image_id] = (np.clip(img, -1.0, 1.0).astype(np.float32), k)
     return out

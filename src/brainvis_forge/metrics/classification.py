@@ -1,10 +1,26 @@
-"""Classification metrics: top-K accuracy, macro F1, and N-way top-K hit rate."""
+"""Classification metrics: top-K accuracy, macro F1, and N-way top-K hit rate.
+
+Both ranking metrics use r, the count of classes that outrank a row's true
+class (a higher score, or an equal one at a lower index): top-K accuracy is
+mean(r < K).  N-way top-K generation accuracy (GA, the MinD-Vis protocol) is
+exact over every draw of N-1 of the C-1 wrong classes, GA = mean(table[r]):
+    table[q] = sum_{x<K} C(q, x) C(C-1-q, N-1-x) / C(C-1, N-1)
+When N = C, table[q] = [q < K] and GA is top-K accuracy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
+
+
+def _outranking(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per row, how many classes outrank the true one (r, module docstring)."""
+    target = scores[np.arange(len(labels)), labels][:, None]
+    lower = np.arange(scores.shape[1]) < labels[:, None]
+    return np.sum(scores > target, axis=1) + np.sum((scores == target) & lower, axis=1)
 
 
 def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -17,11 +33,7 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     n_classes = logits.shape[1]
     if not 1 <= k <= n_classes:
         raise ValueError(f"top_k_accuracy: k={k} outside [1, {n_classes}]")
-    hits = 0
-    for row, label in zip(logits, labels):
-        target = row[label]
-        stronger = np.sum(row > target) + np.sum((row == target) & (np.arange(n_classes) < label))
-        hits += int(stronger < k)
+    hits = int(np.count_nonzero(_outranking(logits, labels) < k))
     return hits / max(len(labels), 1)
 
 
@@ -44,48 +56,31 @@ def f1_macro(predictions: np.ndarray, labels: np.ndarray, n_classes: int) -> flo
 
 @dataclass
 class GaConfig:
-    """N-way top-K protocol: N-1 random wrong classes join the true one per trial."""
+    """N-way top-K protocol: N-1 wrong classes join the true one; a hit when it ranks in the top K."""
 
     n_way: int = 50
     top_k: int = 1
-    n_trials: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_way < 2:
             raise ValueError(f"GaConfig: n_way must be >= 2, got {self.n_way}")
         if not 1 <= self.top_k < self.n_way:
             raise ValueError(f"GaConfig: top_k must be in [1, n_way), got {self.top_k}")
-        if self.n_trials < 1:
-            raise ValueError("GaConfig: n_trials must be >= 1")
 
 
 def n_way_top_k(probs: np.ndarray, labels: np.ndarray, cfg: GaConfig) -> float:
-    """Monte-Carlo hit rate of the true class among N sampled classes.
-
-    Per trial: draw N-1 distinct wrong classes, restrict the row's scores to
-    those plus the true class, and count a hit when the true class sits in
-    the top K of the restriction (ties to the lower class index, matching
-    top_k_accuracy).  Averaged over trials and samples; seeded.
-    """
+    """Hit rate of the true class in the top K of N classes, exact over every
+    draw of the N-1 wrong ones: the mean of table[r] (module docstring)."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = probs.shape[1]
     if cfg.n_way > n_classes:
         raise ValueError(f"n_way_top_k: N={cfg.n_way} exceeds {n_classes} available classes")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x6A]))
-    hits = 0
-    total = 0
-    for row, label in zip(probs, labels):
-        wrong = np.delete(np.arange(n_classes), label)
-        for _ in range(cfg.n_trials):
-            chosen = rng.choice(wrong, size=cfg.n_way - 1, replace=False)
-            candidates = np.concatenate([[label], chosen])
-            candidates.sort()
-            scores = row[candidates]
-            target = row[label]
-            pos = int(np.searchsorted(candidates, label))
-            stronger = np.sum(scores > target) + np.sum((scores == target) & (np.arange(len(candidates)) < pos))
-            hits += int(stronger < cfg.top_k)
-            total += 1
-    return hits / max(total, 1)
+    if len(labels) == 0:
+        return 0.0
+    draws = comb(n_classes - 1, cfg.n_way - 1)
+    table = np.array([
+        sum(comb(q, x) * comb(n_classes - 1 - q, cfg.n_way - 1 - x) for x in range(cfg.top_k)) / draws
+        for q in range(n_classes)
+    ])
+    return float(np.mean(table[_outranking(probs, labels)]))

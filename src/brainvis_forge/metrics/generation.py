@@ -1,4 +1,10 @@
-"""Generation quality metrics: Inception-style score, Frechet distance, SSIM."""
+"""Generation quality metrics: Inception-style score, Frechet distance, SSIM.
+
+`ssim` maps (..., C, H, W) pairs to one value per leading index (a float
+for one image), each the mean over channels and windows.  It loops over
+window positions only, reducing each over axis=(-2, -1) for every image and
+channel at once, so each value is bit-equal to scoring its image alone.
+"""
 
 from __future__ import annotations
 
@@ -96,35 +102,37 @@ def ssim(
     dynamic_range: float = 2.0,
     window: int = 8,
     stride: int = 4,
-) -> float:
-    """Windowed structural similarity, plain box windows, mean over windows and channels.
+) -> float | np.ndarray:
+    """Windowed structural similarity with plain box windows (batching: module docstring).
 
-    Inputs are (C, H, W) with values spanning `dynamic_range` (2 for [-1, 1]).
-    C1 = (0.01 L)^2, C2 = (0.03 L)^2; window variance is the population form.
+    Values span `dynamic_range` (2 for [-1, 1]).  C1 = (0.01 L)^2,
+    C2 = (0.03 L)^2; window variance is the population form.
     """
-    a = np.asarray(img_a, dtype=np.float64)
-    b = np.asarray(img_b, dtype=np.float64)
+    # C order fixes each window's summation order, whatever the caller's layout.
+    a = np.ascontiguousarray(img_a, dtype=np.float64)
+    b = np.ascontiguousarray(img_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"ssim: shapes differ, {a.shape} vs {b.shape}")
     if a.ndim == 2:
         a, b = a[None], b[None]
-    channels, height, width = a.shape
+    *lead, height, width = a.shape
     if height < window or width < window:
         raise ValueError(f"ssim: image {height}x{width} smaller than window {window}")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 
-    values = []
-    for ch in range(channels):
-        for y in range(0, height - window + 1, stride):
-            for x in range(0, width - window + 1, stride):
-                wa = a[ch, y : y + window, x : x + window]
-                wb = b[ch, y : y + window, x : x + window]
-                mu_a, mu_b = wa.mean(), wb.mean()
-                var_a, var_b = wa.var(), wb.var()
-                cov = ((wa - mu_a) * (wb - mu_b)).mean()
-                values.append(
-                    ((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-                    / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
-                )
-    return float(np.mean(values))
+    ys = range(0, height - window + 1, stride)
+    xs = range(0, width - window + 1, stride)
+    values = np.empty((*lead, len(ys), len(xs)))
+    for i, y in enumerate(ys):
+        for j, x in enumerate(xs):
+            wa = a[..., y : y + window, x : x + window]
+            wb = b[..., y : y + window, x : x + window]
+            mu_a, mu_b = wa.mean(axis=(-2, -1)), wb.mean(axis=(-2, -1))
+            var_a, var_b = wa.var(axis=(-2, -1)), wb.var(axis=(-2, -1))
+            cov = ((wa - mu_a[..., None, None]) * (wb - mu_b[..., None, None])).mean(axis=(-2, -1))
+            values[..., i, j] = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+                (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+            )
+    per_image = values.reshape(*lead[:-1], -1).mean(axis=-1)
+    return float(per_image) if per_image.ndim == 0 else per_image

@@ -89,9 +89,7 @@ def evaluate_generation(
     ga = n_way_top_k(probs, np.asarray(generated_labels, dtype=np.int64), ga_cfg)
     is_mean, is_std = inception_score(probs, splits=is_splits)
     fid_value = fid(gen_feats, gt_feats)
-    ssim_values = [
-        ssim(g, gt_pairs[i], dynamic_range=dynamic_range) for i, g in enumerate(np.asarray(generated))
-    ]
+    ssim_values = ssim(generated, gt_pairs, dynamic_range=dynamic_range)
     return {
         "ga": float(ga),
         "is_mean": float(is_mean),

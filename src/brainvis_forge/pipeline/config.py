@@ -4,7 +4,7 @@ Defaults mirror the reference training recipe (128-channel 440-sample trials
 split into 110 units, 1024-dim units, 0.75 mask ratio, 660 codewords, 8+4
 attention blocks of 16 heads, ffn 4096, lr 1e-3, batch 128, epoch schedule
 300/900/80/30/200).  JSON configs may override any field; unknown keys are
-errors, not silently ignored.
+errors, not silently ignored, apart from a legacy `ga_trials`.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class PipelineConfig:
     # evaluation (ga_n capped by the surrogate's class count, hence 40 here)
     ga_n: int = 40
     ga_k: int = 1
-    ga_trials: int = 20
     is_splits: int = 1
     surrogate_hidden: int = 64
     surrogate_epochs: int = 200
@@ -103,7 +102,7 @@ class PipelineConfig:
             denoiser_hidden=self.denoiser_hidden, diffusion_steps=self.diffusion_steps,
             diffusion_batch=self.diffusion_batch, n_classes=self.n_classes,
             records_per_class=self.records_per_class, records_per_image=self.records_per_image,
-            sample_rate=self.sample_rate, ga_trials=self.ga_trials,
+            sample_rate=self.sample_rate,
             samples_per_record=self.samples_per_record, align_blocks=self.align_blocks,
             surrogate_hidden=self.surrogate_hidden, surrogate_epochs=self.surrogate_epochs,
             is_splits=self.is_splits,
@@ -154,8 +153,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        # Older configs carry ga_trials, the trial count of the Monte-Carlo GA
+        # that is exact now; it configures nothing, so drop it to keep them loading.
+        data = {k: v for k, v in data.items() if k != "ga_trials"}
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"PipelineConfig: unknown config keys {sorted(unknown)}")
         return cls(**data)

@@ -432,7 +432,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     gt_pairs = np.stack(gt_pairs)
     gt_pool = np.stack([image_set[i][0] for i in test.image_ids.tolist()])
 
-    ga_cfg = GaConfig(n_way=cfg.ga_n, top_k=cfg.ga_k, n_trials=cfg.ga_trials, seed=cfg.seed)
+    ga_cfg = GaConfig(n_way=cfg.ga_n, top_k=cfg.ga_k)
     gen_block = evaluate_generation(
         generated, np.array(gen_labels), gt_pool, gt_pairs, surrogate.model, ga_cfg, is_splits=cfg.is_splits
     )

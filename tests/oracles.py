@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use.
 
 Each is a pure oracle against which library code is checked: exact noise
-inversion for the reverse chain, the inverse of `segment_units`, and the
-one-hot codeword map the LMM loss targets are built from.
+inversion for the reverse chain, the inverse of `segment_units`, the
+one-hot codeword map the LMM loss targets are built from, the one-image
+SSIM the batched `ssim` must match bit for bit, and the one-image target
+builder `make_image_set` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -38,3 +40,58 @@ def reassemble_units(units: np.ndarray) -> np.ndarray:
 def tokenize(codebook: Codebook, flat_units: np.ndarray) -> np.ndarray:
     """One-hot codewords for raw masked units: (m, unit_dim) -> (m, n_t)."""
     return codebook.one_hot(codebook.assign(flat_units))
+
+
+def ssim(
+    img_a: np.ndarray,
+    img_b: np.ndarray,
+    dynamic_range: float = 2.0,
+    window: int = 8,
+    stride: int = 4,
+) -> float:
+    """Windowed structural similarity, plain box windows, mean over windows and channels.
+
+    Inputs are (C, H, W) with values spanning `dynamic_range` (2 for [-1, 1]).
+    C1 = (0.01 L)^2, C2 = (0.03 L)^2; window variance is the population form.
+    """
+    a = np.asarray(img_a, dtype=np.float64)
+    b = np.asarray(img_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"ssim: shapes differ, {a.shape} vs {b.shape}")
+    if a.ndim == 2:
+        a, b = a[None], b[None]
+    channels, height, width = a.shape
+    if height < window or width < window:
+        raise ValueError(f"ssim: image {height}x{width} smaller than window {window}")
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+
+    values = []
+    for ch in range(channels):
+        for y in range(0, height - window + 1, stride):
+            for x in range(0, width - window + 1, stride):
+                wa = a[ch, y : y + window, x : x + window]
+                wb = b[ch, y : y + window, x : x + window]
+                mu_a, mu_b = wa.mean(), wb.mean()
+                var_a, var_b = wa.var(), wb.var()
+                cov = ((wa - mu_a) * (wb - mu_b)).mean()
+                values.append(
+                    ((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                    / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
+                )
+    return float(np.mean(values))
+
+
+def _blocky(rng: np.random.Generator, channels: int, size: int, grid: int = 4) -> np.ndarray:
+    coarse = rng.uniform(-1.0, 1.0, size=(channels, grid, grid))
+    reps = int(np.ceil(size / grid))
+    up = np.kron(coarse, np.ones((reps, reps)))[:, :size, :size]
+    return up
+
+
+def make_image(class_label: int, image_id: int, size: int = 16, channels: int = 3, seed: int = 0) -> np.ndarray:
+    """One target image, its class base pattern drawn afresh for every image."""
+    base_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, class_label]))
+    jitter_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, class_label, image_id]))
+    img = 0.8 * _blocky(base_rng, channels, size) + 0.15 * _blocky(jitter_rng, channels, size, grid=8)
+    return np.clip(img, -1.0, 1.0).astype(np.float32)

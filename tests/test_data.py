@@ -14,13 +14,14 @@ from brainvis_forge.data import (
     flatten_units,
     generate_synthetic,
     load_dataset,
+    make_image_set,
     segment_units,
     split_by_image,
     write_dataset,
     zscore_channels,
 )
 from brainvis_forge.lmm.train import prepare_units
-from oracles import reassemble_units
+from oracles import make_image, reassemble_units
 
 # (R, c, l) shapes for the batched-versus-per-trial checks: odd, prime and
 # single-channel geometries next to the tiny, reference and 2,000-record ones.
@@ -329,3 +330,25 @@ def test_zscore_channels_statistics():
     np.testing.assert_allclose(z.mean(axis=-1), 0.0, atol=1e-5)
     np.testing.assert_allclose(z.std(axis=-1), 1.0, atol=1e-4)
     assert z[0].tobytes() == zscore_channels(x).tobytes()
+
+
+# --- target images -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n_classes, per_class, size, channels",
+    [
+        (40, 50, 8, 3),  # the generate_eval benchmark's image set
+        (4, 8, 8, 3),  # configs/tiny.json
+        (3, 5, 16, 3),
+        (2, 3, 10, 1),  # the 4x4 and 8x8 grids do not divide 10; one channel
+    ],
+)
+def test_image_set_byte_equal_to_per_image_oracle(n_classes, per_class, size, channels):
+    image_set = make_image_set(n_classes, per_class, size=size, channels=channels, seed=7)
+    assert sorted(image_set) == list(range(n_classes * per_class))
+    for image_id, (img, label) in image_set.items():
+        assert label == image_id // per_class
+        expected = make_image(label, image_id, size=size, channels=channels, seed=7)
+        assert img.dtype == expected.dtype and img.shape == expected.shape == (channels, size, size)
+        assert img.tobytes() == expected.tobytes()

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brainvis_forge.metrics import (
     GaConfig,
@@ -16,6 +18,7 @@ from brainvis_forge.metrics import (
     ssim,
     top_k_accuracy,
 )
+from oracles import ssim as ssim_per_image
 
 
 # --- top-k ----------------------------------------------------------------------
@@ -92,30 +95,11 @@ def test_f1_matches_confusion_matrix_oracle():
 # --- n-way top-k -------------------------------------------------------------------
 
 
-def test_n_way_equal_to_all_classes_reduces_to_plain_top_k():
-    rng = np.random.default_rng(3)
-    probs = rng.dirichlet(np.ones(6), size=30)
-    labels = rng.integers(0, 6, 30)
-    cfg = GaConfig(n_way=6, top_k=1, n_trials=1, seed=0)
-    assert n_way_top_k(probs, labels, cfg) == pytest.approx(top_k_accuracy(probs, labels, 1))
-
-
-def test_n_way_global_max_always_hits():
-    probs = np.zeros((10, 8))
-    labels = np.arange(8).tolist() + [0, 1]
-    probs[np.arange(10), labels] = 1.0
-    cfg = GaConfig(n_way=4, top_k=1, n_trials=10, seed=1)
-    assert n_way_top_k(probs, np.array(labels), cfg) == 1.0
-
-
-def test_n_way_matches_exhaustive_subset_enumeration():
+def _enumerated_ga(probs: np.ndarray, labels: np.ndarray, n_way: int, top_k: int) -> float:
+    """GA by brute force: every (N-1)-subset of the wrong classes, per row."""
     from itertools import combinations
 
-    rng = np.random.default_rng(4)
-    n_classes, n_way = 6, 3
-    probs = rng.dirichlet(np.ones(n_classes), size=4)
-    labels = rng.integers(0, n_classes, 4)
-
+    n_classes = probs.shape[1]
     exact_hits = []
     for row, lab in zip(probs, labels):
         wrong = [c for c in range(n_classes) if c != lab]
@@ -127,15 +111,54 @@ def test_n_way_matches_exhaustive_subset_enumeration():
             target = row[lab]
             pos = cands.index(lab)
             stronger = np.sum(scores > target) + np.sum((scores == target) & (np.arange(len(cands)) < pos))
-            hits += int(stronger < 1)
+            hits += int(stronger < top_k)
             total += 1
         exact_hits.append(hits / total)
-    exact = float(np.mean(exact_hits))
+    return float(np.mean(exact_hits))
 
-    cfg = GaConfig(n_way=n_way, top_k=1, n_trials=4000, seed=5)
-    mc = n_way_top_k(probs, labels, cfg)
-    sigma = np.sqrt(exact * (1 - exact) / (4000 * len(labels))) + 1e-9
-    assert abs(mc - exact) < 3 * sigma + 5e-3
+
+def test_n_way_equal_to_all_classes_reduces_to_plain_top_k():
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(6), size=30)
+    labels = rng.integers(0, 6, 30)
+    cfg = GaConfig(n_way=6, top_k=1)
+    assert n_way_top_k(probs, labels, cfg) == top_k_accuracy(probs, labels, 1)
+
+
+def test_n_way_global_max_always_hits():
+    probs = np.zeros((10, 8))
+    labels = np.arange(8).tolist() + [0, 1]
+    probs[np.arange(10), labels] = 1.0
+    cfg = GaConfig(n_way=4, top_k=1)
+    assert n_way_top_k(probs, np.array(labels), cfg) == 1.0
+
+
+def test_n_way_matches_exhaustive_subset_enumeration():
+    rng = np.random.default_rng(4)
+    n_classes, n_way = 6, 3
+    probs = rng.dirichlet(np.ones(n_classes), size=4)
+    labels = rng.integers(0, n_classes, 4)
+    exact = _enumerated_ga(probs, labels, n_way, 1)
+    assert n_way_top_k(probs, labels, GaConfig(n_way=n_way, top_k=1)) == exact
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_classes=st.integers(2, 8),
+    data=st.data(),
+)
+def test_n_way_closed_form_equals_enumeration(n_classes, data):
+    n_way = data.draw(st.integers(2, n_classes), label="n_way")
+    top_k = data.draw(st.integers(1, n_way - 1), label="top_k")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    # Scores from a 3-level grid so ties, including ties with the true class, are common.
+    levels = data.draw(st.lists(st.integers(0, 2), min_size=rows * n_classes, max_size=rows * n_classes))
+    probs = np.array(levels, dtype=np.float64).reshape(rows, n_classes) / 2.0
+    labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=rows, max_size=rows)))
+    cfg = GaConfig(n_way=n_way, top_k=top_k)
+    assert n_way_top_k(probs, labels, cfg) == _enumerated_ga(probs, labels, n_way, top_k)
+    if n_way == n_classes:
+        assert n_way_top_k(probs, labels, cfg) == top_k_accuracy(probs, labels, top_k)
 
 
 def test_n_way_monotone_in_k():
@@ -143,7 +166,7 @@ def test_n_way_monotone_in_k():
     probs = rng.dirichlet(np.ones(10), size=20)
     labels = rng.integers(0, 10, 20)
     rates = [
-        n_way_top_k(probs, labels, GaConfig(n_way=6, top_k=k, n_trials=50, seed=7))
+        n_way_top_k(probs, labels, GaConfig(n_way=6, top_k=k))
         for k in (1, 2, 3, 4, 5)
     ]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
@@ -151,7 +174,7 @@ def test_n_way_monotone_in_k():
 
 def test_n_way_exceeding_class_count_rejected():
     with pytest.raises(ValueError, match="exceeds"):
-        n_way_top_k(np.full((2, 4), 0.25), np.array([0, 1]), GaConfig(n_way=5, top_k=1, n_trials=1))
+        n_way_top_k(np.full((2, 4), 0.25), np.array([0, 1]), GaConfig(n_way=5, top_k=1))
 
 
 # --- inception score -----------------------------------------------------------------
@@ -269,6 +292,40 @@ def test_ssim_within_range_on_random_pairs():
         assert -1.0 <= ssim(a, b) <= 1.0
 
 
+@pytest.mark.parametrize("shape", [(800, 3, 8, 8), (20, 3, 16, 16), (5, 1, 12, 20), (7, 3, 9, 9)])
+@pytest.mark.parametrize("dynamic_range", [2.0, 4.0])
+def test_ssim_batch_bit_equal_to_per_image_oracle(shape, dynamic_range):
+    rng = np.random.default_rng(18)
+    a = rng.uniform(-1, 1, shape) * dynamic_range / 2
+    b = rng.uniform(-1, 1, shape) * dynamic_range / 2
+    batched = ssim(a, b, dynamic_range=dynamic_range)
+    assert batched.shape == shape[:1]
+    expected = [ssim_per_image(x, y, dynamic_range=dynamic_range) for x, y in zip(a, b)]
+    assert batched.tolist() == expected
+    assert ssim(a[0], b[0], dynamic_range=dynamic_range) == expected[0]
+    assert isinstance(ssim(a[0], b[0], dynamic_range=dynamic_range), float)
+
+
+def test_ssim_batch_in_any_memory_layout_bit_equal_to_oracle():
+    # evaluate stacks (H, W, C) images transposed to (C, H, W), so the batch
+    # is not C-contiguous and its channel axis is innermost in memory.
+    rng = np.random.default_rng(20)
+    generated = np.stack([np.transpose(x, (2, 0, 1)) for x in rng.integers(0, 256, (64, 8, 8, 3)) / 127.5 - 1.0])
+    reference = rng.uniform(-1, 1, (64, 3, 8, 8)).astype(np.float32)
+    assert not generated.flags.c_contiguous
+    expected = [ssim_per_image(g, r) for g, r in zip(generated, reference)]
+    assert ssim(generated, reference).tolist() == expected
+
+
+def test_ssim_keeps_every_leading_axis():
+    rng = np.random.default_rng(19)
+    a, b = rng.uniform(-1, 1, (2, 3, 3, 9, 9)), rng.uniform(-1, 1, (2, 3, 3, 9, 9))
+    batched = ssim(a, b)
+    assert batched.shape == (2, 3)
+    assert batched[1, 2] == ssim_per_image(a[1, 2], b[1, 2])
+    assert ssim(a[0, 0, 0], b[0, 0, 0]) == ssim_per_image(a[0, 0, 0], b[0, 0, 0])
+
+
 # --- report --------------------------------------------------------------------------
 
 
@@ -310,7 +367,7 @@ def test_evaluate_generation_reports_fid_sample_counts(n_generated, n_reference,
     reference = rng.uniform(-1, 1, (n_reference, 3, 8, 8))
     labels = rng.integers(0, 4, n_generated)
     block = evaluate_generation(
-        generated, labels, reference, generated, surrogate, GaConfig(n_way=4, top_k=1, n_trials=5, seed=1),
+        generated, labels, reference, generated, surrogate, GaConfig(n_way=4, top_k=1),
     )
     assert (block["n_generated"], block["n_reference"], block["fid_valid"]) == (n_generated, n_reference, valid)
 
@@ -343,7 +400,7 @@ def test_evaluate_generation_perfect_bound():
 
     block = evaluate_generation(
         images, labels, images, images, surrogate.model,
-        GaConfig(n_way=4, top_k=1, n_trials=10, seed=1),
+        GaConfig(n_way=4, top_k=1),
     )
     assert block["ga"] == 1.0
     assert abs(block["fid"]) < 1e-4  # eigendecomposition noise scales with feature magnitude

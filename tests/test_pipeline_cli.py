@@ -1,6 +1,7 @@
 """Config validation, stage orchestration, and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,44 @@ def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
     assert PipelineConfig.load(path) == cfg
+
+
+def _legacy_tiny_text() -> str:
+    """configs/tiny.json as it read while GA was a Monte-Carlo estimate."""
+    text = Path(TINY).read_text()
+    legacy = text.replace('  "ga_k": 1,\n', '  "ga_k": 1,\n  "ga_trials": 20,\n')
+    assert '"ga_trials"' not in text and '"ga_trials": 20' in legacy
+    return legacy
+
+
+def test_config_drops_retired_ga_trials_key(tmp_path):
+    legacy = tmp_path / "tiny.json"
+    legacy.write_text(_legacy_tiny_text())
+    cfg = PipelineConfig.load(legacy)
+    assert cfg == PipelineConfig.load(TINY)
+    assert "ga_trials" not in cfg.to_dict()
+    with pytest.raises(ValueError, match=r"unknown config keys \['ga_tirals'\]"):
+        PipelineConfig.from_dict({**json.loads(_legacy_tiny_text()), "ga_tirals": 20})
+
+
+def test_old_report_with_ga_trials_still_reads():
+    from brainvis_forge.metrics import MetricsReport
+
+    old_config = {**json.loads(_legacy_tiny_text()), "surrogate_train_acc": 1.0}
+    old_text = json.dumps(
+        {
+            "config": old_config, "f1_macro": 1.0, "fid": 0.5, "fid_valid": False, "ga": 0.75,
+            "is_mean": 2.5, "is_std": 0.0, "n_generated": 12, "n_reference": 3,
+            "per_class": {"0": 1.0}, "ssim_mean": 0.4, "top1_ca": 1.0, "top3_ca": 1.0, "top5_ca": 1.0,
+        },
+        indent=2, sort_keys=True,
+    )
+    report = MetricsReport.from_json(old_text)
+    report.validate_ranges()
+    assert report.config["ga_trials"] == 20
+    assert report.to_json() == old_text
+    snapshot = {k: v for k, v in report.config.items() if k != "surrogate_train_acc"}
+    assert PipelineConfig.from_dict(snapshot) == PipelineConfig.load(TINY)
 
 
 # --- stages ----------------------------------------------------------------------
