@@ -1,13 +1,11 @@
 """Cross-modal alignment of fused embeddings to semantic fixture targets."""
 
 from .fixtures import (
-    FixtureMap,
     MissingTargetError,
-    SemanticTargets,
+    SemanticFixtures,
     ZeroNormTargetError,
     generate_fixtures,
     load_fixtures,
-    lookup,
     write_fixtures,
 )
 from .loss import si_loss
@@ -17,15 +15,13 @@ from .train import AlignTrainResult, train_align
 __all__ = [
     "AlignTrainResult",
     "AlignmentNet",
-    "FixtureMap",
     "MissingTargetError",
     "ResidualBlock",
-    "SemanticTargets",
+    "SemanticFixtures",
     "ZeroNormTargetError",
     "align",
     "generate_fixtures",
     "load_fixtures",
-    "lookup",
     "si_loss",
     "train_align",
     "write_fixtures",

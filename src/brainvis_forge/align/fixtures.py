@@ -1,15 +1,18 @@
 """Semantic embedding fixtures in the BVE1 container.
 
-Each (class_label, image_id) pair carries two target vectors: a coarse
-label-level direction and a finer caption-level variant.  Fixture files stand
-in for external embedding models, so the alignment stage is fully
-reproducible offline.
+Each stimulus image carries two target vectors: a coarse label-level
+direction and a finer caption-level variant.  `SemanticFixtures` holds them
+as one table whose row i is image id i: `labels[i]` is the image's class,
+`c_label[i]` and `c_cap[i]` its two targets.  Fixture files stand in for
+external embedding models, so the alignment stage is fully reproducible
+offline.
 
 Layout (little-endian):
     magic "BVE1" | u32 version=1 | u32 n_entries | u32 e
     per entry: u32 class_label | u32 image_id | e float32 (label vec)
                | e float32 (caption vec)
     trailer: u32 CRC32 over all entry bytes
+Entry i carries image id i.
 """
 
 from __future__ import annotations
@@ -20,26 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..binio import check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32
+from ..binio import FileFormatError, check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32
 
 MAGIC = b"BVE1"
 VERSION = 1
-
-
-@dataclass
-class SemanticTargets:
-    """Coarse (label) and fine (caption) embedding for one stimulus."""
-
-    c_label: np.ndarray
-    c_cap: np.ndarray
-
-    def __post_init__(self):
-        self.c_label = np.asarray(self.c_label, dtype=np.float32)
-        self.c_cap = np.asarray(self.c_cap, dtype=np.float32)
-        if self.c_label.shape != self.c_cap.shape or self.c_label.ndim != 1:
-            raise ValueError(
-                f"SemanticTargets: vectors must be 1-D and equal length, got {self.c_label.shape} / {self.c_cap.shape}"
-            )
 
 
 class MissingTargetError(KeyError):
@@ -50,51 +37,81 @@ class ZeroNormTargetError(ValueError):
     """A fixture vector has zero norm and cannot anchor a cosine objective."""
 
 
-FixtureMap = dict[tuple[int, int], SemanticTargets]
+@dataclass
+class SemanticFixtures:
+    """Per-image class (I,), label targets (I, e) and caption targets (I, e)."""
+
+    labels: np.ndarray
+    c_label: np.ndarray
+    c_cap: np.ndarray
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.c_label = np.ascontiguousarray(self.c_label, dtype=np.float32)
+        self.c_cap = np.ascontiguousarray(self.c_cap, dtype=np.float32)
+        shape = self.c_label.shape
+        if len(shape) != 2 or self.c_cap.shape != shape or self.labels.shape != shape[:1]:
+            raise ValueError(
+                f"SemanticFixtures: need labels (I,) and equal (I, e) vectors, got "
+                f"{self.labels.shape} / {self.c_label.shape} / {self.c_cap.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def e(self) -> int:
+        return self.c_label.shape[1]
+
+    def targets(self, class_labels, image_ids) -> tuple[np.ndarray, np.ndarray]:
+        """(c_cap, c_label) rows for a batch of (class, image id) pairs."""
+        class_labels = np.asarray(class_labels)
+        image_ids = np.asarray(image_ids)
+        known = (image_ids >= 0) & (image_ids < len(self))
+        bad = ~known
+        bad[known] = self.labels[image_ids[known]] != class_labels[known]
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise MissingTargetError(f"no semantic targets for class {class_labels[i]}, image {image_ids[i]}")
+        return self.c_cap[image_ids], self.c_label[image_ids]
 
 
-def write_fixtures(path, fixtures: FixtureMap, e: int) -> None:
-    body = BytesIO()
-    for (class_label, image_id), tgt in fixtures.items():
-        if tgt.c_label.shape != (e,):
-            raise ValueError(f"write_fixtures: entry ({class_label},{image_id}) has dim {tgt.c_label.shape}, expected ({e},)")
-        body.write(pack_u32(class_label, image_id))
-        body.write(np.ascontiguousarray(tgt.c_label, dtype="<f4").tobytes())
-        body.write(np.ascontiguousarray(tgt.c_cap, dtype="<f4").tobytes())
-    payload = body.getvalue()
+def _entry_dtype(e: int) -> np.dtype:
+    return np.dtype([("ids", "<u4", (2,)), ("label", "<f4", (e,)), ("cap", "<f4", (e,))])
+
+
+def write_fixtures(path, fixtures: SemanticFixtures) -> None:
+    entries = np.empty(len(fixtures), _entry_dtype(fixtures.e))
+    entries["ids"][:, 0] = fixtures.labels
+    entries["ids"][:, 1] = np.arange(len(fixtures))
+    entries["label"] = fixtures.c_label
+    entries["cap"] = fixtures.c_cap
+    payload = entries.tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(pack_u32(VERSION, len(fixtures), e))
+        fh.write(pack_u32(VERSION, len(fixtures), fixtures.e))
         fh.write(payload)
         fh.write(crc_bytes(payload))
 
 
-def load_fixtures(path) -> tuple[FixtureMap, int]:
-    raw = Path(path).read_bytes()
-    buf = BytesIO(raw)
+def load_fixtures(path) -> SemanticFixtures:
+    buf = BytesIO(Path(path).read_bytes())
     expect_magic(buf, MAGIC, VERSION)
     n_entries, e = unpack_u32(buf, 2, "header")
-    entry_bytes = 8 + 8 * e
-    payload = read_exact(buf, entry_bytes * n_entries, "entries")
+    dtype = _entry_dtype(e)
+    payload = read_exact(buf, dtype.itemsize * n_entries, "entries")
     check_crc(payload, buf)
 
-    fixtures: FixtureMap = {}
-    body = BytesIO(payload)
-    for _ in range(n_entries):
-        class_label, image_id = unpack_u32(body, 2, "entry header")
-        c_label = np.frombuffer(read_exact(body, 4 * e, "label vector"), dtype="<f4").copy()
-        c_cap = np.frombuffer(read_exact(body, 4 * e, "caption vector"), dtype="<f4").copy()
-        if np.linalg.norm(c_label) == 0.0 or np.linalg.norm(c_cap) == 0.0:
-            raise ZeroNormTargetError(f"entry ({class_label}, {image_id}) has a zero-norm vector")
-        fixtures[(class_label, image_id)] = SemanticTargets(c_label=c_label, c_cap=c_cap)
-    return fixtures, e
-
-
-def lookup(fixtures: FixtureMap, class_label: int, image_id: int) -> SemanticTargets:
-    try:
-        return fixtures[(class_label, image_id)]
-    except KeyError as exc:
-        raise MissingTargetError(f"no semantic targets for class {class_label}, image {image_id}") from exc
+    entries = np.frombuffer(payload, dtype)
+    out_of_order = entries["ids"][:, 1] != np.arange(n_entries)
+    if out_of_order.any():
+        i = int(np.argmax(out_of_order))
+        raise FileFormatError(f"entry {i} carries image id {entries['ids'][i, 1]}, expected {i}")
+    zero = (np.linalg.norm(entries["label"], axis=1) == 0.0) | (np.linalg.norm(entries["cap"], axis=1) == 0.0)
+    if zero.any():
+        class_label, image_id = entries["ids"][int(np.argmax(zero))]
+        raise ZeroNormTargetError(f"entry ({class_label}, {image_id}) has a zero-norm vector")
+    return SemanticFixtures(entries["ids"][:, 0], entries["label"], entries["cap"])
 
 
 def generate_fixtures(
@@ -103,22 +120,26 @@ def generate_fixtures(
     e: int = 768,
     seed: int = 0,
     caption_offset: float = 0.25,
-) -> FixtureMap:
+) -> SemanticFixtures:
     """Synthetic targets: unit class direction; caption = normalized
     (class direction + caption_offset * per-image offset).  Deterministic in
-    the seed, and the label/caption angle is controlled by the offset scale."""
+    the seed, and the label/caption angle is controlled by the offset scale.
+    Image id k * images_per_class + j is class k's j-th image."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE3B]))
     class_dirs = rng.standard_normal((n_classes, e))
     class_dirs /= np.linalg.norm(class_dirs, axis=1, keepdims=True)
-    fixtures: FixtureMap = {}
+    # One 1-D norm per image, as drawn: an axis=1 norm over all offsets at
+    # once sums in another order and would change the bits.
+    c_cap = np.empty((n_classes * images_per_class, e), dtype=np.float32)
     for k in range(n_classes):
         for j in range(images_per_class):
-            image_id = k * images_per_class + j
             offset = rng.standard_normal(e)
             offset /= np.linalg.norm(offset)
             cap = class_dirs[k] + caption_offset * offset
             cap /= np.linalg.norm(cap)
-            fixtures[(k, image_id)] = SemanticTargets(
-                c_label=class_dirs[k].astype(np.float32), c_cap=cap.astype(np.float32)
-            )
-    return fixtures
+            c_cap[k * images_per_class + j] = cap
+    return SemanticFixtures(
+        labels=np.repeat(np.arange(n_classes), images_per_class),
+        c_label=np.repeat(class_dirs.astype(np.float32), images_per_class, axis=0),
+        c_cap=c_cap,
+    )

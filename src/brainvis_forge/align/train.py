@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor, train_epoch
-from .fixtures import FixtureMap, lookup
+from .fixtures import SemanticFixtures
 from .loss import si_loss
 from .model import AlignmentNet
 
@@ -26,7 +26,7 @@ def train_align(
     embeddings: np.ndarray,
     class_labels: np.ndarray,
     image_ids: np.ndarray,
-    fixtures: FixtureMap,
+    fixtures: SemanticFixtures,
     *,
     e: int,
     epochs: int = 200,
@@ -40,10 +40,9 @@ def train_align(
     the frozen fused rows)."""
     embeddings = np.asarray(embeddings, dtype=np.float32)
     n, in_dim = embeddings.shape
-    caps = np.stack([lookup(fixtures, int(c), int(i)).c_cap for c, i in zip(class_labels, image_ids)])
-    labels = np.stack([lookup(fixtures, int(c), int(i)).c_label for c, i in zip(class_labels, image_ids)])
-    if caps.shape[1] != e:
-        raise ValueError(f"train_align: fixtures have dim {caps.shape[1]}, expected {e}")
+    if fixtures.e != e:
+        raise ValueError(f"train_align: fixtures have dim {fixtures.e}, expected {e}")
+    caps, labels = fixtures.targets(class_labels, image_ids)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA116]))
     if net is None:

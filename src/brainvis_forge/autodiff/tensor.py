@@ -157,15 +157,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -265,25 +256,6 @@ def mul(a, b) -> Tensor:
         "mul", (a, b), out,
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
-
-
-def div(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _broadcast_data("div", a, b, np.divide)
-    return _make(
-        "div", (a, b), out,
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    return _make("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -432,12 +404,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # elementwise transcendentals and activations
 
 
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make("exp", (a,), out, lambda g: (g * out,))
-
-
 def log(a: Tensor) -> Tensor:
     a = as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -476,12 +442,6 @@ def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = _sigmoid(a.data)
     return _make("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    return _make("relu", (a,), out, lambda g: (g * (a.data > 0),))
 
 
 def gelu(a: Tensor) -> Tensor:

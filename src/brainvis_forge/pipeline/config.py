@@ -4,7 +4,8 @@ Defaults mirror the reference training recipe (128-channel 440-sample trials
 split into 110 units, 1024-dim units, 0.75 mask ratio, 660 codewords, 8+4
 attention blocks of 16 heads, ffn 4096, lr 1e-3, batch 128, epoch schedule
 300/900/80/30/200).  JSON configs may override any field; unknown keys are
-errors, not silently ignored, apart from a legacy `ga_trials`.
+errors, not silently ignored, apart from two legacy keys: `ga_trials` and a
+`stage2_condition` of "learned".
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class PipelineConfig:
     denoiser_hidden: int = 256
     diffusion_steps: int = 2000
     diffusion_batch: int = 16
-    stage2_condition: str = "learned"  # or "fixture"
     samples_per_record: int = 4
     # synthetic data
     n_classes: int = 40
@@ -126,8 +126,6 @@ class PipelineConfig:
             raise ValueError(f"PipelineConfig: ga_n={self.ga_n} outside [2, n_classes={self.n_classes}]")
         if not 1 <= self.ga_k < self.ga_n:
             raise ValueError(f"PipelineConfig: ga_k={self.ga_k} outside [1, ga_n)")
-        if self.stage2_condition not in ("learned", "fixture"):
-            raise ValueError(f"PipelineConfig: stage2_condition={self.stage2_condition!r} unknown")
         if self.ablate is not None and self.ablate not in ABLATION_MODES:
             raise ValueError(f"PipelineConfig: ablate={self.ablate!r} not one of {ABLATION_MODES}")
         required_epochs = {"lmm", "freq", "time_ft", "joint_ft", "align"}
@@ -154,8 +152,14 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         # Older configs carry ga_trials, the trial count of the Monte-Carlo GA
-        # that is exact now; it configures nothing, so drop it to keep them loading.
-        data = {k: v for k, v in data.items() if k != "ga_trials"}
+        # that is exact now, and stage2_condition, whose "learned" default is
+        # the only generate path left; drop both to keep them loading.
+        if data.get("stage2_condition", "learned") != "learned":
+            raise ValueError(
+                f"PipelineConfig: stage2_condition={data['stage2_condition']!r} is no longer supported; the "
+                "fixture-conditioned generate path was removed and only the learned class condition remains"
+            )
+        data = {k: v for k, v in data.items() if k not in ("ga_trials", "stage2_condition")}
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"PipelineConfig: unknown config keys {sorted(unknown)}")

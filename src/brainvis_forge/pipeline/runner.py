@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..align.fixtures import generate_fixtures, load_fixtures, lookup, write_fixtures
+from ..align.fixtures import generate_fixtures, load_fixtures, write_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
 from ..autodiff import Tensor, no_grad
@@ -157,7 +157,7 @@ def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     fixtures = generate_fixtures(
         cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed, caption_offset=cfg.caption_offset
     )
-    write_fixtures(stage_dir / "fixtures.bve", fixtures, e=cfg.e)
+    write_fixtures(stage_dir / "fixtures.bve", fixtures)
     summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     return summary
@@ -287,10 +287,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "align")
     dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
-    fixtures, e = load_fixtures(paths.root / "data" / "fixtures.bve")
-    if e != cfg.e:
-        raise ValueError(f"run_train_align: fixture dim {e} differs from config e={cfg.e}")
-
+    fixtures = load_fixtures(paths.root / "data" / "fixtures.bve")
     train = dataset.take(split.train)
     embeddings = _tfe_embeddings(cfg, model, train)
 
@@ -312,11 +309,10 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "diffusion")
     dataset, split = load_run_data(cfg, paths)
     model = _load_tfe(cfg, paths)
-    image_set = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
+    images, _ = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                channels=cfg.latent_channels, seed=cfg.seed)
 
     train = dataset.take(split.train)
-    images = np.stack([image_set[i][0] for i in train.image_ids.tolist()])
 
     eeg_conditions = None
     if cfg.ablate != "no-semantic":
@@ -325,7 +321,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = _denoiser(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])))
     result = train_denoiser(
-        net, schedule, images, train.labels, eeg_conditions,
+        net, schedule, images[train.image_ids], train.labels, eeg_conditions,
         steps=cfg.diffusion_steps,
         batch_size=cfg.diffusion_batch,
         lr=cfg.lr,
@@ -359,13 +355,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     embeddings = _tfe_embeddings(cfg, model, test)
     with no_grad():
         predicted = np.argmax(model.head(Tensor(embeddings)).data, axis=1)
-        if cfg.stage2_condition == "fixture":
-            fixtures, _ = load_fixtures(paths.root / "data" / "fixtures.bve")
-            class_cond = np.stack([
-                lookup(fixtures, int(label), int(label) * cfg.records_per_class).c_label for label in predicted
-            ])
-        else:
-            class_cond = denoiser.class_condition(predicted).data
+        class_cond = denoiser.class_condition(predicted).data
     if mode == "no-semantic":
         c_eeg = np.zeros((len(test), cfg.e))
     else:
@@ -408,33 +398,30 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     logits = classify_batch(model, test, cfg.n)
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
-    image_set = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
-                               channels=cfg.latent_channels, seed=cfg.seed)
-    all_images = np.stack([img for img, _ in image_set.values()])
-    all_labels = np.array([lab for _, lab in image_set.values()])
+    images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
+                                    channels=cfg.latent_channels, seed=cfg.seed)
     surrogate = train_surrogate(
-        all_images, all_labels, cfg.n_classes,
+        images, labels, cfg.n_classes,
         hidden=cfg.surrogate_hidden, epochs=cfg.surrogate_epochs, lr=3e-3, seed=cfg.seed,
     )
 
-    generated, gen_labels, gt_pairs = [], [], []
+    generated = []
     images_dir = paths.root / "generate" / "images"
-    for dataset_index, label, image_id in zip(split.test, test.labels.tolist(), test.image_ids.tolist()):
+    for dataset_index in split.test:
         for s in range(cfg.samples_per_record):
             ppm_path = images_dir / sample_filename(dataset_index, s)
             if not ppm_path.exists():
                 raise StageError(f"evaluate: missing generated image {ppm_path.name}; run generate first")
             rgb = read_ppm(ppm_path).astype(np.float64) / 255.0 * 2.0 - 1.0
             generated.append(np.transpose(rgb, (2, 0, 1)))
-            gen_labels.append(label)
-            gt_pairs.append(image_set[image_id][0])
     generated = np.stack(generated)
-    gt_pairs = np.stack(gt_pairs)
-    gt_pool = np.stack([image_set[i][0] for i in test.image_ids.tolist()])
+    gen_labels = np.repeat(test.labels, cfg.samples_per_record)
+    gt_pairs = images[np.repeat(test.image_ids, cfg.samples_per_record)]
+    gt_pool = images[test.image_ids]
 
     ga_cfg = GaConfig(n_way=cfg.ga_n, top_k=cfg.ga_k)
     gen_block = evaluate_generation(
-        generated, np.array(gen_labels), gt_pool, gt_pairs, surrogate.model, ga_cfg, is_splits=cfg.is_splits
+        generated, gen_labels, gt_pool, gt_pairs, surrogate.model, ga_cfg, is_splits=cfg.is_splits
     )
 
     report = MetricsReport(

@@ -3,14 +3,18 @@
 Each is a pure oracle against which library code is checked: exact noise
 inversion for the reverse chain, the inverse of `segment_units`, the
 one-hot codeword map the LMM loss targets are built from, the one-image
-SSIM the batched `ssim` must match bit for bit, and the one-image target
-builder `make_image_set` must match byte for byte.
+SSIM the batched `ssim` must match bit for bit, the one-image target
+builder `make_image_set` must match byte for byte, and the per-entry BVE1
+writer whose bytes the structured `write_fixtures` must reproduce.
 """
 
 from __future__ import annotations
 
+from io import BytesIO
+
 import numpy as np
 
+from brainvis_forge.binio import crc_bytes, pack_u32
 from brainvis_forge.diffusion import NoiseSchedule
 from brainvis_forge.lmm import Codebook
 
@@ -95,3 +99,21 @@ def make_image(class_label: int, image_id: int, size: int = 16, channels: int = 
     jitter_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A6E, class_label, image_id]))
     img = 0.8 * _blocky(base_rng, channels, size) + 0.15 * _blocky(jitter_rng, channels, size, grid=8)
     return np.clip(img, -1.0, 1.0).astype(np.float32)
+
+
+def write_fixtures_per_entry(path, entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]], e: int) -> None:
+    """BVE1 written one entry at a time, in dict order:
+    (class_label, image_id) -> (label vector, caption vector)."""
+    body = BytesIO()
+    for (class_label, image_id), (c_label, c_cap) in entries.items():
+        if c_label.shape != (e,):
+            raise ValueError(f"write_fixtures: entry ({class_label},{image_id}) has dim {c_label.shape}, expected ({e},)")
+        body.write(pack_u32(class_label, image_id))
+        body.write(np.ascontiguousarray(c_label, dtype="<f4").tobytes())
+        body.write(np.ascontiguousarray(c_cap, dtype="<f4").tobytes())
+    payload = body.getvalue()
+    with open(path, "wb") as fh:
+        fh.write(b"BVE1")
+        fh.write(pack_u32(1, len(entries), e))
+        fh.write(payload)
+        fh.write(crc_bytes(payload))

@@ -351,12 +351,13 @@ def test_criterion_10_persistence(tmp_path):
 
         bve = tmp_path / "f.bve"
         fixtures = generate_fixtures(3, 2, e=12, seed=1)
-        write_fixtures(bve, fixtures, e=12)
-        loaded_fx, _ = load_fixtures(bve)
+        write_fixtures(bve, fixtures)
+        loaded_fx = load_fixtures(bve)
+        assert loaded_fx.labels.tolist() == fixtures.labels.tolist()
         assert all(
-            fixtures[k].c_cap.tobytes() == loaded_fx[k].c_cap.tobytes()
-            and fixtures[k].c_label.tobytes() == loaded_fx[k].c_label.tobytes()
-            for k in fixtures
+            fixtures.c_cap[i].tobytes() == loaded_fx.c_cap[i].tobytes()
+            and fixtures.c_label[i].tobytes() == loaded_fx.c_label[i].tobytes()
+            for i in range(len(fixtures))
         )
 
         bvc = tmp_path / "c.bvc"

@@ -6,17 +6,22 @@ import pytest
 from brainvis_forge.align import (
     AlignmentNet,
     MissingTargetError,
-    SemanticTargets,
+    SemanticFixtures,
     align,
     generate_fixtures,
     load_fixtures,
-    lookup,
     si_loss,
     train_align,
     write_fixtures,
 )
 from brainvis_forge.autodiff import Tensor
-from brainvis_forge.binio import ChecksumError, UnsupportedFormatError
+from brainvis_forge.binio import ChecksumError, FileFormatError, UnsupportedFormatError
+from oracles import write_fixtures_per_entry
+
+
+def _entries(fixtures: SemanticFixtures) -> dict:
+    """The table as the per-entry writer takes it: (class, image id) -> (label, caption)."""
+    return {(int(k), i): (fixtures.c_label[i], fixtures.c_cap[i]) for i, k in enumerate(fixtures.labels)}
 
 
 # --- fixtures container -------------------------------------------------------
@@ -25,37 +30,52 @@ from brainvis_forge.binio import ChecksumError, UnsupportedFormatError
 def test_fixture_roundtrip_bit_identical(tmp_path):
     fixtures = generate_fixtures(3, 4, e=16, seed=1)
     path = tmp_path / "f.bve"
-    write_fixtures(path, fixtures, e=16)
-    loaded, e = load_fixtures(path)
-    assert e == 16
-    assert set(loaded) == set(fixtures)
-    for key in fixtures:
-        assert fixtures[key].c_label.tobytes() == loaded[key].c_label.tobytes()
-        assert fixtures[key].c_cap.tobytes() == loaded[key].c_cap.tobytes()
+    write_fixtures(path, fixtures)
+    loaded = load_fixtures(path)
+    assert loaded.e == 16
+    assert loaded.labels.tolist() == fixtures.labels.tolist() == [i // 4 for i in range(12)]
+    for i in range(len(fixtures)):
+        assert fixtures.c_label[i].tobytes() == loaded.c_label[i].tobytes()
+        assert fixtures.c_cap[i].tobytes() == loaded.c_cap[i].tobytes()
 
 
 def test_fixture_clip_shaped_header(tmp_path):
     fixtures = generate_fixtures(2, 2, e=768, seed=0)
     path = tmp_path / "clip.bve"
-    write_fixtures(path, fixtures, e=768)
-    _, e = load_fixtures(path)
-    assert e == 768
+    write_fixtures(path, fixtures)
+    assert load_fixtures(path).e == 768
+
+
+@pytest.mark.parametrize(
+    "n_classes, per_class, e",
+    [
+        (4, 8, 16),  # configs/tiny.json
+        (2, 2, 768),  # CLIP-sized vectors
+        (1, 1, 768),  # a single entry
+        (3, 5, 7),
+    ],
+)
+def test_structured_writer_bytes_equal_per_entry_oracle(tmp_path, n_classes, per_class, e):
+    fixtures = generate_fixtures(n_classes, per_class, e=e, seed=5)
+    write_fixtures(tmp_path / "table.bve", fixtures)
+    write_fixtures_per_entry(tmp_path / "entries.bve", _entries(fixtures), e)
+    assert (tmp_path / "table.bve").read_bytes() == (tmp_path / "entries.bve").read_bytes()
 
 
 def test_fixture_generator_deterministic_and_controlled_angle():
     a = generate_fixtures(4, 3, e=32, seed=9, caption_offset=0.25)
     b = generate_fixtures(4, 3, e=32, seed=9, caption_offset=0.25)
-    for key in a:
-        assert a[key].c_cap.tobytes() == b[key].c_cap.tobytes()
+    for i in range(len(a)):
+        assert a.c_cap[i].tobytes() == b.c_cap[i].tobytes()
     # caption stays within ~30 degrees of the class direction at offset 0.25
-    for (k, _), tgt in a.items():
-        cos = float(tgt.c_label @ tgt.c_cap)
+    for c_label, c_cap in zip(a.c_label, a.c_cap):
+        cos = float(c_label @ c_cap)
         assert cos > 0.9
 
 
 def test_fixture_bad_magic_and_crc(tmp_path):
     path = tmp_path / "x.bve"
-    write_fixtures(path, generate_fixtures(2, 2, e=8, seed=0), e=8)
+    write_fixtures(path, generate_fixtures(2, 2, e=8, seed=0))
     blob = bytearray(path.read_bytes())
     blob[0] = ord(b"Z")
     (tmp_path / "bad_magic.bve").write_bytes(bytes(blob))
@@ -69,19 +89,56 @@ def test_fixture_bad_magic_and_crc(tmp_path):
 
 
 def test_missing_target_distinct_error():
+    fixtures = generate_fixtures(2, 2, e=8, seed=0)  # images 0, 1 of class 0; 2, 3 of class 1
+    with pytest.raises(MissingTargetError, match="class 7, image 7"):
+        fixtures.targets([7], [7])
+
+
+def test_targets_gather_rows_and_name_the_first_bad_pair():
     fixtures = generate_fixtures(2, 2, e=8, seed=0)
-    with pytest.raises(MissingTargetError):
-        lookup(fixtures, 7, 7)
+    caps, labels = fixtures.targets([1, 0, 1], [3, 0, 2])
+    assert caps.tobytes() == fixtures.c_cap[[3, 0, 2]].tobytes()
+    assert labels.tobytes() == fixtures.c_label[[3, 0, 2]].tobytes()
+    with pytest.raises(MissingTargetError, match="class 0, image 4"):
+        fixtures.targets([0, 0, 1], [1, 4, 1])  # unknown id first
+    with pytest.raises(MissingTargetError, match="class 1, image -1"):
+        fixtures.targets([1, 1], [3, -1])  # a negative id is unknown, not the last row
+    with pytest.raises(MissingTargetError, match="class 1, image 1"):
+        fixtures.targets([0, 1, 0], [0, 1, 9])  # class mismatch comes first
 
 
 def test_zero_norm_vector_rejected_at_load(tmp_path):
     from brainvis_forge.align import ZeroNormTargetError
 
-    fixtures = {(0, 0): SemanticTargets(np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32))}
+    fixtures = SemanticFixtures([0], np.zeros((1, 8), dtype=np.float32), np.ones((1, 8), dtype=np.float32))
     path = tmp_path / "zero.bve"
-    write_fixtures(path, fixtures, e=8)
+    write_fixtures(path, fixtures)
     with pytest.raises(ZeroNormTargetError):
         load_fixtures(path)
+
+    fixtures = generate_fixtures(2, 3, e=8, seed=4)
+    fixtures.c_cap[4] = 0.0
+    path = tmp_path / "zero_row.bve"
+    write_fixtures(path, fixtures)
+    with pytest.raises(ZeroNormTargetError, match=r"entry \(1, 4\)"):
+        load_fixtures(path)
+
+
+def test_out_of_order_ids_rejected_at_load(tmp_path):
+    fixtures = generate_fixtures(2, 2, e=8, seed=0)
+    entries = _entries(fixtures)
+    swapped = {key: entries[key] for key in [(0, 0), (1, 2), (0, 1), (1, 3)]}
+    path = tmp_path / "swapped.bve"
+    write_fixtures_per_entry(path, swapped, 8)
+    with pytest.raises(FileFormatError, match="entry 1 carries image id 2, expected 1"):
+        load_fixtures(path)
+
+
+def test_semantic_fixtures_shapes_validated():
+    with pytest.raises(ValueError, match="SemanticFixtures"):
+        SemanticFixtures([0, 1], np.ones((2, 4)), np.ones((2, 5)))
+    with pytest.raises(ValueError, match="SemanticFixtures"):
+        SemanticFixtures([0], np.ones((2, 4)), np.ones((2, 4)))
 
 
 # --- alignment net -------------------------------------------------------------
@@ -170,12 +227,12 @@ def test_train_align_orthogonal_classes_converges():
     labels = np.repeat(np.arange(4), 12)
     image_ids = np.arange(n)
     # orthogonal class directions; embeddings linearly separable by class
-    fixtures = {}
     dirs = np.eye(e)[:4]
+    caps = np.empty((n, e), dtype=np.float32)
     for i in range(n):
-        k = labels[i]
-        cap = dirs[k] + 0.1 * rng.standard_normal(e)
-        fixtures[(k, i)] = SemanticTargets(dirs[k].astype(np.float32), (cap / np.linalg.norm(cap)).astype(np.float32))
+        cap = dirs[labels[i]] + 0.1 * rng.standard_normal(e)
+        caps[i] = cap / np.linalg.norm(cap)
+    fixtures = SemanticFixtures(labels, dirs[labels], caps)
     embeddings = np.concatenate([np.eye(4)[labels], 0.05 * rng.standard_normal((n, 4))], axis=1)
 
     result = train_align(embeddings, labels, image_ids, fixtures, e=e, epochs=120,
@@ -186,3 +243,12 @@ def test_train_align_orthogonal_classes_converges():
     again2 = train_align(embeddings, labels, image_ids, fixtures, e=e, epochs=5,
                          batch_size=16, lr=3e-3, seed=2)
     assert [h["si_loss"] for h in again.history] == [h["si_loss"] for h in again2.history]
+
+
+def test_train_align_checks_fixture_dim_and_pairs():
+    fixtures = generate_fixtures(2, 2, e=8, seed=0)
+    embeddings = np.random.default_rng(0).standard_normal((4, 3))
+    with pytest.raises(ValueError, match="fixtures have dim 8, expected 9"):
+        train_align(embeddings, [0, 0, 1, 1], [0, 1, 2, 3], fixtures, e=9, epochs=1)
+    with pytest.raises(MissingTargetError, match="class 0, image 2"):
+        train_align(embeddings, [0, 0, 0, 1], [0, 1, 2, 3], fixtures, e=8, epochs=1)

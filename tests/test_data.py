@@ -345,9 +345,9 @@ def test_zscore_channels_statistics():
     ],
 )
 def test_image_set_byte_equal_to_per_image_oracle(n_classes, per_class, size, channels):
-    image_set = make_image_set(n_classes, per_class, size=size, channels=channels, seed=7)
-    assert sorted(image_set) == list(range(n_classes * per_class))
-    for image_id, (img, label) in image_set.items():
+    images, labels = make_image_set(n_classes, per_class, size=size, channels=channels, seed=7)
+    assert len(images) == len(labels) == n_classes * per_class
+    for image_id, (img, label) in enumerate(zip(images, labels)):
         assert label == image_id // per_class
         expected = make_image(label, image_id, size=size, channels=channels, seed=7)
         assert img.dtype == expected.dtype and img.shape == expected.shape == (channels, size, size)

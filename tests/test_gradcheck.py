@@ -6,8 +6,8 @@ lighter two-probe pass plus targeted checks on the model-level composites.
 
 import numpy as np
 
-from brainvis_forge.autodiff import Tensor, tsum
-from brainvis_forge.autodiff.gradcheck import check_gradients, run_catalog_suite
+from brainvis_forge.autodiff import Tensor, active_tape, tsum
+from brainvis_forge.autodiff.gradcheck import check_gradients, op_catalog, run_catalog_suite
 from brainvis_forge.autodiff.tensor import mul
 
 TOL = 1e-4
@@ -79,3 +79,69 @@ def test_si_loss_gradient_wrt_output():
         return si_loss(ts[0], cap, lab)
 
     assert check_gradients(loss_fn, [rng.standard_normal(7) + 0.2]) < TOL
+
+
+def _recorded_ops(forward) -> set[str]:
+    """Names of the ops one taped call of `forward` records."""
+    tape = active_tape()
+    tape.clear()
+    forward()
+    names = {entry.op for entry in tape.entries}
+    tape.clear()
+    return names
+
+
+def _pipeline_forwards() -> dict:
+    """One tiny taped forward per trained network, each ending in its loss."""
+    from brainvis_forge.align import AlignmentNet, si_loss
+    from brainvis_forge.autodiff.nn import Linear, LstmEncoder
+    from brainvis_forge.autodiff.ops import cross_entropy, mse_loss
+    from brainvis_forge.diffusion import DenoiserNet
+    from brainvis_forge.freq import FreqClassifier
+    from brainvis_forge.fusion import TfeModel
+    from brainvis_forge.lmm import build_lmm_models, make_mask_plan
+    from brainvis_forge.lmm.model import UnitProjector, VisibleEncoder
+    from brainvis_forge.lmm.train import lmm_step
+    from brainvis_forge.metrics.surrogate import SurrogateClassifier
+
+    rng = np.random.default_rng(23)
+    onehot = np.eye(4)[[0, 3]]
+    lmm = build_lmm_models(
+        unit_dim=8, n_units=6, d=8, n_heads=2, ffn_dim=16, sa_blocks=1, ca_blocks=1,
+        n_codewords=12, teacher_momentum=0.9, seed=0,
+    )
+    tfe = TfeModel(
+        UnitProjector(8, 4, 5, rng), VisibleEncoder(4, 2, 8, 1, rng), LstmEncoder(2, 3, rng), Linear(7, 4, rng)
+    )
+    freq = FreqClassifier(2, 3, 4, rng)
+    align_net = AlignmentNet(6, 5, rng)
+    denoiser = DenoiserNet((3, 4, 4), 8, 4, 16, rng)
+    surrogate = SurrogateClassifier(3 * 4 * 4, 8, 4, rng)
+    return {
+        "lmm_step": lambda: lmm_step(
+            lmm, rng.standard_normal((2, 6, 8)).astype(np.float32), make_mask_plan(6, 0.5, rng)
+        ),
+        "TfeModel.logits": lambda: cross_entropy(
+            tfe.logits(rng.standard_normal((2, 5, 8)), rng.standard_normal((2, 6, 2))), onehot
+        ),
+        "FreqClassifier": lambda: cross_entropy(freq(Tensor(rng.standard_normal((2, 6, 2)))), onehot),
+        "AlignmentNet": lambda: si_loss(
+            align_net(Tensor(rng.standard_normal((2, 6)))), Tensor(rng.standard_normal((2, 5))),
+            Tensor(rng.standard_normal((2, 5))),
+        ),
+        "DenoiserNet": lambda: mse_loss(
+            denoiser(Tensor(rng.standard_normal((2, 3, 4, 4))), np.array([3, 7]), denoiser.class_condition([1, 2])),
+            Tensor(rng.standard_normal((2, 3, 4, 4))),
+        ),
+        "SurrogateClassifier": lambda: cross_entropy(surrogate(Tensor(rng.standard_normal((2, 48)))), onehot),
+    }
+
+
+def test_every_op_the_pipeline_tapes_has_a_catalog_probe():
+    covered = set()
+    for fn, arrays in op_catalog(np.random.default_rng(0)).values():
+        covered |= _recorded_ops(lambda: fn([Tensor(a, requires_grad=True) for a in arrays]))
+    for name, forward in _pipeline_forwards().items():
+        recorded = _recorded_ops(forward)
+        assert recorded, f"{name} recorded nothing"
+        assert recorded <= covered, f"{name} tapes ops without a finite-difference probe: {sorted(recorded - covered)}"

@@ -392,9 +392,7 @@ def test_evaluate_generation_perfect_bound():
     from brainvis_forge.data import make_image_set
     from brainvis_forge.metrics import evaluate_generation, train_surrogate
 
-    image_set = make_image_set(4, 6, size=8, seed=3)
-    images = np.stack([img for img, _ in image_set.values()])
-    labels = np.array([lab for _, lab in image_set.values()])
+    images, labels = make_image_set(4, 6, size=8, seed=3)
     surrogate = train_surrogate(images, labels, 4, hidden=32, epochs=200, seed=0)
     assert surrogate.train_accuracy == 1.0
 

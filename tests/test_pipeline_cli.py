@@ -91,6 +91,26 @@ def test_old_report_with_ga_trials_still_reads():
     assert PipelineConfig.from_dict(snapshot) == PipelineConfig.load(TINY)
 
 
+# The tiny chain's config.json snapshot as written while `stage2_condition`
+# still selected between a learned and a fixture class condition.
+LEGACY_SNAPSHOT = Path(__file__).parent / "data" / "legacy_tiny_config.json"
+
+
+def test_config_drops_learned_stage2_condition_from_old_snapshots():
+    snapshot = json.loads(LEGACY_SNAPSHOT.read_text())
+    assert snapshot["stage2_condition"] == "learned"
+    cfg = PipelineConfig.load(LEGACY_SNAPSHOT)
+    assert cfg == PipelineConfig.load(TINY)
+    assert "stage2_condition" not in cfg.to_dict()
+    assert json.loads(cfg.to_json()) == {k: v for k, v in snapshot.items() if k != "stage2_condition"}
+
+
+def test_config_rejects_the_removed_fixture_condition():
+    snapshot = {**json.loads(LEGACY_SNAPSHOT.read_text()), "stage2_condition": "fixture"}
+    with pytest.raises(ValueError, match="fixture-conditioned generate path was removed"):
+        PipelineConfig.from_dict(snapshot)
+
+
 # --- stages ----------------------------------------------------------------------
 
 
