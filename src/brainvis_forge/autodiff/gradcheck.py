@@ -170,6 +170,8 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     }
     fixed_target = Tensor(r((4, 5)))
     catalog["mse_loss_fixed_target"] = (lambda ts: ops.mse_loss(ts[0], fixed_target), [r((4, 5))])
+    catalog["linear_4d"] = probe(lambda ts: ops.linear(*ts), [r((2, 3, 4, 6)), r((6, 5)), r(5)], (2, 3, 4, 5))
+    catalog["matmul_4d"] = probe(lambda ts: matmul(ts[0], ts[1]), [r((2, 3, 4, 6)), r((6, 5))], (2, 3, 4, 5))
     return catalog
 
 

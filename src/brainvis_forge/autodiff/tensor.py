@@ -8,6 +8,8 @@ is visited exactly once and leaf gradients accumulate additively.
 Forward values are never mutated in place; every op allocates a fresh output
 array.  (Parameters are updated in place by `adam_step`, after the backward
 that reads them.)  Any op whose output contains NaN or Inf raises immediately.
+A batched x @ 2-D W folds x's leading axes into rows: one GEMM in the forward
+and one per gradient (`_matmul_data`); batched @ batched runs item by item.
 """
 
 from __future__ import annotations
@@ -271,16 +273,30 @@ def power(a: Tensor, p: float) -> Tensor:
 # matmul and shape ops
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(..., k) as (R, k); R is explicit, since reshape(-1, 0) raises on an empty x."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
 def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
+    """a @ b; batched a @ 2-D b is one GEMM, bit-equal to the per-item products
+    where BLAS runs both with one kernel (tiny and medium LMM shapes), else in rounding."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"{op}: operands must have ndim >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"{op}: inner dimensions differ, {a.shape} @ {b.shape}")
+    if a.ndim > 2 and b.ndim == 2:
+        return (_rows(a.data) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
     return np.matmul(a.data, b.data)
 
 
 def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
-    """Gradients of a @ b for the operands that require one (None otherwise)."""
+    """Gradients of a @ b for the operands that require one (None otherwise); folded
+    as in the forward, each is one GEMM and differs from per item in rounding only."""
+    if a.ndim > 2 and b.ndim == 2:
+        g_rows = _rows(g)
+        ga = (g_rows @ b.data.T).reshape(a.shape) if a.requires_grad else None
+        return ga, (_rows(a.data).T @ g_rows if b.requires_grad else None)
     ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
     gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
     return ga, gb

@@ -107,7 +107,7 @@ class Teacher:
 
 
 def teacher_update(teacher: Teacher, student: VisibleEncoder, momentum: float) -> Teacher:
-    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise."""
+    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise and in place."""
     t_params = dict(teacher.module.named_parameters())
     s_params = dict(student.named_parameters())
     if set(t_params) != set(s_params):
@@ -116,5 +116,6 @@ def teacher_update(teacher: Teacher, student: VisibleEncoder, momentum: float) -
         s = s_params[name]
         if t.shape != s.shape:
             raise ShapeError(f"teacher_update: {name} shapes differ, {t.shape} vs {s.shape}")
-        t.data = momentum * t.data + (1.0 - momentum) * s.data
+        t.data *= momentum
+        t.data += (1.0 - momentum) * s.data
     return teacher

@@ -164,6 +164,7 @@ def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
+    """Saves model/predictor.* too, unread by tfe: each stage saves all it trained."""
     _enter_stage(cfg, paths, "lmm")
     dataset, split = load_run_data(cfg, paths)
     train = dataset.take(split.train)

@@ -4,8 +4,9 @@ Each is a pure oracle against which library code is checked: exact noise
 inversion for the reverse chain, the inverse of `segment_units`, the
 one-hot codeword map the LMM loss targets are built from, the one-image
 SSIM the batched `ssim` must match bit for bit, the one-image target
-builder `make_image_set` must match byte for byte, and the per-entry BVE1
-writer whose bytes the structured `write_fixtures` must reproduce.
+builder `make_image_set` must match byte for byte, the per-entry BVE1
+writer whose bytes the structured `write_fixtures` must reproduce, and the
+per-item matmul gradients the folded ones must match in rounding.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from io import BytesIO
 
 import numpy as np
 
+from brainvis_forge.autodiff.tensor import _unbroadcast
 from brainvis_forge.binio import crc_bytes, pack_u32
 from brainvis_forge.diffusion import NoiseSchedule
 from brainvis_forge.lmm import Codebook
@@ -117,3 +119,12 @@ def write_fixtures_per_entry(path, entries: dict[tuple[int, int], tuple[np.ndarr
         fh.write(pack_u32(1, len(entries), e))
         fh.write(payload)
         fh.write(crc_bytes(payload))
+
+
+def matmul_grads_per_item(g: np.ndarray, a, b) -> tuple:
+    """Gradients of a @ b as `_matmul_grads` took them before batched a @ 2-D b
+    was folded: per-item products, the weight gradient a (B, d_in, d_out) stack
+    that `_unbroadcast` sums over B."""
+    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
+    return ga, gb

@@ -187,6 +187,23 @@ def test_teacher_closed_form_constant_student():
             np.testing.assert_array_equal(v, expected[name])
 
 
+def test_teacher_update_writes_in_place_and_equals_the_rebinding_formula():
+    student = _tiny_encoder(seed=5, dtype=np.float32)
+    teacher = Teacher(student, momentum=0.9)
+    arrays = {name: t.data for name, t in teacher.module.named_parameters()}
+    expected = {name: a.copy() for name, a in arrays.items()}
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        for t in student.parameters():
+            t.data += rng.standard_normal(t.shape).astype(t.dtype)
+        teacher.update(student)
+        for name, s in student.named_parameters():
+            expected[name] = 0.9 * expected[name] + (1.0 - 0.9) * s.data
+        for name, t in teacher.module.named_parameters():
+            assert t.data is arrays[name]
+            assert t.data.dtype == np.float32 and t.data.tobytes() == expected[name].tobytes()
+
+
 def test_teacher_receives_no_gradients():
     models = build_lmm_models(
         unit_dim=8, n_units=6, d=8, n_heads=2, ffn_dim=16, sa_blocks=1, ca_blocks=1,

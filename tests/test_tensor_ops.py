@@ -24,7 +24,8 @@ from brainvis_forge.autodiff import (
 )
 from brainvis_forge.autodiff import ops
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
-from brainvis_forge.autodiff.tensor import add, mul, sub
+from brainvis_forge.autodiff.tensor import _matmul_grads, add, mul, sub
+from oracles import matmul_grads_per_item
 
 
 def test_matmul_identity():
@@ -304,3 +305,147 @@ def test_attention_output_shape_and_batch():
     x = Tensor(rng.standard_normal((2, 5, d)))
     out = ops.multi_head_attention(x, x, ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3], heads)
     assert out.shape == (2, 5, d)
+
+
+# --- batched x @ 2-D weight: one GEMM over the folded rows --------------------
+
+
+def _per_item_product(x, w):
+    """Oracle: one np.matmul per leading index of x."""
+    lead = x.shape[:-2]
+    items = [np.matmul(x[idx], w) for idx in np.ndindex(lead)]
+    return np.stack(items).reshape(lead + (x.shape[-2], w.shape[-1]))
+
+
+def _noncontiguous(x):
+    """x's values in a view whose leading axes are not C-ordered."""
+    return np.ascontiguousarray(np.swapaxes(x, 0, 1)).swapaxes(0, 1)
+
+
+# The shapes the pipeline multiplies: the tiny chain's 2-3 visible units at
+# d = 32 and the medium geometry's 28 visible units at d = 256, plus 4-D ones.
+FOLD_CASES = [
+    ((16, 3, 32), (32, 32), np.float32, False),
+    ((16, 28, 256), (256, 256), np.float32, False),
+    ((16, 28, 256), (256, 256), np.float32, True),
+    ((2, 3, 10, 32), (32, 64), np.float32, False),
+    ((4, 10, 32), (32, 32), np.float64, False),
+    ((2, 3, 10, 32), (32, 64), np.float64, True),
+]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, dtype, strided", FOLD_CASES)
+def test_folded_forward_equals_per_item_matmul(x_shape, w_shape, dtype, strided):
+    rng = np.random.default_rng(sum(x_shape))
+    x = rng.standard_normal(x_shape).astype(dtype)
+    if strided:
+        x = _noncontiguous(x)
+        assert not x.flags.c_contiguous
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = rng.standard_normal(w_shape[-1]).astype(dtype)
+    expected = _per_item_product(x, w)
+    tape = active_tape()
+    before = len(tape)
+    for needs_grad in (False, True):
+        got = matmul(Tensor(x, requires_grad=needs_grad), Tensor(w)).data
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        got = ops.linear(Tensor(x, requires_grad=needs_grad), Tensor(w), Tensor(b)).data
+        assert np.array_equal(got, expected + b)
+    assert [e.op for e in tape.entries[before:]] == ["matmul", "linear"]
+    del tape.entries[before:]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, dtype", [
+    ((16, 1, 32), (32, 32), np.float64),  # one row per item: numpy takes gemv per item
+    ((16, 28, 512), (512, 16), np.float32),  # per item below OpenBLAS's small-matrix cut-off
+])
+def test_folded_forward_where_blas_switches_kernel_agrees_in_rounding(x_shape, w_shape, dtype):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    got = matmul(Tensor(x), Tensor(w)).data
+    rtol = 1e-13 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(got, _per_item_product(x, w), rtol=rtol, atol=rtol * np.abs(got).max())
+
+
+def _fold_grads(x, w, g):
+    a, b = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    return _matmul_grads(g, a, b), matmul_grads_per_item(g, a, b)
+
+
+GRAD_CASES = [
+    ((16, 28, 32), (32, 24), False),  # 28 rows per item
+    ((16, 10, 32), (32, 24), False),  # 10 rows per item
+    ((2, 3, 10, 8), (8, 6), False),
+    ((2, 3, 10, 8), (8, 6), True),
+]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, strided", GRAD_CASES)
+def test_folded_gradients_match_per_item_formula_in_float64(x_shape, w_shape, strided):
+    rng = np.random.default_rng(len(x_shape) + x_shape[-2])
+    x = rng.standard_normal(x_shape)
+    x = _noncontiguous(x) if strided else x
+    w = rng.standard_normal(w_shape)
+    g = rng.standard_normal(x_shape[:-1] + w_shape[-1:])
+    (ga, gw), (ga_ref, gw_ref) = _fold_grads(x, w, g)
+    for got, ref in ((ga, ga_ref), (gw, gw_ref)):
+        assert got.shape == ref.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("x_shape, w_shape, strided", GRAD_CASES)
+def test_folded_gradients_in_float32_stay_within_1e_5_of_float64(x_shape, w_shape, strided):
+    rng = np.random.default_rng(len(x_shape) + x_shape[-2])
+    x = rng.standard_normal(x_shape)
+    x = _noncontiguous(x) if strided else x
+    w = rng.standard_normal(w_shape)
+    g = rng.standard_normal(x_shape[:-1] + w_shape[-1:])
+    _, reference = _fold_grads(x, w, g)
+    folded, per_item = _fold_grads(*(v.astype(np.float32) for v in (x, w, g)))
+    for got, old, ref in zip(folded, per_item, reference):
+        assert got.dtype == np.float32 and got.shape == ref.shape
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-5 * scale
+        assert np.abs(old - ref).max() <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((2, 3, 0), (0, 5)),  # zero inner dimension: reshape(-1, 0) would raise here
+    ((0, 3, 4), (4, 5)),  # zero leading rows
+])
+def test_folded_matmul_handles_empty_operands(x_shape, w_shape):
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+    out = matmul(x, w)
+    assert np.array_equal(out.data, np.matmul(x.data, w.data))
+    assert out.shape == x_shape[:-1] + w_shape[-1:]
+    backward(tsum(out))
+    assert x.grad.shape == x_shape and w.grad.shape == w_shape
+    assert not x.grad.any() and not w.grad.any()
+
+
+class _GemmCounter(np.ndarray):
+    """An upstream gradient that counts the matmuls it takes part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _GemmCounter.calls += 1
+        inputs = tuple(i.view(np.ndarray) if isinstance(i, _GemmCounter) else i for i in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("x_needs_grad, gemms", [(True, 2), (False, 1)])
+def test_folded_backward_skips_the_input_gemm_when_x_needs_no_gradient(x_needs_grad, gemms):
+    rng = np.random.default_rng(5)
+    x, w = rng.standard_normal((3, 4, 6)), rng.standard_normal((6, 5))
+    g = rng.standard_normal((3, 4, 5)).view(_GemmCounter)
+    _GemmCounter.calls = 0
+    ga, gw = _matmul_grads(g, Tensor(x, requires_grad=x_needs_grad), Tensor(w, requires_grad=True))
+    assert _GemmCounter.calls == gemms
+    assert (ga is None) == (not x_needs_grad)
+    assert type(gw) is np.ndarray and gw.shape == (6, 5)
