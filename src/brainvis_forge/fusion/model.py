@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, no_grad
+from ..autodiff import Tensor, concat
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..autodiff.ops import mean_pool
 from ..autodiff.tensor import ShapeError
@@ -88,8 +88,3 @@ class TfeModel(Module):
     def logits(self, flat_units: np.ndarray | None, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
         """Class logits for a batch; arguments as for `fused`."""
         return self.head(self.fused(flat_units, spectra, freq_hidden))
-
-    def tfe_embedding(self, flat_units: np.ndarray | None, spectra: np.ndarray | None) -> np.ndarray:
-        """Fused embedding as a constant array (inference path)."""
-        with no_grad():
-            return self.fused(flat_units, spectra).data.copy()

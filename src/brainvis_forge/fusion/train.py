@@ -5,7 +5,9 @@ their pretrained weights (or fresh ones, for a cold start).  Stage 1 trains
 the time branch and head for `stage1_epochs` with the frequency encoder
 frozen; stage 2 unfreezes everything for a shorter joint run, and refuses to
 run without stage 1.  `tfe_inputs` builds the model's inputs for training and
-inference alike.
+inference alike; the tfe stage alone runs inference, saving the fused rows
+(`predict(model.fused, *tfe_inputs(...))`) and their `classify_batch` logits
+as checkpoint extras that align, generate and evaluate read.
 """
 
 from __future__ import annotations
@@ -108,5 +110,6 @@ def finetune_tfe(
     return result
 
 
-def classify_batch(model: TfeModel, dataset: EegDataset, n_units: int, batch: int = 256) -> np.ndarray:
-    return predict(model.logits, *tfe_inputs(model, dataset, n_units), batch=batch)
+def classify_batch(model: TfeModel, fused: np.ndarray, batch: int = 256) -> np.ndarray:
+    """Class logits for fused rows, `batch` rows at a time."""
+    return predict(model.head, fused, batch=batch)

@@ -12,10 +12,12 @@ body stays pure tensor data and the snapshot stays human-readable.
 
 Key layout:
     model/{param}    the parameters of the network the stage trained
-    {name}           a top-level extra (e.g. spectrum_scale)
+    {name}           a top-level extra: spectrum_scale (freq, tfe) and the
+                     output rows train_fused, test_fused, test_logits (tfe)
+                     and train_c_eeg, test_c_eeg (align)
 where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
 Optimizer state is not saved: no stage resumes from a checkpoint.
-Which stage writes and reads which keys is the runner's concern.
+Which later stage reads which keys is documented in the runner.
 """
 
 from __future__ import annotations

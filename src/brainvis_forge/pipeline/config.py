@@ -98,7 +98,7 @@ class PipelineConfig:
             c=self.c, l=self.l, n=self.n, d=self.d, n_t=self.n_t, heads=self.heads,
             ffn=self.ffn, sa_blocks=self.sa_blocks, ca_blocks=self.ca_blocks,
             lstm_hidden=self.lstm_hidden, lr=self.lr, batch=self.batch, e=self.e,
-            T=self.T, latent_channels=self.latent_channels, latent_size=self.latent_size,
+            T=self.T, latent_size=self.latent_size,
             denoiser_hidden=self.denoiser_hidden, diffusion_steps=self.diffusion_steps,
             diffusion_batch=self.diffusion_batch, n_classes=self.n_classes,
             records_per_class=self.records_per_class, records_per_image=self.records_per_image,
@@ -118,6 +118,8 @@ class PipelineConfig:
             raise ValueError(f"PipelineConfig: heads={self.heads} must divide d={self.d}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"PipelineConfig: rho={self.rho} outside (0, 1)")
+        if self.latent_channels != 3:
+            raise ValueError(f"PipelineConfig: latent_channels={self.latent_channels} must be 3 (RGB PPM output)")
         if self.T < 2:
             raise ValueError(f"PipelineConfig: T={self.T} too small")
         if not 0.0 <= self.teacher_momentum <= 1.0:

@@ -12,9 +12,14 @@ from the prerequisites.  Training stages hand weights on only through
 `save_stage` and `load_stage` (key layout in pipeline.checkpoint), each
 checkpoint holding the network its stage trained under model/: tfe reads
 model/projector.* and model/encoder.* from the lmm checkpoint and
-model/encoder.* and spectrum_scale from the freq checkpoint; later stages
-read model/* and the tfe spectrum_scale.  Each network has one
-builder (`_tfe_model`, `_align_net`, `_denoiser`) for training and loading.
+model/encoder.* and spectrum_scale from the freq checkpoint.  A network that
+later stages only read from runs forward once per split, in the stage that
+trained it, and saves its output rows as extras: tfe train_fused, test_fused
+and test_logits, align train_c_eeg and test_c_eeg.  align reads the fused
+rows, diffusion train_c_eeg, generate test_logits and test_c_eeg, evaluate
+test_logits, each through `_stored_rows`; only generate rebuilds a network,
+the denoiser.  Each network has one builder (`_tfe_model`, `_align_net`,
+`_denoiser`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from ..align.fixtures import generate_fixtures, load_fixtures, write_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
-from ..autodiff import Tensor, no_grad
+from ..autodiff import no_grad, predict
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..data.bvd import load_dataset, write_dataset
 from ..data.images import make_image_set
@@ -124,6 +129,19 @@ def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> Chec
     if model is not None:
         model.load_state(ckpt.tensors, "model/")
     return ckpt
+
+
+def _stored_rows(paths: RunPaths, reader: str, stage: str, **n_rows: int) -> list[np.ndarray]:
+    """The row arrays `stage` saved under the keys of `n_rows`, each checked
+    to hold its given row count: a checkpoint left from another gen-data run
+    would otherwise pair rows with the wrong records."""
+    tensors = load_stage(paths, stage).tensors
+    for key, n in n_rows.items():
+        found = len(tensors.get(key, ()))
+        if found != n:
+            raise StageError(f"stage {reader!r}: {stage} checkpoint key {key!r} has {found} rows for a split of "
+                             f"{n} records; rerun {stage!r}")
+    return [tensors[key] for key in n_rows]
 
 
 def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
@@ -247,22 +265,17 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
         batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed,
         run_stage2=cfg.ablate != "no-finetune",
     )
+    train_fused, test_fused = (predict(model.fused, *tfe_inputs(model, dataset.take(rows), cfg.n))
+                               for rows in (split.train, split.test))
     save_stage(
         cfg, paths, "tfe", result.history, model,
-        extras={"spectrum_scale": np.asarray([scale], dtype=np.float32)},
+        extras={"spectrum_scale": np.asarray([scale], dtype=np.float32), "train_fused": train_fused,
+                "test_fused": test_fused, "test_logits": classify_batch(model, test_fused)},
         meta={"use_time": use_time, "use_freq": use_freq,
               "stage1_done": result.stage1_done, "stage2_done": result.stage2_done},
     )
     last = result.history[-1] if result.history else {}
     return {"epochs": len(result.history), "train_acc": last.get("train_acc"), "val_acc": last.get("val_acc")}
-
-
-def _load_tfe(cfg: PipelineConfig, paths: RunPaths) -> TfeModel:
-    ckpt = load_stage(paths, "tfe")
-    scale = float(ckpt.tensors["spectrum_scale"][0])
-    model = _tfe_model(cfg, np.random.default_rng(0), ckpt.config["use_time"], ckpt.config["use_freq"], scale)
-    model.load_state(ckpt.tensors, "model/")
-    return model
 
 
 def _align_net(cfg: PipelineConfig, rng: np.random.Generator) -> AlignmentNet:
@@ -274,26 +287,16 @@ def _denoiser(cfg: PipelineConfig, rng: np.random.Generator) -> DenoiserNet:
     return DenoiserNet(cfg.latent_shape, cfg.e, cfg.n_classes, cfg.denoiser_hidden, rng)
 
 
-def _load_align(cfg: PipelineConfig, paths: RunPaths) -> AlignmentNet:
-    net = _align_net(cfg, np.random.default_rng(0))
-    load_stage(paths, "align", net)
-    return net
-
-
-def _tfe_embeddings(cfg: PipelineConfig, model: TfeModel, dataset: EegDataset) -> np.ndarray:
-    return model.tfe_embedding(*tfe_inputs(model, dataset, cfg.n))
-
-
 def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "align")
     dataset, split = load_run_data(cfg, paths)
-    model = _load_tfe(cfg, paths)
+    train_fused, test_fused = _stored_rows(paths, "align", "tfe", train_fused=len(split.train),
+                                           test_fused=len(split.test))
     fixtures = load_fixtures(paths.root / "data" / "fixtures.bve")
     train = dataset.take(split.train)
-    embeddings = _tfe_embeddings(cfg, model, train)
 
     result = train_align(
-        embeddings, train.labels, train.image_ids, fixtures,
+        train_fused, train.labels, train.image_ids, fixtures,
         e=cfg.e,
         epochs=cfg.epochs["align"],
         batch_size=cfg.batch,
@@ -302,22 +305,20 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
         label_weight=cfg.label_weight,
         net=_align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11]))),
     )
-    save_stage(cfg, paths, "align", result.history, result.net)
+    save_stage(cfg, paths, "align", result.history, result.net,
+               extras={"train_c_eeg": align(result.net, train_fused), "test_c_eeg": align(result.net, test_fused)})
     return {"epochs": len(result.history), "final_si_loss": result.history[-1]["si_loss"] if result.history else None}
 
 
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "diffusion")
     dataset, split = load_run_data(cfg, paths)
-    model = _load_tfe(cfg, paths)
     images, _ = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                channels=cfg.latent_channels, seed=cfg.seed)
 
     train = dataset.take(split.train)
-
-    eeg_conditions = None
-    if cfg.ablate != "no-semantic":
-        eeg_conditions = align(_load_align(cfg, paths), _tfe_embeddings(cfg, model, train))
+    no_semantic = cfg.ablate == "no-semantic"
+    eeg_conditions = None if no_semantic else _stored_rows(paths, "diffusion", "align", train_c_eeg=len(train))[0]
 
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = _denoiser(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])))
@@ -327,7 +328,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
         batch_size=cfg.diffusion_batch,
         lr=cfg.lr,
         seed=cfg.seed,
-        class_condition_prob=1.0 if cfg.ablate == "no-semantic" else 0.5,
+        class_condition_prob=1.0 if no_semantic else 0.5,
     )
     save_stage(cfg, paths, "diffusion", result.history, net)
     return {"steps": len(result.history), "final_loss": result.history[-1]["loss"] if result.history else None}
@@ -336,31 +337,29 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Sample `samples_per_record` images for every test record.
 
-    The test records' units and spectra are computed once; their fused rows
-    give both the predicted labels and, through one `align` call, the
-    semantic conditions.  All records x samples then advance through the
-    reverse chain as one batch (T denoiser calls), each sample on its own
-    seed stream, and the PPMs and provenance rows are written in
-    record-major, sample-minor order.
+    The predicted labels come from the tfe stage's test logits and the
+    semantic conditions from the align stage's test rows.  All records x
+    samples advance through the reverse chain as one batch (T denoiser
+    calls), each sample on its own seed stream, and the PPMs and provenance
+    rows are written in record-major, sample-minor order.
     """
     stage_dir = _enter_stage(cfg, paths, "generate")
     dataset, split = load_run_data(cfg, paths)
-    model = _load_tfe(cfg, paths)
     denoiser = _denoiser(cfg, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
     schedule = NoiseSchedule.linear(T=cfg.T)
     cascade = CascadeConfig(rho=cfg.rho)
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
-    test = dataset.take(split.test)
-    embeddings = _tfe_embeddings(cfg, model, test)
+    n_test = len(split.test)
+    (logits,) = _stored_rows(paths, "generate", "tfe", test_logits=n_test)
+    predicted = np.argmax(logits, axis=1)
     with no_grad():
-        predicted = np.argmax(model.head(Tensor(embeddings)).data, axis=1)
         class_cond = denoiser.class_condition(predicted).data
     if mode == "no-semantic":
-        c_eeg = np.zeros((len(test), cfg.e))
+        c_eeg = np.zeros((n_test, cfg.e))
     else:
-        c_eeg = align(_load_align(cfg, paths), embeddings)
+        (c_eeg,) = _stored_rows(paths, "generate", "align", test_c_eeg=n_test)
 
     samples = generate_samples(
         schedule, denoiser,
@@ -385,7 +384,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
         provenance_rows.append(row_dict)
 
     _write_jsonl(stage_dir / "provenance.jsonl", provenance_rows)
-    summary = {"samples": len(provenance_rows), "records": len(test), "mode": mode}
+    summary = {"samples": len(provenance_rows), "records": n_test, "mode": mode}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     return summary
 
@@ -393,10 +392,8 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     stage_dir = _enter_stage(cfg, paths, "evaluate")
     dataset, split = load_run_data(cfg, paths)
-    model = _load_tfe(cfg, paths)
-
     test = dataset.take(split.test)
-    logits = classify_batch(model, test, cfg.n)
+    (logits,) = _stored_rows(paths, "evaluate", "tfe", test_logits=len(test))
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
     images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
@@ -453,7 +450,7 @@ STAGES: dict[str, Stage] = {
     "align": Stage("train-align", "train the semantic alignment network", run_train_align,
                    "checkpoint.bvc", ("data", "tfe")),
     "diffusion": Stage("train-diffusion", "train the conditional denoiser", run_train_diffusion,
-                       "checkpoint.bvc", ("data", "tfe", "align")),
+                       "checkpoint.bvc", ("data", "align")),
     "generate": Stage("generate", "sample images for the test records", run_generate,
                       "provenance.jsonl", ("data", "tfe", "align", "diffusion")),
     "evaluate": Stage("evaluate", "score classification and generation, write report.json", run_evaluate,

@@ -199,6 +199,24 @@ def test_synthetic_counts_mirror_stimulus_set():
     assert len({r.image_id for r in records}) == 2000
 
 
+def test_synthetic_records_per_image_repeats_each_image_id():
+    per_class, per_image = 4, 3
+    spec = SyntheticGenSpec(n_classes=3, records_per_class=per_class, c=4, l=20, seed=2, sample_rate=100.0,
+                            records_per_image=per_image)
+    records = generate_synthetic(spec)
+    assert len(records) == 3 * per_class * per_image
+    # Records run class-major, then image, then repetition.
+    np.testing.assert_array_equal(records.image_ids, np.repeat(np.arange(3 * per_class), per_image))
+    np.testing.assert_array_equal(records.labels, records.image_ids // per_class)
+    # make_image_set's layout: image id k * per_class + j belongs to class k.
+    _, image_labels = make_image_set(3, per_class, size=4, seed=2)
+    np.testing.assert_array_equal(records.labels, image_labels[records.image_ids])
+    for image_id in range(3 * per_class):
+        trials = records.x[records.image_ids == image_id]
+        assert len(trials) == per_image
+        assert len({t.tobytes() for t in trials}) == per_image
+
+
 def test_too_many_classes_for_signal_length_rejected():
     with pytest.raises(ValueError, match="distinct frequency signatures"):
         SyntheticGenSpec(n_classes=40, records_per_class=1, c=2, l=20, seed=0, sample_rate=100.0)

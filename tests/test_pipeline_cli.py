@@ -44,6 +44,11 @@ def test_config_rejects_bad_fields():
         PipelineConfig(ablate="no-everything")
     with pytest.raises(ValueError, match="epochs"):
         PipelineConfig(epochs={"lmm": 1})
+    # generate writes every latent as an RGB PPM; other channel counts would
+    # train every stage and then fail there.
+    for channels in (1, 4):
+        with pytest.raises(ValueError, match=f"latent_channels={channels} must be 3"):
+            PipelineConfig(latent_channels=channels)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -190,8 +195,8 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
     expected = {
         "lmm": (LmmModels, set()),
         "freq": (FreqClassifier, {"spectrum_scale"}),
-        "tfe": (TfeModel, {"spectrum_scale"}),
-        "align": (AlignmentNet, set()),
+        "tfe": (TfeModel, {"spectrum_scale", "train_fused", "test_fused", "test_logits"}),
+        "align": (AlignmentNet, {"train_c_eeg", "test_c_eeg"}),
         "diffusion": (DenoiserNet, set()),
     }
     assert set(saved) == set(expected)
@@ -230,8 +235,10 @@ def test_no_time_tfe_has_no_time_branch(tmp_path):
     tfe = runner.load_stage(paths, "tfe").tensors
     assert any(k.startswith("model/freq_encoder.") for k in tfe) and "model/head.weight" in tfe
     assert not [k for k in tfe if k.startswith(("model/projector.", "model/encoder."))]
-    model = runner._load_tfe(cfg, paths)
-    assert model.projector is None and model.encoder is None
+    # The disabled time branch contributes zeros to every stored fused row.
+    for key in ("train_fused", "test_fused"):
+        assert tfe[key].shape[1] == cfg.d + cfg.lstm_hidden
+        assert not tfe[key][:, : cfg.d].any() and tfe[key][:, cfg.d :].any()
 
 
 # --- cli -------------------------------------------------------------------------
@@ -326,14 +333,15 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
     from brainvis_forge.diffusion.denoiser import DenoiserNet
     from brainvis_forge.freq import train as freq_train
     from brainvis_forge.fusion import train as fusion_train
+    from brainvis_forge.fusion.model import TfeModel
     from brainvis_forge.pipeline import runner
 
     cfg = tiny_config(diffusion_steps=50)
     paths = RunPaths(tmp_path / "run")
-    for stage in ("data", "lmm", "freq", "tfe", "align", "diffusion"):
+    for stage in ("data", "lmm", "freq", "tfe"):
         runner.STAGES[stage].run(cfg, paths)
 
-    counts = {"predict": 0, "fft": 0, "spectra": 0, "align": 0}
+    counts = dict.fromkeys(("tfe_model", "predict", "fft", "spectra", "tfe_inputs", "classify", "align"), 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -341,20 +349,82 @@ def test_generate_runs_one_batched_chain_and_evaluate_flags_degenerate_fid(tmp_p
             return fn(*args, **kwargs)
         return wrapper
 
+    # Stages after tfe read its stored rows and never rebuild the fused classifier.
+    monkeypatch.setattr(TfeModel, "__init__", counting("tfe_model", TfeModel.__init__))
+    for stage in ("align", "diffusion"):
+        runner.STAGES[stage].run(cfg, paths)
+    assert counts["tfe_model"] == 0
+
     monkeypatch.setattr(DenoiserNet, "predict", counting("predict", DenoiserNet.predict))
     monkeypatch.setattr(freq_train, "fft_magnitude", counting("fft", freq_train.fft_magnitude))
     monkeypatch.setattr(fusion_train, "spectra_matrix", counting("spectra", freq_train.spectra_matrix))
+    monkeypatch.setattr(runner, "tfe_inputs", counting("tfe_inputs", fusion_train.tfe_inputs))
+    monkeypatch.setattr(runner, "classify_batch", counting("classify", fusion_train.classify_batch))
     monkeypatch.setattr(runner, "align", counting("align", align_model.align))
     summary = runner.run_generate(cfg, paths)
     _, split = runner.load_run_data(cfg, paths)
     assert summary["samples"] == len(split.test) * cfg.samples_per_record
-    # the tiny test set fits in one spectra_matrix chunk: one batched FFT call
-    assert len(split.test) <= freq_train._CHUNK
-    assert counts == {"predict": cfg.T, "fft": 1, "spectra": 1, "align": 1}
+    # labels and conditions come from the tfe and align checkpoints
+    assert counts == {**dict.fromkeys(counts, 0), "predict": cfg.T}
 
     report = runner.run_evaluate(cfg, paths)
+    assert counts == {**dict.fromkeys(counts, 0), "predict": cfg.T}
     # 3 test records x 4 samples against 3 references in the surrogate's 32 dims
     assert (report.n_generated, report.n_reference) == (12, 3)
     assert report.fid_valid is False
     on_disk = json.loads((paths.root / "evaluate" / "report.json").read_text())
     assert (on_disk["n_generated"], on_disk["n_reference"], on_disk["fid_valid"]) == (12, 3, False)
+
+
+def test_stored_rows_equal_a_fresh_inference_pass(tmp_path):
+    from brainvis_forge.align.model import align
+    from brainvis_forge.autodiff import predict
+    from brainvis_forge.fusion.train import classify_batch, tfe_inputs
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 1, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "lmm", "freq", "tfe", "align"):
+        runner.STAGES[stage].run(cfg, paths)
+
+    tfe = runner.load_stage(paths, "tfe")
+    model = runner._tfe_model(cfg, np.random.default_rng(0), tfe.config["use_time"], tfe.config["use_freq"],
+                              float(tfe.tensors["spectrum_scale"][0]))
+    model.load_state(tfe.tensors, "model/")
+    net = runner._align_net(cfg, np.random.default_rng(0))
+    c_eeg = runner.load_stage(paths, "align", net).tensors
+    dataset, split = runner.load_run_data(cfg, paths)
+    fresh = {name: predict(model.fused, *tfe_inputs(model, dataset.take(rows), cfg.n))
+             for name, rows in (("train", split.train), ("test", split.test))}
+    for name, fused in fresh.items():
+        assert np.array_equal(tfe.tensors[f"{name}_fused"], fused)
+        assert np.array_equal(c_eeg[f"{name}_c_eeg"], align(net, fused))
+    assert np.array_equal(tfe.tensors["test_logits"], classify_batch(model, fresh["test"]))
+
+
+@pytest.mark.parametrize(
+    "writer, key, reader",
+    [
+        ("tfe", "train_fused", "align"),
+        ("tfe", "test_fused", "align"),
+        ("align", "train_c_eeg", "diffusion"),
+        ("tfe", "test_logits", "generate"),
+        ("align", "test_c_eeg", "generate"),
+        ("tfe", "test_logits", "evaluate"),
+    ],
+)
+def test_stage_rejects_stored_rows_of_another_split(tmp_path, writer, key, reader):
+    from brainvis_forge.pipeline import runner
+    from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
+
+    cfg = tiny_config(diffusion_steps=2, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 0, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    stages = list(runner.STAGES)
+    for stage in stages[: stages.index(reader)]:
+        runner.STAGES[stage].run(cfg, paths)
+    ckpt = load_checkpoint(paths.checkpoint(writer))
+    n = len(ckpt.tensors[key])
+    save_checkpoint(paths.checkpoint(writer),
+                    CheckpointArchive({**ckpt.tensors, key: ckpt.tensors[key][:-1]}, writer, ckpt.config))
+    with pytest.raises(StageError, match=f"stage '{reader}': {writer} checkpoint key '{key}' has {n - 1} rows"):
+        runner.STAGES[reader].run(cfg, paths)
