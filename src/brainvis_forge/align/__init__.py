@@ -10,10 +10,9 @@ from .fixtures import (
 )
 from .loss import si_loss
 from .model import AlignmentNet, ResidualBlock, align
-from .train import AlignTrainResult, train_align
+from .train import train_align
 
 __all__ = [
-    "AlignTrainResult",
     "AlignmentNet",
     "MissingTargetError",
     "ResidualBlock",

@@ -148,7 +148,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "narrow": probe(lambda ts: narrow(ts[0], 1, 1, 3), [r((4, 6))], (4, 3)),
         "concat": probe(lambda ts: concat([ts[0], ts[1]], axis=1), [r((4, 3)), r((4, 2))], (4, 5)),
         "sum": probe(lambda ts: tsum(ts[0], axis=0), [r((4, 5))], (5,)),
-        "mean_pool": probe(lambda ts: ops.mean_pool(ts[0], axis=0), [r((6, 5))], (5,)),
+        "mean": probe(lambda ts: tmean(ts[0], axis=0), [r((6, 5))], (5,)),
         "log": probe(lambda ts: log(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
         "sqrt": probe(lambda ts: sqrt(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
         "tanh": probe(lambda ts: tanh(ts[0]), [r((4, 5))], (4, 5)),

@@ -75,11 +75,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return add(mul(mul(centered, inv), gain), bias)
 
 
-def mean_pool(x: Tensor, axis: int) -> Tensor:
-    """Mean over one axis (e.g. pooling unit features to a single vector)."""
-    return tmean(x, axis=axis)
-
-
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     *lead, n, d = x.shape
     if d % n_heads != 0:

@@ -1,7 +1,7 @@
 """Toy two-stage conditional denoising diffusion."""
 
 from .cascade import CascadeConfig, GenerationProvenance, RowNoise, generate_samples, refine_stage2, sample_stage1
-from .ddpm import DenoiserTrainResult, reverse_step, train_denoiser, x0_estimate
+from .ddpm import reverse_step, train_denoiser, x0_estimate
 from .denoiser import DenoiserNet, timestep_embedding
 from .ppm import latent_to_rgb, read_ppm, sample_filename, write_ppm
 from .schedule import NoiseSchedule, forward_diffuse
@@ -9,7 +9,6 @@ from .schedule import NoiseSchedule, forward_diffuse
 __all__ = [
     "CascadeConfig",
     "DenoiserNet",
-    "DenoiserTrainResult",
     "GenerationProvenance",
     "NoiseSchedule",
     "RowNoise",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor
@@ -40,12 +38,6 @@ def x0_estimate(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps: np.ndarra
     return (np.asarray(x_t, dtype=np.float64) - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
 
 
-@dataclass
-class DenoiserTrainResult:
-    net: DenoiserNet
-    history: list[dict] = field(default_factory=list)
-
-
 def train_denoiser(
     net: DenoiserNet,
     schedule: NoiseSchedule,
@@ -57,14 +49,14 @@ def train_denoiser(
     batch_size: int = 16,
     lr: float = 1e-3,
     seed: int = 0,
-    class_condition_prob: float = 0.5,
-) -> DenoiserTrainResult:
-    """Noise-prediction training with both condition pathways.
+) -> list[dict]:
+    """Noise-prediction training of `net` in place with both condition
+    pathways; returns one log row per step.
 
     Each step draws a batch, a timestep per item, fresh Gaussian noise, and
-    flips one coin for the whole batch: condition on the class table (grads
-    flow into it) or on the fixed per-record semantic embedding.  With no
-    `eeg_conditions`, every step uses the class pathway.
+    flips one fair coin for the whole batch: condition on the class table
+    (grads flow into it) or on the fixed per-record semantic embedding.  With
+    no `eeg_conditions`, every step uses the class pathway and no coin is drawn.
     """
     images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
@@ -81,7 +73,7 @@ def train_denoiser(
         ab = schedule.alpha_bars[t][:, None, None, None]
         x_t = np.sqrt(ab) * images[idx] + np.sqrt(1.0 - ab) * eps
 
-        use_class = eeg_conditions is None or rng.uniform() < class_condition_prob
+        use_class = eeg_conditions is None or rng.uniform() < 0.5
         if use_class:
             cond = net.class_condition(labels[idx])
         else:
@@ -90,11 +82,10 @@ def train_denoiser(
         pred = net(Tensor(x_t.astype(dtype)), t, cond)
         loss = store.step(mse_loss(pred, Tensor(eps.astype(dtype))), lr)
         history.append({"step": step, "loss": loss, "condition": "class" if use_class else "eeg"})
-    return DenoiserTrainResult(net=net, history=history)
+    return history
 
 
 __all__ = [
-    "DenoiserTrainResult",
     "NoiseSchedule",
     "forward_diffuse",
     "reverse_step",

@@ -1,33 +1,14 @@
-"""Time-frequency embedding: pooled time features concatenated with the
-frequency hidden state, feeding a linear class head."""
+"""Time-frequency embedding: mean-pooled time features concatenated with the
+frequency hidden state (lossless fusion), feeding a linear class head."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat
+from ..autodiff import Tensor, concat, tmean
 from ..autodiff.nn import Linear, LstmEncoder, Module
-from ..autodiff.ops import mean_pool
 from ..autodiff.tensor import ShapeError
 from ..lmm.model import UnitProjector, VisibleEncoder
-
-
-def pool_time(encoder_output: Tensor) -> Tensor:
-    """Mean over the unit axis: (..., n, d) -> (..., d).
-
-    Parameter-free and order-robust; positional structure already lives in
-    the unit embeddings.
-    """
-    return mean_pool(encoder_output, axis=-2)
-
-
-def fuse(time_vec: Tensor, freq_vec: Tensor) -> Tensor:
-    """Lossless fusion by concatenation: (..., d) + (..., h) -> (..., d + h)."""
-    if time_vec.ndim != freq_vec.ndim:
-        raise ShapeError(f"fuse: rank mismatch {time_vec.shape} vs {freq_vec.shape}")
-    if time_vec.shape[:-1] != freq_vec.shape[:-1]:
-        raise ShapeError(f"fuse: leading shapes differ, {time_vec.shape} vs {freq_vec.shape}")
-    return concat([time_vec, freq_vec], axis=-1)
 
 
 class TfeModel(Module):
@@ -58,7 +39,9 @@ class TfeModel(Module):
             raise ShapeError(f"TfeModel: head expects ({self.d + self.h}, {self.n_classes}), got {head.weight.shape}")
 
     def time_vector(self, flat_units: Tensor) -> Tensor:
-        return pool_time(self.encoder(self.projector(flat_units)))
+        """Encoder features mean-pooled over the unit axis: (..., n, d) -> (..., d);
+        positional structure already lives in the unit embeddings."""
+        return tmean(self.encoder(self.projector(flat_units)), axis=-2)
 
     def freq_vector(self, spectra: Tensor) -> Tensor:
         if self.freq_encoder is None:
@@ -83,7 +66,7 @@ class TfeModel(Module):
             raise ValueError("TfeModel: frequency branch enabled but no spectra given")
         else:
             f_vec = self.freq_vector(Tensor(np.asarray(spectra, dtype=dtype)))
-        return fuse(t_vec, f_vec)
+        return concat([t_vec, f_vec], axis=-1)
 
     def logits(self, flat_units: np.ndarray | None, spectra: np.ndarray | None, freq_hidden: np.ndarray | None = None) -> Tensor:
         """Class logits for a batch; arguments as for `fused`."""

@@ -1,18 +1,16 @@
 """Staged fine-tuning of the fused classifier.
 
 `finetune_tfe` trains a `TfeModel` it is given, whose branches already hold
-their pretrained weights (or fresh ones, for a cold start).  Stage 1 trains
-the time branch and head for `stage1_epochs` with the frequency encoder
-frozen; stage 2 unfreezes everything for a shorter joint run, and refuses to
-run without stage 1.  `tfe_inputs` builds the model's inputs for training and
-inference alike; the tfe stage alone runs inference, saving the fused rows
-(`predict(model.fused, *tfe_inputs(...))`) and their `classify_batch` logits
-as checkpoint extras that align, generate and evaluate read.
+their pretrained weights (or fresh ones, for a cold start), on the inputs
+`tfe_inputs` built for every trial.  Stage 1 trains the time branch and head
+for `stage1_epochs` with the frequency encoder frozen; stage 2 unfreezes
+everything for a shorter joint run, and refuses to run without stage 1.  The
+tfe stage runs inference over the same inputs, saving the fused rows
+(`predict(model.fused, ...)`) and their `classify_batch` logits as checkpoint
+extras that align, generate and evaluate read.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +24,6 @@ from .model import TfeModel
 # Joint fine-tuning runs gentler: full lr lets the time branch trample
 # the already-generalizing frequency weights.
 STAGE2_LR_SCALE = 0.3
-
-
-@dataclass
-class TfeTrainResult:
-    model: TfeModel
-    history: list[dict] = field(default_factory=list)
-    stage1_done: bool = False
-    stage2_done: bool = False
 
 
 def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -50,27 +40,28 @@ def _rows(arrays, idx) -> list:
 
 def finetune_tfe(
     model: TfeModel,
-    dataset: EegDataset,
+    units: np.ndarray | None,
+    spectra: np.ndarray | None,
+    labels: np.ndarray,
     split: DatasetSplit,
     *,
-    n_units: int,
     stage1_epochs: int = 80,
     stage2_epochs: int = 30,
     batch_size: int = 32,
     lr: float = 1e-3,
     seed: int = 0,
-    run_stage2: bool = True,
-) -> TfeTrainResult:
-    """Train `model` in place; its branch switches, class count and spectrum
-    scale come from the model itself."""
+) -> list[dict]:
+    """Train `model` in place on every trial's `units`, `spectra` (from
+    `tfe_inputs`) and `labels`, using the rows `split` names; returns one log
+    row per epoch, tagged with its stage.  The branch switches, class count and
+    spectrum scale come from the model itself."""
+    if stage2_epochs > 0 and stage1_epochs <= 0:
+        raise RuntimeError("finetune_tfe: stage 2 requires stage 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7FE1]))
-    units, spectra = tfe_inputs(model, dataset, n_units)
-    labels = dataset.labels
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)
-
-    result = TfeTrainResult(model=model)
     onehot = one_hot_labels(labels, model.n_classes)
+    history: list[dict] = []
 
     def run_stage(stage: int, epochs: int, trained: tuple[str, ...], freq_hidden: np.ndarray | None):
         store = ParamStore(**{name: getattr(model, name) for name in trained})
@@ -84,7 +75,7 @@ def finetune_tfe(
             return accuracy(predict(model.logits, *_rows(inputs, rows)), labels[rows])
 
         for epoch in range(epochs):
-            result.history.append({
+            history.append({
                 "stage": stage,
                 "epoch": epoch,
                 "loss": train_epoch(store, rng, train_idx, batch_size, stage_lr, batch_loss),
@@ -98,16 +89,10 @@ def finetune_tfe(
     if stage1_epochs > 0:
         freq_hidden = None if spectra is None else predict(lambda s: model.freq_vector(Tensor(s)), spectra)
         run_stage(1, stage1_epochs, (*time_branch, "head"), freq_hidden)
-        result.stage1_done = True
-
     # Stage 2: joint fine-tune of both branches and the head.
-    if run_stage2 and stage2_epochs > 0:
-        if not result.stage1_done:
-            raise RuntimeError("finetune_tfe: stage 2 requires stage 1")
+    if stage2_epochs > 0:
         run_stage(2, stage2_epochs, (*time_branch, *freq_branch, "head"), None)
-        result.stage2_done = True
-
-    return result
+    return history
 
 
 def classify_batch(model: TfeModel, fused: np.ndarray, batch: int = 256) -> np.ndarray:

@@ -4,12 +4,11 @@ from .loss import lmm_loss
 from .masking import MaskPlan, make_mask_plan
 from .model import MaskedPredictor, Teacher, UnitProjector, VisibleEncoder, teacher_update
 from .tokenizer import Codebook
-from .train import LmmModels, LmmTrainResult, build_lmm_models, lmm_step, prepare_units, train_lmm
+from .train import LmmModels, build_lmm_models, lmm_step, prepare_units, train_lmm
 
 __all__ = [
     "Codebook",
     "LmmModels",
-    "LmmTrainResult",
     "MaskPlan",
     "MaskedPredictor",
     "Teacher",

@@ -97,8 +97,8 @@ class Teacher:
             t.requires_grad = False
             t.grad = None
 
-    def update(self, student: VisibleEncoder, momentum: float | None = None) -> None:
-        teacher_update(self, student, self.momentum if momentum is None else momentum)
+    def update(self, student: VisibleEncoder) -> None:
+        teacher_update(self, student, self.momentum)
 
     def encode(self, z_full: np.ndarray) -> np.ndarray:
         with no_grad():

@@ -34,7 +34,7 @@ class Codebook:
         logits = z @ self.weight
         return np.argmax(logits, axis=1)
 
-    def one_hot(self, indices: np.ndarray, dtype=np.float32) -> np.ndarray:
-        out = np.zeros((len(indices), self.n_entries), dtype=dtype)
+    def one_hot(self, indices: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(indices), self.n_entries), dtype=np.float32)
         out[np.arange(len(indices)), indices] = 1.0
         return out

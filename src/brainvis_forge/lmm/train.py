@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +43,11 @@ def build_lmm_models(
     n_codewords: int,
     teacher_momentum: float,
     seed: int,
-    dtype=np.float32,
 ) -> LmmModels:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x117]))
-    projector = UnitProjector(unit_dim, d, n_units, rng, dtype=dtype)
-    encoder = VisibleEncoder(d, n_heads, ffn_dim, sa_blocks, rng, dtype=dtype)
-    predictor = MaskedPredictor(d, n_heads, ffn_dim, ca_blocks, n_codewords, rng, dtype=dtype)
+    projector = UnitProjector(unit_dim, d, n_units, rng)
+    encoder = VisibleEncoder(d, n_heads, ffn_dim, sa_blocks, rng)
+    predictor = MaskedPredictor(d, n_heads, ffn_dim, ca_blocks, n_codewords, rng)
     teacher = Teacher(encoder, momentum=teacher_momentum)
     codebook = Codebook(unit_dim, n_codewords, rng)
     return LmmModels(projector, encoder, predictor, teacher, codebook, n_units)
@@ -84,52 +83,27 @@ def lmm_step(
     return lmm_loss(f_m, f_mp, l_m, p_m)
 
 
-@dataclass
-class LmmTrainResult:
-    models: LmmModels
-    history: list[dict] = field(default_factory=list)
-
-
 def train_lmm(
-    dataset: EegDataset,
+    units: np.ndarray,
+    models: LmmModels,
     *,
-    n_units: int,
-    d: int,
-    n_heads: int,
-    ffn_dim: int,
-    sa_blocks: int,
-    ca_blocks: int,
-    n_codewords: int,
     mask_ratio: float,
-    teacher_momentum: float = 0.99,
     lr: float = 1e-3,
     steps: int = 200,
     batch_size: int = 64,
     seed: int = 0,
-) -> LmmTrainResult:
-    units = prepare_units(dataset, n_units)
-    unit_dim = units.shape[2]
-    models = build_lmm_models(
-        unit_dim=unit_dim,
-        n_units=n_units,
-        d=d,
-        n_heads=n_heads,
-        ffn_dim=ffn_dim,
-        sa_blocks=sa_blocks,
-        ca_blocks=ca_blocks,
-        n_codewords=n_codewords,
-        teacher_momentum=teacher_momentum,
-        seed=seed,
-    )
+) -> list[dict]:
+    """Train the student of `models` in place on `units` (from `prepare_units`)
+    and move its EMA teacher after every step; returns one log row per step."""
     store = models.student_store()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E41]))
     history: list[dict] = []
 
     for step in range(steps):
         batch_idx = rng.choice(len(units), size=min(batch_size, len(units)), replace=False)
-        plan = make_mask_plan(n_units, mask_ratio, rng)
+        plan = make_mask_plan(models.n_units, mask_ratio, rng)
         reg, cls, total = lmm_step(models, units[batch_idx], plan)
         l_lmm = store.step(total, lr, trainable=store.names())
         models.teacher.update(models.encoder)
         history.append({"step": step, "l_reg": reg.item(), "l_cls": cls.item(), "l_lmm": l_lmm})
-    return LmmTrainResult(models=models, history=history)
+    return history

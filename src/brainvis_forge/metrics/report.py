@@ -76,20 +76,20 @@ def evaluate_generation(
     ga_cfg: GaConfig,
     *,
     is_splits: int = 1,
-    dynamic_range: float = 2.0,
 ) -> dict:
     """Score generated images against their ground-truth counterparts.
 
     `generated` and `gt_pairs` are index-aligned (one GT image per sample);
     `ground_truth` is the reference pool for the Frechet statistics; the
     returned `fid_valid` says whether both pools outnumber the feature dim.
+    Images span [-1, 1], so SSIM runs at its default dynamic range of 2.
     """
     probs, gen_feats = surrogate_outputs(surrogate, generated)
     _, gt_feats = surrogate_outputs(surrogate, ground_truth)
     ga = n_way_top_k(probs, np.asarray(generated_labels, dtype=np.int64), ga_cfg)
     is_mean, is_std = inception_score(probs, splits=is_splits)
     fid_value = fid(gen_feats, gt_feats)
-    ssim_values = ssim(generated, gt_pairs, dynamic_range=dynamic_range)
+    ssim_values = ssim(generated, gt_pairs)
     return {
         "ga": float(ga),
         "is_mean": float(is_mean),

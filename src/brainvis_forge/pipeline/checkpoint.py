@@ -23,6 +23,7 @@ Which later stage reads which keys is documented in the runner.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from io import BytesIO
@@ -64,14 +65,18 @@ def save_checkpoint(path, archive: CheckpointArchive) -> None:
         body.write(arr.tobytes())
     payload = body.getvalue()
 
+    # The .bvc is a stage's done-marker, so it appears last and whole: the
+    # sidecar first, then the body through a temporary file and a rename.
     path = Path(path)
-    with open(path, "wb") as fh:
+    meta = {"stage": archive.stage, "version": archive.version, "config": archive.config}
+    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(pack_u32(VERSION, len(archive.tensors)))
         fh.write(payload)
         fh.write(crc_bytes(payload))
-    meta = {"stage": archive.stage, "version": archive.version, "config": archive.config}
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> CheckpointArchive:

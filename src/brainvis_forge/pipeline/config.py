@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..diffusion.cascade import CascadeConfig
+
 # Stages each ablation mode (None: the full chain) never runs; they drop out
 # of the chain and of every later stage's prerequisites.
 ABLATION_SKIPS: dict[str | None, tuple[str, ...]] = {
@@ -120,8 +122,10 @@ class PipelineConfig:
             raise ValueError(f"PipelineConfig: rho={self.rho} outside (0, 1)")
         if self.latent_channels != 3:
             raise ValueError(f"PipelineConfig: latent_channels={self.latent_channels} must be 3 (RGB PPM output)")
-        if self.T < 2:
-            raise ValueError(f"PipelineConfig: T={self.T} too small")
+        try:
+            CascadeConfig(self.rho).switch_step(self.T)
+        except ValueError as exc:
+            raise ValueError(f"PipelineConfig: rho={self.rho} with T={self.T}: {exc}") from None
         if not 0.0 <= self.teacher_momentum <= 1.0:
             raise ValueError(f"PipelineConfig: teacher_momentum={self.teacher_momentum} outside [0, 1]")
         if not 2 <= self.ga_n <= self.n_classes:

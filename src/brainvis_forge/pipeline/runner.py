@@ -8,18 +8,26 @@ and for generation an images/ directory plus provenance.jsonl.
 the function that runs it, the file that marks it done and the stages whose
 outputs it reads; every stage checks those before doing any work, and an
 ablation drops the stages it skips (config.ABLATION_SKIPS) from the chain and
-from the prerequisites.  Training stages hand weights on only through
-`save_stage` and `load_stage` (key layout in pipeline.checkpoint), each
-checkpoint holding the network its stage trained under model/: tfe reads
-model/projector.* and model/encoder.* from the lmm checkpoint and
-model/encoder.* and spectrum_scale from the freq checkpoint.  A network that
-later stages only read from runs forward once per split, in the stage that
-trained it, and saves its output rows as extras: tfe train_fused, test_fused
-and test_logits, align train_c_eeg and test_c_eeg.  align reads the fused
-rows, diffusion train_c_eeg, generate test_logits and test_c_eeg, evaluate
+from the prerequisites.  A stage writes its marker last (metrics.jsonl and
+the sidecar before checkpoint.bvc), so a stage that fails mid-write is not
+done.  Training stages hand weights on only through `save_stage` and
+`load_stage` (key layout in pipeline.checkpoint), each checkpoint holding the
+network its stage trained under model/: tfe reads model/projector.* and
+model/encoder.* from the lmm checkpoint and model/encoder.* and
+spectrum_scale from the freq checkpoint.  A network that later stages only
+read from runs forward once per split, in the stage that trained it, and
+saves its output rows as extras: tfe train_fused, test_fused and
+test_logits, align train_c_eeg and test_c_eeg.  align reads the fused rows,
+diffusion train_c_eeg, generate test_logits and test_c_eeg, evaluate
 test_logits, each through `_stored_rows`; only generate rebuilds a network,
-the denoiser.  Each network has one builder (`_tfe_model`, `_align_net`,
-`_denoiser`).
+the denoiser.
+
+This module builds every stage network from the config, each through one
+builder (`build_lmm_models`, `_tfe_model`, `_align_net`, `_denoiser`), and
+prepares its input arrays; `train_lmm`, `finetune_tfe`, `train_align` and
+`train_denoiser` train the network they are given in place and return its
+history, one dict per step or epoch, which becomes metrics.jsonl.  The
+frequency classifier is the exception: `freq_classify_train` builds its own.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from ..freq.train import freq_classify_train
 from ..fusion.model import TfeModel
 from ..fusion.train import classify_batch, finetune_tfe, tfe_inputs
 from ..lmm.model import UnitProjector, VisibleEncoder
-from ..lmm.train import train_lmm
+from ..lmm.train import build_lmm_models, prepare_units, train_lmm
 from ..metrics.classification import GaConfig
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import train_surrogate
@@ -116,11 +124,12 @@ def save_stage(
     extras: dict[str, np.ndarray] | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write the stage's checkpoint (`model` under model/ plus the `extras`
-    keys; config snapshot plus `meta` in the sidecar) and its metrics.jsonl."""
+    """Write the stage's metrics.jsonl, then its checkpoint (`model` under
+    model/ plus the `extras` keys; config snapshot plus `meta` in the sidecar),
+    whose .bvc marks the stage done."""
+    _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
     tensors = {**model.state("model/"), **(extras or {})}
     save_checkpoint(paths.checkpoint(stage), CheckpointArchive(tensors, stage, {**cfg.to_dict(), **(meta or {})}))
-    _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
 
 
 def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> CheckpointArchive:
@@ -171,13 +180,13 @@ def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, Dat
 def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     stage_dir = _enter_stage(cfg, paths, "data")
     dataset = generate_synthetic(_synthetic_spec(cfg))
-    write_dataset(stage_dir / "dataset.bvd", dataset, n_classes=cfg.n_classes, normalized=False)
     fixtures = generate_fixtures(
         cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed, caption_offset=cfg.caption_offset
     )
     write_fixtures(stage_dir / "fixtures.bve", fixtures)
     summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
+    write_dataset(stage_dir / "dataset.bvd", dataset, n_classes=cfg.n_classes, normalized=False)
     return summary
 
 
@@ -185,26 +194,16 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Saves model/predictor.* too, unread by tfe: each stage saves all it trained."""
     _enter_stage(cfg, paths, "lmm")
     dataset, split = load_run_data(cfg, paths)
-    train = dataset.take(split.train)
-    steps_per_epoch = max(1, -(-len(train) // cfg.batch))
-    result = train_lmm(
-        train,
-        n_units=cfg.n,
-        d=cfg.d,
-        n_heads=cfg.heads,
-        ffn_dim=cfg.ffn,
-        sa_blocks=cfg.sa_blocks,
-        ca_blocks=cfg.ca_blocks,
-        n_codewords=cfg.n_t,
-        mask_ratio=cfg.r_m,
-        teacher_momentum=cfg.teacher_momentum,
-        lr=cfg.lr,
-        steps=cfg.epochs["lmm"] * steps_per_epoch,
-        batch_size=cfg.batch,
-        seed=cfg.seed,
+    units = prepare_units(dataset.take(split.train), cfg.n)
+    models = build_lmm_models(
+        unit_dim=cfg.unit_dim, n_units=cfg.n, d=cfg.d, n_heads=cfg.heads, ffn_dim=cfg.ffn, sa_blocks=cfg.sa_blocks,
+        ca_blocks=cfg.ca_blocks, n_codewords=cfg.n_t, teacher_momentum=cfg.teacher_momentum, seed=cfg.seed,
     )
-    save_stage(cfg, paths, "lmm", result.history, result.models)
-    return {"steps": len(result.history), "final_l_lmm": result.history[-1]["l_lmm"] if result.history else None}
+    steps_per_epoch = max(1, -(-len(units) // cfg.batch))
+    history = train_lmm(units, models, mask_ratio=cfg.r_m, lr=cfg.lr, steps=cfg.epochs["lmm"] * steps_per_epoch,
+                        batch_size=cfg.batch, seed=cfg.seed)
+    save_stage(cfg, paths, "lmm", history, models)
+    return {"steps": len(history), "final_l_lmm": history[-1]["l_lmm"] if history else None}
 
 
 def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
@@ -258,24 +257,23 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     if use_freq:
         model.freq_encoder.load_state(freq, "model/encoder.")
 
-    result = finetune_tfe(
-        model, dataset, split,
-        n_units=cfg.n,
-        stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.epochs["joint_ft"],
+    inputs = tfe_inputs(model, dataset, cfg.n)
+    history = finetune_tfe(
+        model, *inputs, dataset.labels, split,
+        stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=0 if cfg.ablate == "no-finetune" else cfg.epochs["joint_ft"],
         batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed,
-        run_stage2=cfg.ablate != "no-finetune",
     )
-    train_fused, test_fused = (predict(model.fused, *tfe_inputs(model, dataset.take(rows), cfg.n))
+    train_fused, test_fused = (predict(model.fused, *(None if a is None else a[rows] for a in inputs))
                                for rows in (split.train, split.test))
+    stages = {row["stage"] for row in history}
     save_stage(
-        cfg, paths, "tfe", result.history, model,
+        cfg, paths, "tfe", history, model,
         extras={"spectrum_scale": np.asarray([scale], dtype=np.float32), "train_fused": train_fused,
                 "test_fused": test_fused, "test_logits": classify_batch(model, test_fused)},
-        meta={"use_time": use_time, "use_freq": use_freq,
-              "stage1_done": result.stage1_done, "stage2_done": result.stage2_done},
+        meta={"use_time": use_time, "use_freq": use_freq, "stage1_done": 1 in stages, "stage2_done": 2 in stages},
     )
-    last = result.history[-1] if result.history else {}
-    return {"epochs": len(result.history), "train_acc": last.get("train_acc"), "val_acc": last.get("val_acc")}
+    last = history[-1] if history else {}
+    return {"epochs": len(history), "train_acc": last.get("train_acc"), "val_acc": last.get("val_acc")}
 
 
 def _align_net(cfg: PipelineConfig, rng: np.random.Generator) -> AlignmentNet:
@@ -295,19 +293,14 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     fixtures = load_fixtures(paths.root / "data" / "fixtures.bve")
     train = dataset.take(split.train)
 
-    result = train_align(
-        train_fused, train.labels, train.image_ids, fixtures,
-        e=cfg.e,
-        epochs=cfg.epochs["align"],
-        batch_size=cfg.batch,
-        lr=cfg.lr,
-        seed=cfg.seed,
-        label_weight=cfg.label_weight,
-        net=_align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11]))),
+    net = _align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])))
+    history = train_align(
+        net, train_fused, train.labels, train.image_ids, fixtures,
+        epochs=cfg.epochs["align"], batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed, label_weight=cfg.label_weight,
     )
-    save_stage(cfg, paths, "align", result.history, result.net,
-               extras={"train_c_eeg": align(result.net, train_fused), "test_c_eeg": align(result.net, test_fused)})
-    return {"epochs": len(result.history), "final_si_loss": result.history[-1]["si_loss"] if result.history else None}
+    save_stage(cfg, paths, "align", history, net,
+               extras={"train_c_eeg": align(net, train_fused), "test_c_eeg": align(net, test_fused)})
+    return {"epochs": len(history), "final_si_loss": history[-1]["si_loss"] if history else None}
 
 
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
@@ -317,21 +310,17 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
                                channels=cfg.latent_channels, seed=cfg.seed)
 
     train = dataset.take(split.train)
-    no_semantic = cfg.ablate == "no-semantic"
-    eeg_conditions = None if no_semantic else _stored_rows(paths, "diffusion", "align", train_c_eeg=len(train))[0]
+    eeg_conditions = (None if cfg.ablate == "no-semantic"
+                      else _stored_rows(paths, "diffusion", "align", train_c_eeg=len(train))[0])
 
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = _denoiser(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])))
-    result = train_denoiser(
+    history = train_denoiser(
         net, schedule, images[train.image_ids], train.labels, eeg_conditions,
-        steps=cfg.diffusion_steps,
-        batch_size=cfg.diffusion_batch,
-        lr=cfg.lr,
-        seed=cfg.seed,
-        class_condition_prob=1.0 if no_semantic else 0.5,
+        steps=cfg.diffusion_steps, batch_size=cfg.diffusion_batch, lr=cfg.lr, seed=cfg.seed,
     )
-    save_stage(cfg, paths, "diffusion", result.history, net)
-    return {"steps": len(result.history), "final_loss": result.history[-1]["loss"] if result.history else None}
+    save_stage(cfg, paths, "diffusion", history, net)
+    return {"steps": len(history), "final_loss": history[-1]["loss"] if history else None}
 
 
 def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
@@ -383,9 +372,9 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
         row_dict["image_id"] = record.image_id
         provenance_rows.append(row_dict)
 
-    _write_jsonl(stage_dir / "provenance.jsonl", provenance_rows)
     summary = {"samples": len(provenance_rows), "records": n_test, "mode": mode}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
+    _write_jsonl(stage_dir / "provenance.jsonl", provenance_rows)
     return summary
 
 
@@ -426,8 +415,8 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
         **cls_block, **gen_block, config={**cfg.to_dict(), "surrogate_train_acc": surrogate.train_accuracy}
     )
     report.validate_ranges()
-    (stage_dir / "report.json").write_text(report.to_json())
     _write_jsonl(stage_dir / "metrics.jsonl", [json.loads(report.to_json())])
+    (stage_dir / "report.json").write_text(report.to_json())
     return report
 
 

@@ -135,7 +135,7 @@ def test_criterion_5_lmm_training_progress():
     from dataclasses import replace
 
     from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, zscore_channels
-    from brainvis_forge.lmm import train_lmm
+    from brainvis_forge.lmm import build_lmm_models, prepare_units, train_lmm
 
     with criterion(5, "200 optimizer steps on 64 records halve the pretraining loss (< 5 min)"):
         spec = SyntheticGenSpec(
@@ -146,13 +146,14 @@ def test_criterion_5_lmm_training_progress():
         records = replace(raw, x=zscore_channels(raw.x))
         assert len(records) == 64
         start = time.time()
-        result = train_lmm(
-            records, n_units=20, d=64, n_heads=4, ffn_dim=128,
-            sa_blocks=2, ca_blocks=2, n_codewords=64, mask_ratio=0.75,
-            steps=200, batch_size=64, seed=3,
+        units = prepare_units(records, 20)
+        models = build_lmm_models(
+            unit_dim=units.shape[2], n_units=20, d=64, n_heads=4, ffn_dim=128,
+            sa_blocks=2, ca_blocks=2, n_codewords=64, teacher_momentum=0.99, seed=3,
         )
+        history = train_lmm(units, models, mask_ratio=0.75, steps=200, batch_size=64, seed=3)
         elapsed = time.time() - start
-        first, last = result.history[0]["l_lmm"], result.history[-1]["l_lmm"]
+        first, last = history[0]["l_lmm"], history[-1]["l_lmm"]
         assert last < 0.5 * first, f"loss went {first:.3f} -> {last:.3f}"
         assert elapsed < 300, f"took {elapsed:.1f}s"
 
@@ -166,8 +167,8 @@ def test_criterion_6_tfe_overfit():
     from brainvis_forge.freq import freq_classify_train
     from brainvis_forge.freq.train import accuracy, spectra_matrix
     from brainvis_forge.fusion import TfeModel, finetune_tfe
-    from brainvis_forge.lmm import train_lmm
-    from brainvis_forge.lmm.train import prepare_units
+    from brainvis_forge.fusion.train import tfe_inputs
+    from brainvis_forge.lmm import build_lmm_models, prepare_units, train_lmm
 
     with criterion(6, "staged fine-tuning: train CA >= 0.95, heldout CA >= 0.80 on 40 classes (< 10 min)"):
         start = time.time()
@@ -180,29 +181,30 @@ def test_criterion_6_tfe_overfit():
         records = replace(raw, x=zscore_channels(raw.x))
         split = split_by_image(records, seed=11)
 
-        lmm = train_lmm(
-            records.take(split.train), n_units=10, d=32, n_heads=4,
-            ffn_dim=64, sa_blocks=2, ca_blocks=2, n_codewords=64,
-            mask_ratio=0.75, steps=60, batch_size=64, seed=5,
+        lmm_units = prepare_units(records.take(split.train), 10)
+        lmm = build_lmm_models(
+            unit_dim=lmm_units.shape[2], n_units=10, d=32, n_heads=4,
+            ffn_dim=64, sa_blocks=2, ca_blocks=2, n_codewords=64, teacher_momentum=0.99, seed=5,
         )
+        train_lmm(lmm_units, lmm, mask_ratio=0.75, steps=60, batch_size=64, seed=5)
         freq = freq_classify_train(
             records, split, n_classes=40, hidden=48, epochs=80,
             batch_size=32, seed=5,
         )
         model = TfeModel(
-            lmm.models.projector, lmm.models.encoder, freq.model.encoder,
+            lmm.projector, lmm.encoder, freq.model.encoder,
             Linear(32 + 48, 40, np.random.default_rng(5)), spectrum_scale=freq.spectrum_scale,
         )
-        tfe = finetune_tfe(
-            model, records, split, n_units=10,
+        history = finetune_tfe(
+            model, *tfe_inputs(model, records, 10), records.labels, split,
             stage1_epochs=25, stage2_epochs=12, batch_size=32, seed=5,
         )
         units = prepare_units(records, 10)
         spectra = spectra_matrix(records, 100.0, freq.spectrum_scale)
         labels = records.labels
         held = np.array(split.val + split.test)
-        train_acc = tfe.history[-1]["train_acc"]
-        held_acc = accuracy(predict(tfe.model.logits, units[held], spectra[held], None), labels[held])
+        train_acc = history[-1]["train_acc"]
+        held_acc = accuracy(predict(model.logits, units[held], spectra[held], None), labels[held])
         elapsed = time.time() - start
         assert train_acc >= 0.95, f"train CA {train_acc:.3f}"
         assert held_acc >= 0.80, f"heldout CA {held_acc:.3f}"

@@ -235,20 +235,24 @@ def test_train_align_orthogonal_classes_converges():
     fixtures = SemanticFixtures(labels, dirs[labels], caps)
     embeddings = np.concatenate([np.eye(4)[labels], 0.05 * rng.standard_normal((n, 4))], axis=1)
 
-    result = train_align(embeddings, labels, image_ids, fixtures, e=e, epochs=120,
-                         batch_size=16, lr=3e-3, seed=2)
-    assert result.history[-1]["si_loss"] < 0.3
-    again = train_align(embeddings, labels, image_ids, fixtures, e=e, epochs=5,
+    def net():
+        return AlignmentNet(embeddings.shape[1], e, np.random.default_rng(2))
+
+    history = train_align(net(), embeddings, labels, image_ids, fixtures, epochs=120,
+                          batch_size=16, lr=3e-3, seed=2)
+    assert history[-1]["si_loss"] < 0.3
+    again = train_align(net(), embeddings, labels, image_ids, fixtures, epochs=5,
                         batch_size=16, lr=3e-3, seed=2)
-    again2 = train_align(embeddings, labels, image_ids, fixtures, e=e, epochs=5,
+    again2 = train_align(net(), embeddings, labels, image_ids, fixtures, epochs=5,
                          batch_size=16, lr=3e-3, seed=2)
-    assert [h["si_loss"] for h in again.history] == [h["si_loss"] for h in again2.history]
+    assert [h["si_loss"] for h in again] == [h["si_loss"] for h in again2]
 
 
 def test_train_align_checks_fixture_dim_and_pairs():
     fixtures = generate_fixtures(2, 2, e=8, seed=0)
     embeddings = np.random.default_rng(0).standard_normal((4, 3))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="fixtures have dim 8, expected 9"):
-        train_align(embeddings, [0, 0, 1, 1], [0, 1, 2, 3], fixtures, e=9, epochs=1)
+        train_align(AlignmentNet(3, 9, rng), embeddings, [0, 0, 1, 1], [0, 1, 2, 3], fixtures, epochs=1)
     with pytest.raises(MissingTargetError, match="class 0, image 2"):
-        train_align(embeddings, [0, 0, 0, 1], [0, 1, 2, 3], fixtures, e=8, epochs=1)
+        train_align(AlignmentNet(3, 8, rng), embeddings, [0, 0, 0, 1], [0, 1, 2, 3], fixtures, epochs=1)

@@ -336,8 +336,8 @@ def test_denoiser_initial_loss_near_one():
     net = DenoiserNet((3, 8, 8), 8, 4, 64, np.random.default_rng(3))
     images = np.random.default_rng(4).uniform(-1, 1, (4, 3, 8, 8)).astype(np.float32)
     labels = np.array([0, 1, 2, 3])
-    result = train_denoiser(net, schedule, images, labels, None, steps=5, batch_size=16, seed=5)
-    assert 0.8 < result.history[0]["loss"] < 1.2
+    history = train_denoiser(net, schedule, images, labels, None, steps=5, batch_size=16, seed=5)
+    assert 0.8 < history[0]["loss"] < 1.2
 
 
 def test_denoiser_two_image_memorization_loss():
@@ -345,8 +345,8 @@ def test_denoiser_two_image_memorization_loss():
     net = DenoiserNet((3, 8, 8), 8, 2, 96, np.random.default_rng(6))
     images = np.random.default_rng(7).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)
     labels = np.array([0, 1])
-    result = train_denoiser(net, schedule, images, labels, None, steps=2000, batch_size=16, seed=8)
-    tail = np.mean([h["loss"] for h in result.history[-50:]])
+    history = train_denoiser(net, schedule, images, labels, None, steps=2000, batch_size=16, seed=8)
+    tail = np.mean([h["loss"] for h in history[-50:]])
     assert tail < 0.2
 
 
@@ -357,7 +357,7 @@ def test_denoiser_training_deterministic():
 
     def run():
         net = DenoiserNet((3, 4, 4), 8, 2, 32, np.random.default_rng(10))
-        return [h["loss"] for h in train_denoiser(net, schedule, images, labels, None, steps=20, batch_size=4, seed=11).history]
+        return [h["loss"] for h in train_denoiser(net, schedule, images, labels, None, steps=20, batch_size=4, seed=11)]
 
     assert run() == run()
 

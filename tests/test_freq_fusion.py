@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from brainvis_forge.autodiff import Tensor
+from brainvis_forge.autodiff import Tensor, concat, tmean
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import ShapeError
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
 from brainvis_forge.freq import freq_classify_train
-from brainvis_forge.fusion import finetune_tfe, fuse, pool_time
+from brainvis_forge.fusion import finetune_tfe
 from brainvis_forge.fusion.model import TfeModel
+from brainvis_forge.fusion.train import tfe_inputs
 from brainvis_forge.lmm.model import UnitProjector, VisibleEncoder
 
 
@@ -56,44 +57,46 @@ def test_freq_training_deterministic_same_seed():
 
 
 # --- pooling and fusion -------------------------------------------------------
+# TfeModel pools time features with `tmean` over the unit axis and fuses the
+# branches with `concat` on the last axis.
 
 
 def test_pool_time_constant_rows():
     v = np.array([1.5, -2.0, 0.5])
     x = Tensor(np.tile(v, (6, 1)))
-    np.testing.assert_allclose(pool_time(x).data, v, atol=1e-7)
+    np.testing.assert_allclose(tmean(x, axis=-2).data, v, atol=1e-7)
 
 
 def test_pool_time_row_permutation_invariant():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 4))
-    a = pool_time(Tensor(x)).data
-    b = pool_time(Tensor(x[::-1].copy())).data
+    a = tmean(Tensor(x), axis=-2).data
+    b = tmean(Tensor(x[::-1].copy()), axis=-2).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_pool_time_two_row_hand_case():
-    out = pool_time(Tensor(np.array([[1.0, 3.0], [3.0, 5.0]])))
+    out = tmean(Tensor(np.array([[1.0, 3.0], [3.0, 5.0]])), axis=-2)
     np.testing.assert_array_equal(out.data, [2.0, 4.0])
 
 
 def test_fuse_concatenates_losslessly():
     t = Tensor(np.arange(4.0))
     f = Tensor(np.arange(3.0) + 10)
-    out = fuse(t, f)
+    out = concat([t, f], axis=-1)
     assert out.shape == (7,)
     np.testing.assert_array_equal(out.data[:4], t.data)
     np.testing.assert_array_equal(out.data[4:], f.data)
 
 
 def test_fuse_reference_widths():
-    out = fuse(Tensor(np.zeros(1024)), Tensor(np.zeros(128)))
+    out = concat([Tensor(np.zeros(1024)), Tensor(np.zeros(128))], axis=-1)
     assert out.shape == (1152,)
 
 
 def test_fuse_rejects_mismatched_leading_shapes():
     with pytest.raises(ShapeError):
-        fuse(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2))))
+        concat([Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2)))], axis=-1)
 
 
 def test_tfe_head_width_validated():
@@ -129,11 +132,12 @@ def staged_setup():
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=21)
-    from brainvis_forge.lmm import train_lmm
+    from brainvis_forge.lmm import build_lmm_models, prepare_units, train_lmm
 
-    lmm = train_lmm(records.take(split.train), n_units=10, d=16, n_heads=2,
-                    ffn_dim=32, sa_blocks=1, ca_blocks=1, n_codewords=16,
-                    mask_ratio=0.75, steps=20, batch_size=32, seed=6)
+    units = prepare_units(records.take(split.train), 10)
+    lmm = build_lmm_models(unit_dim=units.shape[2], n_units=10, d=16, n_heads=2, ffn_dim=32, sa_blocks=1,
+                           ca_blocks=1, n_codewords=16, teacher_momentum=0.99, seed=6)
+    train_lmm(units, lmm, mask_ratio=0.75, steps=20, batch_size=32, seed=6)
     freq = freq_classify_train(records, split, n_classes=4, hidden=8, epochs=15,
                                batch_size=16, seed=6)
     return records, split, lmm, freq
@@ -143,30 +147,29 @@ def _finetune(records, split, lmm, freq, **kw):
     """Fine-tune a TfeModel over the pretrained branches; `lmm=None` cold-starts the time branch."""
     rng = np.random.default_rng(6)
     if lmm is not None:
-        projector, encoder = lmm.models.projector, lmm.models.encoder
+        projector, encoder = lmm.projector, lmm.encoder
     else:
         c, l = records[0].x.shape
         projector, encoder = UnitProjector(c * (l // 10), 16, 10, rng), VisibleEncoder(16, 2, 32, 1, rng)
     model = TfeModel(
         projector, encoder, freq.model.encoder, Linear(16 + 8, 4, rng), spectrum_scale=freq.spectrum_scale
     )
-    args = dict(n_units=10, stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
+    args = dict(stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
     args.update(kw)
-    return finetune_tfe(model, records, split, **args)
+    return finetune_tfe(model, *tfe_inputs(model, records, 10), records.labels, split, **args)
 
 
 def test_staged_overfit_small(staged_setup):
     records, split, lmm, freq = staged_setup
-    result = _finetune(records, split, lmm, freq)
-    assert result.stage1_done and result.stage2_done
-    assert result.history[-1]["train_acc"] >= 0.95
+    history = _finetune(records, split, lmm, freq)
+    assert {h["stage"] for h in history} == {1, 2}
+    assert history[-1]["train_acc"] >= 0.95
 
 
 def test_stage2_skippable_for_ablation(staged_setup):
     records, split, lmm, freq = staged_setup
-    result = _finetune(records, split, lmm, freq, run_stage2=False)
-    assert result.stage1_done and not result.stage2_done
-    assert all(h["stage"] == 1 for h in result.history)
+    history = _finetune(records, split, lmm, freq, stage2_epochs=0)
+    assert {h["stage"] for h in history} == {1}
 
 
 def test_stage2_without_stage1_requires_override(staged_setup):
@@ -177,8 +180,8 @@ def test_stage2_without_stage1_requires_override(staged_setup):
 
 def test_cold_start_requires_explicit_flag(staged_setup):
     records, split, _, freq = staged_setup
-    result = _finetune(records, split, None, freq, stage1_epochs=2, stage2_epochs=0)
-    assert result.stage1_done
+    history = _finetune(records, split, None, freq, stage1_epochs=2, stage2_epochs=0)
+    assert {h["stage"] for h in history} == {1}
 
 
 def test_finetune_deterministic(staged_setup):
@@ -188,7 +191,7 @@ def test_finetune_deterministic(staged_setup):
     def run():
         lmm_copy = copy.deepcopy(lmm)
         freq_copy = copy.deepcopy(freq)
-        r = _finetune(records, split, lmm_copy, freq_copy, stage1_epochs=3, stage2_epochs=2)
-        return [(h["loss"], h["train_acc"], h["val_acc"]) for h in r.history]
+        history = _finetune(records, split, lmm_copy, freq_copy, stage1_epochs=3, stage2_epochs=2)
+        return [(h["loss"], h["train_acc"], h["val_acc"]) for h in history]
 
     assert run() == run()

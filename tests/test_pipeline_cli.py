@@ -1,6 +1,7 @@
 """Config validation, stage orchestration, and the command-line surface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,10 @@ def test_config_rejects_bad_fields():
     for channels in (1, 4):
         with pytest.raises(ValueError, match=f"latent_channels={channels} must be 3"):
             PipelineConfig(latent_channels=channels)
+    # A cascade that switches at step 0 would likewise fail only in generate.
+    for T, rho in ((3, 0.3), (2, 0.3), (10, 0.05)):
+        with pytest.raises(ValueError, match=re.escape(f"rho={rho} with T={T}: CascadeConfig: switch step 0")):
+            PipelineConfig(T=T, rho=rho)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -142,6 +147,42 @@ def test_stage_writes_config_snapshot_and_metrics(tmp_path):
     snapshot = json.loads((stage_dir / "config.json").read_text())
     assert snapshot["seed"] == cfg.seed
     assert (stage_dir / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage, failing", [("data", "_write_jsonl"), ("freq", "_write_jsonl"), ("freq", "crc_bytes")])
+def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, stage, failing):
+    from brainvis_forge.pipeline import checkpoint, runner
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    cfg = tiny_config(epochs={**tiny_config().epochs, "freq": 1})
+    paths = RunPaths(tmp_path / "run")
+    if stage != "data":
+        run_gen_data(cfg, paths)
+    # _write_jsonl writes metrics.jsonl; crc_bytes runs while the checkpoint body is written.
+    monkeypatch.setattr(runner if failing == "_write_jsonl" else checkpoint, failing, fail)
+    with pytest.raises(OSError, match="disk full"):
+        runner.STAGES[stage].run(cfg, paths)
+    assert stage not in paths.available_stages()
+    monkeypatch.undo()
+    runner.STAGES[stage].run(cfg, paths)
+    assert stage in paths.available_stages()
+
+
+def test_tfe_stage_computes_spectra_once(tmp_path, monkeypatch):
+    from brainvis_forge.freq import train as freq_train
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 1, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    for stage in ("data", "lmm", "freq"):
+        runner.STAGES[stage].run(cfg, paths)
+    fft_magnitude, chunks = freq_train.fft_magnitude, []
+    monkeypatch.setattr(freq_train, "fft_magnitude", lambda x, *a, **kw: chunks.append(len(x)) or fft_magnitude(x, *a, **kw))
+    runner.run_finetune_tfe(cfg, paths)
+    # One pass over the 32 trials, 16 at a time, feeds training and both splits' inference.
+    assert chunks == [16, 16]
 
 
 def test_tfe_starts_from_the_pretrained_branches(tmp_path):
