@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..binio import FileFormatError, check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32
+from ..binio import FileFormatError, check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32, write_whole
 
 MAGIC = b"BVE1"
 VERSION = 1
@@ -87,11 +87,7 @@ def write_fixtures(path, fixtures: SemanticFixtures) -> None:
     entries["label"] = fixtures.c_label
     entries["cap"] = fixtures.c_cap
     payload = entries.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(pack_u32(VERSION, len(fixtures), fixtures.e))
-        fh.write(payload)
-        fh.write(crc_bytes(payload))
+    write_whole(path, [MAGIC, pack_u32(VERSION, len(fixtures), fixtures.e), payload, crc_bytes(payload)])
 
 
 def load_fixtures(path) -> SemanticFixtures:

@@ -11,18 +11,18 @@ from ..autodiff.nn import Linear, Module
 class ResidualBlock(Module):
     """linear -> gelu -> linear with a skip; zero second linear is identity."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float32):
-        self.fc1 = Linear(dim, dim, rng, dtype=dtype)
-        self.fc2 = Linear(dim, dim, rng, dtype=dtype)
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.fc1 = Linear(dim, dim, rng)
+        self.fc2 = Linear(dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return x + self.fc2(gelu(self.fc1(x)))
 
 
 class AlignmentNet(Module):
-    def __init__(self, in_dim: int, e: int, rng: np.random.Generator, n_blocks: int = 2, dtype=np.float32):
-        self.input_proj = Linear(in_dim, e, rng, dtype=dtype)
-        self.blocks = [ResidualBlock(e, rng, dtype=dtype) for _ in range(n_blocks)]
+    def __init__(self, in_dim: int, e: int, rng: np.random.Generator, n_blocks: int = 2):
+        self.input_proj = Linear(in_dim, e, rng)
+        self.blocks = [ResidualBlock(e, rng) for _ in range(n_blocks)]
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.input_proj(x)
@@ -32,11 +32,7 @@ class AlignmentNet(Module):
 
 
 def align(net: AlignmentNet, tfe_embedding: np.ndarray) -> np.ndarray:
-    """Deterministic forward map of fused embeddings to the semantic space."""
+    """Deterministic forward map of (R, in_dim) fused rows to (R, e) semantic rows."""
     arr = np.asarray(tfe_embedding, dtype=net.input_proj.weight.data.dtype)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
     with no_grad():
-        out = net(Tensor(arr)).data
-    return out[0].copy() if squeeze else out.copy()
+        return net(Tensor(arr)).data

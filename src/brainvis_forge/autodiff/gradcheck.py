@@ -6,7 +6,6 @@ single precision makes the subtraction too noisy to trust.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,12 +91,6 @@ def _weighted_sum(t: Tensor, w: Tensor) -> Tensor:
     return tsum(mul(t, w))
 
 
-def _one_hot(rng: np.random.Generator, rows: int, classes: int) -> np.ndarray:
-    out = np.zeros((rows, classes))
-    out[np.arange(rows), rng.integers(0, classes, size=rows)] = 1.0
-    return out
-
-
 def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndarray]]]:
     """One probe per differentiable operation; fresh random inputs per call."""
     r = rng.standard_normal
@@ -125,7 +118,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     lstm_inputs = [r((2, 3, 4, 3)), r((3, 20)) * 0.5, r((5, 20)) * 0.5, r(20) * 0.1]
     ln_inputs = [r((4, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
     ce_logits = [r((5, 9))]
-    ce_target = _one_hot(rng, 5, 9)
+    ce_target = ops.one_hot_labels(rng.integers(0, 9, size=5), 9)
     take_idx = np.array([0, 2, 2, 4])
 
     def probe(build, inputs, out_shape):
@@ -166,7 +159,6 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "cosine_similarity": (lambda ts: ops.cosine_similarity(ts[0], ts[1]), [r(9) + 0.1, r(9) + 0.1]),
         "linear": probe(lambda ts: ops.linear(*ts), [r((4, 6)), r((6, 5)), r(5)], (4, 5)),
         "linear_batched": probe(lambda ts: ops.linear(*ts), [r((3, 4, 6)), r((6, 5)), r(5)], (3, 4, 5)),
-        "linear_no_bias": probe(lambda ts: ops.linear(*ts), [r((3, 4, 6)), r((6, 5))], (3, 4, 5)),
     }
     fixed_target = Tensor(r((4, 5)))
     catalog["mse_loss_fixed_target"] = (lambda ts: ops.mse_loss(ts[0], fixed_target), [r((4, 5))])

@@ -10,13 +10,13 @@ from . import ops
 from .tensor import ShapeError, Tensor, gelu
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None, dtype=np.float32) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
-def normal_init(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(dtype)
+def normal_init(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
 class Module:
@@ -60,39 +60,38 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True, dtype=np.float32):
-        self.weight = Tensor(xavier_uniform(rng, d_in, d_out, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.weight = Tensor(xavier_uniform(rng, d_in, d_out), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
-        self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self._eps = eps
+    def __init__(self, dim: int):
+        self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.gain, self.bias, eps=self._eps)
+        return ops.layer_norm(x, self.gain, self.bias)
 
 
 class Attention(Module):
     """Projection weights for one multi-head attention; self- or cross- via call."""
 
-    def __init__(self, dim: int, n_heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
         if dim % n_heads != 0:
             raise ShapeError(f"Attention: dim {dim} not divisible by {n_heads} heads")
         self.n_heads = n_heads
-        self.w_q = Tensor(xavier_uniform(rng, dim, dim, dtype=dtype), requires_grad=True)
-        self.b_q = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.w_k = Tensor(xavier_uniform(rng, dim, dim, dtype=dtype), requires_grad=True)
-        self.b_k = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.w_v = Tensor(xavier_uniform(rng, dim, dim, dtype=dtype), requires_grad=True)
-        self.b_v = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.w_o = Tensor(xavier_uniform(rng, dim, dim, dtype=dtype), requires_grad=True)
-        self.b_o = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.w_q = Tensor(xavier_uniform(rng, dim, dim), requires_grad=True)
+        self.b_q = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.w_k = Tensor(xavier_uniform(rng, dim, dim), requires_grad=True)
+        self.b_k = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.w_v = Tensor(xavier_uniform(rng, dim, dim), requires_grad=True)
+        self.b_v = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.w_o = Tensor(xavier_uniform(rng, dim, dim), requires_grad=True)
+        self.b_o = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, query: Tensor, context: Tensor) -> Tensor:
         return ops.multi_head_attention(
@@ -104,9 +103,9 @@ class Attention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
-        self.fc1 = Linear(dim, hidden, rng, dtype=dtype)
-        self.fc2 = Linear(hidden, dim, rng, dtype=dtype)
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
+        self.fc1 = Linear(dim, hidden, rng)
+        self.fc2 = Linear(hidden, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
@@ -115,11 +114,11 @@ class FeedForward(Module):
 class SelfAttentionBlock(Module):
     """Pre-norm transformer block: x + attn(LN(x)), then x + ffn(LN(x))."""
 
-    def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator, dtype=np.float32):
-        self.ln1 = LayerNorm(dim, dtype=dtype)
-        self.attn = Attention(dim, n_heads, rng, dtype=dtype)
-        self.ln2 = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, ffn_dim, rng, dtype=dtype)
+    def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
+        self.ln1 = LayerNorm(dim)
+        self.attn = Attention(dim, n_heads, rng)
+        self.ln2 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ffn_dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.ln1(x)
@@ -131,11 +130,11 @@ class SelfAttentionBlock(Module):
 class CrossAttentionBlock(Module):
     """Pre-norm block where the query stream attends to a fixed context."""
 
-    def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator, dtype=np.float32):
-        self.ln1 = LayerNorm(dim, dtype=dtype)
-        self.attn = Attention(dim, n_heads, rng, dtype=dtype)
-        self.ln2 = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, ffn_dim, rng, dtype=dtype)
+    def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
+        self.ln1 = LayerNorm(dim)
+        self.attn = Attention(dim, n_heads, rng)
+        self.ln2 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ffn_dim, rng)
 
     def __call__(self, query: Tensor, context: Tensor) -> Tensor:
         query = query + self.attn(self.ln1(query), context)
@@ -151,12 +150,12 @@ class LstmEncoder(Module):
     Forget-gate bias starts at 1 to keep early memory open.
     """
 
-    def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator):
         self.d_in = d_in
         self.d_hidden = d_hidden
-        self.w_x = Tensor(xavier_uniform(rng, d_in, 4 * d_hidden, dtype=dtype), requires_grad=True)
-        self.w_h = Tensor(xavier_uniform(rng, d_hidden, 4 * d_hidden, dtype=dtype), requires_grad=True)
-        bias = np.zeros(4 * d_hidden, dtype=dtype)
+        self.w_x = Tensor(xavier_uniform(rng, d_in, 4 * d_hidden), requires_grad=True)
+        self.w_h = Tensor(xavier_uniform(rng, d_hidden, 4 * d_hidden), requires_grad=True)
+        bias = np.zeros(4 * d_hidden, dtype=np.float32)
         bias[d_hidden : 2 * d_hidden] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
 

@@ -1,6 +1,6 @@
 """Composite differentiable operations built from the tensor primitives, plus
-fused ones that each record one tape entry of their own: `linear` with a
-bias, `mse_loss` and `lstm_sequence`, the whole gated recurrence.
+fused ones that each record one tape entry of their own: `linear`,
+`mse_loss` and `lstm_sequence`, the whole gated recurrence.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -24,8 +24,6 @@ from .tensor import (
     _unbroadcast,
     add,
     as_tensor,
-    concat,
-    log,
     log_softmax,
     matmul,
     mul,
@@ -35,21 +33,20 @@ from .tensor import (
     sqrt,
     sub,
     swapaxes,
-    take,
     tmean,
     tsum,
 )
 
+LAYER_NORM_EPS = 1e-5
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight (+ bias).  x: (..., n, d_in), weight: (d_in, d_out).
 
-    With a bias this is one tape entry whose backward is the matmul's plus
-    the bias add's.  Only the biased output is checked finite: the bias is
-    finite, so a NaN or Inf in the product always reaches it.
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias.  x: (..., n, d_in), weight: (d_in, d_out).
+
+    One tape entry whose backward is the matmul's plus the bias add's.  Only
+    the biased output is checked finite: the bias is finite, so a NaN or Inf
+    in the product always reaches it.
     """
-    if bias is None:
-        return matmul(x, weight)
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     prod = _matmul_data("linear", x, weight)
     try:
@@ -62,7 +59,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     )
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError(
@@ -71,7 +68,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
+    inv = power(add(var, LAYER_NORM_EPS), -0.5)
     return add(mul(mul(centered, inv), gain), bias)
 
 
@@ -218,6 +215,13 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     # a NaN or Inf in diff or diff^2 (all >= 0) carries into the checked mean
     return _make("mse_loss", (pred, target), np.asarray((diff * diff).mean()), bw)
+
+
+def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(R,) class indices -> (R, n_classes) float32 one-hot rows, the targets of `cross_entropy`."""
+    out = np.zeros((len(labels), n_classes), dtype=np.float32)
+    out[np.arange(len(labels)), labels] = 1.0
+    return out
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:

@@ -2,13 +2,16 @@
 
 Every format is: fixed header (magic + version + counts), payload blocks,
 then a trailing CRC32 of the payload bytes (everything between header and
-trailer).
+trailer).  `write_whole` puts a file on disk whole or not at all.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
+from pathlib import Path
+from typing import Iterable
 
 
 class FileFormatError(ValueError):
@@ -60,3 +63,14 @@ def pack_u32(*values: int) -> bytes:
 
 def unpack_u32(buf, count: int, what: str) -> tuple[int, ...]:
     return struct.unpack(f"<{count}I", read_exact(buf, 4 * count, what))
+
+
+def write_whole(path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` in order to `path` so that it appears whole or not at all:
+    they stream into {path}.tmp, which then replaces `path` in one rename."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    os.replace(tmp, path)

@@ -26,6 +26,7 @@ from ..binio import (
     pack_u32,
     read_exact,
     unpack_u32,
+    write_whole,
 )
 from .records import DatasetHeader, EegDataset, zscore_channels
 
@@ -46,13 +47,8 @@ def write_dataset(path, dataset: EegDataset, n_classes: int, normalized: bool = 
     block["ids"] = ids
     block["x"] = dataset.x
     payload = block.tobytes()
-
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(pack_u32(VERSION, len(dataset), c, l, n_classes))
-        fh.write(struct.pack("<B", 1 if normalized else 0))
-        fh.write(payload)
-        fh.write(crc_bytes(payload))
+    write_whole(path, [MAGIC, pack_u32(VERSION, len(dataset), c, l, n_classes),
+                       struct.pack("<B", 1 if normalized else 0), payload, crc_bytes(payload)])
 
 
 def load_dataset(path, normalize: bool = False) -> tuple[EegDataset, DatasetHeader]:

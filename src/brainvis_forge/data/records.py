@@ -75,7 +75,6 @@ class DatasetSplit:
     train: list[int]
     val: list[int]
     test: list[int]
-    split_seed: int = 0
 
 
 def zscore_channels(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:

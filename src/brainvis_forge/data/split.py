@@ -10,6 +10,9 @@ import numpy as np
 
 from .records import DatasetSplit, EegDataset
 
+SPLIT_RATIOS = (8, 1, 1)  # train : val : test, in images
+MIN_IMAGES = 10  # split_by_image refuses a set with fewer distinct images
+
 
 def _largest_remainder_counts(n: int, ratios: tuple[int, ...]) -> list[int]:
     total = sum(ratios)
@@ -22,22 +25,16 @@ def _largest_remainder_counts(n: int, ratios: tuple[int, ...]) -> list[int]:
     return counts
 
 
-def split_by_image(
-    dataset: EegDataset,
-    ratios: tuple[int, int, int] = (8, 1, 1),
-    seed: int = 0,
-) -> DatasetSplit:
-    """Shuffle distinct image ids by `seed`, slice by `ratios`, map back to records."""
-    if any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ValueError(f"split_by_image: invalid ratios {ratios}")
+def split_by_image(dataset: EegDataset, seed: int = 0) -> DatasetSplit:
+    """Shuffle distinct image ids by `seed`, slice by SPLIT_RATIOS, map back to records."""
     order = np.unique(dataset.image_ids)
-    if len(order) < 10:
-        raise ValueError(f"split_by_image: need at least 10 distinct images, got {len(order)}")
+    if len(order) < MIN_IMAGES:
+        raise ValueError(f"split_by_image: need at least {MIN_IMAGES} distinct images, got {len(order)}")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
     rng.shuffle(order)
-    n_train, n_val, _ = _largest_remainder_counts(len(order), ratios)
+    n_train, n_val, _ = _largest_remainder_counts(len(order), SPLIT_RATIOS)
     train, val, test = (
         np.flatnonzero(np.isin(dataset.image_ids, ids)).tolist() for ids in np.split(order, [n_train, n_train + n_val])
     )
-    return DatasetSplit(train=train, val=val, test=test, split_seed=seed)
+    return DatasetSplit(train=train, val=val, test=test)

@@ -24,7 +24,6 @@ class SyntheticGenSpec:
     noise_std: float = 0.1
     sample_rate: float = 1000.0
     seed: int = 0
-    amplitude: float = 1.0
     sinusoids_per_class: int = 2
     # Per-record phase = class base phase + uniform(-phase_jitter, +phase_jitter).
     # pi makes phases effectively independent per record; small values model
@@ -35,7 +34,6 @@ class SyntheticGenSpec:
     records_per_image: int = 1
     subjects: int = 6
     class_frequencies: list[tuple[float, ...]] | None = None
-    class_gains: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_classes < 1 or self.records_per_class < 1:
@@ -55,13 +53,8 @@ class SyntheticGenSpec:
         signatures = [tuple(sorted(fs)) for fs in self.class_frequencies]
         if len(set(signatures)) != len(signatures):
             raise ValueError("SyntheticGenSpec: class frequency signatures must be pairwise distinct")
-        if self.class_gains is None:
-            self.class_gains = rng.uniform(0.5, 1.5, size=(self.n_classes, self.c))
-        self.class_gains = np.asarray(self.class_gains, dtype=np.float64)
-        if self.class_gains.shape != (self.n_classes, self.c):
-            raise ValueError(
-                f"SyntheticGenSpec: class_gains must be ({self.n_classes}, {self.c}), got {self.class_gains.shape}"
-            )
+        # (n_classes, c) channel gains, drawn after the frequencies from the same stream.
+        self.class_gains = rng.uniform(0.5, 1.5, size=(self.n_classes, self.c))
 
     def _draw_frequencies(self, rng: np.random.Generator) -> list[tuple[float, ...]]:
         # Pick distinct DFT-bin-aligned frequency sets so classes stay
@@ -113,7 +106,7 @@ def generate_synthetic(spec: SyntheticGenSpec) -> EegDataset:
                 signal = np.zeros((spec.c, spec.l), dtype=np.float64)
                 for fi, f in enumerate(freqs):
                     phase = base_phases[k, fi] + rng.uniform(-spec.phase_jitter, spec.phase_jitter)
-                    signal += gains * spec.amplitude * np.sin(2.0 * np.pi * f * t + phase)
+                    signal += gains * np.sin(2.0 * np.pi * f * t + phase)
                 if spec.noise_std > 0:
                     signal += spec.noise_std * rng.standard_normal((spec.c, spec.l))
                 x[idx] = signal

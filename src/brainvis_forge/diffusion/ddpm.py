@@ -70,8 +70,7 @@ def train_denoiser(
         idx = rng.integers(0, n, size=min(batch_size, n))
         t = rng.integers(1, schedule.T + 1, size=len(idx))
         eps = rng.standard_normal((len(idx),) + net.latent_shape)
-        ab = schedule.alpha_bars[t][:, None, None, None]
-        x_t = np.sqrt(ab) * images[idx] + np.sqrt(1.0 - ab) * eps
+        x_t = forward_diffuse(schedule, images[idx], t, eps)
 
         use_class = eeg_conditions is None or rng.uniform() < 0.5
         if use_class:

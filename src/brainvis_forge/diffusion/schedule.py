@@ -8,7 +8,7 @@ unscaled range would leave it near 0.37.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,11 @@ class NoiseSchedule:
     alpha_bars: np.ndarray
 
     @classmethod
-    def linear(cls, T: int = 100, beta_start: float = BETA_START, beta_end: float = BETA_END) -> "NoiseSchedule":
+    def linear(cls, T: int = 100) -> "NoiseSchedule":
         if T < 2:
             raise ValueError(f"NoiseSchedule: need T >= 2, got {T}")
-        scale = min(REFERENCE_STEPS / T, MAX_SCALED_BETA / beta_end)
-        betas = np.concatenate([[0.0], np.linspace(beta_start * scale, beta_end * scale, T)])
+        scale = min(REFERENCE_STEPS / T, MAX_SCALED_BETA / BETA_END)
+        betas = np.concatenate([[0.0], np.linspace(BETA_START * scale, BETA_END * scale, T)])
         if np.any(betas[1:] <= 0.0) or np.any(betas[1:] >= 1.0):
             raise ValueError("NoiseSchedule: betas must lie in (0, 1); reduce the range or raise T")
         alphas = 1.0 - betas
@@ -48,13 +48,18 @@ class NoiseSchedule:
             raise ValueError("NoiseSchedule: alpha_bar must be strictly decreasing")
 
 
-def forward_diffuse(schedule: NoiseSchedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps, t in [0, T]."""
-    if not 0 <= t <= schedule.T:
+def forward_diffuse(schedule: NoiseSchedule, x0: np.ndarray, t: int | np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps, t in [0, T].
+
+    `t` is one step for all of `x0` or a (B,) array, one step per item of a
+    (B, ...) batch.
+    """
+    t = np.asarray(t)
+    if np.any(t < 0) or np.any(t > schedule.T):
         raise ValueError(f"forward_diffuse: t={t} outside [0, {schedule.T}]")
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x0.shape:
         raise ValueError(f"forward_diffuse: noise shape {eps.shape} differs from {x0.shape}")
-    ab = schedule.alpha_bars[t]
+    ab = schedule.alpha_bars[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tensor, predict, train_epoch
 from ..autodiff.nn import Linear, LstmEncoder, Module
-from ..autodiff.ops import cross_entropy
+from ..autodiff.ops import cross_entropy, one_hot_labels
 from ..data.records import DatasetSplit, EegDataset
 from .fft import fft_magnitude
 
@@ -22,9 +22,9 @@ _CHUNK = 16  # records per fft_magnitude call
 
 
 class FreqClassifier(Module):
-    def __init__(self, n_channels: int, hidden: int, n_classes: int, rng: np.random.Generator, dtype=np.float32):
-        self.encoder = LstmEncoder(n_channels, hidden, rng, dtype=dtype)
-        self.head = Linear(hidden, n_classes, rng, dtype=dtype)
+    def __init__(self, n_channels: int, hidden: int, n_classes: int, rng: np.random.Generator):
+        self.encoder = LstmEncoder(n_channels, hidden, rng)
+        self.head = Linear(hidden, n_classes, rng)
 
     def __call__(self, spectra: Tensor) -> Tensor:
         return self.head(self.encoder(spectra))
@@ -42,12 +42,6 @@ def spectra_matrix(dataset: EegDataset, sample_rate: float = 1000.0, scale: floa
     out = np.empty((r, l // 2 + 1, c), np.float32)
     for lo in range(0, r, _CHUNK):
         out[lo : lo + _CHUNK] = fft_magnitude(dataset.x[lo : lo + _CHUNK], sample_rate).magnitude / (scale or 1.0)
-    return out
-
-
-def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes), dtype=np.float32)
-    out[np.arange(len(labels)), labels] = 1.0
     return out
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor, predict, train_epoch
-from ..autodiff.ops import cross_entropy
+from ..autodiff.ops import cross_entropy, one_hot_labels
 from ..data.records import DatasetSplit, EegDataset
-from ..freq.train import accuracy, one_hot_labels, spectra_matrix
+from ..freq.train import accuracy, spectra_matrix
 from ..lmm.train import prepare_units
 from .model import TfeModel
 

@@ -13,11 +13,6 @@ class MaskPlan:
 
     visible: np.ndarray
     masked: np.ndarray
-    ratio: float
-
-    @property
-    def n(self) -> int:
-        return len(self.visible) + len(self.masked)
 
 
 def make_mask_plan(n: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
@@ -34,4 +29,4 @@ def make_mask_plan(n: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
         raise ValueError(f"make_mask_plan: ratio {ratio} leaves {n_masked} of {n} units masked")
     masked = np.sort(rng.choice(n, size=n_masked, replace=False))
     visible = np.setdiff1d(np.arange(n), masked)
-    return MaskPlan(visible=visible, masked=masked, ratio=ratio)
+    return MaskPlan(visible=visible, masked=masked)

@@ -21,9 +21,9 @@ from ..autodiff.tensor import ShapeError
 class UnitProjector(Module):
     """Linear lift of each flattened raw unit to d dims plus a learned positional row."""
 
-    def __init__(self, unit_dim: int, d: int, n_units: int, rng: np.random.Generator, dtype=np.float32):
-        self.proj = Linear(unit_dim, d, rng, dtype=dtype)
-        self.pos = Tensor(normal_init(rng, (n_units, d), dtype=dtype), requires_grad=True)
+    def __init__(self, unit_dim: int, d: int, n_units: int, rng: np.random.Generator):
+        self.proj = Linear(unit_dim, d, rng)
+        self.pos = Tensor(normal_init(rng, (n_units, d)), requires_grad=True)
 
     def __call__(self, flat_units: Tensor) -> Tensor:
         if flat_units.shape[-2] != self.pos.shape[0]:
@@ -36,9 +36,9 @@ class UnitProjector(Module):
 class VisibleEncoder(Module):
     """Stack of pre-norm self-attention blocks with a closing layer norm."""
 
-    def __init__(self, d: int, n_heads: int, ffn_dim: int, n_blocks: int, rng: np.random.Generator, dtype=np.float32):
-        self.blocks = [SelfAttentionBlock(d, n_heads, ffn_dim, rng, dtype=dtype) for _ in range(n_blocks)]
-        self.final_ln = LayerNorm(d, dtype=dtype)
+    def __init__(self, d: int, n_heads: int, ffn_dim: int, n_blocks: int, rng: np.random.Generator):
+        self.blocks = [SelfAttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
+        self.final_ln = LayerNorm(d)
 
     def __call__(self, z: Tensor) -> Tensor:
         for block in self.blocks:
@@ -62,12 +62,11 @@ class MaskedPredictor(Module):
         n_blocks: int,
         n_codewords: int,
         rng: np.random.Generator,
-        dtype=np.float32,
     ):
-        self.mask_token = Tensor(normal_init(rng, (d,), dtype=dtype), requires_grad=True)
-        self.blocks = [CrossAttentionBlock(d, n_heads, ffn_dim, rng, dtype=dtype) for _ in range(n_blocks)]
-        self.final_ln = LayerNorm(d, dtype=dtype)
-        self.head = Linear(d, n_codewords, rng, dtype=dtype)
+        self.mask_token = Tensor(normal_init(rng, (d,)), requires_grad=True)
+        self.blocks = [CrossAttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
+        self.final_ln = LayerNorm(d)
+        self.head = Linear(d, n_codewords, rng)
 
     def __call__(self, f_v: Tensor, masked_indices: np.ndarray, pos_table: Tensor) -> tuple[Tensor, Tensor]:
         queries = take(pos_table, masked_indices, axis=0) + self.mask_token  # (m, d)

@@ -33,8 +33,3 @@ class Codebook:
         z = (flat_units - mu) / np.maximum(sd, 1e-8)
         logits = z @ self.weight
         return np.argmax(logits, axis=1)
-
-    def one_hot(self, indices: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(indices), self.n_entries), dtype=np.float32)
-        out[np.arange(len(indices)), indices] = 1.0
-        return out

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tensor, take
 from ..autodiff.nn import Module
+from ..autodiff.ops import one_hot_labels
 from ..data.records import EegDataset
 from ..data.segment import flatten_units, segment_units
 from .loss import lmm_loss
@@ -78,7 +79,7 @@ def lmm_step(
     b, m, unit_dim = batch_units.shape[0], len(plan.masked), batch_units.shape[2]
     raw_masked = batch_units[:, plan.masked, :].reshape(b * m, unit_dim)
     codewords = models.codebook.assign(raw_masked)
-    l_m = models.codebook.one_hot(codewords).reshape(b, m, models.codebook.n_entries)
+    l_m = one_hot_labels(codewords, models.codebook.n_entries).reshape(b, m, models.codebook.n_entries)
 
     return lmm_loss(f_m, f_mp, l_m, p_m)
 

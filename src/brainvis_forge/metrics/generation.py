@@ -12,6 +12,10 @@ import warnings
 
 import numpy as np
 
+SSIM_WINDOW = 8  # box window side, pixels
+SSIM_STRIDE = 4
+EIG_CLAMP = -1e-8  # relative floor below which a negative eigenvalue is not rounding debris
+
 
 def inception_score(probs: np.ndarray, splits: int = 1) -> tuple[float, float]:
     """exp(mean KL(p(y|x) || marginal)), natural log; returns (mean, std) over splits.
@@ -39,15 +43,16 @@ def inception_score(probs: np.ndarray, splits: int = 1) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values))
 
 
-def _sym_sqrt(mat: np.ndarray, clamp: float = -1e-8) -> np.ndarray:
+def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
     """Square root of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues in (clamp, 0) are rounding debris and clamp to zero; anything
-    more negative means the input was not PSD and is a real error.
+    Eigenvalues in (EIG_CLAMP, 0), relative to the largest magnitude, are
+    rounding debris and clamp to zero; anything more negative means the input
+    was not PSD and is a real error.
     """
     sym = (mat + mat.T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
-    floor = clamp * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    floor = EIG_CLAMP * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     if np.any(vals < floor):
         raise ValueError(f"matrix square root: eigenvalue {vals.min():.3e} below tolerance")
     vals = np.clip(vals, 0.0, None)
@@ -96,14 +101,9 @@ def fid(features_a: np.ndarray, features_b: np.ndarray) -> float:
     return fid_from_moments(mu_a, np.atleast_2d(sigma_a), mu_b, np.atleast_2d(sigma_b))
 
 
-def ssim(
-    img_a: np.ndarray,
-    img_b: np.ndarray,
-    dynamic_range: float = 2.0,
-    window: int = 8,
-    stride: int = 4,
-) -> float | np.ndarray:
-    """Windowed structural similarity with plain box windows (batching: module docstring).
+def ssim(img_a: np.ndarray, img_b: np.ndarray, dynamic_range: float = 2.0) -> float | np.ndarray:
+    """Structural similarity over SSIM_WINDOW-square box windows every
+    SSIM_STRIDE pixels (batching: module docstring).
 
     Values span `dynamic_range` (2 for [-1, 1]).  C1 = (0.01 L)^2,
     C2 = (0.03 L)^2; window variance is the population form.
@@ -116,18 +116,18 @@ def ssim(
     if a.ndim == 2:
         a, b = a[None], b[None]
     *lead, height, width = a.shape
-    if height < window or width < window:
-        raise ValueError(f"ssim: image {height}x{width} smaller than window {window}")
+    if height < SSIM_WINDOW or width < SSIM_WINDOW:
+        raise ValueError(f"ssim: image {height}x{width} smaller than window {SSIM_WINDOW}")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 
-    ys = range(0, height - window + 1, stride)
-    xs = range(0, width - window + 1, stride)
+    ys = range(0, height - SSIM_WINDOW + 1, SSIM_STRIDE)
+    xs = range(0, width - SSIM_WINDOW + 1, SSIM_STRIDE)
     values = np.empty((*lead, len(ys), len(xs)))
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            wa = a[..., y : y + window, x : x + window]
-            wb = b[..., y : y + window, x : x + window]
+            wa = a[..., y : y + SSIM_WINDOW, x : x + SSIM_WINDOW]
+            wb = b[..., y : y + SSIM_WINDOW, x : x + SSIM_WINDOW]
             mu_a, mu_b = wa.mean(axis=(-2, -1)), wb.mean(axis=(-2, -1))
             var_a, var_b = wa.var(axis=(-2, -1)), wb.var(axis=(-2, -1))
             cov = ((wa - mu_a[..., None, None]) * (wb - mu_b[..., None, None])).mean(axis=(-2, -1))

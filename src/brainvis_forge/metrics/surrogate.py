@@ -15,8 +15,8 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tensor, gelu, no_grad
 from ..autodiff.nn import Linear, Module
-from ..autodiff.ops import cross_entropy
-from ..freq.train import one_hot_labels
+from ..autodiff.ops import cross_entropy, one_hot_labels
+from ..freq.train import accuracy
 
 
 class SurrogateClassifier(Module):
@@ -57,8 +57,8 @@ def train_surrogate(
     for _ in range(epochs):
         store.step(cross_entropy(model(Tensor(flat)), onehot), lr)
     with no_grad():
-        preds = np.argmax(model(Tensor(flat)).data, axis=1)
-    return SurrogateResult(model=model, train_accuracy=float(np.mean(preds == labels)))
+        logits = model(Tensor(flat)).data
+    return SurrogateResult(model=model, train_accuracy=accuracy(logits, labels))
 
 
 def surrogate_outputs(model: SurrogateClassifier, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

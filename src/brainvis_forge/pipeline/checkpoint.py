@@ -23,7 +23,6 @@ Which later stage reads which keys is documented in the runner.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from io import BytesIO
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..binio import check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32
+from ..binio import check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32, write_whole
 
 MAGIC = b"BVC1"
 VERSION = 1
@@ -66,17 +65,10 @@ def save_checkpoint(path, archive: CheckpointArchive) -> None:
     payload = body.getvalue()
 
     # The .bvc is a stage's done-marker, so it appears last and whole: the
-    # sidecar first, then the body through a temporary file and a rename.
-    path = Path(path)
+    # sidecar first, then the body.
     meta = {"stage": archive.stage, "version": archive.version, "config": archive.config}
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(pack_u32(VERSION, len(archive.tensors)))
-        fh.write(payload)
-        fh.write(crc_bytes(payload))
-    os.replace(tmp, path)
+    write_whole(str(path) + ".meta.json", [json.dumps(meta, indent=2, sort_keys=True).encode()])
+    write_whole(path, [MAGIC, pack_u32(VERSION, len(archive.tensors)), payload, crc_bytes(payload)])
 
 
 def load_checkpoint(path) -> CheckpointArchive:

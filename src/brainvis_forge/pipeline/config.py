@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data.split import MIN_IMAGES, SPLIT_RATIOS, _largest_remainder_counts
 from ..diffusion.cascade import CascadeConfig
 
 # Stages each ablation mode (None: the full chain) never runs; they drop out
@@ -109,6 +110,15 @@ class PipelineConfig:
             surrogate_hidden=self.surrogate_hidden, surrogate_epochs=self.surrogate_epochs,
             is_splits=self.is_splits,
         )
+        n_images = self.n_classes * self.records_per_class
+        if n_images < MIN_IMAGES:
+            raise ValueError(f"PipelineConfig: n_classes * records_per_class = {n_images} images; the split needs "
+                             f"at least {MIN_IMAGES}")
+        n_test_images = _largest_remainder_counts(n_images, SPLIT_RATIOS)[2]
+        n_generated = n_test_images * self.records_per_image * self.samples_per_record
+        if self.is_splits > n_generated:
+            raise ValueError(f"PipelineConfig: is_splits={self.is_splits} exceeds the {n_generated} images generated "
+                             f"for the test split")
         if self.l % self.n != 0:
             raise ValueError(f"PipelineConfig: n={self.n} must divide l={self.l}")
         if not 0.0 < self.r_m < 1.0:

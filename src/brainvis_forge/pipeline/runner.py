@@ -8,9 +8,10 @@ and for generation an images/ directory plus provenance.jsonl.
 the function that runs it, the file that marks it done and the stages whose
 outputs it reads; every stage checks those before doing any work, and an
 ablation drops the stages it skips (config.ABLATION_SKIPS) from the chain and
-from the prerequisites.  A stage writes its marker last (metrics.jsonl and
-the sidecar before checkpoint.bvc), so a stage that fails mid-write is not
-done.  Training stages hand weights on only through `save_stage` and
+from the prerequisites.  Every stage file but the generated images appears
+whole, through a temporary file and a rename (`binio.write_whole`), and the
+marker comes last (metrics.jsonl and the sidecar before checkpoint.bvc; the
+images before provenance.jsonl), so a stage that fails mid-write is not done.  Training stages hand weights on only through `save_stage` and
 `load_stage` (key layout in pipeline.checkpoint), each checkpoint holding the
 network its stage trained under model/: tfe reads model/projector.* and
 model/encoder.* from the lmm checkpoint and model/encoder.* and
@@ -44,6 +45,7 @@ from ..align.model import AlignmentNet, align
 from ..align.train import train_align
 from ..autodiff import no_grad, predict
 from ..autodiff.nn import Linear, LstmEncoder, Module
+from ..binio import write_whole
 from ..data.bvd import load_dataset, write_dataset
 from ..data.images import make_image_set
 from ..data.records import DatasetSplit, EegDataset
@@ -105,14 +107,12 @@ def check_prerequisites(stage: str, available: set[str], ablate: str | None = No
 def _enter_stage(cfg: PipelineConfig, paths: RunPaths, stage: str) -> Path:
     check_prerequisites(stage, paths.available_stages(), ablate=cfg.ablate)
     d = paths.stage_dir(stage)
-    (d / "config.json").write_text(cfg.to_json())
+    write_whole(d / "config.json", [cfg.to_json().encode()])
     return d
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_whole(path, ((json.dumps(row, sort_keys=True) + "\n").encode() for row in rows))
 
 
 def save_stage(
@@ -416,7 +416,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     )
     report.validate_ranges()
     _write_jsonl(stage_dir / "metrics.jsonl", [json.loads(report.to_json())])
-    (stage_dir / "report.json").write_text(report.to_json())
+    write_whole(stage_dir / "report.json", [report.to_json().encode()])
     return report
 
 

@@ -7,6 +7,7 @@ SSIM the batched `ssim` must match bit for bit, the one-image target
 builder `make_image_set` must match byte for byte, the per-entry BVE1
 writer whose bytes the structured `write_fixtures` must reproduce, and the
 per-item matmul gradients the folded ones must match in rounding.
+`as_float64` lifts a float32 network to float64 for gradient checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from io import BytesIO
 
 import numpy as np
 
+from brainvis_forge.autodiff.nn import Module
+from brainvis_forge.autodiff.ops import one_hot_labels
 from brainvis_forge.autodiff.tensor import _unbroadcast
 from brainvis_forge.binio import crc_bytes, pack_u32
 from brainvis_forge.diffusion import NoiseSchedule
@@ -45,7 +48,7 @@ def reassemble_units(units: np.ndarray) -> np.ndarray:
 
 def tokenize(codebook: Codebook, flat_units: np.ndarray) -> np.ndarray:
     """One-hot codewords for raw masked units: (m, unit_dim) -> (m, n_t)."""
-    return codebook.one_hot(codebook.assign(flat_units))
+    return one_hot_labels(codebook.assign(flat_units), codebook.n_entries)
 
 
 def ssim(
@@ -128,3 +131,11 @@ def matmul_grads_per_item(g: np.ndarray, a, b) -> tuple:
     ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
     gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
     return ga, gb
+
+
+def as_float64(module: Module) -> Module:
+    """`module` with every parameter recast to float64 in place; networks are
+    built in float32, and central differences need the wider type."""
+    for t in module.parameters():
+        t.data = t.data.astype(np.float64)
+    return module

@@ -174,7 +174,7 @@ def test_criterion_6_tfe_overfit():
         start = time.time()
         spec = SyntheticGenSpec(
             n_classes=40, records_per_class=10, c=8, l=40,
-            noise_std=0.1, amplitude=1.0, sample_rate=100.0, seed=11,
+            noise_std=0.1, sample_rate=100.0, seed=11,
             sinusoids_per_class=3, phase_jitter=0.3,
         )
         raw = generate_synthetic(spec)

@@ -146,8 +146,8 @@ def test_semantic_fixtures_shapes_validated():
 
 def test_align_output_length():
     net = AlignmentNet(24, 768, np.random.default_rng(0))
-    out = align(net, np.random.default_rng(1).standard_normal(24))
-    assert out.shape == (768,)
+    out = align(net, np.random.default_rng(1).standard_normal((1, 24)))
+    assert out.shape == (1, 768)
 
 
 def test_zeroed_residual_blocks_pass_input_projection_through():
@@ -155,7 +155,7 @@ def test_zeroed_residual_blocks_pass_input_projection_through():
     for block in net.blocks:
         block.fc2.weight.data = np.zeros_like(block.fc2.weight.data)
         block.fc2.bias.data = np.zeros_like(block.fc2.bias.data)
-    x = np.random.default_rng(3).standard_normal(6).astype(np.float32)
+    x = np.random.default_rng(3).standard_normal((1, 6)).astype(np.float32)
     expected = x @ net.input_proj.weight.data + net.input_proj.bias.data
     np.testing.assert_allclose(align(net, x), expected, atol=1e-6)
 

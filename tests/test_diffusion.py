@@ -44,12 +44,19 @@ def test_forward_zero_noise_is_pure_scaling(schedule):
     t = 40
     out = forward_diffuse(schedule, x0, t, np.zeros_like(x0))
     np.testing.assert_allclose(out, np.sqrt(schedule.alpha_bars[t]) * x0, rtol=1e-12)
+    # a (B,) array of steps scales each item of a (B, ...) batch by its own step
+    batch, steps = np.stack([x0, -x0, 2 * x0]), np.array([0, t, 100])
+    out = forward_diffuse(schedule, batch, steps, np.zeros_like(batch))
+    for item, step, got in zip(batch, steps, out):
+        np.testing.assert_array_equal(got, forward_diffuse(schedule, item, int(step), np.zeros_like(item)))
 
 
 def test_forward_t_out_of_range_rejected(schedule):
     x0 = np.zeros((1, 2, 2))
     with pytest.raises(ValueError):
         forward_diffuse(schedule, x0, 101, np.zeros_like(x0))
+    with pytest.raises(ValueError):
+        forward_diffuse(schedule, x0, np.array([101]), np.zeros_like(x0))
 
 
 def test_forward_variance_monte_carlo(schedule):

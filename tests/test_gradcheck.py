@@ -9,6 +9,7 @@ import numpy as np
 from brainvis_forge.autodiff import Tensor, active_tape, tsum
 from brainvis_forge.autodiff.gradcheck import check_gradients, op_catalog, run_catalog_suite
 from brainvis_forge.autodiff.tensor import mul
+from oracles import as_float64
 
 TOL = 1e-4
 
@@ -47,7 +48,7 @@ def test_catalog_two_probes_all_under_tolerance():
 def test_lstm_three_step_sequence_gradient():
     from brainvis_forge.autodiff.nn import LstmEncoder
 
-    enc = LstmEncoder(3, 4, np.random.default_rng(11), dtype=np.float64)
+    enc = as_float64(LstmEncoder(3, 4, np.random.default_rng(11)))
     loss_fn, arrays = _param_probe(enc, (2, 3, 3), (2, 4), seed=11)
     assert check_gradients(loss_fn, arrays) < TOL
 
@@ -55,7 +56,7 @@ def test_lstm_three_step_sequence_gradient():
 def test_residual_alignment_net_gradient():
     from brainvis_forge.align.model import AlignmentNet
 
-    net = AlignmentNet(6, 5, np.random.default_rng(13), n_blocks=2, dtype=np.float64)
+    net = as_float64(AlignmentNet(6, 5, np.random.default_rng(13), n_blocks=2))
     loss_fn, arrays = _param_probe(net, (3, 6), (3, 5), seed=13)
     assert check_gradients(loss_fn, arrays) < TOL
 
@@ -63,7 +64,7 @@ def test_residual_alignment_net_gradient():
 def test_encoder_block_gradient_through_eight_blocks():
     from brainvis_forge.lmm.model import VisibleEncoder
 
-    enc = VisibleEncoder(4, 2, 8, 8, np.random.default_rng(17), dtype=np.float64)
+    enc = as_float64(VisibleEncoder(4, 2, 8, 8, np.random.default_rng(17)))
     loss_fn, arrays = _param_probe(enc, (5, 4), (5, 4), seed=17)
     assert check_gradients(loss_fn, arrays) < 1e-3  # 8 blocks deep, fd noise compounds
 

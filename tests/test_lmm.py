@@ -22,7 +22,7 @@ from brainvis_forge.lmm import (
     prepare_units,
     teacher_update,
 )
-from oracles import tokenize
+from oracles import as_float64, tokenize
 
 
 # --- masking ----------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_projection_positionally_sensitive():
 
 def test_visible_encoder_shape_and_permutation_equivariance():
     rng = np.random.default_rng(6)
-    enc = VisibleEncoder(d=8, n_heads=2, ffn_dim=16, n_blocks=3, rng=rng, dtype=np.float64)
+    enc = as_float64(VisibleEncoder(d=8, n_heads=2, ffn_dim=16, n_blocks=3, rng=rng))
     z = rng.standard_normal((4, 8))
     perm = np.array([2, 0, 3, 1])
     out = enc(Tensor(z)).data
@@ -148,19 +148,19 @@ def test_gradient_reaches_every_encoder_block():
 # --- teacher -----------------------------------------------------------------
 
 
-def _tiny_encoder(seed=0, dtype=np.float64):
-    return VisibleEncoder(d=4, n_heads=2, ffn_dim=8, n_blocks=1, rng=np.random.default_rng(seed), dtype=dtype)
+def _tiny_encoder(seed=0):
+    return VisibleEncoder(d=4, n_heads=2, ffn_dim=8, n_blocks=1, rng=np.random.default_rng(seed))
 
 
 def test_teacher_initial_copy_matches_student():
-    student = _tiny_encoder()
+    student = as_float64(_tiny_encoder())
     teacher = Teacher(student, momentum=0.99)
     z = np.random.default_rng(1).standard_normal((3, 4))
     np.testing.assert_array_equal(teacher.encode(z), student(Tensor(z)).data)
 
 
 def test_teacher_momentum_one_freezes_and_zero_copies():
-    student = _tiny_encoder()
+    student = as_float64(_tiny_encoder())
     teacher = Teacher(student, momentum=0.99)
     before = teacher.module.state()
     for t in student.parameters():
@@ -176,7 +176,7 @@ def test_teacher_momentum_one_freezes_and_zero_copies():
 def test_teacher_closed_form_constant_student():
     # teacher_k = w + tau^k (teacher_0 - w); exact (bitwise) for dyadic tau
     # and w = 0, where every float operation is exact.
-    student = _tiny_encoder(seed=3)
+    student = as_float64(_tiny_encoder(seed=3))
     for t in student.parameters():
         t.data = np.zeros_like(t.data)
     teacher = Teacher(student, momentum=0.5)
@@ -189,7 +189,7 @@ def test_teacher_closed_form_constant_student():
 
 
 def test_teacher_update_writes_in_place_and_equals_the_rebinding_formula():
-    student = _tiny_encoder(seed=5, dtype=np.float32)
+    student = _tiny_encoder(seed=5)
     teacher = Teacher(student, momentum=0.9)
     arrays = {name: t.data for name, t in teacher.module.named_parameters()}
     expected = {name: a.copy() for name, a in arrays.items()}

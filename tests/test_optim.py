@@ -7,6 +7,7 @@ from brainvis_forge.autodiff import (
     ParamStore, ShapeError, Tensor, active_tape, adam_step, backward, no_grad, power, predict, train_epoch, tsum,
 )
 from brainvis_forge.autodiff.nn import Linear
+from oracles import as_float64
 
 
 def make_store(values: dict[str, np.ndarray]) -> ParamStore:
@@ -90,7 +91,7 @@ def test_train_epoch_visits_rows_once_in_permutation_order_and_returns_mean_loss
 
 
 def test_predict_batches_rows_and_passes_none_through():
-    layer = Linear(3, 2, np.random.default_rng(0), dtype=np.float64)
+    layer = as_float64(Linear(3, 2, np.random.default_rng(0)))
     x = np.random.default_rng(1).standard_normal((300, 3))
     calls = []
 
@@ -194,7 +195,7 @@ def _shares_arena(store: ParamStore) -> bool:
 
 def test_parameters_stay_in_the_arena_through_steps_and_load_state():
     rng = np.random.default_rng(4)
-    layer = Linear(3, 2, rng, dtype=np.float64)
+    layer = as_float64(Linear(3, 2, rng))
     store = ParamStore(layer=layer)
     x = Tensor(rng.standard_normal((5, 3)))
     store.step(tsum(power(layer(x), 2)), lr=0.01)

@@ -1,6 +1,7 @@
 """Config validation, stage orchestration, and the command-line surface."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -54,6 +55,13 @@ def test_config_rejects_bad_fields():
     for T, rho in ((3, 0.3), (2, 0.3), (10, 0.05)):
         with pytest.raises(ValueError, match=re.escape(f"rho={rho} with T={T}: CascadeConfig: switch step 0")):
             PipelineConfig(T=T, rho=rho)
+    # So would a split without enough images, or an IS score over more splits
+    # than the test split yields images (tiny: 3 test images x 4 samples).
+    with pytest.raises(ValueError, match="records_per_class = 9 images; the split needs at least 10"):
+        PipelineConfig(n_classes=3, records_per_class=3, ga_n=3)
+    with pytest.raises(ValueError, match="is_splits=13 exceeds the 12 images"):
+        tiny_config(is_splits=13)
+    assert tiny_config(is_splits=12).is_splits == 12
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -168,6 +176,27 @@ def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, sta
     monkeypatch.undo()
     runner.STAGES[stage].run(cfg, paths)
     assert stage in paths.available_stages()
+
+
+def test_a_stage_whose_marker_never_lands_is_not_done(tmp_path, monkeypatch):
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(diffusion_steps=4, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 1, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    replace = os.replace
+    for name, stage in runner.STAGES.items():
+        def fail_on_marker(src, dst, marker=stage.marker):
+            if Path(dst).name == marker:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_marker)
+        with pytest.raises(OSError, match="disk full"):
+            stage.run(cfg, paths)
+        assert name not in paths.available_stages()
+        monkeypatch.undo()
+        stage.run(cfg, paths)
+        assert name in paths.available_stages()
 
 
 def test_tfe_stage_computes_spectra_once(tmp_path, monkeypatch):
