@@ -1,9 +1,10 @@
-"""Two-stage conditional sampling.
+"""Cascaded conditional sampling: one reverse chain with one condition switch.
 
-Stage 1 denoises from pure noise under the aligned semantic embedding and
-stops early at T_s = floor(rho * T); stage 2 resumes from that latent,
-unmodified, under the (predicted) class condition and runs to zero.  The
-handoff is a pure continuation: no re-noising between stages.
+The chain runs T reverse steps from pure noise.  Steps T .. T_s+1 condition on
+the aligned semantic embedding and steps T_s .. 1 on the predicted class's
+embedding; the latent carries across the switch unmodified, with no
+re-noising.  The cascade switches at T_s = floor(rho * T) (`switch_step`);
+the "no-refine" ablation switches at 0 and "no-semantic" at T.
 """
 
 from __future__ import annotations
@@ -13,26 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autodiff import no_grad
 from .ddpm import reverse_step
 from .denoiser import DenoiserNet
 from .schedule import NoiseSchedule
 
 
-@dataclass
-class CascadeConfig:
-    """rho is the fraction of the chain left to the refinement stage."""
-
-    rho: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"CascadeConfig: rho must be in (0, 1), got {self.rho}")
-
-    def switch_step(self, T: int) -> int:
-        t_s = int(np.floor(self.rho * T))
-        if not 0 < t_s < T:
-            raise ValueError(f"CascadeConfig: switch step {t_s} degenerate for T={T}")
-        return t_s
+def switch_step(rho: float, T: int) -> int:
+    """T_s = floor(rho * T): rho is the fraction of the chain left to the class condition."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"switch_step: rho must be in (0, 1), got {rho}")
+    t_s = int(np.floor(rho * T))
+    if not 0 < t_s < T:
+        raise ValueError(f"switch_step: switch step {t_s} degenerate for T={T}")
+    return t_s
 
 
 class RowNoise:
@@ -52,7 +47,7 @@ class RowNoise:
         return np.stack([rng.standard_normal(shape[1:]) for rng in self.rngs])
 
 
-def _reverse_chain(
+def reverse_chain(
     schedule: NoiseSchedule,
     denoiser,
     x: np.ndarray,
@@ -63,6 +58,7 @@ def _reverse_chain(
 ) -> np.ndarray:
     """Reverse steps t_from .. t_to+1 under one condition; returns x_{t_to}.
 
+    With t_from == t_to it makes no denoiser call and returns `x` as float64.
     Shape-agnostic: `x` may carry a leading batch axis, with `cond` holding
     one row per batch row and `rng` one noise stream per row (see RowNoise).
     """
@@ -70,31 +66,6 @@ def _reverse_chain(
     for t in range(t_from, t_to, -1):
         x = reverse_step(schedule, denoiser, x, t, cond, rng)
     return x
-
-
-def sample_stage1(
-    schedule: NoiseSchedule,
-    denoiser,
-    c_eeg: np.ndarray,
-    rng: np.random.Generator | RowNoise,
-    cascade: CascadeConfig,
-    latent_shape: tuple[int, ...],
-) -> np.ndarray:
-    """Reverse steps T .. T_s+1 from fresh noise under the semantic condition; returns x_{T_s}."""
-    x = rng.standard_normal(latent_shape)
-    return _reverse_chain(schedule, denoiser, x, c_eeg, rng, schedule.T, cascade.switch_step(schedule.T))
-
-
-def refine_stage2(
-    schedule: NoiseSchedule,
-    denoiser,
-    x_ts: np.ndarray,
-    class_cond: np.ndarray,
-    rng: np.random.Generator | RowNoise,
-    cascade: CascadeConfig,
-) -> np.ndarray:
-    """Reverse steps T_s .. 1 under the class condition, continuing x_{T_s} as-is."""
-    return _reverse_chain(schedule, denoiser, x_ts, class_cond, rng, cascade.switch_step(schedule.T))
 
 
 @dataclass
@@ -124,53 +95,48 @@ def generate_samples(
     record_indices: np.ndarray,
     c_eeg: np.ndarray,
     predicted_labels: np.ndarray,
-    class_cond: np.ndarray,
-    cascade: CascadeConfig,
+    rho: float,
     n_samples: int = 4,
     master_seed: int = 0,
     mode: str = "cascade",
 ) -> list[tuple[np.ndarray, GenerationProvenance]]:
     """Draw `n_samples` latents for each of R records under the requested mode.
 
-    `record_indices` and `predicted_labels` are (R,); `c_eeg` and `class_cond`
-    are (R, e).  All R * n_samples latents advance together as one batch, so
-    the chain makes T denoiser calls in all.  Returns (latent, provenance)
-    pairs in record-major, sample-minor order.
+    `record_indices` and `predicted_labels` are (R,) and `c_eeg` is (R, e);
+    the class condition is the denoiser's embedding of each predicted label.
+    All R * n_samples latents advance together as one batch, so the chain
+    makes T denoiser calls in all.  Returns (latent, provenance) pairs in
+    record-major, sample-minor order.
 
-    Modes: "cascade" (semantic stage then class refinement), "no-refine"
-    (semantic condition for the whole chain), "no-semantic" (class condition
-    for the whole chain).  Each sample owns a seed stream derived from
+    Modes set where the chain hands over from the semantic to the class
+    condition (module docstring): "cascade" at T_s, "no-refine" at 0,
+    "no-semantic" at T.  Each sample owns a seed stream derived from
     (master_seed, record_index, sample_index), so trajectories are
     reproducible, independent, and the same whichever records share the batch.
     """
-    t_s = cascade.switch_step(schedule.T)
+    t_s = switch_step(rho, schedule.T)
     steps = {"cascade": (schedule.T - t_s, t_s), "no-refine": (schedule.T, 0), "no-semantic": (0, schedule.T)}
     if mode not in steps:
         raise ValueError(f"generate_samples: unknown mode {mode!r}")
+    stage1_steps, stage2_steps = steps[mode]
     record_indices = np.asarray(record_indices, dtype=np.int64)
     c_eeg = np.asarray(c_eeg, dtype=np.float64)
-    class_cond = np.asarray(class_cond, dtype=np.float64)
     n_records = len(record_indices)
-    if not len(predicted_labels) == len(c_eeg) == len(class_cond) == n_records:
-        raise ValueError("generate_samples: record_indices, c_eeg, predicted_labels and class_cond differ in length")
+    if not len(predicted_labels) == len(c_eeg) == n_records:
+        raise ValueError("generate_samples: record_indices, c_eeg and predicted_labels differ in length")
+    with no_grad():
+        class_cond = denoiser.class_condition(predicted_labels).data
 
     noise = RowNoise([
         np.random.default_rng(np.random.SeedSequence([master_seed, int(r), s]))
         for r in record_indices
         for s in range(n_samples)
     ])
-    shape = (n_records * n_samples,) + denoiser.latent_shape
-    c_rows = np.repeat(c_eeg, n_samples, axis=0)
-    class_rows = np.repeat(class_cond, n_samples, axis=0)
-    if mode == "cascade":
-        x = sample_stage1(schedule, denoiser, c_rows, noise, cascade, shape)
-        x = refine_stage2(schedule, denoiser, x, class_rows, noise, cascade)
-    else:
-        cond = c_rows if mode == "no-refine" else class_rows
-        x = _reverse_chain(schedule, denoiser, noise.standard_normal(shape), cond, noise, schedule.T)
+    x = noise.standard_normal((n_records * n_samples,) + denoiser.latent_shape)
+    x = reverse_chain(schedule, denoiser, x, np.repeat(c_eeg, n_samples, axis=0), noise, schedule.T, stage2_steps)
+    x = reverse_chain(schedule, denoiser, x, np.repeat(class_cond, n_samples, axis=0), noise, stage2_steps)
 
     out = []
-    stage1_steps, stage2_steps = steps[mode]
     for row, (record_index, label, c_vec) in enumerate(zip(record_indices, predicted_labels, c_eeg)):
         for s in range(n_samples):
             prov = GenerationProvenance(

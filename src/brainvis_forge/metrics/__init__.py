@@ -1,12 +1,11 @@
 """Evaluation battery with brute-force-checkable definitions."""
 
-from .classification import GaConfig, f1_macro, n_way_top_k, top_k_accuracy
+from .classification import f1_macro, n_way_top_k, top_k_accuracy
 from .generation import fid, fid_counts_valid, fid_from_moments, inception_score, ssim
 from .report import MetricsReport, classification_block, evaluate_generation
 from .surrogate import SurrogateClassifier, SurrogateResult, surrogate_outputs, train_surrogate
 
 __all__ = [
-    "GaConfig",
     "MetricsReport",
     "SurrogateClassifier",
     "SurrogateResult",

@@ -10,7 +10,6 @@ When N = C, table[q] = [q < K] and GA is top-K accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -54,33 +53,23 @@ def f1_macro(predictions: np.ndarray, labels: np.ndarray, n_classes: int) -> flo
     return float(np.mean(scores))
 
 
-@dataclass
-class GaConfig:
-    """N-way top-K protocol: N-1 wrong classes join the true one; a hit when it ranks in the top K."""
-
-    n_way: int = 50
-    top_k: int = 1
-
-    def __post_init__(self):
-        if self.n_way < 2:
-            raise ValueError(f"GaConfig: n_way must be >= 2, got {self.n_way}")
-        if not 1 <= self.top_k < self.n_way:
-            raise ValueError(f"GaConfig: top_k must be in [1, n_way), got {self.top_k}")
-
-
-def n_way_top_k(probs: np.ndarray, labels: np.ndarray, cfg: GaConfig) -> float:
+def n_way_top_k(probs: np.ndarray, labels: np.ndarray, n_way: int, top_k: int) -> float:
     """Hit rate of the true class in the top K of N classes, exact over every
     draw of the N-1 wrong ones: the mean of table[r] (module docstring)."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = probs.shape[1]
-    if cfg.n_way > n_classes:
-        raise ValueError(f"n_way_top_k: N={cfg.n_way} exceeds {n_classes} available classes")
+    if n_way < 2:
+        raise ValueError(f"n_way_top_k: n_way must be >= 2, got {n_way}")
+    if n_way > n_classes:
+        raise ValueError(f"n_way_top_k: N={n_way} exceeds {n_classes} available classes")
+    if not 1 <= top_k < n_way:
+        raise ValueError(f"n_way_top_k: top_k must be in [1, n_way), got {top_k}")
     if len(labels) == 0:
         return 0.0
-    draws = comb(n_classes - 1, cfg.n_way - 1)
+    draws = comb(n_classes - 1, n_way - 1)
     table = np.array([
-        sum(comb(q, x) * comb(n_classes - 1 - q, cfg.n_way - 1 - x) for x in range(cfg.top_k)) / draws
+        sum(comb(q, x) * comb(n_classes - 1 - q, n_way - 1 - x) for x in range(top_k)) / draws
         for q in range(n_classes)
     ])
     return float(np.mean(table[_outranking(probs, labels)]))

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .classification import GaConfig, f1_macro, n_way_top_k, top_k_accuracy
+from .classification import f1_macro, n_way_top_k, top_k_accuracy
 from .generation import fid, fid_counts_valid, inception_score, ssim
 from .surrogate import SurrogateClassifier, surrogate_outputs
 
@@ -73,8 +73,9 @@ def evaluate_generation(
     ground_truth: np.ndarray,
     gt_pairs: np.ndarray,
     surrogate: SurrogateClassifier,
-    ga_cfg: GaConfig,
     *,
+    n_way: int,
+    top_k: int,
     is_splits: int = 1,
 ) -> dict:
     """Score generated images against their ground-truth counterparts.
@@ -86,7 +87,7 @@ def evaluate_generation(
     """
     probs, gen_feats = surrogate_outputs(surrogate, generated)
     _, gt_feats = surrogate_outputs(surrogate, ground_truth)
-    ga = n_way_top_k(probs, np.asarray(generated_labels, dtype=np.int64), ga_cfg)
+    ga = n_way_top_k(probs, np.asarray(generated_labels, dtype=np.int64), n_way, top_k)
     is_mean, is_std = inception_score(probs, splits=is_splits)
     fid_value = fid(gen_feats, gt_feats)
     ssim_values = ssim(generated, gt_pairs)

@@ -53,16 +53,19 @@ def main(argv: list[str] | None = None) -> int:
     _apply_thread_cap()
     args = build_parser().parse_args(argv)
 
-    from .config import PipelineConfig
-    from .runner import RunPaths, run_full_chain, run_grad_check
-
     if args.command == "grad-check":
-        worst, ok = run_grad_check(probes=args.probes, tol=args.tol)
+        from ..autodiff.gradcheck import run_catalog_suite
+
+        worst = run_catalog_suite(probes=args.probes, tol=args.tol)
+        ok = all(v < args.tol for v in worst.values())
         for name in sorted(worst):
             status = "ok" if worst[name] < args.tol else "FAIL"
             print(f"{status:4s} {name:24s} max rel err {worst[name]:.3e}")
         print(f"grad-check: {len(worst)} ops, tol {args.tol:g}: {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
+
+    from .config import PipelineConfig
+    from .runner import RunPaths, run_full_chain
 
     cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     overrides = {}

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.split import MIN_IMAGES, SPLIT_RATIOS, _largest_remainder_counts
-from ..diffusion.cascade import CascadeConfig
+from ..diffusion.cascade import switch_step
 
 # Stages each ablation mode (None: the full chain) never runs; they drop out
 # of the chain and of every later stage's prerequisites.
@@ -128,12 +128,10 @@ class PipelineConfig:
             raise ValueError(f"PipelineConfig: mask ratio {self.r_m} degenerate for n={self.n}")
         if self.d % self.heads != 0:
             raise ValueError(f"PipelineConfig: heads={self.heads} must divide d={self.d}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"PipelineConfig: rho={self.rho} outside (0, 1)")
         if self.latent_channels != 3:
             raise ValueError(f"PipelineConfig: latent_channels={self.latent_channels} must be 3 (RGB PPM output)")
         try:
-            CascadeConfig(self.rho).switch_step(self.T)
+            switch_step(self.rho, self.T)
         except ValueError as exc:
             raise ValueError(f"PipelineConfig: rho={self.rho} with T={self.T}: {exc}") from None
         if not 0.0 <= self.teacher_momentum <= 1.0:

@@ -43,7 +43,7 @@ import numpy as np
 from ..align.fixtures import generate_fixtures, load_fixtures, write_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
-from ..autodiff import no_grad, predict
+from ..autodiff import predict
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..binio import write_whole
 from ..data.bvd import load_dataset, write_dataset
@@ -51,7 +51,7 @@ from ..data.images import make_image_set
 from ..data.records import DatasetSplit, EegDataset
 from ..data.split import split_by_image
 from ..data.synthetic import SyntheticGenSpec, generate_synthetic
-from ..diffusion.cascade import CascadeConfig, generate_samples
+from ..diffusion.cascade import generate_samples
 from ..diffusion.ddpm import train_denoiser
 from ..diffusion.denoiser import DenoiserNet
 from ..diffusion.ppm import read_ppm, sample_filename, write_ppm
@@ -61,7 +61,6 @@ from ..fusion.model import TfeModel
 from ..fusion.train import classify_batch, finetune_tfe, tfe_inputs
 from ..lmm.model import UnitProjector, VisibleEncoder
 from ..lmm.train import build_lmm_models, prepare_units, train_lmm
-from ..metrics.classification import GaConfig
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import train_surrogate
 from .checkpoint import CheckpointArchive, StageError, load_checkpoint, require_stage, save_checkpoint
@@ -326,25 +325,23 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Sample `samples_per_record` images for every test record.
 
-    The predicted labels come from the tfe stage's test logits and the
-    semantic conditions from the align stage's test rows.  All records x
-    samples advance through the reverse chain as one batch (T denoiser
-    calls), each sample on its own seed stream, and the PPMs and provenance
-    rows are written in record-major, sample-minor order.
+    The semantic conditions come from the align stage's test rows and the
+    predicted labels from the tfe stage's test logits; `generate_samples`
+    embeds those labels as the class condition, which takes over at
+    floor(rho * T) (at 0 under no-refine, at T under no-semantic).  All
+    records x samples advance through the one reverse chain as one batch (T
+    denoiser calls), each sample on its own seed stream, and the PPMs and
+    provenance rows are written in record-major, sample-minor order.
     """
     stage_dir = _enter_stage(cfg, paths, "generate")
     dataset, split = load_run_data(cfg, paths)
     denoiser = _denoiser(cfg, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
     schedule = NoiseSchedule.linear(T=cfg.T)
-    cascade = CascadeConfig(rho=cfg.rho)
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
     n_test = len(split.test)
     (logits,) = _stored_rows(paths, "generate", "tfe", test_logits=n_test)
-    predicted = np.argmax(logits, axis=1)
-    with no_grad():
-        class_cond = denoiser.class_condition(predicted).data
     if mode == "no-semantic":
         c_eeg = np.zeros((n_test, cfg.e))
     else:
@@ -354,9 +351,8 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
         schedule, denoiser,
         record_indices=np.asarray(split.test),
         c_eeg=c_eeg,
-        predicted_labels=predicted,
-        class_cond=class_cond,
-        cascade=cascade,
+        predicted_labels=np.argmax(logits, axis=1),
+        rho=cfg.rho,
         n_samples=cfg.samples_per_record,
         master_seed=cfg.seed,
         mode=mode,
@@ -406,9 +402,9 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     gt_pairs = images[np.repeat(test.image_ids, cfg.samples_per_record)]
     gt_pool = images[test.image_ids]
 
-    ga_cfg = GaConfig(n_way=cfg.ga_n, top_k=cfg.ga_k)
     gen_block = evaluate_generation(
-        generated, gen_labels, gt_pool, gt_pairs, surrogate.model, ga_cfg, is_splits=cfg.is_splits
+        generated, gen_labels, gt_pool, gt_pairs, surrogate.model,
+        n_way=cfg.ga_n, top_k=cfg.ga_k, is_splits=cfg.is_splits,
     )
 
     report = MetricsReport(
@@ -418,13 +414,6 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     _write_jsonl(stage_dir / "metrics.jsonl", [json.loads(report.to_json())])
     write_whole(stage_dir / "report.json", [report.to_json().encode()])
     return report
-
-
-def run_grad_check(probes: int = 10, seed: int = 2024, tol: float = 1e-4) -> tuple[dict[str, float], bool]:
-    from ..autodiff.gradcheck import run_catalog_suite
-
-    worst = run_catalog_suite(probes=probes, seed=seed, tol=tol)
-    return worst, all(v < tol for v in worst.values())
 
 
 STAGES: dict[str, Stage] = {

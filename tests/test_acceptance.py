@@ -242,11 +242,10 @@ def test_criterion_7_fft_properties():
 
 def test_criterion_8_diffusion_algebra():
     from brainvis_forge.diffusion import (
-        CascadeConfig,
         NoiseSchedule,
         forward_diffuse,
-        refine_stage2,
-        sample_stage1,
+        reverse_chain,
+        switch_step,
         x0_estimate,
     )
     from oracles import OracleDenoiser
@@ -264,22 +263,21 @@ def test_criterion_8_diffusion_algebra():
             rmse = np.sqrt(np.mean((x0_estimate(schedule, x_t, t, eps) - x0) ** 2))
             assert rmse < 1e-5
 
-        cascade = CascadeConfig(rho=0.3)
-        t_s = cascade.switch_step(schedule.T)
+        t_s = switch_step(0.3, schedule.T)
         assert (schedule.T - t_s) + t_s == schedule.T
 
         oracle = OracleDenoiser(x0, schedule)
         sample_rng = np.random.default_rng(31)
-        x_ts = sample_stage1(schedule, oracle, np.zeros(8), sample_rng, cascade, x0.shape)
+        x_ts = reverse_chain(schedule, oracle, sample_rng.standard_normal(x0.shape), np.zeros(8), sample_rng,
+                             schedule.T, t_s)
         handoff = x_ts.copy()
-        final = refine_stage2(schedule, oracle, x_ts, np.zeros(8), sample_rng, cascade)
+        final = reverse_chain(schedule, oracle, x_ts, np.zeros(8), sample_rng, t_s)
         assert x_ts.tobytes() == handoff.tobytes()
         assert np.sqrt(np.mean((final - x0) ** 2)) < 0.05
 
 
 def test_criterion_9_metric_oracles():
     from brainvis_forge.metrics import (
-        GaConfig,
         fid,
         fid_from_moments,
         inception_score,
@@ -319,7 +317,7 @@ def test_criterion_9_metric_oracles():
                 total += 1
             exact_rates.append(hits / total)
         exact = float(np.mean(exact_rates))
-        assert n_way_top_k(probs, labels, GaConfig(n_way=n_way, top_k=1)) == exact
+        assert n_way_top_k(probs, labels, n_way, 1) == exact
 
         mean, _ = inception_score(np.full((10, 5), 0.2))
         assert mean == pytest.approx(1.0, abs=1e-6)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from brainvis_forge.autodiff import Tensor, no_grad
 from brainvis_forge.diffusion import (
-    CascadeConfig,
     DenoiserNet,
     NoiseSchedule,
     RowNoise,
@@ -12,9 +12,9 @@ from brainvis_forge.diffusion import (
     generate_samples,
     latent_to_rgb,
     read_ppm,
-    refine_stage2,
+    reverse_chain,
     reverse_step,
-    sample_stage1,
+    switch_step,
     train_denoiser,
     write_ppm,
     x0_estimate,
@@ -113,8 +113,7 @@ def test_reverse_trajectory_bit_identical_for_fixed_seed(schedule):
 
 
 def test_stage_step_counts_sum_to_T(schedule):
-    cascade = CascadeConfig(rho=0.3)
-    t_s = cascade.switch_step(schedule.T)
+    t_s = switch_step(0.3, schedule.T)
     assert t_s == 30
     assert (schedule.T - t_s) + t_s == schedule.T
 
@@ -129,7 +128,8 @@ def test_stage1_executes_seventy_steps(schedule):
 
     x0 = np.random.default_rng(7).uniform(-1, 1, (3, 4, 4))
     oracle = CountingOracle(x0, schedule)
-    out = sample_stage1(schedule, oracle, np.zeros(4), np.random.default_rng(0), CascadeConfig(rho=0.3), x0.shape)
+    rng = np.random.default_rng(0)
+    out = reverse_chain(schedule, oracle, rng.standard_normal(x0.shape), np.zeros(4), rng, schedule.T, 30)
     assert len(calls) == 70
     assert calls == list(range(100, 30, -1))
     assert out.shape == x0.shape
@@ -138,9 +138,8 @@ def test_stage1_executes_seventy_steps(schedule):
 def test_stage2_executes_thirty_steps_and_bit_exact_handoff(schedule):
     x0 = np.random.default_rng(8).uniform(-1, 1, (3, 4, 4))
     oracle = OracleDenoiser(x0, schedule)
-    cascade = CascadeConfig(rho=0.3)
     rng = np.random.default_rng(1)
-    x_ts = sample_stage1(schedule, oracle, np.zeros(4), rng, cascade, x0.shape)
+    x_ts = reverse_chain(schedule, oracle, rng.standard_normal(x0.shape), np.zeros(4), rng, schedule.T, 30)
     handoff = x_ts.copy()
 
     calls = []
@@ -152,7 +151,7 @@ def test_stage2_executes_thirty_steps_and_bit_exact_handoff(schedule):
                 np.testing.assert_array_equal(x_t, handoff)  # stage 2 consumes stage 1 output unmodified
             return super().predict(x_t, t, cond)
 
-    refine_stage2(schedule, CountingOracle(x0, schedule), x_ts, np.zeros(4), rng, cascade)
+    reverse_chain(schedule, CountingOracle(x0, schedule), x_ts, np.zeros(4), rng, 30)
     assert calls == list(range(30, 0, -1))
     np.testing.assert_array_equal(x_ts, handoff)
 
@@ -160,10 +159,9 @@ def test_stage2_executes_thirty_steps_and_bit_exact_handoff(schedule):
 def test_oracle_cascade_recovers_memorized_image(schedule):
     x0 = np.random.default_rng(9).uniform(-1, 1, (3, 16, 16))
     oracle = OracleDenoiser(x0, schedule)
-    cascade = CascadeConfig(rho=0.3)
     rng = np.random.default_rng(12)
-    x_ts = sample_stage1(schedule, oracle, np.zeros(4), rng, cascade, x0.shape)
-    final = refine_stage2(schedule, oracle, x_ts, np.zeros(4), rng, cascade)
+    x_ts = reverse_chain(schedule, oracle, rng.standard_normal(x0.shape), np.zeros(4), rng, schedule.T, 30)
+    final = reverse_chain(schedule, oracle, x_ts, np.zeros(4), rng, 30)
     rmse = np.sqrt(np.mean((final - x0) ** 2))
     assert rmse < 0.05
 
@@ -175,9 +173,13 @@ def test_condition_sensitivity_same_seed_different_condition():
     rng = np.random.default_rng(1)
     net.out_proj.weight.data = rng.standard_normal(net.out_proj.weight.shape).astype(np.float32) * 0.1
     c1, c2 = np.zeros(8), np.ones(8)
-    cascade = CascadeConfig(rho=0.3)
-    a = sample_stage1(schedule, net, c1, np.random.default_rng(5), cascade, (3, 4, 4))
-    b = sample_stage1(schedule, net, c2, np.random.default_rng(5), cascade, (3, 4, 4))
+
+    def stage1(cond):
+        noise = np.random.default_rng(5)
+        x = noise.standard_normal((3, 4, 4))
+        return reverse_chain(schedule, net, x, cond, noise, schedule.T, switch_step(0.3, schedule.T))
+
+    a, b = stage1(c1), stage1(c2)
     assert np.linalg.norm(a - b) > 0
 
 
@@ -186,8 +188,7 @@ def test_generate_samples_counts_provenance_and_determinism():
     net = DenoiserNet((3, 4, 4), 8, 4, 16, np.random.default_rng(2))
     kwargs = dict(
         record_indices=np.array([3]), c_eeg=np.ones((1, 8)), predicted_labels=np.array([2]),
-        class_cond=np.full((1, 8), 0.5), cascade=CascadeConfig(rho=0.3),
-        n_samples=4, master_seed=11,
+        rho=0.3, n_samples=4, master_seed=11,
     )
     out1 = generate_samples(schedule, net, **kwargs)
     out2 = generate_samples(schedule, net, **kwargs)
@@ -205,8 +206,7 @@ def test_generate_modes_step_split():
     schedule = NoiseSchedule.linear(T=10)
     net = DenoiserNet((3, 4, 4), 8, 4, 16, np.random.default_rng(2))
     base = dict(record_indices=np.array([0]), c_eeg=np.ones((1, 8)), predicted_labels=np.array([0]),
-                class_cond=np.zeros((1, 8)), cascade=CascadeConfig(rho=0.3),
-                n_samples=1, master_seed=0)
+                rho=0.3, n_samples=1, master_seed=0)
     (_, p_refit) = generate_samples(schedule, net, mode="no-refine", **base)[0]
     assert (p_refit.stage1_steps, p_refit.stage2_steps) == (10, 0)
     (_, p_nosem) = generate_samples(schedule, net, mode="no-semantic", **base)[0]
@@ -220,17 +220,40 @@ def _conditioned_net(latent_shape=(3, 4, 4), cond_dim=8, seed=2):
     return net
 
 
-def _per_sample_latent(schedule, net, cascade, mode, c_eeg, class_cond, seed_seq):
-    """One sample's chain at batch size 1 on its own seed stream."""
+# The step at which each mode hands over from the semantic to the class condition.
+def _handover(mode, T):
+    return {"cascade": switch_step(0.3, T), "no-refine": 0, "no-semantic": T}[mode]
+
+
+def _per_sample_latent(schedule, net, mode, c_eeg, label, seed_seq):
+    """One sample's chain at batch size 1 on its own seed stream, step by step."""
     rng = np.random.default_rng(seed_seq)
-    if mode == "cascade":
-        x = sample_stage1(schedule, net, c_eeg, rng, cascade, net.latent_shape)
-        return refine_stage2(schedule, net, x, class_cond, rng, cascade)
-    cond = c_eeg if mode == "no-refine" else class_cond
     x = rng.standard_normal(net.latent_shape)
     for t in range(schedule.T, 0, -1):
+        cond = c_eeg if t > _handover(mode, schedule.T) else net.class_table.data[label]
         x = reverse_step(schedule, net, x, t, cond, rng)
     return x
+
+
+@pytest.mark.parametrize("mode", ["cascade", "no-refine", "no-semantic"])
+def test_generation_is_one_chain_switching_condition_at_the_handover(mode):
+    schedule = NoiseSchedule.linear(T=12)
+    calls = []
+
+    class RecordingNet(DenoiserNet):
+        def predict(self, x_t, t, cond):
+            calls.append((t, np.array(cond, copy=True)))
+            return super().predict(x_t, t, cond)
+
+    net = RecordingNet((3, 4, 4), 8, 4, 16, np.random.default_rng(2))
+    inputs = _batch_inputs()
+    generate_samples(schedule, net, rho=0.3, n_samples=2, master_seed=3, mode=mode, **inputs)
+    semantic = np.repeat(inputs["c_eeg"], 2, axis=0)
+    classes = np.repeat(net.class_table.data[inputs["predicted_labels"]], 2, axis=0)
+    assert [t for t, _ in calls] == list(range(schedule.T, 0, -1))
+    for t, cond in calls:
+        expected = semantic if t > _handover(mode, schedule.T) else classes
+        np.testing.assert_array_equal(cond, expected, err_msg=f"t={t}")
 
 
 def _rel_err(a, b):
@@ -243,7 +266,6 @@ def _batch_inputs(n_records=3, e=8, seed=4):
         record_indices=np.array([5, 9, 2, 14][:n_records]),
         c_eeg=rng.standard_normal((n_records, e)),
         predicted_labels=np.array([1, 3, 0, 2][:n_records]),
-        class_cond=rng.standard_normal((n_records, e)),
     )
 
 
@@ -251,9 +273,8 @@ def _batch_inputs(n_records=3, e=8, seed=4):
 def test_batched_generation_matches_per_sample_chains(mode):
     schedule = NoiseSchedule.linear(T=12)
     net = _conditioned_net()
-    cascade = CascadeConfig(rho=0.3)
     inputs = _batch_inputs()
-    out = generate_samples(schedule, net, cascade=cascade, n_samples=4, master_seed=11, mode=mode, **inputs)
+    out = generate_samples(schedule, net, rho=0.3, n_samples=4, master_seed=11, mode=mode, **inputs)
     assert len(out) == 3 * 4
     for k, (latent, prov) in enumerate(out):
         row, s = divmod(k, 4)
@@ -261,7 +282,7 @@ def test_batched_generation_matches_per_sample_chains(mode):
         assert prov.predicted_label == inputs["predicted_labels"][row]
         assert prov.mode == mode
         ref = _per_sample_latent(
-            schedule, net, cascade, mode, inputs["c_eeg"][row], inputs["class_cond"][row],
+            schedule, net, mode, inputs["c_eeg"][row], inputs["predicted_labels"][row],
             np.random.SeedSequence([11, prov.record_index, s]),
         )
         assert latent.shape == net.latent_shape
@@ -273,12 +294,11 @@ def test_batched_generation_matches_per_sample_chains(mode):
 def test_generation_of_a_record_subset_matches_the_full_batch():
     schedule = NoiseSchedule.linear(T=12)
     net = _conditioned_net()
-    cascade = CascadeConfig(rho=0.3)
     full_inputs = _batch_inputs(n_records=4)
-    full = generate_samples(schedule, net, cascade=cascade, n_samples=3, master_seed=5, **full_inputs)
+    full = generate_samples(schedule, net, rho=0.3, n_samples=3, master_seed=5, **full_inputs)
     rows = [3, 1]
     subset = generate_samples(
-        schedule, net, cascade=cascade, n_samples=3, master_seed=5,
+        schedule, net, rho=0.3, n_samples=3, master_seed=5,
         **{k: v[rows] for k, v in full_inputs.items()},
     )
     expected = [full[row * 3 + s] for row in rows for s in range(3)]
@@ -291,11 +311,11 @@ def test_generation_of_a_record_subset_matches_the_full_batch():
 def test_generate_samples_rejects_mismatched_record_arrays():
     schedule = NoiseSchedule.linear(T=10)
     inputs = _batch_inputs()
-    inputs["class_cond"] = inputs["class_cond"][:2]
+    inputs["predicted_labels"] = inputs["predicted_labels"][:2]
     with pytest.raises(ValueError, match="differ in length"):
-        generate_samples(schedule, _conditioned_net(), cascade=CascadeConfig(rho=0.3), **inputs)
+        generate_samples(schedule, _conditioned_net(), rho=0.3, **inputs)
     with pytest.raises(ValueError, match="unknown mode"):
-        generate_samples(schedule, _conditioned_net(), cascade=CascadeConfig(rho=0.3), mode="bogus", **_batch_inputs())
+        generate_samples(schedule, _conditioned_net(), rho=0.3, mode="bogus", **_batch_inputs())
 
 
 def test_row_noise_draws_each_rows_own_stream():
@@ -325,6 +345,18 @@ def test_batched_predict_equals_stacked_single_calls():
     for bad in (np.zeros((3, 4, 5)), np.zeros((2, 2, 3, 4, 4)), np.zeros(2 * 48)):
         with pytest.raises(ValueError, match="latent shape"):
             net.predict(bad, 7, cond[0])
+
+
+def test_predict_equals_the_float32_forward():
+    # Pins the inference path's rounding: PPM quantisation would hide a change in it.
+    net = _conditioned_net()
+    net.skip_gate.weight.data = np.full(net.skip_gate.weight.shape, 0.05, dtype=np.float32)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5,) + net.latent_shape)
+    cond = rng.standard_normal((5, 8))
+    with no_grad():
+        forward = net(Tensor(x.astype(np.float32)), np.array([7]), Tensor(cond.astype(np.float32)))
+    np.testing.assert_array_equal(net.predict(x, 7, cond), forward.data.astype(np.float64))
 
 
 def test_unknown_class_label_rejected():

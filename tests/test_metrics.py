@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainvis_forge.metrics import (
-    GaConfig,
     MetricsReport,
     f1_macro,
     fid,
@@ -121,16 +120,14 @@ def test_n_way_equal_to_all_classes_reduces_to_plain_top_k():
     rng = np.random.default_rng(3)
     probs = rng.dirichlet(np.ones(6), size=30)
     labels = rng.integers(0, 6, 30)
-    cfg = GaConfig(n_way=6, top_k=1)
-    assert n_way_top_k(probs, labels, cfg) == top_k_accuracy(probs, labels, 1)
+    assert n_way_top_k(probs, labels, 6, 1) == top_k_accuracy(probs, labels, 1)
 
 
 def test_n_way_global_max_always_hits():
     probs = np.zeros((10, 8))
     labels = np.arange(8).tolist() + [0, 1]
     probs[np.arange(10), labels] = 1.0
-    cfg = GaConfig(n_way=4, top_k=1)
-    assert n_way_top_k(probs, np.array(labels), cfg) == 1.0
+    assert n_way_top_k(probs, np.array(labels), 4, 1) == 1.0
 
 
 def test_n_way_matches_exhaustive_subset_enumeration():
@@ -139,7 +136,7 @@ def test_n_way_matches_exhaustive_subset_enumeration():
     probs = rng.dirichlet(np.ones(n_classes), size=4)
     labels = rng.integers(0, n_classes, 4)
     exact = _enumerated_ga(probs, labels, n_way, 1)
-    assert n_way_top_k(probs, labels, GaConfig(n_way=n_way, top_k=1)) == exact
+    assert n_way_top_k(probs, labels, n_way, 1) == exact
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -155,10 +152,9 @@ def test_n_way_closed_form_equals_enumeration(n_classes, data):
     levels = data.draw(st.lists(st.integers(0, 2), min_size=rows * n_classes, max_size=rows * n_classes))
     probs = np.array(levels, dtype=np.float64).reshape(rows, n_classes) / 2.0
     labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=rows, max_size=rows)))
-    cfg = GaConfig(n_way=n_way, top_k=top_k)
-    assert n_way_top_k(probs, labels, cfg) == _enumerated_ga(probs, labels, n_way, top_k)
+    assert n_way_top_k(probs, labels, n_way, top_k) == _enumerated_ga(probs, labels, n_way, top_k)
     if n_way == n_classes:
-        assert n_way_top_k(probs, labels, cfg) == top_k_accuracy(probs, labels, top_k)
+        assert n_way_top_k(probs, labels, n_way, top_k) == top_k_accuracy(probs, labels, top_k)
 
 
 def test_n_way_monotone_in_k():
@@ -166,15 +162,17 @@ def test_n_way_monotone_in_k():
     probs = rng.dirichlet(np.ones(10), size=20)
     labels = rng.integers(0, 10, 20)
     rates = [
-        n_way_top_k(probs, labels, GaConfig(n_way=6, top_k=k))
+        n_way_top_k(probs, labels, 6, k)
         for k in (1, 2, 3, 4, 5)
     ]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_n_way_exceeding_class_count_rejected():
-    with pytest.raises(ValueError, match="exceeds"):
-        n_way_top_k(np.full((2, 4), 0.25), np.array([0, 1]), GaConfig(n_way=5, top_k=1))
+    # N above the class count, N below 2, and K not below N
+    for n_way, top_k, match in ((5, 1, "exceeds"), (1, 1, "n_way must be >= 2"), (3, 3, r"top_k must be in \[1")):
+        with pytest.raises(ValueError, match=match):
+            n_way_top_k(np.full((2, 4), 0.25), np.array([0, 1]), n_way, top_k)
 
 
 # --- inception score -----------------------------------------------------------------
@@ -367,7 +365,7 @@ def test_evaluate_generation_reports_fid_sample_counts(n_generated, n_reference,
     reference = rng.uniform(-1, 1, (n_reference, 3, 8, 8))
     labels = rng.integers(0, 4, n_generated)
     block = evaluate_generation(
-        generated, labels, reference, generated, surrogate, GaConfig(n_way=4, top_k=1),
+        generated, labels, reference, generated, surrogate, n_way=4, top_k=1,
     )
     assert (block["n_generated"], block["n_reference"], block["fid_valid"]) == (n_generated, n_reference, valid)
 
@@ -397,8 +395,7 @@ def test_evaluate_generation_perfect_bound():
     assert surrogate.train_accuracy == 1.0
 
     block = evaluate_generation(
-        images, labels, images, images, surrogate.model,
-        GaConfig(n_way=4, top_k=1),
+        images, labels, images, images, surrogate.model, n_way=4, top_k=1,
     )
     assert block["ga"] == 1.0
     assert abs(block["fid"]) < 1e-4  # eigendecomposition noise scales with feature magnitude

@@ -53,7 +53,7 @@ def test_config_rejects_bad_fields():
             PipelineConfig(latent_channels=channels)
     # A cascade that switches at step 0 would likewise fail only in generate.
     for T, rho in ((3, 0.3), (2, 0.3), (10, 0.05)):
-        with pytest.raises(ValueError, match=re.escape(f"rho={rho} with T={T}: CascadeConfig: switch step 0")):
+        with pytest.raises(ValueError, match=re.escape(f"rho={rho} with T={T}: switch_step: switch step 0")):
             PipelineConfig(T=T, rho=rho)
     # So would a split without enough images, or an IS score over more splits
     # than the test split yields images (tiny: 3 test images x 4 samples).
