@@ -117,6 +117,10 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
 
     lstm_inputs = [r((2, 3, 4, 3)), r((3, 20)) * 0.5, r((5, 20)) * 0.5, r(20) * 0.1]
     ln_inputs = [r((4, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
+    ln_inputs_3d = [r((2, 3, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
+    core_inputs = [r((2, 4, d)), r((2, 6, d)), r((2, 6, d))]  # n_q != n_k
+    nll_probs = [np.abs(r((2, 3, 9))) + 0.1]
+    nll_target = ops.one_hot_labels(rng.integers(0, 9, size=6), 9).reshape(2, 3, 9)
     ce_logits = [r((5, 9))]
     ce_target = ops.one_hot_labels(rng.integers(0, 9, size=5), 9)
     take_idx = np.array([0, 2, 2, 4])
@@ -150,6 +154,9 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "softmax": probe(lambda ts: softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "log_softmax": probe(lambda ts: log_softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "layer_norm": probe(lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]), ln_inputs, (4, 7)),
+        "layer_norm_3d": probe(lambda ts: ops.layer_norm(*ts), ln_inputs_3d, (2, 3, 7)),
+        "attention_core": probe(lambda ts: ops.attention_core(*ts, n_heads=n_heads), core_inputs, (2, 4, d)),
+        "codeword_nll": (lambda ts: ops.codeword_nll(ts[0], nll_target), nll_probs),
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
         "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),

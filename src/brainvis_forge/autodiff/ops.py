@@ -1,6 +1,8 @@
 """Composite differentiable operations built from the tensor primitives, plus
 fused ones that each record one tape entry of their own: `linear`,
-`mse_loss` and `lstm_sequence`, the whole gated recurrence.
+`layer_norm`, `attention_core`, `lstm_sequence` (the whole gated
+recurrence), `mse_loss` and `codeword_nll`.  A fused forward runs the numpy
+operations of the composition it replaces in order, so it is bit-equal to it.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -22,22 +24,17 @@ from .tensor import (
     _sigmoid,
     _tracks,
     _unbroadcast,
-    add,
     as_tensor,
     log_softmax,
-    matmul,
     mul,
     power,
-    reshape,
-    softmax,
     sqrt,
-    sub,
-    swapaxes,
     tmean,
     tsum,
 )
 
 LAYER_NORM_EPS = 1e-5
+LOG_EPS = 1e-12
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -60,30 +57,72 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    One tape entry saving x_hat and the (..., 1) inverse std.  The variance
+    is checked finite: were it Inf, the inverse std would be 0, the output `bias`.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last axis of {x.shape}"
         )
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, LAYER_NORM_EPS), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    _require_finite("layer_norm", var)
+    inv = (var + LAYER_NORM_EPS) ** -0.5
+    x_hat = centered * inv
+
+    def bw(g):
+        g_hat = g * gain.data
+        g_x = g_hat - g_hat.mean(axis=-1, keepdims=True)
+        g_x -= x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
+        g_x *= inv
+        return g_x, _unbroadcast(g * x_hat, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _make("layer_norm", (x, gain, bias), x_hat * gain.data + bias.data, bw)
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    *lead, n, d = x.shape
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(d_head)) v_h per head, heads merged back: (..., n_q, d).
+
+    q: (..., n_q, d); k, v: (..., n_k, d), already projected.  One tape entry
+    that saves the split heads and the probabilities; the scores are checked
+    finite before the softmax, which would turn a -Inf score into a finite 0.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (min(q.ndim, k.ndim) < 2 or k.shape != v.shape
+            or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + k.shape[-1:]):
+        raise ShapeError(f"attention: query {q.shape}, key {k.shape} and value {v.shape} do not match")
+    *lead, n_q, d = q.shape
     if d % n_heads != 0:
         raise ShapeError(f"attention: model dim {d} not divisible by {n_heads} heads")
-    x = reshape(x, tuple(lead) + (n, n_heads, d // n_heads))
-    return swapaxes(x, -3, -2)  # (..., heads, n, d_head)
 
+    def split(a):  # (..., n, d) -> (..., heads, n, d_head)
+        return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, d // n_heads)), -3, -2).copy()
 
-def _merge_heads(x: Tensor) -> Tensor:
-    *lead, h, n, dh = x.shape
-    x = swapaxes(x, -3, -2)
-    return reshape(x, tuple(lead) + (n, h * dh))
+    def merge(a):  # (..., heads, n, d_head) -> (..., n, d)
+        return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], d))
+
+    q_h, k_h, v_h = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(d // n_heads)
+    probs = np.matmul(q_h, np.swapaxes(k_h, -1, -2).copy())
+    probs *= scale
+    _require_finite("attention", probs)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        g_o = split(g)
+        g_s = np.matmul(g_o, np.swapaxes(v_h, -1, -2))
+        g_s -= (g_s * probs).sum(axis=-1, keepdims=True)
+        g_s *= probs
+        g_s *= scale
+        g_v = np.matmul(np.swapaxes(probs, -1, -2), g_o)
+        return merge(np.matmul(g_s, k_h)), merge(np.matmul(np.swapaxes(g_s, -1, -2), q_h)), merge(g_v)
+
+    return _make("attention", (q, k, v), merge(np.matmul(probs, v_h)), bw)
 
 
 def multi_head_attention(
@@ -104,14 +143,10 @@ def multi_head_attention(
     query: (..., n_q, d); context: (..., n_k, d).  Scale is 1/sqrt(d_head).
     Sequences are fixed-length throughout the pipeline, so no padding mask.
     """
-    q = _split_heads(linear(query, w_q, b_q), n_heads)
-    k = _split_heads(linear(context, w_k, b_k), n_heads)
-    v = _split_heads(linear(context, w_v, b_v), n_heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = mul(matmul(q, swapaxes(k, -1, -2)), scale)
-    attn = softmax(scores, axis=-1)
-    mixed = _merge_heads(matmul(attn, v))
-    return linear(mixed, w_o, b_o)
+    q = linear(query, w_q, b_q)
+    k = linear(context, w_k, b_k)
+    v = linear(context, w_v, b_v)
+    return linear(attention_core(q, k, v, n_heads), w_o, b_o)
 
 
 def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor:
@@ -233,6 +268,25 @@ def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:
     ls = log_softmax(logits, axis=-1)
     per_row = tsum(mul(one_hot, ls), axis=-1)
     return mul(tmean(per_row), -1.0)
+
+
+def codeword_nll(probs: Tensor, targets: np.ndarray) -> Tensor:
+    """-mean over rows of sum(targets * log(probs + LOG_EPS)), as one tape entry.
+
+    `targets` are constant one-hot rows; the backward recomputes
+    probs + LOG_EPS rather than saving it.
+    """
+    probs = as_tensor(probs)
+    targets = np.asarray(targets, dtype=probs.dtype)
+    if probs.shape != targets.shape:
+        raise ShapeError(f"codeword_nll: shapes {probs.shape} and {targets.shape} differ")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_row = (targets * np.log(probs.data + LOG_EPS)).sum(axis=-1)
+
+    def bw(g):
+        return (targets / (probs.data + LOG_EPS) * (-g / per_row.size),)
+
+    return _make("codeword_nll", (probs,), np.asarray(-per_row.mean()), bw)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:

@@ -5,9 +5,10 @@ Every differentiable operation appends one entry to the active
 in reverse execution order, which is a valid topological order, so each node
 is visited exactly once and leaf gradients accumulate additively.
 
-Forward values are never mutated in place; every op allocates a fresh output
-array.  (Parameters are updated in place by `adam_step`, after the backward
-that reads them.)  Any op whose output contains NaN or Inf raises immediately.
+Forward values are never mutated in place; every op returns an array it
+allocated, which it may build in place with `out=` (as `gelu` does).
+(Parameters are updated in place by `adam_step`, after the backward that
+reads them.)  Any op whose output contains NaN or Inf raises immediately.
 A batched x @ 2-D W folds x's leading axes into rows: one GEMM in the forward
 and one per gradient (`_matmul_data`); batched @ batched runs item by item.
 """
@@ -461,12 +462,21 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))).
+
+    The forward runs the formula's operations in its order, with `out=` into
+    its own arrays; t = tanh(...) is kept for the backward.
+    """
     a = as_tensor(a)
     x = a.data
-    u = _GELU_K * (x + _GELU_C * x * x * x)
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, _GELU_C)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0)
+    out *= np.multiply(x, 0.5)
 
     def bw(g):
         du = _GELU_K * (1.0 + 3.0 * _GELU_C * x * x)

@@ -35,13 +35,16 @@ def spectra_matrix(dataset: EegDataset, sample_rate: float = 1000.0, scale: floa
 
     Raw magnitudes grow with signal length; `scale` (a train-split statistic)
     keeps the recurrence inputs in a sane numeric range and must match the
-    value the encoder was trained with.  Records go through `fft_magnitude`
-    `_CHUNK` at a time, so no float64 copy of the whole set is ever held.
+    value the encoder was trained with.  It divides the float32 magnitudes
+    in place, as `freq_classify_train` does.  Records go through
+    `fft_magnitude` `_CHUNK` at a time, so no float64 copy of the whole set
+    is ever held.
     """
     r, c, l = dataset.x.shape
     out = np.empty((r, l // 2 + 1, c), np.float32)
     for lo in range(0, r, _CHUNK):
-        out[lo : lo + _CHUNK] = fft_magnitude(dataset.x[lo : lo + _CHUNK], sample_rate).magnitude / (scale or 1.0)
+        out[lo : lo + _CHUNK] = fft_magnitude(dataset.x[lo : lo + _CHUNK], sample_rate).magnitude
+    out /= scale or 1.0
     return out
 
 

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, as_tensor, log, tmean, tsum
-from ..autodiff.ops import mse_loss
-from ..autodiff.tensor import ShapeError, mul
-
-LOG_EPS = 1e-12
+from ..autodiff import Tensor, as_tensor
+from ..autodiff.ops import codeword_nll, mse_loss
+from ..autodiff.tensor import ShapeError
 
 
 def lmm_loss(
@@ -22,16 +20,13 @@ def lmm_loss(
     Regression: squared feature error per masked unit scaled by 1/d, i.e. the
     elementwise mean over the (units, d) block.  Classification: negative
     log-probability of the assigned codeword, averaged over masked units,
-    with log clamped at 1e-12.  Total is their exact sum.
+    with log clamped at 1e-12 (`ops.codeword_nll`, one tape entry).  Total
+    is their exact sum.
     """
     f_m = as_tensor(f_m, f_mp).detach()
-    l_m = as_tensor(l_m, p_m).detach()
     if f_m.shape != f_mp.shape:
         raise ShapeError(f"lmm_loss: feature shapes differ, {f_m.shape} vs {f_mp.shape}")
-    if l_m.shape != p_m.shape:
-        raise ShapeError(f"lmm_loss: codeword shapes differ, {l_m.shape} vs {p_m.shape}")
     reg = mse_loss(f_mp, f_m)
-    log_p = log(p_m + LOG_EPS)
-    cls = mul(tmean(tsum(mul(l_m, log_p), axis=-1)), -1.0)
+    cls = codeword_nll(p_m, as_tensor(l_m, p_m).data)
     total = reg + cls
     return reg, cls, total

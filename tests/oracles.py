@@ -5,20 +5,37 @@ inversion for the reverse chain, the inverse of `segment_units`, the
 one-hot codeword map the LMM loss targets are built from, the one-image
 SSIM the batched `ssim` must match bit for bit, the one-image target
 builder `make_image_set` must match byte for byte, the per-entry BVE1
-writer whose bytes the structured `write_fixtures` must reproduce, and the
-per-item matmul gradients the folded ones must match in rounding.
+writer whose bytes the structured `write_fixtures` must reproduce, the
+per-item matmul gradients the folded ones must match in rounding, and the
+op-by-op tape compositions whose forwards the fused `layer_norm`,
+`attention_core` and `codeword_nll` must match bit for bit.
 `as_float64` lifts a float32 network to float64 for gradient checks.
 """
 
 from __future__ import annotations
 
+import math
 from io import BytesIO
 
 import numpy as np
 
 from brainvis_forge.autodiff.nn import Module
-from brainvis_forge.autodiff.ops import one_hot_labels
-from brainvis_forge.autodiff.tensor import _unbroadcast
+from brainvis_forge.autodiff.ops import LAYER_NORM_EPS, LOG_EPS, one_hot_labels
+from brainvis_forge.autodiff.tensor import (
+    Tensor,
+    _unbroadcast,
+    add,
+    log,
+    matmul,
+    mul,
+    power,
+    reshape,
+    softmax,
+    sub,
+    swapaxes,
+    tmean,
+    tsum,
+)
 from brainvis_forge.binio import crc_bytes, pack_u32
 from brainvis_forge.diffusion import NoiseSchedule
 from brainvis_forge.lmm import Codebook
@@ -139,3 +156,30 @@ def as_float64(module: Module) -> Module:
     for t in module.parameters():
         t.data = t.data.astype(np.float64)
     return module
+
+
+def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer norm as nine tape ops: mean, centre, variance, inverse std, scale, shift."""
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
+    inv = power(add(var, LAYER_NORM_EPS), -0.5)
+    return add(mul(mul(centered, inv), gain), bias)
+
+
+def attention_core_composed(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Split heads, scaled scores, softmax, mix and merge heads, one tape op at a time."""
+
+    def split(x):
+        *lead, n, d = x.shape
+        return swapaxes(reshape(x, tuple(lead) + (n, n_heads, d // n_heads)), -3, -2)
+
+    q_h, k_h, v_h = split(q), split(k), split(v)
+    scores = mul(matmul(q_h, swapaxes(k_h, -1, -2)), 1.0 / math.sqrt(q_h.shape[-1]))
+    mixed = swapaxes(matmul(softmax(scores, axis=-1), v_h), -3, -2)
+    return reshape(mixed, mixed.shape[:-2] + (q.shape[-1],))
+
+
+def codeword_nll_composed(probs: Tensor, targets: Tensor) -> Tensor:
+    """-mean(sum(targets * log(probs + LOG_EPS), axis=-1)) as six tape ops."""
+    return mul(tmean(tsum(mul(targets, log(probs + LOG_EPS)), axis=-1)), -1.0)

@@ -9,7 +9,8 @@ from brainvis_forge.autodiff import Tensor, concat, tmean
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import ShapeError
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
-from brainvis_forge.freq import freq_classify_train
+from brainvis_forge.freq import freq_classify_train, spectra_matrix
+from brainvis_forge.freq import train as freq_train
 from brainvis_forge.fusion import finetune_tfe
 from brainvis_forge.fusion.model import TfeModel
 from brainvis_forge.fusion.train import tfe_inputs
@@ -54,6 +55,26 @@ def test_freq_training_deterministic_same_seed():
         return [(h["loss"], h["train_acc"]) for h in r.history]
 
     assert curve() == curve()
+
+
+def test_freq_trains_on_the_spectra_tfe_is_fed(monkeypatch):
+    """The scaled spectra `freq_classify_train` trains and scores on are
+    `spectra_matrix(dataset, scale=s)`, which the tfe stage feeds the encoder."""
+    spec = SyntheticGenSpec(n_classes=3, records_per_class=6, c=4, l=40, seed=5, sample_rate=100.0)
+    raw = generate_synthetic(spec)
+    records = replace(raw, x=zscore_channels(raw.x))
+    split = split_by_image(records, seed=5)
+    seen, predict = [], freq_train.predict
+
+    def spy(fn, rows, *args, **kwargs):
+        seen.append(rows)
+        return predict(fn, rows, *args, **kwargs)
+
+    monkeypatch.setattr(freq_train, "predict", spy)
+    result = freq_classify_train(records, split, n_classes=3, hidden=8, epochs=1, batch_size=8, seed=9)
+    want = spectra_matrix(records, scale=result.spectrum_scale)
+    assert np.array_equal(seen[0], want[split.train])
+    assert np.array_equal(seen[1], want[split.val])
 
 
 # --- pooling and fusion -------------------------------------------------------

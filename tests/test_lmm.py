@@ -1,5 +1,6 @@
 """Masked-modeling components: masking, tokenizer, encoders, teacher, loss."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainvis_forge.autodiff import Tensor, backward, tsum
+from brainvis_forge.autodiff import Tensor, active_tape, backward, tsum
 from brainvis_forge.autodiff.tensor import mul
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, zscore_channels
 from brainvis_forge.lmm import (
@@ -289,3 +290,27 @@ def test_predictor_distinct_positions_distinct_outputs():
     f_mp, _ = models.predictor(f_v, np.array([1, 4, 7]), models.projector.pos)
     assert not np.allclose(f_mp.data[0, 0], f_mp.data[0, 1], atol=1e-6)
     assert not np.allclose(f_mp.data[0, 1], f_mp.data[0, 2], atol=1e-6)
+
+
+def test_lmm_step_tapes_one_entry_per_fused_op():
+    models = build_lmm_models(
+        unit_dim=8, n_units=10, d=16, n_heads=4, ffn_dim=32, sa_blocks=2, ca_blocks=1,
+        n_codewords=12, teacher_momentum=0.9, seed=3,
+    )
+    names = [name for name, _ in models.named_parameters()]
+    n_layer_norms = sum(name.endswith(".gain") for name in names)
+    n_attentions = sum(name.endswith(".w_q") for name in names)
+    assert (n_layer_norms, n_attentions) == (8, 3)
+    units = np.random.default_rng(4).standard_normal((2, 10, 8)).astype(np.float32)
+    tape = active_tape()
+    tape.clear()
+    _, _, total = lmm_step(models, units, make_mask_plan(10, 0.75, np.random.default_rng(5)))
+    counts = Counter(entry.op for entry in tape.entries)
+    assert counts["layer_norm"] == n_layer_norms
+    assert counts["attention"] == n_attentions
+    assert counts["codeword_nll"] == 1
+    assert not {"swapaxes", "sub", "power"} & set(counts)
+    # 13 entries outside the blocks and 12 per block: 2 layer norms, the attention's
+    # 4 linears and core, the 2 residual adds and the feed-forward's linear-gelu-linear
+    assert len(tape) == 13 + 12 * 3 == 49
+    backward(total)

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor ops: identities, hand values, error paths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from brainvis_forge.autodiff import (
     active_tape,
     backward,
     concat,
+    gelu,
     log,
     matmul,
     narrow,
@@ -25,7 +28,7 @@ from brainvis_forge.autodiff import (
 from brainvis_forge.autodiff import ops
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import _matmul_grads, add, mul, sub
-from oracles import matmul_grads_per_item
+from oracles import attention_core_composed, codeword_nll_composed, layer_norm_composed, matmul_grads_per_item
 
 
 def test_matmul_identity():
@@ -305,6 +308,96 @@ def test_attention_output_shape_and_batch():
     x = Tensor(rng.standard_normal((2, 5, d)))
     out = ops.multi_head_attention(x, x, ws[0], bs[0], ws[1], bs[1], ws[2], bs[2], ws[3], bs[3], heads)
     assert out.shape == (2, 5, d)
+
+
+# --- fused LMM-path ops: one tape entry each, forwards bit-equal to their compositions
+
+
+def _lmm_operands(rng, n_codewords=660):
+    """Float32 operands at the medium LMM geometry: B=16, 82 masked and 28
+    visible units, d=256, 660 codewords."""
+    x = rng.standard_normal((16, 82, 256)).astype(np.float32)
+    gain = (rng.standard_normal(256) * 0.5 + 1.0).astype(np.float32)
+    bias = (rng.standard_normal(256) * 0.2).astype(np.float32)
+    q = rng.standard_normal((16, 82, 256)).astype(np.float32)
+    k, v = (rng.standard_normal((16, 28, 256)).astype(np.float32) for _ in range(2))
+    probs = rng.uniform(0.0, 1.0, (16, 82, n_codewords)).astype(np.float32)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    targets = ops.one_hot_labels(rng.integers(0, n_codewords, 16 * 82), n_codewords).reshape(probs.shape)
+    return x, gain, bias, q, k, v, probs, targets
+
+
+@pytest.mark.parametrize("needs_grad", [True, False])
+def test_fused_lmm_ops_forward_bit_equal_to_their_compositions(needs_grad):
+    x, gain, bias, q, k, v, probs, targets = _lmm_operands(np.random.default_rng(31))
+
+    def t(a):
+        return Tensor(a, requires_grad=needs_grad)
+
+    pairs = [
+        (ops.layer_norm(t(x), t(gain), t(bias)), layer_norm_composed(t(x), t(gain), t(bias))),
+        (ops.attention_core(t(q), t(k), t(v), 8), attention_core_composed(t(q), t(k), t(v), 8)),
+        (ops.codeword_nll(t(probs), targets), codeword_nll_composed(t(probs), Tensor(targets))),
+    ]
+    active_tape().clear()
+    for fused, composed in pairs:
+        assert fused.data.dtype == np.float32 and fused.shape == composed.shape
+        assert np.array_equal(fused.data, composed.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_forward_bit_equal_to_its_formula(dtype):
+    x = (np.random.default_rng(7).standard_normal((16, 82, 1024)) * 3).astype(dtype)
+    k, c = math.sqrt(2.0 / math.pi), 0.044715  # python floats: numpy computes in `dtype`
+    want = 0.5 * x * (1 + np.tanh(k * (x + c * x * x * x)))
+    out = gelu(Tensor(x)).data
+    assert out.dtype == dtype and np.array_equal(out, want)
+
+
+def test_fused_lmm_ops_are_one_tape_entry_each():
+    rng = np.random.default_rng(4)
+    x, gain, bias = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 8), (8,), (8,)))
+    q, k, v = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 8), (2, 3, 8), (2, 3, 8)))
+    tape = active_tape()
+    before = len(tape)
+    out = ops.layer_norm(x, gain, bias) + ops.attention_core(q, k, v, 2)
+    loss = ops.codeword_nll(softmax(out), np.eye(8)[rng.integers(0, 8, (2, 5))])
+    assert [e.op for e in tape.entries[before:]] == ["layer_norm", "attention", "add", "softmax", "codeword_nll"]
+    backward(loss)
+
+
+def _f32(*arrays):
+    return (Tensor(np.asarray(a, np.float32), requires_grad=True) for a in arrays)
+
+
+OVERFLOWS = {
+    # the variance overflows; the inverse std would then be 0 and the output `bias`
+    "layer_norm": lambda: ops.layer_norm(*_f32([[2e19, -2e19, 0.0, 1.0]], np.ones(4), np.zeros(4))),
+    # one score overflows to -Inf; the softmax would give it a finite 0 weight
+    "attention": lambda: ops.attention_core(
+        *_f32(np.full((1, 2, 4), 1e20), [[[1.0] * 4, [-1e20] * 4]], np.ones((1, 2, 4))), 2),
+    "codeword_nll": lambda: ops.codeword_nll(*_f32(np.full((2, 3), 1e-3)), np.full((2, 3), 3e38, np.float32)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OVERFLOWS))
+def test_fused_lmm_op_overflow_raises_and_leaves_tape_clean(op):
+    tape = active_tape()
+    before = len(tape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=op):
+            OVERFLOWS[op]()
+    assert len(tape) == before
+
+
+def test_attention_core_rejects_mismatched_operands():
+    q, kv = Tensor(np.zeros((2, 5, 8))), Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(ShapeError, match="not divisible"):
+        ops.attention_core(q, kv, kv, 3)
+    with pytest.raises(ShapeError, match="do not match"):
+        ops.attention_core(q, Tensor(np.zeros((3, 3, 8))), Tensor(np.zeros((3, 3, 8))), 2)
+    with pytest.raises(ShapeError, match="do not match"):
+        ops.attention_core(q, kv, Tensor(np.zeros((2, 4, 8))), 2)
 
 
 # --- batched x @ 2-D weight: one GEMM over the folded rows --------------------
