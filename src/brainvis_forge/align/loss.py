@@ -22,7 +22,4 @@ def si_loss(c_eeg: Tensor, c_cap: Tensor, c_label: Tensor, label_weight: float =
     """
     cos_cap = cosine_similarity(c_cap, c_eeg)
     cos_label = cosine_similarity(c_label, c_eeg)
-    per_item = sub(sub(1.0 + label_weight, cos_cap), mul(cos_label, label_weight))
-    if per_item.ndim == 0:
-        return per_item
-    return tmean(per_item)
+    return tmean(sub(sub(1.0 + label_weight, cos_cap), mul(cos_label, label_weight)))

@@ -35,8 +35,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{prefix}{name}.{i}.")
-                    elif isinstance(item, Tensor):
-                        yield f"{prefix}{name}.{i}", item
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]

@@ -20,6 +20,8 @@ import numpy as np
 from .nn import Module
 from .tensor import ShapeError, Tensor, backward, no_grad
 
+PREDICT_ROWS = 256  # rows per forward in `predict`: bounds its activations
+
 
 class ParamStore:
     """Named trainable tensors of one dtype, plus their Adam moments.
@@ -179,10 +181,11 @@ def train_epoch(store: ParamStore, rng: np.random.Generator, rows, batch_size: i
     return total / max(len(starts), 1)
 
 
-def predict(fn: Callable[..., Tensor], *arrays, batch: int = 256) -> np.ndarray:
-    """`fn` over matching `batch`-row slices of `arrays` with the tape off,
-    output rows concatenated; a `None` array is passed through as `None`."""
+def predict(fn: Callable[..., Tensor], *arrays) -> np.ndarray:
+    """`fn` over matching `PREDICT_ROWS`-row slices of `arrays` with the tape
+    off, output rows concatenated; a `None` array is passed through as `None`."""
     n = len(next(a for a in arrays if a is not None))
     with no_grad():
-        rows = [fn(*(None if a is None else a[lo : lo + batch] for a in arrays)).data for lo in range(0, n, batch)]
+        rows = [fn(*(None if a is None else a[lo : lo + PREDICT_ROWS] for a in arrays)).data
+                for lo in range(0, n, PREDICT_ROWS)]
     return np.concatenate(rows, axis=0)

@@ -152,34 +152,13 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        return swapaxes(self, a, b)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def take(self, indices, axis: int = 0) -> "Tensor":
-        return take(self, indices, axis=axis)
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -514,12 +493,15 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # backward pass
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+def backward(loss: Tensor) -> None:
     """Reverse the active tape from a scalar loss.
 
     Accumulates into `.grad` of every reachable leaf with requires_grad and
-    returns the leaf gradient map.  The tape is cleared afterwards, so one
-    forward pass supports exactly one backward pass.
+    returns nothing.  In reverse execution order a tensor's gradient is
+    complete when its producer's entry is reached, which then consumes it,
+    so every gradient left over at the end belongs to a tensor no entry
+    produced: a leaf.  The tape is cleared afterwards, so one forward pass
+    supports exactly one backward pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -527,31 +509,18 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     if not tape.entries:
         raise RuntimeError("backward: tape is empty (no recorded operations)")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    produced = {id(e.output) for e in tape.entries}
-
+    # Tensors hash by identity (no __eq__), so they key the map themselves.
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for entry in reversed(tape.entries):
-        g_out = grads.pop(id(entry.output), None)
+        g_out = grads.pop(entry.output, None)
         if g_out is None:
             continue
-        holders.pop(id(entry.output), None)
         for inp, g in zip(entry.inputs, entry.backward_fn(g_out)):
             if g is None or not inp.requires_grad:
                 continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                holders[key] = inp
+            prev = grads.get(inp)
+            grads[inp] = g if prev is None else prev + g
 
-    leaf_grads: dict[Tensor, np.ndarray] = {}
-    for key, g in grads.items():
-        t = holders[key]
-        if key in produced:
-            continue  # interior node that no later entry consumed
+    for t, g in grads.items():
         t.grad = g if t.grad is None else t.grad + g
-        leaf_grads[t] = g
     tape.clear()
-    return leaf_grads

@@ -67,10 +67,15 @@ def unpack_u32(buf, count: int, what: str) -> tuple[int, ...]:
 
 def write_whole(path, chunks: Iterable[bytes]) -> None:
     """Write `chunks` in order to `path` so that it appears whole or not at all:
-    they stream into {path}.tmp, which then replaces `path` in one rename."""
+    they stream into {path}.tmp, which then replaces `path` in one rename.  If
+    a chunk or a write raises, the .tmp is removed and `path` is untouched."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)

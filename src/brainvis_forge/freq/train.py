@@ -16,6 +16,7 @@ from ..autodiff import ParamStore, Tensor, predict, train_epoch
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..autodiff.ops import cross_entropy, one_hot_labels
 from ..data.records import DatasetSplit, EegDataset
+from ..metrics.classification import top_k_accuracy
 from .fft import fft_magnitude
 
 _CHUNK = 16  # records per fft_magnitude call
@@ -46,11 +47,6 @@ def spectra_matrix(dataset: EegDataset, sample_rate: float = 1000.0, scale: floa
         out[lo : lo + _CHUNK] = fft_magnitude(dataset.x[lo : lo + _CHUNK], sample_rate).magnitude
     out /= scale or 1.0
     return out
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Share of rows whose arg-max logit is the label."""
-    return int(np.sum(np.argmax(logits, axis=1) == labels)) / max(len(labels), 1)
 
 
 @dataclass
@@ -85,7 +81,7 @@ def freq_classify_train(
         return cross_entropy(model(Tensor(spectra[idx])), onehot[idx])
 
     def split_accuracy(rows: np.ndarray) -> float:
-        return accuracy(predict(lambda s: model(Tensor(s)), spectra[rows]), labels[rows])
+        return top_k_accuracy(predict(lambda s: model(Tensor(s)), spectra[rows]), labels[rows], 1)
 
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)

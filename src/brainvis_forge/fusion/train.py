@@ -17,8 +17,9 @@ import numpy as np
 from ..autodiff import ParamStore, Tensor, predict, train_epoch
 from ..autodiff.ops import cross_entropy, one_hot_labels
 from ..data.records import DatasetSplit, EegDataset
-from ..freq.train import accuracy, spectra_matrix
+from ..freq.train import spectra_matrix
 from ..lmm.train import prepare_units
+from ..metrics.classification import top_k_accuracy
 from .model import TfeModel
 
 # Joint fine-tuning runs gentler: full lr lets the time branch trample
@@ -72,7 +73,7 @@ def finetune_tfe(
             return cross_entropy(model.logits(*_rows(inputs, idx)), onehot[idx])
 
         def split_accuracy(rows: np.ndarray) -> float:
-            return accuracy(predict(model.logits, *_rows(inputs, rows)), labels[rows])
+            return top_k_accuracy(predict(model.logits, *_rows(inputs, rows)), labels[rows], 1)
 
         for epoch in range(epochs):
             history.append({
@@ -95,6 +96,6 @@ def finetune_tfe(
     return history
 
 
-def classify_batch(model: TfeModel, fused: np.ndarray, batch: int = 256) -> np.ndarray:
-    """Class logits for fused rows, `batch` rows at a time."""
-    return predict(model.head, fused, batch=batch)
+def classify_batch(model: TfeModel, fused: np.ndarray) -> np.ndarray:
+    """Class logits for fused rows."""
+    return predict(model.head, fused)

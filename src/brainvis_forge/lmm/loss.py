@@ -6,7 +6,6 @@ import numpy as np
 
 from ..autodiff import Tensor, as_tensor
 from ..autodiff.ops import codeword_nll, mse_loss
-from ..autodiff.tensor import ShapeError
 
 
 def lmm_loss(
@@ -23,10 +22,7 @@ def lmm_loss(
     with log clamped at 1e-12 (`ops.codeword_nll`, one tape entry).  Total
     is their exact sum.
     """
-    f_m = as_tensor(f_m, f_mp).detach()
-    if f_m.shape != f_mp.shape:
-        raise ShapeError(f"lmm_loss: feature shapes differ, {f_m.shape} vs {f_mp.shape}")
-    reg = mse_loss(f_mp, f_m)
+    reg = mse_loss(f_mp, as_tensor(f_m, f_mp).detach())
     cls = codeword_nll(p_m, as_tensor(l_m, p_m).data)
     total = reg + cls
     return reg, cls, total

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data.records import zscore_channels
+
 
 class Codebook:
     """Immutable tokenizer: flattened unit (c * l/n values) -> index in [0, n_t)."""
@@ -28,8 +30,4 @@ class Codebook:
         flat_units = np.asarray(flat_units, dtype=np.float64)
         if flat_units.ndim != 2 or flat_units.shape[1] != self.unit_dim:
             raise ValueError(f"Codebook.assign: expected (m, {self.unit_dim}), got {flat_units.shape}")
-        mu = flat_units.mean(axis=1, keepdims=True)
-        sd = flat_units.std(axis=1, keepdims=True)
-        z = (flat_units - mu) / np.maximum(sd, 1e-8)
-        logits = z @ self.weight
-        return np.argmax(logits, axis=1)
+        return np.argmax(zscore_channels(flat_units) @ self.weight, axis=1)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, gelu, no_grad
+from ..autodiff import ParamStore, Tensor, gelu, no_grad, softmax
 from ..autodiff.nn import Linear, Module
 from ..autodiff.ops import cross_entropy, one_hot_labels
-from ..freq.train import accuracy
+from .classification import top_k_accuracy
 
 
 class SurrogateClassifier(Module):
@@ -58,7 +58,7 @@ def train_surrogate(
         store.step(cross_entropy(model(Tensor(flat)), onehot), lr)
     with no_grad():
         logits = model(Tensor(flat)).data
-    return SurrogateResult(model=model, train_accuracy=accuracy(logits, labels))
+    return SurrogateResult(model=model, train_accuracy=top_k_accuracy(logits, labels, 1))
 
 
 def surrogate_outputs(model: SurrogateClassifier, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +66,5 @@ def surrogate_outputs(model: SurrogateClassifier, images: np.ndarray) -> tuple[n
     flat = np.asarray(images, dtype=np.float32).reshape(len(images), -1)
     with no_grad():
         feats = model.features(Tensor(flat)).data
-        logits = model.fc2(Tensor(feats)).data
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+        probs = softmax(model.fc2(Tensor(feats))).data
     return probs.astype(np.float64), feats.astype(np.float64)

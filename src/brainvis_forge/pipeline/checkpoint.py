@@ -8,7 +8,9 @@ Layout (little-endian):
 
 Tensors are written in sorted name order for byte-stable output.  The stage
 tag and config snapshot ride in a JSON sidecar ({path}.meta.json): the binary
-body stays pure tensor data and the snapshot stays human-readable.
+body stays pure tensor data and the snapshot stays human-readable.  The
+sidecar is required; `load_checkpoint` raises FileNotFoundError, naming it,
+when it is missing.
 
 Key layout:
     model/{param}    the parameters of the network the stage trained
@@ -45,7 +47,6 @@ class CheckpointArchive:
     tensors: dict[str, np.ndarray]
     stage: str
     config: dict = field(default_factory=dict)
-    version: int = VERSION
 
 
 def save_checkpoint(path, archive: CheckpointArchive) -> None:
@@ -66,7 +67,7 @@ def save_checkpoint(path, archive: CheckpointArchive) -> None:
 
     # The .bvc is a stage's done-marker, so it appears last and whole: the
     # sidecar first, then the body.
-    meta = {"stage": archive.stage, "version": archive.version, "config": archive.config}
+    meta = {"stage": archive.stage, "version": VERSION, "config": archive.config}
     write_whole(str(path) + ".meta.json", [json.dumps(meta, indent=2, sort_keys=True).encode()])
     write_whole(path, [MAGIC, pack_u32(VERSION, len(archive.tensors)), payload, crc_bytes(payload)])
 
@@ -89,15 +90,8 @@ def load_checkpoint(path) -> CheckpointArchive:
         tensors[name] = data.reshape(dims).copy()
     check_crc(raw[12 : buf.tell()], buf)
 
-    meta_path = Path(str(path) + ".meta.json")
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        stage = meta.get("stage", "unknown")
-        config = meta.get("config", {})
-        version = meta.get("version", VERSION)
-    else:
-        stage, config, version = "unknown", {}, VERSION
-    return CheckpointArchive(tensors=tensors, stage=stage, config=config, version=version)
+    meta = json.loads(Path(str(path) + ".meta.json").read_text())
+    return CheckpointArchive(tensors=tensors, stage=meta["stage"], config=meta["config"])
 
 
 def require_stage(archive: CheckpointArchive, expected: str) -> CheckpointArchive:

@@ -86,6 +86,11 @@ def test_fixture_bad_magic_and_crc(tmp_path):
     (tmp_path / "bad_crc.bve").write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         load_fixtures(tmp_path / "bad_crc.bve")
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (2).to_bytes(4, "little")
+    (tmp_path / "v2.bve").write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 2, expected 1"):
+        load_fixtures(tmp_path / "v2.bve")
 
 
 def test_missing_target_distinct_error():

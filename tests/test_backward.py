@@ -5,7 +5,7 @@ import pytest
 
 from brainvis_forge.autodiff import Tensor, active_tape, backward, no_grad, tsum
 from brainvis_forge.autodiff.ops import mse_loss
-from brainvis_forge.autodiff.tensor import mul
+from brainvis_forge.autodiff.tensor import add, mul
 
 
 def test_backward_of_sum_is_ones():
@@ -93,3 +93,21 @@ def test_determinism_bitwise():
     assert l1 == l2
     np.testing.assert_array_equal(gx1, gx2)
     np.testing.assert_array_equal(gw1, gw2)
+
+
+def test_leaf_gradient_accumulates_in_reverse_recording_order():
+    # x feeds three ops; h = x * c3 is consumed twice by one op.  In float32
+    # the sum's order shows in the bits, so .grad must be (g3 + g2) + g1.
+    rng = np.random.default_rng(11)
+    x0, w, c1, c2, c3 = (
+        (rng.standard_normal(64) * scale).astype(np.float32) for scale in (1.0, 1.0, 1e4, 1.0, 1e-2)
+    )
+    x = Tensor(x0, requires_grad=True)
+    y1, y2, h = mul(x, c1), mul(x, c2), mul(x, c3)
+    backward(tsum(mul(add(add(y1, y2), mul(h, h)), w)))
+
+    g1, g2 = w * c1, w * c2
+    g3 = (w * h.data + w * h.data) * c3
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, (g3 + g2) + g1)
+    assert not np.array_equal((g3 + g2) + g1, (g1 + g2) + g3)  # the order is visible

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError
+from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError, write_whole
 from brainvis_forge.pipeline.checkpoint import (
     CheckpointArchive,
     StageError,
@@ -70,6 +70,40 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"WXYZ" + b"\x00" * 16)
     with pytest.raises(UnsupportedFormatError):
         load_checkpoint(path)
+
+
+def test_wrong_version_rejected(tmp_path):
+    path = tmp_path / "v2.bvc"
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 2, expected 1"):
+        load_checkpoint(path)
+
+
+def test_missing_sidecar_raises_naming_it(tmp_path):
+    path = tmp_path / "bare.bvc"
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
+    (tmp_path / "bare.bvc.meta.json").unlink()
+    with pytest.raises(FileNotFoundError, match="bare.bvc.meta.json"):
+        load_checkpoint(path)
+
+
+def test_failed_write_leaves_no_tmp_and_keeps_old_file(tmp_path):
+    def chunks():
+        yield b"new bytes"
+        raise OSError("disk went away")
+
+    path = tmp_path / "f.json"
+    with pytest.raises(OSError, match="disk went away"):
+        write_whole(path, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    path.write_bytes(b"old bytes")
+    with pytest.raises(OSError, match="disk went away"):
+        write_whole(path, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+    assert path.read_bytes() == b"old bytes"
 
 
 def test_prefixed_state_roundtrip(tmp_path):

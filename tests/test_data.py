@@ -92,6 +92,16 @@ def test_bad_magic_distinct_error(tmp_path):
         load_dataset(path)
 
 
+def test_wrong_version_rejected(tmp_path):
+    path = tmp_path / "v2.bvd"
+    write_dataset(path, _records(), n_classes=3)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 2, expected 1"):
+        load_dataset(path)
+
+
 def test_corrupted_crc_distinct_error(tmp_path):
     path = tmp_path / "c.bvd"
     write_dataset(path, _records(), n_classes=3)

@@ -414,6 +414,17 @@ def test_ppm_roundtrip_and_clamping(tmp_path):
     assert rgb.min() == 0 and rgb.max() == 255  # clamped ends map to the full range
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P3\n2 2\n255\n", "not a P6 file"),
+    (b"P6\n2 2\n65535\n", "expected 8-bit maxval 255"),
+])
+def test_read_ppm_rejects_other_formats(tmp_path, header, message):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(ValueError, match=message):
+        read_ppm(path)
+
+
 def test_ppm_quantization_bound(tmp_path):
     rng = np.random.default_rng(13)
     latent = rng.uniform(-1, 1, (3, 8, 8))

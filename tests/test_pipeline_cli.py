@@ -46,6 +46,16 @@ def test_config_rejects_bad_fields():
         PipelineConfig(ablate="no-everything")
     with pytest.raises(ValueError, match="epochs"):
         PipelineConfig(epochs={"lmm": 1})
+    with pytest.raises(ValueError, match=re.escape("epochs[lmm]=-1 must be a non-negative int")):
+        PipelineConfig(epochs={"lmm": -1, "freq": 1, "time_ft": 1, "joint_ft": 1, "align": 1})
+    with pytest.raises(ValueError, match="mask ratio 0.005 degenerate for n=110"):
+        PipelineConfig(r_m=0.005)
+    with pytest.raises(ValueError, match=re.escape("teacher_momentum=1.5 outside [0, 1]")):
+        PipelineConfig(teacher_momentum=1.5)
+    with pytest.raises(ValueError, match=re.escape("ga_n=1 outside [2, n_classes=40]")):
+        PipelineConfig(ga_n=1)
+    with pytest.raises(ValueError, match=re.escape("ga_k=40 outside [1, ga_n)")):
+        PipelineConfig(ga_k=40)
     # generate writes every latent as an RGB PPM; other channel counts would
     # train every stage and then fail there.
     for channels in (1, 4):

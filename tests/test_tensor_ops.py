@@ -1,6 +1,7 @@
 """Forward semantics of the tensor ops: identities, hand values, error paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from brainvis_forge.autodiff import (
     tsum,
 )
 from brainvis_forge.autodiff import ops
-from brainvis_forge.autodiff.nn import Linear, LstmEncoder
-from brainvis_forge.autodiff.tensor import _matmul_grads, add, mul, sub
+from brainvis_forge.autodiff.nn import Attention, Linear, LstmEncoder
+from brainvis_forge.autodiff.tensor import _matmul_grads, add, broadcast_to, mul, power, sub
+from brainvis_forge.lmm.loss import lmm_loss
 from oracles import attention_core_composed, codeword_nll_composed, layer_norm_composed, matmul_grads_per_item
 
 
@@ -388,6 +390,55 @@ def test_fused_lmm_op_overflow_raises_and_leaves_tape_clean(op):
         with pytest.raises(NonFiniteError, match=op):
             OVERFLOWS[op]()
     assert len(tape) == before
+
+
+def _leaf(*shape):
+    return Tensor(np.ones(shape), requires_grad=True)
+
+
+GUARDS = {
+    "add": (lambda: add(_leaf(2, 3), _leaf(4)), ShapeError,
+            "add: shapes (2, 3) and (4,) are not broadcastable"),
+    "power": (lambda: power(_leaf(2), np.array([2.0])), TypeError,
+              "power: exponent must be a python scalar"),
+    "matmul": (lambda: matmul(_leaf(3), _leaf(3)), ShapeError,
+               "matmul: operands must have ndim >= 2, got (3,) and (3,)"),
+    "broadcast_to": (lambda: broadcast_to(_leaf(3), (2, 4)), ShapeError,
+                     "broadcast_to: cannot broadcast (3,) to (2, 4)"),
+    "concat": (lambda: concat([]), ValueError, "concat: need at least one tensor"),
+    "linear_bias": (lambda: ops.linear(_leaf(2, 3), _leaf(3, 4), _leaf(5)), ShapeError,
+                    "linear: bias (5,) does not broadcast to (2, 4)"),
+    "layer_norm_gain": (lambda: ops.layer_norm(_leaf(2, 4), _leaf(3), _leaf(4)), ShapeError,
+                        "layer_norm: gain/bias (3,)/(4,) must match last axis of (2, 4)"),
+    "layer_norm_bias": (lambda: ops.layer_norm(_leaf(2, 4), _leaf(4), _leaf(3)), ShapeError,
+                        "layer_norm: gain/bias (4,)/(3,) must match last axis of (2, 4)"),
+    "lstm_sequence": (lambda: ops.lstm_sequence(_leaf(3), _leaf(3, 8), _leaf(2, 8), _leaf(8)), ShapeError,
+                      "lstm_sequence: input must be (..., T, d_in), got (3,)"),
+    "mse_loss": (lambda: ops.mse_loss(_leaf(2, 3), _leaf(3, 2)), ShapeError,
+                 "mse_loss: shapes (2, 3) and (3, 2) differ"),
+    "cross_entropy": (lambda: ops.cross_entropy(_leaf(2, 3), np.ones((2, 4))), ShapeError,
+                      "cross_entropy: shapes (2, 3) and (2, 4) differ"),
+    "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones((3, 3))), ShapeError,
+                     "codeword_nll: shapes (2, 3) and (3, 3) differ"),
+    "cosine_similarity": (lambda: ops.cosine_similarity(_leaf(2, 3), _leaf(2, 4)), ShapeError,
+                          "cosine_similarity: shapes (2, 3) and (2, 4) differ"),
+    "attention_heads": (lambda: Attention(6, 4, np.random.default_rng(0)), ShapeError,
+                        "Attention: dim 6 not divisible by 4 heads"),
+    "load_state": (lambda: Linear(3, 2, np.random.default_rng(0)).load_state(
+                       {"weight": np.zeros((2, 3)), "bias": np.zeros(2)}), ShapeError,
+                   "load_state: weight expects (3, 2), got (2, 3)"),
+    "lmm_loss": (lambda: lmm_loss(np.zeros((3, 4)), _leaf(3, 5), np.ones((3, 2)), _leaf(3, 2)), ShapeError,
+                 "mse_loss: shapes (3, 5) and (3, 4) differ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_op_guards_raise_and_record_nothing(case):
+    call, error, message = GUARDS[case]
+    before = len(active_tape())
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call()
+    assert len(active_tape()) == before
 
 
 def test_attention_core_rejects_mismatched_operands():
