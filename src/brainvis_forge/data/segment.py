@@ -21,5 +21,5 @@ def segment_units(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def flatten_units(units: np.ndarray) -> np.ndarray:
-    """Row-major flatten of each (c, w) unit: (..., n, c, w) -> (..., n, c*w)."""
-    return units.reshape(*units.shape[:-2], -1)
+    """Row-major flatten of each (c, w) unit: (..., n, c, w) -> (..., n, c*w), zero trials included."""
+    return units.reshape(*units.shape[:-2], units.shape[-2] * units.shape[-1])

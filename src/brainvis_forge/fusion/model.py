@@ -52,6 +52,9 @@ class TfeModel(Module):
         """Fused (d + h) embedding rows on the tape; zeros for disabled branches,
         whose inputs may be None.  `freq_hidden` short-circuits the recurrence
         with precomputed constants (used while the frequency branch is frozen)."""
+        # Checked before any forward, so a refused call records nothing on the tape.
+        if self.use_freq and freq_hidden is None and spectra is None:
+            raise ValueError("TfeModel: frequency branch enabled but no spectra given")
         batch = len(next(a for a in (flat_units, spectra, freq_hidden) if a is not None))
         dtype = self.head.weight.data.dtype
         if self.use_time:
@@ -62,8 +65,6 @@ class TfeModel(Module):
             f_vec = Tensor(np.zeros((batch, self.h), dtype=dtype))
         elif freq_hidden is not None:
             f_vec = Tensor(np.asarray(freq_hidden, dtype=dtype))
-        elif spectra is None:
-            raise ValueError("TfeModel: frequency branch enabled but no spectra given")
         else:
             f_vec = self.freq_vector(Tensor(np.asarray(spectra, dtype=dtype)))
         return concat([t_vec, f_vec], axis=-1)

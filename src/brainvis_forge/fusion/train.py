@@ -18,7 +18,7 @@ from ..autodiff import ParamStore, Tensor, predict, train_epoch
 from ..autodiff.ops import cross_entropy, one_hot_labels
 from ..data.records import DatasetSplit, EegDataset
 from ..freq.train import spectra_matrix
-from ..lmm.train import prepare_units
+from ..lmm.train import UnitRows, prepare_units
 from ..metrics.classification import top_k_accuracy
 from .model import TfeModel
 
@@ -27,9 +27,10 @@ from .model import TfeModel
 STAGE2_LR_SCALE = 0.3
 
 
-def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(flattened units, spectra at the model's scale) for every trial; an
-    input is None when the model has no branch to read it."""
+def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[UnitRows | None, np.ndarray | None]:
+    """(flattened units, spectra at the model's scale) for every trial; an input is None when the
+    model has no branch to read it.  The units view `dataset.x` without a copy, (R, n_units,
+    c * l / n_units) float32; `units[idx]` and `units[lo:hi]` segment just those rows."""
     units = prepare_units(dataset, n_units) if model.use_time else None
     spectra = spectra_matrix(dataset, scale=model.spectrum_scale) if model.use_freq else None
     return units, spectra
@@ -41,7 +42,7 @@ def _rows(arrays, idx) -> list:
 
 def finetune_tfe(
     model: TfeModel,
-    units: np.ndarray | None,
+    units: UnitRows | None,
     spectra: np.ndarray | None,
     labels: np.ndarray,
     split: DatasetSplit,

@@ -54,9 +54,27 @@ def build_lmm_models(
     return LmmModels(projector, encoder, predictor, teacher, codebook, n_units)
 
 
-def prepare_units(dataset: EegDataset, n_units: int) -> np.ndarray:
-    """Segment and flatten every record: (R, n_units, c * l / n_units) float32."""
-    return np.ascontiguousarray(flatten_units(segment_units(dataset.x, n_units)))
+class UnitRows:
+    """Read-only (R, n_units, c * l / n_units) unit rows over trials `x` (R, c, l); holds `x`, not a copy."""
+
+    def __init__(self, x: np.ndarray, n_units: int):
+        segment_units(x, n_units)  # a view: raises now if n_units does not divide l
+        self.x, self.n_units, self.dtype = x, n_units, x.dtype
+        self.shape = (len(x), n_units, x.shape[1] * x.shape[2] // n_units)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        """C-contiguous units of the rows an int, int array or slice selects."""
+        return np.ascontiguousarray(flatten_units(segment_units(self.x[idx], self.n_units)))
+
+
+def prepare_units(dataset: EegDataset, n_units: int) -> UnitRows:
+    """Every record's flattened units as a view over `dataset.x`, (R, n_units,
+    c * l / n_units) float32 with no copy made: `units[idx]` segments just the
+    rows it selects, bit-equal to the same rows of the whole segmented array."""
+    return UnitRows(dataset.x, n_units)
 
 
 def lmm_step(
@@ -85,7 +103,7 @@ def lmm_step(
 
 
 def train_lmm(
-    units: np.ndarray,
+    units: UnitRows,
     models: LmmModels,
     *,
     mask_ratio: float,
@@ -94,7 +112,8 @@ def train_lmm(
     batch_size: int = 64,
     seed: int = 0,
 ) -> list[dict]:
-    """Train the student of `models` in place on `units` (from `prepare_units`)
+    """Train the student of `models` in place on `units` (from `prepare_units`), gathering
+    each step's batch as `units[batch_idx]`, a new (b, n_units, unit_dim) float32 array,
     and move its EMA teacher after every step; returns one log row per step."""
     store = models.student_store()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E41]))

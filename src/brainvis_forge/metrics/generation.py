@@ -101,6 +101,12 @@ def fid(features_a: np.ndarray, features_b: np.ndarray) -> float:
     return fid_from_moments(mu_a, np.atleast_2d(sigma_a), mu_b, np.atleast_2d(sigma_b))
 
 
+def check_ssim_size(height: int, width: int, what: str) -> None:
+    """Raise ValueError naming `what` when a height x width image holds no full SSIM window."""
+    if height < SSIM_WINDOW or width < SSIM_WINDOW:
+        raise ValueError(f"{what} {height}x{width} smaller than the {SSIM_WINDOW}-pixel SSIM window")
+
+
 def ssim(img_a: np.ndarray, img_b: np.ndarray, dynamic_range: float = 2.0) -> float | np.ndarray:
     """Structural similarity over SSIM_WINDOW-square box windows every
     SSIM_STRIDE pixels (batching: module docstring).
@@ -116,8 +122,7 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray, dynamic_range: float = 2.0) -> fl
     if a.ndim == 2:
         a, b = a[None], b[None]
     *lead, height, width = a.shape
-    if height < SSIM_WINDOW or width < SSIM_WINDOW:
-        raise ValueError(f"ssim: image {height}x{width} smaller than window {SSIM_WINDOW}")
+    check_ssim_size(height, width, "ssim: image")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..data.split import MIN_IMAGES, SPLIT_RATIOS, _largest_remainder_counts
 from ..diffusion.cascade import switch_step
+from ..metrics.generation import check_ssim_size
 
 # Stages each ablation mode (None: the full chain) never runs; they drop out
 # of the chain and of every later stage's prerequisites.
@@ -130,6 +131,7 @@ class PipelineConfig:
             raise ValueError(f"PipelineConfig: heads={self.heads} must divide d={self.d}")
         if self.latent_channels != 3:
             raise ValueError(f"PipelineConfig: latent_channels={self.latent_channels} must be 3 (RGB PPM output)")
+        check_ssim_size(self.latent_size, self.latent_size, f"PipelineConfig: latent_size={self.latent_size} makes images")
         try:
             switch_step(self.rho, self.T)
         except ValueError as exc:

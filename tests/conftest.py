@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from brainvis_forge.autodiff import active_tape
+
+# Print a replayable blob with every falsifying example; every other setting
+# keeps Hypothesis's default.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(autouse=True)

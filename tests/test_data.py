@@ -335,6 +335,9 @@ def test_segment_rejects_non_divisor():
         segment_units(np.zeros((4, 10), dtype=np.float32), 3)
     with pytest.raises(ValueError, match="divide"):
         segment_units(np.zeros((2, 4, 10), dtype=np.float32), 3)
+    # The units view checks when it is built, not at the first index.
+    with pytest.raises(ValueError, match="n=7 must divide signal length l=160"):
+        prepare_units(_records(n=3, c=2, l=160), 7)
 
 
 def test_batched_units_equal_per_trial_units():
@@ -345,8 +348,39 @@ def test_batched_units_equal_per_trial_units():
             assert flatten_units(segment_units(data.x, n)).tobytes() == want.tobytes(), (r, c, l, n)
             units = prepare_units(data, n)
             assert units.dtype == np.float32 and units.shape == (r, n, c * l // n)
-            assert units.tobytes() == want.tobytes(), (r, c, l, n)
+            assert units[:].tobytes() == want.tobytes(), (r, c, l, n)
+            idx = np.random.default_rng(n).choice(r, size=min(r, 64), replace=False)
+            assert units[idx].tobytes() == want[idx].tobytes(), (r, c, l, n)
 
+
+def test_prepare_units_is_a_row_view_of_the_trials():
+    data = _records(n=64, c=32, l=160, seed=4)  # 1.3 MB of trials
+    n = 8
+    eager = np.ascontiguousarray(flatten_units(segment_units(data.x, n)))
+    units = prepare_units(data, n)
+    assert (len(units), units.shape, units.dtype) == (len(eager), eager.shape, eager.dtype)
+    assert np.shares_memory(units.x, data.x)
+    picks = np.random.default_rng(4).choice(len(data), size=17, replace=False)
+    for idx in (5, picks, slice(3, 40), slice(9, 9)):
+        rows = units[idx]
+        assert rows.flags.c_contiguous and rows.dtype == np.float32, idx
+        assert rows.shape == eager[idx].shape and rows.tobytes() == eager[idx].tobytes(), idx
+
+
+def test_prepare_units_copies_no_trials():
+    import tracemalloc
+
+    data = _records(n=64, c=32, l=160, seed=5)
+    assert data.x.nbytes >= 1 << 20
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        prepare_units(data, 8)
+        allocated = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert allocated < 0.01 * data.x.nbytes
 
 def test_zscore_channels_statistics():
     x = np.random.default_rng(2).standard_normal((3, 50)).astype(np.float32) * 7 + 3

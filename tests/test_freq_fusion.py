@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from brainvis_forge.autodiff import Tensor, concat, tmean
+from brainvis_forge.autodiff import Tensor, active_tape, concat, tmean
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import ShapeError
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
@@ -139,6 +139,8 @@ def test_tfe_fused_and_logits_both_require_spectra():
     for method in (model.fused, model.logits):
         with pytest.raises(ValueError, match="no spectra"):
             method(units, None)
+        # Refused before the time branch runs: nothing is left on the tape.
+        assert len(active_tape()) == 0
 
 
 # --- staged fine-tuning --------------------------------------------------------

@@ -90,7 +90,7 @@ def test_tokenizer_no_collapse_on_synthetic_corpus():
     spec = SyntheticGenSpec(n_classes=8, records_per_class=10, c=8, l=80, seed=2, sample_rate=100.0)
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
-    units = prepare_units(records, 20).reshape(-1, 8 * 4)
+    units = prepare_units(records, 20)[:].reshape(-1, 8 * 4)
     cb = Codebook(unit_dim=units.shape[1], n_entries=660, rng=np.random.default_rng(3))
     distinct = len(np.unique(cb.assign(units)))
     assert distinct >= 50

@@ -65,6 +65,11 @@ def test_config_rejects_bad_fields():
     for T, rho in ((3, 0.3), (2, 0.3), (10, 0.05)):
         with pytest.raises(ValueError, match=re.escape(f"rho={rho} with T={T}: switch_step: switch step 0")):
             PipelineConfig(T=T, rho=rho)
+    # A latent smaller than one SSIM window would fail only in evaluate.
+    with pytest.raises(ValueError, match=re.escape(
+        "PipelineConfig: latent_size=7 makes images 7x7 smaller than the 8-pixel SSIM window"
+    )):
+        PipelineConfig(latent_size=7)
     # So would a split without enough images, or an IS score over more splits
     # than the test split yields images (tiny: 3 test images x 4 samples).
     with pytest.raises(ValueError, match="records_per_class = 9 images; the split needs at least 10"):
