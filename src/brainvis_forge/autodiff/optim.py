@@ -5,10 +5,12 @@ trainer shares: `ParamStore.step` (clear grads, backpropagate, Adam),
 A store keeps its parameters and both Adam moments in one flat arena each:
 every registered tensor's `.data` is a reshaped view into the parameter
 buffer, and `adam_step` updates the arena in place with a fixed sequence of
-ufuncs.  The arena is (re)built on the first step after a `register`.  Rule:
-no code rebinds a registered parameter's `.data`; write into it
-(`t.data[...] = x`) instead.  A rebound tensor would be a detached copy the
-store no longer trains, so `adam_step` raises on one.
+ufuncs, one segment of at most `_ADAM_BLOCK` floats at a time, so its scratch
+is per call and segment-sized, not arena-sized.  The arena is (re)built on
+the first step after a `register`.  Rule: no code rebinds a registered
+parameter's `.data`; write into it (`t.data[...] = x`) instead.  A rebound
+tensor would be a detached copy the store no longer trains, so `adam_step`
+raises on one.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .nn import Module
 from .tensor import ShapeError, Tensor, backward, no_grad
 
 PREDICT_ROWS = 256  # rows per forward in `predict`: bounds its activations
+_ADAM_BLOCK = 1 << 17  # floats per `adam_step` segment: bounds its scratch
 
 
 class ParamStore:
@@ -34,10 +37,9 @@ class ParamStore:
     def __init__(self, **modules: Module):
         self._params: dict[str, Tensor] = {}
         # (name, tensor, lo, hi) per parameter in registration order, over
-        # the flat buffers: parameters, first and second moments, and two
-        # scratch buffers (the gradient, reused as the update, and one more).
+        # the flat buffers: parameters and first and second moments.
         self._layout: list[tuple[str, Tensor, int, int]] = []
-        self._p = self._m = self._v = self._g = self._s = np.zeros(0)
+        self._p = self._m = self._v = np.zeros(0)
         self.step_count = 0
         for prefix, module in modules.items():
             self.register_module(prefix, module)
@@ -105,7 +107,7 @@ class ParamStore:
             t.data = p[lo:hi].reshape(t.shape)
             self._layout.append((name, t, lo, hi))
             lo = hi
-        self._p, self._m, self._v, self._g, self._s = p, m, v, np.empty_like(p), np.empty_like(p)
+        self._p, self._m, self._v = p, m, v
 
 
 def adam_step(
@@ -122,9 +124,13 @@ def adam_step(
     `trainable`, when given, is the set of parameters that must receive a
     gradient this step; a missing one is an error rather than a silent skip.
     A parameter without a gradient keeps its value and moments.  The update
-    runs once per contiguous run of parameters that have a gradient, in the
-    operation order of the per-tensor formula
+    runs once per segment: a contiguous run of parameters that have a
+    gradient, ending at a parameter boundary and holding at most `_ADAM_BLOCK`
+    floats (a larger parameter is a segment of its own).  Each segment's
+    gradients are gathered into a scratch pair allocated per call, and the
+    update follows the operation order of the per-tensor formula
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so results are bit-equal to it.
+    Every check runs before the first write.
     """
     unknown = set(grads) - set(store._params)
     if unknown:
@@ -134,25 +140,29 @@ def adam_step(
         if missing:
             raise KeyError(f"adam_step: trainable parameters missing gradients: {sorted(missing)}")
 
-    runs: list[list[int]] = []
+    segments: list[list] = []  # [lo, hi, flat gradients in arena order] per segment
     for name, p, lo, hi in store._arena():
         g = grads.get(name)
         if g is None:
             continue
         if g.shape != p.shape:
             raise ShapeError(f"adam_step: gradient for {name} has shape {g.shape}, expected {p.shape}")
-        store._g[lo:hi] = g.reshape(-1)
-        if runs and runs[-1][1] == lo:
-            runs[-1][1] = hi
+        if segments and segments[-1][1] == lo and hi - segments[-1][0] <= _ADAM_BLOCK:
+            segments[-1][1] = hi
+            segments[-1][2].append(g.reshape(-1))
         else:
-            runs.append([lo, hi])
+            segments.append([lo, hi, [g.reshape(-1)]])
 
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for lo, hi in runs:
-        p, m, v, g, s = (buf[lo:hi] for buf in (store._p, store._m, store._v, store._g, store._s))
+    n = max((hi - lo for lo, hi, _ in segments), default=0)
+    g_buf, s_buf = np.empty((2, n), store._p.dtype)
+    for lo, hi, parts in segments:
+        g, s = g_buf[: hi - lo], s_buf[: hi - lo]
+        np.concatenate(parts, out=g)
+        p, m, v = (buf[lo:hi] for buf in (store._p, store._m, store._v))
         np.multiply(g, 1.0 - beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
         m *= beta1
         m += s

@@ -25,6 +25,7 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+_GELU_BLOCK = 1 << 14  # elements per block of the gelu backward: bounds its temporaries
 
 
 class ShapeError(ValueError):
@@ -294,12 +295,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
 
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    out = np.swapaxes(a.data, ax1, ax2).copy()
-    return _make("swapaxes", (a,), out, lambda g: (np.swapaxes(g, ax1, ax2),))
-
-
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     try:
@@ -322,23 +317,6 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         return (ga,)
 
     return _make("take", (a,), out, bw)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along `axis`."""
-    a = as_tensor(a)
-    ax = axis % a.ndim
-    if start < 0 or start + length > a.shape[ax]:
-        raise ShapeError(f"narrow: slice [{start}, {start + length}) out of range for axis {ax} of {a.shape}")
-    slicer = (slice(None),) * ax + (slice(start, start + length),)
-    out = a.data[slicer].copy()
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[slicer] = g
-        return (ga,)
-
-    return _make("narrow", (a,), out, bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -400,23 +378,10 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # elementwise transcendentals and activations
 
 
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _make("log", (a,), out, lambda g: (g / a.data,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
     return _make("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def _sigmoid(x: np.ndarray, s=0.5, out: np.ndarray | None = None) -> np.ndarray:
@@ -434,17 +399,13 @@ def _sigmoid(x: np.ndarray, s=0.5, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid(a.data)
-    return _make("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
-
-
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))).
 
     The forward runs the formula's operations in its order, with `out=` into
-    its own arrays; t = tanh(...) is kept for the backward.
+    its own arrays; t = tanh(...) is kept for the backward.  The backward
+    evaluates its one expression over `_GELU_BLOCK`-element blocks of the
+    flattened arrays into one result, so its temporaries are block-sized.
     """
     a = as_tensor(a)
     x = a.data
@@ -458,8 +419,14 @@ def gelu(a: Tensor) -> Tensor:
     out *= np.multiply(x, 0.5)
 
     def bw(g):
-        du = _GELU_K * (1.0 + 3.0 * _GELU_C * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+        gx = np.empty(x.shape, np.result_type(g, x))
+        gx_f, g_f, x_f, t_f = gx.reshape(-1), g.reshape(-1), x.reshape(-1), t.reshape(-1)
+        for lo in range(0, gx.size, _GELU_BLOCK):
+            hi = lo + _GELU_BLOCK
+            x_b, t_b = x_f[lo:hi], t_f[lo:hi]
+            du = _GELU_K * (1.0 + 3.0 * _GELU_C * x_b * x_b)
+            np.multiply(g_f[lo:hi], 0.5 * (1.0 + t_b) + 0.5 * x_b * (1.0 - t_b * t_b) * du, out=gx_f[lo:hi])
+        return (gx,)
 
     return _make("gelu", (a,), out, bw)
 

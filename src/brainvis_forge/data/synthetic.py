@@ -8,11 +8,33 @@ identical specs produce byte-identical datasets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .records import EegDataset
+
+
+def _usable_bins(l: int) -> np.ndarray:
+    """DFT bins a class sinusoid may take: 2 .. l // 2 - 2, clear of DC and Nyquist."""
+    return np.arange(2, l // 2 - 1)
+
+
+def check_signal_length(l: int, sinusoids_per_class: int, what: str) -> None:
+    """Raise ValueError naming `what` when l samples leave fewer usable bins than one class's sinusoids."""
+    usable = len(_usable_bins(l))
+    if usable < sinusoids_per_class:
+        raise ValueError(f"{what} signal too short for requested sinusoids: l={l} leaves {usable} usable "
+                         f"frequency bins for sinusoids_per_class={sinusoids_per_class}")
+
+
+def check_signature_count(l: int, sinusoids_per_class: int, n_classes: int, what: str) -> None:
+    """Raise ValueError naming `what` when fewer distinct frequency signatures exist than classes."""
+    count = math.comb(len(_usable_bins(l)), sinusoids_per_class) if sinusoids_per_class >= 0 else 0
+    if count < n_classes:
+        raise ValueError(f"{what} only {count} distinct frequency signatures available for n_classes={n_classes}; "
+                         f"increase l={l} or sinusoids_per_class={sinusoids_per_class}")
 
 
 @dataclass
@@ -59,18 +81,10 @@ class SyntheticGenSpec:
     def _draw_frequencies(self, rng: np.random.Generator) -> list[tuple[float, ...]]:
         # Pick distinct DFT-bin-aligned frequency sets so classes stay
         # separable after any whole-record magnitude spectrum.
-        import math
-
+        check_signal_length(self.l, self.sinusoids_per_class, "SyntheticGenSpec:")
+        check_signature_count(self.l, self.sinusoids_per_class, self.n_classes, "SyntheticGenSpec:")
         bin_hz = self.sample_rate / self.l
-        max_bin = self.l // 2 - 1
-        usable = np.arange(2, max_bin)
-        if len(usable) < self.sinusoids_per_class:
-            raise ValueError("SyntheticGenSpec: signal too short for requested sinusoids")
-        if math.comb(len(usable), self.sinusoids_per_class) < self.n_classes:
-            raise ValueError(
-                f"SyntheticGenSpec: only {math.comb(len(usable), self.sinusoids_per_class)} distinct "
-                f"frequency signatures available for {self.n_classes} classes; increase l or sinusoids_per_class"
-            )
+        usable = _usable_bins(self.l)
         chosen: set[tuple[int, ...]] = set()
         out = []
         while len(out) < self.n_classes:

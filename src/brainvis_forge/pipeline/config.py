@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.split import MIN_IMAGES, SPLIT_RATIOS, _largest_remainder_counts
+from ..data.synthetic import check_signal_length, check_signature_count
 from ..diffusion.cascade import switch_step
 from ..metrics.generation import check_ssim_size
 
@@ -122,6 +123,8 @@ class PipelineConfig:
                              f"for the test split")
         if self.l % self.n != 0:
             raise ValueError(f"PipelineConfig: n={self.n} must divide l={self.l}")
+        check_signal_length(self.l, self.sinusoids_per_class, "PipelineConfig:")
+        check_signature_count(self.l, self.sinusoids_per_class, self.n_classes, "PipelineConfig:")
         if not 0.0 < self.r_m < 1.0:
             raise ValueError(f"PipelineConfig: r_m={self.r_m} outside (0, 1)")
         masked = int(np.floor(self.n * self.r_m))

@@ -8,7 +8,10 @@ builder `make_image_set` must match byte for byte, the per-entry BVE1
 writer whose bytes the structured `write_fixtures` must reproduce, the
 per-item matmul gradients the folded ones must match in rounding, and the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
-`attention_core` and `codeword_nll` must match bit for bit.
+`attention_core` and `codeword_nll` must match bit for bit.  The tape ops
+that only these compositions and the step-by-step LSTM reference use
+(`narrow`, `swapaxes`, `log`, `tanh`, `sigmoid`) live here too, with their
+gradient probes in `oracle_op_probes`.
 `as_float64` lifts a float32 network to float64 for gradient checks.
 """
 
@@ -22,17 +25,19 @@ import numpy as np
 from brainvis_forge.autodiff.nn import Module
 from brainvis_forge.autodiff.ops import LAYER_NORM_EPS, LOG_EPS, one_hot_labels
 from brainvis_forge.autodiff.tensor import (
+    ShapeError,
     Tensor,
+    _make,
+    _sigmoid,
     _unbroadcast,
     add,
-    log,
+    as_tensor,
     matmul,
     mul,
     power,
     reshape,
     softmax,
     sub,
-    swapaxes,
     tmean,
     tsum,
 )
@@ -156,6 +161,66 @@ def as_float64(module: Module) -> Module:
     for t in module.parameters():
         t.data = t.data.astype(np.float64)
     return module
+
+
+def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    a = as_tensor(a)
+    out = np.swapaxes(a.data, ax1, ax2).copy()
+    return _make("swapaxes", (a,), out, lambda g: (np.swapaxes(g, ax1, ax2),))
+
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Contiguous slice [start, start+length) along `axis`."""
+    a = as_tensor(a)
+    ax = axis % a.ndim
+    if start < 0 or start + length > a.shape[ax]:
+        raise ShapeError(f"narrow: slice [{start}, {start + length}) out of range for axis {ax} of {a.shape}")
+    slicer = (slice(None),) * ax + (slice(start, start + length),)
+    out = a.data[slicer].copy()
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[slicer] = g
+        return (ga,)
+
+    return _make("narrow", (a,), out, bw)
+
+
+def log(a: Tensor) -> Tensor:
+    a = as_tensor(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(a.data)
+    return _make("log", (a,), out, lambda g: (g / a.data,))
+
+
+def tanh(a: Tensor) -> Tensor:
+    a = as_tensor(a)
+    out = np.tanh(a.data)
+    return _make("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    a = as_tensor(a)
+    out = _sigmoid(a.data)
+    return _make("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
+
+
+def oracle_op_probes(rng: np.random.Generator) -> dict:
+    """One gradient probe per tape op above, built as `gradcheck.op_catalog`
+    builds its own: name -> (loss over the input tensors, float64 inputs)."""
+    r = rng.standard_normal
+
+    def probe(build, inputs, out_shape):
+        w = Tensor(r(out_shape))
+        return (lambda ts: tsum(mul(build(ts), w))), inputs
+
+    return {
+        "swapaxes": probe(lambda ts: swapaxes(ts[0], 0, 1), [r((4, 5))], (5, 4)),
+        "narrow": probe(lambda ts: narrow(ts[0], 1, 1, 3), [r((4, 6))], (4, 3)),
+        "log": probe(lambda ts: log(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
+        "tanh": probe(lambda ts: tanh(ts[0]), [r((4, 5))], (4, 5)),
+        "sigmoid": probe(lambda ts: sigmoid(ts[0]), [r((4, 5))], (4, 5)),
+    }
 
 
 def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -1,15 +1,17 @@
 """Finite-difference verification of analytic gradients (spot checks).
 
 The full ten-probe catalog sweep lives in the acceptance suite; here a
-lighter two-probe pass plus targeted checks on the model-level composites.
+lighter two-probe pass, targeted checks on the model-level composites, and
+the ten-draw check of the test-only tape ops that `oracles` defines.
 """
 
 import numpy as np
+import pytest
 
 from brainvis_forge.autodiff import Tensor, active_tape, tsum
 from brainvis_forge.autodiff.gradcheck import check_gradients, op_catalog, run_catalog_suite
 from brainvis_forge.autodiff.tensor import mul
-from oracles import as_float64
+from oracles import as_float64, oracle_op_probes
 
 TOL = 1e-4
 
@@ -43,6 +45,14 @@ def test_catalog_two_probes_all_under_tolerance():
     assert len(worst) >= 30
     failing = {k: v for k, v in worst.items() if v >= TOL}
     assert not failing, f"ops over tolerance: {failing}"
+
+
+@pytest.mark.parametrize("name", sorted(oracle_op_probes(np.random.default_rng(0))))
+def test_oracle_tape_ops_match_central_differences(name):
+    # ten draws, as criterion 1 checks the catalog
+    for seed in range(2024, 2034):
+        fn, arrays = oracle_op_probes(np.random.default_rng(seed))[name]
+        assert check_gradients(fn, arrays) < TOL, seed
 
 
 def test_lstm_three_step_sequence_gradient():

@@ -1,11 +1,15 @@
 """Adam update semantics, the parameter store and the shared training loop."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brainvis_forge.autodiff import (
     ParamStore, ShapeError, Tensor, active_tape, adam_step, backward, no_grad, power, predict, train_epoch, tsum,
 )
+from brainvis_forge.autodiff import optim
 from brainvis_forge.autodiff.nn import Linear
 from oracles import as_float64
 
@@ -48,10 +52,23 @@ def test_missing_trainable_gradient_is_error():
         adam_step(store, {"a": np.ones(2)}, lr=0.1, trainable=["a", "b"])
 
 
+def _trained_store() -> ParamStore:
+    """Two parameters after one step, so every arena buffer holds non-zero bytes."""
+    store = make_store({"a": np.array([1.0, -2.0]), "b": np.array([0.5, 0.0, 3.0])})
+    adam_step(store, {"a": np.array([0.3, -1.0]), "b": np.array([2.0, 0.1, -0.4])}, lr=0.1)
+    return store
+
+
+def _state(store: ParamStore) -> tuple:
+    return store._p.tobytes(), store._m.tobytes(), store._v.tobytes(), store.step_count
+
+
 def test_unknown_gradient_name_is_error():
-    store = make_store({"a": np.zeros(2)})
-    with pytest.raises(KeyError, match="unknown"):
-        adam_step(store, {"zzz": np.ones(2)}, lr=0.1)
+    store = _trained_store()
+    before = _state(store)
+    with pytest.raises(KeyError, match=re.escape("adam_step: gradients for unknown parameters ['zzz']")):
+        adam_step(store, {"a": np.ones(2), "zzz": np.ones(2)}, lr=0.1)
+    assert _state(store) == before
 
 
 def test_duplicate_registration_rejected():
@@ -166,8 +183,12 @@ GRADIENT_SUBSETS = {
 }
 
 
+# Blocks of 1, 4 and 7 floats split the 37-float arena into segments at every
+# parameter boundary, at some, and around the gradient-less gaps.
+@pytest.mark.parametrize("block", [1, 4, 7, optim._ADAM_BLOCK], ids=["block1", "block4", "block7", "default"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_arena_adam_is_bit_equal_to_the_per_tensor_update(dtype):
+def test_arena_adam_is_bit_equal_to_the_per_tensor_update(dtype, block, monkeypatch):
+    monkeypatch.setattr(optim, "_ADAM_BLOCK", block)
     rng = np.random.default_rng(17)
     values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in SHAPES.items()}
     arena = ParamStore()
@@ -187,6 +208,29 @@ def test_arena_adam_is_bit_equal_to_the_per_tensor_update(dtype):
     for name in SHAPES:
         assert arena[name].data.dtype == reference._params[name].data.dtype == dtype
         assert arena[name].data.tobytes() == reference._params[name].data.tobytes(), name
+
+
+def test_adam_step_scratch_is_bounded_by_the_block_not_the_arena():
+    # 2.2M float32s over 17 parameters, one of them larger than a block
+    sizes = [optim._ADAM_BLOCK] * 12 + [optim._ADAM_BLOCK // 2 + 3] * 4 + [3 * optim._ADAM_BLOCK // 2]
+    rng = np.random.default_rng(5)
+    store = ParamStore()
+    for i, size in enumerate(sizes):
+        store.register(f"p{i}", Tensor(rng.standard_normal(size).astype(np.float32), requires_grad=True))
+    grads = {name: rng.standard_normal(size).astype(np.float32) for name, size in zip(store.names(), sizes)}
+    assert sum(sizes) >= 2_000_000
+    scratch = 2 * max(optim._ADAM_BLOCK, max(sizes)) * 4 + (64 << 10)
+    tracemalloc.start()
+    try:
+        adam_step(store, grads, lr=0.01)  # builds the arena: parameters and both moments
+        built, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        adam_step(store, grads, lr=0.01)
+        step_peak = tracemalloc.get_traced_memory()[1] - built
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 3 * sum(sizes) * 4 + scratch
+    assert step_peak < scratch
 
 
 def _shares_arena(store: ParamStore) -> bool:
@@ -248,3 +292,9 @@ def test_shape_error_leaves_the_store_untouched():
         adam_step(store, {"w": np.ones(3)}, lr=0.1)
     assert store.step_count == 0
     np.testing.assert_array_equal(store["w"].data, [1.0, -2.0])
+    # a later parameter's bad shape refuses the step after an earlier one passed its check
+    store = _trained_store()
+    before = _state(store)
+    with pytest.raises(ShapeError, match=re.escape("adam_step: gradient for b has shape (4,), expected (3,)")):
+        adam_step(store, {"a": np.ones(2), "b": np.ones(4)}, lr=0.1)
+    assert _state(store) == before

@@ -77,6 +77,18 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ValueError, match="is_splits=13 exceeds the 12 images"):
         tiny_config(is_splits=13)
     assert tiny_config(is_splits=12).is_splits == 12
+    # Synthetic records too short for the class frequency signatures would fail only in gen-data.
+    for overrides, what in (({"sinusoids_per_class": 0}, "l=40 or sinusoids_per_class=0"),
+                            ({"l": 10}, "l=10 or sinusoids_per_class=2")):
+        with pytest.raises(ValueError, match=re.escape(
+            f"PipelineConfig: only 1 distinct frequency signatures available for n_classes=4; increase {what}"
+        )):
+            tiny_config(**overrides)
+    with pytest.raises(ValueError, match=re.escape(
+        "PipelineConfig: signal too short for requested sinusoids: l=10 leaves 2 usable frequency bins for "
+        "sinusoids_per_class=3"
+    )):
+        tiny_config(l=10, sinusoids_per_class=3)
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +15,11 @@ from brainvis_forge.autodiff import (
     backward,
     concat,
     gelu,
-    log,
     matmul,
-    narrow,
     no_grad,
     reshape,
-    sigmoid,
     softmax,
     take,
-    tanh,
     tmean,
     tsum,
 )
@@ -30,7 +27,16 @@ from brainvis_forge.autodiff import ops
 from brainvis_forge.autodiff.nn import Attention, Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import _matmul_grads, add, broadcast_to, mul, power, sub
 from brainvis_forge.lmm.loss import lmm_loss
-from oracles import attention_core_composed, codeword_nll_composed, layer_norm_composed, matmul_grads_per_item
+from oracles import (
+    attention_core_composed,
+    codeword_nll_composed,
+    layer_norm_composed,
+    log,
+    matmul_grads_per_item,
+    narrow,
+    sigmoid,
+    tanh,
+)
 
 
 def test_matmul_identity():
@@ -354,6 +360,41 @@ def test_gelu_forward_bit_equal_to_its_formula(dtype):
     want = 0.5 * x * (1 + np.tanh(k * (x + c * x * x * x)))
     out = gelu(Tensor(x)).data
     assert out.dtype == dtype and np.array_equal(out, want)
+
+
+def _gelu_backward_fn(x):
+    """The backward that gelu records for `x`, taken off the tape."""
+    gelu(Tensor(x, requires_grad=True))
+    return active_tape().entries.pop().backward_fn
+
+
+# (16, 82, 1024) is the medium predictor's FFN width, a whole number of blocks;
+# (5, 4000) ends in a part block and (0, 1024) has no rows at all.
+@pytest.mark.parametrize("shape", [(16, 82, 1024), (5, 4000), (3, 7), (5,), (0, 1024)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_bit_equal_to_its_formula(dtype, shape):
+    rng = np.random.default_rng(8)
+    x = (rng.standard_normal(shape) * 3).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    k, c = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(k * (x + c * x * x * x))
+    want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (k * (1.0 + 3.0 * c * x * x)))
+    (got,) = _gelu_backward_fn(x)(g)
+    assert got.dtype == want.dtype == dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gelu_backward_allocates_only_its_result():
+    rng = np.random.default_rng(9)
+    x, g = (rng.standard_normal((16, 82, 1024)).astype(np.float32) for _ in range(2))
+    backward_fn = _gelu_backward_fn(x)
+    tracemalloc.start()
+    try:
+        (got,) = backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + (1 << 20)
 
 
 def test_fused_lmm_ops_are_one_tape_entry_each():
