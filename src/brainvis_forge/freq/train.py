@@ -1,14 +1,16 @@
-"""Supervised training of the frequency branch.
+"""Supervised training of the frequency branch, and the classifier epoch loop.
 
 The magnitude spectrum of each trial is walked bin by bin by a small gated
 recurrence (one step per frequency bin, one input per channel); class labels
 supervise a linear head on the final hidden state.  The branch is kept small
 on purpose: heavier frequency encoders overfit long before they help.
+`classifier_epochs` is the minibatch cross-entropy loop that both this
+classifier and the fused one (`fusion.train.finetune_tfe`) train with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +39,7 @@ def spectra_matrix(dataset: EegDataset, sample_rate: float = 1000.0, scale: floa
     Raw magnitudes grow with signal length; `scale` (a train-split statistic)
     keeps the recurrence inputs in a sane numeric range and must match the
     value the encoder was trained with.  It divides the float32 magnitudes
-    in place, as `freq_classify_train` does.  Records go through
+    in place, as `train_spectra` does.  Records go through
     `fft_magnitude` `_CHUNK` at a time, so no float64 copy of the whole set
     is ever held.
     """
@@ -49,49 +51,44 @@ def spectra_matrix(dataset: EegDataset, sample_rate: float = 1000.0, scale: floa
     return out
 
 
-@dataclass
-class FreqTrainResult:
-    model: FreqClassifier
-    spectrum_scale: float
-    history: list[dict] = field(default_factory=list)
-
-
-def freq_classify_train(
-    dataset: EegDataset,
-    split: DatasetSplit,
-    *,
-    n_classes: int,
-    hidden: int = 128,
-    epochs: int = 50,
-    batch_size: int = 32,
-    lr: float = 1e-3,
-    seed: int = 0,
-) -> FreqTrainResult:
+def train_spectra(dataset: EegDataset, split: DatasetSplit) -> tuple[np.ndarray, float]:
+    """(`spectra_matrix` of every record divided by `scale`, `scale`): the
+    largest magnitude of the train split, a train-split statistic only."""
     spectra = spectra_matrix(dataset)
-    scale = float(spectra[split.train].max()) or 1.0  # train-split statistic only
+    scale = float(spectra[split.train].max()) or 1.0
     spectra /= scale
-    labels = dataset.labels
+    return spectra, scale
+
+
+def classifier_epochs(store: ParamStore, logits: Callable[..., Tensor], inputs: tuple, labels: np.ndarray, n_classes: int,
+                      split: DatasetSplit, rng: np.random.Generator, *, epochs: int, batch_size: int,
+                      lr: float) -> list[dict]:
+    """Train the parameters in `store` on the cross-entropy of `logits` over
+    minibatches of the train split, `logits` taking the rows of every trial's
+    `inputs` (a None input stays None); returns one {epoch, loss, train_acc,
+    val_acc} row per epoch, val_acc NaN for an empty validation split."""
     onehot = one_hot_labels(labels, n_classes)
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF9E9]))
-    model = FreqClassifier(spectra.shape[2], hidden, n_classes, rng)
-    store = ParamStore(freq=model)
-
-    def batch_loss(idx: np.ndarray):
-        return cross_entropy(model(Tensor(spectra[idx])), onehot[idx])
-
-    def split_accuracy(rows: np.ndarray) -> float:
-        return top_k_accuracy(predict(lambda s: model(Tensor(s)), spectra[rows]), labels[rows], 1)
-
     train_idx = np.array(split.train, dtype=np.int64)
     val_idx = np.array(split.val, dtype=np.int64)
-    history = [
-        {
-            "epoch": epoch,
-            "loss": train_epoch(store, rng, train_idx, batch_size, lr, batch_loss),
-            "train_acc": split_accuracy(train_idx),
-            "val_acc": split_accuracy(val_idx) if len(val_idx) else float("nan"),
-        }
-        for epoch in range(epochs)
-    ]
-    return FreqTrainResult(model=model, spectrum_scale=scale, history=history)
+
+    def rows(idx: np.ndarray) -> list:
+        return [None if a is None else a[idx] for a in inputs]
+
+    def batch_loss(idx: np.ndarray):
+        return cross_entropy(logits(*rows(idx)), onehot[idx])
+
+    def split_accuracy(idx: np.ndarray) -> float:
+        return top_k_accuracy(predict(logits, *rows(idx)), labels[idx], 1)
+
+    return [{"epoch": epoch, "loss": train_epoch(store, rng, train_idx, batch_size, lr, batch_loss),
+             "train_acc": split_accuracy(train_idx),
+             "val_acc": split_accuracy(val_idx) if len(val_idx) else float("nan")} for epoch in range(epochs)]
+
+
+def freq_classify_train(model: FreqClassifier, spectra: np.ndarray, labels: np.ndarray, split: DatasetSplit, *,
+                        epochs: int, batch_size: int, lr: float, rng: np.random.Generator) -> list[dict]:
+    """Train `model` in place on every trial's `spectra` (from `train_spectra`)
+    and `labels`, using the rows `split` names and shuffling with `rng`;
+    returns one log row per epoch."""
+    return classifier_epochs(ParamStore(freq=model), lambda s: model(Tensor(s)), (spectra,), labels,
+                             model.head.weight.shape[1], split, rng, epochs=epochs, batch_size=batch_size, lr=lr)

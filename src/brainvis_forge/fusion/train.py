@@ -4,22 +4,22 @@
 their pretrained weights (or fresh ones, for a cold start), on the inputs
 `tfe_inputs` built for every trial.  Stage 1 trains the time branch and head
 for `stage1_epochs` with the frequency encoder frozen; stage 2 unfreezes
-everything for a shorter joint run, and refuses to run without stage 1.  The
-tfe stage runs inference over the same inputs, saving the fused rows
-(`predict(model.fused, ...)`) and their `classify_batch` logits as checkpoint
-extras that align, generate and evaluate read.
+everything for a shorter joint run, and refuses to run without stage 1
+(`check_stage_epochs`, which the config applies at load too).  Each stage
+trains through `freq.train.classifier_epochs`.  The tfe stage runs inference
+over the same inputs, saving the fused rows (`predict(model.fused, ...)`) and
+their `classify_batch` logits as checkpoint extras that align, generate and
+evaluate read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tensor, predict, train_epoch
-from ..autodiff.ops import cross_entropy, one_hot_labels
+from ..autodiff import ParamStore, Tensor, predict
 from ..data.records import DatasetSplit, EegDataset
-from ..freq.train import spectra_matrix
+from ..freq.train import classifier_epochs, spectra_matrix
 from ..lmm.train import UnitRows, prepare_units
-from ..metrics.classification import top_k_accuracy
 from .model import TfeModel
 
 # Joint fine-tuning runs gentler: full lr lets the time branch trample
@@ -36,8 +36,10 @@ def tfe_inputs(model: TfeModel, dataset: EegDataset, n_units: int) -> tuple[Unit
     return units, spectra
 
 
-def _rows(arrays, idx) -> list:
-    return [None if a is None else a[idx] for a in arrays]
+def check_stage_epochs(stage1_epochs: int, stage2_epochs: int, what: str) -> None:
+    """Raise ValueError naming `what` when the joint stage 2 would run without stage 1."""
+    if stage2_epochs > 0 and stage1_epochs <= 0:
+        raise ValueError(f"{what} epochs time_ft={stage1_epochs}, joint_ft={stage2_epochs}: stage 2 requires stage 1")
 
 
 def finetune_tfe(
@@ -57,33 +59,17 @@ def finetune_tfe(
     `tfe_inputs`) and `labels`, using the rows `split` names; returns one log
     row per epoch, tagged with its stage.  The branch switches, class count and
     spectrum scale come from the model itself."""
-    if stage2_epochs > 0 and stage1_epochs <= 0:
-        raise RuntimeError("finetune_tfe: stage 2 requires stage 1")
+    check_stage_epochs(stage1_epochs, stage2_epochs, "finetune_tfe:")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7FE1]))
-    train_idx = np.array(split.train, dtype=np.int64)
-    val_idx = np.array(split.val, dtype=np.int64)
-    onehot = one_hot_labels(labels, model.n_classes)
     history: list[dict] = []
 
     def run_stage(stage: int, epochs: int, trained: tuple[str, ...], freq_hidden: np.ndarray | None):
-        store = ParamStore(**{name: getattr(model, name) for name in trained})
-        stage_lr = lr if stage == 1 else lr * STAGE2_LR_SCALE
-        inputs = (units, spectra, freq_hidden)
-
-        def batch_loss(idx: np.ndarray):
-            return cross_entropy(model.logits(*_rows(inputs, idx)), onehot[idx])
-
-        def split_accuracy(rows: np.ndarray) -> float:
-            return top_k_accuracy(predict(model.logits, *_rows(inputs, rows)), labels[rows], 1)
-
-        for epoch in range(epochs):
-            history.append({
-                "stage": stage,
-                "epoch": epoch,
-                "loss": train_epoch(store, rng, train_idx, batch_size, stage_lr, batch_loss),
-                "train_acc": split_accuracy(train_idx),
-                "val_acc": split_accuracy(val_idx) if len(val_idx) else float("nan"),
-            })
+        rows = classifier_epochs(
+            ParamStore(**{name: getattr(model, name) for name in trained}), model.logits,
+            (units, spectra, freq_hidden), labels, model.n_classes, split, rng,
+            epochs=epochs, batch_size=batch_size, lr=lr if stage == 1 else lr * STAGE2_LR_SCALE,
+        )
+        history.extend({"stage": stage, **row} for row in rows)
 
     time_branch = ("projector", "encoder") if model.use_time else ()
     freq_branch = ("freq_encoder",) if model.use_freq else ()

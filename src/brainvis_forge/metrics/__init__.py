@@ -3,12 +3,11 @@
 from .classification import f1_macro, n_way_top_k, top_k_accuracy
 from .generation import fid, fid_counts_valid, fid_from_moments, inception_score, ssim
 from .report import MetricsReport, classification_block, evaluate_generation
-from .surrogate import SurrogateClassifier, SurrogateResult, surrogate_outputs, train_surrogate
+from .surrogate import SurrogateClassifier, surrogate_outputs, train_surrogate
 
 __all__ = [
     "MetricsReport",
     "SurrogateClassifier",
-    "SurrogateResult",
     "classification_block",
     "evaluate_generation",
     "f1_macro",

@@ -19,6 +19,7 @@ import numpy as np
 from ..data.split import MIN_IMAGES, SPLIT_RATIOS, _largest_remainder_counts
 from ..data.synthetic import check_signal_length, check_signature_count
 from ..diffusion.cascade import switch_step
+from ..fusion.train import check_stage_epochs
 from ..metrics.generation import check_ssim_size
 
 # Stages each ablation mode (None: the full chain) never runs; they drop out
@@ -153,6 +154,12 @@ class PipelineConfig:
         for k, v in self.epochs.items():
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"PipelineConfig: epochs[{k}]={v} must be a non-negative int")
+        check_stage_epochs(self.epochs["time_ft"], self.joint_ft_epochs, "PipelineConfig:")
+
+    @property
+    def joint_ft_epochs(self) -> int:
+        """Epochs of tfe's joint stage 2: none under the no-finetune ablation."""
+        return 0 if self.ablate == "no-finetune" else self.epochs["joint_ft"]
 
     @property
     def unit_dim(self) -> int:

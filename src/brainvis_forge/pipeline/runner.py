@@ -23,12 +23,15 @@ diffusion train_c_eeg, generate test_logits and test_c_eeg, evaluate
 test_logits, each through `_stored_rows`; only generate rebuilds a network,
 the denoiser.
 
-This module builds every stage network from the config, each through one
-builder (`build_lmm_models`, `_tfe_model`, `_align_net`, `_denoiser`), and
-prepares its input arrays; `train_lmm`, `finetune_tfe`, `train_align` and
-`train_denoiser` train the network they are given in place and return its
-history, one dict per step or epoch, which becomes metrics.jsonl.  The
-frequency classifier is the exception: `freq_classify_train` builds its own.
+This module builds every network from the config, each through one builder
+or constructor (`build_lmm_models`, `FreqClassifier`, `_tfe_model`,
+`_align_net`, `_denoiser`, and evaluate's `SurrogateClassifier`), and prepares
+its input arrays (`prepare_units`, `train_spectra`, `tfe_inputs`, the stored
+rows of earlier stages); every trainer (`train_lmm`, `freq_classify_train`,
+`finetune_tfe`, `train_align`, `train_denoiser`, `train_surrogate`) trains the
+network it is given in place.  Each stage trainer returns its history, one
+dict per step or epoch, which becomes metrics.jsonl; `train_surrogate`
+returns the surrogate's train accuracy, which the report records.
 """
 
 from __future__ import annotations
@@ -56,13 +59,13 @@ from ..diffusion.ddpm import train_denoiser
 from ..diffusion.denoiser import DenoiserNet
 from ..diffusion.ppm import read_ppm, sample_filename, write_ppm
 from ..diffusion.schedule import NoiseSchedule
-from ..freq.train import freq_classify_train
+from ..freq.train import FreqClassifier, freq_classify_train, train_spectra
 from ..fusion.model import TfeModel
 from ..fusion.train import classify_batch, finetune_tfe, tfe_inputs
 from ..lmm.model import UnitProjector, VisibleEncoder
 from ..lmm.train import build_lmm_models, prepare_units, train_lmm
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
-from ..metrics.surrogate import train_surrogate
+from ..metrics.surrogate import SurrogateClassifier, train_surrogate
 from .checkpoint import CheckpointArchive, StageError, load_checkpoint, require_stage, save_checkpoint
 from .config import ABLATION_SKIPS, PipelineConfig
 
@@ -208,20 +211,15 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _enter_stage(cfg, paths, "freq")
     dataset, split = load_run_data(cfg, paths)
-    result = freq_classify_train(
-        dataset,
-        split,
-        n_classes=cfg.n_classes,
-        hidden=cfg.lstm_hidden,
-        epochs=cfg.epochs["freq"],
-        batch_size=cfg.batch,
-        lr=cfg.lr,
-        seed=cfg.seed,
-    )
-    extras = {"spectrum_scale": np.asarray([result.spectrum_scale], dtype=np.float32)}
-    save_stage(cfg, paths, "freq", result.history, result.model, extras=extras)
-    last = result.history[-1] if result.history else {}
-    return {"epochs": len(result.history), "val_acc": last.get("val_acc")}
+    spectra, scale = train_spectra(dataset, split)
+    # One stream draws the weights, then shuffles every epoch.
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF9E9]))
+    model = FreqClassifier(cfg.c, cfg.lstm_hidden, cfg.n_classes, rng)
+    history = freq_classify_train(model, spectra, dataset.labels, split, epochs=cfg.epochs["freq"],
+                                  batch_size=cfg.batch, lr=cfg.lr, rng=rng)
+    save_stage(cfg, paths, "freq", history, model,
+               extras={"spectrum_scale": np.asarray([scale], dtype=np.float32)})
+    return {"epochs": len(history), "val_acc": history[-1]["val_acc"] if history else None}
 
 
 def _tfe_model(cfg: PipelineConfig, rng: np.random.Generator, use_time: bool, use_freq: bool, spectrum_scale: float) -> TfeModel:
@@ -259,7 +257,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     inputs = tfe_inputs(model, dataset, cfg.n)
     history = finetune_tfe(
         model, *inputs, dataset.labels, split,
-        stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=0 if cfg.ablate == "no-finetune" else cfg.epochs["joint_ft"],
+        stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.joint_ft_epochs,
         batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed,
     )
     train_fused, test_fused = (predict(model.fused, *(None if a is None else a[rows] for a in inputs))
@@ -383,10 +381,9 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
 
     images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                     channels=cfg.latent_channels, seed=cfg.seed)
-    surrogate = train_surrogate(
-        images, labels, cfg.n_classes,
-        hidden=cfg.surrogate_hidden, epochs=cfg.surrogate_epochs, lr=3e-3, seed=cfg.seed,
-    )
+    surrogate = SurrogateClassifier(images[0].size, cfg.surrogate_hidden, cfg.n_classes,
+                                    np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A9])))
+    surrogate_train_acc = train_surrogate(surrogate, images, labels, epochs=cfg.surrogate_epochs, lr=3e-3)
 
     generated = []
     images_dir = paths.root / "generate" / "images"
@@ -403,12 +400,12 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     gt_pool = images[test.image_ids]
 
     gen_block = evaluate_generation(
-        generated, gen_labels, gt_pool, gt_pairs, surrogate.model,
+        generated, gen_labels, gt_pool, gt_pairs, surrogate,
         n_way=cfg.ga_n, top_k=cfg.ga_k, is_splits=cfg.is_splits,
     )
 
     report = MetricsReport(
-        **cls_block, **gen_block, config={**cfg.to_dict(), "surrogate_train_acc": surrogate.train_accuracy}
+        **cls_block, **gen_block, config={**cfg.to_dict(), "surrogate_train_acc": surrogate_train_acc}
     )
     report.validate_ranges()
     _write_jsonl(stage_dir / "metrics.jsonl", [json.loads(report.to_json())])

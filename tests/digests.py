@@ -1,0 +1,98 @@
+"""Committed output digests of the tiny chain and its six ablations.
+
+`tests/data/tiny_digests.json` holds the sha256 of every file each run
+writes, keyed "<mode>/<run-relative path>" ("none" is the full chain), and
+one sha256 per run of `generate_samples`' float64 latents before
+`write_ppm` quantises them, keyed "<mode>/latents".  Criteria 11 and 12
+compare their runs with it, so a change that alters any output fails Tier-1
+even when it reruns bit-identically.  The manifest names the numpy version
+and BLAS build it was made with; on another build the comparison fails
+naming both.
+
+Regenerate it (about half a minute) after a change that means to alter
+outputs, and say in CHANGES.md which files changed and why:
+
+    PYTHONPATH=src python tests/digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from brainvis_forge.pipeline import runner
+from brainvis_forge.pipeline.config import ABLATION_MODES, PipelineConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "data" / "tiny_digests.json"
+TINY = ROOT / "configs" / "tiny.json"
+
+
+def build() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+@contextlib.contextmanager
+def latent_digests():
+    """Collect one sha256 per `generate_samples` call over its latents, in order."""
+    digests: list[str] = []
+    original = runner.generate_samples
+
+    def hashed(*args, **kwargs):
+        samples = original(*args, **kwargs)
+        h = hashlib.sha256()
+        for latent, _ in samples:
+            h.update(np.asarray(latent, dtype=np.float64).tobytes())
+        digests.append(h.hexdigest())
+        return samples
+
+    runner.generate_samples = hashed
+    try:
+        yield digests
+    finally:
+        runner.generate_samples = original
+
+
+def run_digests(mode: str | None, root: Path, latents: list[str]) -> dict[str, str]:
+    """sha256 of every file under the run directory `root`, plus its latents digest."""
+    key = mode or "none"
+    found = {f"{key}/{p.relative_to(root).as_posix()}": hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(root.rglob("*")) if p.is_file()}
+    (found[f"{key}/latents"],) = latents
+    return found
+
+
+def assert_matches_manifest(mode: str | None, found: dict[str, str]) -> None:
+    manifest = json.loads(MANIFEST.read_text())
+    assert manifest["build"] == build(), (
+        f"{MANIFEST.name} was made on {manifest['build']}, this run is on {build()}; "
+        "regenerate it on this build to compare outputs")
+    prefix = f"{mode or 'none'}/"
+    want = {k: v for k, v in manifest["digests"].items() if k.startswith(prefix)}
+    differ = sorted(k for k in want.keys() | found.keys() if want.get(k) != found.get(k))
+    assert not differ, f"{len(differ)} of {len(want)} outputs differ from {MANIFEST.name}: {differ}"
+
+
+def make_manifest() -> str:
+    digests: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in (None, *ABLATION_MODES):
+            cfg = PipelineConfig.load(TINY).with_overrides(ablate=mode)
+            root = Path(tmp) / (mode or "none")
+            with latent_digests() as latents:
+                runner.run_full_chain(cfg, runner.RunPaths(root))
+            digests.update(run_digests(mode, root, latents))
+    return json.dumps({"build": build(), "digests": digests}, indent=1, sort_keys=True) + "\n"
+
+
+if __name__ == "__main__":
+    text = make_manifest()
+    MANIFEST.write_text(text)
+    print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(json.loads(text)['digests'])} digests", file=sys.stderr)

@@ -15,6 +15,7 @@ import pytest
 from brainvis_forge.autodiff import Tensor
 from brainvis_forge.pipeline.config import PipelineConfig
 from brainvis_forge.pipeline.runner import RunPaths, run_full_chain
+from digests import assert_matches_manifest, latent_digests, run_digests
 
 TINY = "configs/tiny.json"
 
@@ -164,7 +165,7 @@ def test_criterion_6_tfe_overfit():
     from dataclasses import replace
 
     from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
-    from brainvis_forge.freq import freq_classify_train
+    from brainvis_forge.freq import FreqClassifier, freq_classify_train, train_spectra
     from brainvis_forge.freq.train import spectra_matrix
     from brainvis_forge.fusion import TfeModel, finetune_tfe
     from brainvis_forge.fusion.train import tfe_inputs
@@ -188,20 +189,20 @@ def test_criterion_6_tfe_overfit():
             ffn_dim=64, sa_blocks=2, ca_blocks=2, n_codewords=64, teacher_momentum=0.99, seed=5,
         )
         train_lmm(lmm_units, lmm, mask_ratio=0.75, steps=60, batch_size=64, seed=5)
-        freq = freq_classify_train(
-            records, split, n_classes=40, hidden=48, epochs=80,
-            batch_size=32, seed=5,
-        )
+        freq_spectra, scale = train_spectra(records, split)
+        freq_rng = np.random.default_rng(np.random.SeedSequence([5, 0xF9E9]))
+        freq = FreqClassifier(8, 48, 40, freq_rng)
+        freq_classify_train(freq, freq_spectra, records.labels, split, epochs=80, batch_size=32, lr=1e-3, rng=freq_rng)
         model = TfeModel(
-            lmm.projector, lmm.encoder, freq.model.encoder,
-            Linear(32 + 48, 40, np.random.default_rng(5)), spectrum_scale=freq.spectrum_scale,
+            lmm.projector, lmm.encoder, freq.encoder,
+            Linear(32 + 48, 40, np.random.default_rng(5)), spectrum_scale=scale,
         )
         history = finetune_tfe(
             model, *tfe_inputs(model, records, 10), records.labels, split,
             stage1_epochs=25, stage2_epochs=12, batch_size=32, seed=5,
         )
         units = prepare_units(records, 10)
-        spectra = spectra_matrix(records, 100.0, freq.spectrum_scale)
+        spectra = spectra_matrix(records, 100.0, scale)
         labels = records.labels
         held = np.array(split.val + split.test)
         train_acc = history[-1]["train_acc"]
@@ -380,7 +381,8 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
         cfg = PipelineConfig.load(TINY)
         start = time.time()
         paths_a = RunPaths(tmp_path / "a")
-        report_a = run_full_chain(cfg, paths_a)
+        with latent_digests() as latents:
+            report_a = run_full_chain(cfg, paths_a)
         elapsed = time.time() - start
         assert elapsed < 600, f"chain took {elapsed:.1f}s"
         report_a.validate_ranges()
@@ -406,6 +408,7 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
             a_blob = (paths_a.root / stage / "checkpoint.bvc").read_bytes()
             b_blob = (paths_b.root / stage / "checkpoint.bvc").read_bytes()
             assert a_blob == b_blob, f"{stage} checkpoint differs between reruns"
+        assert_matches_manifest(None, run_digests(None, paths_a.root, latents))
 
 
 ALL_STAGES = {"data", "lmm", "freq", "tfe", "align", "diffusion", "generate", "evaluate"}
@@ -427,7 +430,9 @@ def test_criterion_12_ablation_harness(tmp_path, mode):
     with criterion(12, f"ablation {mode} runs to completion, echoes its switch and skips only its stages"):
         cfg = PipelineConfig.load(TINY).with_overrides(ablate=mode)
         paths = RunPaths(tmp_path / mode)
-        report = run_full_chain(cfg, paths)
+        with latent_digests() as latents:
+            report = run_full_chain(cfg, paths)
         report.validate_ranges()
         assert report.config["ablate"] == mode
         assert paths.available_stages() == ABLATION_STAGES_RUN[mode]
+        assert_matches_manifest(mode, run_digests(mode, paths.root, latents))

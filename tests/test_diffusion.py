@@ -33,6 +33,14 @@ def test_alpha_bar_strictly_decreasing_and_terminal(schedule):
     assert schedule.alpha_bars[-1] < 0.05
 
 
+def test_validate_rejects_alpha_bar_0_one_ulp_below_one(schedule):
+    # The rest of the chain still decreases strictly, so only the alpha_bar_0 rule can refuse this.
+    bad = NoiseSchedule(schedule.T, schedule.betas, schedule.alphas, schedule.alpha_bars.copy())
+    bad.alpha_bars[0] = np.nextafter(1.0, 0.0)
+    with pytest.raises(ValueError, match="alpha_bar_0 must be exactly 1"):
+        bad.validate()
+
+
 def test_forward_identity_at_t0(schedule):
     x0 = np.random.default_rng(0).standard_normal((3, 4, 4))
     out = forward_diffuse(schedule, x0, 0, np.random.default_rng(1).standard_normal(x0.shape))

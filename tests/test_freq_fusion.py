@@ -9,7 +9,7 @@ from brainvis_forge.autodiff import Tensor, active_tape, concat, tmean
 from brainvis_forge.autodiff.nn import Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import ShapeError
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, split_by_image, zscore_channels
-from brainvis_forge.freq import freq_classify_train, spectra_matrix
+from brainvis_forge.freq import FreqClassifier, freq_classify_train, spectra_matrix, train_spectra
 from brainvis_forge.freq import train as freq_train
 from brainvis_forge.fusion import finetune_tfe
 from brainvis_forge.fusion.model import TfeModel
@@ -29,6 +29,16 @@ def test_lstm_input_dim_mismatch_rejected_not_broadcast():
         enc(Tensor(np.zeros((2, 5, 7), dtype=np.float32)))
 
 
+def _train_freq(records, split, n_classes, hidden, seed, *, epochs, batch_size, lr=1e-3):
+    """A fresh FreqClassifier trained on `train_spectra`, as the freq stage does: (model, scale, history)."""
+    spectra, scale = train_spectra(records, split)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF9E9]))
+    model = FreqClassifier(spectra.shape[2], hidden, n_classes, rng)
+    history = freq_classify_train(model, spectra, records.labels, split, epochs=epochs, batch_size=batch_size, lr=lr,
+                                  rng=rng)
+    return model, scale, history
+
+
 def test_freq_training_separable_classes_reach_full_train_accuracy():
     # noise-free, spectrally separable: must hit 1.0 within 50 epochs
     spec = SyntheticGenSpec(
@@ -38,9 +48,8 @@ def test_freq_training_separable_classes_reach_full_train_accuracy():
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
     split = split_by_image(records, seed=3)
-    result = freq_classify_train(records, split, n_classes=4, hidden=16, epochs=50,
-                                 batch_size=16, lr=3e-3, seed=4)
-    assert max(h["train_acc"] for h in result.history) == 1.0
+    _, _, history = _train_freq(records, split, 4, 16, 4, epochs=50, batch_size=16, lr=3e-3)
+    assert max(h["train_acc"] for h in history) == 1.0
 
 
 def test_freq_training_deterministic_same_seed():
@@ -50,15 +59,14 @@ def test_freq_training_deterministic_same_seed():
     split = split_by_image(records, seed=5)
 
     def curve():
-        r = freq_classify_train(records, split, n_classes=3, hidden=8, epochs=5,
-                                batch_size=8, seed=9)
-        return [(h["loss"], h["train_acc"]) for h in r.history]
+        _, _, history = _train_freq(records, split, 3, 8, 9, epochs=5, batch_size=8)
+        return [(h["loss"], h["train_acc"]) for h in history]
 
     assert curve() == curve()
 
 
 def test_freq_trains_on_the_spectra_tfe_is_fed(monkeypatch):
-    """The scaled spectra `freq_classify_train` trains and scores on are
+    """The scaled spectra the freq stage trains and scores on (`train_spectra`) are
     `spectra_matrix(dataset, scale=s)`, which the tfe stage feeds the encoder."""
     spec = SyntheticGenSpec(n_classes=3, records_per_class=6, c=4, l=40, seed=5, sample_rate=100.0)
     raw = generate_synthetic(spec)
@@ -71,8 +79,8 @@ def test_freq_trains_on_the_spectra_tfe_is_fed(monkeypatch):
         return predict(fn, rows, *args, **kwargs)
 
     monkeypatch.setattr(freq_train, "predict", spy)
-    result = freq_classify_train(records, split, n_classes=3, hidden=8, epochs=1, batch_size=8, seed=9)
-    want = spectra_matrix(records, scale=result.spectrum_scale)
+    _, scale, _ = _train_freq(records, split, 3, 8, 9, epochs=1, batch_size=8)
+    want = spectra_matrix(records, scale=scale)
     assert np.array_equal(seen[0], want[split.train])
     assert np.array_equal(seen[1], want[split.val])
 
@@ -161,13 +169,14 @@ def staged_setup():
     lmm = build_lmm_models(unit_dim=units.shape[2], n_units=10, d=16, n_heads=2, ffn_dim=32, sa_blocks=1,
                            ca_blocks=1, n_codewords=16, teacher_momentum=0.99, seed=6)
     train_lmm(units, lmm, mask_ratio=0.75, steps=20, batch_size=32, seed=6)
-    freq = freq_classify_train(records, split, n_classes=4, hidden=8, epochs=15,
-                               batch_size=16, seed=6)
-    return records, split, lmm, freq
+    freq_model, scale, _ = _train_freq(records, split, 4, 8, 6, epochs=15, batch_size=16)
+    return records, split, lmm, (freq_model, scale)
 
 
 def _finetune(records, split, lmm, freq, **kw):
-    """Fine-tune a TfeModel over the pretrained branches; `lmm=None` cold-starts the time branch."""
+    """Fine-tune a TfeModel over the pretrained branches, `freq` being (classifier, spectrum scale);
+    `lmm=None` cold-starts the time branch."""
+    freq_model, scale = freq
     rng = np.random.default_rng(6)
     if lmm is not None:
         projector, encoder = lmm.projector, lmm.encoder
@@ -175,7 +184,7 @@ def _finetune(records, split, lmm, freq, **kw):
         c, l = records[0].x.shape
         projector, encoder = UnitProjector(c * (l // 10), 16, 10, rng), VisibleEncoder(16, 2, 32, 1, rng)
     model = TfeModel(
-        projector, encoder, freq.model.encoder, Linear(16 + 8, 4, rng), spectrum_scale=freq.spectrum_scale
+        projector, encoder, freq_model.encoder, Linear(16 + 8, 4, rng), spectrum_scale=scale
     )
     args = dict(stage1_epochs=10, stage2_epochs=5, batch_size=16, seed=6)
     args.update(kw)
@@ -197,7 +206,7 @@ def test_stage2_skippable_for_ablation(staged_setup):
 
 def test_stage2_without_stage1_requires_override(staged_setup):
     records, split, lmm, freq = staged_setup
-    with pytest.raises(RuntimeError, match="stage 2 requires stage 1"):
+    with pytest.raises(ValueError, match="stage 2 requires stage 1"):
         _finetune(records, split, lmm, freq, stage1_epochs=0)
 
 

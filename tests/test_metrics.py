@@ -353,6 +353,7 @@ def test_metrics_report_range_validation():
     [
         (12, 3, False),  # the tiny chain: 3 test records x 4 samples
         (33, 32, False),  # the reference pool only matches the 32 feature dims
+        (32, 33, False),  # and here the generated set
         (800, 200, True),  # a 40 x 50 set: 200 test records x 4 samples
     ],
 )
@@ -388,14 +389,14 @@ def test_evaluate_generation_perfect_bound():
     # Feeding the ground-truth images back as "generated" must score
     # perfectly: GA 1, FID ~0, SSIM 1 (given an overfit surrogate).
     from brainvis_forge.data import make_image_set
-    from brainvis_forge.metrics import evaluate_generation, train_surrogate
+    from brainvis_forge.metrics import SurrogateClassifier, evaluate_generation, train_surrogate
 
     images, labels = make_image_set(4, 6, size=8, seed=3)
-    surrogate = train_surrogate(images, labels, 4, hidden=32, epochs=200, seed=0)
-    assert surrogate.train_accuracy == 1.0
+    surrogate = SurrogateClassifier(images[0].size, 32, 4, np.random.default_rng(np.random.SeedSequence([0, 0x5A9])))
+    assert train_surrogate(surrogate, images, labels, epochs=200, lr=3e-3) == 1.0
 
     block = evaluate_generation(
-        images, labels, images, images, surrogate.model, n_way=4, top_k=1,
+        images, labels, images, images, surrogate, n_way=4, top_k=1,
     )
     assert block["ga"] == 1.0
     assert abs(block["fid"]) < 1e-4  # eigendecomposition noise scales with feature magnitude

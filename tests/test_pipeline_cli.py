@@ -89,6 +89,14 @@ def test_config_rejects_bad_fields():
         "sinusoids_per_class=3"
     )):
         tiny_config(l=10, sinusoids_per_class=3)
+    # Joint fine-tuning without stage 1 would fail only in finetune-tfe, after lmm and freq had trained;
+    # no-finetune runs no stage 2, so the same epochs load under it.
+    epochs = {**tiny_config().epochs, "time_ft": 0, "joint_ft": 10}
+    with pytest.raises(ValueError, match=re.escape(
+        "PipelineConfig: epochs time_ft=0, joint_ft=10: stage 2 requires stage 1"
+    )):
+        tiny_config(epochs=epochs)
+    assert tiny_config(epochs=epochs, ablate="no-finetune").joint_ft_epochs == 0
 
 
 def test_config_json_roundtrip(tmp_path):

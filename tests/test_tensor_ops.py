@@ -15,6 +15,7 @@ from brainvis_forge.autodiff import (
     backward,
     concat,
     gelu,
+    log_softmax,
     matmul,
     no_grad,
     reshape,
@@ -54,6 +55,19 @@ def test_matmul_shape_error_names_op_and_shapes():
 def test_softmax_uniform_on_zeros():
     out = softmax(Tensor(np.zeros(4, dtype=np.float64)))
     np.testing.assert_allclose(out.data, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e3, -1e3])
+def test_softmax_and_log_softmax_of_large_logits_are_finite_and_exact(offset):
+    # Every logit minus the row max is exact here, so shifting by the max
+    # must reproduce the results for the unshifted row to the bit.
+    base = np.array([[0.0, -1.0, -2.0, -3.5]])
+    closed = {softmax: np.exp(base) / np.exp(base).sum(), log_softmax: base - np.log(np.exp(base).sum())}
+    for op, want in closed.items():
+        got = op(Tensor(base + offset)).data
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == op(Tensor(base)).data.tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 def test_cross_entropy_uniform_is_log_classes():
