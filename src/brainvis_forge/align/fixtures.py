@@ -1,32 +1,22 @@
-"""Semantic embedding fixtures in the BVE1 container.
+"""Semantic embedding fixtures, stored as one BVC archive (format in binio).
 
 Each stimulus image carries two target vectors: a coarse label-level
 direction and a finer caption-level variant.  `SemanticFixtures` holds them
 as one table whose row i is image id i: `labels[i]` is the image's class,
 `c_label[i]` and `c_cap[i]` its two targets.  Fixture files stand in for
 external embedding models, so the alignment stage is fully reproducible
-offline.
-
-Layout (little-endian):
-    magic "BVE1" | u32 version=1 | u32 n_entries | u32 e
-    per entry: u32 class_label | u32 image_id | e float32 (label vec)
-               | e float32 (caption vec)
-    trailer: u32 CRC32 over all entry bytes
-Entry i carries image id i.
+offline.  The archive, tagged stage "data", holds the table's three
+columns under their field names: labels (I,) int64, c_label and c_cap
+(I, e) float32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from io import BytesIO
-from pathlib import Path
 
 import numpy as np
 
-from ..binio import FileFormatError, check_crc, crc_bytes, expect_magic, pack_u32, read_exact, unpack_u32, write_whole
-
-MAGIC = b"BVE1"
-VERSION = 1
+from ..binio import CheckpointArchive, load_checkpoint, save_checkpoint
 
 
 class MissingTargetError(KeyError):
@@ -76,38 +66,19 @@ class SemanticFixtures:
         return self.c_cap[image_ids], self.c_label[image_ids]
 
 
-def _entry_dtype(e: int) -> np.dtype:
-    return np.dtype([("ids", "<u4", (2,)), ("label", "<f4", (e,)), ("cap", "<f4", (e,))])
-
-
 def write_fixtures(path, fixtures: SemanticFixtures) -> None:
-    entries = np.empty(len(fixtures), _entry_dtype(fixtures.e))
-    entries["ids"][:, 0] = fixtures.labels
-    entries["ids"][:, 1] = np.arange(len(fixtures))
-    entries["label"] = fixtures.c_label
-    entries["cap"] = fixtures.c_cap
-    payload = entries.tobytes()
-    write_whole(path, [MAGIC, pack_u32(VERSION, len(fixtures), fixtures.e), payload, crc_bytes(payload)])
+    tensors = {"labels": fixtures.labels, "c_label": fixtures.c_label, "c_cap": fixtures.c_cap}
+    save_checkpoint(path, CheckpointArchive(tensors, "data"))
 
 
 def load_fixtures(path) -> SemanticFixtures:
-    buf = BytesIO(Path(path).read_bytes())
-    expect_magic(buf, MAGIC, VERSION)
-    n_entries, e = unpack_u32(buf, 2, "header")
-    dtype = _entry_dtype(e)
-    payload = read_exact(buf, dtype.itemsize * n_entries, "entries")
-    check_crc(payload, buf)
-
-    entries = np.frombuffer(payload, dtype)
-    out_of_order = entries["ids"][:, 1] != np.arange(n_entries)
-    if out_of_order.any():
-        i = int(np.argmax(out_of_order))
-        raise FileFormatError(f"entry {i} carries image id {entries['ids'][i, 1]}, expected {i}")
-    zero = (np.linalg.norm(entries["label"], axis=1) == 0.0) | (np.linalg.norm(entries["cap"], axis=1) == 0.0)
+    t = load_checkpoint(path).tensors
+    fixtures = SemanticFixtures(t["labels"], t["c_label"], t["c_cap"])
+    zero = (np.linalg.norm(fixtures.c_label, axis=1) == 0.0) | (np.linalg.norm(fixtures.c_cap, axis=1) == 0.0)
     if zero.any():
-        class_label, image_id = entries["ids"][int(np.argmax(zero))]
-        raise ZeroNormTargetError(f"entry ({class_label}, {image_id}) has a zero-norm vector")
-    return SemanticFixtures(entries["ids"][:, 0], entries["label"], entries["cap"])
+        i = int(np.argmax(zero))
+        raise ZeroNormTargetError(f"entry ({fixtures.labels[i]}, {i}) has a zero-norm vector")
+    return fixtures
 
 
 def generate_fixtures(

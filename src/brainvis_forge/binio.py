@@ -1,17 +1,38 @@
-"""Little-endian binary I/O helpers shared by the BVD1/BVE1/BVC1 formats.
+"""The BVC container, the one format in which a run stores arrays.
 
-Every format is: fixed header (magic + version + counts), payload blocks,
-then a trailing CRC32 of the payload bytes (everything between header and
-trailer).  `write_whole` puts a file on disk whole or not at all.
+The dataset, the semantic fixtures and every stage checkpoint are BVC
+archives: named tensors plus a stage tag and a config snapshot.
+
+Layout (little-endian):
+    magic "BVC1" | u32 version=2 | u32 n_tensors
+    per tensor: u16 name length | name bytes (utf-8) | u8 dtype code
+                | u8 rank | rank * u32 dims | data
+    trailer: u32 CRC32 over all tensor bytes
+Dtype code 0 is float32 and 1 is int64: integer tensors are stored as
+int64 and every other tensor as float32.  Tensors are written in sorted
+name order for byte-stable output.  The stage tag and config snapshot ride
+in a JSON sidecar ({path}.meta.json): the binary body stays pure tensor
+data and the snapshot stays human-readable.  The sidecar is required;
+`load_checkpoint` raises FileNotFoundError, naming it, when it is missing.
+`write_whole` puts a file on disk whole or not at all.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import zlib
+from dataclasses import dataclass, field
+from io import BytesIO
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
+
+MAGIC = b"BVC1"
+VERSION = 2
+DTYPES = (np.dtype("<f4"), np.dtype("<i8"))  # indexed by dtype code
 
 
 class FileFormatError(ValueError):
@@ -19,7 +40,7 @@ class FileFormatError(ValueError):
 
 
 class UnsupportedFormatError(FileFormatError):
-    """Magic bytes or version do not match the expected format."""
+    """Magic bytes, version or dtype code do not match the format."""
 
 
 class ChecksumError(FileFormatError):
@@ -30,39 +51,15 @@ class TruncatedError(FileFormatError):
     """File ended before the declared content was read."""
 
 
-def read_exact(buf, n: int, what: str) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise TruncatedError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
-    return data
+@dataclass
+class CheckpointArchive:
+    tensors: dict[str, np.ndarray]
+    stage: str
+    config: dict = field(default_factory=dict)
 
 
-def expect_magic(buf, magic: bytes, version: int) -> None:
-    got = read_exact(buf, len(magic), "magic")
-    if got != magic:
-        raise UnsupportedFormatError(f"bad magic: expected {magic!r}, got {got!r}")
-    (ver,) = struct.unpack("<I", read_exact(buf, 4, "version"))
-    if ver != version:
-        raise UnsupportedFormatError(f"unsupported version {ver}, expected {version}")
-
-
-def check_crc(payload: bytes, buf) -> None:
-    (stored,) = struct.unpack("<I", read_exact(buf, 4, "checksum"))
-    actual = zlib.crc32(payload) & 0xFFFFFFFF
-    if stored != actual:
-        raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
-
-
-def crc_bytes(payload: bytes) -> bytes:
+def crc_bytes(payload) -> bytes:
     return struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-
-
-def pack_u32(*values: int) -> bytes:
-    return struct.pack(f"<{len(values)}I", *values)
-
-
-def unpack_u32(buf, count: int, what: str) -> tuple[int, ...]:
-    return struct.unpack(f"<{count}I", read_exact(buf, 4 * count, what))
 
 
 def write_whole(path, chunks: Iterable[bytes]) -> None:
@@ -79,3 +76,73 @@ def write_whole(path, chunks: Iterable[bytes]) -> None:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
+
+
+def save_checkpoint(path, archive: CheckpointArchive) -> None:
+    body = BytesIO()
+    for name in sorted(archive.tensors):
+        tensor = np.asarray(archive.tensors[name])
+        code = int(np.issubdtype(tensor.dtype, np.integer))
+        arr = np.ascontiguousarray(tensor, dtype=DTYPES[code])
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"save_checkpoint: tensor name too long ({len(encoded)} bytes)")
+        body.write(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded, code, arr.ndim, *arr.shape))
+        body.write(arr.tobytes())
+    payload = body.getvalue()
+
+    # The .bvc is a stage's done-marker, so it appears last and whole: the
+    # sidecar first, then the body.
+    meta = {"stage": archive.stage, "version": VERSION, "config": archive.config}
+    write_whole(str(path) + ".meta.json", [json.dumps(meta, indent=2, sort_keys=True).encode()])
+    write_whole(path, [MAGIC, struct.pack("<2I", VERSION, len(archive.tensors)), payload, crc_bytes(payload)])
+
+
+def load_checkpoint(path) -> CheckpointArchive:
+    """Read an archive, copying each tensor once out of the file's bytes.
+
+    Every header is parsed and the checksum verified before any tensor is
+    built; a file that ends early raises TruncatedError."""
+    path = Path(path)
+    raw = path.read_bytes()
+    pos = 0
+
+    def take(n: int, what: str) -> int:
+        """Step over the next n bytes and return where they start."""
+        nonlocal pos
+        if pos + n > len(raw):
+            raise TruncatedError(f"truncated file: expected {n} bytes for {what}, got {len(raw) - pos}")
+        pos += n
+        return pos - n
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt), what))
+
+    (magic,) = unpack("<4s", "magic")
+    if magic != MAGIC:
+        raise UnsupportedFormatError(f"bad magic: expected {MAGIC!r}, got {magic!r}")
+    version, n_tensors = unpack("<2I", "header")
+    if version != VERSION:
+        raise UnsupportedFormatError(f"unsupported version {version}, expected {VERSION}")
+
+    entries = []
+    for _ in range(n_tensors):
+        (name_len,) = unpack("<H", "name length")
+        (name,) = unpack(f"<{name_len}s", "name")
+        code, rank = unpack("<BB", "dtype code and rank")
+        dims = unpack(f"<{rank}I", "dims")
+        if code >= len(DTYPES):
+            raise UnsupportedFormatError(f"tensor {name!r}: unknown dtype code {code}")
+        count = int(np.prod(dims))
+        offset = take(count * DTYPES[code].itemsize, f"tensor {name!r}")
+        entries.append((name, DTYPES[code], count, dims, offset))
+    end = pos
+    (stored,) = unpack("<I", "checksum")
+    actual = zlib.crc32(memoryview(raw)[12:end]) & 0xFFFFFFFF
+    if stored != actual:
+        raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
+
+    tensors = {name.decode("utf-8"): np.frombuffer(raw, dtype, count, offset).reshape(dims).copy()
+               for name, dtype, count, dims, offset in entries}
+    meta = json.loads(Path(str(path) + ".meta.json").read_text())
+    return CheckpointArchive(tensors=tensors, stage=meta["stage"], config=meta["config"])

@@ -2,13 +2,12 @@
 
 from .bvd import load_dataset, write_dataset
 from .images import make_image_set
-from .records import DatasetHeader, DatasetSplit, EegDataset, EegRecord, zscore_channels
+from .records import DatasetSplit, EegDataset, EegRecord, zscore_channels
 from .segment import flatten_units, segment_units
 from .split import split_by_image
 from .synthetic import SyntheticGenSpec, generate_synthetic
 
 __all__ = [
-    "DatasetHeader",
     "DatasetSplit",
     "EegDataset",
     "EegRecord",

@@ -1,4 +1,4 @@
-"""Core dataset types: the trial set, its rows, headers, and splits."""
+"""Core dataset types: the trial set, its rows, and splits."""
 
 from __future__ import annotations
 
@@ -56,16 +56,6 @@ class EegDataset:
         """The subset at `indices`, in their order."""
         idx = np.asarray(indices, dtype=np.int64)
         return EegDataset(self.x[idx], self.labels[idx], self.subjects[idx], self.image_ids[idx])
-
-
-@dataclass
-class DatasetHeader:
-    n_records: int
-    c: int
-    l: int
-    n_classes: int
-    normalized: bool
-    version: int = 1
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 Layout: {run_dir}/{stage}/ holding config.json (snapshot), metrics.jsonl
 (per-epoch or per-step log lines), checkpoint.bvc (+ .meta.json sidecar),
-and for generation an images/ directory plus provenance.jsonl.
+and for generation an images/ directory plus provenance.jsonl.  gen-data
+writes data/fixtures.bvc and data/dataset.bvc instead of a checkpoint: every
+array a run stores is a BVC archive (binio).  The trials are z-scored once,
+there, so every later stage reads them as stored.
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
 the function that runs it, the file that marks it done and the stages whose
@@ -10,9 +13,10 @@ outputs it reads; every stage checks those before doing any work, and an
 ablation drops the stages it skips (config.ABLATION_SKIPS) from the chain and
 from the prerequisites.  Every stage file but the generated images appears
 whole, through a temporary file and a rename (`binio.write_whole`), and the
-marker comes last (metrics.jsonl and the sidecar before checkpoint.bvc; the
-images before provenance.jsonl), so a stage that fails mid-write is not done.  Training stages hand weights on only through `save_stage` and
-`load_stage` (key layout in pipeline.checkpoint), each checkpoint holding the
+marker comes last (metrics.jsonl and the sidecar before checkpoint.bvc or
+dataset.bvc; the images before provenance.jsonl), so a stage that fails
+mid-write is not done.  Training stages hand weights on only through
+`save_stage` and `load_stage` (key layout in pipeline.checkpoint), each checkpoint holding the
 network its stage trained under model/: tfe reads model/projector.* and
 model/encoder.* from the lmm checkpoint and model/encoder.* and
 spectrum_scale from the freq checkpoint.  A network that later stages only
@@ -37,7 +41,7 @@ returns the surrogate's train accuracy, which the report records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -51,7 +55,7 @@ from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..binio import write_whole
 from ..data.bvd import load_dataset, write_dataset
 from ..data.images import make_image_set
-from ..data.records import DatasetSplit, EegDataset
+from ..data.records import DatasetSplit, EegDataset, zscore_channels
 from ..data.split import split_by_image
 from ..data.synthetic import SyntheticGenSpec, generate_synthetic
 from ..diffusion.cascade import generate_samples
@@ -171,7 +175,7 @@ def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
 
 
 def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, DatasetSplit]:
-    dataset, _ = load_dataset(paths.root / "data" / "dataset.bvd", normalize=True)
+    dataset = load_dataset(paths.root / "data" / "dataset.bvc")
     return dataset, split_by_image(dataset, seed=cfg.seed)
 
 
@@ -180,15 +184,18 @@ def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, Dat
 
 
 def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
+    """Generate the trials, z-score each channel once, and write the fixtures,
+    metrics.jsonl and last dataset.bvc, the stage's marker."""
     stage_dir = _enter_stage(cfg, paths, "data")
-    dataset = generate_synthetic(_synthetic_spec(cfg))
+    raw = generate_synthetic(_synthetic_spec(cfg))
+    dataset = replace(raw, x=zscore_channels(raw.x))
     fixtures = generate_fixtures(
         cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed, caption_offset=cfg.caption_offset
     )
-    write_fixtures(stage_dir / "fixtures.bve", fixtures)
+    write_fixtures(stage_dir / "fixtures.bvc", fixtures)
     summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
-    write_dataset(stage_dir / "dataset.bvd", dataset, n_classes=cfg.n_classes, normalized=False)
+    write_dataset(stage_dir / "dataset.bvc", dataset)
     return summary
 
 
@@ -287,7 +294,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     dataset, split = load_run_data(cfg, paths)
     train_fused, test_fused = _stored_rows(paths, "align", "tfe", train_fused=len(split.train),
                                            test_fused=len(split.test))
-    fixtures = load_fixtures(paths.root / "data" / "fixtures.bve")
+    fixtures = load_fixtures(paths.root / "data" / "fixtures.bvc")
     train = dataset.take(split.train)
 
     net = _align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])))
@@ -415,7 +422,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
 
 STAGES: dict[str, Stage] = {
     "data": Stage("gen-data", "generate the synthetic dataset and semantic fixtures", run_gen_data,
-                  "dataset.bvd", ()),
+                  "dataset.bvc", ()),
     "lmm": Stage("train-lmm", "masked-latent pretraining of the time branch", run_train_lmm,
                  "checkpoint.bvc", ("data",)),
     "freq": Stage("train-freq", "supervised pretraining of the frequency branch", run_train_freq,

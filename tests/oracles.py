@@ -4,8 +4,8 @@ Each is a pure oracle against which library code is checked: exact noise
 inversion for the reverse chain, the inverse of `segment_units`, the
 one-hot codeword map the LMM loss targets are built from, the one-image
 SSIM the batched `ssim` must match bit for bit, the one-image target
-builder `make_image_set` must match byte for byte, the per-entry BVE1
-writer whose bytes the structured `write_fixtures` must reproduce, the
+builder `make_image_set` must match byte for byte, the per-entry BVC
+writer whose bytes `write_fixtures` must reproduce, the
 per-item matmul gradients the folded ones must match in rounding, and the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
 `attention_core` and `codeword_nll` must match bit for bit.  The tape ops
@@ -18,6 +18,8 @@ gradient probes in `oracle_op_probes`.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from io import BytesIO
 
 import numpy as np
@@ -41,7 +43,6 @@ from brainvis_forge.autodiff.tensor import (
     tmean,
     tsum,
 )
-from brainvis_forge.binio import crc_bytes, pack_u32
 from brainvis_forge.diffusion import NoiseSchedule
 from brainvis_forge.lmm import Codebook
 
@@ -129,21 +130,27 @@ def make_image(class_label: int, image_id: int, size: int = 16, channels: int = 
 
 
 def write_fixtures_per_entry(path, entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]], e: int) -> None:
-    """BVE1 written one entry at a time, in dict order:
-    (class_label, image_id) -> (label vector, caption vector)."""
+    """The fixtures' BVC archive (version 2) written field by field, one
+    entry at a time: (class_label, image_id) -> (label vector, caption
+    vector), image ids 0, 1, ... in dict order.  The columns go in name
+    order, c_cap, c_label, labels, each as u16 name length, name, u8 dtype
+    code (0 float32, 1 int64), u8 rank, u32 dims, then its rows."""
+    if [image_id for _, image_id in entries] != list(range(len(entries))):
+        raise ValueError("write_fixtures_per_entry: image ids must run 0, 1, ... in order")
+    n = len(entries)
+    columns = {
+        b"c_cap": (0, (n, e), [struct.pack(f"<{e}f", *cap) for _, cap in entries.values()]),
+        b"c_label": (0, (n, e), [struct.pack(f"<{e}f", *label) for label, _ in entries.values()]),
+        b"labels": (1, (n,), [struct.pack("<q", class_label) for class_label, _ in entries]),
+    }
     body = BytesIO()
-    for (class_label, image_id), (c_label, c_cap) in entries.items():
-        if c_label.shape != (e,):
-            raise ValueError(f"write_fixtures: entry ({class_label},{image_id}) has dim {c_label.shape}, expected ({e},)")
-        body.write(pack_u32(class_label, image_id))
-        body.write(np.ascontiguousarray(c_label, dtype="<f4").tobytes())
-        body.write(np.ascontiguousarray(c_cap, dtype="<f4").tobytes())
+    for name, (code, dims, packed) in columns.items():
+        body.write(struct.pack("<H", len(name)) + name + struct.pack(f"<BB{len(dims)}I", code, len(dims), *dims))
+        body.write(b"".join(packed))
     payload = body.getvalue()
     with open(path, "wb") as fh:
-        fh.write(b"BVE1")
-        fh.write(pack_u32(1, len(entries), e))
-        fh.write(payload)
-        fh.write(crc_bytes(payload))
+        fh.write(b"BVC1" + struct.pack("<2I", 2, len(columns)) + payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def matmul_grads_per_item(g: np.ndarray, a, b) -> tuple:

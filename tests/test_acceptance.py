@@ -342,16 +342,16 @@ def test_criterion_10_persistence(tmp_path):
     from brainvis_forge.data import EegDataset, load_dataset, write_dataset
     from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
 
-    with criterion(10, "BVD1/BVE1/BVC1 round-trip bit-identically and reject corrupted checksums"):
+    with criterion(10, "dataset, fixtures and checkpoint archives round-trip bit-identically, reject bad checksums"):
         rng = np.random.default_rng(53)
 
-        bvd = tmp_path / "d.bvd"
+        bvd = tmp_path / "d.bvc"
         records = EegDataset(rng.standard_normal((6, 4, 12)).astype(np.float32), np.arange(6) % 3, np.arange(6) % 2, np.arange(6))
-        write_dataset(bvd, records, n_classes=3)
-        loaded, _ = load_dataset(bvd)
+        write_dataset(bvd, records)
+        loaded = load_dataset(bvd)
         assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, loaded))
 
-        bve = tmp_path / "f.bve"
+        bve = tmp_path / "f.bvc"
         fixtures = generate_fixtures(3, 2, e=12, seed=1)
         write_fixtures(bve, fixtures)
         loaded_fx = load_fixtures(bve)

@@ -15,7 +15,7 @@ from brainvis_forge.align import (
     write_fixtures,
 )
 from brainvis_forge.autodiff import Tensor
-from brainvis_forge.binio import ChecksumError, FileFormatError, UnsupportedFormatError
+from brainvis_forge.binio import ChecksumError, UnsupportedFormatError
 from oracles import write_fixtures_per_entry
 
 
@@ -29,7 +29,7 @@ def _entries(fixtures: SemanticFixtures) -> dict:
 
 def test_fixture_roundtrip_bit_identical(tmp_path):
     fixtures = generate_fixtures(3, 4, e=16, seed=1)
-    path = tmp_path / "f.bve"
+    path = tmp_path / "f.bvc"
     write_fixtures(path, fixtures)
     loaded = load_fixtures(path)
     assert loaded.e == 16
@@ -41,7 +41,7 @@ def test_fixture_roundtrip_bit_identical(tmp_path):
 
 def test_fixture_clip_shaped_header(tmp_path):
     fixtures = generate_fixtures(2, 2, e=768, seed=0)
-    path = tmp_path / "clip.bve"
+    path = tmp_path / "clip.bvc"
     write_fixtures(path, fixtures)
     assert load_fixtures(path).e == 768
 
@@ -57,9 +57,9 @@ def test_fixture_clip_shaped_header(tmp_path):
 )
 def test_structured_writer_bytes_equal_per_entry_oracle(tmp_path, n_classes, per_class, e):
     fixtures = generate_fixtures(n_classes, per_class, e=e, seed=5)
-    write_fixtures(tmp_path / "table.bve", fixtures)
-    write_fixtures_per_entry(tmp_path / "entries.bve", _entries(fixtures), e)
-    assert (tmp_path / "table.bve").read_bytes() == (tmp_path / "entries.bve").read_bytes()
+    write_fixtures(tmp_path / "table.bvc", fixtures)
+    write_fixtures_per_entry(tmp_path / "entries.bvc", _entries(fixtures), e)
+    assert (tmp_path / "table.bvc").read_bytes() == (tmp_path / "entries.bvc").read_bytes()
 
 
 def test_fixture_generator_deterministic_and_controlled_angle():
@@ -74,23 +74,23 @@ def test_fixture_generator_deterministic_and_controlled_angle():
 
 
 def test_fixture_bad_magic_and_crc(tmp_path):
-    path = tmp_path / "x.bve"
+    path = tmp_path / "x.bvc"
     write_fixtures(path, generate_fixtures(2, 2, e=8, seed=0))
     blob = bytearray(path.read_bytes())
     blob[0] = ord(b"Z")
-    (tmp_path / "bad_magic.bve").write_bytes(bytes(blob))
+    (tmp_path / "bad_magic.bvc").write_bytes(bytes(blob))
     with pytest.raises(UnsupportedFormatError):
-        load_fixtures(tmp_path / "bad_magic.bve")
+        load_fixtures(tmp_path / "bad_magic.bvc")
     blob = bytearray(path.read_bytes())
-    blob[20] ^= 0xFF
-    (tmp_path / "bad_crc.bve").write_bytes(bytes(blob))
+    blob[-20] ^= 0xFF  # a byte of labels, the last column
+    (tmp_path / "bad_crc.bvc").write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
-        load_fixtures(tmp_path / "bad_crc.bve")
+        load_fixtures(tmp_path / "bad_crc.bvc")
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (2).to_bytes(4, "little")
-    (tmp_path / "v2.bve").write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unsupported version 2, expected 1"):
-        load_fixtures(tmp_path / "v2.bve")
+    blob[4:8] = (1).to_bytes(4, "little")
+    (tmp_path / "v1.bvc").write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 2"):
+        load_fixtures(tmp_path / "v1.bvc")
 
 
 def test_missing_target_distinct_error():
@@ -116,26 +116,16 @@ def test_zero_norm_vector_rejected_at_load(tmp_path):
     from brainvis_forge.align import ZeroNormTargetError
 
     fixtures = SemanticFixtures([0], np.zeros((1, 8), dtype=np.float32), np.ones((1, 8), dtype=np.float32))
-    path = tmp_path / "zero.bve"
+    path = tmp_path / "zero.bvc"
     write_fixtures(path, fixtures)
     with pytest.raises(ZeroNormTargetError):
         load_fixtures(path)
 
     fixtures = generate_fixtures(2, 3, e=8, seed=4)
     fixtures.c_cap[4] = 0.0
-    path = tmp_path / "zero_row.bve"
+    path = tmp_path / "zero_row.bvc"
     write_fixtures(path, fixtures)
     with pytest.raises(ZeroNormTargetError, match=r"entry \(1, 4\)"):
-        load_fixtures(path)
-
-
-def test_out_of_order_ids_rejected_at_load(tmp_path):
-    fixtures = generate_fixtures(2, 2, e=8, seed=0)
-    entries = _entries(fixtures)
-    swapped = {key: entries[key] for key in [(0, 0), (1, 2), (0, 1), (1, 3)]}
-    path = tmp_path / "swapped.bve"
-    write_fixtures_per_entry(path, swapped, 8)
-    with pytest.raises(FileFormatError, match="entry 1 carries image id 2, expected 1"):
         load_fixtures(path)
 
 

@@ -50,7 +50,7 @@ def test_corrupted_crc_rejected(tmp_path):
     path = tmp_path / "bad.bvc"
     save_checkpoint(path, CheckpointArchive({"w": np.ones(8, dtype=np.float32)}, "lmm", {}))
     blob = bytearray(path.read_bytes())
-    blob[20] ^= 0x01
+    blob[-8] ^= 0x01  # a byte of w's data
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         load_checkpoint(path)
@@ -73,13 +73,45 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_wrong_version_rejected(tmp_path):
-    path = tmp_path / "v2.bvc"
+    path = tmp_path / "v1.bvc"
     save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (2).to_bytes(4, "little")
+    blob[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unsupported version 2, expected 1"):
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 2"):
         load_checkpoint(path)
+
+
+def test_unknown_dtype_code_rejected(tmp_path):
+    path = tmp_path / "code.bvc"
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
+    blob = bytearray(path.read_bytes())
+    assert blob[15] == 0  # after the 12-byte header, u16 name length and the name "w"
+    blob[15] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedFormatError, match="unknown dtype code 2"):
+        load_checkpoint(path)
+
+
+def test_integer_tensors_keep_int64_and_the_rest_become_float32(tmp_path):
+    ids = np.array([0, 2**40, -3], dtype=np.int64)
+    tensors = {"ids": ids, "small": np.array([1, 2], dtype=np.uint8), "x": np.array([[0.1, 2.0]]),
+               "flag": np.array([True, False])}
+    path = tmp_path / "dtypes.bvc"
+    save_checkpoint(path, CheckpointArchive(tensors, "data"))
+    loaded = load_checkpoint(path).tensors
+    assert {k: (v.dtype, v.shape) for k, v in loaded.items()} == {
+        "ids": (np.int64, (3,)), "small": (np.int64, (2,)), "x": (np.float32, (1, 2)), "flag": (np.float32, (2,))}
+    assert loaded["ids"].tolist() == ids.tolist()
+    assert loaded["x"].tobytes() == tensors["x"].astype(np.float32).tobytes()
+
+
+def test_name_length_is_capped_at_u16(tmp_path):
+    longest = "n" * 0xFFFF
+    save_checkpoint(tmp_path / "ok.bvc", CheckpointArchive({longest: np.ones(1)}, "lmm"))
+    assert list(load_checkpoint(tmp_path / "ok.bvc").tensors) == [longest]
+    with pytest.raises(ValueError, match="name too long \\(65536 bytes\\)"):
+        save_checkpoint(tmp_path / "long.bvc", CheckpointArchive({"n" * 0x10000: np.ones(1)}, "lmm"))
 
 
 def test_missing_sidecar_raises_naming_it(tmp_path):

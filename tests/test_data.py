@@ -1,4 +1,4 @@
-"""Dataset container round trips, synthetic generation, splitting, segmentation."""
+"""Dataset archive round trips, synthetic generation, splitting, segmentation."""
 
 import zlib
 
@@ -20,7 +20,9 @@ from brainvis_forge.data import (
     write_dataset,
     zscore_channels,
 )
+from brainvis_forge.data.split import SPLIT_RATIOS, _largest_remainder_counts
 from brainvis_forge.lmm.train import prepare_units
+from brainvis_forge.pipeline.checkpoint import load_checkpoint
 from oracles import make_image, reassemble_units
 
 # (R, c, l) shapes for the batched-versus-per-trial checks: odd, prime and
@@ -53,111 +55,101 @@ def _segment_one_trial(x, n):
     return np.stack([x[:, i * w : (i + 1) * w] for i in range(n)]).reshape(n, -1)
 
 
-# --- BVD1 container ---------------------------------------------------------
+# --- dataset archive --------------------------------------------------------
 
 
 def test_empty_file_roundtrip(tmp_path):
-    path = tmp_path / "empty.bvd"
-    write_dataset(path, _records(n=0, c=0, l=0), n_classes=40)
-    records, header = load_dataset(path)
+    path = tmp_path / "empty.bvc"
+    write_dataset(path, _records(n=0, c=0, l=0))
+    records = load_dataset(path)
     assert len(records) == 0 and list(records) == []
-    assert header.n_records == 0 and header.n_classes == 40
+    assert records.x.shape == (0, 0, 0)
 
 
 def test_roundtrip_bit_identical(tmp_path):
-    path = tmp_path / "d.bvd"
+    path = tmp_path / "d.bvc"
     original = _records()
-    write_dataset(path, original, n_classes=3)
-    loaded, header = load_dataset(path)
+    write_dataset(path, original)
+    loaded = load_dataset(path)
     assert len(loaded) == len(original)
     for a, b in zip(original, loaded):
         assert a.x.tobytes() == b.x.tobytes()
         assert (a.class_label, a.subject_id, a.image_id) == (b.class_label, b.subject_id, b.image_id)
-    assert not header.normalized
+    archive = load_checkpoint(path)
+    assert archive.stage == "data"
+    assert {k: v.dtype for k, v in archive.tensors.items()} == {
+        "x": np.float32, "labels": np.int64, "subjects": np.int64, "image_ids": np.int64}
 
 
 def test_bdve_shaped_header(tmp_path):
-    path = tmp_path / "b.bvd"
+    path = tmp_path / "b.bvc"
     rng = np.random.default_rng(0)
     recs = EegDataset(rng.standard_normal((1, 128, 440)).astype(np.float32), [0], [0], [0])
-    write_dataset(path, recs, n_classes=40)
-    _, header = load_dataset(path)
-    assert (header.c, header.l, header.n_classes) == (128, 440, 40)
+    write_dataset(path, recs)
+    assert load_dataset(path).x.shape == (1, 128, 440)
 
 
 def test_bad_magic_distinct_error(tmp_path):
-    path = tmp_path / "x.bvd"
+    path = tmp_path / "x.bvc"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(UnsupportedFormatError):
         load_dataset(path)
 
 
 def test_wrong_version_rejected(tmp_path):
-    path = tmp_path / "v2.bvd"
-    write_dataset(path, _records(), n_classes=3)
+    path = tmp_path / "v1.bvc"
+    write_dataset(path, _records())
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (2).to_bytes(4, "little")
+    blob[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unsupported version 2, expected 1"):
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 2"):
         load_dataset(path)
 
 
 def test_corrupted_crc_distinct_error(tmp_path):
-    path = tmp_path / "c.bvd"
-    write_dataset(path, _records(), n_classes=3)
+    path = tmp_path / "c.bvc"
+    write_dataset(path, _records())
     blob = bytearray(path.read_bytes())
-    blob[40] ^= 0xFF  # flip one payload byte
+    blob[-40] ^= 0xFF  # flip one byte of x, the last tensor
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         load_dataset(path)
 
 
 def test_truncated_distinct_error(tmp_path):
-    path = tmp_path / "t.bvd"
-    write_dataset(path, _records(), n_classes=3)
+    path = tmp_path / "t.bvc"
+    write_dataset(path, _records())
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(TruncatedError):
         load_dataset(path)
 
 
-def test_normalize_on_load_sets_flag(tmp_path):
-    path = tmp_path / "n.bvd"
-    write_dataset(path, _records(), n_classes=3)
-    records, header = load_dataset(path, normalize=True)
-    assert header.normalized
-    np.testing.assert_allclose(records[0].x.mean(axis=1), 0.0, atol=1e-5)
-
-
-def test_normalize_on_load_is_bit_identical_to_per_trial_zscore(tmp_path):
+def test_zscore_channels_is_bit_identical_to_per_trial_zscore():
     for r, c, l in BATCH_SHAPES:
         raw = _records(n=r, c=c, l=l, seed=r * l)
         raw.x *= np.linspace(0.5, 40.0, c, dtype=np.float32)[:, None]
         raw.x += 3.0
-        path = tmp_path / f"z{r}_{c}_{l}.bvd"
-        write_dataset(path, raw, n_classes=3)
-        loaded, _ = load_dataset(path, normalize=True)
+        got = zscore_channels(raw.x)
         want = np.stack([_zscore_one_trial(t) for t in raw.x])
-        assert loaded.x.dtype == np.float32 and loaded.x.flags.c_contiguous
-        assert loaded.x.tobytes() == want.tobytes(), (r, c, l)
-        assert zscore_channels(raw.x).tobytes() == want.tobytes(), (r, c, l)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (r, c, l)
 
 
 def _rewrite_last_value(path, value):
-    """Set the last sample of the last record to `value` and re-seal the CRC."""
+    """Set the last sample of the last trial to `value` and re-seal the CRC."""
     blob = bytearray(path.read_bytes())
     blob[-8:-4] = np.float32(value).tobytes()
-    blob[-4:] = zlib.crc32(bytes(blob[25:-4])).to_bytes(4, "little")
+    blob[-4:] = zlib.crc32(bytes(blob[12:-4])).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
 
 
 def test_load_rejects_nan_trial_behind_valid_crc(tmp_path):
-    path = tmp_path / "nan.bvd"
-    write_dataset(path, _records(), n_classes=3)
+    path = tmp_path / "nan.bvc"
+    write_dataset(path, _records())
     _rewrite_last_value(path, np.nan)
-    for normalize in (False, True):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            load_dataset(path, normalize=normalize)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        load_dataset(path)
 
 
 def test_dataset_rejects_inf_trial():
@@ -172,13 +164,6 @@ def test_dataset_rejects_wrongly_shaped_arrays():
         EegDataset(np.zeros((4, 12), dtype=np.float32), np.zeros(4), np.zeros(4), np.arange(4))
     with pytest.raises(ValueError, match="labels"):
         EegDataset(np.zeros((4, 2, 12), dtype=np.float32), np.zeros(3), np.zeros(4), np.arange(4))
-
-
-def test_write_rejects_ids_outside_u32(tmp_path):
-    data = _records()
-    data.subjects[3] = -1
-    with pytest.raises(ValueError, match="u32"):
-        write_dataset(tmp_path / "neg.bvd", data, n_classes=3)
 
 
 def test_dataset_rows_view_the_array_and_take_subsets():
@@ -278,6 +263,11 @@ def test_split_ten_images_is_8_1_1():
     records = _images(np.arange(10))
     split = split_by_image(records, seed=0)
     assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
+
+
+def test_split_counts_break_remainder_ties_by_index():
+    # 15 images: quotas 12, 1.5, 1.5; the one leftover image goes to the earlier tie, val.
+    assert _largest_remainder_counts(15, SPLIT_RATIOS) == [12, 2, 1]
 
 
 def test_split_fewer_than_ten_images_rejected():

@@ -348,6 +348,19 @@ def test_metrics_report_range_validation():
         report.validate_ranges()
 
 
+@pytest.mark.parametrize("ssim_mean, ok", [(1.0, True), (-1.0, True), (1.0 + 1e-8, False), (-1.0 - 1e-8, False)])
+def test_metrics_report_accepts_ssim_at_its_bounds_only(ssim_mean, ok):
+    report = MetricsReport(
+        top1_ca=0.5, top3_ca=0.8, top5_ca=0.9, f1_macro=0.4, ga=0.45,
+        is_mean=3.2, is_std=0.1, fid=12.5, ssim_mean=ssim_mean,
+    )
+    if ok:
+        report.validate_ranges()
+    else:
+        with pytest.raises(ValueError, match="ssim_mean"):
+            report.validate_ranges()
+
+
 @pytest.mark.parametrize(
     "n_generated, n_reference, valid",
     [

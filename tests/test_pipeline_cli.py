@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brainvis_forge.data.synthetic import generate_synthetic
 from brainvis_forge.pipeline.checkpoint import StageError
 from brainvis_forge.pipeline.cli import main
 from brainvis_forge.pipeline.config import PipelineConfig
-from brainvis_forge.pipeline.runner import RunPaths, run_gen_data, run_train_lmm
+from brainvis_forge.pipeline.runner import RunPaths, _synthetic_spec, load_run_data, run_gen_data, run_train_lmm
 
 TINY = "configs/tiny.json"
 
@@ -172,8 +173,28 @@ def test_gen_data_deterministic_bytes(tmp_path):
     a, b = RunPaths(tmp_path / "a"), RunPaths(tmp_path / "b")
     run_gen_data(cfg, a)
     run_gen_data(cfg, b)
-    for name in ("dataset.bvd", "fixtures.bve"):
+    for name in ("dataset.bvc", "fixtures.bvc"):
         assert (a.root / "data" / name).read_bytes() == (b.root / "data" / name).read_bytes()
+
+
+def test_gen_data_stores_the_trials_zscored_once(tmp_path):
+    cfg = tiny_config()
+    paths = RunPaths(tmp_path / "run")
+    run_gen_data(cfg, paths)
+    raw = generate_synthetic(_synthetic_spec(cfg))
+    mu, sd = raw.x.mean(axis=2, keepdims=True), raw.x.std(axis=2, keepdims=True)
+    stored, _ = load_run_data(cfg, paths)
+    assert stored.x.tobytes() == ((raw.x - mu) / np.maximum(sd, 1e-8)).astype(np.float32).tobytes()
+    assert stored.labels.tolist() == raw.labels.tolist() and stored.image_ids.tolist() == raw.image_ids.tolist()
+
+
+def test_a_run_directory_from_before_the_bvc_dataset_fails_loudly(tmp_path):
+    cfg = tiny_config()
+    paths = RunPaths(tmp_path / "run")
+    # A BVD1 header (magic, version 1, counts, flag) is all such a directory needs to hold.
+    paths.stage_dir("data").joinpath("dataset.bvd").write_bytes(b"BVD1" + (1).to_bytes(4, "little") + bytes(17))
+    with pytest.raises(StageError, match="requires 'data'"):
+        run_train_lmm(cfg, paths)
 
 
 def test_stage_without_prerequisites_fails(tmp_path):
@@ -194,7 +215,8 @@ def test_stage_writes_config_snapshot_and_metrics(tmp_path):
 
 @pytest.mark.parametrize("stage, failing", [("data", "_write_jsonl"), ("freq", "_write_jsonl"), ("freq", "crc_bytes")])
 def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, stage, failing):
-    from brainvis_forge.pipeline import checkpoint, runner
+    from brainvis_forge import binio
+    from brainvis_forge.pipeline import runner
 
     def fail(*args, **kwargs):
         raise OSError("disk full")
@@ -204,7 +226,7 @@ def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, sta
     if stage != "data":
         run_gen_data(cfg, paths)
     # _write_jsonl writes metrics.jsonl; crc_bytes runs while the checkpoint body is written.
-    monkeypatch.setattr(runner if failing == "_write_jsonl" else checkpoint, failing, fail)
+    monkeypatch.setattr(runner if failing == "_write_jsonl" else binio, failing, fail)
     with pytest.raises(OSError, match="disk full"):
         runner.STAGES[stage].run(cfg, paths)
     assert stage not in paths.available_stages()
@@ -362,8 +384,8 @@ def test_cli_seed_override_changes_data(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     main(["--config", TINY, "--run-dir", a, "gen-data"])
     main(["--config", TINY, "--run-dir", b, "--seed", "99", "gen-data"])
-    blob_a = (tmp_path / "a" / "data" / "dataset.bvd").read_bytes()
-    blob_b = (tmp_path / "b" / "data" / "dataset.bvd").read_bytes()
+    blob_a = (tmp_path / "a" / "data" / "dataset.bvc").read_bytes()
+    blob_b = (tmp_path / "b" / "data" / "dataset.bvc").read_bytes()
     assert blob_a != blob_b
 
 
