@@ -83,7 +83,7 @@ def save_checkpoint(path, archive: CheckpointArchive) -> None:
     for name in sorted(archive.tensors):
         tensor = np.asarray(archive.tensors[name])
         code = int(np.issubdtype(tensor.dtype, np.integer))
-        arr = np.ascontiguousarray(tensor, dtype=DTYPES[code])
+        arr = np.asarray(tensor, dtype=DTYPES[code], order="C")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"save_checkpoint: tensor name too long ({len(encoded)} bytes)")

@@ -1,4 +1,4 @@
-"""Frequency branch: mixed-radix FFT features and a recurrent classifier."""
+"""Frequency branch: FFT magnitude features and a recurrent classifier."""
 
 # The function `fft` shadows its submodule's name on purpose: perfbench's medium_train check calls `freq.fft(x, axis)`.
 from .fft import FreqSequence, fft, fft_magnitude

@@ -13,12 +13,17 @@ import numpy as np
 from ..data.records import zscore_channels
 
 
+def check_codebook_dims(unit_dim: int, n_entries: int, what: str) -> None:
+    """Raise ValueError naming `what` unless units have values and there are at least two codewords."""
+    if unit_dim < 1 or n_entries < 2:
+        raise ValueError(f"{what} bad dims unit_dim={unit_dim}, n_entries={n_entries}")
+
+
 class Codebook:
     """Immutable tokenizer: flattened unit (c * l/n values) -> index in [0, n_t)."""
 
     def __init__(self, unit_dim: int, n_entries: int, rng: np.random.Generator):
-        if unit_dim < 1 or n_entries < 2:
-            raise ValueError(f"Codebook: bad dims unit_dim={unit_dim}, n_entries={n_entries}")
+        check_codebook_dims(unit_dim, n_entries, "Codebook:")
         self.unit_dim = unit_dim
         self.n_entries = n_entries
         weight = rng.standard_normal((unit_dim, n_entries)) / np.sqrt(unit_dim)

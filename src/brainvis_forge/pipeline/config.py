@@ -20,6 +20,7 @@ from ..data.split import MIN_IMAGES, SPLIT_RATIOS, _largest_remainder_counts
 from ..data.synthetic import check_signal_length, check_signature_count
 from ..diffusion.cascade import switch_step
 from ..fusion.train import check_stage_epochs
+from ..lmm.tokenizer import check_codebook_dims
 from ..metrics.generation import check_ssim_size
 
 # Stages each ablation mode (None: the full chain) never runs; they drop out
@@ -148,6 +149,8 @@ class PipelineConfig:
             raise ValueError(f"PipelineConfig: ga_k={self.ga_k} outside [1, ga_n)")
         if self.ablate is not None and self.ablate not in ABLATION_MODES:
             raise ValueError(f"PipelineConfig: ablate={self.ablate!r} not one of {ABLATION_MODES}")
+        if "lmm" not in ABLATION_SKIPS[self.ablate]:
+            check_codebook_dims(self.unit_dim, self.n_t, f"PipelineConfig: n_t={self.n_t} makes the lmm Codebook:")
         required_epochs = {"lmm", "freq", "time_ft", "joint_ft", "align"}
         if set(self.epochs) != required_epochs:
             raise ValueError(f"PipelineConfig: epochs must have keys {sorted(required_epochs)}")

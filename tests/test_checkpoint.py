@@ -106,6 +106,15 @@ def test_integer_tensors_keep_int64_and_the_rest_become_float32(tmp_path):
     assert loaded["x"].tobytes() == tensors["x"].astype(np.float32).tobytes()
 
 
+def test_zero_dim_tensors_keep_their_shape(tmp_path):
+    tensors = {"scale": np.array(2.5), "step": np.array(7, dtype=np.int32)}
+    path = tmp_path / "scalars.bvc"
+    save_checkpoint(path, CheckpointArchive(tensors, "freq"))
+    loaded = load_checkpoint(path).tensors
+    assert {k: (v.dtype, v.shape) for k, v in loaded.items()} == {"scale": (np.float32, ()), "step": (np.int64, ())}
+    assert loaded["scale"].item() == 2.5 and loaded["step"].item() == 7
+
+
 def test_name_length_is_capped_at_u16(tmp_path):
     longest = "n" * 0xFFFF
     save_checkpoint(tmp_path / "ok.bvc", CheckpointArchive({longest: np.ones(1)}, "lmm"))

@@ -242,7 +242,7 @@ def test_fid_closed_form_commuting_covariances():
 
 
 def test_fid_dim_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fid: feature dims differ"):
         fid(np.zeros((10, 3)), np.zeros((10, 4)))
 
 
@@ -279,7 +279,7 @@ def test_ssim_constant_images_closed_form():
 
 
 def test_ssim_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ssim: shapes differ"):
         ssim(np.zeros((3, 16, 16)), np.zeros((3, 8, 8)))
 
 

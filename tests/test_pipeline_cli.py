@@ -98,6 +98,10 @@ def test_config_rejects_bad_fields():
     )):
         tiny_config(epochs=epochs)
     assert tiny_config(epochs=epochs, ablate="no-finetune").joint_ft_epochs == 0
+    # A one-entry codebook would fail only in train-lmm, after gen-data; no-time never builds one.
+    with pytest.raises(ValueError, match=re.escape("PipelineConfig: n_t=1 makes the lmm Codebook: bad dims")):
+        tiny_config(n_t=1)
+    assert tiny_config(n_t=1, ablate="no-time").n_t == 1
 
 
 def test_config_json_roundtrip(tmp_path):
