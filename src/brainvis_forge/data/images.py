@@ -24,7 +24,8 @@ def make_image_set(
     images_per_class: int,
     size: int = 16,
     channels: int = 3,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(images (I, channels, size, size) float32, class labels (I,)), row i image id i."""
     images = np.empty((n_classes * images_per_class, channels, size, size), dtype=np.float32)

@@ -96,8 +96,8 @@ def generate_samples(
     c_eeg: np.ndarray,
     predicted_labels: np.ndarray,
     rho: float,
-    n_samples: int = 4,
-    master_seed: int = 0,
+    n_samples: int,
+    master_seed: int,
     mode: str = "cascade",
 ) -> list[tuple[np.ndarray, GenerationProvenance]]:
     """Draw `n_samples` latents for each of R records under the requested mode.

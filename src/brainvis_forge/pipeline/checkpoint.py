@@ -7,9 +7,9 @@ Key layout:
                      and train_c_eeg, test_c_eeg (align)
 where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
 Optimizer state is not saved: no stage resumes from a checkpoint.
-Which later stage reads which keys is documented in the runner.  gen-data's
-dataset and fixtures archives carry the stage tag "data"; their keys are
-documented in data.bvd and align.fixtures.
+Which stage reads which archive is declared in its runner.STAGES row.
+gen-data's dataset and fixtures archives carry the stage tag "data"; their
+keys are documented in data.bvd and align.fixtures.
 """
 
 from __future__ import annotations

@@ -8,24 +8,21 @@ array a run stores is a BVC archive (binio).  The trials are z-scored once,
 there, so every later stage reads them as stored.
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
-the function that runs it, the file that marks it done and the stages whose
-outputs it reads; every stage checks those before doing any work, and an
-ablation drops the stages it skips (config.ABLATION_SKIPS) from the chain and
-from the prerequisites.  Every stage file but the generated images appears
-whole, through a temporary file and a rename (`binio.write_whole`), and the
-marker comes last (metrics.jsonl and the sidecar before checkpoint.bvc or
-dataset.bvc; the images before provenance.jsonl), so a stage that fails
-mid-write is not done.  Training stages hand weights on only through
-`save_stage` and `load_stage` (key layout in pipeline.checkpoint), each checkpoint holding the
-network its stage trained under model/: tfe reads model/projector.* and
-model/encoder.* from the lmm checkpoint and model/encoder.* and
-spectrum_scale from the freq checkpoint.  A network that later stages only
-read from runs forward once per split, in the stage that trained it, and
-saves its output rows as extras: tfe train_fused, test_fused and
-test_logits, align train_c_eeg and test_c_eeg.  align reads the fused rows,
-diffusion train_c_eeg, generate test_logits and test_c_eeg, evaluate
-test_logits, each through `_stored_rows`; only generate rebuilds a network,
-the denoiser.
+the function that runs it, the file that marks it done and the run files it
+reads; its prerequisites (`Stage.needs`) are the stages that write those files.
+Every stage checks its prerequisites before doing any work and opens run files
+only through `RunPaths.read`, which refuses a file the stage's row does not
+declare.  An ablation drops the stages it skips (config.ABLATION_SKIPS) from
+the chain and from the prerequisites.  Every stage file but the generated
+images appears whole, through a temporary file and a rename
+(`binio.write_whole`), and the marker comes last (metrics.jsonl and the
+sidecar before checkpoint.bvc or dataset.bvc; the images before
+provenance.jsonl), so a stage that fails mid-write is not done.  Training
+stages hand weights on only through `save_stage` and `load_stage` (key layout
+in pipeline.checkpoint).  A network that later stages only read from runs
+forward once per split, in the stage that trained it, and saves its output
+rows as extras, which later stages read through `_stored_rows`; only generate
+rebuilds a network, the denoiser.
 
 This module builds every network from the config, each through one builder
 or constructor (`build_lmm_models`, `FreqClassifier`, `_tfe_model`,
@@ -77,6 +74,7 @@ from .config import ABLATION_SKIPS, PipelineConfig
 @dataclass
 class RunPaths:
     root: Path
+    stage: str | None = None  # the stage whose reads `read` checks; None outside any stage
 
     def __post_init__(self):
         self.root = Path(self.root)
@@ -92,6 +90,16 @@ class RunPaths:
     def available_stages(self) -> set[str]:
         return {name for name, stage in STAGES.items() if (self.root / name / stage.marker).exists()}
 
+    def read(self, path: str) -> Path:
+        """The run file at run-relative `path`: refused unless the bound stage's
+        row declares it or its directory, and checked to exist."""
+        if self.stage and not {path, path.rpartition("/")[0] + "/"} & set(STAGES[self.stage].reads):
+            raise StageError(f"stage {self.stage!r} reads {path}, which its STAGES row does not declare")
+        if not (self.root / path).is_file():
+            reader = f"stage {self.stage!r} reads" if self.stage else "reading"
+            raise StageError(f"{reader} {path}, which is missing: stage {path.split('/')[0]!r} writes it")
+        return self.root / path
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -99,7 +107,13 @@ class Stage:
     help: str
     run: Callable[[PipelineConfig, RunPaths], object]
     marker: str  # file in the stage directory whose presence marks the stage done
-    needs: tuple[str, ...]  # earlier stages whose outputs this one reads
+    reads: tuple[str, ...]  # run-relative files the stage opens; a directory ending in "/" covers its files
+
+    @property
+    def needs(self) -> tuple[str, ...]:
+        """The stages that write the files this one reads: each run file lies
+        under the directory of the stage that writes it."""
+        return tuple(dict.fromkeys(path.split("/")[0] for path in self.reads))
 
 
 def check_prerequisites(stage: str, available: set[str], ablate: str | None = None) -> None:
@@ -110,26 +124,20 @@ def check_prerequisites(stage: str, available: set[str], ablate: str | None = No
             raise StageError(f"stage {stage!r} requires {dep!r}, which has not been run")
 
 
-def _enter_stage(cfg: PipelineConfig, paths: RunPaths, stage: str) -> Path:
+def _enter_stage(cfg: PipelineConfig, paths: RunPaths, stage: str) -> RunPaths:
+    """Check `stage`'s prerequisites, snapshot the config, and return `paths`
+    bound to the stage, so that every read the stage makes is checked."""
     check_prerequisites(stage, paths.available_stages(), ablate=cfg.ablate)
-    d = paths.stage_dir(stage)
-    write_whole(d / "config.json", [cfg.to_json().encode()])
-    return d
+    write_whole(paths.stage_dir(stage) / "config.json", [cfg.to_json().encode()])
+    return replace(paths, stage=stage)
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
     write_whole(path, ((json.dumps(row, sort_keys=True) + "\n").encode() for row in rows))
 
 
-def save_stage(
-    cfg: PipelineConfig,
-    paths: RunPaths,
-    stage: str,
-    history: list[dict],
-    model: Module,
-    extras: dict[str, np.ndarray] | None = None,
-    meta: dict | None = None,
-) -> None:
+def save_stage(cfg: PipelineConfig, paths: RunPaths, stage: str, history: list[dict], model: Module,
+               extras: dict[str, np.ndarray] | None = None, meta: dict | None = None) -> None:
     """Write the stage's metrics.jsonl, then its checkpoint (`model` under
     model/ plus the `extras` keys; config snapshot plus `meta` in the sidecar),
     whose .bvc marks the stage done."""
@@ -140,13 +148,13 @@ def save_stage(
 
 def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> CheckpointArchive:
     """Read the stage's checkpoint, loading its model/ keys into `model` if given."""
-    ckpt = require_stage(load_checkpoint(paths.checkpoint(stage)), stage)
+    ckpt = require_stage(load_checkpoint(paths.read(f"{stage}/checkpoint.bvc")), stage)
     if model is not None:
         model.load_state(ckpt.tensors, "model/")
     return ckpt
 
 
-def _stored_rows(paths: RunPaths, reader: str, stage: str, **n_rows: int) -> list[np.ndarray]:
+def _stored_rows(paths: RunPaths, stage: str, **n_rows: int) -> list[np.ndarray]:
     """The row arrays `stage` saved under the keys of `n_rows`, each checked
     to hold its given row count: a checkpoint left from another gen-data run
     would otherwise pair rows with the wrong records."""
@@ -154,28 +162,21 @@ def _stored_rows(paths: RunPaths, reader: str, stage: str, **n_rows: int) -> lis
     for key, n in n_rows.items():
         found = len(tensors.get(key, ()))
         if found != n:
-            raise StageError(f"stage {reader!r}: {stage} checkpoint key {key!r} has {found} rows for a split of "
+            raise StageError(f"stage {paths.stage!r}: {stage} checkpoint key {key!r} has {found} rows for a split of "
                              f"{n} records; rerun {stage!r}")
     return [tensors[key] for key in n_rows]
 
 
 def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
     return SyntheticGenSpec(
-        n_classes=cfg.n_classes,
-        records_per_class=cfg.records_per_class,
-        c=cfg.c,
-        l=cfg.l,
-        noise_std=cfg.noise_std,
-        sample_rate=cfg.sample_rate,
-        seed=cfg.seed,
-        sinusoids_per_class=cfg.sinusoids_per_class,
-        records_per_image=cfg.records_per_image,
-        subjects=cfg.subjects,
+        n_classes=cfg.n_classes, records_per_class=cfg.records_per_class, c=cfg.c, l=cfg.l, noise_std=cfg.noise_std,
+        sample_rate=cfg.sample_rate, seed=cfg.seed, sinusoids_per_class=cfg.sinusoids_per_class,
+        records_per_image=cfg.records_per_image, subjects=cfg.subjects,
     )
 
 
 def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, DatasetSplit]:
-    dataset = load_dataset(paths.root / "data" / "dataset.bvc")
+    dataset = load_dataset(paths.read("data/dataset.bvc"))
     return dataset, split_by_image(dataset, seed=cfg.seed)
 
 
@@ -186,7 +187,8 @@ def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, Dat
 def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Generate the trials, z-score each channel once, and write the fixtures,
     metrics.jsonl and last dataset.bvc, the stage's marker."""
-    stage_dir = _enter_stage(cfg, paths, "data")
+    paths = _enter_stage(cfg, paths, "data")
+    stage_dir = paths.stage_dir("data")
     raw = generate_synthetic(_synthetic_spec(cfg))
     dataset = replace(raw, x=zscore_channels(raw.x))
     fixtures = generate_fixtures(
@@ -201,7 +203,7 @@ def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Saves model/predictor.* too, unread by tfe: each stage saves all it trained."""
-    _enter_stage(cfg, paths, "lmm")
+    paths = _enter_stage(cfg, paths, "lmm")
     dataset, split = load_run_data(cfg, paths)
     units = prepare_units(dataset.take(split.train), cfg.n)
     models = build_lmm_models(
@@ -216,7 +218,7 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _enter_stage(cfg, paths, "freq")
+    paths = _enter_stage(cfg, paths, "freq")
     dataset, split = load_run_data(cfg, paths)
     spectra, scale = train_spectra(dataset, split)
     # One stream draws the weights, then shuffles every epoch.
@@ -245,7 +247,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Fine-tune the fused classifier.  A branch starts from its pretraining
     stage's weights whenever the ablation runs that stage: no-time and
     no-pretrain cold-start the time branch, no-freq has no frequency branch."""
-    _enter_stage(cfg, paths, "tfe")
+    paths = _enter_stage(cfg, paths, "tfe")
     dataset, split = load_run_data(cfg, paths)
     skipped = ABLATION_SKIPS[cfg.ablate]
     use_time = cfg.ablate != "no-time"
@@ -290,11 +292,10 @@ def _denoiser(cfg: PipelineConfig, rng: np.random.Generator) -> DenoiserNet:
 
 
 def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _enter_stage(cfg, paths, "align")
+    paths = _enter_stage(cfg, paths, "align")
     dataset, split = load_run_data(cfg, paths)
-    train_fused, test_fused = _stored_rows(paths, "align", "tfe", train_fused=len(split.train),
-                                           test_fused=len(split.test))
-    fixtures = load_fixtures(paths.root / "data" / "fixtures.bvc")
+    train_fused, test_fused = _stored_rows(paths, "tfe", train_fused=len(split.train), test_fused=len(split.test))
+    fixtures = load_fixtures(paths.read("data/fixtures.bvc"))
     train = dataset.take(split.train)
 
     net = _align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])))
@@ -308,14 +309,14 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _enter_stage(cfg, paths, "diffusion")
+    paths = _enter_stage(cfg, paths, "diffusion")
     dataset, split = load_run_data(cfg, paths)
     images, _ = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                channels=cfg.latent_channels, seed=cfg.seed)
 
     train = dataset.take(split.train)
     eeg_conditions = (None if cfg.ablate == "no-semantic"
-                      else _stored_rows(paths, "diffusion", "align", train_c_eeg=len(train))[0])
+                      else _stored_rows(paths, "align", train_c_eeg=len(train))[0])
 
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = _denoiser(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])))
@@ -338,7 +339,8 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     denoiser calls), each sample on its own seed stream, and the PPMs and
     provenance rows are written in record-major, sample-minor order.
     """
-    stage_dir = _enter_stage(cfg, paths, "generate")
+    paths = _enter_stage(cfg, paths, "generate")
+    stage_dir = paths.stage_dir("generate")
     dataset, split = load_run_data(cfg, paths)
     denoiser = _denoiser(cfg, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
@@ -346,32 +348,19 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     mode = {"no-refine": "no-refine", "no-semantic": "no-semantic"}.get(cfg.ablate, "cascade")
 
     n_test = len(split.test)
-    (logits,) = _stored_rows(paths, "generate", "tfe", test_logits=n_test)
-    if mode == "no-semantic":
-        c_eeg = np.zeros((n_test, cfg.e))
-    else:
-        (c_eeg,) = _stored_rows(paths, "generate", "align", test_c_eeg=n_test)
+    (logits,) = _stored_rows(paths, "tfe", test_logits=n_test)
+    c_eeg = np.zeros((n_test, cfg.e)) if mode == "no-semantic" else _stored_rows(paths, "align", test_c_eeg=n_test)[0]
 
-    samples = generate_samples(
-        schedule, denoiser,
-        record_indices=np.asarray(split.test),
-        c_eeg=c_eeg,
-        predicted_labels=np.argmax(logits, axis=1),
-        rho=cfg.rho,
-        n_samples=cfg.samples_per_record,
-        master_seed=cfg.seed,
-        mode=mode,
-    )
+    samples = generate_samples(schedule, denoiser, record_indices=np.asarray(split.test), c_eeg=c_eeg,
+                               predicted_labels=np.argmax(logits, axis=1), rho=cfg.rho,
+                               n_samples=cfg.samples_per_record, master_seed=cfg.seed, mode=mode)
     images_dir = stage_dir / "images"
     images_dir.mkdir(exist_ok=True)
     provenance_rows = []
     for latent, prov in samples:
         record = dataset[prov.record_index]
         write_ppm(images_dir / sample_filename(prov.record_index, prov.sample_index), latent)
-        row_dict = prov.to_dict()
-        row_dict["true_label"] = record.class_label
-        row_dict["image_id"] = record.image_id
-        provenance_rows.append(row_dict)
+        provenance_rows.append({**prov.to_dict(), "true_label": record.class_label, "image_id": record.image_id})
 
     summary = {"samples": len(provenance_rows), "records": n_test, "mode": mode}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
@@ -380,10 +369,11 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
-    stage_dir = _enter_stage(cfg, paths, "evaluate")
+    paths = _enter_stage(cfg, paths, "evaluate")
+    stage_dir = paths.stage_dir("evaluate")
     dataset, split = load_run_data(cfg, paths)
     test = dataset.take(split.test)
-    (logits,) = _stored_rows(paths, "evaluate", "tfe", test_logits=len(test))
+    (logits,) = _stored_rows(paths, "tfe", test_logits=len(test))
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
     images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
@@ -393,14 +383,10 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     surrogate_train_acc = train_surrogate(surrogate, images, labels, epochs=cfg.surrogate_epochs, lr=3e-3)
 
     generated = []
-    images_dir = paths.root / "generate" / "images"
     for dataset_index in split.test:
         for s in range(cfg.samples_per_record):
-            ppm_path = images_dir / sample_filename(dataset_index, s)
-            if not ppm_path.exists():
-                raise StageError(f"evaluate: missing generated image {ppm_path.name}; run generate first")
-            rgb = read_ppm(ppm_path).astype(np.float64) / 255.0 * 2.0 - 1.0
-            generated.append(np.transpose(rgb, (2, 0, 1)))
+            rgb = read_ppm(paths.read(f"generate/images/{sample_filename(dataset_index, s)}"))
+            generated.append(np.transpose(rgb.astype(np.float64) / 255.0 * 2.0 - 1.0, (2, 0, 1)))
     generated = np.stack(generated)
     gen_labels = np.repeat(test.labels, cfg.samples_per_record)
     gt_pairs = images[np.repeat(test.image_ids, cfg.samples_per_record)]
@@ -424,19 +410,19 @@ STAGES: dict[str, Stage] = {
     "data": Stage("gen-data", "generate the synthetic dataset and semantic fixtures", run_gen_data,
                   "dataset.bvc", ()),
     "lmm": Stage("train-lmm", "masked-latent pretraining of the time branch", run_train_lmm,
-                 "checkpoint.bvc", ("data",)),
+                 "checkpoint.bvc", ("data/dataset.bvc",)),
     "freq": Stage("train-freq", "supervised pretraining of the frequency branch", run_train_freq,
-                  "checkpoint.bvc", ("data",)),
+                  "checkpoint.bvc", ("data/dataset.bvc",)),
     "tfe": Stage("finetune-tfe", "staged fine-tuning of the fused classifier", run_finetune_tfe,
-                 "checkpoint.bvc", ("data", "lmm", "freq")),
+                 "checkpoint.bvc", ("data/dataset.bvc", "lmm/checkpoint.bvc", "freq/checkpoint.bvc")),
     "align": Stage("train-align", "train the semantic alignment network", run_train_align,
-                   "checkpoint.bvc", ("data", "tfe")),
+                   "checkpoint.bvc", ("data/dataset.bvc", "data/fixtures.bvc", "tfe/checkpoint.bvc")),
     "diffusion": Stage("train-diffusion", "train the conditional denoiser", run_train_diffusion,
-                       "checkpoint.bvc", ("data", "align")),
-    "generate": Stage("generate", "sample images for the test records", run_generate,
-                      "provenance.jsonl", ("data", "tfe", "align", "diffusion")),
+                       "checkpoint.bvc", ("data/dataset.bvc", "align/checkpoint.bvc")),
+    "generate": Stage("generate", "sample images for the test records", run_generate, "provenance.jsonl",
+                      ("data/dataset.bvc", "tfe/checkpoint.bvc", "align/checkpoint.bvc", "diffusion/checkpoint.bvc")),
     "evaluate": Stage("evaluate", "score classification and generation, write report.json", run_evaluate,
-                      "report.json", ("data", "tfe", "generate")),
+                      "report.json", ("data/dataset.bvc", "tfe/checkpoint.bvc", "generate/images/")),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from brainvis_forge.autodiff import Tensor
 from brainvis_forge.pipeline.config import PipelineConfig
-from brainvis_forge.pipeline.runner import RunPaths, run_full_chain
+from brainvis_forge.pipeline.runner import STAGES, RunPaths, run_full_chain
 from digests import assert_matches_manifest, latent_digests, run_digests
 
 TINY = "configs/tiny.json"
@@ -28,6 +28,34 @@ def criterion(number: int, description: str):
         print(f"[FAIL] criterion {number}: {description}")
         raise
     print(f"[PASS] criterion {number}: {description}")
+
+
+@contextlib.contextmanager
+def stage_reads():
+    """Collect the run-relative paths each stage asks `RunPaths.read` for, keyed by stage."""
+    asked: dict[str | None, set[str]] = {}
+    original = RunPaths.read
+
+    def recorded(self, path):
+        asked.setdefault(self.stage, set()).add(path)
+        return original(self, path)
+
+    RunPaths.read = recorded
+    try:
+        yield asked
+    finally:
+        RunPaths.read = original
+
+
+def assert_each_stage_opened_what_it_declares(ran: set[str], asked: dict[str | None, set[str]]) -> None:
+    """Every file a stage's row declares, less those of stages that did not run, was opened by that
+    stage; a declared directory counts as opened when a file in it was."""
+    assert set(asked) <= ran, f"reads from outside any stage that ran: {sorted(map(str, set(asked) - ran))}"
+    for name in ran:
+        declared = {path for path in STAGES[name].reads if path.split("/")[0] in ran}
+        opened = {path for path in declared
+                  if any(a == path or (path.endswith("/") and a.startswith(path)) for a in asked.get(name, ()))}
+        assert opened == declared, f"stage {name!r} declares but never opened {sorted(declared - opened)}"
 
 
 def test_criterion_1_gradient_suite():
@@ -381,11 +409,12 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
         cfg = PipelineConfig.load(TINY)
         start = time.time()
         paths_a = RunPaths(tmp_path / "a")
-        with latent_digests() as latents:
+        with latent_digests() as latents, stage_reads() as asked:
             report_a = run_full_chain(cfg, paths_a)
         elapsed = time.time() - start
         assert elapsed < 600, f"chain took {elapsed:.1f}s"
         report_a.validate_ranges()
+        assert_each_stage_opened_what_it_declares(ALL_STAGES, asked)
 
         prov_lines = (paths_a.root / "generate" / "provenance.jsonl").read_text().splitlines()
         by_record: dict[int, int] = {}
@@ -430,9 +459,10 @@ def test_criterion_12_ablation_harness(tmp_path, mode):
     with criterion(12, f"ablation {mode} runs to completion, echoes its switch and skips only its stages"):
         cfg = PipelineConfig.load(TINY).with_overrides(ablate=mode)
         paths = RunPaths(tmp_path / mode)
-        with latent_digests() as latents:
+        with latent_digests() as latents, stage_reads() as asked:
             report = run_full_chain(cfg, paths)
         report.validate_ranges()
+        assert_each_stage_opened_what_it_declares(ABLATION_STAGES_RUN[mode], asked)
         assert report.config["ablate"] == mode
         assert paths.available_stages() == ABLATION_STAGES_RUN[mode]
         assert_matches_manifest(mode, run_digests(mode, paths.root, latents))

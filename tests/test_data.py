@@ -404,3 +404,8 @@ def test_image_set_byte_equal_to_per_image_oracle(n_classes, per_class, size, ch
         expected = make_image(label, image_id, size=size, channels=channels, seed=7)
         assert img.dtype == expected.dtype and img.shape == expected.shape == (channels, size, size)
         assert img.tobytes() == expected.tobytes()
+
+
+def test_image_set_takes_no_default_seed():
+    with pytest.raises(TypeError, match="seed"):
+        make_image_set(2, 2, size=8)

@@ -321,9 +321,18 @@ def test_generate_samples_rejects_mismatched_record_arrays():
     inputs = _batch_inputs()
     inputs["predicted_labels"] = inputs["predicted_labels"][:2]
     with pytest.raises(ValueError, match="differ in length"):
-        generate_samples(schedule, _conditioned_net(), rho=0.3, **inputs)
+        generate_samples(schedule, _conditioned_net(), rho=0.3, n_samples=2, master_seed=0, **inputs)
     with pytest.raises(ValueError, match="unknown mode"):
-        generate_samples(schedule, _conditioned_net(), rho=0.3, mode="bogus", **_batch_inputs())
+        generate_samples(schedule, _conditioned_net(), rho=0.3, n_samples=2, master_seed=0, mode="bogus",
+                         **_batch_inputs())
+
+
+@pytest.mark.parametrize("missing", ["n_samples", "master_seed"])
+def test_generate_samples_takes_no_default_sample_count_or_seed(missing):
+    given = {"n_samples": 2, "master_seed": 0}
+    del given[missing]
+    with pytest.raises(TypeError, match=missing):
+        generate_samples(NoiseSchedule.linear(T=10), _conditioned_net(), rho=0.3, **given, **_batch_inputs())
 
 
 def test_row_noise_draws_each_rows_own_stream():
@@ -353,6 +362,13 @@ def test_batched_predict_equals_stacked_single_calls():
     for bad in (np.zeros((3, 4, 5)), np.zeros((2, 2, 3, 4, 4)), np.zeros(2 * 48)):
         with pytest.raises(ValueError, match="latent shape"):
             net.predict(bad, 7, cond[0])
+
+
+def test_taped_forward_rejects_a_latent_of_another_shape():
+    # Training calls the net directly, past predict's own shape check.
+    net = _conditioned_net()
+    with pytest.raises(ValueError, match=r"latent shape \(3, 4, 5\) does not match \(3, 4, 4\)"):
+        net(Tensor(np.zeros((2, 3, 4, 5)), requires_grad=True), np.array([1, 2]), Tensor(np.zeros((2, 8))))
 
 
 def test_predict_equals_the_float32_forward():

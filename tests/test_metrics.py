@@ -17,6 +17,7 @@ from brainvis_forge.metrics import (
     ssim,
     top_k_accuracy,
 )
+from brainvis_forge.metrics.generation import _sym_sqrt
 from oracles import ssim as ssim_per_image
 
 
@@ -244,6 +245,16 @@ def test_fid_closed_form_commuting_covariances():
 def test_fid_dim_mismatch_rejected():
     with pytest.raises(ValueError, match="fid: feature dims differ"):
         fid(np.zeros((10, 3)), np.zeros((10, 4)))
+
+
+def test_sym_sqrt_floor_is_absolute_below_unit_magnitude():
+    # Largest |eigenvalue| 1e-3 < 1, so the floor is EIG_CLAMP itself, -1e-8.
+    c, s = np.cos(0.4), np.sin(0.4)
+    q = np.array([[c, -s], [s, c]])
+    with pytest.raises(ValueError, match="eigenvalue -1.500e-08 below tolerance"):
+        _sym_sqrt(q @ np.diag([1e-3, -1.5e-8]) @ q.T)
+    clamped = _sym_sqrt(q @ np.diag([1e-3, -0.5e-8]) @ q.T)
+    np.testing.assert_allclose(clamped, q @ np.diag([np.sqrt(1e-3), 0.0]) @ q.T, atol=1e-12)
 
 
 def test_fid_small_sample_warns():

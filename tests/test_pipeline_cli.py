@@ -75,6 +75,10 @@ def test_config_rejects_bad_fields():
     # than the test split yields images (tiny: 3 test images x 4 samples).
     with pytest.raises(ValueError, match="records_per_class = 9 images; the split needs at least 10"):
         PipelineConfig(n_classes=3, records_per_class=3, ga_n=3)
+    assert tiny_config(n_classes=5, records_per_class=2).n_classes == 5  # exactly MIN_IMAGES = 10
+    for name in ("batch", "T", "samples_per_record", "lr"):
+        with pytest.raises(ValueError, match=f"PipelineConfig: {name} must be positive, got 0$"):
+            tiny_config(**{name: 0})
     with pytest.raises(ValueError, match="is_splits=13 exceeds the 12 images"):
         tiny_config(is_splits=13)
     assert tiny_config(is_splits=12).is_splits == 12
@@ -446,6 +450,47 @@ def test_stage_table_invariants():
     assert {stage for skipped in ABLATION_SKIPS.values() for stage in skipped} <= set(names)
     commands = [stage.command for stage in runner.STAGES.values()]
     assert len(set(commands)) == len(commands)
+
+
+def test_a_stage_requires_every_stage_whose_files_its_row_declares():
+    from brainvis_forge.pipeline import runner
+
+    for name, stage in runner.STAGES.items():
+        for writer in {path.split("/")[0] for path in stage.reads}:
+            with pytest.raises(StageError, match=f"stage '{name}' requires '{writer}'"):
+                runner.check_prerequisites(name, set(runner.STAGES) - {writer})
+
+
+def test_a_stage_is_refused_a_file_its_row_does_not_declare(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config()
+    paths = RunPaths(tmp_path / "run")
+    run_gen_data(cfg, paths)
+    # freq still requires data, but its row no longer lists the dataset it reads.
+    monkeypatch.setitem(runner.STAGES, "freq", replace(runner.STAGES["freq"], reads=("data/fixtures.bvc",)))
+    with pytest.raises(StageError, match=re.escape(
+        "stage 'freq' reads data/dataset.bvc, which its STAGES row does not declare"
+    )):
+        runner.run_train_freq(cfg, paths)
+
+
+def test_evaluate_names_a_missing_generated_image_and_the_stage_that_writes_it(tmp_path):
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(diffusion_steps=2, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 0, "align": 1})
+    paths = RunPaths(tmp_path / "run")
+    for stage in list(runner.STAGES)[:-1]:
+        runner.STAGES[stage].run(cfg, paths)
+    missing = sorted((paths.root / "generate" / "images").glob("*.ppm"))[-1]
+    missing.unlink()
+    with pytest.raises(StageError, match=re.escape(
+        f"stage 'evaluate' reads generate/images/{missing.name}, which is missing: stage 'generate' writes it"
+    )):
+        runner.run_evaluate(cfg, paths)
+    assert not (paths.root / "evaluate" / "report.json").exists()
 
 
 def test_no_time_chain_builds_no_units(tmp_path, monkeypatch):
