@@ -17,7 +17,6 @@ from .tensor import (
     broadcast_to,
     concat,
     gelu,
-    log_softmax,
     matmul,
     mul,
     power,
@@ -142,7 +141,6 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "sqrt": probe(lambda ts: sqrt(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
         "gelu": probe(lambda ts: gelu(ts[0]), [r((4, 5))], (4, 5)),
         "softmax": probe(lambda ts: softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
-        "log_softmax": probe(lambda ts: log_softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "layer_norm": probe(lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]), ln_inputs, (4, 7)),
         "layer_norm_3d": probe(lambda ts: ops.layer_norm(*ts), ln_inputs_3d, (2, 3, 7)),
         "attention_core": probe(lambda ts: ops.attention_core(*ts, n_heads=n_heads), core_inputs, (2, 4, d)),

@@ -1,8 +1,9 @@
 """Composite differentiable operations built from the tensor primitives, plus
 fused ones that each record one tape entry of their own: `linear`,
 `layer_norm`, `attention_core`, `lstm_sequence` (the whole gated
-recurrence), `mse_loss` and `codeword_nll`.  A fused forward runs the numpy
-operations of the composition it replaces in order, so it is bit-equal to it.
+recurrence), `mse_loss`, `cross_entropy` and `codeword_nll`.  A fused forward
+runs the numpy operations of the composition it replaces in order, so it is
+bit-equal to it.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -25,11 +26,9 @@ from .tensor import (
     _tracks,
     _unbroadcast,
     as_tensor,
-    log_softmax,
     mul,
     power,
     sqrt,
-    tmean,
     tsum,
 )
 
@@ -260,14 +259,24 @@ def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:
-    """Cross-entropy from raw logits against one-hot targets, mean over rows."""
+    """-mean over rows of sum(one_hot * log_softmax(logits)), as one tape entry.
+
+    `one_hot` is a constant target and gets no gradient.  A NaN or Inf logit
+    carries into the checked loss.
+    """
     logits = as_tensor(logits)
-    one_hot = as_tensor(one_hot, logits)
+    one_hot = as_tensor(one_hot, logits).data
     if logits.shape != one_hot.shape:
         raise ShapeError(f"cross_entropy: shapes {logits.shape} and {one_hot.shape} differ")
-    ls = log_softmax(logits, axis=-1)
-    per_row = tsum(mul(one_hot, ls), axis=-1)
-    return mul(tmean(per_row), -1.0)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    per_row = (one_hot * ls).sum(axis=-1)
+
+    def bw(g):
+        g_ls = one_hot * ((g * -1.0) / per_row.size)
+        return (g_ls - np.exp(ls) * g_ls.sum(axis=-1, keepdims=True),)
+
+    return _make("cross_entropy", (logits,), np.asarray(per_row.mean() * -1.0), bw)
 
 
 def codeword_nll(probs: Tensor, targets: np.ndarray) -> Tensor:

@@ -445,17 +445,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make("softmax", (a,), s, bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def bw(g):
-        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
-
-    return _make("log_softmax", (a,), ls, bw)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 

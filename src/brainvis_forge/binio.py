@@ -12,8 +12,8 @@ Dtype code 0 is float32 and 1 is int64: integer tensors are stored as
 int64 and every other tensor as float32.  Tensors are written in sorted
 name order for byte-stable output.  The stage tag and config snapshot ride
 in a JSON sidecar ({path}.meta.json): the binary body stays pure tensor
-data and the snapshot stays human-readable.  The sidecar is required;
-`load_checkpoint` raises FileNotFoundError, naming it, when it is missing.
+data and the snapshot stays human-readable.  The sidecar is required: a
+stage's `RunPaths.read` refuses an archive without one, naming its writer.
 `write_whole` puts a file on disk whole or not at all.
 """
 

@@ -5,7 +5,8 @@ small classifier to separate).  Per image: a smaller jitter pattern on top,
 so images within a class differ but stay recognizable.  Values in [-1, 1].
 The set is one (I, C, H, W) float32 array whose row i is image id i, with an
 (I,) class array beside it; ids follow the synthetic EEG layout, so image id
-k * images_per_class + j is class k's j-th image.
+k * images_per_class + j is class k's j-th image.  gen-data stores the set
+as a BVC archive (binio) tagged "data", under the keys images and labels.
 """
 
 from __future__ import annotations

@@ -33,9 +33,10 @@ def switch_step(rho: float, T: int) -> int:
 class RowNoise:
     """Gaussian noise for a batch of latents, one generator per batch row.
 
-    `standard_normal((B, *shape))` stacks each row's own draw of `shape`, so a
-    row sees the same numbers in the same order as it would sampled alone, and
-    no row's stream depends on which other rows share the batch.
+    `standard_normal((B, *shape))` allocates one C-contiguous (B, *shape)
+    float64 buffer and has each row's generator fill its own row in place, so
+    a row sees the same numbers in the same order as it would sampled alone,
+    and no row's stream depends on which other rows share the batch.
     """
 
     def __init__(self, rngs: list[np.random.Generator]):
@@ -44,7 +45,10 @@ class RowNoise:
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         if shape[0] != len(self.rngs):
             raise ValueError(f"RowNoise: batch of {shape[0]} rows for {len(self.rngs)} streams")
-        return np.stack([rng.standard_normal(shape[1:]) for rng in self.rngs])
+        out = np.empty(shape)
+        for rng, row in zip(self.rngs, out):
+            rng.standard_normal(out=row)
+        return out
 
 
 def reverse_chain(
@@ -138,15 +142,10 @@ def generate_samples(
 
     out = []
     for row, (record_index, label, c_vec) in enumerate(zip(record_indices, predicted_labels, c_eeg)):
+        crc = _crc(c_vec)
         for s in range(n_samples):
-            prov = GenerationProvenance(
-                record_index=int(record_index),
-                sample_index=s,
-                predicted_label=int(label),
-                c_eeg_crc32=_crc(c_vec),
-                stage1_steps=stage1_steps,
-                stage2_steps=stage2_steps,
-                mode=mode,
-            )
+            prov = GenerationProvenance(record_index=int(record_index), sample_index=s, predicted_label=int(label),
+                                        c_eeg_crc32=crc, stage1_steps=stage1_steps, stage2_steps=stage2_steps,
+                                        mode=mode)
             out.append((x[row * n_samples + s], prov))
     return out

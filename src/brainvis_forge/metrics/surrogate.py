@@ -34,14 +34,14 @@ def train_surrogate(model: SurrogateClassifier, images: np.ndarray, labels: np.n
     """Overfit `model` in place on the clean image set, one full-batch step per
     epoch; returns its train accuracy.  It is a measuring stick, not a model
     under test."""
-    flat = np.asarray(images, dtype=np.float32).reshape(len(images), -1)
+    flat = Tensor(np.asarray(images, dtype=np.float32).reshape(len(images), -1))
     labels = np.asarray(labels, dtype=np.int64)
     store = ParamStore(surrogate=model)
-    onehot = one_hot_labels(labels, model.fc2.weight.shape[1])
+    onehot = Tensor(one_hot_labels(labels, model.fc2.weight.shape[1]))
     for _ in range(epochs):
-        store.step(cross_entropy(model(Tensor(flat)), onehot), lr)
+        store.step(cross_entropy(model(flat), onehot), lr)
     with no_grad():
-        logits = model(Tensor(flat)).data
+        logits = model(flat).data
     return top_k_accuracy(logits, labels, 1)
 
 

@@ -8,8 +8,8 @@ Key layout:
 where {param} is a dotted parameter path such as encoder.blocks.0.attn.w_q.
 Optimizer state is not saved: no stage resumes from a checkpoint.
 Which stage reads which archive is declared in its runner.STAGES row.
-gen-data's dataset and fixtures archives carry the stage tag "data"; their
-keys are documented in data.bvd and align.fixtures.
+gen-data's dataset, fixtures and images archives carry the stage tag "data";
+their keys are documented in data.bvd, align.fixtures and data.images.
 """
 
 from __future__ import annotations

@@ -3,26 +3,27 @@
 Layout: {run_dir}/{stage}/ holding config.json (snapshot), metrics.jsonl
 (per-epoch or per-step log lines), checkpoint.bvc (+ .meta.json sidecar),
 and for generation an images/ directory plus provenance.jsonl.  gen-data
-writes data/fixtures.bvc and data/dataset.bvc instead of a checkpoint: every
-array a run stores is a BVC archive (binio).  The trials are z-scored once,
-there, so every later stage reads them as stored.
+writes data/fixtures.bvc, data/images.bvc and data/dataset.bvc instead of a
+checkpoint: every array a run stores is a BVC archive (binio).  The trials
+are z-scored and the target images built once, there: every later stage
+reads the trials, and diffusion and evaluate the images, as stored.
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
 the function that runs it, the file that marks it done and the run files it
 reads; its prerequisites (`Stage.needs`) are the stages that write those files.
 Every stage checks its prerequisites before doing any work and opens run files
 only through `RunPaths.read`, which refuses a file the stage's row does not
-declare.  An ablation drops the stages it skips (config.ABLATION_SKIPS) from
-the chain and from the prerequisites.  Every stage file but the generated
-images appears whole, through a temporary file and a rename
-(`binio.write_whole`), and the marker comes last (metrics.jsonl and the
-sidecar before checkpoint.bvc or dataset.bvc; the images before
-provenance.jsonl), so a stage that fails mid-write is not done.  Training
-stages hand weights on only through `save_stage` and `load_stage` (key layout
-in pipeline.checkpoint).  A network that later stages only read from runs
-forward once per split, in the stage that trained it, and saves its output
-rows as extras, which later stages read through `_stored_rows`; only generate
-rebuilds a network, the denoiser.
+declare, or a .bvc without its sidecar.  An ablation drops the stages it
+skips (config.ABLATION_SKIPS) from the chain and from the prerequisites.
+Every stage file but the generated images appears whole, through a temporary
+file and a rename (`binio.write_whole`), and the marker comes last
+(metrics.jsonl and the sidecar before checkpoint.bvc, the other archives
+before dataset.bvc, the images before provenance.jsonl), so a stage that
+fails mid-write is not done.  Training stages hand weights on only through
+`save_stage` and `load_stage` (key layout in pipeline.checkpoint).  A network
+that later stages only read from runs forward once per split, in the stage
+that trained it, and saves its output rows as extras, which later stages read
+through `_stored_rows`; only generate rebuilds a network, the denoiser.
 
 This module builds every network from the config, each through one builder
 or constructor (`build_lmm_models`, `FreqClassifier`, `_tfe_model`,
@@ -92,12 +93,13 @@ class RunPaths:
 
     def read(self, path: str) -> Path:
         """The run file at run-relative `path`: refused unless the bound stage's
-        row declares it or its directory, and checked to exist."""
+        row declares it or its directory, and checked to exist (a .bvc with its sidecar)."""
         if self.stage and not {path, path.rpartition("/")[0] + "/"} & set(STAGES[self.stage].reads):
             raise StageError(f"stage {self.stage!r} reads {path}, which its STAGES row does not declare")
-        if not (self.root / path).is_file():
-            reader = f"stage {self.stage!r} reads" if self.stage else "reading"
-            raise StageError(f"{reader} {path}, which is missing: stage {path.split('/')[0]!r} writes it")
+        for needed in (path, path + ".meta.json") if path.endswith(".bvc") else (path,):
+            if not (self.root / needed).is_file():
+                reader = f"stage {self.stage!r} reads" if self.stage else "reading"
+                raise StageError(f"{reader} {needed}, which is missing: stage {path.split('/')[0]!r} writes it")
         return self.root / path
 
 
@@ -186,7 +188,7 @@ def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, Dat
 
 def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Generate the trials, z-score each channel once, and write the fixtures,
-    metrics.jsonl and last dataset.bvc, the stage's marker."""
+    the target images, metrics.jsonl and last dataset.bvc, the stage's marker."""
     paths = _enter_stage(cfg, paths, "data")
     stage_dir = paths.stage_dir("data")
     raw = generate_synthetic(_synthetic_spec(cfg))
@@ -195,6 +197,9 @@ def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
         cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed, caption_offset=cfg.caption_offset
     )
     write_fixtures(stage_dir / "fixtures.bvc", fixtures)
+    images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
+                                    channels=cfg.latent_channels, seed=cfg.seed)
+    save_checkpoint(stage_dir / "images.bvc", CheckpointArchive({"images": images, "labels": labels}, "data"))
     summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     write_dataset(stage_dir / "dataset.bvc", dataset)
@@ -311,8 +316,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     paths = _enter_stage(cfg, paths, "diffusion")
     dataset, split = load_run_data(cfg, paths)
-    images, _ = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
-                               channels=cfg.latent_channels, seed=cfg.seed)
+    images = load_checkpoint(paths.read("data/images.bvc")).tensors["images"]
 
     train = dataset.take(split.train)
     eeg_conditions = (None if cfg.ablate == "no-semantic"
@@ -376,8 +380,8 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     (logits,) = _stored_rows(paths, "tfe", test_logits=len(test))
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
-    images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
-                                    channels=cfg.latent_channels, seed=cfg.seed)
+    target = load_checkpoint(paths.read("data/images.bvc")).tensors
+    images, labels = target["images"], target["labels"]
     surrogate = SurrogateClassifier(images[0].size, cfg.surrogate_hidden, cfg.n_classes,
                                     np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A9])))
     surrogate_train_acc = train_surrogate(surrogate, images, labels, epochs=cfg.surrogate_epochs, lr=3e-3)
@@ -418,11 +422,12 @@ STAGES: dict[str, Stage] = {
     "align": Stage("train-align", "train the semantic alignment network", run_train_align,
                    "checkpoint.bvc", ("data/dataset.bvc", "data/fixtures.bvc", "tfe/checkpoint.bvc")),
     "diffusion": Stage("train-diffusion", "train the conditional denoiser", run_train_diffusion,
-                       "checkpoint.bvc", ("data/dataset.bvc", "align/checkpoint.bvc")),
+                       "checkpoint.bvc", ("data/dataset.bvc", "data/images.bvc", "align/checkpoint.bvc")),
     "generate": Stage("generate", "sample images for the test records", run_generate, "provenance.jsonl",
                       ("data/dataset.bvc", "tfe/checkpoint.bvc", "align/checkpoint.bvc", "diffusion/checkpoint.bvc")),
     "evaluate": Stage("evaluate", "score classification and generation, write report.json", run_evaluate,
-                      "report.json", ("data/dataset.bvc", "tfe/checkpoint.bvc", "generate/images/")),
+                      "report.json",
+                      ("data/dataset.bvc", "data/images.bvc", "tfe/checkpoint.bvc", "generate/images/")),
 }
 
 

@@ -10,7 +10,9 @@ and BLAS build it was made with; on another build the comparison fails
 naming both.
 
 Regenerate it (about half a minute) after a change that means to alter
-outputs, and say in CHANGES.md which files changed and why:
+outputs, and say in CHANGES.md which files changed and why; the script
+prints the keys it added, removed and changed against the manifest it
+replaces:
 
     PYTHONPATH=src python tests/digests.py
 """
@@ -92,7 +94,17 @@ def make_manifest() -> str:
     return json.dumps({"build": build(), "digests": digests}, indent=1, sort_keys=True) + "\n"
 
 
+def manifest_diff(old: dict[str, str], new: dict[str, str]) -> dict[str, list[str]]:
+    """The keys `new` adds to, removes from and changes in `old`, each sorted."""
+    return {"added": sorted(new.keys() - old.keys()), "removed": sorted(old.keys() - new.keys()),
+            "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k])}
+
+
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text())["digests"] if MANIFEST.exists() else {}
     text = make_manifest()
     MANIFEST.write_text(text)
-    print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(json.loads(text)['digests'])} digests", file=sys.stderr)
+    new = json.loads(text)["digests"]
+    print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(new)} digests", file=sys.stderr)
+    for kind, keys in manifest_diff(old, new).items():
+        print(f"{kind}: {len(keys)}", *(f"  {k}" for k in keys), sep="\n", file=sys.stderr)

@@ -8,10 +8,11 @@ builder `make_image_set` must match byte for byte, the per-entry BVC
 writer whose bytes `write_fixtures` must reproduce, the
 per-item matmul gradients the folded ones must match in rounding, and the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
-`attention_core` and `codeword_nll` must match bit for bit.  The tape ops
-that only these compositions and the step-by-step LSTM reference use
-(`narrow`, `swapaxes`, `log`, `tanh`, `sigmoid`) live here too, with their
-gradient probes in `oracle_op_probes`.
+`attention_core` and `codeword_nll` must match bit for bit (and whose
+forward and gradient the fused `cross_entropy` must).  The tape ops that
+only these compositions and the step-by-step LSTM reference use (`narrow`,
+`swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`) live here too, with
+their gradient probes in `oracle_op_probes`.
 `as_float64` lifts a float32 network to float64 for gradient checks.
 """
 
@@ -200,6 +201,17 @@ def log(a: Tensor) -> Tensor:
     return _make("log", (a,), out, lambda g: (g / a.data,))
 
 
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    a = as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def bw(g):
+        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
+
+    return _make("log_softmax", (a,), ls, bw)
+
+
 def tanh(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
@@ -225,6 +237,7 @@ def oracle_op_probes(rng: np.random.Generator) -> dict:
         "swapaxes": probe(lambda ts: swapaxes(ts[0], 0, 1), [r((4, 5))], (5, 4)),
         "narrow": probe(lambda ts: narrow(ts[0], 1, 1, 3), [r((4, 6))], (4, 3)),
         "log": probe(lambda ts: log(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
+        "log_softmax": probe(lambda ts: log_softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "tanh": probe(lambda ts: tanh(ts[0]), [r((4, 5))], (4, 5)),
         "sigmoid": probe(lambda ts: sigmoid(ts[0]), [r((4, 5))], (4, 5)),
     }
@@ -255,3 +268,8 @@ def attention_core_composed(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Te
 def codeword_nll_composed(probs: Tensor, targets: Tensor) -> Tensor:
     """-mean(sum(targets * log(probs + LOG_EPS), axis=-1)) as six tape ops."""
     return mul(tmean(tsum(mul(targets, log(probs + LOG_EPS)), axis=-1)), -1.0)
+
+
+def cross_entropy_composed(logits: Tensor, one_hot: Tensor) -> Tensor:
+    """-mean(sum(one_hot * log_softmax(logits), axis=-1)) as five tape ops."""
+    return mul(tmean(tsum(mul(one_hot, log_softmax(logits)), axis=-1)), -1.0)

@@ -15,7 +15,7 @@ import pytest
 from brainvis_forge.autodiff import Tensor
 from brainvis_forge.pipeline.config import PipelineConfig
 from brainvis_forge.pipeline.runner import STAGES, RunPaths, run_full_chain
-from digests import assert_matches_manifest, latent_digests, run_digests
+from digests import assert_matches_manifest, latent_digests, manifest_diff, run_digests
 
 TINY = "configs/tiny.json"
 
@@ -466,3 +466,9 @@ def test_criterion_12_ablation_harness(tmp_path, mode):
         assert report.config["ablate"] == mode
         assert paths.available_stages() == ABLATION_STAGES_RUN[mode]
         assert_matches_manifest(mode, run_digests(mode, paths.root, latents))
+
+
+def test_manifest_diff_names_the_keys_a_regeneration_adds_removes_and_changes():
+    old = {"none/a": "1", "none/b": "2", "none/c": "3"}
+    new = {"none/a": "1", "none/b": "9", "none/d": "4"}
+    assert manifest_diff(old, new) == {"added": ["none/d"], "removed": ["none/c"], "changed": ["none/b"]}

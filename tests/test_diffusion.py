@@ -339,6 +339,7 @@ def test_row_noise_draws_each_rows_own_stream():
     seqs = [np.random.SeedSequence([0, r]) for r in range(3)]
     noise = RowNoise([np.random.default_rng(q) for q in seqs])
     first, second = noise.standard_normal((3, 2, 5)), noise.standard_normal((3, 4))
+    assert all(d.dtype == np.float64 and d.flags.c_contiguous and d.base is None for d in (first, second))
     for r, q in enumerate(seqs):
         alone = np.random.default_rng(q)
         np.testing.assert_array_equal(first[r], alone.standard_normal((2, 5)))

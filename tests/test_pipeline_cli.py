@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brainvis_forge.binio import load_checkpoint
+from brainvis_forge.data.images import make_image_set
 from brainvis_forge.data.synthetic import generate_synthetic
 from brainvis_forge.pipeline.checkpoint import StageError
 from brainvis_forge.pipeline.cli import main
@@ -15,6 +17,8 @@ from brainvis_forge.pipeline.config import PipelineConfig
 from brainvis_forge.pipeline.runner import RunPaths, _synthetic_spec, load_run_data, run_gen_data, run_train_lmm
 
 TINY = "configs/tiny.json"
+# a few training steps per stage: enough to run the whole chain quickly
+QUICK = {"diffusion_steps": 2, "epochs": {"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 0, "align": 1}}
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -181,8 +185,20 @@ def test_gen_data_deterministic_bytes(tmp_path):
     a, b = RunPaths(tmp_path / "a"), RunPaths(tmp_path / "b")
     run_gen_data(cfg, a)
     run_gen_data(cfg, b)
-    for name in ("dataset.bvc", "fixtures.bvc"):
+    for name in ("dataset.bvc", "fixtures.bvc", "images.bvc"):
         assert (a.root / "data" / name).read_bytes() == (b.root / "data" / name).read_bytes()
+
+
+def test_gen_data_stores_the_target_images_as_built(tmp_path):
+    cfg = tiny_config()
+    paths = RunPaths(tmp_path / "run")
+    run_gen_data(cfg, paths)
+    images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
+                                    channels=cfg.latent_channels, seed=cfg.seed)
+    stored = load_checkpoint(paths.root / "data" / "images.bvc")
+    assert stored.stage == "data" and sorted(stored.tensors) == ["images", "labels"]
+    assert stored.tensors["images"].dtype == np.float32 and stored.tensors["images"].tobytes() == images.tobytes()
+    assert stored.tensors["labels"].dtype == np.int64 and stored.tensors["labels"].tobytes() == labels.tobytes()
 
 
 def test_gen_data_stores_the_trials_zscored_once(tmp_path):
@@ -203,6 +219,29 @@ def test_a_run_directory_from_before_the_bvc_dataset_fails_loudly(tmp_path):
     paths.stage_dir("data").joinpath("dataset.bvd").write_bytes(b"BVD1" + (1).to_bytes(4, "little") + bytes(17))
     with pytest.raises(StageError, match="requires 'data'"):
         run_train_lmm(cfg, paths)
+
+
+@pytest.mark.parametrize("stage, removed, named", [
+    ("tfe", ["lmm/checkpoint.bvc.meta.json"], "lmm/checkpoint.bvc.meta.json"),
+    ("diffusion", ["data/images.bvc.meta.json"], "data/images.bvc.meta.json"),
+    # a run directory from before gen-data stored the target images
+    ("diffusion", ["data/images.bvc", "data/images.bvc.meta.json"], "data/images.bvc"),
+    ("evaluate", ["data/images.bvc", "data/images.bvc.meta.json"], "data/images.bvc"),
+])
+def test_a_missing_archive_or_sidecar_names_the_stage_that_writes_it(tmp_path, stage, removed, named):
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(**QUICK)
+    paths = RunPaths(tmp_path / "run")
+    names = list(runner.STAGES)
+    for name in names[:names.index(stage)]:
+        runner.STAGES[name].run(cfg, paths)
+    for path in removed:
+        (paths.root / path).unlink()
+    with pytest.raises(StageError, match=re.escape(
+        f"stage '{stage}' reads {named}, which is missing: stage '{named.split('/')[0]}' writes it"
+    )):
+        runner.STAGES[stage].run(cfg, paths)
 
 
 def test_stage_without_prerequisites_fails(tmp_path):
@@ -480,7 +519,7 @@ def test_a_stage_is_refused_a_file_its_row_does_not_declare(tmp_path, monkeypatc
 def test_evaluate_names_a_missing_generated_image_and_the_stage_that_writes_it(tmp_path):
     from brainvis_forge.pipeline import runner
 
-    cfg = tiny_config(diffusion_steps=2, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 0, "align": 1})
+    cfg = tiny_config(**QUICK)
     paths = RunPaths(tmp_path / "run")
     for stage in list(runner.STAGES)[:-1]:
         runner.STAGES[stage].run(cfg, paths)

@@ -15,7 +15,6 @@ from brainvis_forge.autodiff import (
     backward,
     concat,
     gelu,
-    log_softmax,
     matmul,
     no_grad,
     reshape,
@@ -31,6 +30,7 @@ from brainvis_forge.lmm.loss import lmm_loss
 from oracles import (
     attention_core_composed,
     codeword_nll_composed,
+    cross_entropy_composed,
     layer_norm_composed,
     log,
     matmul_grads_per_item,
@@ -58,11 +58,15 @@ def test_softmax_uniform_on_zeros():
 
 
 @pytest.mark.parametrize("offset", [1e3, -1e3])
-def test_softmax_and_log_softmax_of_large_logits_are_finite_and_exact(offset):
+def test_softmax_and_cross_entropy_of_large_logits_are_finite_and_exact(offset):
     # Every logit minus the row max is exact here, so shifting by the max
     # must reproduce the results for the unshifted row to the bit.
     base = np.array([[0.0, -1.0, -2.0, -3.5]])
-    closed = {softmax: np.exp(base) / np.exp(base).sum(), log_softmax: base - np.log(np.exp(base).sum())}
+    target = np.array([[0.0, 0.0, 1.0, 0.0]])
+    closed = {
+        softmax: np.exp(base) / np.exp(base).sum(),
+        (lambda t: ops.cross_entropy(t, target)): np.log(np.exp(base).sum()) - base[0, 2],
+    }
     for op, want in closed.items():
         got = op(Tensor(base + offset)).data
         assert np.all(np.isfinite(got))
@@ -77,6 +81,34 @@ def test_cross_entropy_uniform_is_log_classes():
     onehot[0, 17] = 1.0
     loss = ops.cross_entropy(logits, Tensor(onehot))
     assert abs(loss.item() - np.log(660)) < 1e-6
+
+
+@pytest.mark.parametrize("shape, offset", [((2000, 40), 0.0), ((3, 4), 0.0), ((3, 4), 1e3)])
+def test_fused_cross_entropy_is_bit_equal_to_its_composition(shape, offset):
+    rng = np.random.default_rng(43)
+    logits = (rng.standard_normal(shape) * 3.0 + offset).astype(np.float32)
+    one_hot = Tensor(ops.one_hot_labels(rng.integers(0, shape[1], shape[0]), shape[1]))
+    results = []
+    for loss_fn in (ops.cross_entropy, cross_entropy_composed):
+        x = Tensor(logits, requires_grad=True)
+        loss = loss_fn(x, one_hot)
+        backward(loss)
+        results.append((np.asarray(loss.data), x.grad))
+    (fused, fused_grad), (composed, composed_grad) = results
+    assert fused.dtype == fused_grad.dtype == np.float32
+    assert fused.tobytes() == composed.tobytes()
+    assert fused_grad.tobytes() == composed_grad.tobytes()
+
+
+def test_fused_cross_entropy_records_one_entry_and_no_target_gradient():
+    tape = active_tape()
+    logits = Tensor(np.random.default_rng(5).standard_normal((6, 4)), requires_grad=True)
+    one_hot = Tensor(ops.one_hot_labels(np.array([0, 1, 2, 3, 0, 1]), 4), requires_grad=True)
+    before = len(tape)
+    loss = ops.cross_entropy(logits, one_hot)
+    assert [e.op for e in tape.entries[before:]] == ["cross_entropy"]
+    backward(loss)
+    assert logits.grad is not None and one_hot.grad is None
 
 
 def test_nonfinite_forward_is_hard_error():
@@ -451,6 +483,12 @@ def _leaf(*shape):
     return Tensor(np.ones(shape), requires_grad=True)
 
 
+def _nan_leaf(*shape):
+    leaf = _leaf(*shape)
+    leaf.data[(0,) * len(shape)] = np.nan  # past the Tensor constructor's own check
+    return leaf
+
+
 GUARDS = {
     "add": (lambda: add(_leaf(2, 3), _leaf(4)), ShapeError,
             "add: shapes (2, 3) and (4,) are not broadcastable"),
@@ -473,6 +511,8 @@ GUARDS = {
                  "mse_loss: shapes (2, 3) and (3, 2) differ"),
     "cross_entropy": (lambda: ops.cross_entropy(_leaf(2, 3), np.ones((2, 4))), ShapeError,
                       "cross_entropy: shapes (2, 3) and (2, 4) differ"),
+    "cross_entropy_nan": (lambda: ops.cross_entropy(_nan_leaf(2, 3), np.eye(3)[[0, 2]]), NonFiniteError,
+                          "cross_entropy: output contains NaN or Inf"),
     "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones((3, 3))), ShapeError,
                      "codeword_nll: shapes (2, 3) and (3, 3) differ"),
     "cosine_similarity": (lambda: ops.cosine_similarity(_leaf(2, 3), _leaf(2, 4)), ShapeError,
