@@ -118,6 +118,9 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     ce_logits = [r((5, 9))]
     ce_target = ops.one_hot_labels(rng.integers(0, 9, size=5), 9)
     take_idx = np.array([0, 2, 2, 4])
+    # latent 12 (as 3 x 2 x 2), hidden 5, four time features, a six-wide condition
+    denoiser_shapes = ((12, 5), (5,), (4, 5), (5,), (6, 5), (5,), (5, 5), (5,), (5, 12), (12,), (4, 12), (12,))
+    denoiser_inputs = [r((3, 3, 2, 2)), r((3, 4)), r((3, 6))] + [r(s) * 0.5 for s in denoiser_shapes]
 
     def probe(build, inputs, out_shape):
         w = Tensor(r(out_shape))
@@ -148,6 +151,8 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
         "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),
+        # x and t_feat require grad too, and each feeds two products
+        "denoiser_mlp": probe(lambda ts: ops.denoiser_mlp(*ts), denoiser_inputs, (3, 3, 2, 2)),
         # every input requires grad here, the target included
         "mse_loss": (lambda ts: ops.mse_loss(ts[0], ts[1]), [r((4, 5)), r((4, 5))]),
         "cross_entropy": (lambda ts: ops.cross_entropy(ts[0], Tensor(ce_target)), ce_logits),

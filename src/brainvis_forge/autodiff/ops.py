@@ -1,9 +1,9 @@
 """Composite differentiable operations built from the tensor primitives, plus
 fused ones that each record one tape entry of their own: `linear`,
 `layer_norm`, `attention_core`, `lstm_sequence` (the whole gated
-recurrence), `mse_loss`, `cross_entropy` and `codeword_nll`.  A fused forward
-runs the numpy operations of the composition it replaces in order, so it is
-bit-equal to it.
+recurrence), `denoiser_mlp` (the whole diffusion denoiser), `mse_loss`,
+`cross_entropy` and `codeword_nll`.  A fused forward runs the numpy ops of
+the composition it replaces in order, so it is bit-equal to it.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -18,6 +18,8 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
+    _gelu_backward,
+    _gelu_forward,
     _make,
     _matmul_data,
     _matmul_grads,
@@ -231,6 +233,57 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor
         return g_seq, g_w_x, g_w_h, g_bias
 
     return _make("lstm_sequence", (seq, w_x, w_h, bias), h.reshape(tuple(lead) + (d_h,)), bw)
+
+
+def denoiser_mlp(
+    x: Tensor, t_feat: Tensor, cond: Tensor,
+    w_in: Tensor, b_in: Tensor, w_t: Tensor, b_t: Tensor, w_c: Tensor, b_c: Tensor,
+    w_m: Tensor, b_m: Tensor, w_o: Tensor, b_o: Tensor, w_s: Tensor, b_s: Tensor,
+) -> Tensor:
+    """The diffusion denoiser's noise estimate as one tape entry, shaped like x.
+
+    x: (B, *latent), flattened to (B, L); t_feat: (B or 1, d_t); cond: (B or
+    1, e).  The forward runs the op-by-op composition in its order:
+        h = gelu(((x @ w_in + b_in) + (t @ w_t + b_t)) + (cond @ w_c + b_c))
+        h = gelu(h @ w_m + b_m)
+        eps = (h @ w_o + b_o) + (t @ w_s + b_s) * x
+    The closed-form backward forms only the gradients its inputs need.  Only
+    the output is checked finite: a NaN or Inf anywhere upstream reaches it.
+    """
+    # from a list, not a generator: CPython would keep each resized tuple on its free list
+    inputs = x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s = tuple(
+        [as_tensor(a) for a in (x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s)])
+    flat = x.data.reshape(x.shape[0], math.prod(x.shape[1:]))
+    (batch, lat), d_t, hid = flat.shape, t_feat.shape[-1], w_m.shape[0]
+    weights = [(lat, hid), (d_t, hid), (cond.shape[-1], hid), (hid, hid), (hid, lat), (d_t, lat)]
+    if ([p.shape for p in inputs[3:]] != [s for w in weights for s in (w, w[1:])]
+            or {t_feat.shape[:-1], cond.shape[:-1]} - {(1,), (batch,)}):
+        raise ShapeError(f"denoiser_mlp: weights {[p.shape for p in inputs[3:]]} do not fit latent {x.shape}, "
+                         f"time features {t_feat.shape} and condition {cond.shape}")
+    t, c = t_feat.data, cond.data
+    s = flat @ w_in.data + b_in.data + (t @ w_t.data + b_t.data) + (c @ w_c.data + b_c.data)
+    h1, tanh1 = _gelu_forward(s)
+    m = h1 @ w_m.data + b_m.data
+    h2, tanh2 = _gelu_forward(m)
+    skip = t @ w_s.data + b_s.data
+
+    def lin(a, g, w, b):  # the weight's and the bias's gradient of a @ w + b, where needed
+        return a.T @ g if w.requires_grad else None, g.sum(axis=0) if b.requires_grad else None
+
+    def bw(g):
+        g = g.reshape(flat.shape)
+        g_skip = _unbroadcast(g * flat, skip.shape)
+        g_m = _gelu_backward(g @ w_o.data.T, m, tanh2)
+        g_s = _gelu_backward(g_m @ w_m.data.T, s, tanh1)
+        g_time, g_cond = _unbroadcast(g_s, (len(t), hid)), _unbroadcast(g_s, (len(c), hid))
+        g_x = (g * skip + g_s @ w_in.data.T).reshape(x.shape) if x.requires_grad else None
+        g_t = g_skip @ w_s.data.T + g_time @ w_t.data.T if t_feat.requires_grad else None
+        return (g_x, g_t, g_cond @ w_c.data.T if cond.requires_grad else None,
+                *lin(flat, g_s, w_in, b_in), *lin(t, g_time, w_t, b_t), *lin(c, g_cond, w_c, b_c),
+                *lin(h1, g_m, w_m, b_m), *lin(h2, g, w_o, b_o), *lin(t, g_skip, w_s, b_s))
+
+    out = h2 @ w_o.data + b_o.data + skip * flat
+    return _make("denoiser_mlp", inputs, out.reshape(x.shape), bw)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -237,7 +237,8 @@ def mul(a, b) -> Tensor:
     out = _broadcast_data("mul", a, b, np.multiply)
     return _make(
         "mul", (a, b), out,
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                   _unbroadcast(g * a.data, b.shape) if b.requires_grad else None),
     )
 
 
@@ -399,16 +400,9 @@ def _sigmoid(x: np.ndarray, s=0.5, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))).
-
-    The forward runs the formula's operations in its order, with `out=` into
-    its own arrays; t = tanh(...) is kept for the backward.  The backward
-    evaluates its one expression over `_GELU_BLOCK`-element blocks of the
-    flattened arrays into one result, so its temporaries are block-sized.
-    """
-    a = as_tensor(a)
-    x = a.data
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of `x`, the formula's operations in its order with `out=` into its
+    own arrays, and the t = tanh(K * (x + C * x^3)) its backward reads."""
     t = np.multiply(x, _GELU_C)
     t *= x
     t *= x
@@ -417,18 +411,28 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     out = np.add(t, 1.0)
     out *= np.multiply(x, 0.5)
+    return out, t
 
-    def bw(g):
-        gx = np.empty(x.shape, np.result_type(g, x))
-        gx_f, g_f, x_f, t_f = gx.reshape(-1), g.reshape(-1), x.reshape(-1), t.reshape(-1)
-        for lo in range(0, gx.size, _GELU_BLOCK):
-            hi = lo + _GELU_BLOCK
-            x_b, t_b = x_f[lo:hi], t_f[lo:hi]
-            du = _GELU_K * (1.0 + 3.0 * _GELU_C * x_b * x_b)
-            np.multiply(g_f[lo:hi], 0.5 * (1.0 + t_b) + 0.5 * x_b * (1.0 - t_b * t_b) * du, out=gx_f[lo:hi])
-        return (gx,)
 
-    return _make("gelu", (a,), out, bw)
+def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g times GELU's derivative at `x`, over `_GELU_BLOCK`-element blocks of the
+    flattened arrays into one result, so its temporaries are block-sized."""
+    gx = np.empty(x.shape, np.result_type(g, x))
+    gx_f, g_f, x_f, t_f = gx.reshape(-1), g.reshape(-1), x.reshape(-1), t.reshape(-1)
+    for lo in range(0, gx.size, _GELU_BLOCK):
+        hi = lo + _GELU_BLOCK
+        x_b, t_b = x_f[lo:hi], t_f[lo:hi]
+        du = _GELU_K * (1.0 + 3.0 * _GELU_C * x_b * x_b)
+        np.multiply(g_f[lo:hi], 0.5 * (1.0 + t_b) + 0.5 * x_b * (1.0 - t_b * t_b) * du, out=gx_f[lo:hi])
+    return gx
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))); its
+    forward and backward helpers are shared with `ops.denoiser_mlp`."""
+    a = as_tensor(a)
+    out, t = _gelu_forward(a.data)
+    return _make("gelu", (a,), out, lambda g: (_gelu_backward(g, a.data, t),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

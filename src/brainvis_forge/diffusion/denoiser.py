@@ -3,16 +3,17 @@
 It is a token-mixing MLP over the flattened latent with
 sinusoidal timestep features and an additive projection of the condition
 vector.  Two condition pathways share it: the aligned semantic embedding and
-a learned per-class embedding table.
+a learned per-class embedding table.  The layers hold the parameters; the
+forward is the one fused tape op `ops.denoiser_mlp`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, gelu, no_grad, take
+from ..autodiff import Tensor, no_grad, take
 from ..autodiff.nn import Linear, Module, normal_init
-from ..autodiff.tensor import mul
+from ..autodiff.ops import denoiser_mlp
 
 TIME_EMBED_DIM = 32
 _HALF = TIME_EMBED_DIM // 2
@@ -70,12 +71,9 @@ class DenoiserNet(Module):
         batch = x_t.shape[0]
         if x_t.shape != (batch,) + self.latent_shape:
             raise ValueError(f"DenoiserNet: latent shape {x_t.shape[1:]} does not match {self.latent_shape}")
-        flat = x_t.reshape((batch, self.latent_size))
         t_feat = Tensor(timestep_embedding(t).astype(self.in_proj.weight.data.dtype))
-        h = gelu(self.in_proj(flat) + self.time_proj(t_feat) + self.cond_proj(cond))
-        h = gelu(self.mid(h))
-        eps = self.out_proj(h) + mul(self.skip_gate(t_feat), flat)
-        return eps.reshape((batch,) + self.latent_shape)
+        layers = (self.in_proj, self.time_proj, self.cond_proj, self.mid, self.out_proj, self.skip_gate)
+        return denoiser_mlp(x_t, t_feat, cond, *(p for layer in layers for p in (layer.weight, layer.bias)))
 
     def predict(self, x_t: np.ndarray, t: int, cond: np.ndarray) -> np.ndarray:
         """Inference-path forward, no tape: one latent or a (B, *latent) batch,

@@ -15,10 +15,17 @@ prints the keys it added, removed and changed against the manifest it
 replaces:
 
     PYTHONPATH=src python tests/digests.py
+
+With `--check` it writes nothing: it prints the same three lists against
+the committed manifest and exits 1 if any is non-empty, which shows a change
+meant to keep every output byte-identical does so:
+
+    PYTHONPATH=src python tests/digests.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -100,11 +107,24 @@ def manifest_diff(old: dict[str, str], new: dict[str, str]) -> dict[str, list[st
             "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k])}
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the manifest instead of writing it; exit 1 on any difference")
+    check = parser.parse_args(argv).check
     old = json.loads(MANIFEST.read_text())["digests"] if MANIFEST.exists() else {}
     text = make_manifest()
-    MANIFEST.write_text(text)
     new = json.loads(text)["digests"]
-    print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(new)} digests", file=sys.stderr)
-    for kind, keys in manifest_diff(old, new).items():
+    if check:
+        print(f"checked {len(new)} digests against {MANIFEST.relative_to(ROOT)}", file=sys.stderr)
+    else:
+        MANIFEST.write_text(text)
+        print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(new)} digests", file=sys.stderr)
+    diff = manifest_diff(old, new)
+    for kind, keys in diff.items():
         print(f"{kind}: {len(keys)}", *(f"  {k}" for k in keys), sep="\n", file=sys.stderr)
+    return int(check and any(diff.values()))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,7 @@ writer whose bytes `write_fixtures` must reproduce, the
 per-item matmul gradients the folded ones must match in rounding, and the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
 `attention_core` and `codeword_nll` must match bit for bit (and whose
-forward and gradient the fused `cross_entropy` must).  The tape ops that
+forward and gradients the fused `cross_entropy` and `denoiser_mlp` must).  The tape ops that
 only these compositions and the step-by-step LSTM reference use (`narrow`,
 `swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`) live here too, with
 their gradient probes in `oracle_op_probes`.
@@ -26,7 +26,7 @@ from io import BytesIO
 import numpy as np
 
 from brainvis_forge.autodiff.nn import Module
-from brainvis_forge.autodiff.ops import LAYER_NORM_EPS, LOG_EPS, one_hot_labels
+from brainvis_forge.autodiff.ops import LAYER_NORM_EPS, LOG_EPS, linear, one_hot_labels
 from brainvis_forge.autodiff.tensor import (
     ShapeError,
     Tensor,
@@ -35,6 +35,7 @@ from brainvis_forge.autodiff.tensor import (
     _unbroadcast,
     add,
     as_tensor,
+    gelu,
     matmul,
     mul,
     power,
@@ -273,3 +274,13 @@ def codeword_nll_composed(probs: Tensor, targets: Tensor) -> Tensor:
 def cross_entropy_composed(logits: Tensor, one_hot: Tensor) -> Tensor:
     """-mean(sum(one_hot * log_softmax(logits), axis=-1)) as five tape ops."""
     return mul(tmean(tsum(mul(one_hot, log_softmax(logits)), axis=-1)), -1.0)
+
+
+def denoiser_composed(x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s) -> Tensor:
+    """`ops.denoiser_mlp` as the tape ops `DenoiserNet` once recorded: six
+    `linear`, three `add`, two `gelu`, one `mul` and a `reshape` at each end,
+    the first one taped only when x requires a gradient."""
+    flat = reshape(x, (x.shape[0], math.prod(x.shape[1:])))
+    h = gelu(add(add(linear(flat, w_in, b_in), linear(t_feat, w_t, b_t)), linear(cond, w_c, b_c)))
+    h = gelu(linear(h, w_m, b_m))
+    return reshape(add(linear(h, w_o, b_o), mul(linear(t_feat, w_s, b_s), flat)), x.shape)

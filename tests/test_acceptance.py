@@ -15,6 +15,7 @@ import pytest
 from brainvis_forge.autodiff import Tensor
 from brainvis_forge.pipeline.config import PipelineConfig
 from brainvis_forge.pipeline.runner import STAGES, RunPaths, run_full_chain
+import digests
 from digests import assert_matches_manifest, latent_digests, manifest_diff, run_digests
 
 TINY = "configs/tiny.json"
@@ -472,3 +473,22 @@ def test_manifest_diff_names_the_keys_a_regeneration_adds_removes_and_changes():
     old = {"none/a": "1", "none/b": "2", "none/c": "3"}
     new = {"none/a": "1", "none/b": "9", "none/d": "4"}
     assert manifest_diff(old, new) == {"added": ["none/d"], "removed": ["none/c"], "changed": ["none/b"]}
+
+
+def test_digest_check_reports_differences_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    manifest = tmp_path / "tests" / "data" / "tiny_digests.json"
+    manifest.parent.mkdir(parents=True)
+    committed = json.dumps({"build": {}, "digests": {"none/a": "1", "none/b": "2"}})
+    manifest.write_text(committed)
+    monkeypatch.setattr(digests, "ROOT", tmp_path)
+    monkeypatch.setattr(digests, "MANIFEST", manifest)
+    monkeypatch.setattr(digests, "make_manifest", lambda: committed)
+    assert digests.main(["--check"]) == 0
+    assert capsys.readouterr().err.splitlines()[1:] == ["added: 0", "removed: 0", "changed: 0"]
+    rebuilt = json.dumps({"build": {}, "digests": {"none/a": "1", "none/b": "9", "none/c": "3"}})
+    monkeypatch.setattr(digests, "make_manifest", lambda: rebuilt)
+    assert digests.main(["--check"]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == ["added: 1", "  none/c", "removed: 0", "changed: 1", "  none/b"]
+    assert manifest.read_text() == committed
+    assert digests.main([]) == 0
+    assert manifest.read_text() == rebuilt

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from brainvis_forge.autodiff import Tensor, no_grad
+from brainvis_forge.autodiff import Tensor, active_tape, backward, no_grad
+from brainvis_forge.autodiff import ops
+from brainvis_forge.diffusion import ddpm
 from brainvis_forge.diffusion import (
     DenoiserNet,
     NoiseSchedule,
@@ -19,7 +21,8 @@ from brainvis_forge.diffusion import (
     write_ppm,
     x0_estimate,
 )
-from oracles import OracleDenoiser
+from brainvis_forge.diffusion.denoiser import timestep_embedding
+from oracles import OracleDenoiser, denoiser_composed
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +415,89 @@ def test_denoiser_two_image_memorization_loss():
     history = train_denoiser(net, schedule, images, labels, None, steps=2000, batch_size=16, seed=8)
     tail = np.mean([h["loss"] for h in history[-50:]])
     assert tail < 0.2
+
+
+def _live_net(seed=20):
+    """The tiny config's denoiser geometry with every parameter drawn at random,
+    so no gradient is zero by construction."""
+    net = DenoiserNet((3, 8, 8), 16, 5, 48, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for p in net.parameters():
+        p.data[...] = rng.standard_normal(p.shape) * 0.3
+    return net
+
+
+def _layer_params(net):
+    layers = (net.in_proj, net.time_proj, net.cond_proj, net.mid, net.out_proj, net.skip_gate)
+    return [p for layer in layers for p in (layer.weight, layer.bias)]
+
+
+@pytest.mark.parametrize("use_class", [True, False])
+def test_fused_denoiser_step_is_bit_equal_to_its_composition(use_class):
+    net = _live_net()
+    rng = np.random.default_rng(22)
+    x_t = Tensor(rng.standard_normal((16, 3, 8, 8)).astype(np.float32))
+    eps = Tensor(rng.standard_normal((16, 3, 8, 8)).astype(np.float32))
+    t = rng.integers(1, 101, 16)
+    labels = rng.integers(0, 5, 16)
+    t_feat = Tensor(timestep_embedding(t))
+    eeg = Tensor(rng.standard_normal((16, 16)).astype(np.float32))
+    results = []
+    for forward in (ops.denoiser_mlp, denoiser_composed):
+        for p in net.parameters():
+            p.grad = None
+        cond = net.class_condition(labels) if use_class else eeg
+        pred = forward(x_t, t_feat, cond, *_layer_params(net))
+        loss = ops.mse_loss(pred, eps)
+        backward(loss)
+        results.append((pred.data, loss.data, [p.grad for p in net.parameters()]))
+    (fused, fused_loss, fused_grads), (composed, composed_loss, composed_grads) = results
+    assert fused.dtype == np.float32 and fused.shape == (16, 3, 8, 8)
+    assert fused.tobytes() == composed.tobytes() and fused_loss.tobytes() == composed_loss.tobytes()
+    for got, want in zip(fused_grads[:12], composed_grads[:12]):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    if use_class:
+        # the class table's gradient flows back through `take`
+        assert fused_grads[12].tobytes() == composed_grads[12].tobytes()
+        assert np.abs(fused_grads[12]).sum() > 0
+    else:
+        assert fused_grads[12] is None and eeg.grad is None
+
+
+def test_untaped_fused_denoiser_at_generate_batch_matches_its_composition():
+    net = _live_net()
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((800, 3, 8, 8))
+    cond = rng.standard_normal((800, 16))
+    t_feat = Tensor(timestep_embedding(np.array([37])))  # one row for the whole batch
+    tape = active_tape()
+    before = len(tape)
+    with no_grad():
+        want = denoiser_composed(Tensor(x.astype(np.float32)), t_feat, Tensor(cond.astype(np.float32)),
+                                 *_layer_params(net)).data
+    got = net.predict(x, 37, cond)
+    assert len(tape) == before
+    assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_train_denoiser_tapes_one_fused_entry_per_step(monkeypatch):
+    recorded = []
+
+    def loss_after_recording(pred, target):
+        loss = ops.mse_loss(pred, target)
+        recorded.append([e.op for e in active_tape().entries])
+        return loss
+
+    monkeypatch.setattr(ddpm, "mse_loss", loss_after_recording)
+    net = DenoiserNet((3, 4, 4), 8, 2, 16, np.random.default_rng(12))
+    images = np.random.default_rng(13).uniform(-1, 1, (4, 3, 4, 4)).astype(np.float32)
+    eeg = np.random.default_rng(14).standard_normal((4, 8))
+    history = train_denoiser(net, NoiseSchedule.linear(T=20), images, np.array([0, 1, 0, 1]), eeg,
+                             steps=12, batch_size=4, seed=15)
+    assert {h["condition"] for h in history} == {"class", "eeg"}
+    for h, ops_taped in zip(history, recorded, strict=True):
+        want = ["take", "denoiser_mlp", "mse_loss"] if h["condition"] == "class" else ["denoiser_mlp", "mse_loss"]
+        assert ops_taped == want
 
 
 def test_denoiser_training_deterministic():

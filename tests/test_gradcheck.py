@@ -8,7 +8,7 @@ the ten-draw check of the test-only tape ops that `oracles` defines.
 import numpy as np
 import pytest
 
-from brainvis_forge.autodiff import Tensor, active_tape, tsum
+from brainvis_forge.autodiff import Tensor, active_tape, ops, tsum
 from brainvis_forge.autodiff.gradcheck import check_gradients, op_catalog, run_catalog_suite
 from brainvis_forge.autodiff.tensor import mul
 from oracles import as_float64, oracle_op_probes
@@ -53,6 +53,16 @@ def test_oracle_tape_ops_match_central_differences(name):
     for seed in range(2024, 2034):
         fn, arrays = oracle_op_probes(np.random.default_rng(seed))[name]
         assert check_gradients(fn, arrays) < TOL, seed
+
+
+def test_denoiser_mlp_gradient_with_one_time_row_and_one_condition_row():
+    # `predict`'s shapes: one timestep-feature row and one condition row broadcast over the batch
+    shapes = [(2, 4), (1, 3), (1, 2), (4, 3), (3,), (3, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), (4,), (3, 4), (4,)]
+    for seed in range(2024, 2034):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        w = Tensor(rng.standard_normal((2, 4)))
+        assert check_gradients(lambda ts: tsum(mul(ops.denoiser_mlp(*ts), w)), arrays) < TOL, seed
 
 
 def test_lstm_three_step_sequence_gradient():

@@ -36,6 +36,13 @@ def test_default_config_carries_reference_values():
     assert (cfg.lr, cfg.batch, cfg.e, cfg.T, cfg.rho) == (0.001, 128, 768, 100, 0.3)
     assert cfg.epochs == {"lmm": 300, "freq": 900, "time_ft": 80, "joint_ft": 30, "align": 200}
     assert cfg.unit_dim == 512
+    assert (cfg.teacher_momentum, cfg.align_blocks, cfg.caption_offset, cfg.label_weight) == (0.99, 2, 0.25, 1.0)
+    assert (cfg.latent_channels, cfg.latent_size, cfg.denoiser_hidden) == (3, 16, 256)
+    assert (cfg.diffusion_steps, cfg.diffusion_batch, cfg.samples_per_record) == (2000, 16, 4)
+    assert (cfg.n_classes, cfg.records_per_class, cfg.records_per_image, cfg.subjects) == (40, 50, 1, 6)
+    assert (cfg.noise_std, cfg.sample_rate, cfg.sinusoids_per_class) == (0.1, 1000.0, 2)
+    assert (cfg.ga_n, cfg.ga_k, cfg.is_splits, cfg.surrogate_hidden, cfg.surrogate_epochs) == (40, 1, 1, 64, 200)
+    assert (cfg.seed, cfg.ablate) == (0, None)
 
 
 def test_config_rejects_bad_fields():

@@ -265,6 +265,18 @@ def test_sigmoid_saturates_without_overflow(dtype, x):
     np.testing.assert_array_equal(out, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("a_needs_grad", [True, False])
+def test_mul_forms_no_gradient_for_a_constant_operand(a_needs_grad):
+    rng = np.random.default_rng(12)
+    a, b, g = rng.standard_normal((4, 5)), rng.standard_normal(5), rng.standard_normal((4, 5))
+    mul(Tensor(a, requires_grad=a_needs_grad), Tensor(b, requires_grad=not a_needs_grad))
+    ga, gb = active_tape().entries.pop().backward_fn(g)
+    if a_needs_grad:
+        assert gb is None and ga.tobytes() == (g * b).tobytes()
+    else:
+        assert ga is None and gb.tobytes() == (g * a).sum(axis=0).tobytes()
+
+
 def test_mse_loss_hand_value():
     loss = ops.mse_loss(Tensor(np.array([0.0, 0.0, 0.0, 0.0])), Tensor(np.array([1.0, 0.0, 0.0, 0.0])))
     assert loss.item() == pytest.approx(0.25)
@@ -489,6 +501,13 @@ def _nan_leaf(*shape):
     return leaf
 
 
+def _denoiser_leaves(x, w_in=(4, 3)):
+    """`ops.denoiser_mlp`'s inputs at batch 2, latent 4, hidden 3, two time
+    features and a two-wide condition, with latent `x` and weight `w_in`."""
+    shapes = [w_in, (3,), (2, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), (4,), (2, 4), (4,)]
+    return [x, _leaf(2, 2), _leaf(2, 2)] + [_leaf(*s) for s in shapes]
+
+
 GUARDS = {
     "add": (lambda: add(_leaf(2, 3), _leaf(4)), ShapeError,
             "add: shapes (2, 3) and (4,) are not broadcastable"),
@@ -513,6 +532,11 @@ GUARDS = {
                       "cross_entropy: shapes (2, 3) and (2, 4) differ"),
     "cross_entropy_nan": (lambda: ops.cross_entropy(_nan_leaf(2, 3), np.eye(3)[[0, 2]]), NonFiniteError,
                           "cross_entropy: output contains NaN or Inf"),
+    "denoiser_mlp": (lambda: ops.denoiser_mlp(*_denoiser_leaves(_leaf(2, 4), w_in=(5, 3))), ShapeError,
+                     "denoiser_mlp: weights [(5, 3), (3,), (2, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), "
+                     "(4,), (2, 4), (4,)] do not fit latent (2, 4), time features (2, 2) and condition (2, 2)"),
+    "denoiser_mlp_nan": (lambda: ops.denoiser_mlp(*_denoiser_leaves(_nan_leaf(2, 4))), NonFiniteError,
+                         "denoiser_mlp: output contains NaN or Inf"),
     "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones((3, 3))), ShapeError,
                      "codeword_nll: shapes (2, 3) and (3, 3) differ"),
     "cosine_similarity": (lambda: ops.cosine_similarity(_leaf(2, 3), _leaf(2, 4)), ShapeError,
