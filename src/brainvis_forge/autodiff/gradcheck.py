@@ -164,6 +164,8 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     catalog["mse_loss_fixed_target"] = (lambda ts: ops.mse_loss(ts[0], fixed_target), [r((4, 5))])
     catalog["linear_4d"] = probe(lambda ts: ops.linear(*ts), [r((2, 3, 4, 6)), r((6, 5)), r(5)], (2, 3, 4, 5))
     catalog["matmul_4d"] = probe(lambda ts: matmul(ts[0], ts[1]), [r((2, 3, 4, 6)), r((6, 5))], (2, 3, 4, 5))
+    catalog["mlp_cross_entropy"] = (lambda ts: ops.mlp_cross_entropy(*ts, np.array([0, 3, 1, 3, 2])),  # x too
+                                    [r((5, 6)), r((6, 3)) * 0.5, r(3) * 0.1, r((3, 4)) * 0.5, r(4) * 0.1])
     return catalog
 
 

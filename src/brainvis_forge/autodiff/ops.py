@@ -1,9 +1,9 @@
 """Composite differentiable operations built from the tensor primitives, plus
 fused ones that each record one tape entry of their own: `linear`,
-`layer_norm`, `attention_core`, `lstm_sequence` (the whole gated
-recurrence), `denoiser_mlp` (the whole diffusion denoiser), `mse_loss`,
-`cross_entropy` and `codeword_nll`.  A fused forward runs the numpy ops of
-the composition it replaces in order, so it is bit-equal to it.
+`layer_norm`, `attention_core`, `lstm_sequence` (the whole gated recurrence),
+`denoiser_mlp` (the whole diffusion denoiser), `mse_loss`, `cross_entropy`,
+`mlp_cross_entropy` (the surrogate's training loss) and `codeword_nll`.  A fused
+forward runs the numpy ops of the composition it replaces in order, so it is bit-equal to it.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -311,6 +311,12 @@ def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """log_softmax over the last axis; its row max, over a transposed copy, is faster on narrow rows."""
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0).T[..., None]
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:
     """-mean over rows of sum(one_hot * log_softmax(logits)), as one tape entry.
 
@@ -321,8 +327,7 @@ def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:
     one_hot = as_tensor(one_hot, logits).data
     if logits.shape != one_hot.shape:
         raise ShapeError(f"cross_entropy: shapes {logits.shape} and {one_hot.shape} differ")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    ls = _log_softmax(logits.data)
     per_row = (one_hot * ls).sum(axis=-1)
 
     def bw(g):
@@ -330,6 +335,38 @@ def cross_entropy(logits: Tensor, one_hot: Tensor | np.ndarray) -> Tensor:
         return (g_ls - np.exp(ls) * g_ls.sum(axis=-1, keepdims=True),)
 
     return _make("cross_entropy", (logits,), np.asarray(per_row.mean() * -1.0), bw)
+
+
+def mlp_cross_entropy(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, labels: np.ndarray) -> Tensor:
+    """cross_entropy(gelu(x @ w1 + b1) @ w2 + b2, one_hot_labels(labels, k)) as one bit-equal tape entry; x is
+    (n, d), labels (n,) in [0, k).  All log-probabilities are checked finite: a -Inf one off the label misses the loss."""
+    inputs = x, w1, b1, w2, b2 = tuple([as_tensor(a) for a in (x, w1, b1, w2, b2)])
+    labels, (hid, k) = np.asarray(labels), w2.shape if w2.ndim == 2 else (0, 0)
+    shapes = [p.shape for p in inputs[1:]] + [labels.shape]
+    if x.ndim != 2 or shapes != [(x.shape[1], hid), (hid,), (hid, k), (k,), x.shape[:1]]:
+        raise ShapeError(f"mlp_cross_entropy: weights and labels {shapes} do not fit input {x.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < k:
+        raise ValueError(f"mlp_cross_entropy: labels span [{labels.min()}, {labels.max()}], outside [0, {k})")
+    s = x.data @ w1.data
+    s += b1.data
+    h, t = _gelu_forward(s)
+    logits = h @ w2.data
+    logits += b2.data
+    ls = _log_softmax(logits)
+    _require_finite("mlp_cross_entropy", ls.min())
+    rows = np.arange(len(labels))
+    per_row = ls[rows, labels]  # the one term of (one_hot * ls).sum(-1) that is not 0 * ls, a signed zero
+
+    def bw(g):
+        c = (g * -1.0) / per_row.size  # a one-hot row's sum of one_hot * c
+        g_l = np.exp(ls) * c
+        np.subtract(0.0 * c, g_l, out=g_l)  # one_hot * c - exp(ls) * c off the label, 0 * c keeping its sign
+        g_l[rows, labels] += c  # on it, c + (0 * c - y) is c - y to the bit
+        g_s = _gelu_backward(g_l @ w2.data.T, s, t)
+        g_x = g_s @ w1.data.T if x.requires_grad else None
+        return g_x, x.data.T @ g_s, g_s.sum(axis=0), h.T @ g_l, g_l.sum(axis=0)
+
+    return _make("mlp_cross_entropy", inputs, np.asarray(per_row.mean() * -1.0), bw)
 
 
 def codeword_nll(probs: Tensor, targets: np.ndarray) -> Tensor:

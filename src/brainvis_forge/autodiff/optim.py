@@ -166,7 +166,7 @@ def adam_step(
         np.multiply(g, 1.0 - beta1, out=s)  # m = beta1 * m + (1 - beta1) * g
         m *= beta1
         m += s
-        np.multiply(g, g, out=s)  # v = beta2 * v + (1 - beta2) * g^2
+        np.square(g, out=s)  # v = beta2 * v + (1 - beta2) * g^2
         s *= 1.0 - beta2
         v *= beta2
         v += s

@@ -428,8 +428,8 @@ def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))); its
-    forward and backward helpers are shared with `ops.denoiser_mlp`."""
+    """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))); its forward
+    and backward helpers are shared with `ops.denoiser_mlp` and `ops.mlp_cross_entropy`."""
     a = as_tensor(a)
     out, t = _gelu_forward(a.data)
     return _make("gelu", (a,), out, lambda g: (_gelu_backward(g, a.data, t),))

@@ -72,7 +72,7 @@ def train_denoiser(
         eps = rng.standard_normal((len(idx),) + net.latent_shape)
         x_t = forward_diffuse(schedule, images[idx], t, eps)
 
-        use_class = eeg_conditions is None or rng.uniform() < 0.5
+        use_class = eeg_conditions is None or rng.uniform() < 0.5  # `<=` differs only on a draw of exactly 0.5: p = 2**-53
         if use_class:
             cond = net.class_condition(labels[idx])
         else:

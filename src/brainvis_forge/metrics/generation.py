@@ -35,6 +35,7 @@ def inception_score(probs: np.ndarray, splits: int = 1) -> tuple[float, float]:
     def score(block: np.ndarray) -> float:
         marginal = block.mean(axis=0, keepdims=True)
         ratio = np.where(block > 0, block / marginal, 1.0)
+        # `block >= 0` would give the same: where block == 0, ratio is 1 and block * log(1) is 0
         kl = np.sum(np.where(block > 0, block * np.log(ratio), 0.0), axis=1)
         return float(np.exp(np.mean(kl)))
 

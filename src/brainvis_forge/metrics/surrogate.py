@@ -13,7 +13,7 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tensor, gelu, no_grad, softmax
 from ..autodiff.nn import Linear, Module
-from ..autodiff.ops import cross_entropy, one_hot_labels
+from ..autodiff.ops import mlp_cross_entropy
 from .classification import top_k_accuracy
 
 
@@ -31,15 +31,15 @@ class SurrogateClassifier(Module):
 
 def train_surrogate(model: SurrogateClassifier, images: np.ndarray, labels: np.ndarray, *, epochs: int,
                     lr: float) -> float:
-    """Overfit `model` in place on the clean image set, one full-batch step per
-    epoch; returns its train accuracy.  It is a measuring stick, not a model
-    under test."""
+    """Overfit `model` in place on the clean image set, one full-batch step of
+    `ops.mlp_cross_entropy` (the fused `cross_entropy(model(flat), one_hot)`)
+    per epoch; returns its train accuracy.  It is a measuring stick, not a
+    model under test."""
     flat = Tensor(np.asarray(images, dtype=np.float32).reshape(len(images), -1))
     labels = np.asarray(labels, dtype=np.int64)
     store = ParamStore(surrogate=model)
-    onehot = Tensor(one_hot_labels(labels, model.fc2.weight.shape[1]))
-    for _ in range(epochs):
-        store.step(cross_entropy(model(flat), onehot), lr)
+    for _ in range(epochs):  # the parameters in order: fc1.weight, fc1.bias, fc2.weight, fc2.bias
+        store.step(mlp_cross_entropy(flat, *model.parameters(), labels), lr)
     with no_grad():
         logits = model(flat).data
     return top_k_accuracy(logits, labels, 1)

@@ -116,7 +116,7 @@ def _pipeline_forwards() -> dict:
     """One tiny taped forward per trained network, each ending in its loss."""
     from brainvis_forge.align import AlignmentNet, si_loss
     from brainvis_forge.autodiff.nn import Linear, LstmEncoder
-    from brainvis_forge.autodiff.ops import cross_entropy, mse_loss
+    from brainvis_forge.autodiff.ops import cross_entropy, mlp_cross_entropy, mse_loss
     from brainvis_forge.diffusion import DenoiserNet
     from brainvis_forge.freq import FreqClassifier
     from brainvis_forge.fusion import TfeModel
@@ -154,7 +154,10 @@ def _pipeline_forwards() -> dict:
             denoiser(Tensor(rng.standard_normal((2, 3, 4, 4))), np.array([3, 7]), denoiser.class_condition([1, 2])),
             Tensor(rng.standard_normal((2, 3, 4, 4))),
         ),
-        "SurrogateClassifier": lambda: cross_entropy(surrogate(Tensor(rng.standard_normal((2, 48)))), onehot),
+        # `train_surrogate`'s loss; the surrogate's forward itself runs only untaped
+        "SurrogateClassifier": lambda: mlp_cross_entropy(
+            Tensor(rng.standard_normal((2, 48))), *surrogate.parameters(), np.array([0, 3])
+        ),
     }
 
 

@@ -1,6 +1,7 @@
 """Metric definitions against brute-force oracles and closed forms."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -368,8 +369,30 @@ def test_metrics_report_accepts_ssim_at_its_bounds_only(ssim_mean, ok):
     if ok:
         report.validate_ranges()
     else:
-        with pytest.raises(ValueError, match="ssim_mean"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'MetricsReport: ssim_mean={ssim_mean} outside [-1, 1]')}$"):
             report.validate_ranges()
+
+
+def _report(**fields) -> MetricsReport:
+    """A report with in-range values, overridden by `fields`."""
+    return MetricsReport(**{**dict(top1_ca=0.5, top3_ca=0.8, top5_ca=0.9, f1_macro=0.4, ga=0.45,
+                                   is_mean=3.2, is_std=0.1, fid=12.5, ssim_mean=0.7), **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: inception_score(np.zeros((0, 4))),
+                 "inception_score: expected nonempty (n, classes), got (0, 4)", id="is_empty"),
+    pytest.param(lambda: inception_score(np.full((3, 4), 0.25), splits=0),
+                 "inception_score: splits=0 invalid for 3 rows", id="is_no_split"),
+    pytest.param(lambda: inception_score(np.full((3, 4), 0.25), splits=4),
+                 "inception_score: splits=4 invalid for 3 rows", id="is_more_splits_than_rows"),
+    pytest.param(lambda: fid_from_moments(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3)),
+                 "fid_from_moments: moment shapes differ", id="fid_moments"),
+    pytest.param(lambda: _report(is_mean=0.5).validate_ranges(), "MetricsReport: is_mean=0.5 below 1", id="is_mean"),
+])
+def test_metric_guards_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -425,3 +448,21 @@ def test_evaluate_generation_perfect_bound():
     assert block["ga"] == 1.0
     assert abs(block["fid"]) < 1e-4  # eigendecomposition noise scales with feature magnitude
     assert block["ssim_mean"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_train_surrogate_tapes_one_entry_per_epoch_and_leaves_the_tape_empty(monkeypatch):
+    from brainvis_forge.autodiff import ParamStore, active_tape
+    from brainvis_forge.metrics import SurrogateClassifier, train_surrogate
+
+    taped, step = [], ParamStore.step
+
+    def recording_step(self, loss, lr, trainable=None):
+        taped.append([entry.op for entry in active_tape().entries])
+        return step(self, loss, lr, trainable)
+
+    monkeypatch.setattr(ParamStore, "step", recording_step)
+    rng = np.random.default_rng(19)
+    surrogate = SurrogateClassifier(12, 6, 3, rng)
+    train_surrogate(surrogate, rng.uniform(-1, 1, (9, 3, 2, 2)), rng.integers(0, 3, 9), epochs=4, lr=3e-3)
+    assert taped == [["mlp_cross_entropy"]] * 4
+    assert len(active_tape()) == 0

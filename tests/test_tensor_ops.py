@@ -27,7 +27,9 @@ from brainvis_forge.autodiff import ops
 from brainvis_forge.autodiff.nn import Attention, Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import _matmul_grads, add, broadcast_to, mul, power, sub
 from brainvis_forge.lmm.loss import lmm_loss
+from brainvis_forge.metrics.surrogate import SurrogateClassifier
 from oracles import (
+    as_float64,
     attention_core_composed,
     codeword_nll_composed,
     cross_entropy_composed,
@@ -109,6 +111,40 @@ def test_fused_cross_entropy_records_one_entry_and_no_target_gradient():
     assert [e.op for e in tape.entries[before:]] == ["cross_entropy"]
     backward(loss)
     assert logits.grad is not None and one_hot.grad is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_needs_grad", [False, True])
+@pytest.mark.parametrize("scale", [1.0, -2.0])
+def test_fused_mlp_cross_entropy_is_bit_equal_to_its_composition(dtype, x_needs_grad, scale):
+    # `train_surrogate`'s loss against `cross_entropy(model(flat), one_hot)` on the
+    # op-by-op tape; a negative scale flips the sign of every loss gradient
+    rng = np.random.default_rng(47)
+    n, d, k = 40, 12, 5
+    model = SurrogateClassifier(d, 8, k, rng)
+    if dtype == np.float64:
+        as_float64(model)
+    flat = rng.standard_normal((n, d)).astype(dtype)
+    flat[0] *= 1e4  # a row whose logits spread so far that every off-label exp underflows to 0
+    labels = rng.integers(0, k, n)
+    with no_grad():
+        logits = model(Tensor(flat)).data
+    labels[0] = logits[0].argmax()
+    assert np.count_nonzero(np.exp(logits[0] - logits[0].max())) == 1
+    params = model.parameters()  # fc1.weight, fc1.bias, fc2.weight, fc2.bias
+    results = []
+    for loss_fn in (lambda x: ops.mlp_cross_entropy(x, *params, labels),
+                    lambda x: ops.cross_entropy(model(x), Tensor(ops.one_hot_labels(labels, k)))):
+        x = Tensor(flat, requires_grad=x_needs_grad)
+        for p in params:
+            p.grad = None
+        loss = loss_fn(x)
+        backward(mul(loss, scale))
+        results.append([loss.data, x.grad] + [p.grad for p in params])
+    fused, composed = results
+    assert fused[0].dtype == dtype and (fused[1] is None) == (not x_needs_grad)
+    for a, b in zip(fused, composed):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 def test_nonfinite_forward_is_hard_error():
@@ -508,6 +544,11 @@ def _denoiser_leaves(x, w_in=(4, 3)):
     return [x, _leaf(2, 2), _leaf(2, 2)] + [_leaf(*s) for s in shapes]
 
 
+def _mlp_leaves(x, w2=None, labels=(0, 3)):
+    """`ops.mlp_cross_entropy`'s inputs at hidden 2 and four classes, with input `x`."""
+    return [x, _leaf(3, 2), _leaf(2), _leaf(2, 4) if w2 is None else w2, _leaf(4), np.array(labels)]
+
+
 GUARDS = {
     "add": (lambda: add(_leaf(2, 3), _leaf(4)), ShapeError,
             "add: shapes (2, 3) and (4,) are not broadcastable"),
@@ -537,6 +578,20 @@ GUARDS = {
                      "(4,), (2, 4), (4,)] do not fit latent (2, 4), time features (2, 2) and condition (2, 2)"),
     "denoiser_mlp_nan": (lambda: ops.denoiser_mlp(*_denoiser_leaves(_nan_leaf(2, 4))), NonFiniteError,
                          "denoiser_mlp: output contains NaN or Inf"),
+    "mlp_cross_entropy": (lambda: ops.mlp_cross_entropy(*_mlp_leaves(_leaf(2, 3), w2=_leaf(2, 5))), ShapeError,
+                          "mlp_cross_entropy: weights and labels [(3, 2), (2,), (2, 5), (4,), (2,)] do not fit "
+                          "input (2, 3)"),
+    "mlp_cross_entropy_label": (lambda: ops.mlp_cross_entropy(*_mlp_leaves(_leaf(2, 3), labels=[-1, 3])),
+                                ValueError, "mlp_cross_entropy: labels span [-1, 3], outside [0, 4)"),
+    "mlp_cross_entropy_label_k": (lambda: ops.mlp_cross_entropy(*_mlp_leaves(_leaf(2, 3), labels=[0, 4])),
+                                  ValueError, "mlp_cross_entropy: labels span [0, 4], outside [0, 4)"),
+    "mlp_cross_entropy_nan": (lambda: ops.mlp_cross_entropy(*_mlp_leaves(_nan_leaf(2, 3))), NonFiniteError,
+                              "mlp_cross_entropy: output contains NaN or Inf"),
+    # a logit that overflows to -Inf off the label leaves the loss finite, but not the log-probabilities
+    "mlp_cross_entropy_inf_logit": (lambda: ops.mlp_cross_entropy(*_mlp_leaves(
+                                        _leaf(2, 3), w2=Tensor(np.array([[0.0, -1e308, -1e308, -1e308]] * 2)),
+                                        labels=[0, 0])),
+                                    NonFiniteError, "mlp_cross_entropy: output contains NaN or Inf"),
     "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones((3, 3))), ShapeError,
                      "codeword_nll: shapes (2, 3) and (3, 3) differ"),
     "cosine_similarity": (lambda: ops.cosine_similarity(_leaf(2, 3), _leaf(2, 4)), ShapeError,
