@@ -166,6 +166,8 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     catalog["matmul_4d"] = probe(lambda ts: matmul(ts[0], ts[1]), [r((2, 3, 4, 6)), r((6, 5))], (2, 3, 4, 5))
     catalog["mlp_cross_entropy"] = (lambda ts: ops.mlp_cross_entropy(*ts, np.array([0, 3, 1, 3, 2])),  # x too
                                     [r((5, 6)), r((6, 3)) * 0.5, r(3) * 0.1, r((3, 4)) * 0.5, r(4) * 0.1])
+    denoiser_target = r((3, 3, 2, 2))  # a constant, as `train_denoiser`'s noise is
+    catalog["denoiser_mse"] = (lambda ts: ops.denoiser_mse(*ts[:3], denoiser_target, *ts[3:]), denoiser_inputs)
     return catalog
 
 

@@ -1,8 +1,8 @@
 """Composite differentiable operations built from the tensor primitives, plus
 fused ones that each record one tape entry of their own: `linear`,
 `layer_norm`, `attention_core`, `lstm_sequence` (the whole gated recurrence),
-`denoiser_mlp` (the whole diffusion denoiser), `mse_loss`, `cross_entropy`,
-`mlp_cross_entropy` (the surrogate's training loss) and `codeword_nll`.  A fused
+`denoiser_mlp` (the whole diffusion denoiser) and `denoiser_mse` (its loss), `mse_loss`,
+`cross_entropy`, `mlp_cross_entropy` (the surrogate's training loss) and `codeword_nll`.  A fused
 forward runs the numpy ops of the composition it replaces in order, so it is bit-equal to it.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
@@ -235,30 +235,25 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor
     return _make("lstm_sequence", (seq, w_x, w_h, bias), h.reshape(tuple(lead) + (d_h,)), bw)
 
 
-def denoiser_mlp(
-    x: Tensor, t_feat: Tensor, cond: Tensor,
-    w_in: Tensor, b_in: Tensor, w_t: Tensor, b_t: Tensor, w_c: Tensor, b_c: Tensor,
-    w_m: Tensor, b_m: Tensor, w_o: Tensor, b_o: Tensor, w_s: Tensor, b_s: Tensor,
-) -> Tensor:
-    """The diffusion denoiser's noise estimate as one tape entry, shaped like x.
+def _denoiser_forward(op: str, tensors: tuple) -> tuple:
+    """The inputs as tensors, the (B, L) noise estimate and its backward, for `denoiser_mlp` and `denoiser_mse`.
 
     x: (B, *latent), flattened to (B, L); t_feat: (B or 1, d_t); cond: (B or
     1, e).  The forward runs the op-by-op composition in its order:
         h = gelu(((x @ w_in + b_in) + (t @ w_t + b_t)) + (cond @ w_c + b_c))
         h = gelu(h @ w_m + b_m)
         eps = (h @ w_o + b_o) + (t @ w_s + b_s) * x
-    The closed-form backward forms only the gradients its inputs need.  Only
-    the output is checked finite: a NaN or Inf anywhere upstream reaches it.
+    The backward forms only the gradients its inputs need.
     """
     # from a list, not a generator: CPython would keep each resized tuple on its free list
     inputs = x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s = tuple(
-        [as_tensor(a) for a in (x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s)])
+        [as_tensor(a) for a in tensors])
     flat = x.data.reshape(x.shape[0], math.prod(x.shape[1:]))
     (batch, lat), d_t, hid = flat.shape, t_feat.shape[-1], w_m.shape[0]
     weights = [(lat, hid), (d_t, hid), (cond.shape[-1], hid), (hid, hid), (hid, lat), (d_t, lat)]
     if ([p.shape for p in inputs[3:]] != [s for w in weights for s in (w, w[1:])]
             or {t_feat.shape[:-1], cond.shape[:-1]} - {(1,), (batch,)}):
-        raise ShapeError(f"denoiser_mlp: weights {[p.shape for p in inputs[3:]]} do not fit latent {x.shape}, "
+        raise ShapeError(f"{op}: weights {[p.shape for p in inputs[3:]]} do not fit latent {x.shape}, "
                          f"time features {t_feat.shape} and condition {cond.shape}")
     t, c = t_feat.data, cond.data
     s = flat @ w_in.data + b_in.data + (t @ w_t.data + b_t.data) + (c @ w_c.data + b_c.data)
@@ -282,8 +277,31 @@ def denoiser_mlp(
                 *lin(flat, g_s, w_in, b_in), *lin(t, g_time, w_t, b_t), *lin(c, g_cond, w_c, b_c),
                 *lin(h1, g_m, w_m, b_m), *lin(h2, g, w_o, b_o), *lin(t, g_skip, w_s, b_s))
 
-    out = h2 @ w_o.data + b_o.data + skip * flat
-    return _make("denoiser_mlp", inputs, out.reshape(x.shape), bw)
+    return inputs, h2 @ w_o.data + b_o.data + skip * flat, bw
+
+
+def denoiser_mlp(x: Tensor, t_feat: Tensor, cond: Tensor, *weights: Tensor) -> Tensor:
+    """`_denoiser_forward`'s estimate as one tape entry shaped like x; `weights` are w_in, b_in, w_t, b_t,
+    w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s.  Only it is checked finite: a NaN or Inf upstream reaches it."""
+    inputs, out, bw = _denoiser_forward("denoiser_mlp", (x, t_feat, cond, *weights))
+    return _make("denoiser_mlp", inputs, out.reshape(inputs[0].shape), bw)
+
+
+def denoiser_mse(x: Tensor, t_feat: Tensor, cond: Tensor, target: np.ndarray, *weights: Tensor) -> Tensor:
+    """mse_loss(denoiser_mlp(x, t_feat, cond, *weights), target) as one bit-equal tape entry; `target` is a
+    constant shaped like x.  Only the loss is checked finite: a NaN or Inf in the estimate or target reaches it."""
+    inputs, out, bw = _denoiser_forward("denoiser_mse", (x, t_feat, cond, *weights))
+    target = np.asarray(target, dtype=out.dtype)
+    if target.shape != inputs[0].shape:
+        raise ShapeError(f"denoiser_mse: target {target.shape} differs from latent {inputs[0].shape}")
+    diff = out.reshape(target.shape) - target
+    return _make("denoiser_mse", inputs, np.asarray((diff * diff).mean()), lambda g: bw(_mse_grad(g, diff)))
+
+
+def _mse_grad(g: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """d(mean(diff^2))/d(diff) as the two product paths it sums: gd + gd."""
+    gd = (g / diff.size) * diff
+    return gd + gd
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -295,9 +313,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
 
     def bw(g):
-        # d(mean(diff^2))/d(diff) as the two product paths it sums: gd + gd
-        gd = (g / diff.size) * diff
-        g_pred = gd + gd
+        g_pred = _mse_grad(g, diff)
         return g_pred, -g_pred if target.requires_grad else None
 
     # a NaN or Inf in diff or diff^2 (all >= 0) carries into the checked mean
@@ -305,7 +321,9 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def one_hot_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """(R,) class indices -> (R, n_classes) float32 one-hot rows, the targets of `cross_entropy`."""
+    """(R,) class indices in [0, n_classes) -> (R, n_classes) float32 one-hot rows, the targets of `cross_entropy`."""
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise ValueError(f"one_hot_labels: labels span [{labels.min()}, {labels.max()}], outside [0, {n_classes})")
     out = np.zeros((len(labels), n_classes), dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor
-from ..autodiff.ops import mse_loss
-from .denoiser import DenoiserNet
+from ..autodiff.ops import denoiser_mse
+from .denoiser import DenoiserNet, timestep_embedding
 from .schedule import NoiseSchedule, forward_diffuse
 
 
@@ -25,8 +25,7 @@ def reverse_step(
     eps = denoiser.predict(x_t, t, cond)
     beta = schedule.betas[t]
     alpha = schedule.alphas[t]
-    ab = schedule.alpha_bars[t]
-    mean = (x_t - (beta / np.sqrt(1.0 - ab)) * eps) / np.sqrt(alpha)
+    mean = (x_t - (beta / schedule.sqrt_one_minus_alpha_bars[t]) * eps) / np.sqrt(alpha)
     if t == 1:
         return mean
     return mean + np.sqrt(beta) * rng.standard_normal(x_t.shape)
@@ -34,8 +33,8 @@ def reverse_step(
 
 def x0_estimate(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
     """Single-shot inversion of the forward noising given the true noise."""
-    ab = schedule.alpha_bars[t]
-    return (np.asarray(x_t, dtype=np.float64) - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    return (x_t - schedule.sqrt_one_minus_alpha_bars[t] * eps) / schedule.sqrt_alpha_bars[t]
 
 
 def train_denoiser(
@@ -57,6 +56,7 @@ def train_denoiser(
     flips one fair coin for the whole batch: condition on the class table
     (grads flow into it) or on the fixed per-record semantic embedding.  With
     no `eeg_conditions`, every step uses the class pathway and no coin is drawn.
+    A step tapes one `ops.denoiser_mse` entry, after a class step's `take`.
     """
     images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
@@ -65,6 +65,8 @@ def train_denoiser(
     store = ParamStore(denoiser=net)
     history: list[dict] = []
     dtype = net.in_proj.weight.data.dtype
+    weights = net.weights()
+    time_table = timestep_embedding(np.arange(schedule.T + 1))
 
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
@@ -78,8 +80,7 @@ def train_denoiser(
         else:
             cond = Tensor(np.asarray(eeg_conditions[idx], dtype=dtype))
 
-        pred = net(Tensor(x_t.astype(dtype)), t, cond)
-        loss = store.step(mse_loss(pred, Tensor(eps.astype(dtype))), lr)
+        loss = store.step(denoiser_mse(Tensor(x_t.astype(dtype)), Tensor(time_table[t]), cond, eps, *weights), lr)
         history.append({"step": step, "loss": loss, "condition": "class" if use_class else "eeg"})
     return history
 

@@ -4,7 +4,7 @@ It is a token-mixing MLP over the flattened latent with
 sinusoidal timestep features and an additive projection of the condition
 vector.  Two condition pathways share it: the aligned semantic embedding and
 a learned per-class embedding table.  The layers hold the parameters; the
-forward is the one fused tape op `ops.denoiser_mlp`.
+forward is the fused tape op `ops.denoiser_mlp`, the training loss `ops.denoiser_mse`.
 """
 
 from __future__ import annotations
@@ -67,13 +67,15 @@ class DenoiserNet(Module):
             raise ValueError(f"DenoiserNet: class labels outside [0, {self.n_classes})")
         return take(self.class_table, labels, axis=0)
 
+    def weights(self) -> list[Tensor]:  # the fused ops' twelve weights, in their order
+        layers = (self.in_proj, self.time_proj, self.cond_proj, self.mid, self.out_proj, self.skip_gate)
+        return [p for layer in layers for p in (layer.weight, layer.bias)]
+
     def __call__(self, x_t: Tensor, t: np.ndarray, cond: Tensor) -> Tensor:
         batch = x_t.shape[0]
         if x_t.shape != (batch,) + self.latent_shape:
             raise ValueError(f"DenoiserNet: latent shape {x_t.shape[1:]} does not match {self.latent_shape}")
-        t_feat = Tensor(timestep_embedding(t).astype(self.in_proj.weight.data.dtype))
-        layers = (self.in_proj, self.time_proj, self.cond_proj, self.mid, self.out_proj, self.skip_gate)
-        return denoiser_mlp(x_t, t_feat, cond, *(p for layer in layers for p in (layer.weight, layer.bias)))
+        return denoiser_mlp(x_t, Tensor(timestep_embedding(t)), cond, *self.weights())
 
     def predict(self, x_t: np.ndarray, t: int, cond: np.ndarray) -> np.ndarray:
         """Inference-path forward, no tape: one latent or a (B, *latent) batch,

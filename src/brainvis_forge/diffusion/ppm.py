@@ -30,7 +30,7 @@ def write_ppm(path, latent: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Parse a P6 file back to (H, W, 3) uint8; used by round-trip tests."""
+    """Parse a P6 file back to (H, W, 3) uint8; evaluate reads every generated image through it."""
     data = Path(path).read_bytes()
     parts = data.split(b"\n", 3)
     if parts[0] != b"P6":

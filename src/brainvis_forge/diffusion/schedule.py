@@ -27,6 +27,10 @@ class NoiseSchedule:
     alphas: np.ndarray
     alpha_bars: np.ndarray
 
+    def __post_init__(self) -> None:  # `forward_diffuse`'s coefficients, gathered by t
+        self.sqrt_alpha_bars = np.sqrt(self.alpha_bars)
+        self.sqrt_one_minus_alpha_bars = np.sqrt(1.0 - self.alpha_bars)
+
     @classmethod
     def linear(cls, T: int = 100) -> "NoiseSchedule":
         if T < 2:
@@ -61,5 +65,5 @@ def forward_diffuse(schedule: NoiseSchedule, x0: np.ndarray, t: int | np.ndarray
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x0.shape:
         raise ValueError(f"forward_diffuse: noise shape {eps.shape} differs from {x0.shape}")
-    ab = schedule.alpha_bars[t].reshape(t.shape + (1,) * (x0.ndim - t.ndim))
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    shape = t.shape + (1,) * (x0.ndim - t.ndim)
+    return schedule.sqrt_alpha_bars[t].reshape(shape) * x0 + schedule.sqrt_one_minus_alpha_bars[t].reshape(shape) * eps

@@ -369,7 +369,7 @@ def test_batched_predict_equals_stacked_single_calls():
 
 
 def test_taped_forward_rejects_a_latent_of_another_shape():
-    # Training calls the net directly, past predict's own shape check.
+    # The taped forward checks the latent itself, past predict's own shape check.
     net = _conditioned_net()
     with pytest.raises(ValueError, match=r"latent shape \(3, 4, 5\) does not match \(3, 4, 4\)"):
         net(Tensor(np.zeros((2, 3, 4, 5)), requires_grad=True), np.array([1, 2]), Tensor(np.zeros((2, 8))))
@@ -427,11 +427,6 @@ def _live_net(seed=20):
     return net
 
 
-def _layer_params(net):
-    layers = (net.in_proj, net.time_proj, net.cond_proj, net.mid, net.out_proj, net.skip_gate)
-    return [p for layer in layers for p in (layer.weight, layer.bias)]
-
-
 @pytest.mark.parametrize("use_class", [True, False])
 def test_fused_denoiser_step_is_bit_equal_to_its_composition(use_class):
     net = _live_net()
@@ -442,26 +437,37 @@ def test_fused_denoiser_step_is_bit_equal_to_its_composition(use_class):
     labels = rng.integers(0, 5, 16)
     t_feat = Tensor(timestep_embedding(t))
     eeg = Tensor(rng.standard_normal((16, 16)).astype(np.float32))
+
+    def through(forward):  # the estimate, then `mse_loss` as its own tape entry
+        def loss(cond):
+            pred = forward(x_t, t_feat, cond, *net.weights())
+            return pred.data, ops.mse_loss(pred, eps)
+        return loss
+
+    def fused_loss(cond):  # `train_denoiser`'s one entry, given its float64 noise as the target
+        return None, ops.denoiser_mse(x_t, t_feat, cond, eps.data.astype(np.float64), *net.weights())
+
     results = []
-    for forward in (ops.denoiser_mlp, denoiser_composed):
+    for step in (through(ops.denoiser_mlp), through(denoiser_composed), fused_loss):
         for p in net.parameters():
             p.grad = None
-        cond = net.class_condition(labels) if use_class else eeg
-        pred = forward(x_t, t_feat, cond, *_layer_params(net))
-        loss = ops.mse_loss(pred, eps)
+        pred, loss = step(net.class_condition(labels) if use_class else eeg)
         backward(loss)
-        results.append((pred.data, loss.data, [p.grad for p in net.parameters()]))
-    (fused, fused_loss, fused_grads), (composed, composed_loss, composed_grads) = results
+        assert not active_tape().entries
+        results.append((pred, loss.data, [p.grad for p in net.parameters()]))
+    (fused, _, composed_grads), (composed, composed_loss, _), _ = results
     assert fused.dtype == np.float32 and fused.shape == (16, 3, 8, 8)
-    assert fused.tobytes() == composed.tobytes() and fused_loss.tobytes() == composed_loss.tobytes()
-    for got, want in zip(fused_grads[:12], composed_grads[:12]):
-        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-    if use_class:
-        # the class table's gradient flows back through `take`
-        assert fused_grads[12].tobytes() == composed_grads[12].tobytes()
-        assert np.abs(fused_grads[12]).sum() > 0
-    else:
-        assert fused_grads[12] is None and eeg.grad is None
+    assert fused.tobytes() == composed.tobytes()
+    for _, loss, grads in results:
+        assert loss.dtype == np.float32 and loss.tobytes() == composed_loss.tobytes()
+        for got, want in zip(grads[:12], composed_grads[:12]):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        if use_class:
+            # the class table's gradient flows back through `take`
+            assert grads[12].tobytes() == composed_grads[12].tobytes()
+            assert np.abs(grads[12]).sum() > 0
+        else:
+            assert grads[12] is None and eeg.grad is None
 
 
 def test_untaped_fused_denoiser_at_generate_batch_matches_its_composition():
@@ -474,7 +480,7 @@ def test_untaped_fused_denoiser_at_generate_batch_matches_its_composition():
     before = len(tape)
     with no_grad():
         want = denoiser_composed(Tensor(x.astype(np.float32)), t_feat, Tensor(cond.astype(np.float32)),
-                                 *_layer_params(net)).data
+                                 *net.weights()).data
     got = net.predict(x, 37, cond)
     assert len(tape) == before
     assert got.tobytes() == want.astype(np.float64).tobytes()
@@ -483,12 +489,12 @@ def test_untaped_fused_denoiser_at_generate_batch_matches_its_composition():
 def test_train_denoiser_tapes_one_fused_entry_per_step(monkeypatch):
     recorded = []
 
-    def loss_after_recording(pred, target):
-        loss = ops.mse_loss(pred, target)
+    def loss_after_recording(*args):
+        loss = ops.denoiser_mse(*args)
         recorded.append([e.op for e in active_tape().entries])
         return loss
 
-    monkeypatch.setattr(ddpm, "mse_loss", loss_after_recording)
+    monkeypatch.setattr(ddpm, "denoiser_mse", loss_after_recording)
     net = DenoiserNet((3, 4, 4), 8, 2, 16, np.random.default_rng(12))
     images = np.random.default_rng(13).uniform(-1, 1, (4, 3, 4, 4)).astype(np.float32)
     eeg = np.random.default_rng(14).standard_normal((4, 8))
@@ -496,8 +502,34 @@ def test_train_denoiser_tapes_one_fused_entry_per_step(monkeypatch):
                              steps=12, batch_size=4, seed=15)
     assert {h["condition"] for h in history} == {"class", "eeg"}
     for h, ops_taped in zip(history, recorded, strict=True):
-        want = ["take", "denoiser_mlp", "mse_loss"] if h["condition"] == "class" else ["denoiser_mlp", "mse_loss"]
-        assert ops_taped == want
+        assert ops_taped == (["take", "denoiser_mse"] if h["condition"] == "class" else ["denoiser_mse"])
+
+
+# T of configs/tiny.json and of the diffusion tests
+@pytest.mark.parametrize("T", [20, 50, 100])
+def test_timestep_table_rows_are_the_per_step_embedding(T):
+    # `train_denoiser` gathers its batch's time features from one table over [0, T]
+    table = timestep_embedding(np.arange(T + 1))
+    assert table.shape == (T + 1, 32) and table.dtype == np.float32
+    for t in range(T + 1):
+        assert table[t].tobytes() == timestep_embedding(np.array([t]))[0].tobytes(), t
+    batch = np.random.default_rng(T).integers(1, T + 1, 16)
+    assert table[batch].tobytes() == timestep_embedding(batch).tobytes()
+
+
+def test_schedule_coefficients_are_the_per_step_square_roots():
+    schedule = NoiseSchedule.linear(T=50)
+    for t in range(51):
+        ab = schedule.alpha_bars[t]
+        assert schedule.sqrt_alpha_bars[t] == np.sqrt(ab) and schedule.sqrt_one_minus_alpha_bars[t] == np.sqrt(1.0 - ab)
+
+
+def test_train_denoiser_rejects_images_of_another_latent_shape():
+    net = DenoiserNet((3, 4, 4), 8, 2, 16, np.random.default_rng(12))
+    images = np.zeros((4, 3, 4, 5), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"noise shape \(4, 3, 4, 4\) differs from \(4, 3, 4, 5\)"):
+        train_denoiser(net, NoiseSchedule.linear(T=20), images, np.array([0, 1, 0, 1]), None, steps=1, batch_size=4)
+    assert not active_tape().entries
 
 
 def test_denoiser_training_deterministic():

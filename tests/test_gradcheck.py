@@ -116,8 +116,9 @@ def _pipeline_forwards() -> dict:
     """One tiny taped forward per trained network, each ending in its loss."""
     from brainvis_forge.align import AlignmentNet, si_loss
     from brainvis_forge.autodiff.nn import Linear, LstmEncoder
-    from brainvis_forge.autodiff.ops import cross_entropy, mlp_cross_entropy, mse_loss
+    from brainvis_forge.autodiff.ops import cross_entropy, mlp_cross_entropy
     from brainvis_forge.diffusion import DenoiserNet
+    from brainvis_forge.diffusion.denoiser import timestep_embedding
     from brainvis_forge.freq import FreqClassifier
     from brainvis_forge.fusion import TfeModel
     from brainvis_forge.lmm import build_lmm_models, make_mask_plan
@@ -150,9 +151,10 @@ def _pipeline_forwards() -> dict:
             align_net(Tensor(rng.standard_normal((2, 6)))), Tensor(rng.standard_normal((2, 5))),
             Tensor(rng.standard_normal((2, 5))),
         ),
-        "DenoiserNet": lambda: mse_loss(
-            denoiser(Tensor(rng.standard_normal((2, 3, 4, 4))), np.array([3, 7]), denoiser.class_condition([1, 2])),
-            Tensor(rng.standard_normal((2, 3, 4, 4))),
+        # `train_denoiser`'s loss, on a class-condition step
+        "DenoiserNet": lambda: ops.denoiser_mse(
+            Tensor(rng.standard_normal((2, 3, 4, 4))), Tensor(timestep_embedding(np.array([3, 7]))),
+            denoiser.class_condition([1, 2]), rng.standard_normal((2, 3, 4, 4)), *denoiser.weights(),
         ),
         # `train_surrogate`'s loss; the surrogate's forward itself runs only untaped
         "SurrogateClassifier": lambda: mlp_cross_entropy(

@@ -210,6 +210,28 @@ def test_arena_adam_is_bit_equal_to_the_per_tensor_update(dtype, block, monkeypa
         assert arena[name].data.tobytes() == reference._params[name].data.tobytes(), name
 
 
+@pytest.mark.parametrize("dtype, first_exact", [(np.float32, 165), (np.float64, 356)])
+def test_arena_adam_stays_bit_equal_past_the_exact_bias_correction(dtype, first_exact):
+    # From step `first_exact` on, 1 - 0.9^t rounds to exactly 1 in `dtype` and
+    # `adam_step` skips m's divide by it; 400 steps cross both boundaries.
+    assert dtype(1.0 - 0.9 ** (first_exact - 1)) < 1.0 == dtype(1.0 - 0.9 ** first_exact)
+    rng = np.random.default_rng(18)
+    values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in SHAPES.items()}
+    arena = ParamStore()
+    for name, v in values.items():
+        arena.register(name, Tensor(v.copy(), requires_grad=True))
+    reference = _PerTensorStore(values)
+    subsets = list(GRADIENT_SUBSETS.values())
+    for step in range(400):
+        names = subsets[step % len(subsets)]  # one parameter has no gradient on three steps in four
+        grads = {n: (rng.standard_normal(SHAPES[n]) * 10.0 ** rng.integers(-3, 2)).astype(dtype) for n in names}
+        adam_step(arena, {n: g.copy() for n, g in grads.items()}, 1e-2)
+        _per_tensor_adam_step(reference, grads, 1e-2)
+        for name in SHAPES:
+            assert arena[name].data.tobytes() == reference._params[name].data.tobytes(), (step, name)
+    assert arena.step_count == 400
+
+
 def test_adam_step_scratch_is_bounded_by_the_block_not_the_arena():
     # 2.2M float32s over 17 parameters, one of them larger than a block
     sizes = [optim._ADAM_BLOCK] * 12 + [optim._ADAM_BLOCK // 2 + 3] * 4 + [3 * optim._ADAM_BLOCK // 2]

@@ -544,6 +544,12 @@ def _denoiser_leaves(x, w_in=(4, 3)):
     return [x, _leaf(2, 2), _leaf(2, 2)] + [_leaf(*s) for s in shapes]
 
 
+def _denoiser_mse(x, target):
+    """`ops.denoiser_mse` over `_denoiser_leaves(x)` and a constant `target`."""
+    x, t_feat, cond, *weights = _denoiser_leaves(x)
+    return ops.denoiser_mse(x, t_feat, cond, target, *weights)
+
+
 def _mlp_leaves(x, w2=None, labels=(0, 3)):
     """`ops.mlp_cross_entropy`'s inputs at hidden 2 and four classes, with input `x`."""
     return [x, _leaf(3, 2), _leaf(2), _leaf(2, 4) if w2 is None else w2, _leaf(4), np.array(labels)]
@@ -578,6 +584,14 @@ GUARDS = {
                      "(4,), (2, 4), (4,)] do not fit latent (2, 4), time features (2, 2) and condition (2, 2)"),
     "denoiser_mlp_nan": (lambda: ops.denoiser_mlp(*_denoiser_leaves(_nan_leaf(2, 4))), NonFiniteError,
                          "denoiser_mlp: output contains NaN or Inf"),
+    "denoiser_mse": (lambda: _denoiser_mse(_leaf(2, 4), np.zeros((2, 2, 2))), ShapeError,
+                     "denoiser_mse: target (2, 2, 2) differs from latent (2, 4)"),
+    "denoiser_mse_nan": (lambda: _denoiser_mse(_nan_leaf(2, 4), np.zeros((2, 4))), NonFiniteError,
+                         "denoiser_mse: output contains NaN or Inf"),
+    "one_hot_labels_negative": (lambda: ops.one_hot_labels(np.array([-1, 0]), 3), ValueError,
+                                "one_hot_labels: labels span [-1, 0], outside [0, 3)"),
+    "one_hot_labels_n_classes": (lambda: ops.one_hot_labels(np.array([0, 3]), 3), ValueError,
+                                 "one_hot_labels: labels span [0, 3], outside [0, 3)"),
     "mlp_cross_entropy": (lambda: ops.mlp_cross_entropy(*_mlp_leaves(_leaf(2, 3), w2=_leaf(2, 5))), ShapeError,
                           "mlp_cross_entropy: weights and labels [(3, 2), (2,), (2, 5), (4,), (2,)] do not fit "
                           "input (2, 3)"),
