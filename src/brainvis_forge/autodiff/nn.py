@@ -7,7 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor, gelu
+from .tensor import ShapeError, Tensor, gelu, take
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -110,7 +110,8 @@ class FeedForward(Module):
 
 
 class SelfAttentionBlock(Module):
-    """Pre-norm transformer block: x + attn(LN(x)), then x + ffn(LN(x))."""
+    """Pre-norm transformer block: x + attn(LN(x)), then x + ffn(LN(x)).  Given `rows` (indices
+    along axis -2), only those rows are queries and outputs; every row is still a key and value."""
 
     def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
@@ -118,9 +119,11 @@ class SelfAttentionBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(dim, ffn_dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.ln1(x)
-        x = x + self.attn(h, h)
+    def __call__(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
+        h = q = self.ln1(x)
+        if rows is not None:
+            x, q = take(x, rows, axis=-2), take(h, rows, axis=-2)
+        x = x + self.attn(q, h)
         x = x + self.ffn(self.ln2(x))
         return x
 

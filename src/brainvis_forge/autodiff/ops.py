@@ -41,14 +41,16 @@ LOG_EPS = 1e-12
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias.  x: (..., n, d_in), weight: (d_in, d_out).
 
-    One tape entry whose backward is the matmul's plus the bias add's.  Only
-    the biased output is checked finite: the bias is finite, so a NaN or Inf
-    in the product always reaches it.
+    One tape entry whose backward is the matmul's plus the bias add's.  A
+    (d_out,) bias of the product's dtype is added in place into the product.
+    Only the biased output is checked finite: the bias is finite, so a NaN or
+    Inf in the product always reaches it.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     prod = _matmul_data("linear", x, weight)
+    in_place = bias.shape == prod.shape[-1:] and bias.dtype == prod.dtype
     try:
-        out = prod + bias.data
+        out = np.add(prod, bias.data, out=prod if in_place else None)
     except ValueError as exc:
         raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {prod.shape}") from exc
     return _make(
@@ -60,8 +62,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
-    One tape entry saving x_hat and the (..., 1) inverse std.  The variance
-    is checked finite: were it Inf, the inverse std would be 0, the output `bias`.
+    One tape entry saving x_hat, built in the centered copy of x, and the (..., 1)
+    inverse std; the output is built in the squared deviations' array when gain
+    and bias share x's dtype.  The variance is checked finite: were it Inf, the
+    inverse std would be 0, the output `bias`.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
@@ -69,10 +73,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last axis of {x.shape}"
         )
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    scratch = centered * centered
+    var = scratch.mean(axis=-1, keepdims=True)
     _require_finite("layer_norm", var)
     inv = (var + LAYER_NORM_EPS) ** -0.5
-    x_hat = centered * inv
+    x_hat = np.multiply(centered, inv, out=centered)
+    buf = scratch if gain.dtype == bias.dtype == x_hat.dtype else None
+    out = np.add(np.multiply(x_hat, gain.data, out=buf), bias.data, out=buf)
 
     def bw(g):
         g_hat = g * gain.data
@@ -81,7 +88,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         g_x *= inv
         return g_x, _unbroadcast(g * x_hat, gain.shape), _unbroadcast(g, bias.shape)
 
-    return _make("layer_norm", (x, gain, bias), x_hat * gain.data + bias.data, bw)
+    return _make("layer_norm", (x, gain, bias), out, bw)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -105,9 +112,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def merge(a):  # (..., heads, n, d_head) -> (..., n, d)
         return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], d))
 
-    q_h, k_h, v_h = split(q.data), split(k.data), split(v.data)
+    q_h, v_h = split(q.data), split(v.data)
+    # the keys split once, straight into the (..., heads, d_head, n_k) layout the scores read
+    k_t = np.moveaxis(k.data.reshape(k.shape[:-1] + (n_heads, d // n_heads)), -3, -1).copy()
     scale = 1.0 / math.sqrt(d // n_heads)
-    probs = np.matmul(q_h, np.swapaxes(k_h, -1, -2).copy())
+    probs = np.matmul(q_h, k_t)
     probs *= scale
     _require_finite("attention", probs)
     probs -= probs.max(axis=-1, keepdims=True)
@@ -121,7 +130,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         g_s *= probs
         g_s *= scale
         g_v = np.matmul(np.swapaxes(probs, -1, -2), g_o)
-        return merge(np.matmul(g_s, k_h)), merge(np.matmul(np.swapaxes(g_s, -1, -2), q_h)), merge(g_v)
+        g_k = np.matmul(np.swapaxes(g_s, -1, -2), q_h)
+        return merge(np.matmul(g_s, np.swapaxes(k_t, -1, -2))), merge(g_k), merge(g_v)
 
     return _make("attention", (q, k, v), merge(np.matmul(probs, v_h)), bw)
 

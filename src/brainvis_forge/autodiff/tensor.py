@@ -6,9 +6,11 @@ in reverse execution order, which is a valid topological order, so each node
 is visited exactly once and leaf gradients accumulate additively.
 
 Forward values are never mutated in place; every op returns an array it
-allocated, which it may build in place with `out=` (as `gelu` does).
-(Parameters are updated in place by `adam_step`, after the backward that
-reads them.)  Any op whose output contains NaN or Inf raises immediately.
+allocated, which it may build in place (`gelu` block by block, `softmax` in its
+shifted copy, `ops.linear` in its product, `ops.layer_norm` in its scratch), so
+no input's bytes change.  (Parameters are updated in place by `adam_step`,
+after the backward that reads them.)  Any op whose output contains NaN or
+Inf raises immediately.
 A batched x @ 2-D W folds x's leading axes into rows: one GEMM in the forward
 and one per gradient (`_matmul_data`); batched @ batched runs item by item.
 """
@@ -26,6 +28,9 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 _GELU_BLOCK = 1 << 14  # elements per block of the gelu backward: bounds its temporaries
+# elements per block of the gelu forward, which runs in blocks past two of them: its eight passes
+# then stay in cache, while an array of two blocks or less sits in cache anyway and blocks cost calls
+_GELU_FORWARD_BLOCK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -400,16 +405,24 @@ def _sigmoid(x: np.ndarray, s=0.5, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu_forward(x: np.ndarray, out=None, t=None) -> tuple[np.ndarray, np.ndarray]:
     """GELU of `x`, the formula's operations in its order with `out=` into its
-    own arrays, and the t = tanh(K * (x + C * x^3)) its backward reads."""
-    t = np.multiply(x, _GELU_C)
+    own arrays, and the t = tanh(K * (x + C * x^3)) its backward reads; past two
+    `_GELU_FORWARD_BLOCK`s of elements, block by block into a preallocated out and t."""
+    if out is None and x.size > 2 * _GELU_FORWARD_BLOCK:
+        out, t = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
+        x_f, out_f, t_f = x.reshape(-1), out.reshape(-1), t.reshape(-1)
+        for lo in range(0, x.size, _GELU_FORWARD_BLOCK):
+            hi = lo + _GELU_FORWARD_BLOCK
+            _gelu_forward(x_f[lo:hi], out_f[lo:hi], t_f[lo:hi])
+        return out, t
+    t = np.multiply(x, _GELU_C, out=t)
     t *= x
     t *= x
     t += x
     t *= _GELU_K
     np.tanh(t, out=t)
-    out = np.add(t, 1.0)
+    out = np.add(t, 1.0, out=out)
     out *= np.multiply(x, 0.5)
     return out, t
 
@@ -438,9 +451,9 @@ def gelu(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax; the max shift is constant so it does not affect grads."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * s).sum(axis=axis, keepdims=True)

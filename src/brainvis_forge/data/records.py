@@ -68,7 +68,9 @@ class DatasetSplit:
 
 
 def zscore_channels(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Zero-mean unit-variance scaling of each channel along the time axis of (..., c, l)."""
+    """Zero-mean unit-variance scaling of each channel along the time axis of (..., c, l).
+    The std is taken from the centered array as sqrt(sum(c * c) / l), the operations `np.std` runs."""
     out = x - x.mean(axis=-1, keepdims=True)
-    out /= np.maximum(x.std(axis=-1, keepdims=True), eps)
+    std = np.sqrt((out * out).sum(axis=-1, keepdims=True) / x.shape[-1])
+    out /= np.maximum(std, eps)
     return out

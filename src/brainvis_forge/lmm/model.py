@@ -40,9 +40,11 @@ class VisibleEncoder(Module):
         self.blocks = [SelfAttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
         self.final_ln = LayerNorm(d)
 
-    def __call__(self, z: Tensor) -> Tensor:
-        for block in self.blocks:
-            z = block(z)
+    def __call__(self, z: Tensor, rows: np.ndarray | None = None) -> Tensor:
+        """Features of every row of z, or of `rows` (indices along axis -2) only."""
+        last = len(self.blocks) - 1
+        for i, block in enumerate(self.blocks):
+            z = block(z, rows if i == last else None)
         return self.final_ln(z)
 
 
@@ -99,9 +101,11 @@ class Teacher:
     def update(self, student: VisibleEncoder) -> None:
         teacher_update(self, student, self.momentum)
 
-    def encode(self, z_full: np.ndarray) -> np.ndarray:
+    def encode(self, z_full: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Features of `rows` (indices along axis -2) of `z_full`, (..., len(rows), d), bit-equal to those
+        rows of the all-rows encoding: every row is attended to, but the last block computes only `rows`."""
         with no_grad():
-            out = self.module(Tensor(np.asarray(z_full)))
+            out = self.module(Tensor(np.asarray(z_full)), rows)
         return out.data
 
 

@@ -82,15 +82,16 @@ def lmm_step(
     batch_units: np.ndarray,
     plan,
 ) -> tuple:
-    """One forward pass; returns (reg, cls, total) loss tensors."""
+    """One forward pass; returns (reg, cls, total) loss tensors.
+
+    The teacher attends over the whole projected sequence, a constant, but
+    encodes only the masked rows, the regression targets: its last block
+    computes no visible row.
+    """
     z_full = models.projector(Tensor(batch_units))
     z_visible = take(z_full, plan.visible, axis=1)
     f_v = models.encoder(z_visible)
-
-    # Teacher sees the whole projected sequence as a constant; masked rows
-    # become the regression targets.
-    f_full = models.teacher.encode(z_full.data)
-    f_m = f_full[:, plan.masked, :]
+    f_m = models.teacher.encode(z_full.data, plan.masked)
 
     f_mp, p_m = models.predictor(f_v, plan.masked, models.projector.pos)
 

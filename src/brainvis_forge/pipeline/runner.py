@@ -18,8 +18,9 @@ skips (config.ABLATION_SKIPS) from the chain and from the prerequisites.
 Every stage file but the generated images appears whole, through a temporary
 file and a rename (`binio.write_whole`), and the marker comes last
 (metrics.jsonl and the sidecar before checkpoint.bvc, the other archives
-before dataset.bvc, the images before provenance.jsonl), so a stage that
-fails mid-write is not done.  Training stages hand weights on only through
+before dataset.bvc, the images before provenance.jsonl), and a stage removes
+its old marker before it writes, so a stage, or a rerun, that fails mid-write
+is not done.  Training stages hand weights on only through
 `save_stage` and `load_stage` (key layout in pipeline.checkpoint).  A network
 that later stages only read from runs forward once per split, in the stage
 that trained it, and saves its output rows as extras, which later stages read
@@ -127,9 +128,11 @@ def check_prerequisites(stage: str, available: set[str], ablate: str | None = No
 
 
 def _enter_stage(cfg: PipelineConfig, paths: RunPaths, stage: str) -> RunPaths:
-    """Check `stage`'s prerequisites, snapshot the config, and return `paths`
-    bound to the stage, so that every read the stage makes is checked."""
+    """Check `stage`'s prerequisites, remove its marker, snapshot the config,
+    and return `paths` bound to the stage, so that every read the stage makes
+    is checked.  A rerun that fails partway thus leaves the stage not done."""
     check_prerequisites(stage, paths.available_stages(), ablate=cfg.ablate)
+    (paths.stage_dir(stage) / STAGES[stage].marker).unlink(missing_ok=True)
     write_whole(paths.stage_dir(stage) / "config.json", [cfg.to_json().encode()])
     return replace(paths, stage=stage)
 

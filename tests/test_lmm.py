@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainvis_forge.autodiff import Tensor, active_tape, backward, tsum
+from brainvis_forge.autodiff import Tensor, active_tape, backward, no_grad, tsum
 from brainvis_forge.autodiff.tensor import mul
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, zscore_channels
 from brainvis_forge.lmm import (
@@ -23,6 +23,7 @@ from brainvis_forge.lmm import (
     prepare_units,
     teacher_update,
 )
+from brainvis_forge.pipeline.config import PipelineConfig
 from oracles import as_float64, tokenize
 
 
@@ -157,7 +158,37 @@ def test_teacher_initial_copy_matches_student():
     student = as_float64(_tiny_encoder())
     teacher = Teacher(student, momentum=0.99)
     z = np.random.default_rng(1).standard_normal((3, 4))
-    np.testing.assert_array_equal(teacher.encode(z), student(Tensor(z)).data)
+    np.testing.assert_array_equal(teacher.encode(z, np.arange(3)), student(Tensor(z)).data)
+
+
+def _teacher_row_subset_cases():
+    """(teacher, z_full, rows): the tiny config's LMM at its projected units and
+    mask plan, and a 2-block, 4-head float32 encoder with unsorted rows."""
+    cfg = PipelineConfig.load("configs/tiny.json")
+    spec = SyntheticGenSpec(n_classes=cfg.n_classes, records_per_class=cfg.records_per_class, c=cfg.c, l=cfg.l,
+                            sample_rate=cfg.sample_rate, seed=cfg.seed)
+    units = prepare_units(generate_synthetic(spec), cfg.n)[: cfg.batch]
+    models = build_lmm_models(unit_dim=units.shape[2], n_units=cfg.n, d=cfg.d, n_heads=cfg.heads, ffn_dim=cfg.ffn,
+                              sa_blocks=cfg.sa_blocks, ca_blocks=cfg.ca_blocks, n_codewords=cfg.n_t,
+                              teacher_momentum=cfg.teacher_momentum, seed=cfg.seed)
+    z_tiny = models.projector(Tensor(units)).data
+    plan = make_mask_plan(cfg.n, cfg.r_m, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    encoder = VisibleEncoder(d=64, n_heads=4, ffn_dim=256, n_blocks=2, rng=rng)
+    z = rng.standard_normal((3, 23, 64)).astype(np.float32)
+    return [(models.teacher, z_tiny, plan.masked), (Teacher(encoder), z, rng.permutation(23)[:17])]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["tiny_lmm", "two_blocks_four_heads"])
+def test_teacher_encodes_a_row_subset_bit_equal_to_all_rows(case):
+    teacher, z, rows = _teacher_row_subset_cases()[case]
+    active_tape().clear()
+    got = teacher.encode(z, rows)
+    assert len(active_tape()) == 0
+    with no_grad():
+        every_row = teacher.module(Tensor(z)).data
+    assert got.dtype == np.float32 and got.shape == (len(z), len(rows), z.shape[-1])
+    assert got.tobytes() == every_row[:, rows].tobytes()
 
 
 def test_teacher_momentum_one_freezes_and_zero_copies():

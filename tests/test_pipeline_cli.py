@@ -310,6 +310,31 @@ def test_a_stage_whose_marker_never_lands_is_not_done(tmp_path, monkeypatch):
         assert name in paths.available_stages()
 
 
+def test_a_rerun_that_fails_partway_leaves_its_stage_not_done(tmp_path, monkeypatch):
+    """Rerun gen-data at another seed over a finished chain and fail it on the
+    images archive: the old dataset must not still mark the data stage done."""
+    from brainvis_forge.pipeline import runner
+
+    cfg = tiny_config(**QUICK)
+    paths = RunPaths(tmp_path / "run")
+    for stage in runner.STAGES.values():
+        stage.run(cfg, paths)
+    save = runner.save_checkpoint
+
+    def fail_on_images(path, archive):
+        if Path(path).name == "images.bvc":
+            raise OSError("disk full")
+        save(path, archive)
+
+    monkeypatch.setattr(runner, "save_checkpoint", fail_on_images)
+    with pytest.raises(OSError, match="disk full"):
+        run_gen_data(cfg.with_overrides(seed=8), paths)
+    monkeypatch.undo()
+    assert "data" not in paths.available_stages()
+    with pytest.raises(StageError, match="stage 'align' requires 'data'"):
+        runner.run_train_align(cfg, paths)
+
+
 def test_tfe_stage_computes_spectra_once(tmp_path, monkeypatch):
     from brainvis_forge.freq import train as freq_train
     from brainvis_forge.pipeline import runner

@@ -25,7 +25,16 @@ from brainvis_forge.autodiff import (
 )
 from brainvis_forge.autodiff import ops
 from brainvis_forge.autodiff.nn import Attention, Linear, LstmEncoder
-from brainvis_forge.autodiff.tensor import _matmul_grads, add, broadcast_to, mul, power, sub
+from brainvis_forge.autodiff.tensor import (
+    _GELU_FORWARD_BLOCK,
+    _gelu_forward,
+    _matmul_grads,
+    add,
+    broadcast_to,
+    mul,
+    power,
+    sub,
+)
 from brainvis_forge.lmm.loss import lmm_loss
 from brainvis_forge.metrics.surrogate import SurrogateClassifier
 from oracles import (
@@ -489,6 +498,66 @@ def test_gelu_backward_allocates_only_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= got.nbytes + (1 << 20)
+
+
+# One element either side of two forward blocks, where the blocks begin, and a part block past three.
+@pytest.mark.parametrize("shape", [((1 << 17) - 1,), (1 << 17,), ((1 << 17) + 1,), (3, 65541)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_forward_in_blocks_is_bit_equal_to_its_formula(dtype, shape):
+    x = (np.random.default_rng(10).standard_normal(shape) * 3).astype(dtype)
+    k, c = math.sqrt(2.0 / math.pi), 0.044715
+    want_t = np.tanh(k * (x + c * x * x * x))
+    want = 0.5 * x * (1 + want_t)
+    out, t = _gelu_forward(x)
+    assert out.dtype == t.dtype == dtype and out.shape == t.shape == shape
+    assert out.tobytes() == want.tobytes() and t.tobytes() == want_t.tobytes()
+
+
+def test_gelu_forward_allocates_its_two_results_and_block_scratch():
+    x = np.random.default_rng(11).standard_normal((16, 82, 1024)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out, t = _gelu_forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + t.nbytes + _GELU_FORWARD_BLOCK * x.itemsize + (1 << 16)
+
+
+# input shapes and forward of each op that builds its output in place
+IN_PLACE_FORWARDS = {
+    "linear": (((2, 5, 8), (8, 6), (6,)), ops.linear),
+    "layer_norm": (((2, 5, 8), (8,), (8,)), ops.layer_norm),
+    "softmax": (((2, 5, 8),), softmax),
+    "gelu": (((2, 5, 8),), gelu),
+    "gelu_blocked": (((3, 65541),), gelu),
+    "attention_core": (((2, 5, 8), (2, 3, 8), (2, 3, 8)), lambda q, k, v: ops.attention_core(q, k, v, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_FORWARDS))
+def test_in_place_forwards_leave_their_inputs_and_share_no_memory(name):
+    shapes, forward = IN_PLACE_FORWARDS[name]
+    rng = np.random.default_rng(12)
+    inputs = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+    before = [a.data.tobytes() for a in inputs]
+    out = forward(*inputs)
+    for i, a in enumerate(inputs):
+        assert not np.shares_memory(out.data, a.data), f"{name}: output aliases input {i}"
+        assert a.data.tobytes() == before[i], f"{name}: input {i} changed"
+    backward(tsum(out))
+
+
+def test_linear_with_a_broadcast_or_wider_bias_keeps_the_plain_add():
+    rng = np.random.default_rng(13)
+    x, w = rng.standard_normal((5, 8)).astype(np.float32), rng.standard_normal((8, 6)).astype(np.float32)
+    for bias in (rng.standard_normal(6).astype(np.float32), rng.standard_normal((1, 6)).astype(np.float32),
+                 rng.standard_normal(6)):
+        out = ops.linear(Tensor(x), Tensor(w), Tensor(bias)).data
+        want = x @ w + bias
+        assert out.dtype == want.dtype and out.shape == want.shape and out.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError, match=re.escape("linear: bias (5,) does not broadcast to (5, 6)")):
+        ops.linear(Tensor(x), Tensor(w), Tensor(np.zeros(5, np.float32)))
 
 
 def test_fused_lmm_ops_are_one_tape_entry_each():
