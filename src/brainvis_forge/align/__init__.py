@@ -8,7 +8,7 @@ from .fixtures import (
     load_fixtures,
     write_fixtures,
 )
-from .loss import si_loss
+from ..autodiff.ops import si_loss
 from .model import AlignmentNet, ResidualBlock, align
 from .train import train_align
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import ParamStore, Tensor, train_epoch
+from ..autodiff.ops import si_loss
 from .fixtures import SemanticFixtures
-from .loss import si_loss
 from .model import AlignmentNet
 
 

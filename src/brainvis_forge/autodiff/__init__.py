@@ -13,12 +13,8 @@ from .tensor import (
     broadcast_to,
     concat,
     gelu,
-    matmul,
     no_grad,
-    power,
-    reshape,
     softmax,
-    sqrt,
     take,
     tmean,
     tsum,
@@ -38,15 +34,11 @@ __all__ = [
     "concat",
     "gelu",
     "gradcheck",
-    "matmul",
     "nn",
     "no_grad",
     "ops",
-    "power",
     "predict",
-    "reshape",
     "softmax",
-    "sqrt",
     "take",
     "tmean",
     "train_epoch",

@@ -17,12 +17,8 @@ from .tensor import (
     broadcast_to,
     concat,
     gelu,
-    matmul,
     mul,
-    power,
-    reshape,
     softmax,
-    sqrt,
     take,
     tmean,
     tsum,
@@ -118,6 +114,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     ce_logits = [r((5, 9))]
     ce_target = ops.one_hot_labels(rng.integers(0, 9, size=5), 9)
     take_idx = np.array([0, 2, 2, 4])
+    si_anchors = [Tensor(r((3, 9))) for _ in range(2)]  # caption and label rows: constants, as in `train_align`
     # latent 12 (as 3 x 2 x 2), hidden 5, four time features, a six-wide condition
     denoiser_shapes = ((12, 5), (5,), (4, 5), (5,), (6, 5), (5,), (5, 5), (5,), (5, 12), (12,), (4, 12), (12,))
     denoiser_inputs = [r((3, 3, 2, 2)), r((3, 4)), r((3, 6))] + [r(s) * 0.5 for s in denoiser_shapes]
@@ -129,19 +126,13 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     catalog: dict[str, tuple[LossFn, list[np.ndarray]]] = {
         "add": probe(lambda ts: ts[0] + ts[1], [r((4, 5)), r((4, 5))], (4, 5)),
         "add_bias_broadcast": probe(lambda ts: ts[0] + ts[1], [r((4, 5)), r(5)], (4, 5)),
-        "sub": probe(lambda ts: ts[0] - ts[1], [r((4, 5)), r((4, 5))], (4, 5)),
         "mul": probe(lambda ts: mul(ts[0], ts[1]), [r((4, 5)), r((4, 5))], (4, 5)),
-        "power": probe(lambda ts: power(ts[0], 3.0), [r((4, 5))], (4, 5)),
-        "matmul": probe(lambda ts: matmul(ts[0], ts[1]), [r((4, 6)), r((6, 5))], (4, 5)),
-        "matmul_batched": probe(lambda ts: matmul(ts[0], ts[1]), [r((3, 4, 6)), r((6, 5))], (3, 4, 5)),
-        "reshape": probe(lambda ts: reshape(ts[0], (2, 10)), [r((4, 5))], (2, 10)),
         # a leading axis and a size-1 axis, as the LMM predictor broadcasts its queries
         "broadcast_to": probe(lambda ts: broadcast_to(ts[0], (3, 4, 5)), [r((4, 1))], (3, 4, 5)),
         "take": probe(lambda ts: take(ts[0], take_idx, axis=0), [r((5, 3))], (4, 3)),
         "concat": probe(lambda ts: concat([ts[0], ts[1]], axis=1), [r((4, 3)), r((4, 2))], (4, 5)),
         "sum": probe(lambda ts: tsum(ts[0], axis=0), [r((4, 5))], (5,)),
         "mean": probe(lambda ts: tmean(ts[0], axis=0), [r((6, 5))], (5,)),
-        "sqrt": probe(lambda ts: sqrt(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
         "gelu": probe(lambda ts: gelu(ts[0]), [r((4, 5))], (4, 5)),
         "softmax": probe(lambda ts: softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "layer_norm": probe(lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]), ln_inputs, (4, 7)),
@@ -156,14 +147,13 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         # every input requires grad here, the target included
         "mse_loss": (lambda ts: ops.mse_loss(ts[0], ts[1]), [r((4, 5)), r((4, 5))]),
         "cross_entropy": (lambda ts: ops.cross_entropy(ts[0], Tensor(ce_target)), ce_logits),
-        "cosine_similarity": (lambda ts: ops.cosine_similarity(ts[0], ts[1]), [r(9) + 0.1, r(9) + 0.1]),
+        "si_loss": (lambda ts: ops.si_loss(ts[0], *si_anchors, 0.5), [r((3, 9))]),
         "linear": probe(lambda ts: ops.linear(*ts), [r((4, 6)), r((6, 5)), r(5)], (4, 5)),
         "linear_batched": probe(lambda ts: ops.linear(*ts), [r((3, 4, 6)), r((6, 5)), r(5)], (3, 4, 5)),
     }
     fixed_target = Tensor(r((4, 5)))
     catalog["mse_loss_fixed_target"] = (lambda ts: ops.mse_loss(ts[0], fixed_target), [r((4, 5))])
     catalog["linear_4d"] = probe(lambda ts: ops.linear(*ts), [r((2, 3, 4, 6)), r((6, 5)), r(5)], (2, 3, 4, 5))
-    catalog["matmul_4d"] = probe(lambda ts: matmul(ts[0], ts[1]), [r((2, 3, 4, 6)), r((6, 5))], (2, 3, 4, 5))
     catalog["mlp_cross_entropy"] = (lambda ts: ops.mlp_cross_entropy(*ts, np.array([0, 3, 1, 3, 2])),  # x too
                                     [r((5, 6)), r((6, 3)) * 0.5, r(3) * 0.1, r((3, 4)) * 0.5, r(4) * 0.1])
     denoiser_target = r((3, 3, 2, 2))  # a constant, as `train_denoiser`'s noise is

@@ -2,8 +2,9 @@
 fused ones that each record one tape entry of their own: `linear`,
 `layer_norm`, `attention_core`, `lstm_sequence` (the whole gated recurrence),
 `denoiser_mlp` (the whole diffusion denoiser) and `denoiser_mse` (its loss), `mse_loss`,
-`cross_entropy`, `mlp_cross_entropy` (the surrogate's training loss) and `codeword_nll`.  A fused
-forward runs the numpy ops of the composition it replaces in order, so it is bit-equal to it.
+`cross_entropy`, `mlp_cross_entropy` (the surrogate's training loss), `codeword_nll` and `si_loss`
+(align's dual-cosine loss).  A fused forward runs the numpy ops of the composition it replaces in
+order, so it is bit-equal to it.
 
 Everything here works on arbitrary leading batch dimensions; the last one or
 two axes carry the operation's structure.
@@ -28,10 +29,6 @@ from .tensor import (
     _tracks,
     _unbroadcast,
     as_tensor,
-    mul,
-    power,
-    sqrt,
-    tsum,
 )
 
 LAYER_NORM_EPS = 1e-5
@@ -416,19 +413,43 @@ def codeword_nll(probs: Tensor, targets: np.ndarray) -> Tensor:
     return _make("codeword_nll", (probs,), np.asarray(-per_row.mean()), bw)
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between two vectors (last-axis contraction).
+def si_loss(out: Tensor, cap: Tensor, label: Tensor, label_weight: float = 1.0) -> Tensor:
+    """Mean over rows of (1 + w) - cos(cap, out) - w * cos(label, out), w = `label_weight`, as one tape entry.
 
-    Zero-norm operands raise rather than being silently clamped.
+    Align's interpolation loss, 0 only where a row is positively colinear with both anchors; `cap` and
+    `label` are constants shaped like `out`.  The backward replays the cosine chain's VJPs in reverse,
+    so loss and gradient are bit-equal to it.  A zero-norm row raises; each norm product is checked
+    finite, since an overflowed one would make its inverse 0 and the cosine finite.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity: shapes {a.shape} and {b.shape} differ")
-    flat_a = a.data.reshape(-1, a.shape[-1])
-    flat_b = b.data.reshape(-1, b.shape[-1])
-    if np.any(np.linalg.norm(flat_a, axis=-1) == 0.0) or np.any(np.linalg.norm(flat_b, axis=-1) == 0.0):
-        raise ValueError("cosine_similarity: zero-norm vector")
-    dot = tsum(mul(a, b), axis=-1)
-    norm_a = sqrt(tsum(mul(a, a), axis=-1))
-    norm_b = sqrt(tsum(mul(b, b), axis=-1))
-    return mul(dot, power(mul(norm_a, norm_b), -1.0))
+    out, cap, label = as_tensor(out), as_tensor(cap), as_tensor(label)
+    if not out.shape == cap.shape == label.shape:
+        raise ShapeError(f"si_loss: output {out.shape}, caption {cap.shape} and label {label.shape} shapes differ")
+    b = out.data
+    squares = [np.asarray((x * x).sum(axis=-1)) for x in (b, cap.data, label.data)]
+    for name, sq in zip(("output", "caption", "label"), squares):
+        if np.any(sq == 0.0):
+            raise ValueError(f"si_loss: zero-norm {name} row")
+    nb = np.sqrt(squares[0])
+
+    def cosine(a, sq_a):  # cos(a, out) as dot * (|a| |out|) ** -1, and what its backward reads
+        dot, na = np.asarray((a * b).sum(axis=-1)), np.sqrt(sq_a)
+        nn = na * nb
+        _require_finite("si_loss", nn)
+        inv = nn ** -1.0
+        return dot * inv, (a, dot, na, nn, inv)
+
+    cos_c, cap_saved = cosine(cap.data, squares[1])
+    cos_l, label_saved = cosine(label.data, squares[2])
+    w = np.asarray(label_weight, dtype=cos_l.dtype)
+    rows = (np.asarray(1.0 + label_weight, dtype=cos_c.dtype) - cos_c) - cos_l * w
+
+    def terms(g, a, dot, na, nn, inv):  # a cosine's gradient terms for out, in tape order: b*b twice, a*b
+        bb = np.expand_dims(g * dot * -1.0 * nn ** -2.0 * na * 0.5 / nb, -1) * b
+        return bb, bb, np.expand_dims(g * inv, -1) * a
+
+    def bw(g):
+        g_rows = np.broadcast_to(g, np.shape(rows)) / np.size(rows)
+        t = terms(-g_rows * w, *label_saved) + terms(-g_rows, *cap_saved)
+        return (sum(t[1:], t[0]),)
+
+    return _make("si_loss", (out,), np.asarray(rows.mean()), bw)

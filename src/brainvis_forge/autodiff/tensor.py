@@ -12,7 +12,7 @@ no input's bytes change.  (Parameters are updated in place by `adam_step`,
 after the backward that reads them.)  Any op whose output contains NaN or
 Inf raises immediately.
 A batched x @ 2-D W folds x's leading axes into rows: one GEMM in the forward
-and one per gradient (`_matmul_data`); batched @ batched runs item by item.
+and one per gradient (`_matmul_data`, which `ops.linear` runs); batched @ batched runs item by item.
 """
 
 from __future__ import annotations
@@ -155,16 +155,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -226,16 +220,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
-    out = _broadcast_data("sub", a, b, np.subtract)
-    return _make(
-        "sub", (a, b), out,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a, b) -> Tensor:
     a = as_tensor(a, b if isinstance(b, Tensor) else None)
     b = as_tensor(b, a)
@@ -247,17 +231,8 @@ def mul(a, b) -> Tensor:
     )
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for a constant scalar exponent."""
-    a = as_tensor(a)
-    if not isinstance(p, (int, float)):
-        raise TypeError("power: exponent must be a python scalar")
-    out = a.data ** p
-    return _make("power", (a,), out, lambda g: (g * p * a.data ** (p - 1),))
-
-
 # ---------------------------------------------------------------------------
-# matmul and shape ops
+# matmul helpers and shape ops
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -287,18 +262,6 @@ def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
     ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
     gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
     return ga, gb
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _matmul_data("matmul", a, b)
-    return _make("matmul", (a, b), out, lambda g: _matmul_grads(g, a, b))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-    return _make("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -348,9 +311,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def _expand_reduced(g: np.ndarray, src_shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, src_shape).copy()
-    if not keepdims:
+    if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, src_shape).copy()
 
@@ -381,13 +342,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise transcendentals and activations
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return _make("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
+# activations
 
 
 def _sigmoid(x: np.ndarray, s=0.5, out: np.ndarray | None = None) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,11 @@ def make_mask_plan(n: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"make_mask_plan: ratio must be in (0, 1), got {ratio}")
-    n_masked = int(np.floor(n * ratio))
+    n_masked = math.floor(n * ratio)
     if n_masked == 0 or n_masked == n:
         raise ValueError(f"make_mask_plan: ratio {ratio} leaves {n_masked} of {n} units masked")
     masked = np.sort(rng.choice(n, size=n_masked, replace=False))
-    visible = np.setdiff1d(np.arange(n), masked)
+    keep = np.ones(n, dtype=bool)
+    keep[masked] = False
+    visible = np.flatnonzero(keep)
     return MaskPlan(visible=visible, masked=masked)

@@ -11,6 +11,7 @@ errors, not silently ignored, apart from two legacy keys: `ga_trials` and a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -96,12 +97,15 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
-        def positive(**kv):
+        def require(test, what, **kv):  # finiteness first: Inf passes every lower bound
             for name, v in kv.items():
-                if v <= 0:
-                    raise ValueError(f"PipelineConfig: {name} must be positive, got {v}")
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"PipelineConfig: {name} must be finite, got {v}")
+                if not test(v):
+                    raise ValueError(f"PipelineConfig: {name} must be {what}, got {v}")
 
-        positive(
+        require(
+            lambda v: v > 0, "positive",
             c=self.c, l=self.l, n=self.n, d=self.d, n_t=self.n_t, heads=self.heads,
             ffn=self.ffn, sa_blocks=self.sa_blocks, ca_blocks=self.ca_blocks,
             lstm_hidden=self.lstm_hidden, lr=self.lr, batch=self.batch, e=self.e,
@@ -114,6 +118,8 @@ class PipelineConfig:
             surrogate_hidden=self.surrogate_hidden, surrogate_epochs=self.surrogate_epochs,
             is_splits=self.is_splits,
         )
+        require(lambda v: v >= 0, "non-negative", noise_std=self.noise_std, label_weight=self.label_weight)
+        require(math.isfinite, "finite", caption_offset=self.caption_offset)
         n_images = self.n_classes * self.records_per_class
         if n_images < MIN_IMAGES:
             raise ValueError(f"PipelineConfig: n_classes * records_per_class = {n_images} images; the split needs "

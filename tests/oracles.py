@@ -9,10 +9,10 @@ writer whose bytes `write_fixtures` must reproduce, the
 per-item matmul gradients the folded ones must match in rounding, and the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
 `attention_core` and `codeword_nll` must match bit for bit (and whose
-forward and gradients the fused `cross_entropy` and `denoiser_mlp` must).  The tape ops that
-only these compositions and the step-by-step LSTM reference use (`narrow`,
-`swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`) live here too, with
-their gradient probes in `oracle_op_probes`.
+forward and gradients the fused `cross_entropy`, `denoiser_mlp` and `si_loss` must).  The tape ops
+that only these compositions, the step-by-step LSTM reference and the tests use (`narrow`,
+`swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`, `sub`, `power`, `sqrt`, `matmul`,
+`reshape`, `cosine_similarity`) live here too, with their gradient probes in `oracle_op_probes`.
 `as_float64` lifts a float32 network to float64 for gradient checks.
 """
 
@@ -30,18 +30,17 @@ from brainvis_forge.autodiff.ops import LAYER_NORM_EPS, LOG_EPS, linear, one_hot
 from brainvis_forge.autodiff.tensor import (
     ShapeError,
     Tensor,
+    _broadcast_data,
     _make,
+    _matmul_data,
+    _matmul_grads,
     _sigmoid,
     _unbroadcast,
     add,
     as_tensor,
     gelu,
-    matmul,
     mul,
-    power,
-    reshape,
     softmax,
-    sub,
     tmean,
     tsum,
 )
@@ -172,6 +171,44 @@ def as_float64(module: Module) -> Module:
     return module
 
 
+def sub(a, b) -> Tensor:
+    a = as_tensor(a, b if isinstance(b, Tensor) else None)
+    b = as_tensor(b, a)
+    out = _broadcast_data("sub", a, b, np.subtract)
+    return _make(
+        "sub", (a, b), out,
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+    )
+
+
+def power(a: Tensor, p: float) -> Tensor:
+    """Elementwise a**p for a constant scalar exponent."""
+    a = as_tensor(a)
+    if not isinstance(p, (int, float)):
+        raise TypeError("power: exponent must be a python scalar")
+    out = a.data ** p
+    return _make("power", (a,), out, lambda g: (g * p * a.data ** (p - 1),))
+
+
+def sqrt(a: Tensor) -> Tensor:
+    a = as_tensor(a)
+    out = np.sqrt(a.data)
+    return _make("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b through the folded products and gradients that `ops.linear` runs."""
+    a, b = as_tensor(a), as_tensor(b)
+    out = _matmul_data("matmul", a, b)
+    return _make("matmul", (a, b), out, lambda g: _matmul_grads(g, a, b))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    a = as_tensor(a)
+    out = a.data.reshape(shape)
+    return _make("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
+
+
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
     out = np.swapaxes(a.data, ax1, ax2).copy()
@@ -225,6 +262,24 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine of the angle between two vectors (last-axis contraction).
+
+    Zero-norm operands raise rather than being silently clamped.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"cosine_similarity: shapes {a.shape} and {b.shape} differ")
+    flat_a = a.data.reshape(-1, a.shape[-1])
+    flat_b = b.data.reshape(-1, b.shape[-1])
+    if np.any(np.linalg.norm(flat_a, axis=-1) == 0.0) or np.any(np.linalg.norm(flat_b, axis=-1) == 0.0):
+        raise ValueError("cosine_similarity: zero-norm vector")
+    dot = tsum(mul(a, b), axis=-1)
+    norm_a = sqrt(tsum(mul(a, a), axis=-1))
+    norm_b = sqrt(tsum(mul(b, b), axis=-1))
+    return mul(dot, power(mul(norm_a, norm_b), -1.0))
+
+
 def oracle_op_probes(rng: np.random.Generator) -> dict:
     """One gradient probe per tape op above, built as `gradcheck.op_catalog`
     builds its own: name -> (loss over the input tensors, float64 inputs)."""
@@ -241,6 +296,14 @@ def oracle_op_probes(rng: np.random.Generator) -> dict:
         "log_softmax": probe(lambda ts: log_softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "tanh": probe(lambda ts: tanh(ts[0]), [r((4, 5))], (4, 5)),
         "sigmoid": probe(lambda ts: sigmoid(ts[0]), [r((4, 5))], (4, 5)),
+        "sub": probe(lambda ts: sub(ts[0], ts[1]), [r((4, 5)), r((4, 5))], (4, 5)),
+        "power": probe(lambda ts: power(ts[0], 3.0), [r((4, 5))], (4, 5)),
+        "sqrt": probe(lambda ts: sqrt(ts[0]), [np.abs(r((4, 5))) + 0.5], (4, 5)),
+        "matmul": probe(lambda ts: matmul(ts[0], ts[1]), [r((4, 6)), r((6, 5))], (4, 5)),
+        "matmul_batched": probe(lambda ts: matmul(ts[0], ts[1]), [r((3, 4, 6)), r((6, 5))], (3, 4, 5)),
+        "matmul_4d": probe(lambda ts: matmul(ts[0], ts[1]), [r((2, 3, 4, 6)), r((6, 5))], (2, 3, 4, 5)),
+        "reshape": probe(lambda ts: reshape(ts[0], (2, 10)), [r((4, 5))], (2, 10)),
+        "cosine_similarity": (lambda ts: cosine_similarity(ts[0], ts[1]), [r(9) + 0.1, r(9) + 0.1]),
     }
 
 
@@ -284,3 +347,11 @@ def denoiser_composed(x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m,
     h = gelu(add(add(linear(flat, w_in, b_in), linear(t_feat, w_t, b_t)), linear(cond, w_c, b_c)))
     h = gelu(linear(h, w_m, b_m))
     return reshape(add(linear(h, w_o, b_o), mul(linear(t_feat, w_s, b_s), flat)), x.shape)
+
+
+def si_loss_chain(out: Tensor, cap: Tensor, label: Tensor, label_weight: float = 1.0) -> Tensor:
+    """`ops.si_loss` as the op chain it fuses: two cosines, two `sub`, one `mul` and the `mean`,
+    twenty tape entries when only `out` requires a gradient."""
+    cos_cap = cosine_similarity(cap, out)
+    cos_label = cosine_similarity(label, out)
+    return tmean(sub(sub(1.0 + label_weight, cos_cap), mul(cos_label, label_weight)))

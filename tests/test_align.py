@@ -14,9 +14,9 @@ from brainvis_forge.align import (
     train_align,
     write_fixtures,
 )
-from brainvis_forge.autodiff import Tensor
+from brainvis_forge.autodiff import Tensor, active_tape, backward
 from brainvis_forge.binio import ChecksumError, UnsupportedFormatError
-from oracles import write_fixtures_per_entry
+from oracles import si_loss_chain, write_fixtures_per_entry
 
 
 def _entries(fixtures: SemanticFixtures) -> dict:
@@ -214,6 +214,39 @@ def test_si_loss_minimizer_is_normalized_target_sum():
             if v < best_v:
                 best_v, best_dir = v, d
     assert best_dir @ expected > 0.999
+
+
+@pytest.mark.parametrize("label_weight", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [(16,), (3, 64), (32, 16), (2, 3, 5)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_si_loss_is_bit_equal_to_its_chain(dtype, shape, label_weight):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for draw in range(10):
+        out, cap, label = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4) for _ in range(3))
+        results = []
+        for loss_fn in (si_loss, si_loss_chain):
+            x = Tensor(out.astype(dtype), requires_grad=True)
+            loss = loss_fn(x, Tensor(cap.astype(dtype)), Tensor(label.astype(dtype)), label_weight)
+            backward(loss)
+            results.append((np.asarray(loss.data), x.grad))
+        (fused, fused_grad), (chain, chain_grad) = results
+        assert fused.dtype == fused_grad.dtype == dtype and fused_grad.shape == shape
+        assert fused.tobytes() == chain.tobytes(), draw
+        assert fused_grad.tobytes() == chain_grad.tobytes(), draw
+
+
+def test_alignment_step_tapes_its_net_and_one_loss_entry():
+    rng = np.random.default_rng(6)
+    net = AlignmentNet(6, 5, rng)
+    tape = active_tape()
+    loss = si_loss(net(Tensor(rng.standard_normal((4, 6)).astype(np.float32))),
+                   Tensor(rng.standard_normal((4, 5)).astype(np.float32)),
+                   Tensor(rng.standard_normal((4, 5)).astype(np.float32)))
+    # the input projection, two residual blocks of linear, gelu, linear and the skip add, and the loss
+    assert [e.op for e in tape.entries] == ["linear"] + ["linear", "gelu", "linear", "add"] * 2 + ["si_loss"]
+    assert len(tape) == 10
+    backward(loss)
+    assert len(tape) == 0 and net.input_proj.weight.grad is not None
 
 
 def test_train_align_orthogonal_classes_converges():

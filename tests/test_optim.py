@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from brainvis_forge.autodiff import (
-    ParamStore, ShapeError, Tensor, active_tape, adam_step, backward, no_grad, power, predict, train_epoch, tsum,
+    ParamStore, ShapeError, Tensor, active_tape, adam_step, backward, no_grad, predict, train_epoch, tsum,
 )
 from brainvis_forge.autodiff import optim
 from brainvis_forge.autodiff.nn import Linear
-from oracles import as_float64
+from oracles import as_float64, power
 
 
 def make_store(values: dict[str, np.ndarray]) -> ParamStore:

@@ -119,6 +119,28 @@ def test_config_rejects_bad_fields():
     assert tiny_config(n_t=1, ablate="no-time").n_t == 1
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("lr", float("nan"), "lr must be finite, got nan"),
+    ("lr", float("inf"), "lr must be finite, got inf"),
+    ("sample_rate", float("nan"), "sample_rate must be finite, got nan"),
+    ("sample_rate", float("inf"), "sample_rate must be finite, got inf"),
+    ("noise_std", float("nan"), "noise_std must be finite, got nan"),
+    ("noise_std", float("inf"), "noise_std must be finite, got inf"),
+    ("noise_std", -1.0, "noise_std must be non-negative, got -1.0"),
+    ("label_weight", float("nan"), "label_weight must be finite, got nan"),
+    ("label_weight", float("-inf"), "label_weight must be finite, got -inf"),
+    ("label_weight", -1.0, "label_weight must be non-negative, got -1.0"),
+    ("caption_offset", float("nan"), "caption_offset must be finite, got nan"),
+])
+def test_config_rejects_non_finite_floats(tmp_path, name, value, message):
+    # Python's json reads NaN and Infinity tokens, so a config file can carry them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**json.loads(Path(TINY).read_text()), name: value}))
+    with pytest.raises(ValueError, match=f"^PipelineConfig: {re.escape(message)}$"):
+        PipelineConfig.load(path)
+    assert tiny_config(**{name: 0.5}).to_dict()[name] == 0.5
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_config()
     path = tmp_path / "cfg.json"
@@ -472,7 +494,7 @@ def test_cli_grad_check_small(capsys):
     assert main(["grad-check", "--probes", "1"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
-    assert out.count("ok") >= 30
+    assert out.count("ok") >= 27
 
 
 def test_cli_ablate_requires_mode(tmp_path, capsys):

@@ -15,9 +15,7 @@ from brainvis_forge.autodiff import (
     backward,
     concat,
     gelu,
-    matmul,
     no_grad,
-    reshape,
     softmax,
     take,
     tmean,
@@ -32,8 +30,6 @@ from brainvis_forge.autodiff.tensor import (
     add,
     broadcast_to,
     mul,
-    power,
-    sub,
 )
 from brainvis_forge.lmm.loss import lmm_loss
 from brainvis_forge.metrics.surrogate import SurrogateClassifier
@@ -41,12 +37,17 @@ from oracles import (
     as_float64,
     attention_core_composed,
     codeword_nll_composed,
+    cosine_similarity,
     cross_entropy_composed,
     layer_norm_composed,
     log,
+    matmul,
     matmul_grads_per_item,
     narrow,
+    power,
+    reshape,
     sigmoid,
+    sub,
     tanh,
 )
 
@@ -192,7 +193,7 @@ def test_layer_norm_normalizes_last_axis():
 
 def test_cosine_similarity_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
-        ops.cosine_similarity(Tensor(np.zeros(4)), Tensor(np.ones(4)))
+        cosine_similarity(Tensor(np.zeros(4)), Tensor(np.ones(4)))
 
 
 def test_lstm_sequence_zero_weights_give_zero_hidden():
@@ -600,6 +601,12 @@ def _leaf(*shape):
     return Tensor(np.ones(shape), requires_grad=True)
 
 
+def _zero_row_leaf(*shape):
+    leaf = _leaf(*shape)
+    leaf.data[-1] = 0.0
+    return leaf
+
+
 def _nan_leaf(*shape):
     leaf = _leaf(*shape)
     leaf.data[(0,) * len(shape)] = np.nan  # past the Tensor constructor's own check
@@ -677,8 +684,17 @@ GUARDS = {
                                     NonFiniteError, "mlp_cross_entropy: output contains NaN or Inf"),
     "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones((3, 3))), ShapeError,
                      "codeword_nll: shapes (2, 3) and (3, 3) differ"),
-    "cosine_similarity": (lambda: ops.cosine_similarity(_leaf(2, 3), _leaf(2, 4)), ShapeError,
-                          "cosine_similarity: shapes (2, 3) and (2, 4) differ"),
+    "si_loss_shape": (lambda: ops.si_loss(_leaf(2, 3), _leaf(2, 4), _leaf(2, 3)), ShapeError,
+                      "si_loss: output (2, 3), caption (2, 4) and label (2, 3) shapes differ"),
+    "si_loss_zero_output": (lambda: ops.si_loss(_zero_row_leaf(2, 3), _leaf(2, 3), _leaf(2, 3)), ValueError,
+                            "si_loss: zero-norm output row"),
+    "si_loss_zero_caption": (lambda: ops.si_loss(_leaf(2, 3), _zero_row_leaf(2, 3), _leaf(2, 3)), ValueError,
+                             "si_loss: zero-norm caption row"),
+    "si_loss_zero_label": (lambda: ops.si_loss(_leaf(2, 3), _leaf(2, 3), _zero_row_leaf(2, 3)), ValueError,
+                           "si_loss: zero-norm label row"),
+    # a float32 row whose squared norm overflows: its norm product is Inf, the inverse 0 and the cosine finite
+    "si_loss_overflow": (lambda: ops.si_loss(*_f32([[1e20] * 3, [1.0] * 3], np.ones((2, 3)), np.ones((2, 3)))),
+                         NonFiniteError, "si_loss: output contains NaN or Inf"),
     "attention_heads": (lambda: Attention(6, 4, np.random.default_rng(0)), ShapeError,
                         "Attention: dim 6 not divisible by 4 heads"),
     "load_state": (lambda: Linear(3, 2, np.random.default_rng(0)).load_state(
@@ -693,7 +709,7 @@ GUARDS = {
 def test_op_guards_raise_and_record_nothing(case):
     call, error, message = GUARDS[case]
     before = len(active_tape())
-    with pytest.raises(error, match=f"^{re.escape(message)}"):
+    with np.errstate(over="ignore"), pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
     assert len(active_tape()) == before
 
