@@ -6,11 +6,12 @@ single precision makes the subtraction too noisy to trust.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ops
+from . import nn, ops
 from .tensor import (
     Tensor,
     backward,
@@ -110,7 +111,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     ln_inputs_3d = [r((2, 3, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
     core_inputs = [r((2, 4, d)), r((2, 6, d)), r((2, 6, d))]  # n_q != n_k
     nll_probs = [np.abs(r((2, 3, 9))) + 0.1]
-    nll_target = ops.one_hot_labels(rng.integers(0, 9, size=6), 9).reshape(2, 3, 9)
+    nll_labels = rng.integers(0, 9, size=6).reshape(2, 3)
     ce_logits = [r((5, 9))]
     ce_target = ops.one_hot_labels(rng.integers(0, 9, size=5), 9)
     take_idx = np.array([0, 2, 2, 4])
@@ -138,7 +139,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "layer_norm": probe(lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]), ln_inputs, (4, 7)),
         "layer_norm_3d": probe(lambda ts: ops.layer_norm(*ts), ln_inputs_3d, (2, 3, 7)),
         "attention_core": probe(lambda ts: ops.attention_core(*ts, n_heads=n_heads), core_inputs, (2, 4, d)),
-        "codeword_nll": (lambda ts: ops.codeword_nll(ts[0], nll_target), nll_probs),
+        "codeword_nll": (lambda ts: ops.codeword_nll(ts[0], nll_labels), nll_probs),
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
         "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),
@@ -158,7 +159,24 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
                                     [r((5, 6)), r((6, 3)) * 0.5, r(3) * 0.1, r((3, 4)) * 0.5, r(4) * 0.1])
     denoiser_target = r((3, 3, 2, 2))  # a constant, as `train_denoiser`'s noise is
     catalog["denoiser_mse"] = (lambda ts: ops.denoiser_mse(*ts[:3], denoiser_target, *ts[3:]), denoiser_inputs)
+    # the blocks' `fold` entries over their parameters too; two cross-attention blocks share one context
+    sa, ca = nn.SelfAttentionBlock(4, 2, 4, rng), [nn.CrossAttentionBlock(4, 2, 4, rng) for _ in range(2)]
+    sa_inputs = [r((2, 4, 4))] + [r(p.shape) * 0.5 for p in sa.parameters()]
+    ca_inputs = [r((1, 2, 4)), r((1, 3, 4))] + [r(p.shape) * 0.5 for b in ca for p in b.parameters()]
+    catalog["self_attention_block"] = probe(lambda ts: _bind(sa, ts[1:])(ts[0]), sa_inputs, (2, 4, 4))
+    catalog["self_attention_block_rows"] = probe(
+        lambda ts: _bind(sa, ts[1:])(ts[0], np.array([0, 2, 3])), sa_inputs, (2, 3, 4))
+    catalog["cross_attention_blocks"] = probe(
+        lambda ts: _bind(ca[1], ts[18:])(_bind(ca[0], ts[2:18])(ts[0], ts[1]), ts[1]), ca_inputs, (1, 2, 4))
     return catalog
+
+
+def _bind(module: nn.Module, tensors: Sequence[Tensor]) -> nn.Module:
+    """`module` with its parameters, in `named_parameters` order, replaced by `tensors`."""
+    for (name, _), t in zip(module.named_parameters(), tensors):
+        *path, attr = name.split(".")
+        setattr(functools.reduce(getattr, path, module), attr, t)
+    return module
 
 
 def run_catalog_suite(probes: int = 10, seed: int = 2024, tol: float = DEFAULT_TOL) -> dict[str, float]:

@@ -7,7 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor, gelu, take
+from .tensor import ShapeError, Tensor, fold, gelu, take
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -111,7 +111,8 @@ class FeedForward(Module):
 
 class SelfAttentionBlock(Module):
     """Pre-norm transformer block: x + attn(LN(x)), then x + ffn(LN(x)).  Given `rows` (indices
-    along axis -2), only those rows are queries and outputs; every row is still a key and value."""
+    along axis -2), only those rows are queries and outputs; every row is still a key and value.
+    A call tapes `forward` as one `fold` entry; `forward` itself tapes one entry per op."""
 
     def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
@@ -120,6 +121,9 @@ class SelfAttentionBlock(Module):
         self.ffn = FeedForward(dim, ffn_dim, rng)
 
     def __call__(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
+        return fold("self_attention_block", self.forward, x, rows)
+
+    def forward(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
         h = q = self.ln1(x)
         if rows is not None:
             x, q = take(x, rows, axis=-2), take(h, rows, axis=-2)
@@ -129,7 +133,8 @@ class SelfAttentionBlock(Module):
 
 
 class CrossAttentionBlock(Module):
-    """Pre-norm block where the query stream attends to a fixed context."""
+    """Pre-norm block where the query stream attends to a fixed context; taped as
+    `SelfAttentionBlock` is, one `fold` entry a call."""
 
     def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
@@ -138,6 +143,9 @@ class CrossAttentionBlock(Module):
         self.ffn = FeedForward(dim, ffn_dim, rng)
 
     def __call__(self, query: Tensor, context: Tensor) -> Tensor:
+        return fold("cross_attention_block", self.forward, query, context)
+
+    def forward(self, query: Tensor, context: Tensor) -> Tensor:
         query = query + self.attn(self.ln1(query), context)
         query = query + self.ffn(self.ln2(query))
         return query

@@ -394,21 +394,31 @@ def mlp_cross_entropy(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     return _make("mlp_cross_entropy", inputs, np.asarray(per_row.mean() * -1.0), bw)
 
 
-def codeword_nll(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """-mean over rows of sum(targets * log(probs + LOG_EPS)), as one tape entry.
+def codeword_nll(probs: Tensor, labels: np.ndarray) -> Tensor:
+    """-mean over rows of sum(one_hot(labels) * log(probs + LOG_EPS)), as one tape entry.
 
-    `targets` are constant one-hot rows; the backward recomputes
-    probs + LOG_EPS rather than saving it.
+    `labels` are the constant codeword indices, one per row of `probs`.  For p >= 0, loss
+    and gradient are bit-equal to the one-hot form: a row's sum is its one term that is
+    not 0 * log, a signed zero, and off the label the gradient is (0 / p) * c = 0 * c.
     """
     probs = as_tensor(probs)
-    targets = np.asarray(targets, dtype=probs.dtype)
-    if probs.shape != targets.shape:
-        raise ShapeError(f"codeword_nll: shapes {probs.shape} and {targets.shape} differ")
+    labels = np.asarray(labels)
+    if probs.shape[:-1] != labels.shape:
+        raise ShapeError(f"codeword_nll: probabilities {probs.shape} do not fit labels {labels.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < probs.shape[-1]:
+        raise ValueError(f"codeword_nll: labels span [{labels.min()}, {labels.max()}], outside [0, {probs.shape[-1]})")
+    at = (*np.indices(labels.shape, sparse=True), labels)
+    p_at = probs.data[at] + LOG_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_row = (targets * np.log(probs.data + LOG_EPS)).sum(axis=-1)
+        per_row = np.log(p_at)
+    shape, dtype = probs.shape, probs.dtype
 
     def bw(g):
-        return (targets / (probs.data + LOG_EPS) * (-g / per_row.size),)
+        c = -g / per_row.size
+        g_p = np.zeros(shape, dtype)
+        g_p *= c
+        g_p[at] = 1.0 / p_at * c
+        return (g_p,)
 
     return _make("codeword_nll", (probs,), np.asarray(-per_row.mean()), bw)
 

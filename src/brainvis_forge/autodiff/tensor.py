@@ -1,9 +1,11 @@
 """Tape-based reverse-mode automatic differentiation over dense numpy arrays.
 
 Every differentiable operation appends one entry to the active
-:class:`ComputationTape` as it executes.  :func:`backward` replays the tape
-in reverse execution order, which is a valid topological order, so each node
-is visited exactly once and leaf gradients accumulate additively.
+:class:`ComputationTape` as it executes; inside a :func:`fold` (a transformer
+block's call) it records into the fold's own list, and the fold is one entry.
+:func:`backward` replays the tape in reverse execution order, which is a valid
+topological order, so each node is visited exactly once and leaf gradients
+accumulate additively; it frees each entry once its VJP has run.
 
 Forward values are never mutated in place; every op returns an array it
 allocated, which it may build in place (`gelu` block by block, `softmax` in its
@@ -70,6 +72,7 @@ class ComputationTape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
         self.enabled = True
+        self.block: tuple[dict, list] | None = None  # the open `fold`'s keys and records
 
     def record(self, entry: TapeEntry) -> None:
         self.entries.append(entry)
@@ -153,12 +156,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -174,7 +173,8 @@ def _tracks(inputs: tuple[Tensor, ...]) -> bool:
 
 
 def _make(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    """Wrap an op result, recording it when `_tracks(inputs)`."""
+    """Wrap an op result, recording it when `_tracks(inputs)`: on the tape, or inside a
+    `fold` as its inputs (an earlier record's integer key, or the outside tensor) and VJP."""
     _require_finite(op, out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -182,7 +182,49 @@ def _make(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn
     track = _tracks(inputs)
     out.requires_grad = track
     if track:
-        _TAPE.record(TapeEntry(op, inputs, out, backward_fn))
+        if _TAPE.block is None:
+            _TAPE.record(TapeEntry(op, inputs, out, backward_fn))
+        else:
+            keys, records = _TAPE.block
+            keys[out] = len(records)
+            records.append((tuple([keys.get(t, t) for t in inputs]), backward_fn))
+    return out
+
+
+def fold(op: str, fn: Callable[..., Tensor], *args) -> Tensor:
+    """fn(*args) as one tape entry `op`, so that only what its backward reads outlives the call.
+
+    The ops fn runs record their VJPs under integer keys, not tensors.  The entry's backward
+    replays them in reverse, accumulating each gradient with the tape's own `prev + g`, and
+    its inputs list each outside tensor once per internal use, in replay order: every
+    gradient is bit-equal to the flat tape's.  Untaped, or inside another fold, fn just runs.
+    """
+    if not _TAPE.enabled or _TAPE.block is not None:
+        return fn(*args)
+    keys, records = _TAPE.block = {}, []
+    try:
+        out = fn(*args)
+    finally:
+        _TAPE.block = None
+    if not records:
+        return out
+    grads_at = keys[out]
+    inputs = tuple([t for refs, _ in reversed(records) for t in refs if type(t) is not int])
+
+    def bw(g):
+        grads, outside = {grads_at: g}, []
+        while records:
+            refs, vjp = records.pop()
+            g_out = grads.pop(len(records), None)
+            for ref, g_in in zip(refs, (None,) * len(refs) if g_out is None else vjp(g_out)):
+                if type(ref) is not int:
+                    outside.append(g_in)
+                elif g_in is not None:
+                    prev = grads.get(ref)
+                    grads[ref] = g_in if prev is None else prev + g_in
+        return outside
+
+    _TAPE.record(TapeEntry(op, inputs, out, bw))
     return out
 
 
@@ -214,10 +256,8 @@ def add(a, b) -> Tensor:
     a = as_tensor(a, b if isinstance(b, Tensor) else None)
     b = as_tensor(b, a)
     out = _broadcast_data("add", a, b, np.add)
-    return _make(
-        "add", (a, b), out,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    a_shape, b_shape = a.shape, b.shape
+    return _make("add", (a, b), out, lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -270,7 +310,8 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         out = np.broadcast_to(a.data, shape).copy()
     except ValueError as exc:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}") from exc
-    return _make("broadcast_to", (a,), out, lambda g: (_unbroadcast(g, a.shape),))
+    a_shape = a.shape
+    return _make("broadcast_to", (a,), out, lambda g: (_unbroadcast(g, a_shape),))
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
@@ -279,9 +320,10 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     ax = axis % a.ndim
     out = np.take(a.data, idx, axis=ax)
+    a_shape, a_dtype = a.shape, a.dtype
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a_shape, a_dtype)
         np.add.at(ga, (slice(None),) * ax + (idx,), g)
         return (ga,)
 
@@ -439,16 +481,20 @@ def backward(loss: Tensor) -> None:
 
     # Tensors hash by identity (no __eq__), so they key the map themselves.
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
-        g_out = grads.pop(entry.output, None)
-        if g_out is None:
-            continue
-        for inp, g in zip(entry.inputs, entry.backward_fn(g_out)):
-            if g is None or not inp.requires_grad:
+    entries = tape.entries
+    try:
+        while entries:
+            entry = entries.pop()
+            g_out = grads.pop(entry.output, None)
+            if g_out is None:
                 continue
-            prev = grads.get(inp)
-            grads[inp] = g if prev is None else prev + g
+            for inp, g in zip(entry.inputs, entry.backward_fn(g_out)):
+                if g is None or not inp.requires_grad:
+                    continue
+                prev = grads.get(inp)
+                grads[inp] = g if prev is None else prev + g
+    finally:
+        tape.clear()
 
     for t, g in grads.items():
         t.grad = g if t.grad is None else t.grad + g
-    tape.clear()

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tensor, take
 from ..autodiff.nn import Module
-from ..autodiff.ops import one_hot_labels
 from ..data.records import EegDataset
 from ..data.segment import flatten_units, segment_units
 from .loss import lmm_loss
@@ -84,23 +83,20 @@ def lmm_step(
 ) -> tuple:
     """One forward pass; returns (reg, cls, total) loss tensors.
 
-    The teacher attends over the whole projected sequence, a constant, but
-    encodes only the masked rows, the regression targets: its last block
-    computes no visible row.
+    Codewords are assigned first, so their temporaries are gone before the
+    forward allocates.  The teacher attends over the whole projected sequence,
+    a constant, but encodes only the masked rows, the regression targets: its
+    last block computes no visible row.
     """
+    b, m, unit_dim = batch_units.shape[0], len(plan.masked), batch_units.shape[2]
+    codewords = models.codebook.assign(batch_units[:, plan.masked, :].reshape(b * m, unit_dim)).reshape(b, m)
     z_full = models.projector(Tensor(batch_units))
     z_visible = take(z_full, plan.visible, axis=1)
     f_v = models.encoder(z_visible)
     f_m = models.teacher.encode(z_full.data, plan.masked)
 
     f_mp, p_m = models.predictor(f_v, plan.masked, models.projector.pos)
-
-    b, m, unit_dim = batch_units.shape[0], len(plan.masked), batch_units.shape[2]
-    raw_masked = batch_units[:, plan.masked, :].reshape(b * m, unit_dim)
-    codewords = models.codebook.assign(raw_masked)
-    l_m = one_hot_labels(codewords, models.codebook.n_entries).reshape(b, m, models.codebook.n_entries)
-
-    return lmm_loss(f_m, f_mp, l_m, p_m)
+    return lmm_loss(f_m, f_mp, codewords, p_m)
 
 
 def train_lmm(

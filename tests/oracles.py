@@ -6,10 +6,13 @@ one-hot codeword map the LMM loss targets are built from, the one-image
 SSIM the batched `ssim` must match bit for bit, the one-image target
 builder `make_image_set` must match byte for byte, the per-entry BVC
 writer whose bytes `write_fixtures` must reproduce, the
-per-item matmul gradients the folded ones must match in rounding, and the
+per-item matmul gradients the folded ones must match in rounding, the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
 `attention_core` and `codeword_nll` must match bit for bit (and whose
-forward and gradients the fused `cross_entropy`, `denoiser_mlp` and `si_loss` must).  The tape ops
+forward and gradients the fused `cross_entropy`, `denoiser_mlp` and `si_loss` must),
+the one-hot `codeword_nll` whose loss and gradient bytes the index form must match, and
+the transformer blocks as flat tapes, one entry per op, whose output and gradients
+the blocks' single `fold` entries must match bit for bit.  The tape ops
 that only these compositions, the step-by-step LSTM reference and the tests use (`narrow`,
 `swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`, `sub`, `power`, `sqrt`, `matmul`,
 `reshape`, `cosine_similarity`) live here too, with their gradient probes in `oracle_op_probes`.
@@ -41,6 +44,7 @@ from brainvis_forge.autodiff.tensor import (
     gelu,
     mul,
     softmax,
+    take,
     tmean,
     tsum,
 )
@@ -332,6 +336,35 @@ def attention_core_composed(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Te
 def codeword_nll_composed(probs: Tensor, targets: Tensor) -> Tensor:
     """-mean(sum(targets * log(probs + LOG_EPS), axis=-1)) as six tape ops."""
     return mul(tmean(tsum(mul(targets, log(probs + LOG_EPS)), axis=-1)), -1.0)
+
+
+def codeword_nll_dense(probs: Tensor, targets: np.ndarray) -> Tensor:
+    """`ops.codeword_nll` over one-hot `targets` rows, as one tape entry: the form it took
+    before it read codeword indices."""
+    probs = as_tensor(probs)
+    targets = np.asarray(targets, dtype=probs.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_row = (targets * np.log(probs.data + LOG_EPS)).sum(axis=-1)
+
+    def bw(g):
+        return (targets / (probs.data + LOG_EPS) * (-g / per_row.size),)
+
+    return _make("codeword_nll", (probs,), np.asarray(-per_row.mean()), bw)
+
+
+def self_attention_block_flat(block, x: Tensor, rows=None) -> Tensor:
+    """`SelfAttentionBlock` taped one entry per op, as before its ops folded into one entry."""
+    h = q = block.ln1(x)
+    if rows is not None:
+        x, q = take(x, rows, axis=-2), take(h, rows, axis=-2)
+    x = add(x, block.attn(q, h))
+    return add(x, block.ffn(block.ln2(x)))
+
+
+def cross_attention_block_flat(block, query: Tensor, context: Tensor) -> Tensor:
+    """`CrossAttentionBlock` taped one entry per op."""
+    query = add(query, block.attn(block.ln1(query), context))
+    return add(query, block.ffn(block.ln2(query)))
 
 
 def cross_entropy_composed(logits: Tensor, one_hot: Tensor) -> Tensor:

@@ -68,7 +68,7 @@ def test_criterion_1_gradient_suite():
         elapsed = time.time() - start
         failing = {k: v for k, v in worst.items() if v >= 1e-4}
         assert not failing, f"ops over tolerance: {failing}"
-        assert len(worst) >= 27
+        assert len(worst) >= 30
         assert elapsed < 120, f"gradient suite took {elapsed:.1f}s"
 
 
@@ -100,17 +100,15 @@ def test_criterion_3_loss_formulas():
         # regression hand case, d=4
         reg, _, _ = lmm_loss(
             np.array([[1.0, 0.0, 0.0, 0.0]]), Tensor(np.zeros((1, 4))),
-            np.array([[1.0, 0.0]]), Tensor(np.array([[0.5, 0.5]])),
+            np.array([0]), Tensor(np.array([[0.5, 0.5]])),
         )
         assert reg.item() == pytest.approx(0.25, abs=1e-12)
 
         # classification uniform case over 660 codewords
         n_t = 660
-        l_m = np.zeros((1, n_t))
-        l_m[0, 42] = 1.0
         _, cls, _ = lmm_loss(
             np.zeros((1, 2)), Tensor(np.zeros((1, 2))),
-            l_m, Tensor(np.full((1, n_t), 1.0 / n_t, dtype=np.float64)),
+            np.array([42]), Tensor(np.full((1, n_t), 1.0 / n_t, dtype=np.float64)),
         )
         assert abs(cls.item() - np.log(660)) < 1e-6
 
@@ -120,7 +118,7 @@ def test_criterion_3_loss_formulas():
         p /= p.sum(axis=1, keepdims=True)
         reg, cls, total = lmm_loss(
             rng.standard_normal((3, 4)), Tensor(rng.standard_normal((3, 4))),
-            np.eye(5)[:3], Tensor(p),
+            np.arange(3), Tensor(p),
         )
         assert total.item() == reg.item() + cls.item()
 

@@ -1,11 +1,13 @@
 """Backward-pass contracts: seeding, accumulation, determinism, tape lifecycle."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from brainvis_forge.autodiff import Tensor, active_tape, backward, no_grad, tsum
 from brainvis_forge.autodiff.ops import mse_loss
-from brainvis_forge.autodiff.tensor import add, mul
+from brainvis_forge.autodiff.tensor import _make, add, mul
 
 
 def test_backward_of_sum_is_ones():
@@ -38,6 +40,35 @@ def test_tape_cleared_after_backward():
     x = Tensor(np.ones(3), requires_grad=True)
     backward(tsum(mul(x, x)))
     assert len(active_tape()) == 0
+
+
+def test_backward_whose_vjp_raises_leaves_the_tape_empty():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def failing_vjp(g):
+        raise RuntimeError("vjp failed")
+
+    y = _make("failing", (x,), x.data * 2.0, failing_vjp)
+    loss = tsum(mul(y, y))
+    assert len(active_tape()) == 3
+    with pytest.raises(RuntimeError, match="vjp failed"):
+        backward(loss)
+    assert len(active_tape()) == 0
+    backward(tsum(mul(x, 3.0)))  # the next forward's backward sees only its own entries
+    np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+
+
+def test_backward_frees_each_entry_once_its_vjp_has_run():
+    x = Tensor(np.ones(3), requires_grad=True)
+    saved = np.arange(3.0)
+    saved_ref, seen = weakref.ref(saved), []
+    # the first entry's VJP runs last, after the second entry's, which reads `saved`
+    first = _make("first", (x,), x.data + 1.0, lambda g: (seen.append(saved_ref()) or g,))
+    second = _make("second", (first,), first.data * saved, lambda g, saved=saved: (g * saved,))
+    del saved
+    backward(tsum(second))
+    assert seen == [None]
+    np.testing.assert_array_equal(x.grad, np.arange(3.0))
 
 
 def test_gradients_accumulate_across_backward_calls():

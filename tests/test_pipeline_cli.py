@@ -494,7 +494,7 @@ def test_cli_grad_check_small(capsys):
     assert main(["grad-check", "--probes", "1"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
-    assert out.count("ok") >= 27
+    assert out.count("ok") >= 30
 
 
 def test_cli_ablate_requires_mode(tmp_path, capsys):

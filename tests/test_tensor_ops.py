@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from brainvis_forge.autodiff import (
     tmean,
     tsum,
 )
-from brainvis_forge.autodiff import ops
-from brainvis_forge.autodiff.nn import Attention, Linear, LstmEncoder
+from brainvis_forge.autodiff import ops, tensor
+from brainvis_forge.autodiff.nn import Attention, CrossAttentionBlock, Linear, LstmEncoder, SelfAttentionBlock
 from brainvis_forge.autodiff.tensor import (
     _GELU_FORWARD_BLOCK,
     _gelu_forward,
@@ -37,7 +38,9 @@ from oracles import (
     as_float64,
     attention_core_composed,
     codeword_nll_composed,
+    codeword_nll_dense,
     cosine_similarity,
+    cross_attention_block_flat,
     cross_entropy_composed,
     layer_norm_composed,
     log,
@@ -46,6 +49,7 @@ from oracles import (
     narrow,
     power,
     reshape,
+    self_attention_block_flat,
     sigmoid,
     sub,
     tanh,
@@ -435,13 +439,14 @@ def _lmm_operands(rng, n_codewords=660):
     k, v = (rng.standard_normal((16, 28, 256)).astype(np.float32) for _ in range(2))
     probs = rng.uniform(0.0, 1.0, (16, 82, n_codewords)).astype(np.float32)
     probs /= probs.sum(axis=-1, keepdims=True)
-    targets = ops.one_hot_labels(rng.integers(0, n_codewords, 16 * 82), n_codewords).reshape(probs.shape)
-    return x, gain, bias, q, k, v, probs, targets
+    labels = rng.integers(0, n_codewords, 16 * 82).reshape(16, 82)
+    return x, gain, bias, q, k, v, probs, labels
 
 
 @pytest.mark.parametrize("needs_grad", [True, False])
 def test_fused_lmm_ops_forward_bit_equal_to_their_compositions(needs_grad):
-    x, gain, bias, q, k, v, probs, targets = _lmm_operands(np.random.default_rng(31))
+    x, gain, bias, q, k, v, probs, labels = _lmm_operands(np.random.default_rng(31))
+    targets = ops.one_hot_labels(labels.reshape(-1), probs.shape[-1]).reshape(probs.shape)
 
     def t(a):
         return Tensor(a, requires_grad=needs_grad)
@@ -449,7 +454,7 @@ def test_fused_lmm_ops_forward_bit_equal_to_their_compositions(needs_grad):
     pairs = [
         (ops.layer_norm(t(x), t(gain), t(bias)), layer_norm_composed(t(x), t(gain), t(bias))),
         (ops.attention_core(t(q), t(k), t(v), 8), attention_core_composed(t(q), t(k), t(v), 8)),
-        (ops.codeword_nll(t(probs), targets), codeword_nll_composed(t(probs), Tensor(targets))),
+        (ops.codeword_nll(t(probs), labels), codeword_nll_composed(t(probs), Tensor(targets))),
     ]
     active_tape().clear()
     for fused, composed in pairs:
@@ -561,6 +566,98 @@ def test_linear_with_a_broadcast_or_wider_bias_keeps_the_plain_add():
         ops.linear(Tensor(x), Tensor(w), Tensor(np.zeros(5, np.float32)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1.0, -2.0])
+def test_codeword_nll_indices_match_the_one_hot_form_in_loss_and_gradient_bytes(scale, dtype):
+    *_, probs, labels = _lmm_operands(np.random.default_rng(37))
+    probs = probs.astype(dtype)
+    # a label probability of exactly 1 (a log of 0) and one of exactly 0 (the LOG_EPS clamp)
+    probs[0, 0] = 0.0
+    probs[0, 0, labels[0, 0]] = 1.0
+    probs[1, 1, labels[1, 1]] = 0.0
+    targets = ops.one_hot_labels(labels.reshape(-1), probs.shape[-1]).reshape(probs.shape)
+    results = []
+    for codeword_nll, target in ((ops.codeword_nll, labels), (codeword_nll_dense, targets)):
+        p = Tensor(probs, requires_grad=True)
+        loss = codeword_nll(p, target)
+        backward(mul(loss, scale))  # the sign of the off-label gradient's zeros follows the scale's
+        results.append((loss.data.dtype, loss.data.tobytes(), p.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+# --- transformer blocks: one `fold` entry each, bit-equal to the flat tape
+
+
+def _block_run(case: str, flat: bool, dtype) -> tuple:
+    """A block case's output, entry count and the gradients of its input, context and
+    parameters, through the blocks' `fold` entries or `oracles`' flat tapes."""
+    rng = np.random.default_rng(41)
+    self_attn = case.startswith("self")
+    blocks = [SelfAttentionBlock(32, 4, 64, rng)] if self_attn else [CrossAttentionBlock(32, 4, 64, rng)
+                                                                      for _ in range(2)]
+    if dtype == np.float64:
+        blocks = [as_float64(b) for b in blocks]
+    x = Tensor(rng.standard_normal((4, 10, 32)).astype(dtype), requires_grad=True)
+    context = Tensor(rng.standard_normal((4, 7, 32)).astype(dtype), requires_grad=True)
+    if self_attn:
+        rows = np.array([1, 4, 5, 9]) if case == "self_rows" else None
+        out = self_attention_block_flat(blocks[0], x, rows) if flat else blocks[0](x, rows)
+    else:  # two blocks sharing one context, as the tiny predictor's
+        out = x
+        for block in blocks:
+            out = cross_attention_block_flat(block, out, context) if flat else block(out, context)
+    n_entries = len(active_tape())
+    backward(tsum(mul(out, Tensor(rng.standard_normal(out.shape).astype(dtype)))))
+    leaves = [x, context] + [p for block in blocks for p in block.parameters()]
+    return out.data, n_entries, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case, n_folded, n_flat", [("self", 1, 12), ("self_rows", 1, 14), ("cross_pair", 2, 24)])
+def test_block_fold_entries_are_bit_equal_to_the_flat_tape(case, n_folded, n_flat, dtype):
+    out, folded_entries, grads = _block_run(case, False, dtype)
+    flat_out, flat_entries, flat_grads = _block_run(case, True, dtype)
+    assert (folded_entries, flat_entries) == (n_folded, n_flat)
+    assert out.dtype == dtype and out.tobytes() == flat_out.tobytes()
+    assert [g is None for g in grads] == [g is None for g in flat_grads] == [False, case.startswith("self")] + [
+        False] * (len(grads) - 2)
+    for g, flat_g in zip(grads, flat_grads):
+        assert g is None or (g.dtype == flat_g.dtype and g.tobytes() == flat_g.tobytes())
+
+
+def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
+    rng = np.random.default_rng(43)
+    block = SelfAttentionBlock(16, 2, 32, rng)
+    linear_outs, sums = [], []
+
+    def spy(record, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            record.append(weakref.ref(out.data))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(ops, "linear", spy(linear_outs, ops.linear))
+    monkeypatch.setattr(tensor, "add", spy(sums, tensor.add))
+    x = Tensor(rng.standard_normal((2, 5, 16)), requires_grad=True)
+    out = block(x)
+    (entry,) = active_tape().entries
+    assert entry.op == "self_attention_block" and entry.output is out
+    # each outside tensor once per internal use, in replay order: x feeds the residual sum and ln1
+    a, f = block.attn, block.ffn
+    expected = [f.fc2.weight, f.fc2.bias, f.fc1.weight, f.fc1.bias, block.ln2.gain, block.ln2.bias, x,
+                a.w_o, a.b_o, a.w_v, a.b_v, a.w_k, a.b_k, a.w_q, a.b_q, x, block.ln1.gain, block.ln1.bias]
+    assert len(entry.inputs) == len(expected) and all(t is e for t, e in zip(entry.inputs, expected))
+    assert len(linear_outs) == 6 and len(sums) == 2
+    assert linear_outs[0]() is None, "the q projection outlived the block"
+    assert sums[0]() is None, "the first residual sum outlived the block"
+    assert sums[1]() is out.data
+    # on the flat tape the same q projection stays alive, held by its entry
+    self_attention_block_flat(block, x)
+    assert linear_outs[6]() is not None
+    active_tape().clear()
+
+
 def test_fused_lmm_ops_are_one_tape_entry_each():
     rng = np.random.default_rng(4)
     x, gain, bias = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 8), (8,), (8,)))
@@ -568,7 +665,7 @@ def test_fused_lmm_ops_are_one_tape_entry_each():
     tape = active_tape()
     before = len(tape)
     out = ops.layer_norm(x, gain, bias) + ops.attention_core(q, k, v, 2)
-    loss = ops.codeword_nll(softmax(out), np.eye(8)[rng.integers(0, 8, (2, 5))])
+    loss = ops.codeword_nll(softmax(out), rng.integers(0, 8, (2, 5)))
     assert [e.op for e in tape.entries[before:]] == ["layer_norm", "attention", "add", "softmax", "codeword_nll"]
     backward(loss)
 
@@ -583,7 +680,8 @@ OVERFLOWS = {
     # one score overflows to -Inf; the softmax would give it a finite 0 weight
     "attention": lambda: ops.attention_core(
         *_f32(np.full((1, 2, 4), 1e20), [[[1.0] * 4, [-1e20] * 4]], np.ones((1, 2, 4))), 2),
-    "codeword_nll": lambda: ops.codeword_nll(*_f32(np.full((2, 3), 1e-3)), np.full((2, 3), 3e38, np.float32)),
+    # a probability below -LOG_EPS at a label: its log is NaN (indices cannot overflow the mean)
+    "codeword_nll": lambda: ops.codeword_nll(*_f32([[0.5, -0.5], [0.5, 0.5]]), np.array([1, 0])),
 }
 
 
@@ -611,6 +709,13 @@ def _nan_leaf(*shape):
     leaf = _leaf(*shape)
     leaf.data[(0,) * len(shape)] = np.nan  # past the Tensor constructor's own check
     return leaf
+
+
+def _nan_block():
+    """A `SelfAttentionBlock` at d = 4 whose feed-forward output weight holds a NaN."""
+    block = SelfAttentionBlock(4, 2, 8, np.random.default_rng(0))
+    block.ffn.fc2.weight.data[0, 0] = np.nan
+    return block
 
 
 def _denoiser_leaves(x, w_in=(4, 3)):
@@ -682,8 +787,13 @@ GUARDS = {
                                         _leaf(2, 3), w2=Tensor(np.array([[0.0, -1e308, -1e308, -1e308]] * 2)),
                                         labels=[0, 0])),
                                     NonFiniteError, "mlp_cross_entropy: output contains NaN or Inf"),
-    "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones((3, 3))), ShapeError,
-                     "codeword_nll: shapes (2, 3) and (3, 3) differ"),
+    "codeword_nll": (lambda: ops.codeword_nll(_leaf(2, 3), np.ones(3, np.int64)), ShapeError,
+                     "codeword_nll: probabilities (2, 3) do not fit labels (3,)"),
+    "codeword_nll_label": (lambda: ops.codeword_nll(_leaf(2, 3), np.array([0, 3])), ValueError,
+                           "codeword_nll: labels span [0, 3], outside [0, 3)"),
+    # a NaN weight past the block's first ten ops: none of them, nor the block, stays on the tape
+    "self_attention_block_nan": (lambda: _nan_block()(_leaf(2, 3, 4)), NonFiniteError,
+                                 "linear: output contains NaN or Inf"),
     "si_loss_shape": (lambda: ops.si_loss(_leaf(2, 3), _leaf(2, 4), _leaf(2, 3)), ShapeError,
                       "si_loss: output (2, 3), caption (2, 4) and label (2, 3) shapes differ"),
     "si_loss_zero_output": (lambda: ops.si_loss(_zero_row_leaf(2, 3), _leaf(2, 3), _leaf(2, 3)), ValueError,
@@ -711,7 +821,7 @@ def test_op_guards_raise_and_record_nothing(case):
     before = len(active_tape())
     with np.errstate(over="ignore"), pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
-    assert len(active_tape()) == before
+    assert len(active_tape()) == before and active_tape().block is None
 
 
 def test_attention_core_rejects_mismatched_operands():
