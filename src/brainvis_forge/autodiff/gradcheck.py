@@ -143,8 +143,6 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
         "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),
-        # x and t_feat require grad too, and each feeds two products
-        "denoiser_mlp": probe(lambda ts: ops.denoiser_mlp(*ts), denoiser_inputs, (3, 3, 2, 2)),
         # every input requires grad here, the target included
         "mse_loss": (lambda ts: ops.mse_loss(ts[0], ts[1]), [r((4, 5)), r((4, 5))]),
         "cross_entropy": (lambda ts: ops.cross_entropy(ts[0], Tensor(ce_target)), ce_logits),
@@ -158,7 +156,11 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     catalog["mlp_cross_entropy"] = (lambda ts: ops.mlp_cross_entropy(*ts, np.array([0, 3, 1, 3, 2])),  # x too
                                     [r((5, 6)), r((6, 3)) * 0.5, r(3) * 0.1, r((3, 4)) * 0.5, r(4) * 0.1])
     denoiser_target = r((3, 3, 2, 2))  # a constant, as `train_denoiser`'s noise is
+    # x and t_feat require grad too, and each feeds two products
     catalog["denoiser_mse"] = (lambda ts: ops.denoiser_mse(*ts[:3], denoiser_target, *ts[3:]), denoiser_inputs)
+    # `DenoiserNet.predict`'s shapes: one time-feature row and one condition row broadcast over the batch
+    catalog["denoiser_mse_shared_rows"] = (catalog["denoiser_mse"][0],
+                                           denoiser_inputs[:1] + [r((1, 4)), r((1, 6))] + denoiser_inputs[3:])
     # the blocks' `fold` entries over their parameters too; two cross-attention blocks share one context
     sa, ca = nn.SelfAttentionBlock(4, 2, 4, rng), [nn.CrossAttentionBlock(4, 2, 4, rng) for _ in range(2)]
     sa_inputs = [r((2, 4, 4))] + [r(p.shape) * 0.5 for p in sa.parameters()]

@@ -1,7 +1,7 @@
 """Composite differentiable operations built from the tensor primitives, plus
 fused ones that each record one tape entry of their own: `linear`,
 `layer_norm`, `attention_core`, `lstm_sequence` (the whole gated recurrence),
-`denoiser_mlp` (the whole diffusion denoiser) and `denoiser_mse` (its loss), `mse_loss`,
+`denoiser_mse` (the whole diffusion denoiser and its loss), `mse_loss`,
 `cross_entropy`, `mlp_cross_entropy` (the surrogate's training loss), `codeword_nll` and `si_loss`
 (align's dual-cosine loss).  A fused forward runs the numpy ops of the composition it replaces in
 order, so it is bit-equal to it.
@@ -243,7 +243,8 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor
 
 
 def _denoiser_forward(op: str, tensors: tuple) -> tuple:
-    """The inputs as tensors, the (B, L) noise estimate and its backward, for `denoiser_mlp` and `denoiser_mse`.
+    """The inputs as tensors, the (B, L) noise estimate and its backward, for `denoiser_mse` and
+    `DenoiserNet.predict`; `op` names the caller in errors.
 
     x: (B, *latent), flattened to (B, L); t_feat: (B or 1, d_t); cond: (B or
     1, e).  The forward runs the op-by-op composition in its order:
@@ -287,16 +288,11 @@ def _denoiser_forward(op: str, tensors: tuple) -> tuple:
     return inputs, h2 @ w_o.data + b_o.data + skip * flat, bw
 
 
-def denoiser_mlp(x: Tensor, t_feat: Tensor, cond: Tensor, *weights: Tensor) -> Tensor:
-    """`_denoiser_forward`'s estimate as one tape entry shaped like x; `weights` are w_in, b_in, w_t, b_t,
-    w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s.  Only it is checked finite: a NaN or Inf upstream reaches it."""
-    inputs, out, bw = _denoiser_forward("denoiser_mlp", (x, t_feat, cond, *weights))
-    return _make("denoiser_mlp", inputs, out.reshape(inputs[0].shape), bw)
-
-
 def denoiser_mse(x: Tensor, t_feat: Tensor, cond: Tensor, target: np.ndarray, *weights: Tensor) -> Tensor:
-    """mse_loss(denoiser_mlp(x, t_feat, cond, *weights), target) as one bit-equal tape entry; `target` is a
-    constant shaped like x.  Only the loss is checked finite: a NaN or Inf in the estimate or target reaches it."""
+    """mse_loss of `_denoiser_forward`'s estimate against `target` as one tape entry, bit-equal to the
+    op-by-op composition's; `weights` are w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s and
+    `target` is a constant shaped like x.  Only the loss is checked finite: a NaN or Inf in the estimate
+    or target reaches it."""
     inputs, out, bw = _denoiser_forward("denoiser_mse", (x, t_feat, cond, *weights))
     target = np.asarray(target, dtype=out.dtype)
     if target.shape != inputs[0].shape:

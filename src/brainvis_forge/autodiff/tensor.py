@@ -1,11 +1,12 @@
 """Tape-based reverse-mode automatic differentiation over dense numpy arrays.
 
 Every differentiable operation appends one entry to the active
-:class:`ComputationTape` as it executes; inside a :func:`fold` (a transformer
-block's call) it records into the fold's own list, and the fold is one entry.
-:func:`backward` replays the tape in reverse execution order, which is a valid
+:class:`ComputationTape` as it executes.  :func:`fold` (a transformer block's
+call) slices the entries its function recorded off the tape and compiles them
+into one entry.  :func:`backward` compiles the whole tape the same way and runs
+the same reverse pass from the loss: reverse execution order is a valid
 topological order, so each node is visited exactly once and leaf gradients
-accumulate additively; it frees each entry once its VJP has run.
+accumulate additively; each entry's closure is freed once its VJP has run.
 
 Forward values are never mutated in place; every op returns an array it
 allocated, which it may build in place (`gelu` block by block, `softmax` in its
@@ -72,10 +73,6 @@ class ComputationTape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
         self.enabled = True
-        self.block: tuple[dict, list] | None = None  # the open `fold`'s keys and records
-
-    def record(self, entry: TapeEntry) -> None:
-        self.entries.append(entry)
 
     def clear(self) -> None:
         self.entries.clear()
@@ -173,8 +170,7 @@ def _tracks(inputs: tuple[Tensor, ...]) -> bool:
 
 
 def _make(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    """Wrap an op result, recording it when `_tracks(inputs)`: on the tape, or inside a
-    `fold` as its inputs (an earlier record's integer key, or the outside tensor) and VJP."""
+    """Wrap an op result, appending its entry to the tape when `_tracks(inputs)`."""
     _require_finite(op, out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -182,49 +178,64 @@ def _make(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn
     track = _tracks(inputs)
     out.requires_grad = track
     if track:
-        if _TAPE.block is None:
-            _TAPE.record(TapeEntry(op, inputs, out, backward_fn))
-        else:
-            keys, records = _TAPE.block
-            keys[out] = len(records)
-            records.append((tuple([keys.get(t, t) for t in inputs]), backward_fn))
+        _TAPE.entries.append(TapeEntry(op, inputs, out, backward_fn))
     return out
 
 
-def fold(op: str, fn: Callable[..., Tensor], *args) -> Tensor:
-    """fn(*args) as one tape entry `op`, so that only what its backward reads outlives the call.
+def _compile(entries: list[TapeEntry], out: Tensor) -> tuple[tuple[Tensor, ...], Callable] | None:
+    """`entries`, which it empties, as one reverse pass from the gradient of `out`; None if no
+    entry produced `out`.
 
-    The ops fn runs record their VJPs under integer keys, not tensors.  The entry's backward
-    replays them in reverse, accumulating each gradient with the tape's own `prev + g`, and
-    its inputs list each outside tensor once per internal use, in replay order: every
-    gradient is bit-equal to the flat tape's.  Untaped, or inside another fold, fn just runs.
+    Each entry keeps only its VJP and its inputs: an earlier entry's position, or the outside
+    tensor.  Returns the outside tensors, once per use in replay order, and the pass, which
+    returns their gradients in that order (None where none flows).  The pass accumulates each
+    inside gradient as `prev + g` in replay order and pops each VJP once it has run.
     """
-    if not _TAPE.enabled or _TAPE.block is not None:
-        return fn(*args)
-    keys, records = _TAPE.block = {}, []
-    try:
-        out = fn(*args)
-    finally:
-        _TAPE.block = None
-    if not records:
-        return out
-    grads_at = keys[out]
-    inputs = tuple([t for refs, _ in reversed(records) for t in refs if type(t) is not int])
+    keys: dict[Tensor, int] = {}  # Tensors hash by identity (no __eq__), so they key the map themselves
+    records = []
+    for entry in entries:
+        keys[entry.output] = len(records)
+        records.append((tuple([keys.get(t, t) for t in entry.inputs]), entry.backward_fn))
+    entries.clear()
+    grads_at = keys.get(out)
+    if grads_at is None:
+        return None
+    outside = tuple([t for refs, _ in reversed(records) for t in refs if type(t) is not int])
 
-    def bw(g):
-        grads, outside = {grads_at: g}, []
+    def reverse(g):
+        grads, outside_grads = {grads_at: g}, []
         while records:
             refs, vjp = records.pop()
             g_out = grads.pop(len(records), None)
             for ref, g_in in zip(refs, (None,) * len(refs) if g_out is None else vjp(g_out)):
                 if type(ref) is not int:
-                    outside.append(g_in)
+                    outside_grads.append(g_in)
                 elif g_in is not None:
                     prev = grads.get(ref)
                     grads[ref] = g_in if prev is None else prev + g_in
-        return outside
+        return outside_grads
 
-    _TAPE.record(TapeEntry(op, inputs, out, bw))
+    return outside, reverse
+
+
+def fold(op: str, fn: Callable[..., Tensor], *args) -> Tensor:
+    """fn(*args) as one tape entry `op`, so that only what its backward reads outlives the call.
+
+    The entries fn records are sliced off the tape and `_compile`d: the entry's inputs list each
+    outside tensor once per internal use, and every gradient is bit-equal to the flat tape's.  If
+    fn raises, or no entry it recorded produced its output, the slice is dropped.
+    """
+    entries = _TAPE.entries
+    mark = len(entries)
+    try:
+        out = fn(*args)
+    finally:
+        block = entries[mark:]
+        del entries[mark:]
+    compiled = _compile(block, out)
+    if compiled is not None:
+        inputs, reverse = compiled
+        entries.append(TapeEntry(op, inputs, out, reverse))
     return out
 
 
@@ -439,7 +450,7 @@ def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))); its forward
-    and backward helpers are shared with `ops.denoiser_mlp` and `ops.mlp_cross_entropy`."""
+    and backward helpers are shared with `ops.denoiser_mse` and `ops.mlp_cross_entropy`."""
     a = as_tensor(a)
     out, t = _gelu_forward(a.data)
     return _make("gelu", (a,), out, lambda g: (_gelu_backward(g, a.data, t),))
@@ -466,35 +477,24 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse the active tape from a scalar loss.
 
-    Accumulates into `.grad` of every reachable leaf with requires_grad and
-    returns nothing.  In reverse execution order a tensor's gradient is
-    complete when its producer's entry is reached, which then consumes it,
-    so every gradient left over at the end belongs to a tensor no entry
-    produced: a leaf.  The tape is cleared afterwards, so one forward pass
-    supports exactly one backward pass.
+    Compiles and clears the whole tape as `fold` compiles a block, runs the reverse pass from
+    ones, and accumulates into `.grad` of every leaf with requires_grad that the loss reaches:
+    each leaf's per-use gradients are summed in replay order.  One forward pass supports exactly
+    one backward pass; a loss that no recorded op produced raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    tape = _TAPE
-    if not tape.entries:
+    entries = _TAPE.entries
+    if not entries:
         raise RuntimeError("backward: tape is empty (no recorded operations)")
-
-    # Tensors hash by identity (no __eq__), so they key the map themselves.
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    entries = tape.entries
-    try:
-        while entries:
-            entry = entries.pop()
-            g_out = grads.pop(entry.output, None)
-            if g_out is None:
-                continue
-            for inp, g in zip(entry.inputs, entry.backward_fn(g_out)):
-                if g is None or not inp.requires_grad:
-                    continue
-                prev = grads.get(inp)
-                grads[inp] = g if prev is None else prev + g
-    finally:
-        tape.clear()
-
+    compiled = _compile(entries, loss)
+    if compiled is None:
+        raise RuntimeError("backward: no recorded operation produced the loss")
+    leaves, reverse = compiled
+    grads: dict[Tensor, np.ndarray] = {}
+    for t, g in zip(leaves, reverse(np.ones_like(loss.data))):
+        if g is not None and t.requires_grad:
+            prev = grads.get(t)
+            grads[t] = g if prev is None else prev + g
     for t, g in grads.items():
         t.grad = g if t.grad is None else t.grad + g

@@ -4,16 +4,18 @@ It is a token-mixing MLP over the flattened latent with
 sinusoidal timestep features and an additive projection of the condition
 vector.  Two condition pathways share it: the aligned semantic embedding and
 a learned per-class embedding table.  The layers hold the parameters; the
-forward is the fused tape op `ops.denoiser_mlp`, the training loss `ops.denoiser_mse`.
+training loss is the fused tape op `ops.denoiser_mse`, and `predict` runs its
+forward untaped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, no_grad, take
+from ..autodiff import Tensor, take
 from ..autodiff.nn import Linear, Module, normal_init
-from ..autodiff.ops import denoiser_mlp
+from ..autodiff.ops import _denoiser_forward
+from ..autodiff.tensor import _require_finite
 
 TIME_EMBED_DIM = 32
 _HALF = TIME_EMBED_DIM // 2
@@ -71,25 +73,21 @@ class DenoiserNet(Module):
         layers = (self.in_proj, self.time_proj, self.cond_proj, self.mid, self.out_proj, self.skip_gate)
         return [p for layer in layers for p in (layer.weight, layer.bias)]
 
-    def __call__(self, x_t: Tensor, t: np.ndarray, cond: Tensor) -> Tensor:
-        batch = x_t.shape[0]
-        if x_t.shape != (batch,) + self.latent_shape:
-            raise ValueError(f"DenoiserNet: latent shape {x_t.shape[1:]} does not match {self.latent_shape}")
-        return denoiser_mlp(x_t, Tensor(timestep_embedding(t)), cond, *self.weights())
-
     def predict(self, x_t: np.ndarray, t: int, cond: np.ndarray) -> np.ndarray:
-        """Inference-path forward, no tape: one latent or a (B, *latent) batch,
-        with `cond` shaped (e,) or (B, e)."""
+        """The noise estimate, untaped: one latent or a (B, *latent) batch, with
+        `cond` shaped (e,) or (B, e).  Only the estimate is checked finite."""
         dtype = self.in_proj.weight.data.dtype
         x = np.asarray(x_t, dtype=dtype)
         rank = len(self.latent_shape)
         if x.shape[-rank:] != self.latent_shape or x.ndim > rank + 1:
             raise ValueError(f"DenoiserNet: latent shape {x.shape} is neither {self.latent_shape} nor (B, *{self.latent_shape})")
-        with no_grad():
-            out = self(
-                Tensor(x.reshape((-1,) + self.latent_shape)),
-                np.array([t]),
-                Tensor(np.asarray(cond, dtype=dtype).reshape(-1, self.cond_dim)),
-            )
-        return out.data.reshape(x.shape).astype(np.float64)
+        # only the estimate: the backward closure, and the activations it holds, go before the float64 copy
+        out = _denoiser_forward("denoiser_mlp", (
+            Tensor(x.reshape((-1,) + self.latent_shape)),
+            Tensor(timestep_embedding(np.array([t]))),
+            Tensor(np.asarray(cond, dtype=dtype).reshape(-1, self.cond_dim)),
+            *self.weights(),
+        ))[1]
+        _require_finite("denoiser_mlp", out)
+        return out.reshape(x.shape).astype(np.float64)
 

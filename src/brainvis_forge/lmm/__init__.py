@@ -2,7 +2,7 @@
 
 from .loss import lmm_loss
 from .masking import MaskPlan, make_mask_plan
-from .model import MaskedPredictor, Teacher, UnitProjector, VisibleEncoder, teacher_update
+from .model import MaskedPredictor, Teacher, UnitProjector, VisibleEncoder
 from .tokenizer import Codebook
 from .train import LmmModels, build_lmm_models, lmm_step, prepare_units, train_lmm
 
@@ -19,6 +19,5 @@ __all__ = [
     "lmm_step",
     "make_mask_plan",
     "prepare_units",
-    "teacher_update",
     "train_lmm",
 ]

@@ -99,7 +99,17 @@ class Teacher:
             t.grad = None
 
     def update(self, student: VisibleEncoder) -> None:
-        teacher_update(self, student, self.momentum)
+        """teacher <- momentum * teacher + (1 - momentum) * student, elementwise and in place."""
+        t_params = dict(self.module.named_parameters())
+        s_params = dict(student.named_parameters())
+        if set(t_params) != set(s_params):
+            raise ShapeError("teacher_update: parameter trees differ")
+        for name, t in t_params.items():
+            s = s_params[name]
+            if t.shape != s.shape:
+                raise ShapeError(f"teacher_update: {name} shapes differ, {t.shape} vs {s.shape}")
+            t.data *= self.momentum
+            t.data += (1.0 - self.momentum) * s.data
 
     def encode(self, z_full: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Features of `rows` (indices along axis -2) of `z_full`, (..., len(rows), d), bit-equal to those
@@ -107,18 +117,3 @@ class Teacher:
         with no_grad():
             out = self.module(Tensor(np.asarray(z_full)), rows)
         return out.data
-
-
-def teacher_update(teacher: Teacher, student: VisibleEncoder, momentum: float) -> Teacher:
-    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise and in place."""
-    t_params = dict(teacher.module.named_parameters())
-    s_params = dict(student.named_parameters())
-    if set(t_params) != set(s_params):
-        raise ShapeError("teacher_update: parameter trees differ")
-    for name, t in t_params.items():
-        s = s_params[name]
-        if t.shape != s.shape:
-            raise ShapeError(f"teacher_update: {name} shapes differ, {t.shape} vs {s.shape}")
-        t.data *= momentum
-        t.data += (1.0 - momentum) * s.data
-    return teacher

@@ -8,8 +8,8 @@ builder `make_image_set` must match byte for byte, the per-entry BVC
 writer whose bytes `write_fixtures` must reproduce, the
 per-item matmul gradients the folded ones must match in rounding, the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
-`attention_core` and `codeword_nll` must match bit for bit (and whose
-forward and gradients the fused `cross_entropy`, `denoiser_mlp` and `si_loss` must),
+`attention_core` and `codeword_nll` and the untaped denoiser estimate must match bit for bit (and whose
+forward and gradients the fused `cross_entropy`, `denoiser_mse` and `si_loss` must),
 the one-hot `codeword_nll` whose loss and gradient bytes the index form must match, and
 the transformer blocks as flat tapes, one entry per op, whose output and gradients
 the blocks' single `fold` entries must match bit for bit.  The tape ops
@@ -373,7 +373,7 @@ def cross_entropy_composed(logits: Tensor, one_hot: Tensor) -> Tensor:
 
 
 def denoiser_composed(x, t_feat, cond, w_in, b_in, w_t, b_t, w_c, b_c, w_m, b_m, w_o, b_o, w_s, b_s) -> Tensor:
-    """`ops.denoiser_mlp` as the tape ops `DenoiserNet` once recorded: six
+    """The denoiser's estimate as the tape ops `DenoiserNet` once recorded: six
     `linear`, three `add`, two `gelu`, one `mul` and a `reshape` at each end,
     the first one taped only when x requires a gradient."""
     flat = reshape(x, (x.shape[0], math.prod(x.shape[1:])))

@@ -36,6 +36,15 @@ def test_empty_tape_rejected():
         backward(Tensor(np.array(1.0)))
 
 
+def test_loss_no_entry_produced_rejected_and_tape_emptied():
+    x = Tensor(np.ones(3), requires_grad=True)
+    mul(x, 2.0)
+    loss = Tensor(np.array(1.0), requires_grad=True)
+    with pytest.raises(RuntimeError, match="^backward: no recorded operation produced the loss$"):
+        backward(loss)
+    assert len(active_tape()) == 0 and loss.grad is None and x.grad is None
+
+
 def test_tape_cleared_after_backward():
     x = Tensor(np.ones(3), requires_grad=True)
     backward(tsum(mul(x, x)))

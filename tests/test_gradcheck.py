@@ -55,16 +55,6 @@ def test_oracle_tape_ops_match_central_differences(name):
         assert check_gradients(fn, arrays) < TOL, seed
 
 
-def test_denoiser_mlp_gradient_with_one_time_row_and_one_condition_row():
-    # `predict`'s shapes: one timestep-feature row and one condition row broadcast over the batch
-    shapes = [(2, 4), (1, 3), (1, 2), (4, 3), (3,), (3, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), (4,), (3, 4), (4,)]
-    for seed in range(2024, 2034):
-        rng = np.random.default_rng(seed)
-        arrays = [rng.standard_normal(s) for s in shapes]
-        w = Tensor(rng.standard_normal((2, 4)))
-        assert check_gradients(lambda ts: tsum(mul(ops.denoiser_mlp(*ts), w)), arrays) < TOL, seed
-
-
 def test_lstm_three_step_sequence_gradient():
     from brainvis_forge.autodiff.nn import LstmEncoder
 
@@ -189,9 +179,8 @@ def test_every_op_the_pipeline_tapes_has_a_catalog_probe():
         assert recorded <= covered, f"{name} tapes ops without a finite-difference probe: {sorted(recorded - covered)}"
 
 
-# The probe reduction, and the denoiser's forward, which the pipeline runs untaped (`DenoiserNet.predict`)
-# and whose backward it trains through `denoiser_mse`.
-NOT_PIPELINE_TAPED = {"mul", "sum", "denoiser_mlp"}
+# The probe reduction.
+NOT_PIPELINE_TAPED = {"mul", "sum"}
 
 
 def test_every_op_a_catalog_probe_tapes_is_taped_by_the_pipeline():

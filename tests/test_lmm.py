@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainvis_forge.autodiff import Tensor, active_tape, backward, no_grad, tsum
-from brainvis_forge.autodiff.tensor import mul
+from brainvis_forge.autodiff.tensor import ShapeError, mul
 from brainvis_forge.data import SyntheticGenSpec, generate_synthetic, zscore_channels
 from brainvis_forge.lmm import (
     Codebook,
@@ -21,7 +21,6 @@ from brainvis_forge.lmm import (
     lmm_step,
     make_mask_plan,
     prepare_units,
-    teacher_update,
 )
 from brainvis_forge.pipeline.config import PipelineConfig
 from oracles import as_float64, tokenize
@@ -197,10 +196,12 @@ def test_teacher_momentum_one_freezes_and_zero_copies():
     before = teacher.module.state()
     for t in student.parameters():
         t.data = t.data + 1.0
-    teacher_update(teacher, student, 1.0)
+    teacher.momentum = 1.0
+    teacher.update(student)
     for k, v in teacher.module.state().items():
         np.testing.assert_array_equal(v, before[k])
-    teacher_update(teacher, student, 0.0)
+    teacher.momentum = 0.0
+    teacher.update(student)
     for k, v in teacher.module.state().items():
         np.testing.assert_array_equal(v, student.state()[k])
 
@@ -235,6 +236,16 @@ def test_teacher_update_writes_in_place_and_equals_the_rebinding_formula():
         for name, t in teacher.module.named_parameters():
             assert t.data is arrays[name]
             assert t.data.dtype == np.float32 and t.data.tobytes() == expected[name].tobytes()
+
+
+def test_teacher_update_rejects_another_parameter_tree():
+    teacher = Teacher(_tiny_encoder(), momentum=0.9)
+    with pytest.raises(ShapeError, match="^teacher_update: parameter trees differ$"):
+        teacher.update(VisibleEncoder(d=4, n_heads=2, ffn_dim=8, n_blocks=2, rng=np.random.default_rng(0)))
+    wider = VisibleEncoder(d=4, n_heads=2, ffn_dim=6, n_blocks=1, rng=np.random.default_rng(0))
+    with pytest.raises(ShapeError, match=r"^teacher_update: blocks\.0\.ffn\.fc1\.weight shapes differ, "
+                                         r"\(4, 8\) vs \(4, 6\)$"):
+        teacher.update(wider)
 
 
 def test_teacher_receives_no_gradients():

@@ -32,6 +32,7 @@ from brainvis_forge.autodiff.tensor import (
     broadcast_to,
     mul,
 )
+from brainvis_forge.diffusion import DenoiserNet
 from brainvis_forge.lmm.loss import lmm_loss
 from brainvis_forge.metrics.surrogate import SurrogateClassifier
 from oracles import (
@@ -658,6 +659,46 @@ def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
     active_tape().clear()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fold_nested_in_a_fold_is_bit_equal_to_the_flat_tape(dtype):
+    def run(nested):
+        rng = np.random.default_rng(47)
+        blocks = [CrossAttentionBlock(16, 2, 32, rng), SelfAttentionBlock(16, 2, 32, rng)]
+        if dtype == np.float64:
+            blocks = [as_float64(b) for b in blocks]
+        x = Tensor(rng.standard_normal((3, 5, 16)).astype(dtype), requires_grad=True)
+        context = Tensor(rng.standard_normal((3, 4, 16)).astype(dtype), requires_grad=True)
+        if nested:  # both blocks' own `fold` entries inside one outer fold, whose outside tensor is the context
+            out = tensor.fold("pair", lambda q: blocks[1](blocks[0](q, context)), x)
+        else:
+            out = self_attention_block_flat(blocks[1], cross_attention_block_flat(blocks[0], x, context))
+        n_entries = len(active_tape())
+        backward(tsum(mul(out, Tensor(rng.standard_normal(out.shape).astype(dtype)))))
+        return out.data, n_entries, [t.grad for t in [x, context] + [p for b in blocks for p in b.parameters()]]
+
+    (out, n_nested, grads), (flat_out, n_flat, flat_grads) = run(True), run(False)
+    assert (n_nested, n_flat) == (1, 24)
+    assert out.dtype == dtype and out.tobytes() == flat_out.tobytes()
+    for g, flat_g in zip(grads, flat_grads, strict=True):
+        assert g.dtype == flat_g.dtype and g.tobytes() == flat_g.tobytes()
+
+
+@pytest.mark.parametrize("earlier_entry", [False, True])
+def test_fold_returning_an_outside_tensor_records_nothing(earlier_entry):
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    outside = mul(x, 2.0) if earlier_entry else x
+    before = len(active_tape())
+
+    def fn(t):
+        mul(t, 5.0)  # taped, but nothing it produces reaches the fold's output
+        return outside
+
+    assert tensor.fold("outside", fn, x) is outside
+    assert len(active_tape()) == before
+    backward(tsum(mul(outside, 3.0)))
+    np.testing.assert_array_equal(x.grad, np.full(3, 6.0 if earlier_entry else 3.0))
+
+
 def test_fused_lmm_ops_are_one_tape_entry_each():
     rng = np.random.default_rng(4)
     x, gain, bias = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 8), (8,), (8,)))
@@ -718,17 +759,18 @@ def _nan_block():
     return block
 
 
-def _denoiser_leaves(x, w_in=(4, 3)):
-    """`ops.denoiser_mlp`'s inputs at batch 2, latent 4, hidden 3, two time
-    features and a two-wide condition, with latent `x` and weight `w_in`."""
+def _denoiser_mse(x, target, w_in=(4, 3)):
+    """`ops.denoiser_mse` at batch 2, latent 4, hidden 3, two time features and a two-wide
+    condition, with latent `x`, a constant `target` and weight `w_in`."""
     shapes = [w_in, (3,), (2, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), (4,), (2, 4), (4,)]
-    return [x, _leaf(2, 2), _leaf(2, 2)] + [_leaf(*s) for s in shapes]
+    return ops.denoiser_mse(x, _leaf(2, 2), _leaf(2, 2), target, *[_leaf(*s) for s in shapes])
 
 
-def _denoiser_mse(x, target):
-    """`ops.denoiser_mse` over `_denoiser_leaves(x)` and a constant `target`."""
-    x, t_feat, cond, *weights = _denoiser_leaves(x)
-    return ops.denoiser_mse(x, t_feat, cond, target, *weights)
+def _nan_denoiser_predict():
+    """`DenoiserNet.predict` at latent 4 through an input weight that holds a NaN."""
+    net = DenoiserNet((4,), 2, 2, 3, np.random.default_rng(0))
+    net.in_proj.weight.data[0, 0] = np.nan
+    return net.predict(np.ones((2, 4)), 1, np.ones((2, 2)))
 
 
 def _mlp_leaves(x, w2=None, labels=(0, 3)):
@@ -760,11 +802,11 @@ GUARDS = {
                       "cross_entropy: shapes (2, 3) and (2, 4) differ"),
     "cross_entropy_nan": (lambda: ops.cross_entropy(_nan_leaf(2, 3), np.eye(3)[[0, 2]]), NonFiniteError,
                           "cross_entropy: output contains NaN or Inf"),
-    "denoiser_mlp": (lambda: ops.denoiser_mlp(*_denoiser_leaves(_leaf(2, 4), w_in=(5, 3))), ShapeError,
-                     "denoiser_mlp: weights [(5, 3), (3,), (2, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), "
-                     "(4,), (2, 4), (4,)] do not fit latent (2, 4), time features (2, 2) and condition (2, 2)"),
-    "denoiser_mlp_nan": (lambda: ops.denoiser_mlp(*_denoiser_leaves(_nan_leaf(2, 4))), NonFiniteError,
-                         "denoiser_mlp: output contains NaN or Inf"),
+    "denoiser_mse_weights": (lambda: _denoiser_mse(_leaf(2, 4), np.zeros((2, 4)), w_in=(5, 3)), ShapeError,
+                             "denoiser_mse: weights [(5, 3), (3,), (2, 3), (3,), (2, 3), (3,), (3, 3), (3,), "
+                             "(3, 4), (4,), (2, 4), (4,)] do not fit latent (2, 4), time features (2, 2) and "
+                             "condition (2, 2)"),
+    "predict_nan": (_nan_denoiser_predict, NonFiniteError, "denoiser_mlp: output contains NaN or Inf"),
     "denoiser_mse": (lambda: _denoiser_mse(_leaf(2, 4), np.zeros((2, 2, 2))), ShapeError,
                      "denoiser_mse: target (2, 2, 2) differs from latent (2, 4)"),
     "denoiser_mse_nan": (lambda: _denoiser_mse(_nan_leaf(2, 4), np.zeros((2, 4))), NonFiniteError,
@@ -821,7 +863,10 @@ def test_op_guards_raise_and_record_nothing(case):
     before = len(active_tape())
     with np.errstate(over="ignore"), pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
-    assert len(active_tape()) == before and active_tape().block is None
+    assert len(active_tape()) == before
+    add(_leaf(1), _leaf(1))  # the tape records at its top level again: one tracked op, one entry
+    assert len(active_tape()) == before + 1
+    del active_tape().entries[before:]
 
 
 def test_attention_core_rejects_mismatched_operands():
