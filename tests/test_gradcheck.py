@@ -55,6 +55,18 @@ def test_oracle_tape_ops_match_central_differences(name):
         assert check_gradients(fn, arrays) < TOL, seed
 
 
+def test_denoiser_mlp_gradient_with_one_time_row_and_one_condition_row():
+    # `predict`'s shapes: one time-feature row and one condition row broadcast over the batch,
+    # through the fused denoiser forward and its mse against a constant target
+    shapes = [(2, 4), (1, 3), (1, 2), (4, 3), (3,), (3, 3), (3,), (2, 3), (3,), (3, 3), (3,), (3, 4), (4,), (3, 4), (4,)]
+    for seed in range(2024, 2034):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        target = rng.standard_normal((2, 4))
+        loss = lambda ts: ops.denoiser_mse(*ts[:3], target, *ts[3:])  # noqa: E731
+        assert check_gradients(loss, arrays) < TOL, seed
+
+
 def test_lstm_three_step_sequence_gradient():
     from brainvis_forge.autodiff.nn import LstmEncoder
 
