@@ -107,6 +107,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         return tsum(mul(out, w_sum_cross))
 
     lstm_inputs = [r((2, 3, 4, 3)), r((3, 20)) * 0.5, r((5, 20)) * 0.5, r(20) * 0.1]
+    ffn_inputs = [r((2, 3, 4)), r((4, 6)) * 0.5, r(6) * 0.1, r((6, 4)) * 0.5, r(4) * 0.1]
     ln_inputs = [r((4, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
     ln_inputs_3d = [r((2, 3, 7)), r(7) * 0.5 + 1.0, r(7) * 0.2]
     core_inputs = [r((2, 4, d)), r((2, 6, d)), r((2, 6, d))]  # n_q != n_k
@@ -143,6 +144,7 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "self_attention": (self_attn_loss, attn_inputs_self),
         "cross_attention": (cross_attn_loss, attn_inputs_cross),
         "lstm_sequence": probe(lambda ts: ops.lstm_sequence(*ts), lstm_inputs, (2, 3, 5)),
+        "feed_forward": probe(lambda ts: ops.feed_forward(*ts), ffn_inputs, (2, 3, 4)),
         # every input requires grad here, the target included
         "mse_loss": (lambda ts: ops.mse_loss(ts[0], ts[1]), [r((4, 5)), r((4, 5))]),
         "cross_entropy": (lambda ts: ops.cross_entropy(ts[0], Tensor(ce_target)), ce_logits),

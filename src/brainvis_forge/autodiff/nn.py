@@ -7,7 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor, fold, gelu, take
+from .tensor import ShapeError, Tensor, fold, take
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -106,7 +106,7 @@ class FeedForward(Module):
         self.fc2 = Linear(hidden, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
+        return ops.feed_forward(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
 class SelfAttentionBlock(Module):

@@ -1,6 +1,6 @@
 """Composite differentiable operations built from the tensor primitives, plus
-fused ones that each record one tape entry of their own: `linear`,
-`layer_norm`, `attention_core`, `lstm_sequence` (the whole gated recurrence),
+fused ones that each record one tape entry of their own: `linear`, `feed_forward` (linear, GELU,
+linear), `layer_norm`, `attention_core`, `lstm_sequence` (the whole gated recurrence),
 `denoiser_mse` (the whole diffusion denoiser and its loss), `mse_loss`,
 `cross_entropy`, `mlp_cross_entropy` (the surrogate's training loss), `codeword_nll` and `si_loss`
 (align's dual-cosine loss).  A fused forward runs the numpy ops of the composition it replaces in
@@ -35,25 +35,52 @@ LAYER_NORM_EPS = 1e-5
 LOG_EPS = 1e-12
 
 
+def _affine(op: str, x: Tensor, weight: Tensor, bias: Tensor) -> np.ndarray:
+    """x @ weight + bias for `linear` and `feed_forward`, a (d_out,) bias of its dtype added in place."""
+    prod = _matmul_data(op, x, weight)
+    in_place = bias.shape == prod.shape[-1:] and bias.dtype == prod.dtype
+    try:
+        return np.add(prod, bias.data, out=prod if in_place else None)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: bias {bias.shape} does not broadcast to {prod.shape}") from exc
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias.  x: (..., n, d_in), weight: (d_in, d_out).
 
-    One tape entry whose backward is the matmul's plus the bias add's.  A
-    (d_out,) bias of the product's dtype is added in place into the product.
-    Only the biased output is checked finite: the bias is finite, so a NaN or
-    Inf in the product always reaches it.
+    One tape entry whose backward is the matmul's plus the bias add's.  Only
+    the biased output is checked finite: the bias is finite, so a NaN or Inf
+    in the product always reaches it.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    prod = _matmul_data("linear", x, weight)
-    in_place = bias.shape == prod.shape[-1:] and bias.dtype == prod.dtype
-    try:
-        out = np.add(prod, bias.data, out=prod if in_place else None)
-    except ValueError as exc:
-        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {prod.shape}") from exc
     return _make(
-        "linear", (x, weight, bias), out,
+        "linear", (x, weight, bias), _affine("linear", x, weight, bias),
         lambda g: (*_matmul_grads(g, x, weight), _unbroadcast(g, bias.shape)),
     )
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one tape entry, bit-equal to the three.  It saves x, fc1's
+    output s and GELU's tanh t; the backward rebuilds GELU's output h with the forward's own two operations,
+    so to the bit.  s is checked finite: GELU of a finite s is finite, and a NaN or Inf past it reaches the output."""
+    x, w1, b1, w2, b2 = (as_tensor(a) for a in (x, w1, b1, w2, b2))
+    hidden = Tensor.__new__(Tensor)  # h as fc2's operand, holding h only while a product reads it
+    hidden.requires_grad = True  # its gradient is formed even where no input before it needs one
+    s = _affine("feed_forward", x, w1, b1)
+    _require_finite("feed_forward", s)
+    hidden.data, t = _gelu_forward(s)
+    out = _affine("feed_forward", hidden, w2, b2)
+    del hidden.data
+
+    def bw(g):
+        hidden.data = np.add(t, 1.0)
+        hidden.data *= np.multiply(s, 0.5)
+        g_h, g_w2 = _matmul_grads(g, hidden, w2)
+        del hidden.data
+        g_s = _gelu_backward(g_h, s, t)
+        return *_matmul_grads(g_s, x, w1), _unbroadcast(g_s, b1.shape), g_w2, _unbroadcast(g, b2.shape)
+
+    return _make("feed_forward", (x, w1, b1, w2, b2), out, bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -168,7 +195,9 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor
     (Appleyard et al., arXiv:1604.01946) into a time-major (T, B, 4*d_h)
     buffer.  Step t adds h_{t-1} @ w_h into its own row and activates all
     4*d_h gates with one tanh, overwriting the row with the gates.  The
-    backward is closed-form BPTT over the saved gates, cells and tanh(cells).
+    backward is closed-form BPTT over the saved gates, cells and tanh(cells);
+    it writes the gate gradients over the saved gates, so one forward supports
+    exactly one backward, as each VJP runs once.
     Every step's pre-activation (at t = 0, the projection row itself) is
     checked finite; past it every value is bounded (gates in [-1, 1],
     |c_t| <= t + 1).
@@ -208,28 +237,29 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor
         h = o * np.tanh(c, out=tanh_c[t % kept])
 
     def bw(g_out):
-        dz = np.empty_like(gates)
-        dz_blocks = dz.reshape(n_steps, batch, 4, d_h)
+        # the pre-activations' gradients are written over the gates: h_prev, which reads every
+        # output gate, is formed first, and step t reads its gates from a copy of row t
+        h_prev = (blocks[:-1, :, 3] * tanh_c[:-1]).reshape(-1, d_h)
         w_h_t = np.ascontiguousarray(w_h.data.T)
         dh = g_out.reshape(batch, d_h)
         dc = np.zeros_like(dh)
         for t in range(n_steps - 1, -1, -1):
-            i, f, g, o = (blocks[t, :, k] for k in range(4))
-            d_i, d_f, d_g, d_o = (dz_blocks[t, :, k] for k in range(4))
+            z = gates[t].copy()
+            i, f, g, o = (z.reshape(batch, 4, d_h)[:, k] for k in range(4))
+            d_i, d_f, d_g, d_o = (blocks[t, :, k] for k in range(4))
             dc = dc + dh * o * (1 - tanh_c[t] * tanh_c[t])
             # d(gate)/d(pre-activation) times the gate's factor in c_t or h_t,
             # scaled by dc or dh; the sigmoid form is overwritten for the cell block
-            np.multiply(gates[t], 1 - gates[t], out=dz[t])
+            np.multiply(z, 1 - z, out=gates[t])
             np.multiply(i, 1 - g * g, out=d_g)
             d_i *= g
             d_f *= cells[t - 1] if t else 0.0
-            dz_blocks[t, :, :3] *= dc[:, None]
+            blocks[t, :, :3] *= dc[:, None]
             d_o *= tanh_c[t] * dh
             if t:
                 dc = dc * f
-                dh = dz[t] @ w_h_t
-        flat = dz.reshape(n_steps * batch, 4 * d_h)
-        h_prev = (blocks[:-1, :, 3] * tanh_c[:-1]).reshape(-1, d_h)
+                dh = gates[t] @ w_h_t
+        flat = gates.reshape(n_steps * batch, 4 * d_h)
         g_w_x = x.T @ flat
         g_w_h = h_prev.T @ flat[batch:]
         g_bias = flat.sum(axis=0)

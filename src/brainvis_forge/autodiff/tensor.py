@@ -12,8 +12,9 @@ Forward values are never mutated in place; every op returns an array it
 allocated, which it may build in place (`gelu` block by block, `softmax` in its
 shifted copy, `ops.linear` in its product, `ops.layer_norm` in its scratch), so
 no input's bytes change.  (Parameters are updated in place by `adam_step`,
-after the backward that reads them.)  Any op whose output contains NaN or
-Inf raises immediately.
+after the backward that reads them.)  A backward may consume its own op's
+saved buffers (`ops.lstm_sequence`'s gates), as each VJP runs once.  Any op
+whose output contains NaN or Inf raises immediately.
 A batched x @ 2-D W folds x's leading axes into rows: one GEMM in the forward
 and one per gradient (`_matmul_data`, which `ops.linear` runs); batched @ batched runs item by item.
 """
@@ -450,7 +451,7 @@ def _gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 * x * (1 + tanh(K * (x + C * x^3))); its forward
-    and backward helpers are shared with `ops.denoiser_mse` and `ops.mlp_cross_entropy`."""
+    and backward helpers are shared with `ops.feed_forward`, `ops.denoiser_mse` and `ops.mlp_cross_entropy`."""
     a = as_tensor(a)
     out, t = _gelu_forward(a.data)
     return _make("gelu", (a,), out, lambda g: (_gelu_backward(g, a.data, t),))

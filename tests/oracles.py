@@ -10,9 +10,10 @@ per-item matmul gradients the folded ones must match in rounding, the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
 `attention_core` and `codeword_nll` and the untaped denoiser estimate must match bit for bit (and whose
 forward and gradients the fused `cross_entropy`, `denoiser_mse` and `si_loss` must),
-the one-hot `codeword_nll` whose loss and gradient bytes the index form must match, and
-the transformer blocks as flat tapes, one entry per op, whose output and gradients
-the blocks' single `fold` entries must match bit for bit.  The tape ops
+the one-hot `codeword_nll` whose loss and gradient bytes the index form must match,
+the transformer blocks and their feed-forward as flat tapes, one entry per op, whose output
+and gradients the blocks' single `fold` entries and `ops.feed_forward` must match bit for bit,
+and the two-buffer LSTM backward whose gradient bytes `lstm_sequence`'s must match.  The tape ops
 that only these compositions, the step-by-step LSTM reference and the tests use (`narrow`,
 `swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`, `sub`, `power`, `sqrt`, `matmul`,
 `reshape`, `cosine_similarity`) live here too, with their gradient probes in `oracle_op_probes`.
@@ -358,13 +359,72 @@ def self_attention_block_flat(block, x: Tensor, rows=None) -> Tensor:
     if rows is not None:
         x, q = take(x, rows, axis=-2), take(h, rows, axis=-2)
     x = add(x, block.attn(q, h))
-    return add(x, block.ffn(block.ln2(x)))
+    return add(x, feed_forward_flat(block.ln2(x), *block.ffn.parameters()))
 
 
 def cross_attention_block_flat(block, query: Tensor, context: Tensor) -> Tensor:
     """`CrossAttentionBlock` taped one entry per op."""
     query = add(query, block.attn(block.ln1(query), context))
-    return add(query, block.ffn(block.ln2(query)))
+    return add(query, feed_forward_flat(block.ln2(query), *block.ffn.parameters()))
+
+
+def feed_forward_flat(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """`ops.feed_forward` as the three tape entries it fuses: `linear`, `gelu`, `linear`."""
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+def lstm_sequence_two_buffers(seq: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor) -> Tensor:
+    """`ops.lstm_sequence` as it was taped before its backward wrote the gate gradients over its saved
+    gates: the same forward, and a backward that forms them in a second (T, B, 4*d_h) buffer."""
+    *lead, n_steps, d_in = seq.shape
+    d_h, batch = w_h.shape[0], math.prod(lead)
+    x = np.swapaxes(seq.data.reshape(batch, n_steps, d_in), 0, 1).reshape(n_steps * batch, d_in)
+    gates = np.matmul(x, w_x.data).reshape(n_steps, batch, 4 * d_h)
+    gates += bias.data
+    scale = np.full(4 * d_h, 0.5, dtype=gates.dtype)
+    scale[2 * d_h : 3 * d_h] = 1.0
+    blocks = gates.reshape(n_steps, batch, 4, d_h)
+    cells = np.empty((n_steps, batch, d_h), dtype=gates.dtype)
+    tanh_c = np.empty_like(cells)
+    h = c = np.zeros((batch, d_h), dtype=gates.dtype)
+    for t in range(n_steps):
+        z = gates[t]
+        if t:
+            z += h @ w_h.data
+        _sigmoid(z, scale, out=z)
+        i, f, g, o = (blocks[t, :, k] for k in range(4))
+        c = np.multiply(f, c, out=cells[t])
+        c += i * g
+        h = o * np.tanh(c, out=tanh_c[t])
+
+    def bw(g_out):
+        dz = np.empty_like(gates)
+        dz_blocks = dz.reshape(n_steps, batch, 4, d_h)
+        w_h_t = np.ascontiguousarray(w_h.data.T)
+        dh = g_out.reshape(batch, d_h)
+        dc = np.zeros_like(dh)
+        for t in range(n_steps - 1, -1, -1):
+            i, f, g, o = (blocks[t, :, k] for k in range(4))
+            d_i, d_f, d_g, d_o = (dz_blocks[t, :, k] for k in range(4))
+            dc = dc + dh * o * (1 - tanh_c[t] * tanh_c[t])
+            np.multiply(gates[t], 1 - gates[t], out=dz[t])
+            np.multiply(i, 1 - g * g, out=d_g)
+            d_i *= g
+            d_f *= cells[t - 1] if t else 0.0
+            dz_blocks[t, :, :3] *= dc[:, None]
+            d_o *= tanh_c[t] * dh
+            if t:
+                dc = dc * f
+                dh = dz[t] @ w_h_t
+        flat = dz.reshape(n_steps * batch, 4 * d_h)
+        h_prev = (blocks[:-1, :, 3] * tanh_c[:-1]).reshape(-1, d_h)
+        g_seq = None
+        if seq.requires_grad:
+            g_x = (flat @ w_x.data.T).reshape(n_steps, batch, d_in)
+            g_seq = np.swapaxes(g_x, 0, 1).reshape(seq.shape)
+        return g_seq, x.T @ flat, h_prev.T @ flat[batch:], flat.sum(axis=0)
+
+    return _make("lstm_sequence", (seq, w_x, w_h, bias), h.reshape(tuple(lead) + (d_h,)), bw)
 
 
 def cross_entropy_composed(logits: Tensor, one_hot: Tensor) -> Tensor:

@@ -43,8 +43,10 @@ from oracles import (
     cosine_similarity,
     cross_attention_block_flat,
     cross_entropy_composed,
+    feed_forward_flat,
     layer_norm_composed,
     log,
+    lstm_sequence_two_buffers,
     matmul,
     matmul_grads_per_item,
     narrow,
@@ -287,6 +289,50 @@ def test_lstm_sequence_untracked_forward_matches_recorded_one():
         untracked = ops.lstm_sequence(*(Tensor(a, requires_grad=True) for a in arrays))
     np.testing.assert_array_equal(untracked.data, recorded.data)
     backward(tsum(recorded))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead, n_steps", [((), 1), ((3,), 5), ((2, 3), 4)])
+@pytest.mark.parametrize("seq_grad", [True, False])
+def test_lstm_sequence_gradients_are_bit_equal_to_the_two_buffer_backward(seq_grad, lead, n_steps, dtype):
+    rng = np.random.default_rng(59)
+    arrays = [rng.standard_normal(lead + (n_steps, 4)), rng.standard_normal((4, 24)) * 0.5,
+              rng.standard_normal((6, 24)) * 0.5, rng.standard_normal(24) * 0.1]
+    weights = Tensor(rng.standard_normal(lead + (6,)).astype(dtype))
+
+    def run(fn):
+        ts = [Tensor(a.astype(dtype), requires_grad=seq_grad or k > 0) for k, a in enumerate(arrays)]
+        out = fn(*ts)
+        backward(tsum(mul(out, weights)))
+        return [out.data] + [t.grad for t in ts]
+
+    got, want = run(ops.lstm_sequence), run(lstm_sequence_two_buffers)
+    assert [a is None for a in got] == [a is None for a in want] == [False, not seq_grad, False, False, False]
+    for a, b in zip(got, want):
+        assert a is None or (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def _lstm_backward_peak(lstm) -> tuple[int, int]:
+    """The traced peak of `lstm`'s backward at T = 64, B = 8, d_h = 32, and one (T, B, 4*d_h) gate buffer's bytes."""
+    rng = np.random.default_rng(61)
+    seq = Tensor(rng.standard_normal((8, 64, 4)).astype(np.float32), requires_grad=True)
+    w_x, w_h = (Tensor((rng.standard_normal(s) * 0.3).astype(np.float32), requires_grad=True)
+                for s in ((4, 128), (32, 128)))
+    loss = tsum(lstm(seq, w_x, w_h, Tensor(np.zeros(128, np.float32), requires_grad=True)))
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, 64 * 8 * 128 * 4
+
+
+def test_lstm_sequence_backward_forms_no_second_gate_buffer():
+    peak, gate_bytes = _lstm_backward_peak(ops.lstm_sequence)
+    assert peak < gate_bytes
+    two_buffer_peak, _ = _lstm_backward_peak(lstm_sequence_two_buffers)
+    assert two_buffer_peak > gate_bytes
 
 
 @pytest.mark.parametrize("overflow", ["projection", "recurrence"])
@@ -538,6 +584,7 @@ IN_PLACE_FORWARDS = {
     "softmax": (((2, 5, 8),), softmax),
     "gelu": (((2, 5, 8),), gelu),
     "gelu_blocked": (((3, 65541),), gelu),
+    "feed_forward": (((2, 5, 8), (8, 16), (16,), (16, 8), (8,)), ops.feed_forward),
     "attention_core": (((2, 5, 8), (2, 3, 8), (2, 3, 8)), lambda q, k, v: ops.attention_core(q, k, v, 2)),
 }
 
@@ -626,6 +673,31 @@ def test_block_fold_entries_are_bit_equal_to_the_flat_tape(case, n_folded, n_fla
         assert g is None or (g.dtype == flat_g.dtype and g.tobytes() == flat_g.tobytes())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+# the 3-D case's hidden layer is past two gelu forward blocks, so its forward runs block by block
+@pytest.mark.parametrize("x_shape, hidden", [((6, 8), 16), ((3, 50, 8), 1024)])
+@pytest.mark.parametrize("needs_grad", [(True,) * 5, (False,) + (True,) * 4, (False,) * 3 + (True,) * 2])
+def test_feed_forward_is_bit_equal_to_linear_gelu_linear(needs_grad, x_shape, hidden, dtype):
+    rng = np.random.default_rng(53)
+    arrays = [rng.standard_normal(x_shape), rng.standard_normal((8, hidden)) * 0.5, rng.standard_normal(hidden) * 0.1,
+              rng.standard_normal((hidden, 8)) * 0.5, rng.standard_normal(8) * 0.1]
+    weights = Tensor(rng.standard_normal(x_shape).astype(dtype))
+
+    def run(fn):
+        ts = [Tensor(a.astype(dtype), requires_grad=r) for a, r in zip(arrays, needs_grad)]
+        out = fn(*ts)
+        n_entries = len(active_tape())
+        backward(tsum(mul(out, weights)))
+        return out.data, n_entries, [t.grad for t in ts]
+
+    (out, n_fused, grads), (flat_out, n_flat, flat_grads) = run(ops.feed_forward), run(feed_forward_flat)
+    assert (n_fused, n_flat) == (1, 3 if needs_grad[1] else 1)
+    assert out.dtype == dtype and out.tobytes() == flat_out.tobytes()
+    assert [g is None for g in grads] == [g is None for g in flat_grads] == [not r for r in needs_grad]
+    for g, flat_g in zip(grads, flat_grads):
+        assert g is None or (g.dtype == flat_g.dtype and g.tobytes() == flat_g.tobytes())
+
+
 def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
     rng = np.random.default_rng(43)
     block = SelfAttentionBlock(16, 2, 32, rng)
@@ -638,7 +710,14 @@ def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
             return out
         return wrapped
 
+    def gelu_spy(s, *args):
+        h, t = gelu_forward(s, *args)
+        gelu_arrays.extend(weakref.ref(a) for a in (s, h, t))
+        return h, t
+
+    gelu_forward, gelu_arrays = ops._gelu_forward, []
     monkeypatch.setattr(ops, "linear", spy(linear_outs, ops.linear))
+    monkeypatch.setattr(ops, "_gelu_forward", gelu_spy)
     monkeypatch.setattr(tensor, "add", spy(sums, tensor.add))
     x = Tensor(rng.standard_normal((2, 5, 16)), requires_grad=True)
     out = block(x)
@@ -646,16 +725,19 @@ def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
     assert entry.op == "self_attention_block" and entry.output is out
     # each outside tensor once per internal use, in replay order: x feeds the residual sum and ln1
     a, f = block.attn, block.ffn
-    expected = [f.fc2.weight, f.fc2.bias, f.fc1.weight, f.fc1.bias, block.ln2.gain, block.ln2.bias, x,
+    expected = [f.fc1.weight, f.fc1.bias, f.fc2.weight, f.fc2.bias, block.ln2.gain, block.ln2.bias, x,
                 a.w_o, a.b_o, a.w_v, a.b_v, a.w_k, a.b_k, a.w_q, a.b_q, x, block.ln1.gain, block.ln1.bias]
     assert len(entry.inputs) == len(expected) and all(t is e for t, e in zip(entry.inputs, expected))
-    assert len(linear_outs) == 6 and len(sums) == 2
+    assert len(linear_outs) == 4 and len(sums) == 2
     assert linear_outs[0]() is None, "the q projection outlived the block"
     assert sums[0]() is None, "the first residual sum outlived the block"
     assert sums[1]() is out.data
+    s, h, t = (ref() for ref in gelu_arrays)
+    assert h is None, "GELU's output outlived the block"
+    assert s is not None and t is not None, "the feed-forward's backward reads fc1's output and GELU's tanh"
     # on the flat tape the same q projection stays alive, held by its entry
     self_attention_block_flat(block, x)
-    assert linear_outs[6]() is not None
+    assert linear_outs[4]() is not None
     active_tape().clear()
 
 
@@ -833,9 +915,13 @@ GUARDS = {
                      "codeword_nll: probabilities (2, 3) do not fit labels (3,)"),
     "codeword_nll_label": (lambda: ops.codeword_nll(_leaf(2, 3), np.array([0, 3])), ValueError,
                            "codeword_nll: labels span [0, 3], outside [0, 3)"),
-    # a NaN weight past the block's first ten ops: none of them, nor the block, stays on the tape
+    # a NaN weight past the block's first eight ops: none of them, nor the block, stays on the tape
     "self_attention_block_nan": (lambda: _nan_block()(_leaf(2, 3, 4)), NonFiniteError,
-                                 "linear: output contains NaN or Inf"),
+                                 "feed_forward: output contains NaN or Inf"),
+    "feed_forward_weights": (lambda: ops.feed_forward(_leaf(2, 3), _leaf(3, 5), _leaf(5), _leaf(4, 3), _leaf(3)),
+                             ShapeError, "feed_forward: inner dimensions differ, (2, 5) @ (4, 3)"),
+    "feed_forward_nan": (lambda: ops.feed_forward(_nan_leaf(2, 3), _leaf(3, 4), _leaf(4), _leaf(4, 3), _leaf(3)),
+                         NonFiniteError, "feed_forward: output contains NaN or Inf"),
     "si_loss_shape": (lambda: ops.si_loss(_leaf(2, 3), _leaf(2, 4), _leaf(2, 3)), ShapeError,
                       "si_loss: output (2, 3), caption (2, 4) and label (2, 3) shapes differ"),
     "si_loss_zero_output": (lambda: ops.si_loss(_zero_row_leaf(2, 3), _leaf(2, 3), _leaf(2, 3)), ValueError,
