@@ -4,25 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, gelu, no_grad
-from ..autodiff.nn import Linear, Module
+from ..autodiff import Tensor, no_grad
+from ..autodiff.nn import FeedForward, Linear, Module
 
 
-class ResidualBlock(Module):
-    """linear -> gelu -> linear with a skip; zero second linear is identity."""
-
-    def __init__(self, dim: int, rng: np.random.Generator):
-        self.fc1 = Linear(dim, dim, rng)
-        self.fc2 = Linear(dim, dim, rng)
+class ResidualBlock(FeedForward):
+    """A feed-forward (linear -> gelu -> linear) with a skip; a zero second linear is identity."""
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x + self.fc2(gelu(self.fc1(x)))
+        return x + super().__call__(x)
 
 
 class AlignmentNet(Module):
     def __init__(self, in_dim: int, e: int, rng: np.random.Generator, n_blocks: int = 2):
         self.input_proj = Linear(in_dim, e, rng)
-        self.blocks = [ResidualBlock(e, rng) for _ in range(n_blocks)]
+        self.blocks = [ResidualBlock(e, e, rng) for _ in range(n_blocks)]
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.input_proj(x)

@@ -17,8 +17,8 @@ from .tensor import (
     backward,
     broadcast_to,
     concat,
-    gelu,
     mul,
+    scope,
     softmax,
     take,
     tmean,
@@ -33,8 +33,8 @@ LossFn = Callable[[Sequence[Tensor]], Tensor]
 
 def analytic_grads(fn: LossFn, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     inputs = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
-    loss = fn(inputs)
-    backward(loss)
+    with scope():
+        backward(fn(inputs))
     return [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
 
 
@@ -135,7 +135,6 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
         "concat": probe(lambda ts: concat([ts[0], ts[1]], axis=1), [r((4, 3)), r((4, 2))], (4, 5)),
         "sum": probe(lambda ts: tsum(ts[0], axis=0), [r((4, 5))], (5,)),
         "mean": probe(lambda ts: tmean(ts[0], axis=0), [r((6, 5))], (5,)),
-        "gelu": probe(lambda ts: gelu(ts[0]), [r((4, 5))], (4, 5)),
         "softmax": probe(lambda ts: softmax(ts[0], axis=-1), [r((4, 7))], (4, 7)),
         "layer_norm": probe(lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]), ln_inputs, (4, 7)),
         "layer_norm_3d": probe(lambda ts: ops.layer_norm(*ts), ln_inputs_3d, (2, 3, 7)),
@@ -164,12 +163,12 @@ def op_catalog(rng: np.random.Generator) -> dict[str, tuple[LossFn, list[np.ndar
     catalog["denoiser_mse_shared_rows"] = (catalog["denoiser_mse"][0],
                                            denoiser_inputs[:1] + [r((1, 4)), r((1, 6))] + denoiser_inputs[3:])
     # the blocks' `fold` entries over their parameters too; two cross-attention blocks share one context
-    sa, ca = nn.SelfAttentionBlock(4, 2, 4, rng), [nn.CrossAttentionBlock(4, 2, 4, rng) for _ in range(2)]
+    sa, ca = nn.AttentionBlock(4, 2, 4, rng), [nn.AttentionBlock(4, 2, 4, rng) for _ in range(2)]
     sa_inputs = [r((2, 4, 4))] + [r(p.shape) * 0.5 for p in sa.parameters()]
     ca_inputs = [r((1, 2, 4)), r((1, 3, 4))] + [r(p.shape) * 0.5 for b in ca for p in b.parameters()]
     catalog["self_attention_block"] = probe(lambda ts: _bind(sa, ts[1:])(ts[0]), sa_inputs, (2, 4, 4))
     catalog["self_attention_block_rows"] = probe(
-        lambda ts: _bind(sa, ts[1:])(ts[0], np.array([0, 2, 3])), sa_inputs, (2, 3, 4))
+        lambda ts: _bind(sa, ts[1:])(ts[0], rows=np.array([0, 2, 3])), sa_inputs, (2, 3, 4))
     catalog["cross_attention_blocks"] = probe(
         lambda ts: _bind(ca[1], ts[18:])(_bind(ca[0], ts[2:18])(ts[0], ts[1]), ts[1]), ca_inputs, (1, 2, 4))
     return catalog

@@ -109,10 +109,11 @@ class FeedForward(Module):
         return ops.feed_forward(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
-class SelfAttentionBlock(Module):
-    """Pre-norm transformer block: x + attn(LN(x)), then x + ffn(LN(x)).  Given `rows` (indices
-    along axis -2), only those rows are queries and outputs; every row is still a key and value.
-    A call tapes `forward` as one `fold` entry; `forward` itself tapes one entry per op."""
+class AttentionBlock(Module):
+    """Pre-norm transformer block: x + attn(LN(x), kv), then x + ffn(LN(x)), where kv is `context`, or LN(x)
+    itself without one.  Given `rows` (indices along axis -2), only those rows are queries and outputs; every
+    row is still a key and value.  A call tapes `forward` as one `fold` entry, `self_attention_block` or
+    `cross_attention_block`; `forward` itself tapes one entry per op."""
 
     def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
@@ -120,35 +121,16 @@ class SelfAttentionBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(dim, ffn_dim, rng)
 
-    def __call__(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
-        return fold("self_attention_block", self.forward, x, rows)
+    def __call__(self, x: Tensor, context: Tensor | None = None, rows: np.ndarray | None = None) -> Tensor:
+        op = "self_attention_block" if context is None else "cross_attention_block"
+        return fold(op, self.forward, x, context, rows)
 
-    def forward(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, context: Tensor | None = None, rows: np.ndarray | None = None) -> Tensor:
         h = q = self.ln1(x)
         if rows is not None:
             x, q = take(x, rows, axis=-2), take(h, rows, axis=-2)
-        x = x + self.attn(q, h)
-        x = x + self.ffn(self.ln2(x))
-        return x
-
-
-class CrossAttentionBlock(Module):
-    """Pre-norm block where the query stream attends to a fixed context; taped as
-    `SelfAttentionBlock` is, one `fold` entry a call."""
-
-    def __init__(self, dim: int, n_heads: int, ffn_dim: int, rng: np.random.Generator):
-        self.ln1 = LayerNorm(dim)
-        self.attn = Attention(dim, n_heads, rng)
-        self.ln2 = LayerNorm(dim)
-        self.ffn = FeedForward(dim, ffn_dim, rng)
-
-    def __call__(self, query: Tensor, context: Tensor) -> Tensor:
-        return fold("cross_attention_block", self.forward, query, context)
-
-    def forward(self, query: Tensor, context: Tensor) -> Tensor:
-        query = query + self.attn(self.ln1(query), context)
-        query = query + self.ffn(self.ln2(query))
-        return query
+        x = x + self.attn(q, h if context is None else context)
+        return x + self.ffn(self.ln2(x))
 
 
 class LstmEncoder(Module):

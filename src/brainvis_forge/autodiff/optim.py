@@ -1,6 +1,8 @@
 """Named parameter store with Adam state, the Adam update, and the loop every
-trainer shares: `ParamStore.step` (clear grads, backpropagate, Adam),
-`train_epoch` (one shuffled-minibatch pass) and `predict` (tape-off batches).
+trainer shares: `ParamStore.step` (a forward in a `scope`, then clear grads,
+backpropagate, Adam), `train_epoch` (one shuffled-minibatch pass) and
+`predict` (tape-off batches).  An op a trainer runs outside any scope owns
+its tape entry until the next `backward`.
 
 A store keeps its parameters and both Adam moments in one flat arena each:
 every registered tensor's `.data` is a reshaped view into the parameter
@@ -15,12 +17,13 @@ raises on one.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
 from .nn import Module
-from .tensor import ShapeError, Tensor, backward, no_grad
+from .tensor import ShapeError, Tensor, backward, no_grad, scope
 
 PREDICT_ROWS = 256  # rows per forward in `predict`: bounds its activations
 _ADAM_BLOCK = 1 << 17  # floats per `adam_step` segment: bounds its scratch
@@ -71,10 +74,13 @@ class ParamStore:
         """Gradients currently attached to the stored tensors."""
         return {name: t.grad for name, t in self._params.items() if t.grad is not None}
 
-    def step(self, loss: Tensor, lr: float, trainable: list[str] | None = None) -> float:
-        """Clear the grads, backpropagate `loss`, take one Adam step; returns the loss value."""
-        self.zero_grad()
-        backward(loss)
+    def step(self, forward: Callable[[], Tensor], lr: float, trainable: list[str] | None = None) -> float:
+        """Run `forward` and backpropagate the loss it returns into cleared grads, in one `scope`
+        (a raise there leaves the tape as it was), then take one Adam step; returns the loss value."""
+        with scope():
+            loss = forward()
+            self.zero_grad()
+            backward(loss)
         adam_step(self, self.collect_grads(), lr, trainable=trainable)
         return loss.item()
 
@@ -190,7 +196,7 @@ def train_epoch(store: ParamStore, rng: np.random.Generator, rows, batch_size: i
     starts = range(0, len(order), batch_size)
     total = 0.0  # a plain left-to-right sum: Python >= 3.12's sum() compensates, changing logged bits
     for lo in starts:
-        total += store.step(batch_loss(order[lo : lo + batch_size]), lr)
+        total += store.step(functools.partial(batch_loss, order[lo : lo + batch_size]), lr)
     return total / max(len(starts), 1)
 
 

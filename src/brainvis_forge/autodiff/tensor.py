@@ -1,12 +1,14 @@
 """Tape-based reverse-mode automatic differentiation over dense numpy arrays.
 
 Every differentiable operation appends one entry to the active
-:class:`ComputationTape` as it executes.  :func:`fold` (a transformer block's
-call) slices the entries its function recorded off the tape and compiles them
-into one entry.  :func:`backward` compiles the whole tape the same way and runs
-the same reverse pass from the loss: reverse execution order is a valid
-topological order, so each node is visited exactly once and leaf gradients
-accumulate additively; each entry's closure is freed once its VJP has run.
+:class:`ComputationTape` as it executes.  A :func:`scope` deletes the entries its
+body recorded if the body raises; `fold`, `ParamStore.step` and the gradient check
+run in one, and an op outside any scope owns its entry until the next `backward`.
+:func:`fold` (a transformer block's call) slices the entries its function recorded
+off the tape and compiles them into one entry.  :func:`backward` compiles the whole
+tape the same way and runs the same reverse pass from the loss: reverse execution
+order is a valid topological order, so each node is visited exactly once and leaf
+gradients accumulate additively; each entry's closure is freed once its VJP has run.
 
 Forward values are never mutated in place; every op returns an array it
 allocated, which it may build in place (`gelu` block by block, `softmax` in its
@@ -81,15 +83,6 @@ class ComputationTape:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @contextlib.contextmanager
-    def paused(self):
-        previous = self.enabled
-        self.enabled = False
-        try:
-            yield
-        finally:
-            self.enabled = previous
-
 
 _TAPE = ComputationTape()
 
@@ -98,9 +91,29 @@ def active_tape() -> ComputationTape:
     return _TAPE
 
 
+@contextlib.contextmanager
 def no_grad():
     """Context manager: run forward passes without recording to the tape."""
-    return _TAPE.paused()
+    previous = _TAPE.enabled
+    _TAPE.enabled = False
+    try:
+        yield
+    finally:
+        _TAPE.enabled = previous
+
+
+@contextlib.contextmanager
+def scope():
+    """Context manager over a taped forward: yields the tape's length on entry, and deletes
+    every entry recorded past it if the body raises, so a failed forward leaves the tape as
+    it found it."""
+    entries = _TAPE.entries
+    mark = len(entries)
+    try:
+        yield mark
+    except BaseException:
+        del entries[mark:]
+        raise
 
 
 class Tensor:
@@ -222,21 +235,19 @@ def _compile(entries: list[TapeEntry], out: Tensor) -> tuple[tuple[Tensor, ...],
 def fold(op: str, fn: Callable[..., Tensor], *args) -> Tensor:
     """fn(*args) as one tape entry `op`, so that only what its backward reads outlives the call.
 
-    The entries fn records are sliced off the tape and `_compile`d: the entry's inputs list each
-    outside tensor once per internal use, and every gradient is bit-equal to the flat tape's.  If
-    fn raises, or no entry it recorded produced its output, the slice is dropped.
+    fn runs in a `scope`, and the entries it records are sliced off the tape and `_compile`d: the
+    entry's inputs list each outside tensor once per internal use, and every gradient is bit-equal
+    to the flat tape's.  If fn raises, or no entry it recorded produced its output, the slice is
+    dropped.
     """
-    entries = _TAPE.entries
-    mark = len(entries)
-    try:
+    with scope() as mark:
         out = fn(*args)
-    finally:
-        block = entries[mark:]
-        del entries[mark:]
+    block = _TAPE.entries[mark:]
+    del _TAPE.entries[mark:]
     compiled = _compile(block, out)
     if compiled is not None:
         inputs, reverse = compiled
-        entries.append(TapeEntry(op, inputs, out, reverse))
+        _TAPE.entries.append(TapeEntry(op, inputs, out, reverse))
     return out
 
 

@@ -56,7 +56,8 @@ def train_denoiser(
     flips one fair coin for the whole batch: condition on the class table
     (grads flow into it) or on the fixed per-record semantic embedding.  With
     no `eeg_conditions`, every step uses the class pathway and no coin is drawn.
-    A step tapes one `ops.denoiser_mse` entry, after a class step's `take`.
+    A step tapes one `ops.denoiser_mse` entry, after a class step's `take`, both in
+    the step's `scope`.
     """
     images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
@@ -75,12 +76,12 @@ def train_denoiser(
         x_t = forward_diffuse(schedule, images[idx], t, eps)
 
         use_class = eeg_conditions is None or rng.uniform() < 0.5  # `<=` differs only on a draw of exactly 0.5: p = 2**-53
-        if use_class:
-            cond = net.class_condition(labels[idx])
-        else:
-            cond = Tensor(np.asarray(eeg_conditions[idx], dtype=dtype))
 
-        loss = store.step(denoiser_mse(Tensor(x_t.astype(dtype)), Tensor(time_table[t]), cond, eps, *weights), lr)
+        def forward():
+            cond = net.class_condition(labels[idx]) if use_class else Tensor(np.asarray(eeg_conditions[idx], dtype=dtype))
+            return denoiser_mse(Tensor(x_t.astype(dtype)), Tensor(time_table[t]), cond, eps, *weights)
+
+        loss = store.step(forward, lr)
         history.append({"step": step, "loss": loss, "condition": "class" if use_class else "eeg"})
     return history
 

@@ -7,14 +7,7 @@ import copy
 import numpy as np
 
 from ..autodiff import Tensor, broadcast_to, no_grad, softmax, take
-from ..autodiff.nn import (
-    CrossAttentionBlock,
-    LayerNorm,
-    Linear,
-    Module,
-    SelfAttentionBlock,
-    normal_init,
-)
+from ..autodiff.nn import AttentionBlock, LayerNorm, Linear, Module, normal_init
 from ..autodiff.tensor import ShapeError
 
 
@@ -37,14 +30,14 @@ class VisibleEncoder(Module):
     """Stack of pre-norm self-attention blocks with a closing layer norm."""
 
     def __init__(self, d: int, n_heads: int, ffn_dim: int, n_blocks: int, rng: np.random.Generator):
-        self.blocks = [SelfAttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
+        self.blocks = [AttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
         self.final_ln = LayerNorm(d)
 
     def __call__(self, z: Tensor, rows: np.ndarray | None = None) -> Tensor:
         """Features of every row of z, or of `rows` (indices along axis -2) only."""
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            z = block(z, rows if i == last else None)
+            z = block(z, rows=rows if i == last else None)
         return self.final_ln(z)
 
 
@@ -66,7 +59,7 @@ class MaskedPredictor(Module):
         rng: np.random.Generator,
     ):
         self.mask_token = Tensor(normal_init(rng, (d,)), requires_grad=True)
-        self.blocks = [CrossAttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
+        self.blocks = [AttentionBlock(d, n_heads, ffn_dim, rng) for _ in range(n_blocks)]
         self.final_ln = LayerNorm(d)
         self.head = Linear(d, n_codewords, rng)
 

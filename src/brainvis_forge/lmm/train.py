@@ -119,8 +119,14 @@ def train_lmm(
     for step in range(steps):
         batch_idx = rng.choice(len(units), size=min(batch_size, len(units)), replace=False)
         plan = make_mask_plan(models.n_units, mask_ratio, rng)
-        reg, cls, total = lmm_step(models, units[batch_idx], plan)
-        l_lmm = store.step(total, lr, trainable=store.names())
+        row = {"step": step}
+
+        def forward():
+            reg, cls, total = lmm_step(models, units[batch_idx], plan)
+            row["l_reg"], row["l_cls"] = reg.item(), cls.item()
+            return total
+
+        row["l_lmm"] = store.step(forward, lr, trainable=store.names())
         models.teacher.update(models.encoder)
-        history.append({"step": step, "l_reg": reg.item(), "l_cls": cls.item(), "l_lmm": l_lmm})
+        history.append(row)
     return history

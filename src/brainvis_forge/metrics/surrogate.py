@@ -39,7 +39,7 @@ def train_surrogate(model: SurrogateClassifier, images: np.ndarray, labels: np.n
     labels = np.asarray(labels, dtype=np.int64)
     store = ParamStore(surrogate=model)
     for _ in range(epochs):  # the parameters in order: fc1.weight, fc1.bias, fc2.weight, fc2.bias
-        store.step(mlp_cross_entropy(flat, *model.parameters(), labels), lr)
+        store.step(lambda: mlp_cross_entropy(flat, *model.parameters(), labels), lr)
     with no_grad():
         logits = model(flat).data
     return top_k_accuracy(logits, labels, 1)

@@ -16,7 +16,8 @@ and gradients the blocks' single `fold` entries and `ops.feed_forward` must matc
 and the two-buffer LSTM backward whose gradient bytes `lstm_sequence`'s must match.  The tape ops
 that only these compositions, the step-by-step LSTM reference and the tests use (`narrow`,
 `swapaxes`, `log`, `log_softmax`, `tanh`, `sigmoid`, `sub`, `power`, `sqrt`, `matmul`,
-`reshape`, `cosine_similarity`) live here too, with their gradient probes in `oracle_op_probes`.
+`reshape`, `cosine_similarity`) live here too, with their gradient probes in `oracle_op_probes`,
+which also probes `gelu`, a tape op no pipeline forward records.
 `as_float64` lifts a float32 network to float64 for gradient checks.
 """
 
@@ -309,6 +310,7 @@ def oracle_op_probes(rng: np.random.Generator) -> dict:
         "matmul_4d": probe(lambda ts: matmul(ts[0], ts[1]), [r((2, 3, 4, 6)), r((6, 5))], (2, 3, 4, 5)),
         "reshape": probe(lambda ts: reshape(ts[0], (2, 10)), [r((4, 5))], (2, 10)),
         "cosine_similarity": (lambda ts: cosine_similarity(ts[0], ts[1]), [r(9) + 0.1, r(9) + 0.1]),
+        "gelu": probe(lambda ts: gelu(ts[0]), [r((4, 5))], (4, 5)),
     }
 
 
@@ -354,7 +356,7 @@ def codeword_nll_dense(probs: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def self_attention_block_flat(block, x: Tensor, rows=None) -> Tensor:
-    """`SelfAttentionBlock` taped one entry per op, as before its ops folded into one entry."""
+    """`AttentionBlock` without a context, taped one entry per op, as before its ops folded into one entry."""
     h = q = block.ln1(x)
     if rows is not None:
         x, q = take(x, rows, axis=-2), take(h, rows, axis=-2)
@@ -363,7 +365,7 @@ def self_attention_block_flat(block, x: Tensor, rows=None) -> Tensor:
 
 
 def cross_attention_block_flat(block, query: Tensor, context: Tensor) -> Tensor:
-    """`CrossAttentionBlock` taped one entry per op."""
+    """`AttentionBlock` over a context, taped one entry per op."""
     query = add(query, block.attn(block.ln1(query), context))
     return add(query, feed_forward_flat(block.ln2(query), *block.ffn.parameters()))
 

@@ -451,16 +451,16 @@ def test_evaluate_generation_perfect_bound():
 
 
 def test_train_surrogate_tapes_one_entry_per_epoch_and_leaves_the_tape_empty(monkeypatch):
-    from brainvis_forge.autodiff import ParamStore, active_tape
+    from brainvis_forge.autodiff import active_tape, optim
     from brainvis_forge.metrics import SurrogateClassifier, train_surrogate
 
-    taped, step = [], ParamStore.step
+    taped, backward = [], optim.backward
 
-    def recording_step(self, loss, lr, trainable=None):
+    def recording_backward(loss):
         taped.append([entry.op for entry in active_tape().entries])
-        return step(self, loss, lr, trainable)
+        return backward(loss)
 
-    monkeypatch.setattr(ParamStore, "step", recording_step)
+    monkeypatch.setattr(optim, "backward", recording_backward)
     rng = np.random.default_rng(19)
     surrogate = SurrogateClassifier(12, 6, 3, rng)
     train_surrogate(surrogate, rng.uniform(-1, 1, (9, 3, 2, 2)), rng.integers(0, 3, 9), epochs=4, lr=3e-3)

@@ -23,7 +23,7 @@ from brainvis_forge.autodiff import (
     tsum,
 )
 from brainvis_forge.autodiff import ops, tensor
-from brainvis_forge.autodiff.nn import Attention, CrossAttentionBlock, Linear, LstmEncoder, SelfAttentionBlock
+from brainvis_forge.autodiff.nn import Attention, AttentionBlock, Linear, LstmEncoder
 from brainvis_forge.autodiff.tensor import (
     _GELU_FORWARD_BLOCK,
     _gelu_forward,
@@ -641,15 +641,14 @@ def _block_run(case: str, flat: bool, dtype) -> tuple:
     parameters, through the blocks' `fold` entries or `oracles`' flat tapes."""
     rng = np.random.default_rng(41)
     self_attn = case.startswith("self")
-    blocks = [SelfAttentionBlock(32, 4, 64, rng)] if self_attn else [CrossAttentionBlock(32, 4, 64, rng)
-                                                                      for _ in range(2)]
+    blocks = [AttentionBlock(32, 4, 64, rng) for _ in range(1 if self_attn else 2)]
     if dtype == np.float64:
         blocks = [as_float64(b) for b in blocks]
     x = Tensor(rng.standard_normal((4, 10, 32)).astype(dtype), requires_grad=True)
     context = Tensor(rng.standard_normal((4, 7, 32)).astype(dtype), requires_grad=True)
     if self_attn:
         rows = np.array([1, 4, 5, 9]) if case == "self_rows" else None
-        out = self_attention_block_flat(blocks[0], x, rows) if flat else blocks[0](x, rows)
+        out = self_attention_block_flat(blocks[0], x, rows) if flat else blocks[0](x, rows=rows)
     else:  # two blocks sharing one context, as the tiny predictor's
         out = x
         for block in blocks:
@@ -700,7 +699,7 @@ def test_feed_forward_is_bit_equal_to_linear_gelu_linear(needs_grad, x_shape, hi
 
 def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
     rng = np.random.default_rng(43)
-    block = SelfAttentionBlock(16, 2, 32, rng)
+    block = AttentionBlock(16, 2, 32, rng)
     linear_outs, sums = [], []
 
     def spy(record, fn):
@@ -745,7 +744,7 @@ def test_block_entry_keeps_only_what_its_backward_reads(monkeypatch):
 def test_fold_nested_in_a_fold_is_bit_equal_to_the_flat_tape(dtype):
     def run(nested):
         rng = np.random.default_rng(47)
-        blocks = [CrossAttentionBlock(16, 2, 32, rng), SelfAttentionBlock(16, 2, 32, rng)]
+        blocks = [AttentionBlock(16, 2, 32, rng) for _ in range(2)]
         if dtype == np.float64:
             blocks = [as_float64(b) for b in blocks]
         x = Tensor(rng.standard_normal((3, 5, 16)).astype(dtype), requires_grad=True)
@@ -835,8 +834,8 @@ def _nan_leaf(*shape):
 
 
 def _nan_block():
-    """A `SelfAttentionBlock` at d = 4 whose feed-forward output weight holds a NaN."""
-    block = SelfAttentionBlock(4, 2, 8, np.random.default_rng(0))
+    """An `AttentionBlock` at d = 4 whose feed-forward output weight holds a NaN."""
+    block = AttentionBlock(4, 2, 8, np.random.default_rng(0))
     block.ffn.fc2.weight.data[0, 0] = np.nan
     return block
 
