@@ -1,29 +1,28 @@
 """The BVC container, the one format in which a run stores arrays.
 
 The dataset, the semantic fixtures and every stage checkpoint are BVC
-archives: named tensors plus a stage tag and a config snapshot.
+archives: named tensors plus the tag of the stage that wrote them.
 
 Layout (little-endian):
-    magic "BVC1" | u32 version=2 | u32 n_tensors
+    magic "BVC1" | u32 version=3 | u32 n_tensors
+    u16 stage tag length | stage tag bytes (utf-8)
     per tensor: u16 name length | name bytes (utf-8) | u8 dtype code
                 | u8 rank | rank * u32 dims | data
-    trailer: u32 CRC32 over all tensor bytes
+    trailer: u32 CRC32 over every byte between the 12-byte header and it
 Dtype code 0 is float32 and 1 is int64: integer tensors are stored as
 int64 and every other tensor as float32.  Tensors are written in sorted
-name order for byte-stable output.  The stage tag and config snapshot ride
-in a JSON sidecar ({path}.meta.json): the binary body stays pure tensor
-data and the snapshot stays human-readable.  The sidecar is required: a
-stage's `RunPaths.read` refuses an archive without one, naming its writer.
+name order for byte-stable output.  The checksum covers the stage tag, so
+an archive is one file that loads whole and verified or not at all; a
+stage's config snapshot is its config.json.  A load error names the file.
 `write_whole` puts a file on disk whole or not at all.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
 from typing import Iterable
@@ -31,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 MAGIC = b"BVC1"
-VERSION = 2
+VERSION = 3
 DTYPES = (np.dtype("<f4"), np.dtype("<i8"))  # indexed by dtype code
 
 
@@ -55,7 +54,6 @@ class TruncatedError(FileFormatError):
 class CheckpointArchive:
     tensors: dict[str, np.ndarray]
     stage: str
-    config: dict = field(default_factory=dict)
 
 
 def crc_bytes(payload) -> bytes:
@@ -78,31 +76,33 @@ def write_whole(path, chunks: Iterable[bytes]) -> None:
     os.replace(tmp, path)
 
 
+def _text(text: str, what: str) -> bytes:
+    """`text` as u16 length | utf-8 bytes."""
+    encoded = text.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ValueError(f"save_checkpoint: {what} too long ({len(encoded)} bytes)")
+    return struct.pack(f"<H{len(encoded)}s", len(encoded), encoded)
+
+
 def save_checkpoint(path, archive: CheckpointArchive) -> None:
     body = BytesIO()
+    body.write(_text(archive.stage, "stage tag"))
     for name in sorted(archive.tensors):
         tensor = np.asarray(archive.tensors[name])
         code = int(np.issubdtype(tensor.dtype, np.integer))
         arr = np.asarray(tensor, dtype=DTYPES[code], order="C")
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"save_checkpoint: tensor name too long ({len(encoded)} bytes)")
-        body.write(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded, code, arr.ndim, *arr.shape))
+        body.write(_text(name, "tensor name") + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
         body.write(arr.tobytes())
     payload = body.getvalue()
-
-    # The .bvc is a stage's done-marker, so it appears last and whole: the
-    # sidecar first, then the body.
-    meta = {"stage": archive.stage, "version": VERSION, "config": archive.config}
-    write_whole(str(path) + ".meta.json", [json.dumps(meta, indent=2, sort_keys=True).encode()])
     write_whole(path, [MAGIC, struct.pack("<2I", VERSION, len(archive.tensors)), payload, crc_bytes(payload)])
 
 
 def load_checkpoint(path) -> CheckpointArchive:
     """Read an archive, copying each tensor once out of the file's bytes.
 
-    Every header is parsed and the checksum verified before any tensor is
-    built; a file that ends early raises TruncatedError."""
+    Every header is parsed and the checksum verified before the stage tag
+    is decoded or any tensor built; a file that ends early raises
+    TruncatedError.  Every FileFormatError starts with `path`."""
     path = Path(path)
     raw = path.read_bytes()
     pos = 0
@@ -111,28 +111,32 @@ def load_checkpoint(path) -> CheckpointArchive:
         """Step over the next n bytes and return where they start."""
         nonlocal pos
         if pos + n > len(raw):
-            raise TruncatedError(f"truncated file: expected {n} bytes for {what}, got {len(raw) - pos}")
+            raise TruncatedError(f"{path}: truncated file: expected {n} bytes for {what}, got {len(raw) - pos}")
         pos += n
         return pos - n
 
     def unpack(fmt: str, what: str) -> tuple:
         return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt), what))
 
+    def text(what: str) -> bytes:
+        (n,) = unpack("<H", f"{what} length")
+        return unpack(f"<{n}s", what)[0]
+
     (magic,) = unpack("<4s", "magic")
     if magic != MAGIC:
-        raise UnsupportedFormatError(f"bad magic: expected {MAGIC!r}, got {magic!r}")
+        raise UnsupportedFormatError(f"{path}: bad magic: expected {MAGIC!r}, got {magic!r}")
     version, n_tensors = unpack("<2I", "header")
     if version != VERSION:
-        raise UnsupportedFormatError(f"unsupported version {version}, expected {VERSION}")
+        raise UnsupportedFormatError(f"{path}: unsupported version {version}, expected {VERSION}")
 
+    stage = text("stage tag")
     entries = []
     for _ in range(n_tensors):
-        (name_len,) = unpack("<H", "name length")
-        (name,) = unpack(f"<{name_len}s", "name")
+        name = text("name")
         code, rank = unpack("<BB", "dtype code and rank")
         dims = unpack(f"<{rank}I", "dims")
         if code >= len(DTYPES):
-            raise UnsupportedFormatError(f"tensor {name!r}: unknown dtype code {code}")
+            raise UnsupportedFormatError(f"{path}: tensor {name!r}: unknown dtype code {code}")
         count = int(np.prod(dims))
         offset = take(count * DTYPES[code].itemsize, f"tensor {name!r}")
         entries.append((name, DTYPES[code], count, dims, offset))
@@ -140,9 +144,8 @@ def load_checkpoint(path) -> CheckpointArchive:
     (stored,) = unpack("<I", "checksum")
     actual = zlib.crc32(memoryview(raw)[12:end]) & 0xFFFFFFFF
     if stored != actual:
-        raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
+        raise ChecksumError(f"{path}: checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
 
     tensors = {name.decode("utf-8"): np.frombuffer(raw, dtype, count, offset).reshape(dims).copy()
                for name, dtype, count, dims, offset in entries}
-    meta = json.loads(Path(str(path) + ".meta.json").read_text())
-    return CheckpointArchive(tensors=tensors, stage=meta["stage"], config=meta["config"])
+    return CheckpointArchive(tensors, stage.decode("utf-8"))

@@ -82,12 +82,12 @@ class DenoiserNet(Module):
         if x.shape[-rank:] != self.latent_shape or x.ndim > rank + 1:
             raise ValueError(f"DenoiserNet: latent shape {x.shape} is neither {self.latent_shape} nor (B, *{self.latent_shape})")
         # only the estimate: the backward closure, and the activations it holds, go before the float64 copy
-        out = _denoiser_forward("denoiser_mlp", (
+        out = _denoiser_forward("DenoiserNet.predict", (
             Tensor(x.reshape((-1,) + self.latent_shape)),
             Tensor(timestep_embedding(np.array([t]))),
             Tensor(np.asarray(cond, dtype=dtype).reshape(-1, self.cond_dim)),
             *self.weights(),
         ))[1]
-        _require_finite("denoiser_mlp", out)
+        _require_finite("DenoiserNet.predict", out)
         return out.reshape(x.shape).astype(np.float64)
 

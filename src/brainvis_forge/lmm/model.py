@@ -96,11 +96,11 @@ class Teacher:
         t_params = dict(self.module.named_parameters())
         s_params = dict(student.named_parameters())
         if set(t_params) != set(s_params):
-            raise ShapeError("teacher_update: parameter trees differ")
+            raise ShapeError("Teacher.update: parameter trees differ")
         for name, t in t_params.items():
             s = s_params[name]
             if t.shape != s.shape:
-                raise ShapeError(f"teacher_update: {name} shapes differ, {t.shape} vs {s.shape}")
+                raise ShapeError(f"Teacher.update: {name} shapes differ, {t.shape} vs {s.shape}")
             t.data *= self.momentum
             t.data += (1.0 - self.momentum) * s.data
 

@@ -1,4 +1,5 @@
-"""Stage checkpoints: BVC archives (format in binio) tagged with their stage.
+"""Stage checkpoints: BVC archives (format in binio), one file each, whose
+checksummed header carries the tag of the stage that wrote them.
 
 Key layout:
     model/{param}    the parameters of the network the stage trained

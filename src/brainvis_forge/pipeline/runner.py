@@ -1,30 +1,32 @@
 """The pipeline's stages over a run directory, and the one table that lists them.
 
 Layout: {run_dir}/{stage}/ holding config.json (snapshot), metrics.jsonl
-(per-epoch or per-step log lines), checkpoint.bvc (+ .meta.json sidecar),
-and for generation an images/ directory plus provenance.jsonl.  gen-data
-writes data/fixtures.bvc, data/images.bvc and data/dataset.bvc instead of a
-checkpoint: every array a run stores is a BVC archive (binio).  The trials
-are z-scored and the target images built once, there: every later stage
-reads the trials, and diffusion and evaluate the images, as stored.
+(per-epoch or per-step log lines), checkpoint.bvc, and for generation an
+images/ directory plus provenance.jsonl.  gen-data writes data/fixtures.bvc,
+data/images.bvc and data/dataset.bvc instead of a checkpoint: every array a
+run stores is a BVC archive (binio), one file whose checksummed header
+carries the tag of the stage that wrote it.  The trials are z-scored and the
+target images built once, there: every later stage reads the trials, and
+diffusion and evaluate the images, as stored.
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
 the function that runs it, the file that marks it done and the run files it
 reads; its prerequisites (`Stage.needs`) are the stages that write those files.
 Every stage checks its prerequisites before doing any work and opens run files
 only through `RunPaths.read`, which refuses a file the stage's row does not
-declare, or a .bvc without its sidecar.  An ablation drops the stages it
-skips (config.ABLATION_SKIPS) from the chain and from the prerequisites.
+declare.  An ablation drops the stages it skips (config.ABLATION_SKIPS) from
+the chain and from the prerequisites.
 Every stage file but the generated images appears whole, through a temporary
 file and a rename (`binio.write_whole`), and the marker comes last
-(metrics.jsonl and the sidecar before checkpoint.bvc, the other archives
-before dataset.bvc, the images before provenance.jsonl), and a stage removes
-its old marker before it writes, so a stage, or a rerun, that fails mid-write
-is not done.  Training stages hand weights on only through
-`save_stage` and `load_stage` (key layout in pipeline.checkpoint).  A network
-that later stages only read from runs forward once per split, in the stage
-that trained it, and saves its output rows as extras, which later stages read
-through `_stored_rows`; only generate rebuilds a network, the denoiser.
+(metrics.jsonl before checkpoint.bvc, the other archives before dataset.bvc,
+the images before provenance.jsonl), and a stage removes its old marker
+before it writes, so a stage, or a rerun, that fails mid-write is not done.
+Training stages hand weights on only through `save_stage` and `load_stage`
+(key layout in pipeline.checkpoint); `load_stage` checks the stage tag.
+A network that later stages only read from runs forward once per split, in
+the stage that trained it, and saves its output rows as extras, which later
+stages read through `_stored_rows`; only generate rebuilds a network, the
+denoiser.
 
 This module builds every network from the config, each through one builder
 or constructor (`build_lmm_models`, `FreqClassifier`, `_tfe_model`,
@@ -94,13 +96,12 @@ class RunPaths:
 
     def read(self, path: str) -> Path:
         """The run file at run-relative `path`: refused unless the bound stage's
-        row declares it or its directory, and checked to exist (a .bvc with its sidecar)."""
+        row declares it or its directory, and checked to exist."""
         if self.stage and not {path, path.rpartition("/")[0] + "/"} & set(STAGES[self.stage].reads):
             raise StageError(f"stage {self.stage!r} reads {path}, which its STAGES row does not declare")
-        for needed in (path, path + ".meta.json") if path.endswith(".bvc") else (path,):
-            if not (self.root / needed).is_file():
-                reader = f"stage {self.stage!r} reads" if self.stage else "reading"
-                raise StageError(f"{reader} {needed}, which is missing: stage {path.split('/')[0]!r} writes it")
+        if not (self.root / path).is_file():
+            reader = f"stage {self.stage!r} reads" if self.stage else "reading"
+            raise StageError(f"{reader} {path}, which is missing: stage {path.split('/')[0]!r} writes it")
         return self.root / path
 
 
@@ -141,14 +142,12 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
     write_whole(path, ((json.dumps(row, sort_keys=True) + "\n").encode() for row in rows))
 
 
-def save_stage(cfg: PipelineConfig, paths: RunPaths, stage: str, history: list[dict], model: Module,
-               extras: dict[str, np.ndarray] | None = None, meta: dict | None = None) -> None:
+def save_stage(paths: RunPaths, stage: str, history: list[dict], model: Module,
+               extras: dict[str, np.ndarray] | None = None) -> None:
     """Write the stage's metrics.jsonl, then its checkpoint (`model` under
-    model/ plus the `extras` keys; config snapshot plus `meta` in the sidecar),
-    whose .bvc marks the stage done."""
+    model/ plus the `extras` keys), which marks the stage done."""
     _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
-    tensors = {**model.state("model/"), **(extras or {})}
-    save_checkpoint(paths.checkpoint(stage), CheckpointArchive(tensors, stage, {**cfg.to_dict(), **(meta or {})}))
+    save_checkpoint(paths.checkpoint(stage), CheckpointArchive({**model.state("model/"), **(extras or {})}, stage))
 
 
 def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> CheckpointArchive:
@@ -221,7 +220,7 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
     steps_per_epoch = max(1, -(-len(units) // cfg.batch))
     history = train_lmm(units, models, mask_ratio=cfg.r_m, lr=cfg.lr, steps=cfg.epochs["lmm"] * steps_per_epoch,
                         batch_size=cfg.batch, seed=cfg.seed)
-    save_stage(cfg, paths, "lmm", history, models)
+    save_stage(paths, "lmm", history, models)
     return {"steps": len(history), "final_l_lmm": history[-1]["l_lmm"] if history else None}
 
 
@@ -234,7 +233,7 @@ def run_train_freq(cfg: PipelineConfig, paths: RunPaths) -> dict:
     model = FreqClassifier(cfg.c, cfg.lstm_hidden, cfg.n_classes, rng)
     history = freq_classify_train(model, spectra, dataset.labels, split, epochs=cfg.epochs["freq"],
                                   batch_size=cfg.batch, lr=cfg.lr, rng=rng)
-    save_stage(cfg, paths, "freq", history, model,
+    save_stage(paths, "freq", history, model,
                extras={"spectrum_scale": np.asarray([scale], dtype=np.float32)})
     return {"epochs": len(history), "val_acc": history[-1]["val_acc"] if history else None}
 
@@ -279,13 +278,9 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     )
     train_fused, test_fused = (predict(model.fused, *(None if a is None else a[rows] for a in inputs))
                                for rows in (split.train, split.test))
-    stages = {row["stage"] for row in history}
-    save_stage(
-        cfg, paths, "tfe", history, model,
-        extras={"spectrum_scale": np.asarray([scale], dtype=np.float32), "train_fused": train_fused,
-                "test_fused": test_fused, "test_logits": classify_batch(model, test_fused)},
-        meta={"use_time": use_time, "use_freq": use_freq, "stage1_done": 1 in stages, "stage2_done": 2 in stages},
-    )
+    save_stage(paths, "tfe", history, model,
+               extras={"spectrum_scale": np.asarray([scale], dtype=np.float32), "train_fused": train_fused,
+                       "test_fused": test_fused, "test_logits": classify_batch(model, test_fused)})
     last = history[-1] if history else {}
     return {"epochs": len(history), "train_acc": last.get("train_acc"), "val_acc": last.get("val_acc")}
 
@@ -311,7 +306,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
         net, train_fused, train.labels, train.image_ids, fixtures,
         epochs=cfg.epochs["align"], batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed, label_weight=cfg.label_weight,
     )
-    save_stage(cfg, paths, "align", history, net,
+    save_stage(paths, "align", history, net,
                extras={"train_c_eeg": align(net, train_fused), "test_c_eeg": align(net, test_fused)})
     return {"epochs": len(history), "final_si_loss": history[-1]["si_loss"] if history else None}
 
@@ -331,7 +326,7 @@ def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
         net, schedule, images[train.image_ids], train.labels, eeg_conditions,
         steps=cfg.diffusion_steps, batch_size=cfg.diffusion_batch, lr=cfg.lr, seed=cfg.seed,
     )
-    save_stage(cfg, paths, "diffusion", history, net)
+    save_stage(paths, "diffusion", history, net)
     return {"steps": len(history), "final_loss": history[-1]["loss"] if history else None}
 
 

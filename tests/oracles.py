@@ -137,11 +137,12 @@ def make_image(class_label: int, image_id: int, size: int = 16, channels: int = 
 
 
 def write_fixtures_per_entry(path, entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]], e: int) -> None:
-    """The fixtures' BVC archive (version 2) written field by field, one
+    """The fixtures' BVC archive (version 3) written field by field, one
     entry at a time: (class_label, image_id) -> (label vector, caption
-    vector), image ids 0, 1, ... in dict order.  The columns go in name
-    order, c_cap, c_label, labels, each as u16 name length, name, u8 dtype
-    code (0 float32, 1 int64), u8 rank, u32 dims, then its rows."""
+    vector), image ids 0, 1, ... in dict order.  The stage tag "data" comes
+    first as u16 length and bytes; the columns follow in name order, c_cap,
+    c_label, labels, each as u16 name length, name, u8 dtype code (0
+    float32, 1 int64), u8 rank, u32 dims, then its rows."""
     if [image_id for _, image_id in entries] != list(range(len(entries))):
         raise ValueError("write_fixtures_per_entry: image ids must run 0, 1, ... in order")
     n = len(entries)
@@ -151,12 +152,13 @@ def write_fixtures_per_entry(path, entries: dict[tuple[int, int], tuple[np.ndarr
         b"labels": (1, (n,), [struct.pack("<q", class_label) for class_label, _ in entries]),
     }
     body = BytesIO()
+    body.write(struct.pack("<H", 4) + b"data")
     for name, (code, dims, packed) in columns.items():
         body.write(struct.pack("<H", len(name)) + name + struct.pack(f"<BB{len(dims)}I", code, len(dims), *dims))
         body.write(b"".join(packed))
     payload = body.getvalue()
     with open(path, "wb") as fh:
-        fh.write(b"BVC1" + struct.pack("<2I", 2, len(columns)) + payload)
+        fh.write(b"BVC1" + struct.pack("<2I", 3, len(columns)) + payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 

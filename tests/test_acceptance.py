@@ -391,7 +391,7 @@ def test_criterion_10_persistence(tmp_path):
 
         bvc = tmp_path / "c.bvc"
         tensors = {"w": rng.standard_normal((3, 3)).astype(np.float32)}
-        save_checkpoint(bvc, CheckpointArchive(tensors, "lmm", {"seed": 1}))
+        save_checkpoint(bvc, CheckpointArchive(tensors, "lmm"))
         assert load_checkpoint(bvc).tensors["w"].tobytes() == tensors["w"].tobytes()
 
         for path, loader in ((bvd, load_dataset), (bve, load_fixtures), (bvc, load_checkpoint)):

@@ -89,7 +89,7 @@ def test_fixture_bad_magic_and_crc(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:8] = (1).to_bytes(4, "little")
     (tmp_path / "v1.bvc").write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 2"):
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 3"):
         load_fixtures(tmp_path / "v1.bvc")
 
 

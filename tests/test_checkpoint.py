@@ -1,9 +1,12 @@
 """Checkpoint container round trips and stage-graph enforcement."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
-from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError, write_whole
+from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError, crc_bytes, write_whole
 from brainvis_forge.pipeline.checkpoint import (
     CheckpointArchive,
     StageError,
@@ -22,10 +25,9 @@ def test_roundtrip_bit_identical(tmp_path):
         "scalar": np.asarray([3.0], dtype=np.float32),
     }
     path = tmp_path / "c.bvc"
-    save_checkpoint(path, CheckpointArchive(tensors, "lmm", {"seed": 7}))
+    save_checkpoint(path, CheckpointArchive(tensors, "lmm"))
     loaded = load_checkpoint(path)
     assert loaded.stage == "lmm"
-    assert loaded.config == {"seed": 7}
     assert set(loaded.tensors) == set(tensors)
     for k in tensors:
         assert loaded.tensors[k].tobytes() == tensors[k].tobytes()
@@ -33,7 +35,7 @@ def test_roundtrip_bit_identical(tmp_path):
 
 def test_empty_archive_roundtrip(tmp_path):
     path = tmp_path / "empty.bvc"
-    save_checkpoint(path, CheckpointArchive({}, "data", {}))
+    save_checkpoint(path, CheckpointArchive({}, "data"))
     loaded = load_checkpoint(path)
     assert loaded.tensors == {}
 
@@ -41,55 +43,55 @@ def test_empty_archive_roundtrip(tmp_path):
 def test_save_is_byte_stable(tmp_path):
     tensors = {"b": np.zeros(2, dtype=np.float32), "a": np.ones(3, dtype=np.float32)}
     p1, p2 = tmp_path / "1.bvc", tmp_path / "2.bvc"
-    save_checkpoint(p1, CheckpointArchive(dict(tensors), "lmm", {}))
-    save_checkpoint(p2, CheckpointArchive(dict(reversed(tensors.items())), "lmm", {}))
+    save_checkpoint(p1, CheckpointArchive(dict(tensors), "lmm"))
+    save_checkpoint(p2, CheckpointArchive(dict(reversed(tensors.items())), "lmm"))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_corrupted_crc_rejected(tmp_path):
     path = tmp_path / "bad.bvc"
-    save_checkpoint(path, CheckpointArchive({"w": np.ones(8, dtype=np.float32)}, "lmm", {}))
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(8, dtype=np.float32)}, "lmm"))
     blob = bytearray(path.read_bytes())
     blob[-8] ^= 0x01  # a byte of w's data
     path.write_bytes(bytes(blob))
-    with pytest.raises(ChecksumError):
+    with pytest.raises(ChecksumError, match=f"^{re.escape(str(path))}: checksum mismatch"):
         load_checkpoint(path)
 
 
 def test_truncated_rejected(tmp_path):
     path = tmp_path / "trunc.bvc"
-    save_checkpoint(path, CheckpointArchive({"w": np.ones(8, dtype=np.float32)}, "lmm", {}))
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(8, dtype=np.float32)}, "lmm"))
     blob = path.read_bytes()
     path.write_bytes(blob[:-6])
-    with pytest.raises(TruncatedError):
+    with pytest.raises(TruncatedError, match=f"^{re.escape(str(path))}: truncated file"):
         load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "magic.bvc"
     path.write_bytes(b"WXYZ" + b"\x00" * 16)
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(UnsupportedFormatError, match=f"^{re.escape(str(path))}: bad magic"):
         load_checkpoint(path)
 
 
 def test_wrong_version_rejected(tmp_path):
     path = tmp_path / "v1.bvc"
-    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm"))
     blob = bytearray(path.read_bytes())
     blob[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 2"):
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 3"):
         load_checkpoint(path)
 
 
 def test_unknown_dtype_code_rejected(tmp_path):
     path = tmp_path / "code.bvc"
-    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm"))
     blob = bytearray(path.read_bytes())
-    assert blob[15] == 0  # after the 12-byte header, u16 name length and the name "w"
-    blob[15] = 2
+    assert blob[20] == 0  # after the 12-byte header, the tag "lmm" and the name "w", each after its u16 length
+    blob[20] = 2
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unknown dtype code 2"):
+    with pytest.raises(UnsupportedFormatError, match=f"^{re.escape(str(path))}: tensor b'w': unknown dtype code 2$"):
         load_checkpoint(path)
 
 
@@ -121,13 +123,26 @@ def test_name_length_is_capped_at_u16(tmp_path):
     assert list(load_checkpoint(tmp_path / "ok.bvc").tensors) == [longest]
     with pytest.raises(ValueError, match="name too long \\(65536 bytes\\)"):
         save_checkpoint(tmp_path / "long.bvc", CheckpointArchive({"n" * 0x10000: np.ones(1)}, "lmm"))
+    with pytest.raises(ValueError, match="stage tag too long \\(65536 bytes\\)"):
+        save_checkpoint(tmp_path / "long.bvc", CheckpointArchive({}, "s" * 0x10000))
 
 
-def test_missing_sidecar_raises_naming_it(tmp_path):
-    path = tmp_path / "bare.bvc"
-    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm", {}))
-    (tmp_path / "bare.bvc.meta.json").unlink()
-    with pytest.raises(FileNotFoundError, match="bare.bvc.meta.json"):
+def test_a_version_2_archive_is_refused_naming_its_path_and_both_versions(tmp_path):
+    path = tmp_path / "lmm" / "checkpoint.bvc"
+    path.parent.mkdir()
+    path.write_bytes(b"BVC1" + struct.pack("<2I", 2, 0) + crc_bytes(b""))  # an empty version-2 archive
+    with pytest.raises(UnsupportedFormatError, match=f"^{re.escape(str(path))}: unsupported version 2, expected 3$"):
+        load_checkpoint(path)
+
+
+def test_a_flipped_byte_of_the_stage_tag_fails_the_checksum(tmp_path):
+    path = tmp_path / "tagged.bvc"
+    save_checkpoint(path, CheckpointArchive({"w": np.ones(2, dtype=np.float32)}, "lmm"))
+    blob = bytearray(path.read_bytes())
+    assert blob[12:17] == b"\x03\x00lmm"  # u16 tag length, then the tag, right after the 12-byte header
+    blob[16] ^= 0x01  # "lmm" -> "lml"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError):
         load_checkpoint(path)
 
 
@@ -152,7 +167,7 @@ def test_prefixed_state_roundtrip(tmp_path):
 
     net = Linear(3, 2, np.random.default_rng(0))
     path = tmp_path / "prefixed.bvc"
-    save_checkpoint(path, CheckpointArchive(net.state("model/"), "align", {}))
+    save_checkpoint(path, CheckpointArchive(net.state("model/"), "align"))
     tensors = load_checkpoint(path).tensors
     assert sorted(tensors) == ["model/bias", "model/weight"]
 
@@ -165,7 +180,7 @@ def test_prefixed_state_roundtrip(tmp_path):
 
 def test_wrong_stage_tag_raises_stage_error(tmp_path):
     path = tmp_path / "joint.bvc"
-    save_checkpoint(path, CheckpointArchive({}, "tfe", {}))
+    save_checkpoint(path, CheckpointArchive({}, "tfe"))
     with pytest.raises(StageError, match="'tfe'.*'lmm'"):
         require_stage(load_checkpoint(path), "lmm")
 

@@ -102,7 +102,7 @@ def test_wrong_version_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 2"):
+    with pytest.raises(UnsupportedFormatError, match="unsupported version 1, expected 3"):
         load_dataset(path)
 
 

@@ -452,7 +452,7 @@ def test_fused_denoiser_step_is_bit_equal_to_its_composition(use_class):
     (composed, composed_loss, composed_grads), _ = results
     with no_grad():  # the untaped estimate, as `DenoiserNet.predict` forms it
         cond = net.class_condition(labels) if use_class else eeg
-        _, estimate, _ = ops._denoiser_forward("denoiser_mlp", (x_t, t_feat, cond, *net.weights()))
+        _, estimate, _ = ops._denoiser_forward("DenoiserNet.predict", (x_t, t_feat, cond, *net.weights()))
     assert estimate.dtype == np.float32 and estimate.shape == (16, 3 * 8 * 8)
     assert estimate.tobytes() == composed.tobytes()
     for _, loss, grads in results:

@@ -240,10 +240,10 @@ def test_teacher_update_writes_in_place_and_equals_the_rebinding_formula():
 
 def test_teacher_update_rejects_another_parameter_tree():
     teacher = Teacher(_tiny_encoder(), momentum=0.9)
-    with pytest.raises(ShapeError, match="^teacher_update: parameter trees differ$"):
+    with pytest.raises(ShapeError, match=r"^Teacher\.update: parameter trees differ$"):
         teacher.update(VisibleEncoder(d=4, n_heads=2, ffn_dim=8, n_blocks=2, rng=np.random.default_rng(0)))
     wider = VisibleEncoder(d=4, n_heads=2, ffn_dim=6, n_blocks=1, rng=np.random.default_rng(0))
-    with pytest.raises(ShapeError, match=r"^teacher_update: blocks\.0\.ffn\.fc1\.weight shapes differ, "
+    with pytest.raises(ShapeError, match=r"^Teacher\.update: blocks\.0\.ffn\.fc1\.weight shapes differ, "
                                          r"\(4, 8\) vs \(4, 6\)$"):
         teacher.update(wider)
 

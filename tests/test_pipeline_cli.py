@@ -13,7 +13,7 @@ from brainvis_forge.data.images import make_image_set
 from brainvis_forge.data.synthetic import generate_synthetic
 from brainvis_forge.pipeline.checkpoint import StageError
 from brainvis_forge.pipeline.cli import main
-from brainvis_forge.pipeline.config import PipelineConfig
+from brainvis_forge.pipeline.config import ABLATION_SKIPS, PipelineConfig
 from brainvis_forge.pipeline.runner import RunPaths, _synthetic_spec, load_run_data, run_gen_data, run_train_lmm
 
 TINY = "configs/tiny.json"
@@ -250,14 +250,23 @@ def test_a_run_directory_from_before_the_bvc_dataset_fails_loudly(tmp_path):
         run_train_lmm(cfg, paths)
 
 
-@pytest.mark.parametrize("stage, removed, named", [
-    ("tfe", ["lmm/checkpoint.bvc.meta.json"], "lmm/checkpoint.bvc.meta.json"),
-    ("diffusion", ["data/images.bvc.meta.json"], "data/images.bvc.meta.json"),
-    # a run directory from before gen-data stored the target images
-    ("diffusion", ["data/images.bvc", "data/images.bvc.meta.json"], "data/images.bvc"),
-    ("evaluate", ["data/images.bvc", "data/images.bvc.meta.json"], "data/images.bvc"),
-])
-def test_a_missing_archive_or_sidecar_names_the_stage_that_writes_it(tmp_path, stage, removed, named):
+def test_every_archive_is_one_file_tagged_with_the_stage_whose_directory_holds_it(tmp_path):
+    from brainvis_forge.pipeline import runner
+
+    paths = RunPaths(tmp_path / "run")
+    runner.run_full_chain(tiny_config(**QUICK), paths)
+    assert not list(paths.root.rglob("*.meta.json"))
+    archives = sorted(paths.root.glob("*/*.bvc"))
+    assert [p.relative_to(paths.root).as_posix() for p in archives] == [
+        "align/checkpoint.bvc", "data/dataset.bvc", "data/fixtures.bvc", "data/images.bvc",
+        "diffusion/checkpoint.bvc", "freq/checkpoint.bvc", "lmm/checkpoint.bvc", "tfe/checkpoint.bvc"]
+    for path in archives:
+        assert load_checkpoint(path).stage == path.parent.name, path
+
+
+# a run directory from before gen-data stored the target images
+@pytest.mark.parametrize("stage", ["diffusion", "evaluate"])
+def test_a_missing_archive_names_the_stage_that_writes_it(tmp_path, stage):
     from brainvis_forge.pipeline import runner
 
     cfg = tiny_config(**QUICK)
@@ -265,10 +274,9 @@ def test_a_missing_archive_or_sidecar_names_the_stage_that_writes_it(tmp_path, s
     names = list(runner.STAGES)
     for name in names[:names.index(stage)]:
         runner.STAGES[name].run(cfg, paths)
-    for path in removed:
-        (paths.root / path).unlink()
+    (paths.root / "data/images.bvc").unlink()
     with pytest.raises(StageError, match=re.escape(
-        f"stage '{stage}' reads {named}, which is missing: stage '{named.split('/')[0]}' writes it"
+        f"stage '{stage}' reads data/images.bvc, which is missing: stage 'data' writes it"
     )):
         runner.STAGES[stage].run(cfg, paths)
 
@@ -410,9 +418,9 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
     saved = {}
     save_stage = runner.save_stage
 
-    def recording(cfg, paths, stage, history, model, extras=None, meta=None):
+    def recording(paths, stage, history, model, extras=None):
         saved[stage] = model
-        save_stage(cfg, paths, stage, history, model, extras, meta)
+        save_stage(paths, stage, history, model, extras)
 
     monkeypatch.setattr(runner, "save_stage", recording)
     cfg = tiny_config(diffusion_steps=4, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 1, "align": 1})
@@ -448,7 +456,7 @@ def test_tfe_rejects_an_lmm_checkpoint_in_the_old_optimizer_layout(tmp_path):
         runner.STAGES[stage].run(cfg, paths)
     lmm = load_checkpoint(paths.checkpoint("lmm"))
     old = {"opt/param/" + k.removeprefix("model/"): v for k, v in lmm.tensors.items()}
-    save_checkpoint(paths.checkpoint("lmm"), CheckpointArchive(old, "lmm", lmm.config))
+    save_checkpoint(paths.checkpoint("lmm"), CheckpointArchive(old, "lmm"))
     with pytest.raises(KeyError, match="model/projector[.]"):
         runner.run_finetune_tfe(cfg, paths)
 
@@ -657,7 +665,8 @@ def test_stored_rows_equal_a_fresh_inference_pass(tmp_path):
         runner.STAGES[stage].run(cfg, paths)
 
     tfe = runner.load_stage(paths, "tfe")
-    model = runner._tfe_model(cfg, np.random.default_rng(0), tfe.config["use_time"], tfe.config["use_freq"],
+    use_time, use_freq = cfg.ablate != "no-time", "freq" not in ABLATION_SKIPS[cfg.ablate]
+    model = runner._tfe_model(cfg, np.random.default_rng(0), use_time, use_freq,
                               float(tfe.tensors["spectrum_scale"][0]))
     model.load_state(tfe.tensors, "model/")
     net = runner._align_net(cfg, np.random.default_rng(0))
@@ -694,6 +703,6 @@ def test_stage_rejects_stored_rows_of_another_split(tmp_path, writer, key, reade
     ckpt = load_checkpoint(paths.checkpoint(writer))
     n = len(ckpt.tensors[key])
     save_checkpoint(paths.checkpoint(writer),
-                    CheckpointArchive({**ckpt.tensors, key: ckpt.tensors[key][:-1]}, writer, ckpt.config))
+                    CheckpointArchive({**ckpt.tensors, key: ckpt.tensors[key][:-1]}, writer))
     with pytest.raises(StageError, match=f"stage '{reader}': {writer} checkpoint key '{key}' has {n - 1} rows"):
         runner.STAGES[reader].run(cfg, paths)

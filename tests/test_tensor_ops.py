@@ -887,7 +887,7 @@ GUARDS = {
                              "denoiser_mse: weights [(5, 3), (3,), (2, 3), (3,), (2, 3), (3,), (3, 3), (3,), "
                              "(3, 4), (4,), (2, 4), (4,)] do not fit latent (2, 4), time features (2, 2) and "
                              "condition (2, 2)"),
-    "predict_nan": (_nan_denoiser_predict, NonFiniteError, "denoiser_mlp: output contains NaN or Inf"),
+    "predict_nan": (_nan_denoiser_predict, NonFiniteError, "DenoiserNet.predict: output contains NaN or Inf"),
     "denoiser_mse": (lambda: _denoiser_mse(_leaf(2, 4), np.zeros((2, 2, 2))), ShapeError,
                      "denoiser_mse: target (2, 2, 2) differs from latent (2, 4)"),
     "denoiser_mse_nan": (lambda: _denoiser_mse(_nan_leaf(2, 4), np.zeros((2, 4))), NonFiniteError,
