@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..binio import CheckpointArchive, load_checkpoint, save_checkpoint
+from ..binio import load_checkpoint, save_checkpoint
 
 
 class MissingTargetError(KeyError):
@@ -68,11 +68,11 @@ class SemanticFixtures:
 
 def write_fixtures(path, fixtures: SemanticFixtures) -> None:
     tensors = {"labels": fixtures.labels, "c_label": fixtures.c_label, "c_cap": fixtures.c_cap}
-    save_checkpoint(path, CheckpointArchive(tensors, "data"))
+    save_checkpoint(path, tensors, "data")
 
 
 def load_fixtures(path) -> SemanticFixtures:
-    t = load_checkpoint(path).tensors
+    t = load_checkpoint(path, "data")
     fixtures = SemanticFixtures(t["labels"], t["c_label"], t["c_cap"])
     zero = (np.linalg.norm(fixtures.c_label, axis=1) == 0.0) | (np.linalg.norm(fixtures.c_cap, axis=1) == 0.0)
     if zero.any():

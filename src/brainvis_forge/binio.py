@@ -13,7 +13,9 @@ Dtype code 0 is float32 and 1 is int64: integer tensors are stored as
 int64 and every other tensor as float32.  Tensors are written in sorted
 name order for byte-stable output.  The checksum covers the stage tag, so
 an archive is one file that loads whole and verified or not at all; a
-stage's config snapshot is its config.json.  A load error names the file.
+stage's config snapshot is its config.json.  Every read names the stage it
+expects, and `load_checkpoint` refuses an archive another stage wrote.  A
+load error starts with the file's path.
 `write_whole` puts a file on disk whole or not at all.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
 from typing import Iterable
@@ -50,10 +51,8 @@ class TruncatedError(FileFormatError):
     """File ended before the declared content was read."""
 
 
-@dataclass
-class CheckpointArchive:
-    tensors: dict[str, np.ndarray]
-    stage: str
+class StageError(RuntimeError):
+    """A stage's inputs are missing or carry the wrong stage tag."""
 
 
 def crc_bytes(payload) -> bytes:
@@ -84,25 +83,27 @@ def _text(text: str, what: str) -> bytes:
     return struct.pack(f"<H{len(encoded)}s", len(encoded), encoded)
 
 
-def save_checkpoint(path, archive: CheckpointArchive) -> None:
+def save_checkpoint(path, tensors: dict[str, np.ndarray], stage: str) -> None:
     body = BytesIO()
-    body.write(_text(archive.stage, "stage tag"))
-    for name in sorted(archive.tensors):
-        tensor = np.asarray(archive.tensors[name])
+    body.write(_text(stage, "stage tag"))
+    for name in sorted(tensors):
+        tensor = np.asarray(tensors[name])
         code = int(np.issubdtype(tensor.dtype, np.integer))
         arr = np.asarray(tensor, dtype=DTYPES[code], order="C")
         body.write(_text(name, "tensor name") + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
         body.write(arr.tobytes())
     payload = body.getvalue()
-    write_whole(path, [MAGIC, struct.pack("<2I", VERSION, len(archive.tensors)), payload, crc_bytes(payload)])
+    write_whole(path, [MAGIC, struct.pack("<2I", VERSION, len(tensors)), payload, crc_bytes(payload)])
 
 
-def load_checkpoint(path) -> CheckpointArchive:
-    """Read an archive, copying each tensor once out of the file's bytes.
+def load_checkpoint(path, stage: str) -> dict[str, np.ndarray]:
+    """The tensors of the archive that `stage` wrote at `path`, each copied
+    once out of the file's bytes.
 
     Every header is parsed and the checksum verified before the stage tag
-    is decoded or any tensor built; a file that ends early raises
-    TruncatedError.  Every FileFormatError starts with `path`."""
+    is compared or any tensor built; a file that ends early raises
+    TruncatedError, and one tagged for another stage StageError.  Every
+    error starts with `path`."""
     path = Path(path)
     raw = path.read_bytes()
     pos = 0
@@ -129,23 +130,25 @@ def load_checkpoint(path) -> CheckpointArchive:
     if version != VERSION:
         raise UnsupportedFormatError(f"{path}: unsupported version {version}, expected {VERSION}")
 
-    stage = text("stage tag")
+    tag = text("stage tag")
     entries = []
     for _ in range(n_tensors):
         name = text("name")
+        label = f"tensor {name.decode('utf-8', 'replace')!r}"  # no strict decode before the checksum
         code, rank = unpack("<BB", "dtype code and rank")
         dims = unpack(f"<{rank}I", "dims")
         if code >= len(DTYPES):
-            raise UnsupportedFormatError(f"{path}: tensor {name!r}: unknown dtype code {code}")
+            raise UnsupportedFormatError(f"{path}: {label}: unknown dtype code {code}")
         count = int(np.prod(dims))
-        offset = take(count * DTYPES[code].itemsize, f"tensor {name!r}")
+        offset = take(count * DTYPES[code].itemsize, label)
         entries.append((name, DTYPES[code], count, dims, offset))
     end = pos
     (stored,) = unpack("<I", "checksum")
     actual = zlib.crc32(memoryview(raw)[12:end]) & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(f"{path}: checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
+    if tag != stage.encode("utf-8"):
+        raise StageError(f"{path}: written by stage {tag.decode('utf-8', 'replace')!r}, expected {stage!r}")
 
-    tensors = {name.decode("utf-8"): np.frombuffer(raw, dtype, count, offset).reshape(dims).copy()
-               for name, dtype, count, dims, offset in entries}
-    return CheckpointArchive(tensors, stage.decode("utf-8"))
+    return {name.decode("utf-8"): np.frombuffer(raw, dtype, count, offset).reshape(dims).copy()
+            for name, dtype, count, dims, offset in entries}

@@ -7,16 +7,16 @@ key is trial r.
 
 from __future__ import annotations
 
-from ..binio import CheckpointArchive, load_checkpoint, save_checkpoint
+from ..binio import load_checkpoint, save_checkpoint
 from .records import EegDataset
 
 
 def write_dataset(path, dataset: EegDataset) -> None:
     tensors = {"x": dataset.x, "labels": dataset.labels, "subjects": dataset.subjects, "image_ids": dataset.image_ids}
-    save_checkpoint(path, CheckpointArchive(tensors, "data"))
+    save_checkpoint(path, tensors, "data")
 
 
 def load_dataset(path) -> EegDataset:
     """Read the trials and ids bit-identical to what `write_dataset` wrote."""
-    t = load_checkpoint(path).tensors
+    t = load_checkpoint(path, "data")
     return EegDataset(t["x"], t["labels"], t["subjects"], t["image_ids"])

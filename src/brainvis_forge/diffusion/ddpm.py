@@ -18,17 +18,21 @@ def reverse_step(
     cond: np.ndarray | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One posterior step x_t -> x_{t-1} with sigma_t^2 = beta_t; no noise at t=1."""
+    """One posterior step x_t -> x_{t-1} with sigma_t^2 = beta_t; no noise at t=1.
+    Built in one fresh buffer: neither `x_t` nor the denoiser's output is written."""
     if t <= 0 or t > schedule.T:
         raise ValueError(f"reverse_step: t={t} outside [1, {schedule.T}]")
     x_t = np.asarray(x_t, dtype=np.float64)
     eps = denoiser.predict(x_t, t, cond)
     beta = schedule.betas[t]
-    alpha = schedule.alphas[t]
-    mean = (x_t - (beta / schedule.sqrt_one_minus_alpha_bars[t]) * eps) / np.sqrt(alpha)
-    if t == 1:
-        return mean
-    return mean + np.sqrt(beta) * rng.standard_normal(x_t.shape)
+    mean = np.multiply(eps, beta / schedule.sqrt_one_minus_alpha_bars[t])
+    np.subtract(x_t, mean, out=mean)
+    mean /= np.sqrt(schedule.alphas[t])
+    if t > 1:
+        noise = rng.standard_normal(x_t.shape)
+        noise *= np.sqrt(beta)
+        mean += noise
+    return mean
 
 
 def x0_estimate(schedule: NoiseSchedule, x_t: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:

@@ -11,23 +11,12 @@ Optimizer state is not saved: no stage resumes from a checkpoint.
 Which stage reads which archive is declared in its runner.STAGES row.
 gen-data's dataset, fixtures and images archives carry the stage tag "data";
 their keys are documented in data.bvd, align.fixtures and data.images.
+Every read names the tag it expects, and `load_checkpoint(path, stage)` raises
+StageError on an archive another stage wrote.
 """
 
 from __future__ import annotations
 
-from ..binio import CheckpointArchive, load_checkpoint, save_checkpoint
+from ..binio import StageError, load_checkpoint, save_checkpoint
 
-
-class StageError(RuntimeError):
-    """A stage's inputs are missing or carry the wrong stage tag."""
-
-
-def require_stage(archive: CheckpointArchive, expected: str) -> CheckpointArchive:
-    if archive.stage != expected:
-        raise StageError(
-            f"checkpoint carries stage {archive.stage!r} but {expected!r} is required here"
-        )
-    return archive
-
-
-__all__ = ["CheckpointArchive", "StageError", "load_checkpoint", "require_stage", "save_checkpoint"]
+__all__ = ["StageError", "load_checkpoint", "save_checkpoint"]

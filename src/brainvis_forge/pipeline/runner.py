@@ -5,9 +5,10 @@ Layout: {run_dir}/{stage}/ holding config.json (snapshot), metrics.jsonl
 images/ directory plus provenance.jsonl.  gen-data writes data/fixtures.bvc,
 data/images.bvc and data/dataset.bvc instead of a checkpoint: every array a
 run stores is a BVC archive (binio), one file whose checksummed header
-carries the tag of the stage that wrote it.  The trials are z-scored and the
-target images built once, there: every later stage reads the trials, and
-diffusion and evaluate the images, as stored.
+carries the tag of the stage that wrote it.  Every archive read, gen-data's
+included, names the tag it expects, and `load_checkpoint` refuses any other.
+The trials are z-scored and the target images built once, there: every later
+stage reads the trials, and diffusion and evaluate the images, as stored.
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
 the function that runs it, the file that marks it done and the run files it
@@ -22,7 +23,7 @@ file and a rename (`binio.write_whole`), and the marker comes last
 the images before provenance.jsonl), and a stage removes its old marker
 before it writes, so a stage, or a rerun, that fails mid-write is not done.
 Training stages hand weights on only through `save_stage` and `load_stage`
-(key layout in pipeline.checkpoint); `load_stage` checks the stage tag.
+(key layout in pipeline.checkpoint).
 A network that later stages only read from runs forward once per split, in
 the stage that trained it, and saves its output rows as extras, which later
 stages read through `_stored_rows`; only generate rebuilds a network, the
@@ -71,7 +72,7 @@ from ..lmm.model import UnitProjector, VisibleEncoder
 from ..lmm.train import build_lmm_models, prepare_units, train_lmm
 from ..metrics.report import MetricsReport, classification_block, evaluate_generation
 from ..metrics.surrogate import SurrogateClassifier, train_surrogate
-from .checkpoint import CheckpointArchive, StageError, load_checkpoint, require_stage, save_checkpoint
+from .checkpoint import StageError, load_checkpoint, save_checkpoint
 from .config import ABLATION_SKIPS, PipelineConfig
 
 
@@ -147,22 +148,22 @@ def save_stage(paths: RunPaths, stage: str, history: list[dict], model: Module,
     """Write the stage's metrics.jsonl, then its checkpoint (`model` under
     model/ plus the `extras` keys), which marks the stage done."""
     _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
-    save_checkpoint(paths.checkpoint(stage), CheckpointArchive({**model.state("model/"), **(extras or {})}, stage))
+    save_checkpoint(paths.checkpoint(stage), {**model.state("model/"), **(extras or {})}, stage)
 
 
-def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> CheckpointArchive:
-    """Read the stage's checkpoint, loading its model/ keys into `model` if given."""
-    ckpt = require_stage(load_checkpoint(paths.read(f"{stage}/checkpoint.bvc")), stage)
+def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> dict[str, np.ndarray]:
+    """The tensors of the stage's checkpoint, its model/ keys loaded into `model` if given."""
+    tensors = load_checkpoint(paths.read(f"{stage}/checkpoint.bvc"), stage)
     if model is not None:
-        model.load_state(ckpt.tensors, "model/")
-    return ckpt
+        model.load_state(tensors, "model/")
+    return tensors
 
 
 def _stored_rows(paths: RunPaths, stage: str, **n_rows: int) -> list[np.ndarray]:
     """The row arrays `stage` saved under the keys of `n_rows`, each checked
     to hold its given row count: a checkpoint left from another gen-data run
     would otherwise pair rows with the wrong records."""
-    tensors = load_stage(paths, stage).tensors
+    tensors = load_stage(paths, stage)
     for key, n in n_rows.items():
         found = len(tensors.get(key, ()))
         if found != n:
@@ -201,7 +202,7 @@ def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
     write_fixtures(stage_dir / "fixtures.bvc", fixtures)
     images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                     channels=cfg.latent_channels, seed=cfg.seed)
-    save_checkpoint(stage_dir / "images.bvc", CheckpointArchive({"images": images, "labels": labels}, "data"))
+    save_checkpoint(stage_dir / "images.bvc", {"images": images, "labels": labels}, "data")
     summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
     write_dataset(stage_dir / "dataset.bvc", dataset)
@@ -259,12 +260,12 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
     skipped = ABLATION_SKIPS[cfg.ablate]
     use_time = cfg.ablate != "no-time"
     use_freq = "freq" not in skipped
-    freq = load_stage(paths, "freq").tensors if use_freq else None
+    freq = load_stage(paths, "freq") if use_freq else None
     scale = float(freq["spectrum_scale"][0]) if use_freq else 1.0
 
     model = _tfe_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7FE])), use_time, use_freq, scale)
     if "lmm" not in skipped:
-        lmm = load_stage(paths, "lmm").tensors
+        lmm = load_stage(paths, "lmm")
         model.projector.load_state(lmm, "model/projector.")
         model.encoder.load_state(lmm, "model/encoder.")
     if use_freq:
@@ -314,7 +315,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     paths = _enter_stage(cfg, paths, "diffusion")
     dataset, split = load_run_data(cfg, paths)
-    images = load_checkpoint(paths.read("data/images.bvc")).tensors["images"]
+    images = load_checkpoint(paths.read("data/images.bvc"), "data")["images"]
 
     train = dataset.take(split.train)
     eeg_conditions = (None if cfg.ablate == "no-semantic"
@@ -378,7 +379,7 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     (logits,) = _stored_rows(paths, "tfe", test_logits=len(test))
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
-    target = load_checkpoint(paths.read("data/images.bvc")).tensors
+    target = load_checkpoint(paths.read("data/images.bvc"), "data")
     images, labels = target["images"], target["labels"]
     surrogate = SurrogateClassifier(images[0].size, cfg.surrogate_hidden, cfg.n_classes,
                                     np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A9])))

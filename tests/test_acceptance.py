@@ -367,7 +367,7 @@ def test_criterion_10_persistence(tmp_path):
     from brainvis_forge.align import generate_fixtures, load_fixtures, write_fixtures
     from brainvis_forge.binio import ChecksumError
     from brainvis_forge.data import EegDataset, load_dataset, write_dataset
-    from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
+    from brainvis_forge.pipeline.checkpoint import load_checkpoint, save_checkpoint
 
     with criterion(10, "dataset, fixtures and checkpoint archives round-trip bit-identically, reject bad checksums"):
         rng = np.random.default_rng(53)
@@ -391,10 +391,10 @@ def test_criterion_10_persistence(tmp_path):
 
         bvc = tmp_path / "c.bvc"
         tensors = {"w": rng.standard_normal((3, 3)).astype(np.float32)}
-        save_checkpoint(bvc, CheckpointArchive(tensors, "lmm"))
-        assert load_checkpoint(bvc).tensors["w"].tobytes() == tensors["w"].tobytes()
+        save_checkpoint(bvc, tensors, "lmm")
+        assert load_checkpoint(bvc, "lmm")["w"].tobytes() == tensors["w"].tobytes()
 
-        for path, loader in ((bvd, load_dataset), (bve, load_fixtures), (bvc, load_checkpoint)):
+        for path, loader in ((bvd, load_dataset), (bve, load_fixtures), (bvc, lambda p: load_checkpoint(p, "lmm"))):
             blob = bytearray(path.read_bytes())
             blob[len(blob) // 2] ^= 0xFF
             corrupted = tmp_path / ("corrupt_" + path.name)

@@ -75,9 +75,8 @@ def test_roundtrip_bit_identical(tmp_path):
     for a, b in zip(original, loaded):
         assert a.x.tobytes() == b.x.tobytes()
         assert (a.class_label, a.subject_id, a.image_id) == (b.class_label, b.subject_id, b.image_id)
-    archive = load_checkpoint(path)
-    assert archive.stage == "data"
-    assert {k: v.dtype for k, v in archive.tensors.items()} == {
+    archive = load_checkpoint(path, "data")
+    assert {k: v.dtype for k, v in archive.items()} == {
         "x": np.float32, "labels": np.int64, "subjects": np.int64, "image_ids": np.int64}
 
 

@@ -106,6 +106,30 @@ def test_reverse_step_rejects_t_zero(schedule):
         reverse_step(schedule, OracleDenoiser(np.zeros((1, 2, 2)), schedule), np.zeros((1, 2, 2)), 0, None, np.random.default_rng(0))
 
 
+def test_reverse_chain_writes_into_neither_the_callers_latent_nor_the_denoisers_output(schedule):
+    class SharedOutput:  # one array returned on every call
+        def __init__(self, shape):
+            self.out = np.random.default_rng(7).standard_normal(shape)
+
+        def predict(self, x_t, t, cond):
+            return self.out
+
+    x = np.random.default_rng(8).standard_normal((2, 3, 4, 4))
+    denoiser = SharedOutput(x.shape)
+    x_before, out_before = x.tobytes(), denoiser.out.tobytes()
+    final = reverse_chain(schedule, denoiser, x, np.zeros(4), np.random.default_rng(9), 3)
+    assert x.tobytes() == x_before and denoiser.out.tobytes() == out_before
+
+    # and each step is (x_t - c * eps) / sqrt(alpha) + sqrt(beta) * noise, bit for bit
+    rng, expected = np.random.default_rng(9), x
+    for t in (3, 2, 1):
+        c = schedule.betas[t] / schedule.sqrt_one_minus_alpha_bars[t]
+        expected = (expected - c * denoiser.out) / np.sqrt(schedule.alphas[t])
+        if t > 1:
+            expected = expected + np.sqrt(schedule.betas[t]) * rng.standard_normal(x.shape)
+    assert final.tobytes() == expected.tobytes()
+
+
 def test_reverse_trajectory_bit_identical_for_fixed_seed(schedule):
     x0 = np.random.default_rng(6).uniform(-1, 1, (3, 4, 4))
     oracle = OracleDenoiser(x0, schedule)

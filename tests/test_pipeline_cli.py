@@ -3,18 +3,20 @@
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from brainvis_forge.binio import load_checkpoint
 from brainvis_forge.data.images import make_image_set
 from brainvis_forge.data.synthetic import generate_synthetic
-from brainvis_forge.pipeline.checkpoint import StageError
+from brainvis_forge.pipeline.checkpoint import StageError, load_checkpoint, save_checkpoint
 from brainvis_forge.pipeline.cli import main
 from brainvis_forge.pipeline.config import ABLATION_SKIPS, PipelineConfig
-from brainvis_forge.pipeline.runner import RunPaths, _synthetic_spec, load_run_data, run_gen_data, run_train_lmm
+from brainvis_forge.pipeline.runner import (
+    STAGES, RunPaths, _synthetic_spec, load_run_data, run_full_chain, run_gen_data, run_train_lmm,
+)
 
 TINY = "configs/tiny.json"
 # a few training steps per stage: enough to run the whole chain quickly
@@ -224,10 +226,10 @@ def test_gen_data_stores_the_target_images_as_built(tmp_path):
     run_gen_data(cfg, paths)
     images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                     channels=cfg.latent_channels, seed=cfg.seed)
-    stored = load_checkpoint(paths.root / "data" / "images.bvc")
-    assert stored.stage == "data" and sorted(stored.tensors) == ["images", "labels"]
-    assert stored.tensors["images"].dtype == np.float32 and stored.tensors["images"].tobytes() == images.tobytes()
-    assert stored.tensors["labels"].dtype == np.int64 and stored.tensors["labels"].tobytes() == labels.tobytes()
+    stored = load_checkpoint(paths.root / "data" / "images.bvc", "data")
+    assert sorted(stored) == ["images", "labels"]
+    assert stored["images"].dtype == np.float32 and stored["images"].tobytes() == images.tobytes()
+    assert stored["labels"].dtype == np.int64 and stored["labels"].tobytes() == labels.tobytes()
 
 
 def test_gen_data_stores_the_trials_zscored_once(tmp_path):
@@ -250,18 +252,36 @@ def test_a_run_directory_from_before_the_bvc_dataset_fails_loudly(tmp_path):
         run_train_lmm(cfg, paths)
 
 
-def test_every_archive_is_one_file_tagged_with_the_stage_whose_directory_holds_it(tmp_path):
-    from brainvis_forge.pipeline import runner
+@pytest.fixture(scope="module")
+def quick_chain(tmp_path_factory) -> Path:
+    """The run directory of one QUICK chain, shared by this module's tests: copy it before changing it."""
+    root = tmp_path_factory.mktemp("quick") / "run"
+    run_full_chain(tiny_config(**QUICK), RunPaths(root))
+    return root
 
-    paths = RunPaths(tmp_path / "run")
-    runner.run_full_chain(tiny_config(**QUICK), paths)
-    assert not list(paths.root.rglob("*.meta.json"))
-    archives = sorted(paths.root.glob("*/*.bvc"))
-    assert [p.relative_to(paths.root).as_posix() for p in archives] == [
+
+def test_every_archive_is_one_file_tagged_with_the_stage_whose_directory_holds_it(quick_chain):
+    assert not list(quick_chain.rglob("*.meta.json"))
+    archives = sorted(quick_chain.glob("*/*.bvc"))
+    assert [p.relative_to(quick_chain).as_posix() for p in archives] == [
         "align/checkpoint.bvc", "data/dataset.bvc", "data/fixtures.bvc", "data/images.bvc",
         "diffusion/checkpoint.bvc", "freq/checkpoint.bvc", "lmm/checkpoint.bvc", "tfe/checkpoint.bvc"]
     for path in archives:
-        assert load_checkpoint(path).stage == path.parent.name, path
+        load_checkpoint(path, path.parent.name)  # raises StageError on any other tag
+
+
+ARCHIVE_READS = [(reader, path) for reader, stage in STAGES.items() for path in stage.reads if path.endswith(".bvc")]
+
+
+@pytest.mark.parametrize("reader, archive", ARCHIVE_READS)
+def test_every_archive_read_refuses_an_archive_tagged_for_another_stage(tmp_path, quick_chain, reader, archive):
+    paths = RunPaths(shutil.copytree(quick_chain, tmp_path / "run"))
+    writer = archive.split("/")[0]
+    other = "lmm" if writer == "data" else "data"
+    path = paths.root / archive
+    save_checkpoint(path, load_checkpoint(path, writer), other)
+    with pytest.raises(StageError, match=f"^{re.escape(str(path))}: written by stage '{other}', expected '{writer}'$"):
+        STAGES[reader].run(tiny_config(**QUICK), paths)
 
 
 # a run directory from before gen-data stored the target images
@@ -351,10 +371,10 @@ def test_a_rerun_that_fails_partway_leaves_its_stage_not_done(tmp_path, monkeypa
         stage.run(cfg, paths)
     save = runner.save_checkpoint
 
-    def fail_on_images(path, archive):
+    def fail_on_images(path, tensors, stage):
         if Path(path).name == "images.bvc":
             raise OSError("disk full")
-        save(path, archive)
+        save(path, tensors, stage)
 
     monkeypatch.setattr(runner, "save_checkpoint", fail_on_images)
     with pytest.raises(OSError, match="disk full"):
@@ -388,7 +408,7 @@ def test_tfe_starts_from_the_pretrained_branches(tmp_path):
     paths = RunPaths(tmp_path / "run")
     for stage in ("data", "lmm", "freq", "tfe"):
         runner.STAGES[stage].run(cfg, paths)
-    tfe, lmm, freq = (runner.load_stage(paths, stage).tensors for stage in ("tfe", "lmm", "freq"))
+    tfe, lmm, freq = (runner.load_stage(paths, stage) for stage in ("tfe", "lmm", "freq"))
     for tfe_prefix, source, prefix in (
         ("model/projector.", lmm, "model/projector."),
         ("model/encoder.", lmm, "model/encoder."),
@@ -437,7 +457,7 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
     }
     assert set(saved) == set(expected)
     for stage, (kind, extras) in expected.items():
-        model, tensors = saved[stage], runner.load_stage(paths, stage).tensors
+        model, tensors = saved[stage], runner.load_stage(paths, stage)
         assert isinstance(model, kind)
         params = dict(model.named_parameters("model/"))
         assert set(tensors) == set(params) | extras
@@ -448,15 +468,14 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
 
 def test_tfe_rejects_an_lmm_checkpoint_in_the_old_optimizer_layout(tmp_path):
     from brainvis_forge.pipeline import runner
-    from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
 
     cfg = tiny_config(epochs={**tiny_config().epochs, "lmm": 1, "freq": 1})
     paths = RunPaths(tmp_path / "run")
     for stage in ("data", "lmm", "freq"):
         runner.STAGES[stage].run(cfg, paths)
-    lmm = load_checkpoint(paths.checkpoint("lmm"))
-    old = {"opt/param/" + k.removeprefix("model/"): v for k, v in lmm.tensors.items()}
-    save_checkpoint(paths.checkpoint("lmm"), CheckpointArchive(old, "lmm"))
+    lmm = load_checkpoint(paths.checkpoint("lmm"), "lmm")
+    old = {"opt/param/" + k.removeprefix("model/"): v for k, v in lmm.items()}
+    save_checkpoint(paths.checkpoint("lmm"), old, "lmm")
     with pytest.raises(KeyError, match="model/projector[.]"):
         runner.run_finetune_tfe(cfg, paths)
 
@@ -468,7 +487,7 @@ def test_no_time_tfe_has_no_time_branch(tmp_path):
     paths = RunPaths(tmp_path / "run")
     for stage in ("data", "freq", "tfe", "align"):
         runner.STAGES[stage].run(cfg, paths)
-    tfe = runner.load_stage(paths, "tfe").tensors
+    tfe = runner.load_stage(paths, "tfe")
     assert any(k.startswith("model/freq_encoder.") for k in tfe) and "model/head.weight" in tfe
     assert not [k for k in tfe if k.startswith(("model/projector.", "model/encoder."))]
     # The disabled time branch contributes zeros to every stored fused row.
@@ -667,17 +686,17 @@ def test_stored_rows_equal_a_fresh_inference_pass(tmp_path):
     tfe = runner.load_stage(paths, "tfe")
     use_time, use_freq = cfg.ablate != "no-time", "freq" not in ABLATION_SKIPS[cfg.ablate]
     model = runner._tfe_model(cfg, np.random.default_rng(0), use_time, use_freq,
-                              float(tfe.tensors["spectrum_scale"][0]))
-    model.load_state(tfe.tensors, "model/")
+                              float(tfe["spectrum_scale"][0]))
+    model.load_state(tfe, "model/")
     net = runner._align_net(cfg, np.random.default_rng(0))
-    c_eeg = runner.load_stage(paths, "align", net).tensors
+    c_eeg = runner.load_stage(paths, "align", net)
     dataset, split = runner.load_run_data(cfg, paths)
     fresh = {name: predict(model.fused, *tfe_inputs(model, dataset.take(rows), cfg.n))
              for name, rows in (("train", split.train), ("test", split.test))}
     for name, fused in fresh.items():
-        assert np.array_equal(tfe.tensors[f"{name}_fused"], fused)
+        assert np.array_equal(tfe[f"{name}_fused"], fused)
         assert np.array_equal(c_eeg[f"{name}_c_eeg"], align(net, fused))
-    assert np.array_equal(tfe.tensors["test_logits"], classify_batch(model, fresh["test"]))
+    assert np.array_equal(tfe["test_logits"], classify_batch(model, fresh["test"]))
 
 
 @pytest.mark.parametrize(
@@ -693,16 +712,14 @@ def test_stored_rows_equal_a_fresh_inference_pass(tmp_path):
 )
 def test_stage_rejects_stored_rows_of_another_split(tmp_path, writer, key, reader):
     from brainvis_forge.pipeline import runner
-    from brainvis_forge.pipeline.checkpoint import CheckpointArchive, load_checkpoint, save_checkpoint
 
     cfg = tiny_config(diffusion_steps=2, epochs={"lmm": 1, "freq": 1, "time_ft": 1, "joint_ft": 0, "align": 1})
     paths = RunPaths(tmp_path / "run")
     stages = list(runner.STAGES)
     for stage in stages[: stages.index(reader)]:
         runner.STAGES[stage].run(cfg, paths)
-    ckpt = load_checkpoint(paths.checkpoint(writer))
-    n = len(ckpt.tensors[key])
-    save_checkpoint(paths.checkpoint(writer),
-                    CheckpointArchive({**ckpt.tensors, key: ckpt.tensors[key][:-1]}, writer))
+    ckpt = load_checkpoint(paths.checkpoint(writer), writer)
+    n = len(ckpt[key])
+    save_checkpoint(paths.checkpoint(writer), {**ckpt, key: ckpt[key][:-1]}, writer)
     with pytest.raises(StageError, match=f"stage '{reader}': {writer} checkpoint key '{key}' has {n - 1} rows"):
         runner.STAGES[reader].run(cfg, paths)
