@@ -6,7 +6,6 @@ from .fixtures import (
     ZeroNormTargetError,
     generate_fixtures,
     load_fixtures,
-    write_fixtures,
 )
 from ..autodiff.ops import si_loss
 from .model import AlignmentNet, ResidualBlock, align
@@ -23,5 +22,4 @@ __all__ = [
     "load_fixtures",
     "si_loss",
     "train_align",
-    "write_fixtures",
 ]

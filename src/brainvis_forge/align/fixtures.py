@@ -1,13 +1,14 @@
-"""Semantic embedding fixtures, stored as one BVC archive (format in binio).
+"""Semantic embedding fixtures, stored in gen-data's archive (format in binio).
 
 Each stimulus image carries two target vectors: a coarse label-level
 direction and a finer caption-level variant.  `SemanticFixtures` holds them
 as one table whose row i is image id i: `labels[i]` is the image's class,
-`c_label[i]` and `c_cap[i]` its two targets.  Fixture files stand in for
+`c_label[i]` and `c_cap[i]` its two targets.  The fixtures stand in for
 external embedding models, so the alignment stage is fully reproducible
-offline.  The archive, tagged stage "data", holds the table's three
-columns under their field names: labels (I,) int64, c_label and c_cap
-(I, e) float32.
+offline.  gen-data's archive, data/checkpoint.bvc (tagged stage "data"),
+holds the table's three columns beside the trials and the target images:
+image_labels (I,) int64, the per-image class column the images share,
+and c_label and c_cap (I, e) float32.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..binio import load_checkpoint, save_checkpoint
+from ..binio import load_checkpoint
 
 
 class MissingTargetError(KeyError):
@@ -66,14 +67,10 @@ class SemanticFixtures:
         return self.c_cap[image_ids], self.c_label[image_ids]
 
 
-def write_fixtures(path, fixtures: SemanticFixtures) -> None:
-    tensors = {"labels": fixtures.labels, "c_label": fixtures.c_label, "c_cap": fixtures.c_cap}
-    save_checkpoint(path, tensors, "data")
-
-
 def load_fixtures(path) -> SemanticFixtures:
+    """The fixtures table of gen-data's archive at `path`, checked to hold no zero-norm vector."""
     t = load_checkpoint(path, "data")
-    fixtures = SemanticFixtures(t["labels"], t["c_label"], t["c_cap"])
+    fixtures = SemanticFixtures(t["image_labels"], t["c_label"], t["c_cap"])
     zero = (np.linalg.norm(fixtures.c_label, axis=1) == 0.0) | (np.linalg.norm(fixtures.c_cap, axis=1) == 0.0)
     if zero.any():
         i = int(np.argmax(zero))

@@ -1,7 +1,7 @@
 """The BVC container, the one format in which a run stores arrays.
 
-The dataset, the semantic fixtures and every stage checkpoint are BVC
-archives: named tensors plus the tag of the stage that wrote them.
+Every stage archive, gen-data's included, is a BVC archive: named tensors
+plus the tag of the stage that wrote them.
 
 Layout (little-endian):
     magic "BVC1" | u32 version=3 | u32 n_tensors
@@ -91,8 +91,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], stage: str) -> None:
         code = int(np.issubdtype(tensor.dtype, np.integer))
         arr = np.asarray(tensor, dtype=DTYPES[code], order="C")
         body.write(_text(name, "tensor name") + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
-        body.write(arr.tobytes())
-    payload = body.getvalue()
+        body.write(arr)  # straight from the array's buffer, with no bytes copy between
+    payload = body.getbuffer()  # a view: the payload is held once, in `body`
     write_whole(path, [MAGIC, struct.pack("<2I", VERSION, len(tensors)), payload, crc_bytes(payload)])
 
 

@@ -1,6 +1,6 @@
 """Dataset ingestion, synthetic generation, segmentation, and splitting."""
 
-from .bvd import load_dataset, write_dataset
+from .bvd import load_dataset
 from .images import make_image_set
 from .records import DatasetSplit, EegDataset, EegRecord, zscore_channels
 from .segment import flatten_units, segment_units
@@ -18,6 +18,5 @@ __all__ = [
     "make_image_set",
     "segment_units",
     "split_by_image",
-    "write_dataset",
     "zscore_channels",
 ]

@@ -5,12 +5,12 @@ the aligned semantic embedding and steps T_s .. 1 on the predicted class's
 embedding; the latent carries across the switch unmodified, with no
 re-noising.  The cascade switches at T_s = floor(rho * T) (`switch_step`);
 the "no-refine" ablation switches at 0 and "no-semantic" at T.
+`generate_samples` returns the latents and the step counts only; the
+generate stage (pipeline.runner) builds each sample's provenance row where
+it writes the sample.
 """
 
 from __future__ import annotations
-
-import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,26 +72,6 @@ def reverse_chain(
     return x
 
 
-@dataclass
-class GenerationProvenance:
-    """Audit trail for one sample: which conditions drove which stage."""
-
-    record_index: int
-    sample_index: int
-    predicted_label: int
-    c_eeg_crc32: str
-    stage1_steps: int
-    stage2_steps: int
-    mode: str = "cascade"
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def _crc(vec: np.ndarray) -> str:
-    return f"{zlib.crc32(np.ascontiguousarray(vec, dtype='<f8').tobytes()) & 0xFFFFFFFF:08x}"
-
-
 def generate_samples(
     schedule: NoiseSchedule,
     denoiser: DenoiserNet,
@@ -103,14 +83,15 @@ def generate_samples(
     n_samples: int,
     master_seed: int,
     mode: str = "cascade",
-) -> list[tuple[np.ndarray, GenerationProvenance]]:
+) -> tuple[np.ndarray, int, int]:
     """Draw `n_samples` latents for each of R records under the requested mode.
 
     `record_indices` and `predicted_labels` are (R,) and `c_eeg` is (R, e);
     the class condition is the denoiser's embedding of each predicted label.
     All R * n_samples latents advance together as one batch, so the chain
-    makes T denoiser calls in all.  Returns (latent, provenance) pairs in
-    record-major, sample-minor order.
+    makes T denoiser calls in all.  Returns the (R * n_samples, *latent_shape)
+    float64 latents in record-major, sample-minor order, then the number of
+    steps under the semantic and under the class condition.
 
     Modes set where the chain hands over from the semantic to the class
     condition (module docstring): "cascade" at T_s, "no-refine" at 0,
@@ -139,13 +120,4 @@ def generate_samples(
     x = noise.standard_normal((n_records * n_samples,) + denoiser.latent_shape)
     x = reverse_chain(schedule, denoiser, x, np.repeat(c_eeg, n_samples, axis=0), noise, schedule.T, stage2_steps)
     x = reverse_chain(schedule, denoiser, x, np.repeat(class_cond, n_samples, axis=0), noise, stage2_steps)
-
-    out = []
-    for row, (record_index, label, c_vec) in enumerate(zip(record_indices, predicted_labels, c_eeg)):
-        crc = _crc(c_vec)
-        for s in range(n_samples):
-            prov = GenerationProvenance(record_index=int(record_index), sample_index=s, predicted_label=int(label),
-                                        c_eeg_crc32=crc, stage1_steps=stage1_steps, stage2_steps=stage2_steps,
-                                        mode=mode)
-            out.append((x[row * n_samples + s], prov))
-    return out
+    return x, stage1_steps, stage2_steps

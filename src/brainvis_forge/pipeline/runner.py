@@ -1,14 +1,16 @@
 """The pipeline's stages over a run directory, and the one table that lists them.
 
 Layout: {run_dir}/{stage}/ holding config.json (snapshot), metrics.jsonl
-(per-epoch or per-step log lines), checkpoint.bvc, and for generation an
-images/ directory plus provenance.jsonl.  gen-data writes data/fixtures.bvc,
-data/images.bvc and data/dataset.bvc instead of a checkpoint: every array a
-run stores is a BVC archive (binio), one file whose checksummed header
-carries the tag of the stage that wrote it.  Every archive read, gen-data's
-included, names the tag it expects, and `load_checkpoint` refuses any other.
-The trials are z-scored and the target images built once, there: every later
-stage reads the trials, and diffusion and evaluate the images, as stored.
+(per-epoch or per-step log lines), and checkpoint.bvc, or for generation an
+images/ directory plus provenance.jsonl and for evaluate report.json.  Every
+array a run stores is in a stage's checkpoint.bvc, a BVC archive (binio):
+one file, written only by `save_stage`, whose checksummed header carries the
+tag of the stage that wrote it.  Every archive read names the tag it
+expects, and `load_checkpoint` refuses any other.  gen-data's archive holds
+the trials, the target images and the semantic fixtures (key layout in
+pipeline.checkpoint); the trials are z-scored and the images built once,
+there: every later stage reads the trials, and diffusion and evaluate the
+images, as stored.
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
 the function that runs it, the file that marks it done and the run files it
@@ -19,11 +21,10 @@ declare.  An ablation drops the stages it skips (config.ABLATION_SKIPS) from
 the chain and from the prerequisites.
 Every stage file but the generated images appears whole, through a temporary
 file and a rename (`binio.write_whole`), and the marker comes last
-(metrics.jsonl before checkpoint.bvc, the other archives before dataset.bvc,
-the images before provenance.jsonl), and a stage removes its old marker
-before it writes, so a stage, or a rerun, that fails mid-write is not done.
-Training stages hand weights on only through `save_stage` and `load_stage`
-(key layout in pipeline.checkpoint).
+(metrics.jsonl before checkpoint.bvc, the images before provenance.jsonl),
+and a stage removes its old marker before it writes, so a stage, or a
+rerun, that fails mid-write is not done.  Stages hand arrays on only through
+`save_stage` and `load_stage` (key layout in pipeline.checkpoint).
 A network that later stages only read from runs forward once per split, in
 the stage that trained it, and saves its output rows as extras, which later
 stages read through `_stored_rows`; only generate rebuilds a network, the
@@ -43,19 +44,20 @@ returns the surrogate's train accuracy, which the report records.
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ..align.fixtures import generate_fixtures, load_fixtures, write_fixtures
+from ..align.fixtures import generate_fixtures, load_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
 from ..autodiff import predict
 from ..autodiff.nn import Linear, LstmEncoder, Module
 from ..binio import write_whole
-from ..data.bvd import load_dataset, write_dataset
+from ..data.bvd import load_dataset
 from ..data.images import make_image_set
 from ..data.records import DatasetSplit, EegDataset, zscore_channels
 from ..data.split import split_by_image
@@ -143,12 +145,13 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
     write_whole(path, ((json.dumps(row, sort_keys=True) + "\n").encode() for row in rows))
 
 
-def save_stage(paths: RunPaths, stage: str, history: list[dict], model: Module,
+def save_stage(paths: RunPaths, stage: str, history: list[dict], model: Module | None = None,
                extras: dict[str, np.ndarray] | None = None) -> None:
-    """Write the stage's metrics.jsonl, then its checkpoint (`model` under
-    model/ plus the `extras` keys), which marks the stage done."""
+    """Write the stage's metrics.jsonl, then its checkpoint (`model`, if given,
+    under model/ plus the `extras` keys), which marks the stage done."""
     _write_jsonl(paths.stage_dir(stage) / "metrics.jsonl", history)
-    save_checkpoint(paths.checkpoint(stage), {**model.state("model/"), **(extras or {})}, stage)
+    state = model.state("model/") if model is not None else {}
+    save_checkpoint(paths.checkpoint(stage), {**state, **(extras or {})}, stage)
 
 
 def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> dict[str, np.ndarray]:
@@ -181,7 +184,7 @@ def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
 
 
 def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, DatasetSplit]:
-    dataset = load_dataset(paths.read("data/dataset.bvc"))
+    dataset = load_dataset(paths.read("data/checkpoint.bvc"))
     return dataset, split_by_image(dataset, seed=cfg.seed)
 
 
@@ -190,22 +193,22 @@ def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, Dat
 
 
 def run_gen_data(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    """Generate the trials, z-score each channel once, and write the fixtures,
-    the target images, metrics.jsonl and last dataset.bvc, the stage's marker."""
+    """Generate the trials, z-score each channel once, build the semantic
+    fixtures and the target images, and save them all as the stage's one
+    archive; the images and fixtures share one class column, image_labels."""
     paths = _enter_stage(cfg, paths, "data")
-    stage_dir = paths.stage_dir("data")
     raw = generate_synthetic(_synthetic_spec(cfg))
     dataset = replace(raw, x=zscore_channels(raw.x))
     fixtures = generate_fixtures(
         cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed, caption_offset=cfg.caption_offset
     )
-    write_fixtures(stage_dir / "fixtures.bvc", fixtures)
-    images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
-                                    channels=cfg.latent_channels, seed=cfg.seed)
-    save_checkpoint(stage_dir / "images.bvc", {"images": images, "labels": labels}, "data")
-    summary = {"records": len(dataset), "images": cfg.n_classes * cfg.records_per_class, "fixtures": len(fixtures)}
-    _write_jsonl(stage_dir / "metrics.jsonl", [summary])
-    write_dataset(stage_dir / "dataset.bvc", dataset)
+    images, _ = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
+                               channels=cfg.latent_channels, seed=cfg.seed)
+    summary = {"records": len(dataset), "images": len(images), "fixtures": len(fixtures)}
+    save_stage(paths, "data", [summary], extras={
+        **vars(dataset), "images": images, "image_labels": fixtures.labels, "c_label": fixtures.c_label,
+        "c_cap": fixtures.c_cap,
+    })
     return summary
 
 
@@ -299,7 +302,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     paths = _enter_stage(cfg, paths, "align")
     dataset, split = load_run_data(cfg, paths)
     train_fused, test_fused = _stored_rows(paths, "tfe", train_fused=len(split.train), test_fused=len(split.test))
-    fixtures = load_fixtures(paths.read("data/fixtures.bvc"))
+    fixtures = load_fixtures(paths.read("data/checkpoint.bvc"))
     train = dataset.take(split.train)
 
     net = _align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])))
@@ -315,7 +318,7 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     paths = _enter_stage(cfg, paths, "diffusion")
     dataset, split = load_run_data(cfg, paths)
-    images = load_checkpoint(paths.read("data/images.bvc"), "data")["images"]
+    images = load_stage(paths, "data")["images"]
 
     train = dataset.take(split.train)
     eeg_conditions = (None if cfg.ablate == "no-semantic"
@@ -354,16 +357,23 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     (logits,) = _stored_rows(paths, "tfe", test_logits=n_test)
     c_eeg = np.zeros((n_test, cfg.e)) if mode == "no-semantic" else _stored_rows(paths, "align", test_c_eeg=n_test)[0]
 
-    samples = generate_samples(schedule, denoiser, record_indices=np.asarray(split.test), c_eeg=c_eeg,
-                               predicted_labels=np.argmax(logits, axis=1), rho=cfg.rho,
-                               n_samples=cfg.samples_per_record, master_seed=cfg.seed, mode=mode)
+    predicted = np.argmax(logits, axis=1)
+    n_samples = cfg.samples_per_record
+    latents, stage1_steps, stage2_steps = generate_samples(
+        schedule, denoiser, record_indices=np.asarray(split.test), c_eeg=c_eeg, predicted_labels=predicted,
+        rho=cfg.rho, n_samples=n_samples, master_seed=cfg.seed, mode=mode)
     images_dir = stage_dir / "images"
     images_dir.mkdir(exist_ok=True)
     provenance_rows = []
-    for latent, prov in samples:
-        record = dataset[prov.record_index]
-        write_ppm(images_dir / sample_filename(prov.record_index, prov.sample_index), latent)
-        provenance_rows.append({**prov.to_dict(), "true_label": record.class_label, "image_id": record.image_id})
+    for row, (i, label, c_vec) in enumerate(zip(split.test, predicted, c_eeg)):
+        record = {"record_index": i, "predicted_label": int(label), "stage1_steps": stage1_steps,
+                  "stage2_steps": stage2_steps, "mode": mode, "true_label": int(dataset.labels[i]),
+                  "image_id": int(dataset.image_ids[i]),
+                  # over the condition's float64 bytes, as the sampler took it
+                  "c_eeg_crc32": f"{zlib.crc32(np.asarray(c_vec, dtype='<f8').tobytes()):08x}"}
+        for s in range(n_samples):
+            write_ppm(images_dir / sample_filename(i, s), latents[row * n_samples + s])
+            provenance_rows.append({**record, "sample_index": s})
 
     summary = {"samples": len(provenance_rows), "records": n_test, "mode": mode}
     _write_jsonl(stage_dir / "metrics.jsonl", [summary])
@@ -379,8 +389,9 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     (logits,) = _stored_rows(paths, "tfe", test_logits=len(test))
     cls_block = classification_block(logits, test.labels, cfg.n_classes)
 
-    target = load_checkpoint(paths.read("data/images.bvc"), "data")
-    images, labels = target["images"], target["labels"]
+    data = load_stage(paths, "data")
+    images, labels = data["images"], data["image_labels"]
+    del data  # the trials and fixtures in it need not live through the scoring below
     surrogate = SurrogateClassifier(images[0].size, cfg.surrogate_hidden, cfg.n_classes,
                                     np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A9])))
     surrogate_train_acc = train_surrogate(surrogate, images, labels, epochs=cfg.surrogate_epochs, lr=3e-3)
@@ -411,22 +422,22 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
 
 STAGES: dict[str, Stage] = {
     "data": Stage("gen-data", "generate the synthetic dataset and semantic fixtures", run_gen_data,
-                  "dataset.bvc", ()),
+                  "checkpoint.bvc", ()),
     "lmm": Stage("train-lmm", "masked-latent pretraining of the time branch", run_train_lmm,
-                 "checkpoint.bvc", ("data/dataset.bvc",)),
+                 "checkpoint.bvc", ("data/checkpoint.bvc",)),
     "freq": Stage("train-freq", "supervised pretraining of the frequency branch", run_train_freq,
-                  "checkpoint.bvc", ("data/dataset.bvc",)),
+                  "checkpoint.bvc", ("data/checkpoint.bvc",)),
     "tfe": Stage("finetune-tfe", "staged fine-tuning of the fused classifier", run_finetune_tfe,
-                 "checkpoint.bvc", ("data/dataset.bvc", "lmm/checkpoint.bvc", "freq/checkpoint.bvc")),
+                 "checkpoint.bvc", ("data/checkpoint.bvc", "lmm/checkpoint.bvc", "freq/checkpoint.bvc")),
     "align": Stage("train-align", "train the semantic alignment network", run_train_align,
-                   "checkpoint.bvc", ("data/dataset.bvc", "data/fixtures.bvc", "tfe/checkpoint.bvc")),
+                   "checkpoint.bvc", ("data/checkpoint.bvc", "tfe/checkpoint.bvc")),
     "diffusion": Stage("train-diffusion", "train the conditional denoiser", run_train_diffusion,
-                       "checkpoint.bvc", ("data/dataset.bvc", "data/images.bvc", "align/checkpoint.bvc")),
+                       "checkpoint.bvc", ("data/checkpoint.bvc", "align/checkpoint.bvc")),
     "generate": Stage("generate", "sample images for the test records", run_generate, "provenance.jsonl",
-                      ("data/dataset.bvc", "tfe/checkpoint.bvc", "align/checkpoint.bvc", "diffusion/checkpoint.bvc")),
+                      ("data/checkpoint.bvc", "tfe/checkpoint.bvc", "align/checkpoint.bvc", "diffusion/checkpoint.bvc")),
     "evaluate": Stage("evaluate", "score classification and generation, write report.json", run_evaluate,
                       "report.json",
-                      ("data/dataset.bvc", "data/images.bvc", "tfe/checkpoint.bvc", "generate/images/")),
+                      ("data/checkpoint.bvc", "tfe/checkpoint.bvc", "generate/images/")),
 }
 
 

@@ -5,7 +5,7 @@ inversion for the reverse chain, the inverse of `segment_units`, the
 one-hot codeword map the LMM loss targets are built from, the one-image
 SSIM the batched `ssim` must match bit for bit, the one-image target
 builder `make_image_set` must match byte for byte, the per-entry BVC
-writer whose bytes `write_fixtures` must reproduce, the
+writer whose bytes `save_checkpoint` must reproduce for the fixture columns, the
 per-item matmul gradients the folded ones must match in rounding, the
 op-by-op tape compositions whose forwards the fused `layer_norm`,
 `attention_core` and `codeword_nll` and the untaped denoiser estimate must match bit for bit (and whose
@@ -137,19 +137,20 @@ def make_image(class_label: int, image_id: int, size: int = 16, channels: int = 
 
 
 def write_fixtures_per_entry(path, entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]], e: int) -> None:
-    """The fixtures' BVC archive (version 3) written field by field, one
-    entry at a time: (class_label, image_id) -> (label vector, caption
-    vector), image ids 0, 1, ... in dict order.  The stage tag "data" comes
-    first as u16 length and bytes; the columns follow in name order, c_cap,
-    c_label, labels, each as u16 name length, name, u8 dtype code (0
-    float32, 1 int64), u8 rank, u32 dims, then its rows."""
+    """The fixtures' columns as a BVC archive (version 3), written field by
+    field, one entry at a time: (class_label, image_id) -> (label vector,
+    caption vector), image ids 0, 1, ... in dict order.  The stage tag "data"
+    comes first as u16 length and bytes; the columns follow in name order,
+    under the names gen-data's archive gives them, c_cap, c_label,
+    image_labels, each as u16 name length, name, u8 dtype code (0 float32,
+    1 int64), u8 rank, u32 dims, then its rows."""
     if [image_id for _, image_id in entries] != list(range(len(entries))):
         raise ValueError("write_fixtures_per_entry: image ids must run 0, 1, ... in order")
     n = len(entries)
     columns = {
         b"c_cap": (0, (n, e), [struct.pack(f"<{e}f", *cap) for _, cap in entries.values()]),
         b"c_label": (0, (n, e), [struct.pack(f"<{e}f", *label) for label, _ in entries.values()]),
-        b"labels": (1, (n,), [struct.pack("<q", class_label) for class_label, _ in entries]),
+        b"image_labels": (1, (n,), [struct.pack("<q", class_label) for class_label, _ in entries]),
     }
     body = BytesIO()
     body.write(struct.pack("<H", 4) + b"data")

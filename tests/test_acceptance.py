@@ -364,24 +364,23 @@ def test_criterion_9_metric_oracles():
 
 
 def test_criterion_10_persistence(tmp_path):
-    from brainvis_forge.align import generate_fixtures, load_fixtures, write_fixtures
+    from brainvis_forge.align import generate_fixtures, load_fixtures
     from brainvis_forge.binio import ChecksumError
-    from brainvis_forge.data import EegDataset, load_dataset, write_dataset
+    from brainvis_forge.data import EegDataset, load_dataset
     from brainvis_forge.pipeline.checkpoint import load_checkpoint, save_checkpoint
 
     with criterion(10, "dataset, fixtures and checkpoint archives round-trip bit-identically, reject bad checksums"):
         rng = np.random.default_rng(53)
 
+        # gen-data's archive: the trials under the dataset's field names beside the fixtures' columns
         bvd = tmp_path / "d.bvc"
         records = EegDataset(rng.standard_normal((6, 4, 12)).astype(np.float32), np.arange(6) % 3, np.arange(6) % 2, np.arange(6))
-        write_dataset(bvd, records)
+        fixtures = generate_fixtures(3, 2, e=12, seed=1)
+        save_checkpoint(bvd, {**vars(records), "image_labels": fixtures.labels, "c_label": fixtures.c_label,
+                              "c_cap": fixtures.c_cap}, "data")
         loaded = load_dataset(bvd)
         assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, loaded))
-
-        bve = tmp_path / "f.bvc"
-        fixtures = generate_fixtures(3, 2, e=12, seed=1)
-        write_fixtures(bve, fixtures)
-        loaded_fx = load_fixtures(bve)
+        loaded_fx = load_fixtures(bvd)
         assert loaded_fx.labels.tolist() == fixtures.labels.tolist()
         assert all(
             fixtures.c_cap[i].tobytes() == loaded_fx.c_cap[i].tobytes()
@@ -394,7 +393,7 @@ def test_criterion_10_persistence(tmp_path):
         save_checkpoint(bvc, tensors, "lmm")
         assert load_checkpoint(bvc, "lmm")["w"].tobytes() == tensors["w"].tobytes()
 
-        for path, loader in ((bvd, load_dataset), (bve, load_fixtures), (bvc, lambda p: load_checkpoint(p, "lmm"))):
+        for path, loader in ((bvd, load_dataset), (bvd, load_fixtures), (bvc, lambda p: load_checkpoint(p, "lmm"))):
             blob = bytearray(path.read_bytes())
             blob[len(blob) // 2] ^= 0xFF
             corrupted = tmp_path / ("corrupt_" + path.name)

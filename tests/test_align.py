@@ -12,11 +12,17 @@ from brainvis_forge.align import (
     load_fixtures,
     si_loss,
     train_align,
-    write_fixtures,
 )
 from brainvis_forge.autodiff import Tensor, active_tape, backward
 from brainvis_forge.binio import ChecksumError, UnsupportedFormatError
+from brainvis_forge.pipeline.checkpoint import save_checkpoint
 from oracles import si_loss_chain, write_fixtures_per_entry
+
+
+def _save_fixtures(path, fixtures: SemanticFixtures) -> None:
+    """The fixtures' columns as gen-data stores them in its archive."""
+    save_checkpoint(path, {"image_labels": fixtures.labels, "c_label": fixtures.c_label, "c_cap": fixtures.c_cap},
+                    "data")
 
 
 def _entries(fixtures: SemanticFixtures) -> dict:
@@ -30,7 +36,7 @@ def _entries(fixtures: SemanticFixtures) -> dict:
 def test_fixture_roundtrip_bit_identical(tmp_path):
     fixtures = generate_fixtures(3, 4, e=16, seed=1)
     path = tmp_path / "f.bvc"
-    write_fixtures(path, fixtures)
+    _save_fixtures(path, fixtures)
     loaded = load_fixtures(path)
     assert loaded.e == 16
     assert loaded.labels.tolist() == fixtures.labels.tolist() == [i // 4 for i in range(12)]
@@ -42,7 +48,7 @@ def test_fixture_roundtrip_bit_identical(tmp_path):
 def test_fixture_clip_shaped_header(tmp_path):
     fixtures = generate_fixtures(2, 2, e=768, seed=0)
     path = tmp_path / "clip.bvc"
-    write_fixtures(path, fixtures)
+    _save_fixtures(path, fixtures)
     assert load_fixtures(path).e == 768
 
 
@@ -55,9 +61,9 @@ def test_fixture_clip_shaped_header(tmp_path):
         (3, 5, 7),
     ],
 )
-def test_structured_writer_bytes_equal_per_entry_oracle(tmp_path, n_classes, per_class, e):
+def test_saved_fixture_columns_equal_per_entry_oracle_bytes(tmp_path, n_classes, per_class, e):
     fixtures = generate_fixtures(n_classes, per_class, e=e, seed=5)
-    write_fixtures(tmp_path / "table.bvc", fixtures)
+    _save_fixtures(tmp_path / "table.bvc", fixtures)
     write_fixtures_per_entry(tmp_path / "entries.bvc", _entries(fixtures), e)
     assert (tmp_path / "table.bvc").read_bytes() == (tmp_path / "entries.bvc").read_bytes()
 
@@ -75,14 +81,14 @@ def test_fixture_generator_deterministic_and_controlled_angle():
 
 def test_fixture_bad_magic_and_crc(tmp_path):
     path = tmp_path / "x.bvc"
-    write_fixtures(path, generate_fixtures(2, 2, e=8, seed=0))
+    _save_fixtures(path, generate_fixtures(2, 2, e=8, seed=0))
     blob = bytearray(path.read_bytes())
     blob[0] = ord(b"Z")
     (tmp_path / "bad_magic.bvc").write_bytes(bytes(blob))
     with pytest.raises(UnsupportedFormatError):
         load_fixtures(tmp_path / "bad_magic.bvc")
     blob = bytearray(path.read_bytes())
-    blob[-20] ^= 0xFF  # a byte of labels, the last column
+    blob[-20] ^= 0xFF  # a byte of image_labels, the last column
     (tmp_path / "bad_crc.bvc").write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         load_fixtures(tmp_path / "bad_crc.bvc")
@@ -117,14 +123,14 @@ def test_zero_norm_vector_rejected_at_load(tmp_path):
 
     fixtures = SemanticFixtures([0], np.zeros((1, 8), dtype=np.float32), np.ones((1, 8), dtype=np.float32))
     path = tmp_path / "zero.bvc"
-    write_fixtures(path, fixtures)
+    _save_fixtures(path, fixtures)
     with pytest.raises(ZeroNormTargetError):
         load_fixtures(path)
 
     fixtures = generate_fixtures(2, 3, e=8, seed=4)
     fixtures.c_cap[4] = 0.0
     path = tmp_path / "zero_row.bvc"
-    write_fixtures(path, fixtures)
+    _save_fixtures(path, fixtures)
     with pytest.raises(ZeroNormTargetError, match=r"entry \(1, 4\)"):
         load_fixtures(path)
 

@@ -17,12 +17,11 @@ from brainvis_forge.data import (
     make_image_set,
     segment_units,
     split_by_image,
-    write_dataset,
     zscore_channels,
 )
 from brainvis_forge.data.split import SPLIT_RATIOS, _largest_remainder_counts
 from brainvis_forge.lmm.train import prepare_units
-from brainvis_forge.pipeline.checkpoint import load_checkpoint
+from brainvis_forge.pipeline.checkpoint import load_checkpoint, save_checkpoint
 from oracles import make_image, reassemble_units
 
 # (R, c, l) shapes for the batched-versus-per-trial checks: odd, prime and
@@ -34,6 +33,11 @@ def _records(n=5, c=4, l=12, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, c, l)).astype(np.float32)
     return EegDataset(x, np.arange(n) % 3, np.arange(n) % 2, np.arange(n))
+
+
+def _save_trials(path, dataset):
+    """The trials as gen-data stores them in its archive: the dataset's fields under their own names."""
+    save_checkpoint(path, vars(dataset), "data")
 
 
 def _images(image_ids, c=2, l=4):
@@ -60,7 +64,7 @@ def _segment_one_trial(x, n):
 
 def test_empty_file_roundtrip(tmp_path):
     path = tmp_path / "empty.bvc"
-    write_dataset(path, _records(n=0, c=0, l=0))
+    _save_trials(path, _records(n=0, c=0, l=0))
     records = load_dataset(path)
     assert len(records) == 0 and list(records) == []
     assert records.x.shape == (0, 0, 0)
@@ -69,7 +73,7 @@ def test_empty_file_roundtrip(tmp_path):
 def test_roundtrip_bit_identical(tmp_path):
     path = tmp_path / "d.bvc"
     original = _records()
-    write_dataset(path, original)
+    _save_trials(path, original)
     loaded = load_dataset(path)
     assert len(loaded) == len(original)
     for a, b in zip(original, loaded):
@@ -84,7 +88,7 @@ def test_bdve_shaped_header(tmp_path):
     path = tmp_path / "b.bvc"
     rng = np.random.default_rng(0)
     recs = EegDataset(rng.standard_normal((1, 128, 440)).astype(np.float32), [0], [0], [0])
-    write_dataset(path, recs)
+    _save_trials(path, recs)
     assert load_dataset(path).x.shape == (1, 128, 440)
 
 
@@ -97,7 +101,7 @@ def test_bad_magic_distinct_error(tmp_path):
 
 def test_wrong_version_rejected(tmp_path):
     path = tmp_path / "v1.bvc"
-    write_dataset(path, _records())
+    _save_trials(path, _records())
     blob = bytearray(path.read_bytes())
     blob[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
@@ -107,7 +111,7 @@ def test_wrong_version_rejected(tmp_path):
 
 def test_corrupted_crc_distinct_error(tmp_path):
     path = tmp_path / "c.bvc"
-    write_dataset(path, _records())
+    _save_trials(path, _records())
     blob = bytearray(path.read_bytes())
     blob[-40] ^= 0xFF  # flip one byte of x, the last tensor
     path.write_bytes(bytes(blob))
@@ -117,7 +121,7 @@ def test_corrupted_crc_distinct_error(tmp_path):
 
 def test_truncated_distinct_error(tmp_path):
     path = tmp_path / "t.bvc"
-    write_dataset(path, _records())
+    _save_trials(path, _records())
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(TruncatedError):
@@ -145,7 +149,7 @@ def _rewrite_last_value(path, value):
 
 def test_load_rejects_nan_trial_behind_valid_crc(tmp_path):
     path = tmp_path / "nan.bvc"
-    write_dataset(path, _records())
+    _save_trials(path, _records())
     _rewrite_last_value(path, np.nan)
     with pytest.raises(ValueError, match="NaN or Inf"):
         load_dataset(path)

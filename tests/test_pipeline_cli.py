@@ -4,18 +4,21 @@ import json
 import os
 import re
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brainvis_forge.align.fixtures import generate_fixtures
 from brainvis_forge.data.images import make_image_set
 from brainvis_forge.data.synthetic import generate_synthetic
+from brainvis_forge.diffusion import sample_filename, switch_step
 from brainvis_forge.pipeline.checkpoint import StageError, load_checkpoint, save_checkpoint
 from brainvis_forge.pipeline.cli import main
 from brainvis_forge.pipeline.config import ABLATION_SKIPS, PipelineConfig
 from brainvis_forge.pipeline.runner import (
-    STAGES, RunPaths, _synthetic_spec, load_run_data, run_full_chain, run_gen_data, run_train_lmm,
+    STAGES, RunPaths, _synthetic_spec, load_run_data, load_stage, run_full_chain, run_gen_data, run_train_lmm,
 )
 
 TINY = "configs/tiny.json"
@@ -216,8 +219,14 @@ def test_gen_data_deterministic_bytes(tmp_path):
     a, b = RunPaths(tmp_path / "a"), RunPaths(tmp_path / "b")
     run_gen_data(cfg, a)
     run_gen_data(cfg, b)
-    for name in ("dataset.bvc", "fixtures.bvc", "images.bvc"):
-        assert (a.root / "data" / name).read_bytes() == (b.root / "data" / name).read_bytes()
+    assert (a.root / "data" / "checkpoint.bvc").read_bytes() == (b.root / "data" / "checkpoint.bvc").read_bytes()
+
+
+def test_gen_data_writes_one_archive_beside_its_config_and_metrics(tmp_path):
+    paths = RunPaths(tmp_path / "run")
+    run_gen_data(tiny_config(**QUICK), paths)
+    assert sorted(p.name for p in (paths.root / "data").iterdir()) == ["checkpoint.bvc", "config.json", "metrics.jsonl"]
+    assert paths.available_stages() == {"data"}
 
 
 def test_gen_data_stores_the_target_images_as_built(tmp_path):
@@ -226,10 +235,16 @@ def test_gen_data_stores_the_target_images_as_built(tmp_path):
     run_gen_data(cfg, paths)
     images, labels = make_image_set(cfg.n_classes, cfg.records_per_class, size=cfg.latent_size,
                                     channels=cfg.latent_channels, seed=cfg.seed)
-    stored = load_checkpoint(paths.root / "data" / "images.bvc", "data")
-    assert sorted(stored) == ["images", "labels"]
+    fixtures = generate_fixtures(cfg.n_classes, cfg.records_per_class, e=cfg.e, seed=cfg.seed,
+                                 caption_offset=cfg.caption_offset)
+    stored = load_checkpoint(paths.root / "data" / "checkpoint.bvc", "data")
+    assert sorted(stored) == ["c_cap", "c_label", "image_ids", "image_labels", "images", "labels", "subjects", "x"]
     assert stored["images"].dtype == np.float32 and stored["images"].tobytes() == images.tobytes()
-    assert stored["labels"].dtype == np.int64 and stored["labels"].tobytes() == labels.tobytes()
+    # the one class column of the images and of the fixtures
+    assert stored["image_labels"].dtype == np.int64
+    assert stored["image_labels"].tobytes() == labels.tobytes() == fixtures.labels.tobytes()
+    assert stored["c_label"].tobytes() == fixtures.c_label.tobytes()
+    assert stored["c_cap"].tobytes() == fixtures.c_cap.tobytes()
 
 
 def test_gen_data_stores_the_trials_zscored_once(tmp_path):
@@ -252,6 +267,24 @@ def test_a_run_directory_from_before_the_bvc_dataset_fails_loudly(tmp_path):
         run_train_lmm(cfg, paths)
 
 
+def test_a_run_directory_holding_only_the_three_older_data_archives_is_refused(tmp_path):
+    """gen-data once wrote dataset.bvc, fixtures.bvc and images.bvc; data/checkpoint.bvc now marks it done."""
+    cfg = tiny_config()
+    paths = RunPaths(tmp_path / "run")
+    run_gen_data(cfg, paths)
+    archive = load_checkpoint(paths.checkpoint("data"), "data")
+    older = {
+        "dataset.bvc": {k: archive[k] for k in ("x", "labels", "subjects", "image_ids")},
+        "fixtures.bvc": {"labels": archive["image_labels"], "c_label": archive["c_label"], "c_cap": archive["c_cap"]},
+        "images.bvc": {"images": archive["images"], "labels": archive["image_labels"]},
+    }
+    for name, tensors in older.items():
+        save_checkpoint(paths.root / "data" / name, tensors, "data")
+    paths.checkpoint("data").unlink()
+    with pytest.raises(StageError, match=re.escape("stage 'lmm' requires 'data', which has not been run")):
+        run_train_lmm(cfg, paths)
+
+
 @pytest.fixture(scope="module")
 def quick_chain(tmp_path_factory) -> Path:
     """The run directory of one QUICK chain, shared by this module's tests: copy it before changing it."""
@@ -264,8 +297,7 @@ def test_every_archive_is_one_file_tagged_with_the_stage_whose_directory_holds_i
     assert not list(quick_chain.rglob("*.meta.json"))
     archives = sorted(quick_chain.glob("*/*.bvc"))
     assert [p.relative_to(quick_chain).as_posix() for p in archives] == [
-        "align/checkpoint.bvc", "data/dataset.bvc", "data/fixtures.bvc", "data/images.bvc",
-        "diffusion/checkpoint.bvc", "freq/checkpoint.bvc", "lmm/checkpoint.bvc", "tfe/checkpoint.bvc"]
+        f"{stage}/checkpoint.bvc" for stage in ("align", "data", "diffusion", "freq", "lmm", "tfe")]
     for path in archives:
         load_checkpoint(path, path.parent.name)  # raises StageError on any other tag
 
@@ -284,7 +316,27 @@ def test_every_archive_read_refuses_an_archive_tagged_for_another_stage(tmp_path
         STAGES[reader].run(tiny_config(**QUICK), paths)
 
 
-# a run directory from before gen-data stored the target images
+def test_generate_writes_each_provenance_row_beside_its_sample(quick_chain):
+    cfg = tiny_config(**QUICK)
+    paths = RunPaths(quick_chain)
+    dataset, split = load_run_data(cfg, paths)
+    logits, c_eeg = load_stage(paths, "tfe")["test_logits"], load_stage(paths, "align")["test_c_eeg"]
+    rows = [json.loads(line) for line in (quick_chain / "generate" / "provenance.jsonl").read_text().splitlines()]
+    n, t_s = cfg.samples_per_record, switch_step(cfg.rho, cfg.T)
+    assert len(rows) == len(split.test) * n
+    for k, row in enumerate(rows):
+        r, s = divmod(k, n)  # record-major, sample-minor
+        i = split.test[r]
+        assert row == {
+            "record_index": i, "sample_index": s, "predicted_label": int(np.argmax(logits[r])),
+            "c_eeg_crc32": f"{zlib.crc32(c_eeg[r].astype('<f8').tobytes()):08x}",
+            "stage1_steps": cfg.T - t_s, "stage2_steps": t_s, "mode": "cascade",
+            "true_label": int(dataset.labels[i]), "image_id": int(dataset.image_ids[i]),
+        }
+        assert (quick_chain / "generate" / "images" / sample_filename(i, s)).is_file()
+
+
+# the data archive is also the data stage's marker: without it the stage is not done
 @pytest.mark.parametrize("stage", ["diffusion", "evaluate"])
 def test_a_missing_archive_names_the_stage_that_writes_it(tmp_path, stage):
     from brainvis_forge.pipeline import runner
@@ -294,10 +346,8 @@ def test_a_missing_archive_names_the_stage_that_writes_it(tmp_path, stage):
     names = list(runner.STAGES)
     for name in names[:names.index(stage)]:
         runner.STAGES[name].run(cfg, paths)
-    (paths.root / "data/images.bvc").unlink()
-    with pytest.raises(StageError, match=re.escape(
-        f"stage '{stage}' reads data/images.bvc, which is missing: stage 'data' writes it"
-    )):
+    (paths.root / "data/checkpoint.bvc").unlink()
+    with pytest.raises(StageError, match=re.escape(f"stage '{stage}' requires 'data', which has not been run")):
         runner.STAGES[stage].run(cfg, paths)
 
 
@@ -317,7 +367,8 @@ def test_stage_writes_config_snapshot_and_metrics(tmp_path):
     assert (stage_dir / "metrics.jsonl").exists()
 
 
-@pytest.mark.parametrize("stage, failing", [("data", "_write_jsonl"), ("freq", "_write_jsonl"), ("freq", "crc_bytes")])
+@pytest.mark.parametrize("stage, failing", [("data", "_write_jsonl"), ("data", "crc_bytes"), ("freq", "_write_jsonl"),
+                                            ("freq", "crc_bytes")])
 def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, stage, failing):
     from brainvis_forge import binio
     from brainvis_forge.pipeline import runner
@@ -361,8 +412,8 @@ def test_a_stage_whose_marker_never_lands_is_not_done(tmp_path, monkeypatch):
 
 
 def test_a_rerun_that_fails_partway_leaves_its_stage_not_done(tmp_path, monkeypatch):
-    """Rerun gen-data at another seed over a finished chain and fail it on the
-    images archive: the old dataset must not still mark the data stage done."""
+    """Rerun gen-data at another seed over a finished chain and fail it while
+    it writes its archive: the old archive must not still mark the data stage done."""
     from brainvis_forge.pipeline import runner
 
     cfg = tiny_config(**QUICK)
@@ -371,12 +422,12 @@ def test_a_rerun_that_fails_partway_leaves_its_stage_not_done(tmp_path, monkeypa
         stage.run(cfg, paths)
     save = runner.save_checkpoint
 
-    def fail_on_images(path, tensors, stage):
-        if Path(path).name == "images.bvc":
+    def fail_on_data(path, tensors, stage):
+        if stage == "data":
             raise OSError("disk full")
         save(path, tensors, stage)
 
-    monkeypatch.setattr(runner, "save_checkpoint", fail_on_images)
+    monkeypatch.setattr(runner, "save_checkpoint", fail_on_data)
     with pytest.raises(OSError, match="disk full"):
         run_gen_data(cfg.with_overrides(seed=8), paths)
     monkeypatch.undo()
@@ -438,7 +489,7 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
     saved = {}
     save_stage = runner.save_stage
 
-    def recording(paths, stage, history, model, extras=None):
+    def recording(paths, stage, history, model=None, extras=None):
         saved[stage] = model
         save_stage(paths, stage, history, model, extras)
 
@@ -449,6 +500,7 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
         runner.STAGES[stage].run(cfg, paths)
 
     expected = {
+        "data": (type(None), {"x", "labels", "subjects", "image_ids", "images", "image_labels", "c_label", "c_cap"}),
         "lmm": (LmmModels, set()),
         "freq": (FreqClassifier, {"spectrum_scale"}),
         "tfe": (TfeModel, {"spectrum_scale", "train_fused", "test_fused", "test_logits"}),
@@ -459,7 +511,7 @@ def test_each_checkpoint_holds_its_trained_network_once(tmp_path, monkeypatch):
     for stage, (kind, extras) in expected.items():
         model, tensors = saved[stage], runner.load_stage(paths, stage)
         assert isinstance(model, kind)
-        params = dict(model.named_parameters("model/"))
+        params = dict(model.named_parameters("model/")) if model is not None else {}
         assert set(tensors) == set(params) | extras
         for name, t in params.items():
             assert tensors[name].tobytes() == t.data.tobytes()
@@ -512,8 +564,8 @@ def test_cli_seed_override_changes_data(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     main(["--config", TINY, "--run-dir", a, "gen-data"])
     main(["--config", TINY, "--run-dir", b, "--seed", "99", "gen-data"])
-    blob_a = (tmp_path / "a" / "data" / "dataset.bvc").read_bytes()
-    blob_b = (tmp_path / "b" / "data" / "dataset.bvc").read_bytes()
+    blob_a = (tmp_path / "a" / "data" / "checkpoint.bvc").read_bytes()
+    blob_b = (tmp_path / "b" / "data" / "checkpoint.bvc").read_bytes()
     assert blob_a != blob_b
 
 
@@ -589,10 +641,10 @@ def test_a_stage_is_refused_a_file_its_row_does_not_declare(tmp_path, monkeypatc
     cfg = tiny_config()
     paths = RunPaths(tmp_path / "run")
     run_gen_data(cfg, paths)
-    # freq still requires data, but its row no longer lists the dataset it reads.
-    monkeypatch.setitem(runner.STAGES, "freq", replace(runner.STAGES["freq"], reads=("data/fixtures.bvc",)))
+    # freq still requires data, but its row no longer lists the archive it reads.
+    monkeypatch.setitem(runner.STAGES, "freq", replace(runner.STAGES["freq"], reads=("data/metrics.jsonl",)))
     with pytest.raises(StageError, match=re.escape(
-        "stage 'freq' reads data/dataset.bvc, which its STAGES row does not declare"
+        "stage 'freq' reads data/checkpoint.bvc, which its STAGES row does not declare"
     )):
         runner.run_train_freq(cfg, paths)
 
