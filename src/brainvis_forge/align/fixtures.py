@@ -67,10 +67,17 @@ class SemanticFixtures:
         return self.c_cap[image_ids], self.c_label[image_ids]
 
 
+FIXTURE_KEYS = ("image_labels", "c_label", "c_cap")
+
+
 def load_fixtures(path) -> SemanticFixtures:
-    """The fixtures table of gen-data's archive at `path`, checked to hold no zero-norm vector."""
-    t = load_checkpoint(path, "data")
-    fixtures = SemanticFixtures(t["image_labels"], t["c_label"], t["c_cap"])
+    """The fixtures table of gen-data's archive at `path`; see `archived_fixtures`."""
+    return archived_fixtures(load_checkpoint(path, "data", FIXTURE_KEYS))
+
+
+def archived_fixtures(tensors: dict[str, np.ndarray]) -> SemanticFixtures:
+    """The fixtures table of gen-data's archive keys `FIXTURE_KEYS`, checked to hold no zero-norm vector."""
+    fixtures = SemanticFixtures(*(tensors[key] for key in FIXTURE_KEYS))
     zero = (np.linalg.norm(fixtures.c_label, axis=1) == 0.0) | (np.linalg.norm(fixtures.c_cap, axis=1) == 0.0)
     if zero.any():
         i = int(np.argmax(zero))

@@ -200,11 +200,15 @@ def train_epoch(store: ParamStore, rng: np.random.Generator, rows, batch_size: i
     return total / max(len(starts), 1)
 
 
-def predict(fn: Callable[..., Tensor], *arrays) -> np.ndarray:
+def predict(fn: Callable[..., Tensor], *arrays, rows=None) -> np.ndarray:
     """`fn` over matching `PREDICT_ROWS`-row slices of `arrays` with the tape
-    off, output rows concatenated; a `None` array is passed through as `None`."""
-    n = len(next(a for a in arrays if a is not None))
+    off, output rows concatenated; a `None` array is passed through as `None`.
+    Given `rows` (indices), each slice gathers just its own rows of `arrays`,
+    so no copy of all the selected rows is made."""
+    n = len(next(a for a in arrays if a is not None)) if rows is None else len(rows)
+    out = []
     with no_grad():
-        rows = [fn(*(None if a is None else a[lo : lo + PREDICT_ROWS] for a in arrays)).data
-                for lo in range(0, n, PREDICT_ROWS)]
-    return np.concatenate(rows, axis=0)
+        for lo in range(0, n, PREDICT_ROWS):
+            batch = slice(lo, lo + PREDICT_ROWS) if rows is None else rows[lo : lo + PREDICT_ROWS]
+            out.append(fn(*(None if a is None else a[batch] for a in arrays)).data)
+    return np.concatenate(out, axis=0)

@@ -17,14 +17,24 @@ stage's config snapshot is its config.json.  Every read names the stage it
 expects, and `load_checkpoint` refuses an archive another stage wrote.  A
 load error starts with the file's path.
 `write_whole` puts a file on disk whole or not at all.
+
+Both directions stream.  `save_checkpoint` hands the header and each array's
+own buffer to `write_whole`, computing the CRC as it goes.  `load_checkpoint`
+reads each tensor named in `keys` straight into its own array and passes the
+bytes of every other through one reused SKIP_BLOCK buffer, so a read holds
+the wanted tensors plus under 64 KiB (the block and an 8 KiB file buffer).
+The block stays below glibc's 128 KiB mmap threshold: freeing a larger one
+raises that threshold, after which big arrays come from the heap, which
+keeps freed pages; a 1 MiB block raised tiny_chain's peak RSS.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import struct
 import zlib
-from io import BytesIO
 from pathlib import Path
 from typing import Iterable
 
@@ -33,6 +43,7 @@ import numpy as np
 MAGIC = b"BVC1"
 VERSION = 3
 DTYPES = (np.dtype("<f4"), np.dtype("<i8"))  # indexed by dtype code
+SKIP_BLOCK = 1 << 15  # bytes of an unwanted tensor read per call; see the module docstring
 
 
 class FileFormatError(ValueError):
@@ -55,24 +66,21 @@ class StageError(RuntimeError):
     """A stage's inputs are missing or carry the wrong stage tag."""
 
 
-def crc_bytes(payload) -> bytes:
-    return struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-
-
-def write_whole(path, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` in order to `path` so that it appears whole or not at all:
-    they stream into {path}.tmp, which then replaces `path` in one rename.  If
-    a chunk or a write raises, the .tmp is removed and `path` is untouched."""
+def write_whole(path, chunks: Iterable) -> None:
+    """Write `chunks` (bytes or C-contiguous arrays) in order to `path` so that
+    it appears whole or not at all: they stream into {path}.tmp, which then
+    replaces `path` in one rename.  If a chunk, a write or the rename raises,
+    the .tmp is removed and `path` is untouched."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _text(text: str, what: str) -> bytes:
@@ -83,72 +91,96 @@ def _text(text: str, what: str) -> bytes:
     return struct.pack(f"<H{len(encoded)}s", len(encoded), encoded)
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray], stage: str) -> None:
-    body = BytesIO()
-    body.write(_text(stage, "stage tag"))
+def _body(tensors: dict[str, np.ndarray], stage: str):
+    """The bytes the checksum covers: the stage tag, then per tensor its header and its array's own buffer."""
+    yield _text(stage, "stage tag")
     for name in sorted(tensors):
         tensor = np.asarray(tensors[name])
         code = int(np.issubdtype(tensor.dtype, np.integer))
         arr = np.asarray(tensor, dtype=DTYPES[code], order="C")
-        body.write(_text(name, "tensor name") + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
-        body.write(arr)  # straight from the array's buffer, with no bytes copy between
-    payload = body.getbuffer()  # a view: the payload is held once, in `body`
-    write_whole(path, [MAGIC, struct.pack("<2I", VERSION, len(tensors)), payload, crc_bytes(payload)])
+        yield _text(name, "tensor name") + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
+        yield arr
 
 
-def load_checkpoint(path, stage: str) -> dict[str, np.ndarray]:
-    """The tensors of the archive that `stage` wrote at `path`, each copied
-    once out of the file's bytes.
+def save_checkpoint(path, tensors: dict[str, np.ndarray], stage: str) -> None:
+    """Stream the archive to `path` through `write_whole`, computing the CRC as it goes."""
 
-    Every header is parsed and the checksum verified before the stage tag
-    is compared or any tensor built; a file that ends early raises
-    TruncatedError, and one tagged for another stage StageError.  Every
-    error starts with `path`."""
+    def chunks():
+        yield MAGIC + struct.pack("<2I", VERSION, len(tensors))
+        crc = 0
+        for chunk in _body(tensors, stage):
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield struct.pack("<I", crc)
+
+    write_whole(path, chunks())
+
+
+def load_checkpoint(path, stage: str, keys: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """The tensors named in `keys` (all if None) of the archive that `stage`
+    wrote at `path`, read in one pass.  Every byte feeds the CRC, which is
+    verified, then the tag compared, before anything is returned.  A file that
+    ends early raises TruncatedError, another stage's tag StageError and a
+    missing key KeyError, each starting with `path`."""
     path = Path(path)
-    raw = path.read_bytes()
-    pos = 0
+    wanted = None if keys is None else {key.encode("utf-8") for key in keys}
+    found = {}
+    with open(path, "rb", buffering=io.DEFAULT_BUFFER_SIZE) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        pos = crc = 0
+        block = None
 
-    def take(n: int, what: str) -> int:
-        """Step over the next n bytes and return where they start."""
-        nonlocal pos
-        if pos + n > len(raw):
-            raise TruncatedError(f"{path}: truncated file: expected {n} bytes for {what}, got {len(raw) - pos}")
-        pos += n
-        return pos - n
+        def fill(buf, what: str) -> None:
+            """Read the next len(buf) bytes into `buf`, folding them into the CRC."""
+            nonlocal pos, crc
+            n = memoryview(buf).nbytes
+            if pos + n > size or fh.readinto(buf) != n:
+                raise TruncatedError(f"{path}: truncated file: expected {n} bytes for {what}, got {size - pos}")
+            crc = zlib.crc32(buf, crc)
+            pos += n
 
-    def unpack(fmt: str, what: str) -> tuple:
-        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt), what))
+        def unpack(fmt: str, what: str) -> tuple:
+            buf = bytearray(struct.calcsize(fmt))
+            fill(buf, what)
+            return struct.unpack(fmt, buf)
 
-    def text(what: str) -> bytes:
-        (n,) = unpack("<H", f"{what} length")
-        return unpack(f"<{n}s", what)[0]
+        def text(what: str) -> bytes:
+            (n,) = unpack("<H", f"{what} length")
+            return unpack(f"<{n}s", what)[0]
 
-    (magic,) = unpack("<4s", "magic")
-    if magic != MAGIC:
-        raise UnsupportedFormatError(f"{path}: bad magic: expected {MAGIC!r}, got {magic!r}")
-    version, n_tensors = unpack("<2I", "header")
-    if version != VERSION:
-        raise UnsupportedFormatError(f"{path}: unsupported version {version}, expected {VERSION}")
+        (magic,) = unpack("<4s", "magic")
+        if magic != MAGIC:
+            raise UnsupportedFormatError(f"{path}: bad magic: expected {MAGIC!r}, got {magic!r}")
+        version, n_tensors = unpack("<2I", "header")
+        if version != VERSION:
+            raise UnsupportedFormatError(f"{path}: unsupported version {version}, expected {VERSION}")
 
-    tag = text("stage tag")
-    entries = []
-    for _ in range(n_tensors):
-        name = text("name")
-        label = f"tensor {name.decode('utf-8', 'replace')!r}"  # no strict decode before the checksum
-        code, rank = unpack("<BB", "dtype code and rank")
-        dims = unpack(f"<{rank}I", "dims")
-        if code >= len(DTYPES):
-            raise UnsupportedFormatError(f"{path}: {label}: unknown dtype code {code}")
-        count = int(np.prod(dims))
-        offset = take(count * DTYPES[code].itemsize, label)
-        entries.append((name, DTYPES[code], count, dims, offset))
-    end = pos
-    (stored,) = unpack("<I", "checksum")
-    actual = zlib.crc32(memoryview(raw)[12:end]) & 0xFFFFFFFF
+        crc = 0  # the checksum covers every byte after the 12-byte header
+        tag = text("stage tag")
+        for _ in range(n_tensors):
+            name = text("name")
+            label = f"tensor {name.decode('utf-8', 'replace')!r}"  # no strict decode before the checksum
+            code, rank = unpack("<BB", "dtype code and rank")
+            dims = unpack(f"<{rank}I", "dims")
+            if code >= len(DTYPES):
+                raise UnsupportedFormatError(f"{path}: {label}: unknown dtype code {code}")
+            n = math.prod(dims) * DTYPES[code].itemsize
+            if pos + n > size:  # before any array is allocated for it
+                raise TruncatedError(f"{path}: truncated file: expected {n} bytes for {label}, got {size - pos}")
+            if wanted is None or name in wanted:
+                found[name] = np.empty(dims, DTYPES[code])
+                fill(found[name], label)
+                continue
+            block = block or memoryview(bytearray(SKIP_BLOCK))
+            for lo in range(0, n, SKIP_BLOCK):
+                fill(block[: min(SKIP_BLOCK, n - lo)], label)
+        actual = crc
+        (stored,) = unpack("<I", "checksum")
     if stored != actual:
         raise ChecksumError(f"{path}: checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
     if tag != stage.encode("utf-8"):
         raise StageError(f"{path}: written by stage {tag.decode('utf-8', 'replace')!r}, expected {stage!r}")
-
-    return {name.decode("utf-8"): np.frombuffer(raw, dtype, count, offset).reshape(dims).copy()
-            for name, dtype, count, dims, offset in entries}
+    missing = sorted((wanted or set()) - found.keys())
+    if missing:
+        raise KeyError(f"{path}: no tensor named {', '.join(repr(key.decode('utf-8')) for key in missing)}")
+    return {name.decode("utf-8"): arr for name, arr in found.items()}

@@ -11,9 +11,11 @@ from __future__ import annotations
 from ..binio import load_checkpoint
 from .records import EegDataset
 
+TRIAL_KEYS = ("x", "labels", "subjects", "image_ids")
+
 
 def load_dataset(path) -> EegDataset:
     """The trials and ids bit-identical to what gen-data stored; the archive's
-    other keys are dropped on return."""
-    t = load_checkpoint(path, "data")
-    return EegDataset(t["x"], t["labels"], t["subjects"], t["image_ids"])
+    other keys are skipped, not read into memory."""
+    t = load_checkpoint(path, "data", TRIAL_KEYS)
+    return EegDataset(*(t[key] for key in TRIAL_KEYS))

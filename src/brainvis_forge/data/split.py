@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .records import DatasetSplit, EegDataset
+from .records import DatasetSplit
 
 SPLIT_RATIOS = (8, 1, 1)  # train : val : test, in images
 MIN_IMAGES = 10  # split_by_image refuses a set with fewer distinct images
@@ -25,9 +25,9 @@ def _largest_remainder_counts(n: int, ratios: tuple[int, ...]) -> list[int]:
     return counts
 
 
-def split_by_image(dataset: EegDataset, seed: int = 0) -> DatasetSplit:
-    """Shuffle distinct image ids by `seed`, slice by SPLIT_RATIOS, map back to records."""
-    order = np.unique(dataset.image_ids)
+def split_by_image(image_ids: np.ndarray, seed: int = 0) -> DatasetSplit:
+    """Shuffle the distinct ids of the records' `image_ids` by `seed`, slice by SPLIT_RATIOS, map back to records."""
+    order = np.unique(image_ids)
     if len(order) < MIN_IMAGES:
         raise ValueError(f"split_by_image: need at least {MIN_IMAGES} distinct images, got {len(order)}")
 
@@ -35,6 +35,6 @@ def split_by_image(dataset: EegDataset, seed: int = 0) -> DatasetSplit:
     rng.shuffle(order)
     n_train, n_val, _ = _largest_remainder_counts(len(order), SPLIT_RATIOS)
     train, val, test = (
-        np.flatnonzero(np.isin(dataset.image_ids, ids)).tolist() for ids in np.split(order, [n_train, n_train + n_val])
+        np.flatnonzero(np.isin(image_ids, ids)).tolist() for ids in np.split(order, [n_train, n_train + n_val])
     )
     return DatasetSplit(train=train, val=val, test=test)

@@ -30,16 +30,20 @@ def write_ppm(path, latent: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Parse a P6 file back to (H, W, 3) uint8; evaluate reads every generated image through it."""
+    """Parse a P6 file back to (H, W, 3) uint8; evaluate reads every generated image through it.
+    Every error names `path`."""
     data = Path(path).read_bytes()
     parts = data.split(b"\n", 3)
     if parts[0] != b"P6":
-        raise ValueError(f"read_ppm: not a P6 file: {parts[0]!r}")
+        raise ValueError(f"read_ppm: {path}: not a P6 file: {parts[0]!r}")
+    if len(parts) < 4:
+        raise ValueError(f"read_ppm: {path}: no pixel section after the header ({len(data)} bytes in all)")
     w, h = (int(v) for v in parts[1].split())
     if parts[2] != b"255":
-        raise ValueError("read_ppm: expected 8-bit maxval 255")
-    pixels = np.frombuffer(parts[3][: w * h * 3], dtype=np.uint8)
-    return pixels.reshape(h, w, 3).copy()
+        raise ValueError(f"read_ppm: {path}: expected 8-bit maxval 255")
+    if len(parts[3]) < w * h * 3:
+        raise ValueError(f"read_ppm: {path}: expected {w * h * 3} pixel bytes for {w}x{h}, got {len(parts[3])}")
+    return np.frombuffer(parts[3][: w * h * 3], dtype=np.uint8).reshape(h, w, 3).copy()
 
 
 def sample_filename(record_id: int, sample_idx: int) -> str:

@@ -78,7 +78,7 @@ def classifier_epochs(store: ParamStore, logits: Callable[..., Tensor], inputs: 
         return cross_entropy(logits(*rows(idx)), onehot[idx])
 
     def split_accuracy(idx: np.ndarray) -> float:
-        return top_k_accuracy(predict(logits, *rows(idx)), labels[idx], 1)
+        return top_k_accuracy(predict(logits, *inputs, rows=idx), labels[idx], 1)
 
     return [{"epoch": epoch, "loss": train_epoch(store, rng, train_idx, batch_size, lr, batch_loss),
              "train_acc": split_accuracy(train_idx),

@@ -103,21 +103,24 @@ def train_lmm(
     units: UnitRows,
     models: LmmModels,
     *,
+    rows,
     mask_ratio: float,
     lr: float = 1e-3,
     steps: int = 200,
     batch_size: int = 64,
     seed: int = 0,
 ) -> list[dict]:
-    """Train the student of `models` in place on `units` (from `prepare_units`), gathering
-    each step's batch as `units[batch_idx]`, a new (b, n_units, unit_dim) float32 array,
-    and move its EMA teacher after every step; returns one log row per step."""
+    """Train the student of `models` in place on the `rows` (indices) of `units` (from
+    `prepare_units`), gathering each step's batch as `units[batch_idx]`, a new
+    (b, n_units, unit_dim) float32 array, and move its EMA teacher after every step;
+    returns one log row per step."""
     store = models.student_store()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E41]))
+    rows = np.asarray(rows, dtype=np.int64)
     history: list[dict] = []
 
     for step in range(steps):
-        batch_idx = rng.choice(len(units), size=min(batch_size, len(units)), replace=False)
+        batch_idx = rows[rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)]
         plan = make_mask_plan(models.n_units, mask_ratio, rng)
         row = {"step": step}
 

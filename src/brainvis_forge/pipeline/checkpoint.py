@@ -20,8 +20,8 @@ gen-data trains no network, so its archive holds extras only:
                                      (align.fixtures)
 Optimizer state is not saved: no stage resumes from a checkpoint.
 Which stage reads which archive is declared in its runner.STAGES row.
-Every read names the tag it expects, and `load_checkpoint(path, stage)` raises
-StageError on an archive another stage wrote.
+Every read names the tag it expects, and `load_checkpoint(path, stage, keys)`
+raises StageError on an archive another stage wrote; it reads only `keys`.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ one file, written only by `save_stage`, whose checksummed header carries the
 tag of the stage that wrote it.  Every archive read names the tag it
 expects, and `load_checkpoint` refuses any other.  gen-data's archive holds
 the trials, the target images and the semantic fixtures (key layout in
-pipeline.checkpoint); the trials are z-scored and the images built once,
-there: every later stage reads the trials, and diffusion and evaluate the
-images, as stored.
+pipeline.checkpoint), each built once, there.  Every later stage reads it
+once and asks only for the keys it uses: lmm, freq and tfe the trials
+(`load_run_data`), the other stages ids and images (`_load_ids`).
 
 `STAGES` is the chain in run order.  Each row gives the stage's CLI command,
 the function that runs it, the file that marks it done and the run files it
@@ -47,11 +47,11 @@ import json
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ..align.fixtures import generate_fixtures, load_fixtures
+from ..align.fixtures import FIXTURE_KEYS, archived_fixtures, generate_fixtures
 from ..align.model import AlignmentNet, align
 from ..align.train import train_align
 from ..autodiff import predict
@@ -154,9 +154,11 @@ def save_stage(paths: RunPaths, stage: str, history: list[dict], model: Module |
     save_checkpoint(paths.checkpoint(stage), {**state, **(extras or {})}, stage)
 
 
-def load_stage(paths: RunPaths, stage: str, model: Module | None = None) -> dict[str, np.ndarray]:
-    """The tensors of the stage's checkpoint, its model/ keys loaded into `model` if given."""
-    tensors = load_checkpoint(paths.read(f"{stage}/checkpoint.bvc"), stage)
+def load_stage(paths: RunPaths, stage: str, model: Module | None = None,
+               keys: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """The tensors of the stage's checkpoint named in `keys` (all if None), read
+    in one pass, its model/ keys loaded into `model` if given."""
+    tensors = load_checkpoint(paths.read(f"{stage}/checkpoint.bvc"), stage, keys)
     if model is not None:
         model.load_state(tensors, "model/")
     return tensors
@@ -166,9 +168,9 @@ def _stored_rows(paths: RunPaths, stage: str, **n_rows: int) -> list[np.ndarray]
     """The row arrays `stage` saved under the keys of `n_rows`, each checked
     to hold its given row count: a checkpoint left from another gen-data run
     would otherwise pair rows with the wrong records."""
-    tensors = load_stage(paths, stage)
+    tensors = load_stage(paths, stage, keys=n_rows)
     for key, n in n_rows.items():
-        found = len(tensors.get(key, ()))
+        found = len(tensors[key])
         if found != n:
             raise StageError(f"stage {paths.stage!r}: {stage} checkpoint key {key!r} has {found} rows for a split of "
                              f"{n} records; rerun {stage!r}")
@@ -185,7 +187,14 @@ def _synthetic_spec(cfg: PipelineConfig) -> SyntheticGenSpec:
 
 def load_run_data(cfg: PipelineConfig, paths: RunPaths) -> tuple[EegDataset, DatasetSplit]:
     dataset = load_dataset(paths.read("data/checkpoint.bvc"))
-    return dataset, split_by_image(dataset, seed=cfg.seed)
+    return dataset, split_by_image(dataset.image_ids, seed=cfg.seed)
+
+
+def _load_ids(cfg: PipelineConfig, paths: RunPaths, *keys: str) -> tuple[dict[str, np.ndarray], DatasetSplit]:
+    """`image_ids` and the other `keys` of gen-data's archive, read once without the
+    trials, and the split, which is built from the image ids alone."""
+    data = load_stage(paths, "data", keys=("image_ids", *keys))
+    return data, split_by_image(data["image_ids"], seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +225,14 @@ def run_train_lmm(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """Saves model/predictor.* too, unread by tfe: each stage saves all it trained."""
     paths = _enter_stage(cfg, paths, "lmm")
     dataset, split = load_run_data(cfg, paths)
-    units = prepare_units(dataset.take(split.train), cfg.n)
+    units = prepare_units(dataset, cfg.n)
     models = build_lmm_models(
         unit_dim=cfg.unit_dim, n_units=cfg.n, d=cfg.d, n_heads=cfg.heads, ffn_dim=cfg.ffn, sa_blocks=cfg.sa_blocks,
         ca_blocks=cfg.ca_blocks, n_codewords=cfg.n_t, teacher_momentum=cfg.teacher_momentum, seed=cfg.seed,
     )
-    steps_per_epoch = max(1, -(-len(units) // cfg.batch))
-    history = train_lmm(units, models, mask_ratio=cfg.r_m, lr=cfg.lr, steps=cfg.epochs["lmm"] * steps_per_epoch,
-                        batch_size=cfg.batch, seed=cfg.seed)
+    steps_per_epoch = max(1, -(-len(split.train) // cfg.batch))
+    history = train_lmm(units, models, rows=split.train, mask_ratio=cfg.r_m, lr=cfg.lr,
+                        steps=cfg.epochs["lmm"] * steps_per_epoch, batch_size=cfg.batch, seed=cfg.seed)
     save_stage(paths, "lmm", history, models)
     return {"steps": len(history), "final_l_lmm": history[-1]["l_lmm"] if history else None}
 
@@ -268,9 +277,11 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
     model = _tfe_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7FE])), use_time, use_freq, scale)
     if "lmm" not in skipped:
-        lmm = load_stage(paths, "lmm")
-        model.projector.load_state(lmm, "model/projector.")
-        model.encoder.load_state(lmm, "model/encoder.")
+        branches = {"model/projector.": model.projector, "model/encoder.": model.encoder}
+        lmm = load_stage(paths, "lmm", keys=[name for prefix, branch in branches.items()
+                                             for name, _ in branch.named_parameters(prefix)])
+        for prefix, branch in branches.items():
+            branch.load_state(lmm, prefix)
     if use_freq:
         model.freq_encoder.load_state(freq, "model/encoder.")
 
@@ -280,8 +291,7 @@ def run_finetune_tfe(cfg: PipelineConfig, paths: RunPaths) -> dict:
         stage1_epochs=cfg.epochs["time_ft"], stage2_epochs=cfg.joint_ft_epochs,
         batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed,
     )
-    train_fused, test_fused = (predict(model.fused, *(None if a is None else a[rows] for a in inputs))
-                               for rows in (split.train, split.test))
+    train_fused, test_fused = (predict(model.fused, *inputs, rows=rows) for rows in (split.train, split.test))
     save_stage(paths, "tfe", history, model,
                extras={"spectrum_scale": np.asarray([scale], dtype=np.float32), "train_fused": train_fused,
                        "test_fused": test_fused, "test_logits": classify_batch(model, test_fused)})
@@ -300,14 +310,12 @@ def _denoiser(cfg: PipelineConfig, rng: np.random.Generator) -> DenoiserNet:
 
 def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
     paths = _enter_stage(cfg, paths, "align")
-    dataset, split = load_run_data(cfg, paths)
+    data, split = _load_ids(cfg, paths, "labels", *FIXTURE_KEYS)
     train_fused, test_fused = _stored_rows(paths, "tfe", train_fused=len(split.train), test_fused=len(split.test))
-    fixtures = load_fixtures(paths.read("data/checkpoint.bvc"))
-    train = dataset.take(split.train)
 
     net = _align_net(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11])))
     history = train_align(
-        net, train_fused, train.labels, train.image_ids, fixtures,
+        net, train_fused, data["labels"][split.train], data["image_ids"][split.train], archived_fixtures(data),
         epochs=cfg.epochs["align"], batch_size=cfg.batch, lr=cfg.lr, seed=cfg.seed, label_weight=cfg.label_weight,
     )
     save_stage(paths, "align", history, net,
@@ -317,17 +325,15 @@ def run_train_align(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 def run_train_diffusion(cfg: PipelineConfig, paths: RunPaths) -> dict:
     paths = _enter_stage(cfg, paths, "diffusion")
-    dataset, split = load_run_data(cfg, paths)
-    images = load_stage(paths, "data")["images"]
-
-    train = dataset.take(split.train)
+    data, split = _load_ids(cfg, paths, "labels", "images")
+    train = split.train
     eeg_conditions = (None if cfg.ablate == "no-semantic"
                       else _stored_rows(paths, "align", train_c_eeg=len(train))[0])
 
     schedule = NoiseSchedule.linear(T=cfg.T)
     net = _denoiser(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1F])))
     history = train_denoiser(
-        net, schedule, images[train.image_ids], train.labels, eeg_conditions,
+        net, schedule, data["images"][data["image_ids"][train]], data["labels"][train], eeg_conditions,
         steps=cfg.diffusion_steps, batch_size=cfg.diffusion_batch, lr=cfg.lr, seed=cfg.seed,
     )
     save_stage(paths, "diffusion", history, net)
@@ -347,7 +353,7 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     """
     paths = _enter_stage(cfg, paths, "generate")
     stage_dir = paths.stage_dir("generate")
-    dataset, split = load_run_data(cfg, paths)
+    data, split = _load_ids(cfg, paths, "labels")
     denoiser = _denoiser(cfg, np.random.default_rng(0))
     load_stage(paths, "diffusion", denoiser)
     schedule = NoiseSchedule.linear(T=cfg.T)
@@ -367,8 +373,8 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     provenance_rows = []
     for row, (i, label, c_vec) in enumerate(zip(split.test, predicted, c_eeg)):
         record = {"record_index": i, "predicted_label": int(label), "stage1_steps": stage1_steps,
-                  "stage2_steps": stage2_steps, "mode": mode, "true_label": int(dataset.labels[i]),
-                  "image_id": int(dataset.image_ids[i]),
+                  "stage2_steps": stage2_steps, "mode": mode, "true_label": int(data["labels"][i]),
+                  "image_id": int(data["image_ids"][i]),
                   # over the condition's float64 bytes, as the sampler took it
                   "c_eeg_crc32": f"{zlib.crc32(np.asarray(c_vec, dtype='<f8').tobytes()):08x}"}
         for s in range(n_samples):
@@ -384,14 +390,12 @@ def run_generate(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
     paths = _enter_stage(cfg, paths, "evaluate")
     stage_dir = paths.stage_dir("evaluate")
-    dataset, split = load_run_data(cfg, paths)
-    test = dataset.take(split.test)
-    (logits,) = _stored_rows(paths, "tfe", test_logits=len(test))
-    cls_block = classification_block(logits, test.labels, cfg.n_classes)
+    data, split = _load_ids(cfg, paths, "labels", "images", "image_labels")
+    test_labels, test_ids = data["labels"][split.test], data["image_ids"][split.test]
+    (logits,) = _stored_rows(paths, "tfe", test_logits=len(split.test))
+    cls_block = classification_block(logits, test_labels, cfg.n_classes)
 
-    data = load_stage(paths, "data")
     images, labels = data["images"], data["image_labels"]
-    del data  # the trials and fixtures in it need not live through the scoring below
     surrogate = SurrogateClassifier(images[0].size, cfg.surrogate_hidden, cfg.n_classes,
                                     np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A9])))
     surrogate_train_acc = train_surrogate(surrogate, images, labels, epochs=cfg.surrogate_epochs, lr=3e-3)
@@ -402,9 +406,9 @@ def run_evaluate(cfg: PipelineConfig, paths: RunPaths) -> MetricsReport:
             rgb = read_ppm(paths.read(f"generate/images/{sample_filename(dataset_index, s)}"))
             generated.append(np.transpose(rgb.astype(np.float64) / 255.0 * 2.0 - 1.0, (2, 0, 1)))
     generated = np.stack(generated)
-    gen_labels = np.repeat(test.labels, cfg.samples_per_record)
-    gt_pairs = images[np.repeat(test.image_ids, cfg.samples_per_record)]
-    gt_pool = images[test.image_ids]
+    gen_labels = np.repeat(test_labels, cfg.samples_per_record)
+    gt_pairs = images[np.repeat(test_ids, cfg.samples_per_record)]
+    gt_pool = images[test_ids]
 
     gen_block = evaluate_generation(
         generated, gen_labels, gt_pool, gt_pairs, surrogate,

@@ -1,4 +1,5 @@
-"""Traced memory of one LMM and one frequency training step at the benchmark's medium geometry.
+"""Traced memory of one LMM and one frequency training step at the benchmark's medium geometry,
+or of each pipeline stage at its generate_eval geometry.
 
 Builds the medium-geometry data and models as `perfbench`'s medium_train
 set-up does (`MediumSizes`), runs warm-up steps untraced, then one step of each
@@ -16,6 +17,16 @@ one's start and the process's `ru_maxrss`, so a memory change can be checked
 without the benchmark harness:
 
     PYTHONPATH=src python tests/memprobe.py [--seed 1] [--warmup 1]
+
+With --stages it instead runs the eight stages, gen-data through evaluate,
+on `perfbench`'s generate_eval configuration (`GENERATE_EVAL_OVERRIDES` over
+configs/tiny.json) in a temporary run directory, and prints after each stage
+its traced peak and the process's `ru_maxrss` so far, which shows which stage
+sets the process's high-water mark.  tracemalloc's own bookkeeping adds to
+the resident set; --untraced runs the stages without it and prints
+`ru_maxrss` alone:
+
+    PYTHONPATH=src python tests/memprobe.py --stages [--seed 1] [--untraced]
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -31,9 +43,12 @@ import numpy as np
 from brainvis_forge import autodiff, freq, lmm
 from brainvis_forge.autodiff.ops import cross_entropy, one_hot_labels
 from brainvis_forge.data.synthetic import SyntheticGenSpec, generate_synthetic
+from brainvis_forge.pipeline import runner
+from brainvis_forge.pipeline.config import PipelineConfig
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import MediumSizes  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import GENERATE_EVAL_OVERRIDES, MediumSizes  # noqa: E402
 
 MB = 1 << 20
 
@@ -84,11 +99,36 @@ def step(z, units, models, store, rng, freq_state, phase) -> None:
     phase("freq", freq_step)
 
 
+def maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def stages(seed: int, traced: bool) -> None:
+    """Run the eight stages at generate_eval's geometry, printing each one's traced peak and `ru_maxrss`."""
+    cfg = PipelineConfig.load(ROOT / "configs" / "tiny.json").with_overrides(**GENERATE_EVAL_OVERRIDES, seed=seed)
+    print(f"the eight stages at generate_eval's geometry, seed {seed}")
+    print(f"{'stage':<16} {'traced peak (MB)':>17} {'ru_maxrss (MB)':>15}")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = runner.RunPaths(Path(tmp) / "run")
+        for stage in runner.STAGES.values():
+            if traced:
+                tracemalloc.start()
+            stage.run(cfg, paths)
+            peak = f"{tracemalloc.get_traced_memory()[1] / MB:.2f}" if traced else "-"
+            tracemalloc.stop()
+            print(f"{stage.command:<16} {peak:>17} {maxrss_mb():>15.1f}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--warmup", type=int, default=1, help="untraced steps before the traced one")
+    parser.add_argument("--stages", action="store_true", help="probe each pipeline stage instead of the medium steps")
+    parser.add_argument("--untraced", action="store_true", help="with --stages, run without tracemalloc")
     args = parser.parse_args(argv)
+    if args.stages:
+        stages(args.seed, traced=not args.untraced)
+        return
     state = build(args.seed)
     for _ in range(args.warmup):
         step(*state, lambda name, fn: fn())
@@ -112,7 +152,7 @@ def main(argv=None) -> None:
     for name, start, live, peak in rows:
         print(f"{name:<10} {(peak - start) / MB:>22.1f} {live / MB:>16.1f}")
     print(f"peak of all phases above the starting live set: {(max(row[3] for row in rows) - step_start) / MB:.1f} MB")
-    print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+    print(f"ru_maxrss: {maxrss_mb():.1f} MB")
 
 
 if __name__ == "__main__":

@@ -179,7 +179,7 @@ def test_criterion_5_lmm_training_progress():
             unit_dim=units.shape[2], n_units=20, d=64, n_heads=4, ffn_dim=128,
             sa_blocks=2, ca_blocks=2, n_codewords=64, teacher_momentum=0.99, seed=3,
         )
-        history = train_lmm(units, models, mask_ratio=0.75, steps=200, batch_size=64, seed=3)
+        history = train_lmm(units, models, rows=range(len(units)), mask_ratio=0.75, steps=200, batch_size=64, seed=3)
         elapsed = time.time() - start
         first, last = history[0]["l_lmm"], history[-1]["l_lmm"]
         assert last < 0.5 * first, f"loss went {first:.3f} -> {last:.3f}"
@@ -208,14 +208,14 @@ def test_criterion_6_tfe_overfit():
         )
         raw = generate_synthetic(spec)
         records = replace(raw, x=zscore_channels(raw.x))
-        split = split_by_image(records, seed=11)
+        split = split_by_image(records.image_ids, seed=11)
 
-        lmm_units = prepare_units(records.take(split.train), 10)
+        lmm_units = prepare_units(records, 10)
         lmm = build_lmm_models(
             unit_dim=lmm_units.shape[2], n_units=10, d=32, n_heads=4,
             ffn_dim=64, sa_blocks=2, ca_blocks=2, n_codewords=64, teacher_momentum=0.99, seed=5,
         )
-        train_lmm(lmm_units, lmm, mask_ratio=0.75, steps=60, batch_size=64, seed=5)
+        train_lmm(lmm_units, lmm, rows=split.train, mask_ratio=0.75, steps=60, batch_size=64, seed=5)
         freq_spectra, scale = train_spectra(records, split)
         freq_rng = np.random.default_rng(np.random.SeedSequence([5, 0xF9E9]))
         freq = FreqClassifier(8, 48, 40, freq_rng)

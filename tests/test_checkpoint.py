@@ -2,11 +2,13 @@
 
 import re
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError, crc_bytes, write_whole
+from brainvis_forge.binio import ChecksumError, TruncatedError, UnsupportedFormatError, write_whole
 from brainvis_forge.pipeline.checkpoint import StageError, load_checkpoint, save_checkpoint
 from brainvis_forge.pipeline.runner import check_prerequisites
 
@@ -58,6 +60,61 @@ def test_truncated_rejected(tmp_path, cut, what):
     path.write_bytes(blob[:-cut])
     with pytest.raises(TruncatedError, match=f"^{re.escape(str(path))}: truncated file: expected {what}$"):
         load_checkpoint(path, "lmm")
+
+
+def _two_tensor_archive(tmp_path):
+    """An archive of "a" (8 float32, skipped by a read of "b") then "b" (2 float32)."""
+    path = tmp_path / "two.bvc"
+    save_checkpoint(path, {"a": np.arange(8, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}, "lmm")
+    blob = path.read_bytes()
+    return path, blob, blob.index(np.arange(8, dtype=np.float32).tobytes())
+
+
+def test_a_read_of_some_keys_returns_them_bit_identical_to_a_whole_read(tmp_path):
+    path, _, _ = _two_tensor_archive(tmp_path)
+    assert list(load_checkpoint(path, "lmm", keys=["b"])) == ["b"]
+    assert load_checkpoint(path, "lmm", keys=["b"])["b"].tobytes() == load_checkpoint(path, "lmm")["b"].tobytes()
+    assert load_checkpoint(path, "lmm", keys=[]) == {}
+
+
+def test_a_flipped_byte_inside_a_skipped_tensor_fails_the_checksum(tmp_path):
+    path, blob, a_start = _two_tensor_archive(tmp_path)
+    corrupt = bytearray(blob)
+    corrupt[a_start + 5] ^= 0x01
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(ChecksumError, match=f"^{re.escape(str(path))}: checksum mismatch"):
+        load_checkpoint(path, "lmm", keys=["b"])
+
+
+def test_a_truncation_inside_a_skipped_tensor_is_reported_for_that_tensor(tmp_path):
+    path, blob, a_start = _two_tensor_archive(tmp_path)
+    path.write_bytes(blob[: a_start + 10])
+    with pytest.raises(TruncatedError, match=f"^{re.escape(str(path))}: truncated file: "
+                                             "expected 32 bytes for tensor 'a', got 10$"):
+        load_checkpoint(path, "lmm", keys=["b"])
+
+
+def test_an_unknown_key_raises_key_error_naming_the_path(tmp_path):
+    path, _, _ = _two_tensor_archive(tmp_path)
+    with pytest.raises(KeyError, match=f"{re.escape(str(path))}: no tensor named 'c'"):
+        load_checkpoint(path, "lmm", keys=["b", "c"])
+
+
+def test_reading_one_small_key_of_a_large_archive_holds_only_it_and_one_block(tmp_path):
+    labels = np.arange(1000, dtype=np.int64)
+    path = tmp_path / "large.bvc"
+    save_checkpoint(path, {"labels": labels, "x": np.ones((1100, 1024), dtype=np.float32)}, "data")
+    assert path.stat().st_size >= 4 << 20
+    load_checkpoint(path, "data", keys=["labels"])  # warm up: first-call caches are not the read's memory
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(path, "data", keys=["labels"])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert loaded["labels"].tobytes() == labels.tobytes()
+    assert peak <= labels.nbytes + (64 << 10), peak
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -123,7 +180,7 @@ def test_name_length_is_capped_at_u16(tmp_path):
 def test_a_version_2_archive_is_refused_naming_its_path_and_both_versions(tmp_path):
     path = tmp_path / "lmm" / "checkpoint.bvc"
     path.parent.mkdir()
-    path.write_bytes(b"BVC1" + struct.pack("<2I", 2, 0) + crc_bytes(b""))  # an empty version-2 archive
+    path.write_bytes(b"BVC1" + struct.pack("<3I", 2, 0, zlib.crc32(b"")))  # an empty version-2 archive
     with pytest.raises(UnsupportedFormatError, match=f"^{re.escape(str(path))}: unsupported version 2, expected 3$"):
         load_checkpoint(path, "lmm")
 
@@ -153,6 +210,15 @@ def test_failed_write_leaves_no_tmp_and_keeps_old_file(tmp_path):
         write_whole(path, chunks())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
     assert path.read_bytes() == b"old bytes"
+
+
+def test_a_failed_rename_leaves_no_tmp(tmp_path):
+    target = tmp_path / "dir"
+    (target / "inside").mkdir(parents=True)
+    with pytest.raises(OSError):
+        write_whole(target, [b"bytes"])  # a file cannot replace a non-empty directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert [p.name for p in target.iterdir()] == ["inside"]
 
 
 def test_prefixed_state_roundtrip(tmp_path):

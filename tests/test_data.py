@@ -258,13 +258,13 @@ def test_frequency_above_nyquist_rejected():
 def test_split_2000_images_is_1600_200_200():
     spec = SyntheticGenSpec(n_classes=40, records_per_class=50, c=2, l=40, seed=0, sample_rate=100.0)
     records = generate_synthetic(spec)
-    split = split_by_image(records, seed=5)
+    split = split_by_image(records.image_ids, seed=5)
     assert (len(split.train), len(split.val), len(split.test)) == (1600, 200, 200)
 
 
 def test_split_ten_images_is_8_1_1():
     records = _images(np.arange(10))
-    split = split_by_image(records, seed=0)
+    split = split_by_image(records.image_ids, seed=0)
     assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
 
 
@@ -276,7 +276,7 @@ def test_split_counts_break_remainder_ties_by_index():
 def test_split_fewer_than_ten_images_rejected():
     records = _images(np.arange(9))
     with pytest.raises(ValueError, match="10 distinct images"):
-        split_by_image(records, seed=0)
+        split_by_image(records.image_ids, seed=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -284,7 +284,7 @@ def test_split_fewer_than_ten_images_rejected():
 def test_split_image_exclusive_for_any_seed(seed):
     # 12 images x 3 records each; no image may straddle two splits.
     records = _images(np.repeat(np.arange(12), 3))
-    split = split_by_image(records, seed=seed)
+    split = split_by_image(records.image_ids, seed=seed)
     groups = {"train": split.train, "val": split.val, "test": split.test}
     all_idx = sorted(i for g in groups.values() for i in g)
     assert all_idx == list(range(len(records)))

@@ -1,5 +1,7 @@
 """Schedule algebra, reverse-step correctness, cascade mechanics, PPM output."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -575,6 +577,22 @@ def test_read_ppm_rejects_other_formats(tmp_path, header, message):
     path = tmp_path / "x.ppm"
     path.write_bytes(header + bytes(12))
     with pytest.raises(ValueError, match=message):
+        read_ppm(path)
+
+
+def test_read_ppm_names_the_file_and_byte_counts_of_a_short_pixel_section(tmp_path):
+    path = tmp_path / "short.ppm"
+    path.write_bytes(b"P6\n8 8\n255\n" + bytes(182))
+    with pytest.raises(ValueError, match=f"^read_ppm: {re.escape(str(path))}: "
+                                         "expected 192 pixel bytes for 8x8, got 182$"):
+        read_ppm(path)
+
+
+def test_read_ppm_names_the_file_whose_header_has_no_pixel_section(tmp_path):
+    path = tmp_path / "headless.ppm"
+    path.write_bytes(b"P6\n8 8\n255")
+    with pytest.raises(ValueError, match=f"^read_ppm: {re.escape(str(path))}: no pixel section after the header "
+                                         r"\(10 bytes in all\)$"):
         read_ppm(path)
 
 

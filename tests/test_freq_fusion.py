@@ -47,7 +47,7 @@ def test_freq_training_separable_classes_reach_full_train_accuracy():
     )
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
-    split = split_by_image(records, seed=3)
+    split = split_by_image(records.image_ids, seed=3)
     _, _, history = _train_freq(records, split, 4, 16, 4, epochs=50, batch_size=16, lr=3e-3)
     assert max(h["train_acc"] for h in history) == 1.0
 
@@ -56,7 +56,7 @@ def test_freq_training_deterministic_same_seed():
     spec = SyntheticGenSpec(n_classes=3, records_per_class=6, c=4, l=40, seed=5, sample_rate=100.0)
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
-    split = split_by_image(records, seed=5)
+    split = split_by_image(records.image_ids, seed=5)
 
     def curve():
         _, _, history = _train_freq(records, split, 3, 8, 9, epochs=5, batch_size=8)
@@ -71,12 +71,12 @@ def test_freq_trains_on_the_spectra_tfe_is_fed(monkeypatch):
     spec = SyntheticGenSpec(n_classes=3, records_per_class=6, c=4, l=40, seed=5, sample_rate=100.0)
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
-    split = split_by_image(records, seed=5)
+    split = split_by_image(records.image_ids, seed=5)
     seen, predict = [], freq_train.predict
 
-    def spy(fn, rows, *args, **kwargs):
-        seen.append(rows)
-        return predict(fn, rows, *args, **kwargs)
+    def spy(fn, spectra, rows):
+        seen.append(spectra[rows])
+        return predict(fn, spectra, rows=rows)
 
     monkeypatch.setattr(freq_train, "predict", spy)
     _, scale, _ = _train_freq(records, split, 3, 8, 9, epochs=1, batch_size=8)
@@ -162,13 +162,13 @@ def staged_setup():
     )
     raw = generate_synthetic(spec)
     records = replace(raw, x=zscore_channels(raw.x))
-    split = split_by_image(records, seed=21)
+    split = split_by_image(records.image_ids, seed=21)
     from brainvis_forge.lmm import build_lmm_models, prepare_units, train_lmm
 
-    units = prepare_units(records.take(split.train), 10)
+    units = prepare_units(records, 10)
     lmm = build_lmm_models(unit_dim=units.shape[2], n_units=10, d=16, n_heads=2, ffn_dim=32, sa_blocks=1,
                            ca_blocks=1, n_codewords=16, teacher_momentum=0.99, seed=6)
-    train_lmm(units, lmm, mask_ratio=0.75, steps=20, batch_size=32, seed=6)
+    train_lmm(units, lmm, rows=split.train, mask_ratio=0.75, steps=20, batch_size=32, seed=6)
     freq_model, scale, _ = _train_freq(records, split, 4, 8, 6, epochs=15, batch_size=16)
     return records, split, lmm, (freq_model, scale)
 

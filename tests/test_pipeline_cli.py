@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import sys
 import zlib
 from pathlib import Path
 
@@ -316,6 +317,41 @@ def test_every_archive_read_refuses_an_archive_tagged_for_another_stage(tmp_path
         STAGES[reader].run(tiny_config(**QUICK), paths)
 
 
+TRIALS = {"x", "labels", "subjects", "image_ids"}
+DATA_KEYS_READ = {  # the keys of gen-data's archive each later stage asks for
+    "lmm": TRIALS, "freq": TRIALS, "tfe": TRIALS,
+    "align": {"labels", "image_ids", "image_labels", "c_label", "c_cap"},
+    "diffusion": {"labels", "image_ids", "images"},
+    "generate": {"labels", "image_ids"},
+    "evaluate": {"labels", "image_ids", "images", "image_labels"},
+}
+
+
+def test_every_stage_reads_gen_datas_archive_once_asking_for_only_its_own_keys(tmp_path, monkeypatch):
+    from brainvis_forge import binio
+
+    load, reads = binio.load_checkpoint, []
+
+    def spy(path, stage, keys=None):
+        reads.append((current, Path(path).relative_to(paths.root).as_posix(), None if keys is None else set(keys)))
+        return load(path, stage, keys)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brainvis_forge") and getattr(module, "load_checkpoint", None) is load:
+            monkeypatch.setattr(module, "load_checkpoint", spy)
+    cfg, paths = tiny_config(**QUICK), RunPaths(tmp_path / "run")
+    for current, stage in STAGES.items():
+        stage.run(cfg, paths)
+    for reader in STAGES:
+        assert [keys for who, path, keys in reads if who == reader and path == "data/checkpoint.bvc"] == (
+            [DATA_KEYS_READ[reader]] if reader != "data" else []), reader
+    # finetune-tfe loads lmm's projector and encoder, so it skips model/predictor.* and reads every other key
+    (lmm_keys,) = [keys for who, path, keys in reads if who == "tfe" and path == "lmm/checkpoint.bvc"]
+    stored = set(load(paths.checkpoint("lmm"), "lmm"))
+    assert lmm_keys == {key for key in stored if not key.startswith("model/predictor.")}
+    assert {key.split(".")[0] for key in lmm_keys} == {"model/projector", "model/encoder"}
+
+
 def test_generate_writes_each_provenance_row_beside_its_sample(quick_chain):
     cfg = tiny_config(**QUICK)
     paths = RunPaths(quick_chain)
@@ -367,8 +403,8 @@ def test_stage_writes_config_snapshot_and_metrics(tmp_path):
     assert (stage_dir / "metrics.jsonl").exists()
 
 
-@pytest.mark.parametrize("stage, failing", [("data", "_write_jsonl"), ("data", "crc_bytes"), ("freq", "_write_jsonl"),
-                                            ("freq", "crc_bytes")])
+@pytest.mark.parametrize("stage, failing", [("data", "_write_jsonl"), ("data", "write_whole"), ("freq", "_write_jsonl"),
+                                            ("freq", "write_whole")])
 def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, stage, failing):
     from brainvis_forge import binio
     from brainvis_forge.pipeline import runner
@@ -376,12 +412,24 @@ def test_a_stage_that_fails_while_writing_is_not_done(tmp_path, monkeypatch, sta
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
+    def fail_after_three_chunks(path, chunks, write_whole=binio.write_whole):
+        def first_three():
+            for k, chunk in enumerate(chunks):
+                if k == 3:
+                    raise OSError("disk full")
+                yield chunk
+        write_whole(path, first_three())
+
     cfg = tiny_config(epochs={**tiny_config().epochs, "freq": 1})
     paths = RunPaths(tmp_path / "run")
     if stage != "data":
         run_gen_data(cfg, paths)
-    # _write_jsonl writes metrics.jsonl; crc_bytes runs while the checkpoint body is written.
-    monkeypatch.setattr(runner if failing == "_write_jsonl" else binio, failing, fail)
+    # _write_jsonl writes metrics.jsonl; binio.write_whole, as save_checkpoint calls it, fails after the
+    # archive's header, stage tag and first tensor header, before that tensor's data.
+    if failing == "_write_jsonl":
+        monkeypatch.setattr(runner, failing, fail)
+    else:
+        monkeypatch.setattr(binio, failing, fail_after_three_chunks)
     with pytest.raises(OSError, match="disk full"):
         runner.STAGES[stage].run(cfg, paths)
     assert stage not in paths.available_stages()

@@ -138,7 +138,8 @@ def _lmm():
     units = np.random.default_rng(12).standard_normal((5, 6, 8)).astype(np.float32)
     return (lambda: build_lmm_models(unit_dim=8, n_units=6, d=8, n_heads=2, ffn_dim=16, sa_blocks=1, ca_blocks=1,
                                      n_codewords=12, teacher_momentum=0.9, seed=0),
-            lambda models: lmm_train.train_lmm(units, models, mask_ratio=0.5, steps=2, batch_size=3, seed=1))
+            lambda models: lmm_train.train_lmm(units, models, rows=range(len(units)), mask_ratio=0.5, steps=2,
+                                               batch_size=3, seed=1))
 
 
 # site -> (module holding the loss op, the op, its network and trainer, the ops a failed first step tapes)
